@@ -46,8 +46,10 @@ class ProblemData:
 
     def __post_init__(self):
         self.a = np.asarray(self.a, dtype=float)
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
+        if self.a.shape != (2,) or not np.isfinite(self.a).all():
+            raise ValueError("advection velocity a must be two finite numbers")
+        if not (np.isfinite(self.kappa) and self.kappa > 0):
+            raise ValueError("kappa must be positive and finite")
 
 
 @dataclass
@@ -78,8 +80,6 @@ class FaceOperator:
     D: np.ndarray
     R_hat: np.ndarray
     tag: str
-    factor = None  # set by the solver
-    factor_kind: str = ""
 
 
 def stabilization_tau(a: np.ndarray, normal: np.ndarray, kappa: float, ell: float) -> float:

@@ -2,9 +2,12 @@
 
 The block system [A B; C D][U; uhat] = [R_u; R_uhat] is reduced to
 (D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  The Schur operator is applied
-matrix-free through four local steps (B, A^-1, C per macro, then a per-face
-reduction) or through an explicitly scattered sparse matrix; both share the
-block-diagonal D^-1 preconditioner and a restarted GMRES.
+matrix-free through four steps (B, A^-1, C per macro, then the face reduction
+D uhat minus a fixed-order scatter of the macro outputs) or as an explicitly
+scattered sparse matrix.  Both share a restarted GMRES, preconditioned by
+the block-diagonal D^-1 as one sparse matrix.  Its blocks are exact inverses:
+assembly builds D_F = c_F M_F with c_F < 0, a negative multiple of the face
+mass matrix, so condense inverts every block once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    FaceOperator,
     LocalOperators,
     ProblemData,
     StabilizationConfig,
@@ -54,6 +56,9 @@ class SolverConfig:
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.mode not in ("mf", "mb"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("restart", "maxiter", "workers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
 
 class WorkerPool:
@@ -120,44 +125,28 @@ def _factorize_local(op: LocalOperators) -> None:
 
 def _solve_local(op: LocalOperators, rhs: np.ndarray) -> np.ndarray:
     kind, fac = op.lu
-    if kind == "dense":
-        return sla.lu_solve(fac, rhs)
-    if rhs.ndim == 1:
-        return fac.solve(rhs)
-    return np.column_stack([fac.solve(rhs[:, k]) for k in range(rhs.shape[1])])
+    return sla.lu_solve(fac, rhs) if kind == "dense" else fac.solve(rhs)
 
 
-def _factorize_face(op: FaceOperator) -> None:
-    """Symmetric factorization of -D or D when definite, LU otherwise."""
-    for sign, kind in ((-1.0, "chol-neg"), (1.0, "chol-pos")):
-        try:
-            c = sla.cho_factor(sign * op.D)
-        except np.linalg.LinAlgError:
-            continue
-        op.factor = ("chol", sign, c)
-        op.factor_kind = kind
-        return
+def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
+    """Batched inverses of equally sized face blocks.  A block is singular
+    when its LU has a zero pivot, or when its inverse is not finite or has
+    max|D_F| max|D_F^-1| >= 1e13 (a pivot below about 1e-13 max|D_F|)."""
     try:
-        lu, piv = sla.lu_factor(op.D)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularFaceBlock(op.face_id) from exc
-    if np.abs(np.diag(lu)).min() < 1e-13 * max(np.abs(op.D).max(), 1e-300):
-        raise SingularFaceBlock(op.face_id)
-    op.factor = ("lu", 1.0, (lu, piv))
-    op.factor_kind = "lu"
-
-
-def _solve_face(op: FaceOperator, rhs: np.ndarray) -> np.ndarray:
-    kind, sign, fac = op.factor
-    if kind == "chol":
-        return sign * sla.cho_solve(fac, rhs)
-    return sla.lu_solve(fac, rhs)
+        inv = np.linalg.inv(blocks)
+    except np.linalg.LinAlgError as exc:
+        sign, _ = np.linalg.slogdet(blocks)
+        raise SingularFaceBlock(fids[int(np.flatnonzero(sign == 0)[0])]) from exc
+    size = np.abs(inv).max(axis=(1, 2)) * np.abs(blocks).max(axis=(1, 2))
+    bad = np.flatnonzero(~(size < 1e13))  # also catches nan
+    if bad.size:
+        raise SingularFaceBlock(fids[int(bad[0])])
+    return inv
 
 
 @dataclass
 class CondensedSystem:
     mesh: MacroMesh
-    p: int
     local_ops: list
     face_ops: dict  # face id -> FaceOperator, unknown faces only
     offsets: dict  # face id -> (start, ndofs) in the global trace vector
@@ -167,8 +156,14 @@ class CondensedSystem:
     # per macro: boolean mask of unknown slot positions and their global indices
     gather_mask: list = field(default_factory=list)
     gather_idx: list = field(default_factory=list)
-    # per unknown face: (start, nd, [(macro id, slot slice), ...])
+    # per unknown face: (face id, start, nd, [(macro id, slot slice), ...])
     face_plan: list = field(default_factory=list)
+    D: Optional[sp.csr_matrix] = None  # block diagonal, trace order
+    Dinv: Optional[sp.csr_matrix] = None
+    # step 4: entries of the concatenated macro outputs C A^-1 B u_e and the
+    # trace dofs they are subtracted from, in face_plan order
+    reduce_src: Optional[np.ndarray] = None
+    reduce_dst: Optional[np.ndarray] = None
     counters: dict = field(default_factory=lambda: {"macro_apply": 0, "face_reduce": 0})
     timings: dict = field(default_factory=lambda: {"local": 0.0, "global": 0.0})
 
@@ -189,11 +184,10 @@ def condense(
     config: SolverConfig,
     pool: Optional[WorkerPool] = None,
 ) -> CondensedSystem:
-    """Factorize local blocks and build the reduced right-hand side
-    f = R_uhat - C A^-1 R_u."""
+    """Factorize local blocks, build D and D^-1 and the reduced right-hand
+    side f = R_uhat - C A^-1 R_u."""
     pool = pool or WorkerPool(config.workers)
     pool.map(_factorize_local, local_ops)
-    pool.map(_factorize_face, list(face_ops.values()))
 
     offsets = {}
     pos = 0
@@ -206,7 +200,7 @@ def condense(
     zhat = pos
 
     sys = CondensedSystem(
-        mesh=mesh, p=_infer_p(mesh, local_ops), local_ops=local_ops,
+        mesh=mesh, local_ops=local_ops,
         face_ops=face_ops, offsets=offsets, zhat=zhat,
         f_vec=np.zeros(zhat), pool=pool,
     )
@@ -222,11 +216,13 @@ def condense(
         sys.gather_mask.append(mask)
         sys.gather_idx.append(np.array(idx, dtype=np.int64))
 
+    vstart = np.cumsum([0] + [op.C.shape[0] for op in local_ops])
     side_slots = {}
     for e, op in enumerate(local_ops):
         for fid, slot in op.face_slots:
             if fid in offsets:
                 side_slots.setdefault(fid, []).append((e, slot))
+    src, dst = [], []
     for face in mesh.skeleton:
         if face.id not in offsets:
             continue
@@ -237,8 +233,13 @@ def condense(
             for (e, slot) in side_slots.get(face.id, []):
                 if e == side.macro and (e, slot) not in order:
                     order.append((e, slot))
+                    src.extend(range(vstart[e] + slot.start, vstart[e] + slot.stop))
+                    dst.extend(range(start, start + nd))
                     break
         sys.face_plan.append((face.id, start, nd, order))
+    sys.reduce_src = np.array(src, dtype=np.int64)
+    sys.reduce_dst = np.array(dst, dtype=np.int64)
+    sys.D, sys.Dinv = _face_block_matrices(sys)
 
     # reduced RHS
     def macro_rhs(e):
@@ -246,22 +247,42 @@ def condense(
         return op.C @ _solve_local(op, op.R_u)
 
     contrib = pool.map(macro_rhs, range(len(local_ops)))
-    for fid, start, nd, order in sys.face_plan:
-        seg = face_ops[fid].R_hat.copy()
-        for (e, slot) in order:
-            seg -= contrib[e][slot]
-        sys.f_vec[start:start + nd] = seg
+    for fid, start, nd, _ in sys.face_plan:
+        sys.f_vec[start:start + nd] = face_ops[fid].R_hat
+    _reduce_faces(sys, sys.f_vec, contrib)
     return sys
 
 
-def _infer_p(mesh: MacroMesh, local_ops: list) -> int:
-    from math import isqrt
+def _face_block_matrices(sys: CondensedSystem):
+    """D and D^-1 as block-diagonal CSR matrices.  Each face block fills rows
+    start..start+nd, so its entries are one contiguous run of the data array;
+    blocks of equal size are inverted in one batched call."""
+    fids = [plan[0] for plan in sys.face_plan]
+    starts = np.array([plan[1] for plan in sys.face_plan], dtype=np.int64)
+    sizes = np.array([plan[2] for plan in sys.face_plan], dtype=np.int64)
+    row_len = np.repeat(sizes, sizes)
+    indptr = np.concatenate(([0], np.cumsum(row_len)))
+    nnz = int(indptr[-1])
+    indices = (np.repeat(np.repeat(starts, sizes), row_len)
+               + np.arange(nnz) - np.repeat(indptr[:-1], row_len))
+    data, data_inv = np.empty(nnz), np.empty(nnz)
+    first = indptr[starts]
+    for nd in np.unique(sizes):
+        sel = np.flatnonzero(sizes == nd)
+        blocks = np.stack([sys.face_ops[fids[i]].D for i in sel])
+        at = first[sel, None] + np.arange(nd * nd)
+        data[at] = blocks.reshape(sel.size, -1)
+        inv = _invert_face_blocks([fids[i] for i in sel], blocks)
+        data_inv[at] = inv.reshape(sel.size, -1)
+    shape = (sys.zhat, sys.zhat)
+    return (sp.csr_matrix((data, indices, indptr), shape=shape),
+            sp.csr_matrix((data_inv, indices, indptr), shape=shape))
 
-    # Q = binom(mp+2, 2) -> recover p from the first macro's block size
-    Q = local_ops[0].R_u.size // 3
-    m = mesh.macro_elements[0].m
-    L = (isqrt(8 * Q + 1) - 3) // 2  # lattice degree with (L+1)(L+2)/2 = Q
-    return L // m
+
+def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray:
+    """w -= the macro contributions vhat, in place, in face_plan order."""
+    np.subtract.at(w, sys.reduce_dst, np.concatenate(vhat)[sys.reduce_src])
+    return w
 
 
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
@@ -273,36 +294,20 @@ def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
         ue = sys.gather(uhat, e)
         x = op.B @ ue            # step 1
         y = _solve_local(op, x)  # step 2
-        sys.counters["macro_apply"] += 1
         return op.C @ y          # step 3
 
     vhat = sys.pool.map(macro_task, range(len(sys.local_ops)))
+    sys.counters["macro_apply"] += len(sys.local_ops)
     sys.timings["local"] += time.perf_counter() - t0
 
-    w = np.empty(sys.zhat)
-
-    def face_task(plan):  # step 4
-        fid, start, nd, order = plan
-        seg = sys.face_ops[fid].D @ uhat[start:start + nd]
-        for (e, slot) in order:
-            seg = seg - vhat[e][slot]
-        w[start:start + nd] = seg
-        sys.counters["face_reduce"] += 1
-
-    sys.pool.map(face_task, sys.face_plan)
+    w = _reduce_faces(sys, sys.D @ uhat, vhat)  # step 4
+    sys.counters["face_reduce"] += len(sys.face_plan)
     return w
 
 
 def apply_preconditioner(sys: CondensedSystem, w: np.ndarray) -> np.ndarray:
-    """Per-face application of D^-1."""
-    out = np.empty_like(w)
-
-    def face_task(plan):
-        fid, start, nd, _ = plan
-        out[start:start + nd] = _solve_face(sys.face_ops[fid], w[start:start + nd])
-
-    sys.pool.map(face_task, sys.face_plan)
-    return out
+    """Block-diagonal D^-1 as one sparse product."""
+    return sys.Dinv @ w
 
 
 def gmres(
@@ -386,7 +391,8 @@ def gmres(
 
 
 def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
-    """Explicit D - C A^-1 B, scattered per macro by trace indices."""
+    """Explicit D - C A^-1 B: the macro blocks scattered by trace indices,
+    plus the block-diagonal D."""
     rows, cols, vals = [], [], []
 
     def macro_task(e):
@@ -402,22 +408,14 @@ def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
         if blk is None:
             continue
         gi = sys.gather_idx[e]
-        R, Cc = np.meshgrid(gi, gi, indexing="ij")
-        rows.append(R.ravel())
-        cols.append(Cc.ravel())
+        rows.append(np.repeat(gi, gi.size))
+        cols.append(np.tile(gi, gi.size))
         vals.append(blk.ravel())
-    for fid, start, nd, _ in sys.face_plan:
-        D = sys.face_ops[fid].D
-        gi = np.arange(start, start + nd)
-        R, Cc = np.meshgrid(gi, gi, indexing="ij")
-        rows.append(R.ravel())
-        cols.append(Cc.ravel())
-        vals.append(D.ravel())
     S = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(sys.zhat, sys.zhat),
     )
-    return S.tocsr()
+    return S.tocsr() + sys.D
 
 
 def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> list:
@@ -458,7 +456,8 @@ class SolveReport:
             "iterations": self.iterations, "converged": self.converged,
             "tol": self.tol, "mode": self.mode, "precond": self.precond,
             "t_init_s": self.t_init_s, "t_local_s": self.t_local_s,
-            "t_global_s": self.t_global_s, "lbf": self.lbf,
+            "t_global_s": self.t_global_s,
+            "t_reconstruct_s": self.t_reconstruct_s, "lbf": self.lbf,
         }
 
 

@@ -39,6 +39,12 @@ def test_problem_data_validation():
         make_problem(kappa=0.0)
     with pytest.raises(ValueError):
         make_problem(kappa=-1.0)
+    for kappa in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            make_problem(kappa=kappa)
+    for a in ((1.0, float("nan")), (float("inf"), 0.0), (1.0, 2.0, 3.0), (1.0,)):
+        with pytest.raises(ValueError):
+            make_problem(a=a)
     with pytest.raises(ValueError):
         StabilizationConfig(supg=True, supg_variant="bogus")
 

@@ -102,6 +102,9 @@ def test_input_error_exit_code(capsys):
     assert main(["solve", "--n", "-1"]) == 1
     assert main(["solve", "--dim", "3"]) == 1
     assert main(["solve", "--advect", "1,2,3"]) == 1
+    assert main(["solve", "--kappa", "nan"]) == 1
+    assert main(["solve", "--advect", "1,nan"]) == 1
+    assert main(["solve", "--workers", "0"]) == 1
     capsys.readouterr()
 
 

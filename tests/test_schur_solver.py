@@ -45,6 +45,11 @@ def test_solver_config_validation():
         SolverConfig(preconditioner="ilu")
     with pytest.raises(ValueError):
         SolverConfig(mode="magic")
+    for name in ("restart", "maxiter", "workers"):
+        with pytest.raises(ValueError):
+            SolverConfig(**{name: 0})
+        with pytest.raises(ValueError):
+            SolverConfig(**{name: -1})
 
 
 def test_condense_zero_data():
@@ -124,6 +129,25 @@ def test_two_macro_call_counts():
     assert sys.counters["face_reduce"] == 1
 
 
+def test_call_counts_exact_with_threads():
+    """Counts stay exact when more worker threads than cores run the macros
+    and the interpreter switches threads often."""
+    import sys as _sys
+
+    _, sys = build_system(3, 2, 1, workers=8)
+    x = np.ones(sys.zhat)
+    interval = _sys.getswitchinterval()
+    _sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            apply_schur(sys, x)
+    finally:
+        _sys.setswitchinterval(interval)
+        sys.pool.close()
+    assert sys.counters["macro_apply"] == 20 * len(sys.local_ops)
+    assert sys.counters["face_reduce"] == 20 * len(sys.face_plan)
+
+
 def test_preconditioner_round_trip():
     _, sys = build_system(2, 2, 2)
     rng = np.random.default_rng(1)
@@ -136,13 +160,12 @@ def test_preconditioner_round_trip():
 
 
 def test_preconditioner_identity_blocks():
-    import scipy.linalg as sla
-
-    _, sys = build_system(2, 1, 1)
-    for op in sys.face_ops.values():
+    mesh = build_structured_macro_mesh(2, 2, 1)
+    pool = WorkerPool(1)
+    local_ops, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    for op in face_ops.values():
         op.D = np.eye(op.D.shape[0])
-        op.factor = ("chol", 1.0, sla.cho_factor(op.D))
-        op.factor_kind = "chol-pos"
+    sys = condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
     x = np.arange(1.0, sys.zhat + 1.0)
     assert np.array_equal(apply_preconditioner(sys, x), x)
 
@@ -172,11 +195,51 @@ def test_preconditioned_operator_structure():
 
 
 def test_face_factorization_kinds():
+    """Every face block D_F = c_F M_F is negative definite, and the stored
+    block-diagonal D^-1 inverts the stored D."""
     _, sys = build_system(2, 2, 2)
-    kinds = {op.factor_kind for op in sys.face_ops.values()}
-    # interior blocks are negative definite; boundary Neumann absent here
-    assert kinds <= {"chol-neg", "chol-pos", "lu"}
-    assert "chol-neg" in kinds
+    for fid, start, nd, _ in sys.face_plan:
+        D = sys.face_ops[fid].D
+        assert np.linalg.eigvalsh(D).max() < 0
+        assert np.array_equal(sys.D[start:start + nd, start:start + nd].toarray(), D)
+    assert np.abs((sys.Dinv @ sys.D).toarray() - np.eye(sys.zhat)).max() < 1e-12
+
+
+def test_face_block_matrices_mixed_sizes():
+    """Blocks of different sizes land on the diagonal in trace order and
+    each is inverted."""
+    from types import SimpleNamespace
+
+    import scipy.linalg as sla
+
+    from mehdg.schur_solver import _face_block_matrices
+
+    rng = np.random.default_rng(3)
+    face_ops, plan, start = {}, [], 0
+    for fid, nd in enumerate([3, 2, 3, 1, 2]):
+        G = rng.standard_normal((nd, nd))
+        face_ops[fid] = SimpleNamespace(D=-(G @ G.T + nd * np.eye(nd)))
+        plan.append((fid, start, nd, []))
+        start += nd
+    fake = SimpleNamespace(face_plan=plan, face_ops=face_ops, zhat=start)
+    D, Dinv = _face_block_matrices(fake)
+    dense = sla.block_diag(*(op.D for op in face_ops.values()))
+    assert np.array_equal(D.toarray(), dense)
+    assert np.abs(Dinv.toarray() - np.linalg.inv(dense)).max() < 1e-12
+
+
+@pytest.mark.parametrize("bad", ["tiny-pivot", "nan"])
+def test_near_singular_face_block(bad):
+    mesh = build_structured_macro_mesh(2, 1, 1)
+    pool = WorkerPool(1)
+    local_ops, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    op = face_ops[next(iter(face_ops))]
+    if bad == "nan":
+        op.D = np.full_like(op.D, np.nan)
+    else:
+        op.D = np.diag([1.0] + [1e-15] * (op.D.shape[0] - 1))
+    with pytest.raises(SingularFaceBlock):
+        condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -372,9 +435,10 @@ def test_solve_report_record():
     rec = solution.report.to_record()
     for key in ("p", "m", "n", "dof_local", "dof_global", "iterations",
                 "converged", "tol", "mode", "precond", "t_init_s",
-                "t_local_s", "t_global_s", "lbf"):
+                "t_local_s", "t_global_s", "t_reconstruct_s", "lbf"):
         assert key in rec
     assert rec["converged"] is True
+    assert rec["t_reconstruct_s"] == solution.report.t_reconstruct_s > 0.0
     assert 0.0 < rec["lbf"] <= 1.0
     assert rec["dof_local"] == sum(
         3 * ((2 * m_p + 2) * (2 * m_p + 1) // 2) for m_p in [2] * 8)

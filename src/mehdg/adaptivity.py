@@ -8,8 +8,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fem_basis import LagrangeBasis, build_patch_dof_map, quadrature_rule
-from .mesh import MacroMesh, refine_macros, sub_cells
+from .fem_basis import build_patch_dof_map, reference_tables
+from .mesh import MacroMesh, refine_macros
 from .schur_solver import SolverConfig, solve
 
 
@@ -24,26 +24,17 @@ class IndicatorField:
 
 def error_indicator(mesh: MacroMesh, p: int, solution) -> IndicatorField:
     """eta_K = h_K * ||grad u_h||_{L2(K)} per macro K."""
-    rule = quadrature_rule(2, max(2 * p - 2, 1))
-    basis = LagrangeBasis(2, p)
-    gref = basis.grad(rule.points_ref)
+    rule, _, gref, _ = reference_tables(p, max(2 * p - 2, 1))
     eta = np.zeros(len(mesh.macro_elements))
     for e, macro in enumerate(mesh.macro_elements):
         dofmap = build_patch_dof_map(macro, p)
         u = solution.u_coeffs(e)
-        amap = macro.affine_map()
+        classes, cells = macro.sub_cell_geometry()
         acc = 0.0
-        tables = {}
-        for kind, jsub in (
-            ("up", np.eye(2) / macro.m),
-            ("down", np.array([[0.0, -1.0], [1.0, 1.0]]) / macro.m),
-        ):
-            Jc = amap.matrix @ jsub
-            tables[kind] = (gref @ np.linalg.inv(Jc),
-                            rule.weights * abs(float(np.linalg.det(Jc))))
-        for cell_idx, (kind, i, j) in enumerate(sub_cells(macro.m)):
+        tables = {kind: (gref @ Jinv, rule.weights * det)
+                  for kind, (_, Jinv, det) in classes.items()}
+        for cm, (kind, _) in zip(dofmap.cell_maps, cells):
             gph, wd = tables[kind]
-            cm = dofmap.cell_maps[cell_idx]
             grad = np.einsum("b,qbc->qc", u[cm], gph)
             acc += float(np.sum(wd * np.sum(grad**2, axis=1)))
         eta[e] = macro.diameter * sqrt(acc)
@@ -77,7 +68,6 @@ class AdaptState:
     mesh: MacroMesh
     level: int
     history: list = field(default_factory=list)
-    solutions: list = field(default_factory=list)
 
 
 def adapt(
@@ -89,7 +79,6 @@ def adapt(
     levels: int,
     theta: float = 0.5,
     error_fn: Optional[Callable] = None,
-    keep_solutions: bool = False,
 ) -> AdaptState:
     """Loop solve -> indicate -> mark -> refine for `levels` steps.
 
@@ -110,8 +99,6 @@ def adapt(
                 "eta_total": ind.total,
             }
         )
-        if keep_solutions:
-            state.solutions.append((mesh, solution))
         state.mesh = mesh
         state.level = lvl
         if lvl == levels:

@@ -23,13 +23,8 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_basis import (
-    LagrangeBasis,
-    TraceBasis,
-    build_patch_dof_map,
-    quadrature_rule,
-)
-from .mesh import EDGE_VERTS, MacroElement, MacroMesh, SkeletonFace, sub_cells, sub_cell_ref_verts
+from .fem_basis import _gauss01, build_patch_dof_map, reference_tables, trace_basis
+from .mesh import MacroElement, MacroMesh, SkeletonFace
 
 
 @dataclass
@@ -111,11 +106,6 @@ def supg_parameter(h: float, a: np.ndarray, kappa: float,
     return h / (2.0 * anorm) * g
 
 
-def _gauss01(n: int):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _piecewise_quad(breaks: np.ndarray, npts: int):
     """Gauss points/weights on [0,1] subordinate to the given breakpoints."""
     x, w = _gauss01(npts)
@@ -149,7 +139,7 @@ def _side_of(face: SkeletonFace, macro_id: int):
 
 def project_dirichlet(face: SkeletonFace, g: Callable, p: int) -> np.ndarray:
     """L2-projection of boundary data onto the face trace space."""
-    psi = TraceBasis(face.m_f, p)
+    psi = trace_basis(face.m_f, p)
     s, w = _piecewise_quad(psi.breakpoints, max(p + 2, 6))
     V = psi.eval(s)
     x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
@@ -159,12 +149,6 @@ def project_dirichlet(face: SkeletonFace, g: Callable, p: int) -> np.ndarray:
         return np.linalg.solve(M, r)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"singular face mass matrix on face {face.id}") from exc
-
-
-def macro_tau(macro: MacroElement, edge: int, problem: ProblemData) -> float:
-    amap = macro.affine_map()
-    return stabilization_tau(problem.a, amap.normals[edge], problem.kappa,
-                             macro.diameter)
 
 
 def assemble_macro(
@@ -188,24 +172,15 @@ def assemble_macro(
 
     if quad_degree is None:
         quad_degree = 2 * p + 2 if stab.supg else 2 * p + 1
-    rule = quadrature_rule(2, quad_degree)
-    basis = LagrangeBasis(2, p)
-    val = basis.eval(rule.points_ref)
-    gref = basis.grad(rule.points_ref)
-    href = basis.hess(rule.points_ref)
+    rule, val, gref, href = reference_tables(p, quad_degree)
 
     A = np.zeros((nloc, nloc))
     Ru = np.zeros(nloc)
 
     # the red pattern has two congruence classes of sub-cells
+    classes, cells = macro.sub_cell_geometry()
     class_tables = {}
-    for kind, jsub in (
-        ("up", np.array([[1.0, 0.0], [0.0, 1.0]]) / m),
-        ("down", np.array([[0.0, -1.0], [1.0, 1.0]]) / m),
-    ):
-        Jc = amap.matrix @ jsub
-        detc = abs(float(np.linalg.det(Jc)))
-        Jinv = np.linalg.inv(Jc)
+    for kind, (Jc, Jinv, detc) in classes.items():
         gph = gref @ Jinv  # (nq, nb, 2) physical gradients
         wd = rule.weights * detc
         M = val.T @ (wd[:, None] * val)
@@ -221,10 +196,8 @@ def assemble_macro(
             tables.update(S=S, advg=advg, ts=ts)
         class_tables[kind] = tables
 
-    for cell_idx, (kind, i, j) in enumerate(sub_cells(m)):
+    for cm, (kind, v0) in zip(dofmap.cell_maps, cells):
         tb = class_tables[kind]
-        cm = dofmap.cell_maps[cell_idx]
-        v0 = amap.to_physical(sub_cell_ref_verts(kind, i, j, m)[0:1])[0]
         pts = rule.points_ref @ tb["Jc"].T + v0
         fvals = np.asarray(problem.f(pts), dtype=float)
 
@@ -241,7 +214,7 @@ def assemble_macro(
             Ru[ix_u] += tb["ts"] * tb["advg"].T @ (tb["wd"] * fvals)
 
     # boundary contributions, one or two skeleton faces per macro edge
-    theta = TraceBasis(m, p)
+    theta = trace_basis(m, p)
     face_ids = [fid for k in range(3) for fid in macro.faces[k]]
     slot_sizes = [mesh.skeleton[fid].m_f * p + 1 for fid in face_ids]
     nc = int(sum(slot_sizes))
@@ -261,7 +234,7 @@ def assemble_macro(
         tau = stabilization_tau(a, nrm, kappa, macro.diameter)
         an = float(np.dot(a, nrm))
         lenF = face.length
-        psi = TraceBasis(face.m_f, p)
+        psi = trace_basis(face.m_f, p)
         s, w = _piecewise_quad(_face_breaks(face, side, m), p + 1)
         t = side.t0 + (side.t1 - side.t0) * s
         TH = theta.eval(t)  # macro edge-node traces
@@ -299,7 +272,7 @@ def assemble_face(
     problem: ProblemData, stab: StabilizationConfig,
 ) -> FaceOperator:
     """Assemble the face block D and its right-hand side segment."""
-    psi = TraceBasis(face.m_f, p)
+    psi = trace_basis(face.m_f, p)
     s, w = _piecewise_quad(psi.breakpoints, p + 1)
     PS = psi.eval(s)
     wl = w * face.length

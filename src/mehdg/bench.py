@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -13,8 +13,8 @@ import numpy as np
 from .adaptivity import adapt
 from .assembly import ProblemData, StabilizationConfig
 from .costmodel import CostInputs, dependent_quantities, memory_estimate, operation_counts
-from .fem_basis import LagrangeBasis, build_patch_dof_map, quadrature_rule
-from .mesh import MacroMesh, build_structured_macro_mesh, sub_cell_ref_verts, sub_cells
+from .fem_basis import build_patch_dof_map, reference_tables
+from .mesh import MacroMesh, build_structured_macro_mesh
 from .schur_solver import SolverConfig, solve
 
 
@@ -148,20 +148,16 @@ def audit_source(case: BenchmarkCase, npts: int = 100, seed: int = 1234) -> floa
 
 def l2_error(mesh: MacroMesh, p: int, solution, u_exact: Callable) -> float:
     """Elementwise quadrature of (u_h - u*)^2 with exactness >= 2p+2."""
-    rule = quadrature_rule(2, 2 * p + 2)
-    basis = LagrangeBasis(2, p)
-    val = basis.eval(rule.points_ref)
+    rule, val, _, _ = reference_tables(p, 2 * p + 2)
     acc = 0.0
     for e, macro in enumerate(mesh.macro_elements):
         dofmap = build_patch_dof_map(macro, p)
         u = solution.u_coeffs(e)
-        amap = macro.affine_map()
-        for cell_idx, (kind, i, j) in enumerate(sub_cells(macro.m)):
-            sub = amap.to_physical(sub_cell_ref_verts(kind, i, j, macro.m))
-            Jc = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
-            det = abs(float(np.linalg.det(Jc)))
-            pts = rule.points_ref @ Jc.T + sub[0]
-            uh = val @ u[dofmap.cell_maps[cell_idx]]
+        classes, cells = macro.sub_cell_geometry()
+        for cm, (kind, origin) in zip(dofmap.cell_maps, cells):
+            Jc, _, det = classes[kind]
+            pts = rule.points_ref @ Jc.T + origin
+            uh = val @ u[cm]
             diff = uh - np.asarray(u_exact(pts), dtype=float)
             acc += float(np.sum(rule.weights * det * diff**2))
     return math.sqrt(acc)
@@ -235,11 +231,7 @@ def run_compare(
     for tol in tolerances:
         iters = {}
         for mode in ("mb", "mf"):
-            cfg = SolverConfig(
-                tol=tol, restart=base.restart, maxiter=base.maxiter,
-                preconditioner=base.preconditioner, mode=mode,
-                workers=base.workers,
-            )
+            cfg = replace(base, tol=tol, mode=mode)
             solution, _ = solve(mesh, case.problem(), stab, cfg, p)
             rep = solution.report
             iters[mode] = rep.iterations

@@ -156,7 +156,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args = _apply_config(parser, args.command, args, argv)
         if args.dim != 2 and args.command != "cost":
-            raise ValueError("only --dim 2 is solvable; d=3 is counting-only")
+            raise ValueError("only --dim 2 is solvable; d=3 is supported by cost only")
 
         if args.command == "solve":
             case = _case(args)

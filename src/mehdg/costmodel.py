@@ -39,8 +39,6 @@ class CostReport:
     Q_dm1: int
     D_faces: int
     sparsity: float
-    op_counts: dict  # {'init', 'step1', 'step2', 'step3', 'step4'}
-    memory: dict  # {'A_block', 'BC_block', 'D_block', 'total'}
 
 
 def dependent_quantities(inputs: CostInputs) -> CostReport:
@@ -53,8 +51,7 @@ def dependent_quantities(inputs: CostInputs) -> CostReport:
     D_faces = A_d * n**d + B_d * d * n ** (d - 1) * (n - 1)
     sparsity = _sparsity(d, m, p, inputs.arithmetic)
     return CostReport(
-        N=N, M_d=M_d, Q_d=Q_d, Q_dm1=Q_dm1, D_faces=D_faces,
-        sparsity=sparsity, op_counts={}, memory={},
+        N=N, M_d=M_d, Q_d=Q_d, Q_dm1=Q_dm1, D_faces=D_faces, sparsity=sparsity,
     )
 
 
@@ -106,11 +103,3 @@ def memory_estimate(inputs: CostInputs) -> dict:
         "total": rep.N * (A_block + BC_block) + rep.D_faces * D_block,
     }
 
-
-def full_report(inputs: CostInputs, n_bar: int = None, m_bar: int = None) -> CostReport:
-    rep = dependent_quantities(inputs)
-    nb = n_bar if n_bar is not None else inputs.n
-    mb = m_bar if m_bar is not None else inputs.m
-    rep.op_counts = operation_counts(inputs.d, nb, mb, inputs.p)["mehdg"]
-    rep.memory = memory_estimate(inputs)
-    return rep

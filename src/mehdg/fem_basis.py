@@ -2,7 +2,9 @@
 
 Bases use equispaced lattice nodes on the reference simplex and are built by
 inverting the monomial Vandermonde matrix (adequate for the degrees p <= 5
-used here).
+used here).  Quadrature rules, reference tables, patch dof maps and trace
+bases depend only on small integers; each is built once and shared, with its
+arrays read-only.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from typing import Optional
 import numpy as np
 
 from .mesh import MacroElement, SkeletonFace, sub_cells
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def patch_dof_count(d: int, m: int, p: int) -> int:
@@ -46,10 +53,10 @@ class LagrangeBasis:
         self.d = d
         self.p = p
         self.lattice = simplex_lattice(d, p)
-        self.nodes = np.array(self.lattice, dtype=float) / p
-        self.exps = np.array(self.lattice)  # monomial exponents, same index set
+        self.nodes = _readonly(np.array(self.lattice, dtype=float) / p)
+        self.exps = _readonly(np.array(self.lattice))  # monomial exponents, same index set
         V = self._monomials(self.nodes)
-        self.coeff = np.linalg.inv(V)  # basis_j = sum_k coeff[k, j] * mono_k
+        self.coeff = _readonly(np.linalg.inv(V))  # basis_j = sum_k coeff[k, j] * mono_k
         self.n_dofs = len(self.lattice)
 
     def _monomials(self, pts: np.ndarray) -> np.ndarray:
@@ -142,7 +149,7 @@ def _patch_dof_map(m: int, p: int) -> PatchDofMap:
             else:
                 ab = ((i + 1) * p - s, j * p + r + s)
             arr[l] = index[ab]
-        cell_maps.append(arr)
+        cell_maps.append(_readonly(arr))
     edge_nodes = np.empty((3, L + 1), dtype=np.int64)
     for k in range(L + 1):
         edge_nodes[0, k] = index[(L - k, k)]  # v1 -> v2
@@ -150,7 +157,7 @@ def _patch_dof_map(m: int, p: int) -> PatchDofMap:
         edge_nodes[2, k] = index[(k, 0)]      # v0 -> v1
     return PatchDofMap(
         m=m, p=p, n_dofs=len(lattice), cell_maps=cell_maps,
-        node_lattice=np.array(lattice), edge_nodes=edge_nodes,
+        node_lattice=_readonly(np.array(lattice)), edge_nodes=_readonly(edge_nodes),
     )
 
 
@@ -158,23 +165,30 @@ def build_patch_dof_map(macro: MacroElement, p: int) -> PatchDofMap:
     return _patch_dof_map(macro.m, p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class QuadratureRule:
     d: int
     points: np.ndarray  # (npts, d+1) barycentric coordinates
     weights: np.ndarray
     degree: int
 
+    def __post_init__(self):
+        _readonly(self.points)
+        _readonly(self.weights)
+
     @property
     def points_ref(self) -> np.ndarray:
         return self.points[:, 1:]
 
 
+@lru_cache(maxsize=None)
 def _gauss01(n: int):
+    """n-point Gauss-Legendre points and weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    return _readonly(0.5 * (x + 1.0)), _readonly(0.5 * w)
 
 
+@lru_cache(maxsize=None)
 def quadrature_rule(d: int, degree: int) -> QuadratureRule:
     """Rule on the reference d-simplex exact for total degree <= degree.
 
@@ -218,6 +232,18 @@ def quadrature_rule(d: int, degree: int) -> QuadratureRule:
     raise ValueError(f"unsupported dimension {d}")
 
 
+@lru_cache(maxsize=None)
+def reference_tables(p: int, degree: int):
+    """(rule, values, gradients, hessians) of the degree-p Lagrange basis at
+    the points of the degree-exact triangle rule, shaped (nq, nb),
+    (nq, nb, 2) and (nq, nb, 2, 2)."""
+    rule = quadrature_rule(2, degree)
+    basis = LagrangeBasis(2, p)
+    pts = rule.points_ref
+    return (rule, _readonly(basis.eval(pts)), _readonly(basis.grad(pts)),
+            _readonly(basis.hess(pts)))
+
+
 class TraceBasis:
     """C0 piecewise degree-p Lagrange basis on [0,1] with m_f equal segments."""
 
@@ -227,8 +253,8 @@ class TraceBasis:
         self.m_f = m_f
         self.p = p
         self.n_dofs = m_f * p + 1
-        self.nodes = np.arange(self.n_dofs) / (m_f * p)
-        self.breakpoints = np.arange(m_f + 1) / m_f
+        self.nodes = _readonly(np.arange(self.n_dofs) / (m_f * p))
+        self.breakpoints = _readonly(np.arange(m_f + 1) / m_f)
         self._seg = LagrangeBasis(1, p)
 
     def eval(self, s: np.ndarray) -> np.ndarray:
@@ -241,6 +267,12 @@ class TraceBasis:
         for r in range(self.p + 1):
             out[np.arange(s.size), seg * self.p + r] = vals[:, r]
         return out
+
+
+@lru_cache(maxsize=None)
+def trace_basis(m_f: int, p: int) -> TraceBasis:
+    """The shared TraceBasis of (m_f, p)."""
+    return TraceBasis(m_f, p)
 
 
 class OrientationError(ValueError):
@@ -263,4 +295,4 @@ def face_trace_map(face: SkeletonFace, p: int, mesh=None) -> TraceBasis:
                         f"face {face.id}: side of macro {side.macro} disagrees "
                         "on face geometry"
                     )
-    return TraceBasis(face.m_f, p)
+    return trace_basis(face.m_f, p)

@@ -61,7 +61,10 @@ def reference_to_physical(verts: np.ndarray) -> AffineMap:
         if np.dot(nrm, verts[k] - verts[a]) > 0:
             nrm = -nrm
         normals[k] = nrm / np.linalg.norm(nrm)
-    return AffineMap(J, verts[0].copy(), det, np.linalg.inv(J), normals)
+    offset, inverse = verts[0].copy(), np.linalg.inv(J)
+    for arr in (J, offset, inverse, normals):
+        arr.flags.writeable = False  # a macro's map is shared by every caller
+    return AffineMap(J, offset, det, inverse, normals)
 
 
 # local edge k is opposite vertex k; direction fixed as below
@@ -75,6 +78,14 @@ def sub_cells(m: int) -> Iterator[tuple[str, int, int]]:
             yield ("up", i, j)
             if i + j <= m - 2:
                 yield ("down", i, j)
+
+
+# m times the Jacobians of the two red-pattern congruence classes in macro
+# reference coordinates, in the vertex order of sub_cell_ref_verts
+_CLASS_JACOBIANS = {
+    "up": np.array([[1.0, 0.0], [0.0, 1.0]]),
+    "down": np.array([[0.0, -1.0], [1.0, 1.0]]),
+}
 
 
 def sub_cell_ref_verts(kind: str, i: int, j: int, m: int) -> np.ndarray:
@@ -91,17 +102,21 @@ def sub_cell_ref_verts(kind: str, i: int, j: int, m: int) -> np.ndarray:
 class MacroElement:
     id: int
     vertex_ids: tuple
-    verts: np.ndarray  # (3, 2)
+    verts: np.ndarray  # (3, 2), read-only: the affine map is built from it once
     m: int
     level: int = 0
     # face ids per local edge, sorted along the edge (2 entries when the
     # neighbor is one level finer)
     faces: list = field(default_factory=lambda: [[], [], []])
 
+    def __post_init__(self):
+        self.verts = np.array(self.verts, dtype=float)
+        self.verts.flags.writeable = False
+        self._amap = reference_to_physical(self.verts)
+
     @property
     def volume(self) -> float:
-        J = np.column_stack((self.verts[1] - self.verts[0], self.verts[2] - self.verts[0]))
-        return abs(float(np.linalg.det(J))) / 2.0
+        return abs(self._amap.det) / 2.0
 
     @property
     def diameter(self) -> float:
@@ -111,16 +126,33 @@ class MacroElement:
         return float(max(d01, d12, d20))
 
     def affine_map(self) -> AffineMap:
-        return reference_to_physical(self.verts)
+        return self._amap
+
+    def sub_cell_geometry(self) -> tuple[dict, list]:
+        """(classes, cells) of the m^2 sub-cells, each mapped from the
+        reference triangle by x = jac @ xi + origin.
+
+        `classes` maps "up" and "down" to (jac, jac^-1, |det jac|), the class
+        Jacobians composed with the macro map; `cells` lists (kind, origin)
+        in sub_cells() order, origin being the image of reference vertex 0."""
+        amap = self._amap
+        classes = {}
+        for kind, jref in _CLASS_JACOBIANS.items():
+            jac = amap.matrix @ (jref / self.m)
+            classes[kind] = (jac, np.linalg.inv(jac), abs(float(np.linalg.det(jac))))
+        cells = [
+            (kind, amap.to_physical(sub_cell_ref_verts(kind, i, j, self.m)[0:1])[0])
+            for kind, i, j in sub_cells(self.m)
+        ]
+        return classes, cells
 
     def sub_elements(self) -> list[np.ndarray]:
         """Physical vertex arrays of the m^2 sub-triangles (enumeration order
         matches fem_basis.build_patch_dof_map)."""
-        amap = self.affine_map()
-        out = []
-        for kind, i, j in sub_cells(self.m):
-            out.append(amap.to_physical(sub_cell_ref_verts(kind, i, j, self.m)))
-        return out
+        return [
+            self._amap.to_physical(sub_cell_ref_verts(kind, i, j, self.m))
+            for kind, i, j in sub_cells(self.m)
+        ]
 
     def edge_endpoints(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         a, b = EDGE_VERTS[k]
@@ -150,10 +182,6 @@ class SkeletonFace:
     @property
     def length(self) -> float:
         return float(np.linalg.norm(self.verts[1] - self.verts[0]))
-
-    @property
-    def midpoint(self) -> np.ndarray:
-        return 0.5 * (self.verts[0] + self.verts[1])
 
     @property
     def sub_faces(self) -> list[np.ndarray]:
@@ -306,10 +334,10 @@ def _build_skeleton(macros: Sequence[MacroElement], tagger: Optional[Callable]) 
     for fid, rf in enumerate(raw_faces):
         v0, v1 = (np.asarray(rf["verts"][0], float), np.asarray(rf["verts"][1], float))
         left = rf["left"]
-        amap = reference_to_physical(macros[left.macro].verts)
+        normal = macros[left.macro].affine_map().normals[left.edge].copy()
         face = SkeletonFace(
             id=fid, verts=np.array([v0, v1]), left=left, right=rf["right"],
-            tag=rf["tag"], m_f=rf["m_f"], normal=amap.normals[left.edge].copy(),
+            tag=rf["tag"], m_f=rf["m_f"], normal=normal,
             hanging=rf["hanging"], parent_edge=rf["parent"],
         )
         skeleton.append(face)
@@ -348,7 +376,7 @@ def _dedup_vertices(macros_raw):
 def _assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
     vertices, triples = _dedup_vertices(macros_raw)
     macros = [
-        MacroElement(id=i, vertex_ids=triples[i], verts=np.asarray(macros_raw[i], float),
+        MacroElement(id=i, vertex_ids=triples[i], verts=macros_raw[i],
                      m=m_list[i], level=levels[i])
         for i in range(len(macros_raw))
     ]
@@ -358,21 +386,12 @@ def _assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
 
 def build_structured_macro_mesh(
     d: int, n: int, m: int, boundary_tagger: Optional[Callable] = None,
-    counting_only: bool = False,
 ) -> MacroMesh:
-    """Structured macro mesh of [0,1]^d with d!*n^d macro simplices.
-
-    d=2 builds full geometry and skeleton.  d=3 (Kuhn 6-tet split) is
-    available for counting only and carries no skeleton.
-    """
-    if d not in (2, 3):
-        raise ValueError(f"unsupported dimension {d}")
+    """Structured macro mesh of the unit square with 2*n^2 macro triangles."""
+    if d != 2:
+        raise ValueError(f"unsupported dimension {d}: meshes are 2-D only")
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
-    if d == 3:
-        if not counting_only:
-            raise ValueError("d=3 meshes support counting only")
-        return _build_kuhn_counting_mesh(n, m)
 
     h = 1.0 / n
     macros_raw = []
@@ -387,42 +406,6 @@ def build_structured_macro_mesh(
             macros_raw.append(np.array([p00, p11, p01]))
     k = len(macros_raw)
     return _assemble_mesh(macros_raw, [m] * k, [0] * k, n, boundary_tagger)
-
-
-def _build_kuhn_counting_mesh(n: int, m: int) -> MacroMesh:
-    from itertools import permutations
-
-    h = 1.0 / n
-    verts = []
-    tets = []
-    vid = {}
-
-    def get(i, j, k):
-        key = (i, j, k)
-        if key not in vid:
-            vid[key] = len(verts)
-            verts.append(np.array([i * h, j * h, k * h]))
-        return vid[key]
-
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                base = (i, j, k)
-                for perm in sorted(permutations(range(3))):
-                    path = [list(base)]
-                    for axis in perm:
-                        nxt = list(path[-1])
-                        nxt[axis] += 1
-                        path.append(nxt)
-                    tets.append(tuple(get(*pt) for pt in path))
-
-    vertices = np.array(verts)
-    macros = [
-        MacroElement(id=i, vertex_ids=t, verts=vertices[list(t)], m=m, level=0)
-        for i, t in enumerate(tets)
-    ]
-    mesh = MacroMesh(3, n, vertices, macros, [])
-    return mesh
 
 
 def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
@@ -457,7 +440,7 @@ def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
     macros_raw, m_list, lev_list = [], [], []
     for e in mesh.macro_elements:
         if e.id not in marked:
-            macros_raw.append(e.verts.copy())
+            macros_raw.append(e.verts)
             m_list.append(e.m)
             lev_list.append(e.level)
     for e in mesh.macro_elements:

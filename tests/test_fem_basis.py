@@ -11,7 +11,9 @@ from mehdg.fem_basis import (
     face_trace_map,
     patch_dof_count,
     quadrature_rule,
+    reference_tables,
     simplex_lattice,
+    trace_basis,
 )
 from mehdg.mesh import build_structured_macro_mesh, sub_cell_ref_verts, sub_cells
 
@@ -130,6 +132,25 @@ def test_quadrature_examples():
     assert quadrature_rule(3, 5).weights.sum() == pytest.approx(1.0 / 6.0)
     with pytest.raises(ValueError):
         quadrature_rule(2, 21)
+
+
+def test_cached_reference_arrays_read_only():
+    """Shared tables are built once; an in-place write raises instead of
+    corrupting every later caller."""
+    rule, val, grad, hess = reference_tables(2, 5)
+    assert reference_tables(2, 5)[1] is val
+    assert rule is quadrature_rule(2, 5)
+    psi = trace_basis(3, 2)
+    assert trace_basis(3, 2) is psi
+    mesh = build_structured_macro_mesh(2, 1, 2)
+    dofmap = build_patch_dof_map(mesh.macro_elements[0], 2)
+    before = val.copy()
+    for arr in (rule.points, rule.points_ref, rule.weights, val, grad, hess,
+                quadrature_rule(1, 3).weights, psi.nodes, psi.breakpoints,
+                dofmap.cell_maps[0], dofmap.edge_nodes, dofmap.node_lattice):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] += 1
+    assert np.array_equal(reference_tables(2, 5)[1], before)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

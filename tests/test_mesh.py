@@ -5,11 +5,14 @@ import pytest
 
 from mehdg.mesh import (
     DegenerateSimplexError,
+    MacroElement,
     build_structured_macro_mesh,
     export_text,
     export_vtk,
     reference_to_physical,
     refine_macros,
+    sub_cell_ref_verts,
+    sub_cells,
 )
 
 
@@ -68,14 +71,7 @@ def test_bad_arguments():
     with pytest.raises(ValueError):
         build_structured_macro_mesh(2, 1, 0)
     with pytest.raises(ValueError):
-        build_structured_macro_mesh(3, 2, 1)  # needs counting_only
-
-
-def test_d3_counting():
-    mesh = build_structured_macro_mesh(3, 2, 2, counting_only=True)
-    assert mesh.d == 3
-    assert len(mesh.macro_elements) == 6 * 2**3
-    assert mesh.skeleton == []
+        build_structured_macro_mesh(3, 2, 1)  # meshes are 2-D only
 
 
 def test_reference_to_physical():
@@ -99,6 +95,34 @@ def test_affine_round_trip():
     amap = reference_to_physical(verts)
     pts = np.random.default_rng(3).random((10, 2)) * 0.3
     assert np.allclose(amap.to_reference(amap.to_physical(pts)), pts, atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_sub_cell_geometry_matches_per_cell_oracle(m):
+    """The two shared class Jacobians and the cell origins reproduce each
+    sub-cell mapped vertex by vertex through the macro map."""
+    verts = np.array([[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]])
+    macro = MacroElement(id=0, vertex_ids=(0, 1, 2), verts=verts, m=m)
+    amap = macro.affine_map()
+    classes, cells = macro.sub_cell_geometry()
+    assert len(cells) == m**2
+    for (kind, i, j), (cell_kind, origin) in zip(sub_cells(m), cells):
+        sub = amap.to_physical(sub_cell_ref_verts(kind, i, j, m))
+        jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
+        J, Jinv, det = classes[cell_kind]
+        assert cell_kind == kind
+        assert np.abs(origin - sub[0]).max() <= 1e-15
+        assert np.abs(J - jac).max() <= 1e-15
+        assert abs(det - abs(np.linalg.det(jac))) <= 1e-15
+        assert np.abs(Jinv @ jac - np.eye(2)).max() <= 1e-15
+
+
+def test_macro_geometry_is_stored_and_read_only():
+    macro = build_structured_macro_mesh(2, 1, 2).macro_elements[0]
+    assert macro.affine_map() is macro.affine_map()
+    for arr in (macro.verts, macro.affine_map().matrix, macro.affine_map().normals):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("n,m", [(1, 1), (2, 2), (3, 4)])

@@ -84,6 +84,10 @@ def adapt(
 
     error_fn(mesh, solution) may supply an L2 error against a known exact
     solution; otherwise NaN is recorded."""
+    if levels < 0:
+        raise ValueError("levels must be at least 0")
+    if not 0 < theta <= 1:
+        raise ValueError("theta must lie in (0, 1]")
     state = AdaptState(mesh=mesh, level=0)
     for lvl in range(levels + 1):
         solution, _ = solve(mesh, problem, stab, config, p)

@@ -292,6 +292,8 @@ def run_cost(
     m_list: Optional[Sequence[int]] = None, out: Optional[str] = None,
 ) -> list:
     """Cost-model sweep over macro sizes m at fixed n*m = nm."""
+    if nm < 1:
+        raise ValueError("nm must be at least 1")
     if m_list is None:
         m_list = [m for m in (1, 2, 4, 8, 16) if m <= nm and nm % m == 0]
     rows = []

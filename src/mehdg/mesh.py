@@ -102,7 +102,7 @@ def sub_cell_ref_verts(kind: str, i: int, j: int, m: int) -> np.ndarray:
 class MacroElement:
     id: int
     vertex_ids: tuple
-    verts: np.ndarray  # (3, 2), read-only: the affine map is built from it once
+    verts: np.ndarray  # (3, 2), read-only: map and diameter are built from it once
     m: int
     level: int = 0
     # face ids per local edge, sorted along the edge (2 entries when the
@@ -113,17 +113,14 @@ class MacroElement:
         self.verts = np.array(self.verts, dtype=float)
         self.verts.flags.writeable = False
         self._amap = reference_to_physical(self.verts)
+        d01 = np.linalg.norm(self.verts[0] - self.verts[1])
+        d12 = np.linalg.norm(self.verts[1] - self.verts[2])
+        d20 = np.linalg.norm(self.verts[2] - self.verts[0])
+        self.diameter = float(max(d01, d12, d20))
 
     @property
     def volume(self) -> float:
         return abs(self._amap.det) / 2.0
-
-    @property
-    def diameter(self) -> float:
-        d01 = np.linalg.norm(self.verts[0] - self.verts[1])
-        d12 = np.linalg.norm(self.verts[1] - self.verts[2])
-        d20 = np.linalg.norm(self.verts[2] - self.verts[0])
-        return float(max(d01, d12, d20))
 
     def affine_map(self) -> AffineMap:
         return self._amap

@@ -13,7 +13,6 @@ mass matrix, so condense inverts every block once.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -62,36 +61,25 @@ class SolverConfig:
 
 
 class WorkerPool:
-    """Static round-robin scheduling of independent tasks onto threads.
+    """Static round-robin partition of independent tasks, run serially.
 
-    The partition of items to workers is fixed, so results never depend on
-    the worker count; per-worker busy time is accumulated for the LBF."""
+    Partition w holds items w, w + workers, ...; the partitions run one after
+    another on the calling thread, so results never depend on the worker
+    count.  Per-partition CPU time is accumulated for the load-balance factor
+    (LBF), which reports how evenly the partition splits the work."""
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
         self.busy = np.zeros(self.workers)
-        self._ex = (
-            ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
-        )
 
     def map(self, fn: Callable, items) -> list:
         items = list(items)
         results = [None] * len(items)
-
-        def run_chunk(w):
-            # thread CPU time: excludes waits, so the balance factor reflects
-            # the work split rather than scheduler noise
+        for w in range(self.workers):
             t0 = time.thread_time()
-            for i in range(w, len(results), self.workers):
+            for i in range(w, len(items), self.workers):
                 results[i] = fn(items[i])
             self.busy[w] += time.thread_time() - t0
-
-        if self._ex is None:
-            run_chunk(0)
-        else:
-            futs = [self._ex.submit(run_chunk, w) for w in range(self.workers)]
-            for f in futs:
-                f.result()
         return results
 
     @property
@@ -100,11 +88,6 @@ class WorkerPool:
         if mx == 0.0:
             return 1.0
         return float(self.busy.mean()) / mx
-
-    def close(self):
-        if self._ex is not None:
-            self._ex.shutdown(wait=True)
-            self._ex = None
 
 
 def _factorize_local(op: LocalOperators) -> None:
@@ -317,7 +300,8 @@ def gmres(
     precond: Optional[Callable] = None,
 ):
     """Restarted GMRES with left preconditioning; the stopping test uses the
-    preconditioned relative residual."""
+    preconditioned relative residual.  A restart cycle that leaves the true
+    residual no lower than it found it stops the solve as stagnated."""
     n = rhs.size
     M = precond if precond is not None else (lambda v: v)
     x = np.zeros(n)
@@ -325,9 +309,11 @@ def gmres(
     mb = M(rhs)
     bnorm = float(np.linalg.norm(mb))
     if bnorm == 0.0:
-        return x, {"iterations": 0, "residual_history": [0.0], "converged": True}
+        return x, {"iterations": 0, "residual_history": [0.0], "converged": True,
+                   "reason": "converged"}
     it = 0
-    converged = False
+    converged = stagnated = breakdown = False
+    beta_start = np.inf
     while it < config.maxiter and not converged:
         r = M(rhs - apply_op(x))
         beta = float(np.linalg.norm(r))
@@ -336,6 +322,10 @@ def gmres(
         if beta / bnorm <= config.tol:
             converged = True
             break
+        if beta >= beta_start:
+            stagnated = True
+            break
+        beta_start = beta
         V = np.zeros((config.restart + 1, n))
         H = np.zeros((config.restart + 1, config.restart))
         cs = np.zeros(config.restart)
@@ -384,10 +374,13 @@ def gmres(
             x = x + V[:k_used].T @ y
         if breakdown and not converged:
             break  # invariant Krylov subspace; no further progress possible
-    if not converged:
+    if not converged and not stagnated:
         r = M(rhs - apply_op(x))
         converged = float(np.linalg.norm(r)) / bnorm <= config.tol
-    return x, {"iterations": it, "residual_history": history, "converged": converged}
+    reason = ("converged" if converged else "stagnation" if stagnated
+              else "breakdown" if breakdown else "maxiter")
+    return x, {"iterations": it, "residual_history": history,
+               "converged": converged, "reason": reason}
 
 
 def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
@@ -500,41 +493,38 @@ def solve(
 ):
     """Assemble, condense, run GMRES on the trace system and reconstruct."""
     pool = WorkerPool(config.workers)
-    try:
-        local_ops, face_ops = assemble_system(mesh, problem, stab, p, pool)
-        t0 = time.perf_counter()
-        sys = condense(mesh, local_ops, face_ops, config, pool=pool)
-        t_init = time.perf_counter() - t0
+    local_ops, face_ops = assemble_system(mesh, problem, stab, p, pool)
+    t0 = time.perf_counter()
+    sys = condense(mesh, local_ops, face_ops, config, pool=pool)
+    t_init = time.perf_counter() - t0
 
-        precond = None
-        if config.preconditioner == "dinv":
-            precond = lambda w: apply_preconditioner(sys, w)
-        if config.mode == "mb":
-            S = assemble_schur_explicit(sys)
-            op = lambda v: S @ v
-        else:
-            op = lambda v: apply_schur(sys, v)
+    precond = None
+    if config.preconditioner == "dinv":
+        precond = lambda w: apply_preconditioner(sys, w)
+    if config.mode == "mb":
+        S = assemble_schur_explicit(sys)
+        op = lambda v: S @ v
+    else:
+        op = lambda v: apply_schur(sys, v)
 
-        sys.timings["local"] = 0.0
-        t0 = time.perf_counter()
-        uhat, info = gmres(op, sys.f_vec, config, precond=precond)
-        t_gmres = time.perf_counter() - t0
-        t_local = sys.timings["local"]
+    sys.timings["local"] = 0.0
+    t0 = time.perf_counter()
+    uhat, info = gmres(op, sys.f_vec, config, precond=precond)
+    t_gmres = time.perf_counter() - t0
+    t_local = sys.timings["local"]
 
-        t0 = time.perf_counter()
-        local = reconstruct_interior(sys, uhat)
-        t_rec = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    local = reconstruct_interior(sys, uhat)
+    t_rec = time.perf_counter() - t0
 
-        report = SolveReport(
-            p=p, m=mesh.macro_elements[0].m, n=mesh.n,
-            dof_local=sys.dof_local, dof_global=sys.zhat,
-            iterations=info["iterations"], converged=info["converged"],
-            tol=config.tol, mode=config.mode, precond=config.preconditioner,
-            t_init_s=t_init, t_local_s=t_local,
-            t_global_s=max(t_gmres - t_local, 0.0), t_reconstruct_s=t_rec,
-            lbf=pool.lbf, worker_busy=list(pool.busy),
-            residual_history=info["residual_history"],
-        )
-        return Solution(local=local, uhat=uhat, report=report), sys
-    finally:
-        pool.close()
+    report = SolveReport(
+        p=p, m=mesh.macro_elements[0].m, n=mesh.n,
+        dof_local=sys.dof_local, dof_global=sys.zhat,
+        iterations=info["iterations"], converged=info["converged"],
+        tol=config.tol, mode=config.mode, precond=config.preconditioner,
+        t_init_s=t_init, t_local_s=t_local,
+        t_global_s=max(t_gmres - t_local, 0.0), t_reconstruct_s=t_rec,
+        lbf=pool.lbf, worker_busy=list(pool.busy),
+        residual_history=info["residual_history"],
+    )
+    return Solution(local=local, uhat=uhat, report=report), sys

@@ -105,6 +105,9 @@ def test_input_error_exit_code(capsys):
     assert main(["solve", "--kappa", "nan"]) == 1
     assert main(["solve", "--advect", "1,nan"]) == 1
     assert main(["solve", "--workers", "0"]) == 1
+    assert main(["adapt", "--levels", "-1"]) == 1
+    assert main(["adapt", "--theta", "0"]) == 1
+    assert main(["cost", "--nm", "0"]) == 1
     capsys.readouterr()
 
 

@@ -17,14 +17,21 @@ patch size Q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .fem_basis import _gauss01, build_patch_dof_map, reference_tables, trace_basis
-from .mesh import MacroElement, MacroMesh, SkeletonFace
+from .fem_basis import (
+    build_patch_dof_map,
+    piecewise_quad,
+    reference_tables,
+    trace_basis,
+    trace_mass,
+    trace_quadrature,
+)
+from .mesh import MacroElement, MacroMesh, SkeletonFace, sub_cell_ref_verts, sub_cells
 
 
 @dataclass
@@ -66,7 +73,6 @@ class LocalOperators:
     R_u: np.ndarray
     face_slots: list  # [(face id, slice into B columns / C rows)]
     storage: str  # 'dense' | 'sparse'
-    lu = None  # set by the solver
 
 
 @dataclass
@@ -106,27 +112,16 @@ def supg_parameter(h: float, a: np.ndarray, kappa: float,
     return h / (2.0 * anorm) * g
 
 
-def _piecewise_quad(breaks: np.ndarray, npts: int):
-    """Gauss points/weights on [0,1] subordinate to the given breakpoints."""
-    x, w = _gauss01(npts)
-    pts, wts = [], []
-    for lo, hi in zip(breaks[:-1], breaks[1:]):
-        if hi - lo < 1e-14:
-            continue
-        pts.append(lo + (hi - lo) * x)
-        wts.append((hi - lo) * w)
-    return np.concatenate(pts), np.concatenate(wts)
-
-
 def _face_breaks(face: SkeletonFace, side, m: int) -> np.ndarray:
     """Breakpoints in the face parameter s from both the trace subdivision and
-    the macro-side edge subdivision."""
-    breaks = set(np.arange(face.m_f + 1) / face.m_f)
+    the macro-side edge subdivision; points within 1e-12 of each other are one
+    breakpoint, so rounding leaves no sliver intervals."""
+    breaks = list(np.arange(face.m_f + 1) / face.m_f)
     dt = side.t1 - side.t0
     for c in range(m + 1):
         s = (c / m - side.t0) / dt
-        if 1e-12 < s < 1 - 1e-12:
-            breaks.add(round(s, 12))
+        if 0.0 < s < 1.0 and min(abs(s - b) for b in breaks) > 1e-12:
+            breaks.append(s)
     return np.array(sorted(breaks))
 
 
@@ -137,18 +132,102 @@ def _side_of(face: SkeletonFace, macro_id: int):
     raise KeyError(macro_id)
 
 
+def _face_slots(mesh: MacroMesh, macro: MacroElement, p: int) -> list:
+    """[(face id, slice of B columns / C rows)] over the macro's faces, edge
+    by edge and along each edge."""
+    slots, pos = [], 0
+    for k in range(3):
+        for fid in macro.faces[k]:
+            nd = mesh.skeleton[fid].m_f * p + 1
+            slots.append((fid, slice(pos, pos + nd)))
+            pos += nd
+    return slots
+
+
+def _quad_degree(p: int, stab: StabilizationConfig, quad_degree: Optional[int]) -> int:
+    if quad_degree is not None:
+        return quad_degree
+    return 2 * p + 2 if stab.supg else 2 * p + 1
+
+
+def _sub_cell_tables(macro: MacroElement, p: int, problem: ProblemData,
+                     stab: StabilizationConfig, quad_degree: int) -> dict:
+    """Per red-pattern sub-cell class ("up", "down"): quadrature weights, the
+    mass and stiffness blocks, the SUPG block, and the test functions of the
+    load (the basis, plus the streamline term under SUPG)."""
+    rule, val, gref, href = reference_tables(p, quad_degree)
+    a, kappa = problem.a, problem.kappa
+    classes, _ = macro.sub_cell_geometry()
+    tables = {}
+    for kind, (Jc, Jinv, detc) in classes.items():
+        gph = gref @ Jinv  # (nq, nb, 2) physical gradients
+        wd = rule.weights * detc
+        tb = dict(wd=wd, M=val.T @ (wd[:, None] * val), test=val,
+                  K=[(gph[:, :, c] * wd[:, None]).T @ val for c in range(2)])
+        if stab.supg:
+            lap = np.einsum("ja,qbjk,ka->qb", Jinv, href, Jinv)
+            edges = [Jc[:, 0], Jc[:, 1], Jc[:, 1] - Jc[:, 0]]
+            h = max(float(np.linalg.norm(e)) for e in edges)
+            ts = supg_parameter(h, a, kappa, stab.supg_variant)
+            advg = gph @ a  # (nq, nb)
+            tb["S"] = ts * (advg * wd[:, None]).T @ (advg - kappa * lap)
+            tb["test"] = val + ts * advg
+        tables[kind] = tb
+    return tables
+
+
 def project_dirichlet(face: SkeletonFace, g: Callable, p: int) -> np.ndarray:
     """L2-projection of boundary data onto the face trace space."""
-    psi = trace_basis(face.m_f, p)
-    s, w = _piecewise_quad(psi.breakpoints, max(p + 2, 6))
-    V = psi.eval(s)
+    s, w, V = trace_quadrature(face.m_f, p, max(p + 2, 6))
     x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
-    M = V.T @ (w[:, None] * V)
     r = V.T @ (w * np.asarray(g(x), dtype=float))
-    try:
-        return np.linalg.solve(M, r)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"singular face mass matrix on face {face.id}") from exc
+    return np.linalg.solve(trace_mass(face.m_f, p), r)
+
+
+def load_vectors(
+    mesh: MacroMesh,
+    macros: list,
+    p: int,
+    problem: ProblemData,
+    stab: StabilizationConfig,
+    B: np.ndarray,
+    quad_degree: Optional[int] = None,
+) -> np.ndarray:
+    """R_u of each of the congruent `macros`, stacked (len(macros), nloc), by
+    one batched quadrature: one call of f per sub-cell kind over all their
+    cells, with the SUPG term, then Dirichlet lifting through their shared B."""
+    rep = macros[0]
+    quad_degree = _quad_degree(p, stab, quad_degree)
+    rule = reference_tables(p, quad_degree)[0]
+    tables = _sub_cell_tables(rep, p, problem, stab, quad_degree)
+    dofmap = build_patch_dof_map(rep, p)
+    Q = dofmap.n_dofs
+    J = np.stack([mac.affine_map().matrix for mac in macros])
+    offset = np.stack([mac.affine_map().offset for mac in macros])
+    R = np.zeros((len(macros), 3 * Q))
+    cells = list(sub_cells(rep.m))
+    for kind, tb in tables.items():
+        sel = [c for c, cell in enumerate(cells) if cell[0] == kind]
+        if not sel:  # m = 1 has no "down" cell
+            continue
+        verts = np.array([sub_cell_ref_verts(*cells[c], rep.m) for c in sel])
+        # quadrature points of every cell of this kind, in macro reference
+        # coordinates, then mapped by each macro
+        ref = verts[:, None, 0] + rule.points_ref @ (verts[0, 1:] - verts[0, 0])
+        pts = np.einsum("cqj,nij->ncqi", ref, J) + offset[:, None, None]
+        fvals = np.asarray(problem.f(pts.reshape(-1, 2)), dtype=float)
+        load = np.einsum("ncq,qb->ncb", fvals.reshape(pts.shape[:3]) * tb["wd"], tb["test"])
+        rows = 2 * Q + np.concatenate([dofmap.cell_maps[c] for c in sel])
+        np.add.at(R.T, rows, load.reshape(len(macros), -1).T)
+
+    # Dirichlet data enters through trace elimination
+    G = np.zeros((len(macros), B.shape[1]))
+    for e, macro in enumerate(macros):
+        for fid, slot in _face_slots(mesh, macro, p):
+            face = mesh.skeleton[fid]
+            if face.tag == "D":
+                G[e, slot] = project_dirichlet(face, problem.g_D, p)
+    return R - G @ B.T
 
 
 def assemble_macro(
@@ -169,38 +248,13 @@ def assemble_macro(
     amap = macro.affine_map()
     a = problem.a
     kappa = problem.kappa
-
-    if quad_degree is None:
-        quad_degree = 2 * p + 2 if stab.supg else 2 * p + 1
-    rule, val, gref, href = reference_tables(p, quad_degree)
+    quad_degree = _quad_degree(p, stab, quad_degree)
+    # the red pattern has two congruence classes of sub-cells
+    tables = _sub_cell_tables(macro, p, problem, stab, quad_degree)
 
     A = np.zeros((nloc, nloc))
-    Ru = np.zeros(nloc)
-
-    # the red pattern has two congruence classes of sub-cells
-    classes, cells = macro.sub_cell_geometry()
-    class_tables = {}
-    for kind, (Jc, Jinv, detc) in classes.items():
-        gph = gref @ Jinv  # (nq, nb, 2) physical gradients
-        wd = rule.weights * detc
-        M = val.T @ (wd[:, None] * val)
-        K = [(gph[:, :, c] * wd[:, None]).T @ val for c in range(2)]
-        tables = dict(M=M, K=K, gph=gph, wd=wd, Jc=Jc)
-        if stab.supg:
-            lap = np.einsum("ja,qbjk,ka->qb", Jinv, href, Jinv)
-            edges = [Jc[:, 0], Jc[:, 1], Jc[:, 1] - Jc[:, 0]]
-            h = max(float(np.linalg.norm(e)) for e in edges)
-            ts = supg_parameter(h, a, kappa, stab.supg_variant)
-            advg = gph @ a  # (nq, nb)
-            S = ts * (advg * wd[:, None]).T @ (advg - kappa * lap)
-            tables.update(S=S, advg=advg, ts=ts)
-        class_tables[kind] = tables
-
-    for cm, (kind, v0) in zip(dofmap.cell_maps, cells):
-        tb = class_tables[kind]
-        pts = rule.points_ref @ tb["Jc"].T + v0
-        fvals = np.asarray(problem.f(pts), dtype=float)
-
+    for cm, (kind, _, _) in zip(dofmap.cell_maps, sub_cells(m)):
+        tb = tables[kind]
         ix_u = off[2] + cm
         A[np.ix_(off[0] + cm, off[0] + cm)] += tb["M"]
         A[np.ix_(off[1] + cm, off[1] + cm)] += tb["M"]
@@ -208,24 +262,15 @@ def assemble_macro(
             A[np.ix_(off[c] + cm, ix_u)] += -tb["K"][c]
             A[np.ix_(ix_u, off[c] + cm)] += -kappa * tb["K"][c]
             A[np.ix_(ix_u, ix_u)] += -a[c] * tb["K"][c]
-        Ru[ix_u] += val.T @ (tb["wd"] * fvals)
         if stab.supg:
             A[np.ix_(ix_u, ix_u)] += tb["S"]
-            Ru[ix_u] += tb["ts"] * tb["advg"].T @ (tb["wd"] * fvals)
 
     # boundary contributions, one or two skeleton faces per macro edge
     theta = trace_basis(m, p)
-    face_ids = [fid for k in range(3) for fid in macro.faces[k]]
-    slot_sizes = [mesh.skeleton[fid].m_f * p + 1 for fid in face_ids]
-    nc = int(sum(slot_sizes))
+    face_slots = _face_slots(mesh, macro, p)
+    nc = face_slots[-1][1].stop
     B = np.zeros((nloc, nc))
     C = np.zeros((nc, nloc))
-    face_slots = []
-    pos = 0
-    for fid, nd in zip(face_ids, slot_sizes):
-        face_slots.append((fid, slice(pos, pos + nd)))
-        pos += nd
-
     for (fid, slot) in face_slots:
         face = mesh.skeleton[fid]
         side = _side_of(face, macro.id)
@@ -235,7 +280,7 @@ def assemble_macro(
         an = float(np.dot(a, nrm))
         lenF = face.length
         psi = trace_basis(face.m_f, p)
-        s, w = _piecewise_quad(_face_breaks(face, side, m), p + 1)
+        s, w = piecewise_quad(_face_breaks(face, side, m), p + 1)
         t = side.t0 + (side.t1 - side.t0) * s
         TH = theta.eval(t)  # macro edge-node traces
         PS = psi.eval(s)
@@ -244,25 +289,20 @@ def assemble_macro(
         Me = TH.T @ (wl[:, None] * TH)
         en = dofmap.edge_nodes[k]
         ix_u = off[2] + en
+        cols = np.arange(slot.start, slot.stop)
         for c in range(2):
             A[np.ix_(ix_u, off[c] + en)] += kappa * nrm[c] * Me
-            B[np.ix_(off[c] + en, np.arange(slot.start, slot.stop))] += nrm[c] * W
-            C[np.ix_(np.arange(slot.start, slot.stop), off[c] + en)] += kappa * nrm[c] * W.T
+            B[np.ix_(off[c] + en, cols)] += nrm[c] * W
+            C[np.ix_(cols, off[c] + en)] += kappa * nrm[c] * W.T
         A[np.ix_(ix_u, ix_u)] += tau * Me
-        B[np.ix_(ix_u, np.arange(slot.start, slot.stop))] += (an - tau) * W
-        C[np.ix_(np.arange(slot.start, slot.stop), ix_u)] += tau * W.T
+        B[np.ix_(ix_u, cols)] += (an - tau) * W
+        C[np.ix_(cols, ix_u)] += tau * W.T
 
-    # Dirichlet data enters through trace elimination
-    for (fid, slot) in face_slots:
-        face = mesh.skeleton[fid]
-        if face.tag == "D":
-            ghat = project_dirichlet(face, problem.g_D, p)
-            Ru -= B[:, slot] @ ghat
-
+    R_u = load_vectors(mesh, [macro], p, problem, stab, B, quad_degree)[0]
     storage = "dense" if m <= 2 else "sparse"
     Amat = A if storage == "dense" else sp.csr_matrix(A)
     return LocalOperators(
-        macro_id=macro.id, A=Amat, B=B, C=C, R_u=Ru,
+        macro_id=macro.id, A=Amat, B=B, C=C, R_u=R_u,
         face_slots=face_slots, storage=storage,
     )
 
@@ -272,24 +312,18 @@ def assemble_face(
     problem: ProblemData, stab: StabilizationConfig,
 ) -> FaceOperator:
     """Assemble the face block D and its right-hand side segment."""
-    psi = trace_basis(face.m_f, p)
-    s, w = _piecewise_quad(psi.breakpoints, p + 1)
-    PS = psi.eval(s)
-    wl = w * face.length
-    Mface = PS.T @ (wl[:, None] * PS)
     coef = 0.0
     for side in face.sides():
         macro = mesh.macro_elements[side.macro]
         nrm = macro.affine_map().normals[side.edge]
         tau = stabilization_tau(problem.a, nrm, problem.kappa, macro.diameter)
         coef += float(np.dot(problem.a, nrm)) - tau
-    D = coef * Mface
-    R_hat = np.zeros(psi.n_dofs)
+    D = coef * face.length * trace_mass(face.m_f, p)
+    R_hat = np.zeros(D.shape[0])
     if face.tag == "N":
         if problem.g_N is None:
             raise ValueError("Neumann face present but g_N not provided")
-        sq, wq = _piecewise_quad(psi.breakpoints, max(p + 2, 6))
-        Vq = psi.eval(sq)
+        sq, wq, Vq = trace_quadrature(face.m_f, p, max(p + 2, 6))
         x = face.verts[0][None, :] + sq[:, None] * (face.verts[1] - face.verts[0])[None, :]
         R_hat = Vq.T @ (wq * face.length * np.asarray(problem.g_N(x), dtype=float))
     return FaceOperator(face_id=face.id, D=D, R_hat=R_hat, tag=face.tag)

@@ -2,9 +2,9 @@
 
 Bases use equispaced lattice nodes on the reference simplex and are built by
 inverting the monomial Vandermonde matrix (adequate for the degrees p <= 5
-used here).  Quadrature rules, reference tables, patch dof maps and trace
-bases depend only on small integers; each is built once and shared, with its
-arrays read-only.
+used here).  Quadrature rules, reference tables, patch dof maps, trace
+bases, their quadrature and the reference trace mass depend only on small
+integers; each is built once and shared, with its arrays read-only.
 """
 
 from __future__ import annotations
@@ -273,6 +273,34 @@ class TraceBasis:
 def trace_basis(m_f: int, p: int) -> TraceBasis:
     """The shared TraceBasis of (m_f, p)."""
     return TraceBasis(m_f, p)
+
+
+def piecewise_quad(breaks: np.ndarray, npts: int):
+    """Gauss points/weights on [0,1] subordinate to the given breakpoints."""
+    x, w = _gauss01(npts)
+    pts, wts = [], []
+    for lo, hi in zip(breaks[:-1], breaks[1:]):
+        if hi - lo < 1e-14:
+            continue
+        pts.append(lo + (hi - lo) * x)
+        wts.append((hi - lo) * w)
+    return np.concatenate(pts), np.concatenate(wts)
+
+
+@lru_cache(maxsize=None)
+def trace_quadrature(m_f: int, p: int, npts: int):
+    """(s, w, values): npts Gauss points per segment of the (m_f, p) trace
+    space on [0, 1], their weights and the trace basis values there."""
+    psi = trace_basis(m_f, p)
+    s, w = piecewise_quad(psi.breakpoints, npts)
+    return _readonly(s), _readonly(w), _readonly(psi.eval(s))
+
+
+@lru_cache(maxsize=None)
+def trace_mass(m_f: int, p: int) -> np.ndarray:
+    """Trace mass matrix on [0, 1]; a face F has mass matrix |F| times it."""
+    _, w, V = trace_quadrature(m_f, p, p + 1)
+    return _readonly(V.T @ (w[:, None] * V))
 
 
 class OrientationError(ValueError):

@@ -188,10 +188,6 @@ class SkeletonFace:
         ]
         return [np.array([pts[k], pts[k + 1]]) for k in range(self.m_f)]
 
-    @property
-    def is_boundary(self) -> bool:
-        return self.right is None
-
     def sides(self) -> list[FaceSide]:
         return [self.left] if self.right is None else [self.left, self.right]
 
@@ -208,6 +204,20 @@ class MacroMesh:
     @property
     def levels(self) -> np.ndarray:
         return np.array([e.level for e in self.macro_elements])
+
+    def congruence_key(self, macro: MacroElement) -> tuple:
+        """Geometric class of a macro: its affine Jacobian rounded to _ROUND
+        digits, m, and each face slot's (edge, m_f, t0, t1).  Macros with
+        equal keys have the same local operators A, B and C; rounding keeps
+        ulp noise in the vertices from splitting a class."""
+        slots = []
+        for k in range(3):
+            for fid in macro.faces[k]:
+                face = self.skeleton[fid]
+                side = face.left if face.left.macro == macro.id else face.right
+                slots.append((k, face.m_f, round(side.t0, _ROUND), round(side.t1, _ROUND)))
+        jac = tuple(round(float(v), _ROUND) for v in macro.affine_map().matrix.flat)
+        return jac, macro.m, tuple(slots)
 
     def interior_faces(self) -> list[SkeletonFace]:
         return [f for f in self.skeleton if f.tag == "interior"]

@@ -1,13 +1,16 @@
 """Static condensation and the global trace solve.
 
 The block system [A B; C D][U; uhat] = [R_u; R_uhat] is reduced to
-(D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  The Schur operator is applied
-matrix-free through four steps (B, A^-1, C per macro, then the face reduction
-D uhat minus a fixed-order scatter of the macro outputs) or as an explicitly
-scattered sparse matrix.  Both share a restarted GMRES, preconditioned by
-the block-diagonal D^-1 as one sparse matrix.  Its blocks are exact inverses:
-assembly builds D_F = c_F M_F with c_F < 0, a negative multiple of the face
-mass matrix, so condense inverts every block once.
+(D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  Congruent macros share A, B, C
+and the factor of A, so each is built once per congruence class, and the
+local steps run on fixed-size chunks of a class's macros, one batched call
+per step.  The Schur operator is applied matrix-free through four steps (B,
+A^-1, C, then the face reduction D uhat minus a fixed-order scatter of the
+macro outputs) or as an explicitly scattered sparse matrix.  Both share a
+restarted GMRES, preconditioned by the block-diagonal D^-1 as one sparse
+matrix.  Its blocks are exact inverses: assembly builds D_F = c_F M_F with
+c_F < 0, a negative multiple of the face mass matrix, so condense inverts
+every block once.
 """
 
 from __future__ import annotations
@@ -22,13 +25,20 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    LocalOperators,
     ProblemData,
     StabilizationConfig,
     assemble_face,
     assemble_macro,
+    load_vectors,
 )
 from .mesh import MacroMesh
+
+# Macros per chunk of local work.  Fixed, so that the batched calls, and with
+# them the results, do not depend on the worker count.  Small enough that a
+# 32-macro mesh (two classes of 16) still gives each of 8 workers a chunk, so
+# that the load-balance factor measures the partition; larger chunks only pay
+# on large meshes.
+CHUNK_MACROS = 4
 
 
 class SingularLocalBlock(RuntimeError):
@@ -66,16 +76,22 @@ class WorkerPool:
     Partition w holds items w, w + workers, ...; the partitions run one after
     another on the calling thread, so results never depend on the worker
     count.  Per-partition CPU time is accumulated for the load-balance factor
-    (LBF), which reports how evenly the partition splits the work."""
+    (LBF), which reports how evenly the partition splits the work.  The
+    partition that runs first refills the caches that the caller's work in
+    between evicted; each call starts one partition later, so that this cost
+    is spread evenly instead of always landing on partition 0."""
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
         self.busy = np.zeros(self.workers)
+        self._first = 0  # partition that runs first in the next call
 
     def map(self, fn: Callable, items) -> list:
         items = list(items)
         results = [None] * len(items)
-        for w in range(self.workers):
+        first, self._first = self._first, (self._first + 1) % self.workers
+        for k in range(self.workers):
+            w = (first + k) % self.workers
             t0 = time.thread_time()
             for i in range(w, len(items), self.workers):
                 results[i] = fn(items[i])
@@ -90,25 +106,54 @@ class WorkerPool:
         return float(self.busy.mean()) / mx
 
 
-def _factorize_local(op: LocalOperators) -> None:
-    if op.storage == "dense":
-        lu, piv = sla.lu_factor(op.A)
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= 1e-13 * max(float(np.abs(op.A).max()), 1e-300):
-            raise SingularLocalBlock(op.macro_id)
-        op.lu = ("dense", (lu, piv))
-    else:
-        fac = spla.splu(sp.csc_matrix(op.A))
+@dataclass
+class OperatorClass:
+    """A, B, C and the factor of A, shared by the congruent macros
+    `macro_ids`; row r of `face_ids`, `trace_idx` and `R_u` belongs to
+    macro macro_ids[r]."""
+
+    A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
+    B: np.ndarray
+    C: np.ndarray
+    slots: list  # per face slot: its slice of B columns / C rows
+    macro_ids: np.ndarray  # (n_macros,)
+    face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
+    R_u: np.ndarray  # (n_macros, nloc)
+    factor: Optional[tuple] = None  # ('dense', (lu, piv)) | ('sparse', SuperLU)
+    # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
+    trace_idx: Optional[np.ndarray] = None
+
+
+def _factorize_local(cls: OperatorClass) -> None:
+    macro = int(cls.macro_ids[0])
+    if sp.issparse(cls.A):
+        try:
+            fac = spla.splu(sp.csc_matrix(cls.A))
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SingularLocalBlock(macro) from exc
         diag = np.abs(fac.U.diagonal())
-        amax = float(np.abs(op.A.data).max()) if op.A.nnz else 0.0
+        amax = float(np.abs(cls.A.data).max()) if cls.A.nnz else 0.0
         if diag.min() <= 1e-13 * max(amax, 1e-300):
-            raise SingularLocalBlock(op.macro_id)
-        op.lu = ("sparse", fac)
+            raise SingularLocalBlock(macro)
+        cls.factor = ("sparse", fac)
+    else:
+        lu, piv = sla.lu_factor(cls.A)
+        diag = np.abs(np.diag(lu))
+        if diag.min() <= 1e-13 * max(float(np.abs(cls.A).max()), 1e-300):
+            raise SingularLocalBlock(macro)
+        cls.factor = ("dense", (lu, piv))
 
 
-def _solve_local(op: LocalOperators, rhs: np.ndarray) -> np.ndarray:
-    kind, fac = op.lu
-    return sla.lu_solve(fac, rhs) if kind == "dense" else fac.solve(rhs)
+def _solve_local(cls: OperatorClass, rhs: np.ndarray) -> np.ndarray:
+    kind, fac = cls.factor
+    if kind == "sparse":
+        return fac.solve(rhs)
+    # the LAPACK call of sla.lu_solve, without its per-call wrapper checks,
+    # which cost more than a chunk's solve
+    x, info = sla.lapack.dgetrs(*fac, rhs)
+    if info:
+        raise ValueError(f"illegal argument {-info} to dgetrs")
+    return x
 
 
 def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
@@ -130,20 +175,19 @@ def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
 @dataclass
 class CondensedSystem:
     mesh: MacroMesh
-    local_ops: list
+    classes: list  # OperatorClass per congruence class
     face_ops: dict  # face id -> FaceOperator, unknown faces only
     offsets: dict  # face id -> (start, ndofs) in the global trace vector
     zhat: int
     f_vec: np.ndarray
     pool: WorkerPool
-    # per macro: boolean mask of unknown slot positions and their global indices
-    gather_mask: list = field(default_factory=list)
-    gather_idx: list = field(default_factory=list)
-    # per unknown face: (face id, start, nd, [(macro id, slot slice), ...])
+    # units of local work: (class, slice of its rows), class by class
+    chunks: list = field(default_factory=list)
+    # per unknown face: (face id, start, nd)
     face_plan: list = field(default_factory=list)
     D: Optional[sp.csr_matrix] = None  # block diagonal, trace order
     Dinv: Optional[sp.csr_matrix] = None
-    # step 4: entries of the concatenated macro outputs C A^-1 B u_e and the
+    # step 4: entries of the concatenated chunk outputs C A^-1 B u_e and the
     # trace dofs they are subtracted from, in face_plan order
     reduce_src: Optional[np.ndarray] = None
     reduce_dst: Optional[np.ndarray] = None
@@ -151,86 +195,88 @@ class CondensedSystem:
     timings: dict = field(default_factory=lambda: {"local": 0.0, "global": 0.0})
 
     @property
-    def dof_local(self) -> int:
-        return int(sum(op.R_u.size for op in self.local_ops))
+    def n_macros(self) -> int:
+        return len(self.mesh.macro_elements)
 
-    def gather(self, uhat: np.ndarray, e: int) -> np.ndarray:
-        ue = np.zeros(self.local_ops[e].B.shape[1])
-        ue[self.gather_mask[e]] = uhat[self.gather_idx[e]]
-        return ue
+    @property
+    def dof_local(self) -> int:
+        return int(sum(cls.R_u.size for cls in self.classes))
+
+
+def _gather(cls: OperatorClass, rows: slice, upad: np.ndarray) -> np.ndarray:
+    """(chunk size, nc) trace values of the chunk's B columns; upad is the
+    trace vector with a trailing zero, which index -1 reads."""
+    return upad[cls.trace_idx[rows]]
 
 
 def condense(
     mesh: MacroMesh,
-    local_ops: list,
+    classes: list,
     face_ops: dict,
     config: SolverConfig,
     pool: Optional[WorkerPool] = None,
 ) -> CondensedSystem:
-    """Factorize local blocks, build D and D^-1 and the reduced right-hand
-    side f = R_uhat - C A^-1 R_u."""
+    """Factorize each class's A, index its B columns into the trace vector,
+    build D and D^-1 and the reduced right-hand side f = R_uhat - C A^-1 R_u."""
     pool = pool or WorkerPool(config.workers)
-    pool.map(_factorize_local, local_ops)
+    for cls in classes:
+        _factorize_local(cls)
 
     offsets = {}
+    face_start = np.full(len(mesh.skeleton), -1, dtype=np.int64)
     pos = 0
     for face in mesh.skeleton:
         if face.tag == "D":
             continue
         nd = face_ops[face.id].D.shape[0]
         offsets[face.id] = (pos, nd)
+        face_start[face.id] = pos
         pos += nd
     zhat = pos
 
     sys = CondensedSystem(
-        mesh=mesh, local_ops=local_ops,
+        mesh=mesh, classes=classes,
         face_ops=face_ops, offsets=offsets, zhat=zhat,
         f_vec=np.zeros(zhat), pool=pool,
     )
 
-    for e, op in enumerate(local_ops):
-        mask = np.zeros(op.B.shape[1], dtype=bool)
-        idx = []
-        for fid, slot in op.face_slots:
-            if fid in offsets:
-                start, nd = offsets[fid]
-                mask[slot] = True
-                idx.extend(range(start, start + nd))
-        sys.gather_mask.append(mask)
-        sys.gather_idx.append(np.array(idx, dtype=np.int64))
+    # chunk outputs are concatenated class by class, each (rows, nc) row-major
+    out_at = {}  # (face id, macro id) -> first entry of that slot's output
+    pos = 0
+    for cls in classes:
+        n, nc = cls.face_ids.shape[0], cls.B.shape[1]
+        cls.trace_idx = np.full((n, nc), -1, dtype=np.int64)
+        for i, slot in enumerate(cls.slots):
+            start = face_start[cls.face_ids[:, i], None]
+            cls.trace_idx[:, slot] = np.where(
+                start >= 0, start + np.arange(slot.stop - slot.start), -1)
+            for r, (e, fid) in enumerate(zip(cls.macro_ids, cls.face_ids[:, i])):
+                out_at[int(fid), int(e)] = pos + r * nc + slot.start
+        pos += n * nc
+        sys.chunks.extend((cls, slice(i, i + CHUNK_MACROS))
+                          for i in range(0, n, CHUNK_MACROS))
 
-    vstart = np.cumsum([0] + [op.C.shape[0] for op in local_ops])
-    side_slots = {}
-    for e, op in enumerate(local_ops):
-        for fid, slot in op.face_slots:
-            if fid in offsets:
-                side_slots.setdefault(fid, []).append((e, slot))
     src, dst = [], []
     for face in mesh.skeleton:
         if face.id not in offsets:
             continue
         start, nd = offsets[face.id]
-        # fixed reduction order: left side first, then right
-        order = []
-        for side in face.sides():
-            for (e, slot) in side_slots.get(face.id, []):
-                if e == side.macro and (e, slot) not in order:
-                    order.append((e, slot))
-                    src.extend(range(vstart[e] + slot.start, vstart[e] + slot.stop))
-                    dst.extend(range(start, start + nd))
-                    break
-        sys.face_plan.append((face.id, start, nd, order))
+        for side in face.sides():  # fixed reduction order: left side first
+            at = out_at[face.id, side.macro]
+            src.extend(range(at, at + nd))
+            dst.extend(range(start, start + nd))
+        sys.face_plan.append((face.id, start, nd))
     sys.reduce_src = np.array(src, dtype=np.int64)
     sys.reduce_dst = np.array(dst, dtype=np.int64)
     sys.D, sys.Dinv = _face_block_matrices(sys)
 
     # reduced RHS
-    def macro_rhs(e):
-        op = local_ops[e]
-        return op.C @ _solve_local(op, op.R_u)
+    def chunk_rhs(chunk):
+        cls, rows = chunk
+        return (_solve_local(cls, cls.R_u[rows].T).T @ cls.C.T).ravel()
 
-    contrib = pool.map(macro_rhs, range(len(local_ops)))
-    for fid, start, nd, _ in sys.face_plan:
+    contrib = pool.map(chunk_rhs, sys.chunks)
+    for fid, start, nd in sys.face_plan:
         sys.f_vec[start:start + nd] = face_ops[fid].R_hat
     _reduce_faces(sys, sys.f_vec, contrib)
     return sys
@@ -263,7 +309,7 @@ def _face_block_matrices(sys: CondensedSystem):
 
 
 def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray:
-    """w -= the macro contributions vhat, in place, in face_plan order."""
+    """w -= the chunk outputs vhat, in place, in face_plan order."""
     np.subtract.at(w, sys.reduce_dst, np.concatenate(vhat)[sys.reduce_src])
     return w
 
@@ -271,16 +317,18 @@ def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     """(D - C A^-1 B) uhat via the four matrix-free steps."""
     t0 = time.perf_counter()
+    upad = np.append(uhat, 0.0)
 
-    def macro_task(e):
-        op = sys.local_ops[e]
-        ue = sys.gather(uhat, e)
-        x = op.B @ ue            # step 1
-        y = _solve_local(op, x)  # step 2
-        return op.C @ y          # step 3
+    def chunk_task(chunk):
+        # one column per macro; transposed products keep X and Y in the
+        # column-major layout that LAPACK reads and writes
+        cls, rows = chunk
+        X = (_gather(cls, rows, upad) @ cls.B.T).T  # step 1
+        Y = _solve_local(cls, X)                     # step 2
+        return (Y.T @ cls.C.T).ravel()               # step 3
 
-    vhat = sys.pool.map(macro_task, range(len(sys.local_ops)))
-    sys.counters["macro_apply"] += len(sys.local_ops)
+    vhat = sys.pool.map(chunk_task, sys.chunks)
+    sys.counters["macro_apply"] += sys.n_macros
     sys.timings["local"] += time.perf_counter() - t0
 
     w = _reduce_faces(sys, sys.D @ uhat, vhat)  # step 4
@@ -384,26 +432,18 @@ def gmres(
 
 
 def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
-    """Explicit D - C A^-1 B: the macro blocks scattered by trace indices,
-    plus the block-diagonal D."""
+    """Explicit D - C A^-1 B: each class's block formed once and scattered by
+    its members' trace indices, plus the block-diagonal D."""
     rows, cols, vals = [], [], []
-
-    def macro_task(e):
-        op = sys.local_ops[e]
-        mask = sys.gather_mask[e]
-        if not mask.any():
-            return None
-        Y = _solve_local(op, op.B[:, mask])
-        return -(op.C[mask] @ Y)
-
-    blocks = sys.pool.map(macro_task, range(len(sys.local_ops)))
-    for e, blk in enumerate(blocks):
-        if blk is None:
-            continue
-        gi = sys.gather_idx[e]
-        rows.append(np.repeat(gi, gi.size))
-        cols.append(np.tile(gi, gi.size))
-        vals.append(blk.ravel())
+    for cls in sys.classes:
+        K = cls.C @ _solve_local(cls, cls.B)
+        shape = (cls.trace_idx.shape[0],) + K.shape
+        r = np.broadcast_to(cls.trace_idx[:, :, None], shape)
+        c = np.broadcast_to(cls.trace_idx[:, None, :], shape)
+        keep = (r >= 0) & (c >= 0)
+        rows.append(r[keep])
+        cols.append(c[keep])
+        vals.append(np.broadcast_to(-K, shape)[keep])
     S = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(sys.zhat, sys.zhat),
@@ -412,14 +452,19 @@ def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
 
 
 def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> list:
-    """Per macro, solve A U = R_u - B uhat with the stored factorization."""
+    """Per macro, solve A U = R_u - B uhat with the class's factorization."""
+    upad = np.append(uhat, 0.0)
 
-    def macro_task(e):
-        op = sys.local_ops[e]
-        rhs = op.R_u - op.B @ sys.gather(uhat, e)
-        return _solve_local(op, rhs)
+    def chunk_task(chunk):
+        cls, rows = chunk
+        rhs = cls.R_u[rows].T - cls.B @ _gather(cls, rows, upad).T
+        return np.ascontiguousarray(_solve_local(cls, rhs).T)
 
-    return sys.pool.map(macro_task, range(len(sys.local_ops)))
+    local = [None] * sys.n_macros
+    for (cls, rows), U in zip(sys.chunks, sys.pool.map(chunk_task, sys.chunks)):
+        for e, u in zip(cls.macro_ids[rows], U):
+            local[e] = u
+    return local
 
 
 @dataclass
@@ -434,6 +479,8 @@ class SolveReport:
     tol: float
     mode: str
     precond: str
+    n_classes: int
+    t_assemble_s: float
     t_init_s: float
     t_local_s: float
     t_global_s: float
@@ -448,6 +495,7 @@ class SolveReport:
             "dof_local": self.dof_local, "dof_global": self.dof_global,
             "iterations": self.iterations, "converged": self.converged,
             "tol": self.tol, "mode": self.mode, "precond": self.precond,
+            "n_classes": self.n_classes, "t_assemble_s": self.t_assemble_s,
             "t_init_s": self.t_init_s, "t_local_s": self.t_local_s,
             "t_global_s": self.t_global_s,
             "t_reconstruct_s": self.t_reconstruct_s, "lbf": self.lbf,
@@ -475,13 +523,26 @@ def assemble_system(
     mesh: MacroMesh, problem: ProblemData, stab: StabilizationConfig,
     p: int, pool: WorkerPool,
 ):
-    local_ops = pool.map(
-        lambda e: assemble_macro(mesh, e, p, problem, stab), mesh.macro_elements
-    )
+    """Group the macros by congruence class.  Per class, A, B and C come
+    from one assemble_macro call on its first macro and R_u from one batched
+    quadrature over its macros.  Face blocks are assembled per unknown face."""
+    groups = {}
+    for macro in mesh.macro_elements:
+        groups.setdefault(mesh.congruence_key(macro), []).append(macro)
+    classes = []
+    for members in groups.values():
+        op = assemble_macro(mesh, members[0], p, problem, stab)
+        classes.append(OperatorClass(
+            A=op.A, B=op.B, C=op.C, slots=[slot for _, slot in op.face_slots],
+            macro_ids=np.array([macro.id for macro in members]),
+            face_ids=np.array([[fid for k in range(3) for fid in macro.faces[k]]
+                               for macro in members]),
+            R_u=load_vectors(mesh, members, p, problem, stab, op.B),
+        ))
     unknown = [f for f in mesh.skeleton if f.tag != "D"]
     ops = pool.map(lambda f: assemble_face(mesh, f, p, problem, stab), unknown)
     face_ops = {f.id: op for f, op in zip(unknown, ops)}
-    return local_ops, face_ops
+    return classes, face_ops
 
 
 def solve(
@@ -493,9 +554,11 @@ def solve(
 ):
     """Assemble, condense, run GMRES on the trace system and reconstruct."""
     pool = WorkerPool(config.workers)
-    local_ops, face_ops = assemble_system(mesh, problem, stab, p, pool)
     t0 = time.perf_counter()
-    sys = condense(mesh, local_ops, face_ops, config, pool=pool)
+    classes, face_ops = assemble_system(mesh, problem, stab, p, pool)
+    t_assemble = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sys = condense(mesh, classes, face_ops, config, pool=pool)
     t_init = time.perf_counter() - t0
 
     precond = None
@@ -522,7 +585,7 @@ def solve(
         dof_local=sys.dof_local, dof_global=sys.zhat,
         iterations=info["iterations"], converged=info["converged"],
         tol=config.tol, mode=config.mode, precond=config.preconditioner,
-        t_init_s=t_init, t_local_s=t_local,
+        n_classes=len(classes), t_assemble_s=t_assemble, t_init_s=t_init, t_local_s=t_local,
         t_global_s=max(t_gmres - t_local, 0.0), t_reconstruct_s=t_rec,
         lbf=pool.lbf, worker_busy=list(pool.busy),
         residual_history=info["residual_history"],

@@ -99,6 +99,21 @@ def test_storage_mode():
     assert op.storage == "dense" and isinstance(op.A, np.ndarray)
 
 
+@pytest.mark.parametrize("m", [3, 5, 6])
+def test_conforming_face_breaks(m):
+    """On a conforming face the trace and macro-edge subdivisions coincide:
+    m + 1 breakpoints, with no sliver interval from rounding."""
+    from mehdg.assembly import _face_breaks
+
+    mesh = build_structured_macro_mesh(2, 1, m)
+    face = mesh.interior_faces()[0]
+    assert face.m_f == m
+    for side in face.sides():
+        breaks = _face_breaks(face, side, m)
+        assert breaks.size == m + 1
+        assert np.diff(breaks).min() >= 1.0 / m - 1e-12
+
+
 def test_interior_face_d_block():
     """a parallel to the face: D = -2 tau M_face."""
     mesh = build_structured_macro_mesh(2, 2, 2)

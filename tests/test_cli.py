@@ -1,6 +1,10 @@
 """Command-line interface: subcommands, exit codes, config files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,8 @@ def test_solve_json_record(tmp_path, capsys):
     assert rec["converged"] is True
     assert rec["p"] == 1 and rec["m"] == 2 and rec["n"] == 2
     assert rec["mode"] == "mb"
+    assert rec["n_classes"] == 2
+    assert rec["t_assemble_s"] > 0.0
 
 
 def test_solve_stdout(capsys):
@@ -24,6 +30,18 @@ def test_solve_stdout(capsys):
     assert code == 0
     rec = json.loads(capsys.readouterr().out)
     assert rec["dof_global"] == 2
+
+
+def test_python_m_mehdg():
+    """`python -m mehdg` runs the CLI from a checkout's src/."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "mehdg", "solve", "--n", "1", "--m", "1",
+         "--p", "1", "--case", "poly1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dof_global"] == 2
 
 
 def test_solve_nonconvergence_exit_code(tmp_path, monkeypatch):

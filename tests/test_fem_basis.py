@@ -14,6 +14,8 @@ from mehdg.fem_basis import (
     reference_tables,
     simplex_lattice,
     trace_basis,
+    trace_mass,
+    trace_quadrature,
 )
 from mehdg.mesh import build_structured_macro_mesh, sub_cell_ref_verts, sub_cells
 
@@ -145,9 +147,11 @@ def test_cached_reference_arrays_read_only():
     mesh = build_structured_macro_mesh(2, 1, 2)
     dofmap = build_patch_dof_map(mesh.macro_elements[0], 2)
     before = val.copy()
+    assert trace_mass(3, 2) is trace_mass(3, 2)
     for arr in (rule.points, rule.points_ref, rule.weights, val, grad, hess,
                 quadrature_rule(1, 3).weights, psi.nodes, psi.breakpoints,
-                dofmap.cell_maps[0], dofmap.edge_nodes, dofmap.node_lattice):
+                dofmap.cell_maps[0], dofmap.edge_nodes, dofmap.node_lattice,
+                *trace_quadrature(3, 2, 4), trace_mass(3, 2)):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] += 1
     assert np.array_equal(reference_tables(2, 5)[1], before)

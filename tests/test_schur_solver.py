@@ -7,9 +7,9 @@ import pytest
 
 from conftest import poly_case, solve_poly
 
-from mehdg.assembly import StabilizationConfig
+from mehdg.assembly import StabilizationConfig, assemble_macro
 from mehdg.fem_basis import TraceBasis, build_patch_dof_map
-from mehdg.mesh import build_structured_macro_mesh
+from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import (
     SingularFaceBlock,
     SingularLocalBlock,
@@ -33,9 +33,25 @@ def build_system(n, m, p, case=None, workers=1, tol=1e-6):
     mesh = build_structured_macro_mesh(2, n, m)
     config = SolverConfig(tol=tol, workers=workers)
     pool = WorkerPool(workers)
-    local_ops, face_ops = assemble_system(mesh, case.problem(), NO_STAB, p, pool)
-    sys = condense(mesh, local_ops, face_ops, config, pool=pool)
+    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, p, pool)
+    sys = condense(mesh, classes, face_ops, config, pool=pool)
     return mesh, sys
+
+
+def per_macro_oracle(mesh, sys, p, case=None):
+    """Per macro, in id order: assemble_macro's operators, the mask of its B
+    columns on unknown faces and their indices in the trace vector."""
+    problem = (case or poly_case(2)).problem()
+    for macro in mesh.macro_elements:
+        op = assemble_macro(mesh, macro, p, problem, NO_STAB)
+        mask = np.zeros(op.B.shape[1], dtype=bool)
+        idx = []
+        for fid, slot in op.face_slots:
+            if fid in sys.offsets:
+                start, nd = sys.offsets[fid]
+                mask[slot] = True
+                idx.extend(range(start, start + nd))
+        yield op, mask, np.array(idx, dtype=np.int64)
 
 
 def test_solver_config_validation():
@@ -52,6 +68,57 @@ def test_solver_config_validation():
             SolverConfig(**{name: 0})
         with pytest.raises(ValueError):
             SolverConfig(**{name: -1})
+
+
+def skewed_mesh(n, m):
+    """The n x n structured mesh with its interior vertices moved off the
+    grid (h = 1/3 is not dyadic either), so that macros differ in shape."""
+    from mehdg.mesh import _assemble_mesh
+
+    def move(v):
+        inside = np.all((v > 1e-12) & (v < 1.0 - 1e-12))
+        return v + inside * 0.15 / n * np.array([np.sin(7.0 * v[1]), np.cos(5.0 * v[0])])
+
+    base = build_structured_macro_mesh(2, n, m)
+    raw = [np.array([move(v) for v in e.verts]) for e in base.macro_elements]
+    return _assemble_mesh(raw, [m] * len(raw), [0] * len(raw), n, None)
+
+
+CLASS_MESHES = {
+    "uniform-4-2": lambda: build_structured_macro_mesh(2, 4, 2),
+    "uniform-3-2": lambda: build_structured_macro_mesh(2, 3, 2),
+    "skewed-3-2": lambda: skewed_mesh(3, 2),
+    "adapted-2-level": lambda: refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MESHES))
+def test_class_operators_match_per_macro_assembly(name):
+    """Every class's A, B and C equal assemble_macro's for each member macro,
+    and each member's R_u row equals that macro's own R_u."""
+    from mehdg.bench import make_benchmark
+
+    mesh = CLASS_MESHES[name]()
+    p = 2
+    problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
+    for stab in (NO_STAB, StabilizationConfig(supg=True)):
+        classes, _ = assemble_system(mesh, problem, stab, p, WorkerPool(1))
+        ids = sorted(e for cls in classes for e in cls.macro_ids.tolist())
+        assert ids == list(range(len(mesh.macro_elements)))
+        for cls in classes:
+            A = cls.A.toarray() if hasattr(cls.A, "toarray") else cls.A
+            for r, e in enumerate(cls.macro_ids):
+                op = assemble_macro(mesh, mesh.macro_elements[e], p, problem, stab)
+                Ae = op.A.toarray() if hasattr(op.A, "toarray") else op.A
+                for got, want in ((A, Ae), (cls.B, op.B), (cls.C, op.C),
+                                  (cls.R_u[r], op.R_u)):
+                    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+                assert cls.face_ids[r].tolist() == [fid for fid, _ in op.face_slots]
+    if name.startswith("uniform"):
+        assert len(classes) == 2  # one class per diagonal direction
+    if name == "adapted-2-level":
+        assert any(f.hanging for f in mesh.skeleton)
+        assert any(cls.macro_ids.size > 1 for cls in classes)
 
 
 def test_condense_zero_data():
@@ -122,8 +189,10 @@ def test_matrix_free_matches_explicit(n, m, p):
 
 def test_two_macro_call_counts():
     """On the two-macro mesh one operator application is exactly two macro
-    computations plus one face reduction."""
+    computations plus one face reduction, although the two macros (one per
+    red-pattern kind) are two classes of one macro each."""
     _, sys = build_system(1, 1, 1)
+    assert [cls.macro_ids.tolist() for cls in sys.classes] == [[0], [1]]
     sys.counters["macro_apply"] = 0
     sys.counters["face_reduce"] = 0
     apply_schur(sys, np.ones(sys.zhat))
@@ -132,12 +201,14 @@ def test_two_macro_call_counts():
 
 
 def test_call_counts_exact_with_workers():
-    """Counts stay exact when the macros are split over eight partitions."""
-    _, sys = build_system(3, 2, 1, workers=8)
+    """Counts stay exact when the chunks of macros are split over eight
+    partitions: the counter counts macros, not chunks or classes."""
+    mesh, sys = build_system(3, 2, 1, workers=8)
+    assert len(sys.chunks) > len(sys.classes)
     x = np.ones(sys.zhat)
     for _ in range(20):
         apply_schur(sys, x)
-    assert sys.counters["macro_apply"] == 20 * len(sys.local_ops)
+    assert sys.counters["macro_apply"] == 20 * len(mesh.macro_elements)
     assert sys.counters["face_reduce"] == 20 * len(sys.face_plan)
 
 
@@ -146,7 +217,7 @@ def test_preconditioner_round_trip():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(sys.zhat)
     w = np.empty_like(x)
-    for fid, start, nd, _ in sys.face_plan:
+    for fid, start, nd in sys.face_plan:
         w[start:start + nd] = sys.face_ops[fid].D @ x[start:start + nd]
     back = apply_preconditioner(sys, w)
     assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
@@ -155,30 +226,25 @@ def test_preconditioner_round_trip():
 def test_preconditioner_identity_blocks():
     mesh = build_structured_macro_mesh(2, 2, 1)
     pool = WorkerPool(1)
-    local_ops, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
     for op in face_ops.values():
         op.D = np.eye(op.D.shape[0])
-    sys = condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
+    sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
     x = np.arange(1.0, sys.zhat + 1.0)
     assert np.array_equal(apply_preconditioner(sys, x), x)
 
 
 def test_preconditioned_operator_structure():
-    """M S x = x - D^-1 (C A^-1 B) x, checked against a dense oracle."""
-    import scipy.linalg as sla
-
-    _, sys = build_system(1, 1, 1)
+    """M S x = x - D^-1 (C A^-1 B) x, checked against a dense oracle built
+    from each macro's own assembly."""
+    mesh, sys = build_system(1, 1, 1)
     S = assemble_schur_explicit(sys).toarray()
-    op = sys.local_ops  # two macros
     D = np.zeros((sys.zhat, sys.zhat))
     CAB = np.zeros((sys.zhat, sys.zhat))
-    for fid, start, nd, _ in sys.face_plan:
+    for fid, start, nd in sys.face_plan:
         D[start:start + nd, start:start + nd] = sys.face_ops[fid].D
-    for e, o in enumerate(op):
-        mask = sys.gather_mask[e]
-        gi = sys.gather_idx[e]
-        blk = o.C[mask] @ sla.lu_solve(o.lu[1], o.B[:, mask])
-        CAB[np.ix_(gi, gi)] += blk
+    for op, mask, gi in per_macro_oracle(mesh, sys, 1):
+        CAB[np.ix_(gi, gi)] += op.C[mask] @ np.linalg.solve(op.A, op.B[:, mask])
     rng = np.random.default_rng(4)
     x = rng.standard_normal(sys.zhat)
     lhs = apply_preconditioner(sys, apply_schur(sys, x))
@@ -191,7 +257,7 @@ def test_face_factorization_kinds():
     """Every face block D_F = c_F M_F is negative definite, and the stored
     block-diagonal D^-1 inverts the stored D."""
     _, sys = build_system(2, 2, 2)
-    for fid, start, nd, _ in sys.face_plan:
+    for fid, start, nd in sys.face_plan:
         D = sys.face_ops[fid].D
         assert np.linalg.eigvalsh(D).max() < 0
         assert np.array_equal(sys.D[start:start + nd, start:start + nd].toarray(), D)
@@ -212,7 +278,7 @@ def test_face_block_matrices_mixed_sizes():
     for fid, nd in enumerate([3, 2, 3, 1, 2]):
         G = rng.standard_normal((nd, nd))
         face_ops[fid] = SimpleNamespace(D=-(G @ G.T + nd * np.eye(nd)))
-        plan.append((fid, start, nd, []))
+        plan.append((fid, start, nd))
         start += nd
     fake = SimpleNamespace(face_plan=plan, face_ops=face_ops, zhat=start)
     D, Dinv = _face_block_matrices(fake)
@@ -225,25 +291,39 @@ def test_face_block_matrices_mixed_sizes():
 def test_near_singular_face_block(bad):
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    local_ops, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
     op = face_ops[next(iter(face_ops))]
     if bad == "nan":
         op.D = np.full_like(op.D, np.nan)
     else:
         op.D = np.diag([1.0] + [1e-15] * (op.D.shape[0] - 1))
     with pytest.raises(SingularFaceBlock):
-        condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
+        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_local_block():
+    """A singular class block A is refused, naming the class's first macro."""
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    local_ops, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1, pool)
-    local_ops[0].A = np.zeros_like(np.asarray(local_ops[0].A))
+    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1, pool)
+    cls = classes[-1]
+    cls.A = np.zeros_like(cls.A)
+    with pytest.raises(SingularLocalBlock) as err:
+        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+    assert err.value.args == (int(cls.macro_ids[0]),)
+
+
+def test_singular_sparse_local_block():
+    """With sparse storage (m > 2) an exactly singular A raises the same
+    named error, not SuperLU's RuntimeError."""
+    mesh = build_structured_macro_mesh(2, 1, 4)
+    pool = WorkerPool(1)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    classes[0].A = classes[0].A * 0.0
     with pytest.raises(SingularLocalBlock):
-        condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
+        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -251,11 +331,11 @@ def test_singular_face_block():
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    local_ops, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1, pool)
     fid = next(iter(face_ops))
     face_ops[fid].D = np.zeros_like(face_ops[fid].D)
     with pytest.raises(SingularFaceBlock):
-        condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
+        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
 
 
 def test_gmres_identity():
@@ -298,22 +378,24 @@ def test_gmres_zero_rhs():
 
 
 def test_explicit_schur_vs_dense_elimination():
-    _, sys = build_system(1, 1, 1)
+    """The explicit S equals the Schur complement of the full uncondensed
+    system assembled macro by macro; each class here has four macros."""
+    p = 1
+    mesh, sys = build_system(2, 2, p)
+    assert [cls.macro_ids.size for cls in sys.classes] == [4, 4]
     S = assemble_schur_explicit(sys).toarray()
     # dense block-elimination oracle over the full uncondensed system
-    ops = sys.local_ops
-    nloc = [o.R_u.size for o in ops]
+    ops = list(per_macro_oracle(mesh, sys, p))
+    nloc = [op.R_u.size for op, _, _ in ops]
     ntot = sum(nloc) + sys.zhat
     K = np.zeros((ntot, ntot))
     off = np.concatenate([[0], np.cumsum(nloc)])
     zoff = off[-1]
-    for e, o in enumerate(ops):
-        K[off[e]:off[e + 1], off[e]:off[e + 1]] = np.asarray(o.A)
-        mask = sys.gather_mask[e]
-        gi = sys.gather_idx[e]
-        K[off[e]:off[e + 1], zoff + gi] = o.B[:, mask]
-        K[zoff + gi, off[e]:off[e + 1]] = o.C[mask]
-    for fid, start, nd, _ in sys.face_plan:
+    for e, (op, mask, gi) in enumerate(ops):
+        K[off[e]:off[e + 1], off[e]:off[e + 1]] = np.asarray(op.A)
+        K[off[e]:off[e + 1], zoff + gi] = op.B[:, mask]
+        K[zoff + gi, off[e]:off[e + 1]] = op.C[mask]
+    for fid, start, nd in sys.face_plan:
         K[zoff + start:zoff + start + nd, zoff + start:zoff + start + nd] += (
             sys.face_ops[fid].D)
     Auu = K[:zoff, :zoff]
@@ -382,10 +464,10 @@ def test_full_system_residual():
     # trace-equation residual of the condensed system
     res = apply_schur(sys, solution.uhat) - sys.f_vec
     assert np.linalg.norm(res) <= 10 * tol * rhs_norm
-    # local equations are satisfied by construction of the reconstruction
-    for e, op in enumerate(sys.local_ops):
-        lr = np.asarray(op.A) @ solution.local[e] + op.B @ sys.gather(
-            solution.uhat, e) - op.R_u
+    # each macro's own local equations hold for the reconstruction
+    for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, 2, case)):
+        lr = (np.asarray(op.A) @ solution.local[e] + op.B[:, mask] @ solution.uhat[gi]
+              - op.R_u)
         assert np.abs(lr).max() < 1e-9 * max(1.0, np.abs(op.R_u).max())
 
 
@@ -438,11 +520,14 @@ def test_solve_report_record():
     _, solution, _, _ = _solve_case(poly_case(2), 2, 2, 2)
     rec = solution.report.to_record()
     for key in ("p", "m", "n", "dof_local", "dof_global", "iterations",
-                "converged", "tol", "mode", "precond", "t_init_s",
-                "t_local_s", "t_global_s", "t_reconstruct_s", "lbf"):
+                "converged", "tol", "mode", "precond", "n_classes",
+                "t_assemble_s", "t_init_s", "t_local_s", "t_global_s",
+                "t_reconstruct_s", "lbf"):
         assert key in rec
     assert rec["converged"] is True
     assert rec["t_reconstruct_s"] == solution.report.t_reconstruct_s > 0.0
+    assert rec["t_assemble_s"] == solution.report.t_assemble_s > 0.0
+    assert rec["n_classes"] == 2  # a uniform mesh: one class per diagonal
     assert 0.0 < rec["lbf"] <= 1.0
     assert rec["dof_local"] == sum(
         3 * ((2 * m_p + 2) * (2 * m_p + 1) // 2) for m_p in [2] * 8)
@@ -450,13 +535,16 @@ def test_solve_report_record():
 
 def test_worker_pool_static_partition():
     pool = WorkerPool(3)
+    seen = []
+    pool.map(seen.append, range(7))
+    assert seen == [0, 3, 6, 1, 4, 2, 5]  # partition w runs w, w + 3, ...
     out = pool.map(lambda v: v * v, range(10))
     assert out == [v * v for v in range(10)]
     assert pool.busy.shape == (3,)
     assert 0.0 < pool.lbf <= 1.0
     seen = []
     pool.map(seen.append, range(7))
-    assert seen == [0, 3, 6, 1, 4, 2, 5]  # partition w runs w, w + 3, ...
+    assert seen == [2, 5, 0, 3, 6, 1, 4]  # each call starts one partition later
 
 
 def test_worker_pool_runs_on_calling_thread():

@@ -204,7 +204,7 @@ def run_convergence(
                     "dof_local": rep.dof_local, "dof_global": rep.dof_global,
                     "l2_error": err, "rate": rate,
                     "iterations": rep.iterations, "t_init_s": rep.t_init_s,
-                    "t_solve_s": rep.t_local_s + rep.t_global_s,
+                    "t_solve_s": rep.t_local_s + rep.t_global_s + rep.t_schur_s,
                 }
             )
             prev = (n, err)
@@ -239,7 +239,7 @@ def run_compare(
                 {
                     "p": p, "m": m, "n": n, "tol": tol, "mode": mode,
                     "iterations": rep.iterations, "converged": rep.converged,
-                    "t_solve_s": rep.t_local_s + rep.t_global_s,
+                    "t_solve_s": rep.t_local_s + rep.t_global_s + rep.t_schur_s,
                 }
             )
         if abs(iters["mb"] - iters["mf"]) > 1:

@@ -36,14 +36,10 @@ class AffineMap:
     matrix: np.ndarray
     offset: np.ndarray
     det: float
-    inverse: np.ndarray
     normals: np.ndarray  # (d+1, d) outward unit normals, face k opposite vertex k
 
     def to_physical(self, ref_pts: np.ndarray) -> np.ndarray:
         return ref_pts @ self.matrix.T + self.offset
-
-    def to_reference(self, phys_pts: np.ndarray) -> np.ndarray:
-        return (phys_pts - self.offset) @ self.inverse.T
 
 
 def reference_to_physical(verts: np.ndarray) -> AffineMap:
@@ -61,10 +57,10 @@ def reference_to_physical(verts: np.ndarray) -> AffineMap:
         if np.dot(nrm, verts[k] - verts[a]) > 0:
             nrm = -nrm
         normals[k] = nrm / np.linalg.norm(nrm)
-    offset, inverse = verts[0].copy(), np.linalg.inv(J)
-    for arr in (J, offset, inverse, normals):
+    offset = verts[0].copy()
+    for arr in (J, offset, normals):
         arr.flags.writeable = False  # a macro's map is shared by every caller
-    return AffineMap(J, offset, det, inverse, normals)
+    return AffineMap(J, offset, det, normals)
 
 
 # local edge k is opposite vertex k; direction fixed as below

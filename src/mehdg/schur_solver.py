@@ -1,16 +1,18 @@
 """Static condensation and the global trace solve.
 
 The block system [A B; C D][U; uhat] = [R_u; R_uhat] is reduced to
-(D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  Congruent macros share A, B, C
-and the factor of A, so each is built once per congruence class, and the
-local steps run on fixed-size chunks of a class's macros, one batched call
-per step.  The Schur operator is applied matrix-free through four steps (B,
-A^-1, C, then the face reduction D uhat minus a fixed-order scatter of the
-macro outputs) or as an explicitly scattered sparse matrix.  Both share a
-restarted GMRES, preconditioned by the block-diagonal D^-1 as one sparse
-matrix.  Its blocks are exact inverses: assembly builds D_F = c_F M_F with
-c_F < 0, a negative multiple of the face mass matrix, so condense inverts
-every block once.
+(D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  Congruent macros share A, B, C,
+the factor of A and the condensed block K = C A^-1 B, so each is built once
+per congruence class, and the local steps run on fixed-size chunks of a
+class's macros, one batched call per step.  The Schur operator is applied
+matrix-free (per chunk, a gather of the trace values and one GEMM with the
+class's K, then the face reduction D uhat minus a fixed-order scatter of the
+macro outputs; nothing global is assembled) or as an explicitly scattered
+sparse matrix built from the same K.  Both share a restarted GMRES,
+orthogonalized by classical Gram-Schmidt run twice and preconditioned by the
+block-diagonal D^-1 as one sparse matrix.  Its blocks are exact inverses:
+assembly builds D_F = c_F M_F with c_F < 0, a negative multiple of the face
+mass matrix, so condense inverts every block once.
 """
 
 from __future__ import annotations
@@ -108,9 +110,9 @@ class WorkerPool:
 
 @dataclass
 class OperatorClass:
-    """A, B, C and the factor of A, shared by the congruent macros
-    `macro_ids`; row r of `face_ids`, `trace_idx` and `R_u` belongs to
-    macro macro_ids[r]."""
+    """A, B, C, the factor of A and K = C A^-1 B, shared by the congruent
+    macros `macro_ids`; row r of `face_ids`, `trace_idx` and `R_u` belongs
+    to macro macro_ids[r]."""
 
     A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
     B: np.ndarray
@@ -120,6 +122,7 @@ class OperatorClass:
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
     R_u: np.ndarray  # (n_macros, nloc)
     factor: Optional[tuple] = None  # ('dense', (lu, piv)) | ('sparse', SuperLU)
+    K: Optional[np.ndarray] = None  # (nc, nc) condensed block C A^-1 B
     # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
     trace_idx: Optional[np.ndarray] = None
 
@@ -192,7 +195,6 @@ class CondensedSystem:
     reduce_src: Optional[np.ndarray] = None
     reduce_dst: Optional[np.ndarray] = None
     counters: dict = field(default_factory=lambda: {"macro_apply": 0, "face_reduce": 0})
-    timings: dict = field(default_factory=lambda: {"local": 0.0, "global": 0.0})
 
     @property
     def n_macros(self) -> int:
@@ -216,11 +218,13 @@ def condense(
     config: SolverConfig,
     pool: Optional[WorkerPool] = None,
 ) -> CondensedSystem:
-    """Factorize each class's A, index its B columns into the trace vector,
-    build D and D^-1 and the reduced right-hand side f = R_uhat - C A^-1 R_u."""
+    """Factorize each class's A and form its K = C A^-1 B, index its B
+    columns into the trace vector, build D and D^-1 and the reduced
+    right-hand side f = R_uhat - C A^-1 R_u."""
     pool = pool or WorkerPool(config.workers)
     for cls in classes:
         _factorize_local(cls)
+        cls.K = cls.C @ _solve_local(cls, cls.B)
 
     offsets = {}
     face_start = np.full(len(mesh.skeleton), -1, dtype=np.int64)
@@ -315,23 +319,17 @@ def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray
 
 
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
-    """(D - C A^-1 B) uhat via the four matrix-free steps."""
-    t0 = time.perf_counter()
+    """(D - C A^-1 B) uhat matrix-free: per chunk, the gathered trace values
+    times the class's K, then the fixed-order face reduction."""
     upad = np.append(uhat, 0.0)
 
     def chunk_task(chunk):
-        # one column per macro; transposed products keep X and Y in the
-        # column-major layout that LAPACK reads and writes
         cls, rows = chunk
-        X = (_gather(cls, rows, upad) @ cls.B.T).T  # step 1
-        Y = _solve_local(cls, X)                     # step 2
-        return (Y.T @ cls.C.T).ravel()               # step 3
+        return (_gather(cls, rows, upad) @ cls.K.T).ravel()
 
     vhat = sys.pool.map(chunk_task, sys.chunks)
     sys.counters["macro_apply"] += sys.n_macros
-    sys.timings["local"] += time.perf_counter() - t0
-
-    w = _reduce_faces(sys, sys.D @ uhat, vhat)  # step 4
+    w = _reduce_faces(sys, sys.D @ uhat, vhat)
     sys.counters["face_reduce"] += len(sys.face_plan)
     return w
 
@@ -347,8 +345,9 @@ def gmres(
     config: SolverConfig,
     precond: Optional[Callable] = None,
 ):
-    """Restarted GMRES with left preconditioning; the stopping test uses the
-    preconditioned relative residual.  A restart cycle that leaves the true
+    """Restarted GMRES with left preconditioning, orthogonalized by classical
+    Gram-Schmidt run twice (four BLAS-2 calls per iteration); the stopping
+    test uses the preconditioned relative residual.  A restart cycle that leaves the true
     residual no lower than it found it stops the solve as stagnated."""
     n = rhs.size
     M = precond if precond is not None else (lambda v: v)
@@ -386,9 +385,14 @@ def gmres(
         for k in range(config.restart):
             # copy: the operator or preconditioner may return its input
             wv = np.array(M(apply_op(V[k])), dtype=float)
-            for i in range(k + 1):  # modified Gram-Schmidt
-                H[i, k] = float(V[i] @ wv)
-                wv -= H[i, k] * V[i]
+            # classical Gram-Schmidt run twice: orthogonal to working precision
+            # like MGS (Giraud, Langou & Rozloznik 2005), in four BLAS-2 calls
+            Vk = V[:k + 1]
+            h = Vk @ wv
+            wv -= h @ Vk
+            h2 = Vk @ wv
+            wv -= h2 @ Vk
+            H[:k + 1, k] = h + h2
             H[k + 1, k] = float(np.linalg.norm(wv))
             if H[k + 1, k] > 1e-300:
                 V[k + 1] = wv / H[k + 1, k]
@@ -432,18 +436,17 @@ def gmres(
 
 
 def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
-    """Explicit D - C A^-1 B: each class's block formed once and scattered by
-    its members' trace indices, plus the block-diagonal D."""
+    """Explicit D - C A^-1 B: each class's K scattered by its members' trace
+    indices, plus the block-diagonal D."""
     rows, cols, vals = [], [], []
     for cls in sys.classes:
-        K = cls.C @ _solve_local(cls, cls.B)
-        shape = (cls.trace_idx.shape[0],) + K.shape
+        shape = (cls.trace_idx.shape[0],) + cls.K.shape
         r = np.broadcast_to(cls.trace_idx[:, :, None], shape)
         c = np.broadcast_to(cls.trace_idx[:, None, :], shape)
         keep = (r >= 0) & (c >= 0)
         rows.append(r[keep])
         cols.append(c[keep])
-        vals.append(np.broadcast_to(-K, shape)[keep])
+        vals.append(np.broadcast_to(-cls.K, shape)[keep])
     S = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(sys.zhat, sys.zhat),
@@ -482,8 +485,9 @@ class SolveReport:
     n_classes: int
     t_assemble_s: float
     t_init_s: float
-    t_local_s: float
-    t_global_s: float
+    t_local_s: float  # matrix-free applies inside GMRES
+    t_global_s: float  # the rest of GMRES
+    t_schur_s: float  # building the explicit S (mb; 0 in mf)
     t_reconstruct_s: float
     lbf: float
     worker_busy: list
@@ -497,7 +501,7 @@ class SolveReport:
             "tol": self.tol, "mode": self.mode, "precond": self.precond,
             "n_classes": self.n_classes, "t_assemble_s": self.t_assemble_s,
             "t_init_s": self.t_init_s, "t_local_s": self.t_local_s,
-            "t_global_s": self.t_global_s,
+            "t_global_s": self.t_global_s, "t_schur_s": self.t_schur_s,
             "t_reconstruct_s": self.t_reconstruct_s, "lbf": self.lbf,
         }
 
@@ -564,17 +568,23 @@ def solve(
     precond = None
     if config.preconditioner == "dinv":
         precond = lambda w: apply_preconditioner(sys, w)
+    t_schur = t_local = 0.0
     if config.mode == "mb":
+        t0 = time.perf_counter()
         S = assemble_schur_explicit(sys)
+        t_schur = time.perf_counter() - t0
         op = lambda v: S @ v
     else:
-        op = lambda v: apply_schur(sys, v)
+        def op(v):
+            nonlocal t_local
+            t0 = time.perf_counter()
+            w = apply_schur(sys, v)
+            t_local += time.perf_counter() - t0
+            return w
 
-    sys.timings["local"] = 0.0
     t0 = time.perf_counter()
     uhat, info = gmres(op, sys.f_vec, config, precond=precond)
     t_gmres = time.perf_counter() - t0
-    t_local = sys.timings["local"]
 
     t0 = time.perf_counter()
     local = reconstruct_interior(sys, uhat)
@@ -586,7 +596,8 @@ def solve(
         iterations=info["iterations"], converged=info["converged"],
         tol=config.tol, mode=config.mode, precond=config.preconditioner,
         n_classes=len(classes), t_assemble_s=t_assemble, t_init_s=t_init, t_local_s=t_local,
-        t_global_s=max(t_gmres - t_local, 0.0), t_reconstruct_s=t_rec,
+        t_global_s=max(t_gmres - t_local, 0.0), t_schur_s=t_schur,
+        t_reconstruct_s=t_rec,
         lbf=pool.lbf, worker_busy=list(pool.busy),
         residual_history=info["residual_history"],
     )

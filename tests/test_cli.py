@@ -23,6 +23,7 @@ def test_solve_json_record(tmp_path, capsys):
     assert rec["mode"] == "mb"
     assert rec["n_classes"] == 2
     assert rec["t_assemble_s"] > 0.0
+    assert rec["t_schur_s"] > 0.0
 
 
 def test_solve_stdout(capsys):

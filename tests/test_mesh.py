@@ -90,13 +90,6 @@ def test_reference_to_physical():
         reference_to_physical(np.array([[0, 0], [1, 1], [2, 2]], dtype=float))
 
 
-def test_affine_round_trip():
-    verts = np.array([[0.2, 0.1], [0.7, 0.3], [0.4, 0.9]])
-    amap = reference_to_physical(verts)
-    pts = np.random.default_rng(3).random((10, 2)) * 0.3
-    assert np.allclose(amap.to_reference(amap.to_physical(pts)), pts, atol=1e-13)
-
-
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_sub_cell_geometry_matches_per_cell_oracle(m):
     """The two shared class Jacobians and the cell origins reproduce each

@@ -86,6 +86,7 @@ def skewed_mesh(n, m):
 
 CLASS_MESHES = {
     "uniform-4-2": lambda: build_structured_macro_mesh(2, 4, 2),
+    "uniform-2-4": lambda: build_structured_macro_mesh(2, 2, 4),  # sparse A
     "uniform-3-2": lambda: build_structured_macro_mesh(2, 3, 2),
     "skewed-3-2": lambda: skewed_mesh(3, 2),
     "adapted-2-level": lambda: refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3}),
@@ -119,6 +120,35 @@ def test_class_operators_match_per_macro_assembly(name):
     if name == "adapted-2-level":
         assert any(f.hanging for f in mesh.skeleton)
         assert any(cls.macro_ids.size > 1 for cls in classes)
+
+
+@pytest.mark.parametrize("name", ["uniform-2-4", "skewed-3-2", "adapted-2-level"])
+def test_fused_apply_matches_dense_oracle(name):
+    """Each class's K and the matrix-free apply against D - sum C A^-1 B
+    formed densely from every macro's own assembly with np.linalg.solve."""
+    mesh = CLASS_MESHES[name]()
+    p = 2
+    pool = WorkerPool(1)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p, pool)
+    sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+    if name == "uniform-2-4":
+        assert all(hasattr(cls.A, "toarray") for cls in classes)  # sparse storage
+    if name == "adapted-2-level":
+        assert any(f.hanging for f in mesh.skeleton)
+    owner = {e: cls for cls in classes for e in cls.macro_ids.tolist()}
+    S = np.zeros((sys.zhat, sys.zhat))
+    for fid, start, nd in sys.face_plan:
+        S[start:start + nd, start:start + nd] = sys.face_ops[fid].D
+    for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, p)):
+        A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
+        K = op.C @ np.linalg.solve(A, op.B)
+        assert np.abs(owner[e].K - K).max() <= 1e-11 * np.abs(K).max()
+        S[np.ix_(gi, gi)] -= K[np.ix_(mask, mask)]
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(sys.zhat)
+        want = S @ x
+        assert np.linalg.norm(apply_schur(sys, x) - want) <= 1e-11 * np.linalg.norm(want)
 
 
 def test_condense_zero_data():
@@ -372,6 +402,68 @@ def test_gmres_stagnation_stops():
     assert np.array_equal(x, np.zeros(2))
 
 
+def _mgs_gmres_iterations(A, b, M, restart, tol, maxiter):
+    """Reference restarted GMRES: modified Gram-Schmidt, least squares by
+    lstsq, the same preconditioned stopping test.  Returns the count."""
+    bnorm = np.linalg.norm(M(b))
+    x, it = np.zeros(b.size), 0
+    while it < maxiter:
+        r = M(b - A @ x)
+        beta = np.linalg.norm(r)
+        if beta / bnorm <= tol:
+            break
+        V = np.zeros((restart + 1, b.size))
+        H = np.zeros((restart + 1, restart))
+        V[0] = r / beta
+        for k in range(restart):
+            w = M(A @ V[k])
+            for i in range(k + 1):
+                H[i, k] = V[i] @ w
+                w = w - H[i, k] * V[i]
+            H[k + 1, k] = np.linalg.norm(w)
+            V[k + 1] = w / H[k + 1, k]
+            it += 1
+            e1 = np.zeros(k + 2)
+            e1[0] = beta
+            y = np.linalg.lstsq(H[:k + 2, :k + 1], e1, rcond=None)[0]
+            if np.linalg.norm(H[:k + 2, :k + 1] @ y - e1) / bnorm <= tol:
+                break
+        x = x + V[:k + 1].T @ y
+    return it
+
+
+def _grcar(n):
+    return np.eye(n) - np.eye(n, k=-1) + sum(np.eye(n, k=j) for j in (1, 2, 3))
+
+
+def _random_cond(n, cond):
+    rng = np.random.default_rng(1)
+    U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    V, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return U @ np.diag(np.logspace(0, -np.log10(cond), n)) @ V.T
+
+
+@pytest.mark.parametrize("name,restart", [("grcar", 40), ("cond-1e4", 100)])
+def test_gmres_orthogonalization(name, restart):
+    """Fixed hard matrices, 100 x 100: Grcar (highly nonnormal; restarted
+    GMRES needs hundreds of iterations) and a random matrix of condition
+    1e4 (full GMRES needs all 100 steps; one Gram-Schmidt pass loses
+    orthogonality there and takes a second cycle).  GMRES reaches tol 1e-12
+    in the true preconditioned residual, in the iterations MGS needs."""
+    n, tol = 100, 1e-12
+    G = _grcar(n) if name == "grcar" else _random_cond(n, 1e4)
+    d = np.linspace(1.0, 4.0, n)
+    M = lambda v: v / d
+    b = np.random.default_rng(0).standard_normal(n)
+    cfg = SolverConfig(tol=tol, restart=restart, maxiter=2000)
+    x, info = gmres(lambda v: G @ v, b, cfg, precond=M)
+    assert info["converged"]
+    assert np.linalg.norm(M(b - G @ x)) <= 10 * tol * np.linalg.norm(M(b))
+    ref = _mgs_gmres_iterations(G, b, M, restart, tol, cfg.maxiter)
+    assert abs(info["iterations"] - ref) <= 1
+    assert info["iterations"] >= n  # neither case is easy
+
+
 def test_gmres_zero_rhs():
     x, info = gmres(lambda v: 2 * v, np.zeros(4), SolverConfig())
     assert info["converged"] and np.abs(x).max() == 0.0
@@ -522,15 +614,21 @@ def test_solve_report_record():
     for key in ("p", "m", "n", "dof_local", "dof_global", "iterations",
                 "converged", "tol", "mode", "precond", "n_classes",
                 "t_assemble_s", "t_init_s", "t_local_s", "t_global_s",
-                "t_reconstruct_s", "lbf"):
+                "t_schur_s", "t_reconstruct_s", "lbf"):
         assert key in rec
     assert rec["converged"] is True
+    assert rec["t_schur_s"] > 0.0  # mode mb builds S
+    assert rec["t_local_s"] == 0.0  # and applies no matrix-free operator
     assert rec["t_reconstruct_s"] == solution.report.t_reconstruct_s > 0.0
     assert rec["t_assemble_s"] == solution.report.t_assemble_s > 0.0
     assert rec["n_classes"] == 2  # a uniform mesh: one class per diagonal
     assert 0.0 < rec["lbf"] <= 1.0
     assert rec["dof_local"] == sum(
         3 * ((2 * m_p + 2) * (2 * m_p + 1) // 2) for m_p in [2] * 8)
+    _, solution, _, _ = _solve_case(poly_case(2), 2, 2, 2, mode="mf")
+    rec = solution.report.to_record()
+    assert rec["t_schur_s"] == 0.0  # mode mf builds no S
+    assert rec["t_local_s"] > 0.0  # its applies are timed on their own
 
 
 def test_worker_pool_static_partition():

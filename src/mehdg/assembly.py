@@ -31,7 +31,7 @@ from .fem_basis import (
     trace_mass,
     trace_quadrature,
 )
-from .mesh import MacroElement, MacroMesh, SkeletonFace, sub_cell_ref_verts, sub_cells
+from .mesh import MacroElement, MacroMesh, SkeletonFace, sub_cell_quadrature, sub_cells
 
 
 @dataclass
@@ -66,13 +66,11 @@ class StabilizationConfig:
 
 @dataclass
 class LocalOperators:
-    macro_id: int
     A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
     B: np.ndarray
     C: np.ndarray
     R_u: np.ndarray
     face_slots: list  # [(face id, slice into B columns / C rows)]
-    storage: str  # 'dense' | 'sparse'
 
 
 @dataclass
@@ -157,9 +155,9 @@ def _sub_cell_tables(macro: MacroElement, p: int, problem: ProblemData,
     load (the basis, plus the streamline term under SUPG)."""
     rule, val, gref, href = reference_tables(p, quad_degree)
     a, kappa = problem.a, problem.kappa
-    classes, _ = macro.sub_cell_geometry()
     tables = {}
-    for kind, (Jc, Jinv, detc) in classes.items():
+    for kind, q in sub_cell_quadrature([macro], rule.points_ref).items():
+        Jc, Jinv, detc = q.jac[0], q.jinv[0], q.det[0]
         gph = gref @ Jinv  # (nq, nb, 2) physical gradients
         wd = rule.weights * detc
         tb = dict(wd=wd, M=val.T @ (wd[:, None] * val), test=val,
@@ -202,22 +200,13 @@ def load_vectors(
     tables = _sub_cell_tables(rep, p, problem, stab, quad_degree)
     dofmap = build_patch_dof_map(rep, p)
     Q = dofmap.n_dofs
-    J = np.stack([mac.affine_map().matrix for mac in macros])
-    offset = np.stack([mac.affine_map().offset for mac in macros])
     R = np.zeros((len(macros), 3 * Q))
-    cells = list(sub_cells(rep.m))
-    for kind, tb in tables.items():
-        sel = [c for c, cell in enumerate(cells) if cell[0] == kind]
-        if not sel:  # m = 1 has no "down" cell
-            continue
-        verts = np.array([sub_cell_ref_verts(*cells[c], rep.m) for c in sel])
-        # quadrature points of every cell of this kind, in macro reference
-        # coordinates, then mapped by each macro
-        ref = verts[:, None, 0] + rule.points_ref @ (verts[0, 1:] - verts[0, 0])
-        pts = np.einsum("cqj,nij->ncqi", ref, J) + offset[:, None, None]
-        fvals = np.asarray(problem.f(pts.reshape(-1, 2)), dtype=float)
-        load = np.einsum("ncq,qb->ncb", fvals.reshape(pts.shape[:3]) * tb["wd"], tb["test"])
-        rows = 2 * Q + np.concatenate([dofmap.cell_maps[c] for c in sel])
+    for kind, q in sub_cell_quadrature(macros, rule.points_ref).items():
+        tb = tables[kind]
+        fvals = np.asarray(problem.f(q.points.reshape(-1, 2)), dtype=float)
+        load = np.einsum("ncq,qb->ncb", fvals.reshape(q.points.shape[:3]) * tb["wd"],
+                         tb["test"])
+        rows = 2 * Q + dofmap.cell_maps[q.cells].ravel()
         np.add.at(R.T, rows, load.reshape(len(macros), -1).T)
 
     # Dirichlet data enters through trace elimination
@@ -299,12 +288,8 @@ def assemble_macro(
         C[np.ix_(cols, ix_u)] += tau * W.T
 
     R_u = load_vectors(mesh, [macro], p, problem, stab, B, quad_degree)[0]
-    storage = "dense" if m <= 2 else "sparse"
-    Amat = A if storage == "dense" else sp.csr_matrix(A)
-    return LocalOperators(
-        macro_id=macro.id, A=Amat, B=B, C=C, R_u=R_u,
-        face_slots=face_slots, storage=storage,
-    )
+    Amat = A if m <= 2 else sp.csr_matrix(A)
+    return LocalOperators(A=Amat, B=B, C=C, R_u=R_u, face_slots=face_slots)
 
 
 def assemble_face(

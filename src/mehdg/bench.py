@@ -14,7 +14,7 @@ from .adaptivity import adapt
 from .assembly import ProblemData, StabilizationConfig
 from .costmodel import CostInputs, dependent_quantities, memory_estimate, operation_counts
 from .fem_basis import build_patch_dof_map, reference_tables
-from .mesh import MacroMesh, build_structured_macro_mesh
+from .mesh import MacroMesh, build_structured_macro_mesh, sub_cell_quadrature
 from .schur_solver import SolverConfig, solve
 
 
@@ -147,24 +147,21 @@ def audit_source(case: BenchmarkCase, npts: int = 100, seed: int = 1234) -> floa
 
 
 def l2_error(mesh: MacroMesh, p: int, solution, u_exact: Callable) -> float:
-    """Elementwise quadrature of (u_h - u*)^2 with exactness >= 2p+2."""
+    """Quadrature of (u_h - u*)^2 with exactness >= 2p+2 over every sub-cell,
+    one u_exact call per sub-cell kind over all macros."""
     rule, val, _, _ = reference_tables(p, 2 * p + 2)
+    cell_maps = build_patch_dof_map(mesh.macro_elements[0], p).cell_maps
     acc = 0.0
-    for e, macro in enumerate(mesh.macro_elements):
-        dofmap = build_patch_dof_map(macro, p)
-        u = solution.u_coeffs(e)
-        classes, cells = macro.sub_cell_geometry()
-        for cm, (kind, origin) in zip(dofmap.cell_maps, cells):
-            Jc, _, det = classes[kind]
-            pts = rule.points_ref @ Jc.T + origin
-            uh = val @ u[cm]
-            diff = uh - np.asarray(u_exact(pts), dtype=float)
-            acc += float(np.sum(rule.weights * det * diff**2))
+    for q in sub_cell_quadrature(mesh.macro_elements, rule.points_ref).values():
+        uh = solution.u[:, cell_maps[q.cells]] @ val.T  # (n, cells, nq)
+        diff = uh - np.asarray(u_exact(q.points.reshape(-1, 2)),
+                               dtype=float).reshape(uh.shape)
+        acc += float(np.einsum("ncq,q,n->", diff**2, rule.weights, q.det))
     return math.sqrt(acc)
 
 
 def u_nodal_max(solution) -> float:
-    return max(float(solution.u_coeffs(e).max()) for e in range(len(solution.local)))
+    return float(solution.u.max())
 
 
 CONV_COLUMNS = [
@@ -183,6 +180,8 @@ def run_convergence(
     out: Optional[str] = None,
 ) -> list:
     """One solve per (p, n); observed rate compares successive rows."""
+    if not p_list or not n_list:
+        raise ValueError("p and n lists must not be empty")
     if list(n_list) != sorted(set(n_list)):
         raise ValueError("n list must be strictly increasing")
     config = config or SolverConfig()
@@ -224,6 +223,8 @@ def run_compare(
     out: Optional[str] = None,
 ) -> list:
     """Matrix-based vs matrix-free iteration counts at each tolerance."""
+    if not tolerances:
+        raise ValueError("tolerance list must not be empty")
     base = config or SolverConfig()
     stab = stab or StabilizationConfig()
     mesh = build_structured_macro_mesh(2, n, m)

@@ -124,7 +124,7 @@ class PatchDofMap:
     m: int
     p: int
     n_dofs: int
-    cell_maps: list  # per sub-element: (nb,) int array, local -> patch index
+    cell_maps: np.ndarray  # (m^2, nb): per sub-element, local -> patch index
     node_lattice: np.ndarray  # (Q, 2) integer lattice coords, scale 1/(m*p)
     edge_nodes: np.ndarray  # (3, m*p+1) patch indices along each macro edge
 
@@ -140,23 +140,21 @@ def _patch_dof_map(m: int, p: int) -> PatchDofMap:
     index = {ab: i for i, ab in enumerate(lattice)}
     nb = LagrangeBasis(2, p).n_dofs
     loc = simplex_lattice(2, p)
-    cell_maps = []
-    for kind, i, j in sub_cells(m):
-        arr = np.empty(nb, dtype=np.int64)
+    cell_maps = np.empty((m * m, nb), dtype=np.int64)
+    for c, (kind, i, j) in enumerate(sub_cells(m)):
         for l, (r, s) in enumerate(loc):
             if kind == "up":
                 ab = (i * p + r, j * p + s)
             else:
                 ab = ((i + 1) * p - s, j * p + r + s)
-            arr[l] = index[ab]
-        cell_maps.append(_readonly(arr))
+            cell_maps[c, l] = index[ab]
     edge_nodes = np.empty((3, L + 1), dtype=np.int64)
     for k in range(L + 1):
         edge_nodes[0, k] = index[(L - k, k)]  # v1 -> v2
         edge_nodes[1, k] = index[(0, L - k)]  # v2 -> v0
         edge_nodes[2, k] = index[(k, 0)]      # v0 -> v1
     return PatchDofMap(
-        m=m, p=p, n_dofs=len(lattice), cell_maps=cell_maps,
+        m=m, p=p, n_dofs=len(lattice), cell_maps=_readonly(cell_maps),
         node_lattice=_readonly(np.array(lattice)), edge_nodes=_readonly(edge_nodes),
     )
 

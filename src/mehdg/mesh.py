@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -94,6 +94,45 @@ def sub_cell_ref_verts(kind: str, i: int, j: int, m: int) -> np.ndarray:
     )
 
 
+class SubCellQuadrature(NamedTuple):
+    """Reference points mapped into the sub-cells of one kind ("up" or
+    "down") of n macros; each sub-cell is x = jac @ xi + its origin."""
+
+    cells: np.ndarray  # (cells,) indices into sub_cells() order
+    jac: np.ndarray  # (n, 2, 2) class Jacobian composed with each macro map
+    jinv: np.ndarray  # (n, 2, 2)
+    det: np.ndarray  # (n,) |det jac|
+    points: np.ndarray  # (n, cells, npts, 2) physical images of the points
+
+
+def sub_cell_quadrature(macros: Sequence[MacroElement],
+                        points_ref: np.ndarray) -> dict:
+    """Map `points_ref` (npts, 2), given on the reference triangle, into
+    every sub-cell of each of the `macros`, which share one m; returns a
+    SubCellQuadrature per kind that has cells (m = 1 has no "down")."""
+    m = macros[0].m
+    if any(mac.m != m for mac in macros):
+        raise ValueError("sub_cell_quadrature needs macros of one m")
+    J = np.stack([mac.affine_map().matrix for mac in macros])
+    offset = np.stack([mac.affine_map().offset for mac in macros])
+    cells = list(sub_cells(m))
+    out = {}
+    for kind, jref in _CLASS_JACOBIANS.items():
+        sel = [c for c, cell in enumerate(cells) if cell[0] == kind]
+        if not sel:
+            continue
+        verts = np.array([sub_cell_ref_verts(*cells[c], m) for c in sel])
+        # points in macro reference coordinates, then mapped by each macro
+        ref = verts[:, None, 0] + points_ref @ (verts[0, 1:] - verts[0, 0])
+        jac = J @ (jref / m)
+        out[kind] = SubCellQuadrature(
+            cells=np.array(sel), jac=jac, jinv=np.linalg.inv(jac),
+            det=np.abs(np.linalg.det(jac)),
+            points=np.einsum("cqj,nij->ncqi", ref, J) + offset[:, None, None],
+        )
+    return out
+
+
 @dataclass
 class MacroElement:
     id: int
@@ -120,24 +159,6 @@ class MacroElement:
 
     def affine_map(self) -> AffineMap:
         return self._amap
-
-    def sub_cell_geometry(self) -> tuple[dict, list]:
-        """(classes, cells) of the m^2 sub-cells, each mapped from the
-        reference triangle by x = jac @ xi + origin.
-
-        `classes` maps "up" and "down" to (jac, jac^-1, |det jac|), the class
-        Jacobians composed with the macro map; `cells` lists (kind, origin)
-        in sub_cells() order, origin being the image of reference vertex 0."""
-        amap = self._amap
-        classes = {}
-        for kind, jref in _CLASS_JACOBIANS.items():
-            jac = amap.matrix @ (jref / self.m)
-            classes[kind] = (jac, np.linalg.inv(jac), abs(float(np.linalg.det(jac))))
-        cells = [
-            (kind, amap.to_physical(sub_cell_ref_verts(kind, i, j, self.m)[0:1])[0])
-            for kind, i, j in sub_cells(self.m)
-        ]
-        return classes, cells
 
     def sub_elements(self) -> list[np.ndarray]:
         """Physical vertex arrays of the m^2 sub-triangles (enumeration order

@@ -41,6 +41,9 @@ from .mesh import MacroMesh
 # that the load-balance factor measures the partition; larger chunks only pay
 # on large meshes.
 CHUNK_MACROS = 4
+# Largest accepted worker count: WorkerPool keeps and visits one partition
+# per worker on every call, whether or not it holds any work.
+MAX_WORKERS = 1024
 
 
 class SingularLocalBlock(RuntimeError):
@@ -70,6 +73,8 @@ class SolverConfig:
         for name in ("restart", "maxiter", "workers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.workers > MAX_WORKERS:
+            raise ValueError(f"workers must be at most {MAX_WORKERS}")
 
 
 class WorkerPool:
@@ -190,9 +195,8 @@ class CondensedSystem:
     face_plan: list = field(default_factory=list)
     D: Optional[sp.csr_matrix] = None  # block diagonal, trace order
     Dinv: Optional[sp.csr_matrix] = None
-    # step 4: entries of the concatenated chunk outputs C A^-1 B u_e and the
-    # trace dofs they are subtracted from, in face_plan order
-    reduce_src: Optional[np.ndarray] = None
+    # step 4: trace dof of each entry of the concatenated chunk outputs
+    # C A^-1 B u_e, zhat (a pad slot) on Dirichlet faces
     reduce_dst: Optional[np.ndarray] = None
     counters: dict = field(default_factory=lambda: {"macro_apply": 0, "face_reduce": 0})
 
@@ -203,12 +207,6 @@ class CondensedSystem:
     @property
     def dof_local(self) -> int:
         return int(sum(cls.R_u.size for cls in self.classes))
-
-
-def _gather(cls: OperatorClass, rows: slice, upad: np.ndarray) -> np.ndarray:
-    """(chunk size, nc) trace values of the chunk's B columns; upad is the
-    trace vector with a trailing zero, which index -1 reads."""
-    return upad[cls.trace_idx[rows]]
 
 
 def condense(
@@ -244,9 +242,6 @@ def condense(
         f_vec=np.zeros(zhat), pool=pool,
     )
 
-    # chunk outputs are concatenated class by class, each (rows, nc) row-major
-    out_at = {}  # (face id, macro id) -> first entry of that slot's output
-    pos = 0
     for cls in classes:
         n, nc = cls.face_ids.shape[0], cls.B.shape[1]
         cls.trace_idx = np.full((n, nc), -1, dtype=np.int64)
@@ -254,24 +249,13 @@ def condense(
             start = face_start[cls.face_ids[:, i], None]
             cls.trace_idx[:, slot] = np.where(
                 start >= 0, start + np.arange(slot.stop - slot.start), -1)
-            for r, (e, fid) in enumerate(zip(cls.macro_ids, cls.face_ids[:, i])):
-                out_at[int(fid), int(e)] = pos + r * nc + slot.start
-        pos += n * nc
         sys.chunks.extend((cls, slice(i, i + CHUNK_MACROS))
                           for i in range(0, n, CHUNK_MACROS))
-
-    src, dst = [], []
-    for face in mesh.skeleton:
-        if face.id not in offsets:
-            continue
-        start, nd = offsets[face.id]
-        for side in face.sides():  # fixed reduction order: left side first
-            at = out_at[face.id, side.macro]
-            src.extend(range(at, at + nd))
-            dst.extend(range(start, start + nd))
-        sys.face_plan.append((face.id, start, nd))
-    sys.reduce_src = np.array(src, dtype=np.int64)
-    sys.reduce_dst = np.array(dst, dtype=np.int64)
+    # the chunk outputs, concatenated in chunk order, are the classes'
+    # trace_idx blocks row-major; Dirichlet entries (-1) go to a pad slot
+    dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
+    sys.reduce_dst = np.where(dst >= 0, dst, zhat)
+    sys.face_plan = [(fid, start, nd) for fid, (start, nd) in offsets.items()]
     sys.D, sys.Dinv = _face_block_matrices(sys)
 
     # reduced RHS
@@ -282,7 +266,7 @@ def condense(
     contrib = pool.map(chunk_rhs, sys.chunks)
     for fid, start, nd in sys.face_plan:
         sys.f_vec[start:start + nd] = face_ops[fid].R_hat
-    _reduce_faces(sys, sys.f_vec, contrib)
+    sys.f_vec = _reduce_faces(sys, sys.f_vec, contrib)
     return sys
 
 
@@ -313,19 +297,20 @@ def _face_block_matrices(sys: CondensedSystem):
 
 
 def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray:
-    """w -= the chunk outputs vhat, in place, in face_plan order."""
-    np.subtract.at(w, sys.reduce_dst, np.concatenate(vhat)[sys.reduce_src])
-    return w
+    """w minus the chunk outputs vhat, summed into their trace dofs in
+    chunk order."""
+    return w - np.bincount(sys.reduce_dst, np.concatenate(vhat),
+                           minlength=sys.zhat + 1)[:-1]
 
 
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     """(D - C A^-1 B) uhat matrix-free: per chunk, the gathered trace values
     times the class's K, then the fixed-order face reduction."""
-    upad = np.append(uhat, 0.0)
+    upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
 
     def chunk_task(chunk):
         cls, rows = chunk
-        return (_gather(cls, rows, upad) @ cls.K.T).ravel()
+        return (upad[cls.trace_idx[rows]] @ cls.K.T).ravel()
 
     vhat = sys.pool.map(chunk_task, sys.chunks)
     sys.counters["macro_apply"] += sys.n_macros
@@ -454,19 +439,19 @@ def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
     return S.tocsr() + sys.D
 
 
-def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> list:
-    """Per macro, solve A U = R_u - B uhat with the class's factorization."""
+def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
+    """(n_macros, nloc) local solutions: per chunk, A U = R_u - B uhat with
+    the class's factorization, written to the rows of its macros."""
     upad = np.append(uhat, 0.0)
 
     def chunk_task(chunk):
         cls, rows = chunk
-        rhs = cls.R_u[rows].T - cls.B @ _gather(cls, rows, upad).T
-        return np.ascontiguousarray(_solve_local(cls, rhs).T)
+        rhs = cls.R_u[rows].T - cls.B @ upad[cls.trace_idx[rows]].T
+        return _solve_local(cls, rhs).T
 
-    local = [None] * sys.n_macros
+    local = np.empty((sys.n_macros, sys.classes[0].R_u.shape[1]))
     for (cls, rows), U in zip(sys.chunks, sys.pool.map(chunk_task, sys.chunks)):
-        for e, u in zip(cls.macro_ids[rows], U):
-            local[e] = u
+        local[cls.macro_ids[rows]] = U
     return local
 
 
@@ -490,7 +475,6 @@ class SolveReport:
     t_schur_s: float  # building the explicit S (mb; 0 in mf)
     t_reconstruct_s: float
     lbf: float
-    worker_busy: list
     residual_history: list
 
     def to_record(self) -> dict:
@@ -508,19 +492,17 @@ class SolveReport:
 
 @dataclass
 class Solution:
-    local: list  # per macro [q_x | q_y | u] coefficient vectors
+    local: np.ndarray  # (n_macros, nloc): per macro [q_x | q_y | u] coefficients
     uhat: np.ndarray
     report: SolveReport
 
-    def u_coeffs(self, e: int) -> np.ndarray:
-        v = self.local[e]
-        Q = v.size // 3
-        return v[2 * Q:]
+    @property
+    def u(self) -> np.ndarray:
+        """(n_macros, Q) u coefficients of every macro."""
+        return self.local[:, 2 * (self.local.shape[1] // 3):]
 
-    def q_coeffs(self, e: int) -> np.ndarray:
-        v = self.local[e]
-        Q = v.size // 3
-        return v[:2 * Q].reshape(2, Q)
+    def u_coeffs(self, e: int) -> np.ndarray:
+        return self.u[e]
 
 
 def assemble_system(
@@ -598,7 +580,7 @@ def solve(
         n_classes=len(classes), t_assemble_s=t_assemble, t_init_s=t_init, t_local_s=t_local,
         t_global_s=max(t_gmres - t_local, 0.0), t_schur_s=t_schur,
         t_reconstruct_s=t_rec,
-        lbf=pool.lbf, worker_busy=list(pool.busy),
+        lbf=pool.lbf,
         residual_history=info["residual_history"],
     )
     return Solution(local=local, uhat=uhat, report=report), sys

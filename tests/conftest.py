@@ -5,7 +5,7 @@ import pytest
 
 from mehdg.assembly import ProblemData, StabilizationConfig
 from mehdg.bench import make_benchmark
-from mehdg.mesh import build_structured_macro_mesh
+from mehdg.mesh import _assemble_mesh, build_structured_macro_mesh
 from mehdg.schur_solver import SolverConfig, solve
 
 
@@ -23,6 +23,19 @@ def solve_poly(degree, n, m, p, kappa=1.0, a=(1.0, 2.0), supg=False,
     config = SolverConfig(tol=tol, mode=mode, workers=workers)
     solution, sys = solve(mesh, case.problem(), stab, config, p)
     return mesh, solution, sys, case
+
+
+def skewed_mesh(n, m):
+    """The n x n structured mesh with its interior vertices moved off the
+    grid (h = 1/3 is not dyadic either), so that macros differ in shape."""
+
+    def move(v):
+        inside = np.all((v > 1e-12) & (v < 1.0 - 1e-12))
+        return v + inside * 0.15 / n * np.array([np.sin(7.0 * v[1]), np.cos(5.0 * v[0])])
+
+    base = build_structured_macro_mesh(2, n, m)
+    raw = [np.array([move(v) for v in e.verts]) for e in base.macro_elements]
+    return _assemble_mesh(raw, [m] * len(raw), [0] * len(raw), n, None)
 
 
 def face_mass_oracle(face, p, npts=20):

@@ -24,7 +24,7 @@ def synthetic_solution(mesh, p, u_of_x):
         nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
         u = np.asarray(u_of_x(nodes), dtype=float)
         local.append(np.concatenate([np.zeros(2 * u.size), u]))
-    return Solution(local=local, uhat=np.zeros(0), report=None)
+    return Solution(local=np.stack(local), uhat=np.zeros(0), report=None)
 
 
 def test_indicator_constant_solution():

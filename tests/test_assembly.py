@@ -93,10 +93,10 @@ def test_storage_mode():
 
     mesh = build_structured_macro_mesh(2, 1, 4)
     op = assemble_macro(mesh, mesh.macro_elements[0], 1, make_problem(), NO_STAB)
-    assert op.storage == "sparse" and sp.issparse(op.A)
+    assert sp.issparse(op.A)
     mesh = build_structured_macro_mesh(2, 1, 2)
     op = assemble_macro(mesh, mesh.macro_elements[0], 1, make_problem(), NO_STAB)
-    assert op.storage == "dense" and isinstance(op.A, np.ndarray)
+    assert isinstance(op.A, np.ndarray)
 
 
 @pytest.mark.parametrize("m", [3, 5, 6])

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import poly_case
+from conftest import poly_case, skewed_mesh
 
+from mehdg.adaptivity import error_indicator
 from mehdg.assembly import StabilizationConfig
 from mehdg.bench import (
     ADAPT_COLUMNS,
@@ -21,8 +22,13 @@ from mehdg.bench import (
     u_nodal_max,
     write_csv,
 )
-from mehdg.fem_basis import build_patch_dof_map
-from mehdg.mesh import build_structured_macro_mesh
+from mehdg.fem_basis import build_patch_dof_map, reference_tables
+from mehdg.mesh import (
+    build_structured_macro_mesh,
+    refine_macros,
+    sub_cell_ref_verts,
+    sub_cells,
+)
 from mehdg.schur_solver import Solution, SolverConfig, solve
 
 NO_STAB = StabilizationConfig()
@@ -94,8 +100,52 @@ def test_l2_error_interpolant():
         nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
         vals = u(nodes)
         local.append(np.concatenate([np.zeros(2 * vals.size), vals]))
-    sol = Solution(local=local, uhat=np.zeros(0), report=None)
+    sol = Solution(local=np.stack(local), uhat=np.zeros(0), report=None)
     assert l2_error(mesh, 2, sol, u) < 1e-13
+
+
+ORACLE_MESHES = {
+    "skewed-3-2": lambda: skewed_mesh(3, 2),
+    "adapted-2-level": lambda: refine_macros(
+        refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3}), {9}),
+}
+
+
+def per_cell_l2_and_eta(mesh, p, local, u_exact):
+    """l2_error and the error indicator cell by cell: each sub-cell mapped
+    vertex by vertex through its macro's map."""
+    rule, val, _, _ = reference_tables(p, 2 * p + 2)
+    rule_g, _, gref, _ = reference_tables(p, max(2 * p - 2, 1))
+    acc, eta = 0.0, np.zeros(len(mesh.macro_elements))
+    for e, macro in enumerate(mesh.macro_elements):
+        u = local[e, 2 * (local.shape[1] // 3):]
+        amap = macro.affine_map()
+        for cm, cell in zip(build_patch_dof_map(macro, p).cell_maps, sub_cells(macro.m)):
+            sub = amap.to_physical(sub_cell_ref_verts(*cell, macro.m))
+            jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
+            det = abs(np.linalg.det(jac))
+            diff = val @ u[cm] - u_exact(rule.points_ref @ jac.T + sub[0])
+            acc += float(np.sum(rule.weights * det * diff**2))
+            grad = np.einsum("b,qbc->qc", u[cm], gref @ np.linalg.inv(jac))
+            eta[e] += float(np.sum(rule_g.weights * det * np.sum(grad**2, axis=1)))
+    diam = np.array([macro.diameter for macro in mesh.macro_elements])
+    return np.sqrt(acc), diam * np.sqrt(eta)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_l2_error_and_indicator_match_per_cell_oracle(name, p):
+    mesh = ORACLE_MESHES[name]()
+    if name.startswith("adapted"):
+        assert max(mesh.levels) == 2 and any(f.hanging for f in mesh.skeleton)
+    nloc = 3 * build_patch_dof_map(mesh.macro_elements[0], p).n_dofs
+    local = np.random.default_rng(p).standard_normal((len(mesh.macro_elements), nloc))
+    sol = Solution(local=local, uhat=np.zeros(0), report=None)
+    u_exact = lambda x: np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
+    l2, eta = per_cell_l2_and_eta(mesh, p, local, u_exact)
+    assert l2_error(mesh, p, sol, u_exact) == pytest.approx(l2, rel=1e-13)
+    ind = error_indicator(mesh, p, sol)
+    assert np.abs(ind.eta - eta).max() <= 1e-13 * np.abs(eta).max()
 
 
 def test_error_ratio_low_order():
@@ -190,8 +240,8 @@ def test_run_cost_sweep(tmp_path):
 
 def test_u_nodal_max():
     mesh = build_structured_macro_mesh(2, 1, 1)
-    local = [np.array([0.0, 0, 0, 0, 0, 0, 1.0, 2.0, 0.5]),
-             np.array([0.0, 0, 0, 0, 0, 0, -1.0, 0.25, 0.5])]
+    local = np.array([[0.0, 0, 0, 0, 0, 0, 1.0, 2.0, 0.5],
+                      [0.0, 0, 0, 0, 0, 0, -1.0, 0.25, 0.5]])
     sol = Solution(local=local, uhat=np.zeros(0), report=None)
     assert u_nodal_max(sol) == 2.0
 

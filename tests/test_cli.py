@@ -124,6 +124,10 @@ def test_input_error_exit_code(capsys):
     assert main(["solve", "--kappa", "nan"]) == 1
     assert main(["solve", "--advect", "1,nan"]) == 1
     assert main(["solve", "--workers", "0"]) == 1
+    assert main(["solve", "--workers", "1000000000"]) == 1
+    assert main(["convergence", "--n-list", ","]) == 1
+    assert main(["convergence", "--p-list", ","]) == 1
+    assert main(["compare", "--tols", ","]) == 1
     assert main(["adapt", "--levels", "-1"]) == 1
     assert main(["adapt", "--theta", "0"]) == 1
     assert main(["cost", "--nm", "0"]) == 1

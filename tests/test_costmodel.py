@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import poly_case
 
@@ -120,7 +121,7 @@ def test_measured_sparse_fill_below_model(m, p):
     case = poly_case(1)
     op = assemble_macro(mesh, mesh.macro_elements[0], p, case.problem(),
                         StabilizationConfig())
-    assert op.storage == "sparse"
+    assert sp.issparse(op.A)
     rep = dependent_quantities(CostInputs(d=2, n=1, m=m, p=p, arithmetic="sparse"))
     measured = op.A.nnz / (3 * rep.Q_d) ** 2
     assert measured <= rep.sparsity + 1e-12

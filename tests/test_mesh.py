@@ -11,6 +11,7 @@ from mehdg.mesh import (
     export_vtk,
     reference_to_physical,
     refine_macros,
+    sub_cell_quadrature,
     sub_cell_ref_verts,
     sub_cells,
 )
@@ -92,22 +93,42 @@ def test_reference_to_physical():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_sub_cell_geometry_matches_per_cell_oracle(m):
-    """The two shared class Jacobians and the cell origins reproduce each
-    sub-cell mapped vertex by vertex through the macro map."""
-    verts = np.array([[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]])
-    macro = MacroElement(id=0, vertex_ids=(0, 1, 2), verts=verts, m=m)
-    amap = macro.affine_map()
-    classes, cells = macro.sub_cell_geometry()
-    assert len(cells) == m**2
-    for (kind, i, j), (cell_kind, origin) in zip(sub_cells(m), cells):
-        sub = amap.to_physical(sub_cell_ref_verts(kind, i, j, m))
-        jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
-        J, Jinv, det = classes[cell_kind]
-        assert cell_kind == kind
-        assert np.abs(origin - sub[0]).max() <= 1e-15
-        assert np.abs(J - jac).max() <= 1e-15
-        assert abs(det - abs(np.linalg.det(jac))) <= 1e-15
-        assert np.abs(Jinv @ jac - np.eye(2)).max() <= 1e-15
+    """The batched class Jacobians, their inverses, |det| and the mapped
+    points reproduce each sub-cell of each macro mapped vertex by vertex
+    through that macro's map."""
+    macros = [
+        MacroElement(id=0, vertex_ids=(0, 1, 2),
+                     verts=np.array([[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]]), m=m),
+        MacroElement(id=1, vertex_ids=(1, 3, 2),
+                     verts=np.array([[0.9, 0.35], [1.0, 1.0], [0.3, 0.8]]), m=m),
+    ]
+    xi = np.array([[0.2, 0.3], [0.6, 0.1], [1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0]])
+    quad = sub_cell_quadrature(macros, xi)
+    cells = list(sub_cells(m))
+    assert sorted(quad) == (["up"] if m == 1 else ["down", "up"])
+    assert sorted(c for q in quad.values() for c in q.cells) == list(range(m**2))
+    for kind, q in quad.items():
+        assert q.points.shape == (2, len(q.cells), len(xi), 2)
+        for e, macro in enumerate(macros):
+            amap = macro.affine_map()
+            for c, cell in zip(q.cells, q.points[e]):
+                assert cells[c][0] == kind
+                ref = sub_cell_ref_verts(*cells[c], m)
+                sub = amap.to_physical(ref)
+                jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
+                assert np.abs(q.jac[e] - jac).max() <= 1e-15
+                assert abs(q.det[e] - abs(np.linalg.det(jac))) <= 1e-15
+                assert np.abs(q.jinv[e] @ jac - np.eye(2)).max() <= 1e-15
+                pts = amap.to_physical(ref[0] + xi @ (ref[1:] - ref[0]))
+                assert np.abs(cell - pts).max() <= 1e-15
+
+
+def test_sub_cell_quadrature_rejects_mixed_m():
+    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    macros = [MacroElement(id=i, vertex_ids=(0, 1, 2), verts=verts, m=i + 1)
+              for i in range(2)]
+    with pytest.raises(ValueError):
+        sub_cell_quadrature(macros, np.zeros((1, 2)))
 
 
 def test_macro_geometry_is_stored_and_read_only():

@@ -5,12 +5,13 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import poly_case, solve_poly
+from conftest import poly_case, skewed_mesh, solve_poly
 
 from mehdg.assembly import StabilizationConfig, assemble_macro
 from mehdg.fem_basis import TraceBasis, build_patch_dof_map
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import (
+    MAX_WORKERS,
     SingularFaceBlock,
     SingularLocalBlock,
     SolverConfig,
@@ -68,20 +69,10 @@ def test_solver_config_validation():
             SolverConfig(**{name: 0})
         with pytest.raises(ValueError):
             SolverConfig(**{name: -1})
-
-
-def skewed_mesh(n, m):
-    """The n x n structured mesh with its interior vertices moved off the
-    grid (h = 1/3 is not dyadic either), so that macros differ in shape."""
-    from mehdg.mesh import _assemble_mesh
-
-    def move(v):
-        inside = np.all((v > 1e-12) & (v < 1.0 - 1e-12))
-        return v + inside * 0.15 / n * np.array([np.sin(7.0 * v[1]), np.cos(5.0 * v[0])])
-
-    base = build_structured_macro_mesh(2, n, m)
-    raw = [np.array([move(v) for v in e.verts]) for e in base.macro_elements]
-    return _assemble_mesh(raw, [m] * len(raw), [0] * len(raw), n, None)
+    assert SolverConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
+    for workers in (MAX_WORKERS + 1, 10**9):
+        with pytest.raises(ValueError):
+            SolverConfig(workers=workers)
 
 
 CLASS_MESHES = {

@@ -9,26 +9,42 @@ skeleton faces:
     b(vhat, V) = <vhat, v.n> + <(a.n - tau) vhat, w>
     c(U, muhat) = <kappa q.n + tau u, muhat>   (this macro's side of the jump)
 
+The local dof layout is [q_x | q_y | u], each of patch size Q.  A, B and C
+are built once per congruence class, from its first macro, out of cached
+reference data.  The volume terms of A are the element blocks of the two
+red-pattern sub-cell kinds (mass, stiffness, advection and, under SUPG, the
+streamline block), added into A by one scatter-add over an index cached per
+(m, p).  The boundary terms come from each face slot's reference matrices
+W and Me, cached per (m, p, m_f, t0, t1) and scaled by the face length; each
+slot adds them to A, B and C with one indexed write each.  R_u of all the
+macros of a class is one batched quadrature with the same sub-cell tables,
+and the Dirichlet lifting is one call of g_D and one cached projection per
+slot.
+
 Face blocks D come from the jump of (a.n - tau) vhat over the (one or two)
-sides of each skeleton face.  The local dof layout is [q_x | q_y | u], each of
-patch size Q.
+sides of each skeleton face; D_F = c_F |F| M_ref, so all unknown faces are
+assembled in one vectorized pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .fem_basis import (
+    _patch_dof_map,
+    _readonly,
     build_patch_dof_map,
     piecewise_quad,
     reference_tables,
     trace_basis,
     trace_mass,
+    trace_projection,
     trace_quadrature,
 )
 from .mesh import MacroElement, MacroMesh, SkeletonFace, sub_cell_quadrature, sub_cells
@@ -66,11 +82,22 @@ class StabilizationConfig:
 
 @dataclass
 class LocalOperators:
+    """A, B and C of one macro, and `load`, which gives the stacked R_u of
+    macros congruent to it by one batched quadrature that reuses this
+    macro's sub-cell tables.  R_u, the macro's own load, is computed on
+    first use, so a caller that loads a whole class at once pays for one
+    quadrature."""
+
     A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
     B: np.ndarray
     C: np.ndarray
-    R_u: np.ndarray
     face_slots: list  # [(face id, slice into B columns / C rows)]
+    macro: MacroElement
+    load: Callable = field(repr=False)  # load(macros) -> (len(macros), nloc) R_u rows
+
+    @cached_property
+    def R_u(self) -> np.ndarray:
+        return self.load([self.macro])[0]
 
 
 @dataclass
@@ -110,24 +137,18 @@ def supg_parameter(h: float, a: np.ndarray, kappa: float,
     return h / (2.0 * anorm) * g
 
 
-def _face_breaks(face: SkeletonFace, side, m: int) -> np.ndarray:
-    """Breakpoints in the face parameter s from both the trace subdivision and
-    the macro-side edge subdivision; points within 1e-12 of each other are one
-    breakpoint, so rounding leaves no sliver intervals."""
-    breaks = list(np.arange(face.m_f + 1) / face.m_f)
-    dt = side.t1 - side.t0
+def _face_breaks(m_f: int, t0: float, t1: float, m: int) -> np.ndarray:
+    """Breakpoints in the face parameter s from both the trace subdivision
+    (m_f segments) and the subdivision of the macro edge, whose parameter
+    runs from t0 to t1 along the face; points within 1e-12 of each other are
+    one breakpoint, so rounding leaves no sliver intervals."""
+    breaks = list(np.arange(m_f + 1) / m_f)
+    dt = t1 - t0
     for c in range(m + 1):
-        s = (c / m - side.t0) / dt
+        s = (c / m - t0) / dt
         if 0.0 < s < 1.0 and min(abs(s - b) for b in breaks) > 1e-12:
             breaks.append(s)
     return np.array(sorted(breaks))
-
-
-def _side_of(face: SkeletonFace, macro_id: int):
-    for side in face.sides():
-        if side.macro == macro_id:
-            return side
-    raise KeyError(macro_id)
 
 
 def _face_slots(mesh: MacroMesh, macro: MacroElement, p: int) -> list:
@@ -174,12 +195,24 @@ def _sub_cell_tables(macro: MacroElement, p: int, problem: ProblemData,
     return tables
 
 
+def _boundary_npts(p: int) -> int:
+    """Gauss points per trace segment for boundary data (g_D and g_N)."""
+    return max(p + 2, 6)
+
+
+def _face_points(verts: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(..., ns, 2) points at the parameters s of faces whose vertices are
+    given as a (..., 2, 2) array."""
+    v0 = verts[..., None, 0, :]
+    return v0 + s[:, None] * (verts[..., None, 1, :] - v0)
+
+
 def project_dirichlet(face: SkeletonFace, g: Callable, p: int) -> np.ndarray:
     """L2-projection of boundary data onto the face trace space."""
-    s, w, V = trace_quadrature(face.m_f, p, max(p + 2, 6))
-    x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
-    r = V.T @ (w * np.asarray(g(x), dtype=float))
-    return np.linalg.solve(trace_mass(face.m_f, p), r)
+    npts = _boundary_npts(p)
+    s = trace_quadrature(face.m_f, p, npts)[0]
+    return trace_projection(face.m_f, p, npts) @ np.asarray(
+        g(_face_points(face.verts, s)), dtype=float)
 
 
 def load_vectors(
@@ -187,17 +220,17 @@ def load_vectors(
     macros: list,
     p: int,
     problem: ProblemData,
-    stab: StabilizationConfig,
+    tables: dict,
     B: np.ndarray,
-    quad_degree: Optional[int] = None,
+    quad_degree: int,
 ) -> np.ndarray:
-    """R_u of each of the congruent `macros`, stacked (len(macros), nloc), by
-    one batched quadrature: one call of f per sub-cell kind over all their
-    cells, with the SUPG term, then Dirichlet lifting through their shared B."""
+    """R_u of each of the congruent `macros`, stacked (len(macros), nloc),
+    from their shared sub-cell `tables` and B: one batched quadrature (one
+    call of f per sub-cell kind over all their cells, with the SUPG term),
+    then Dirichlet lifting, with one call of g_D over the Dirichlet face
+    points of all the macros and one projection per face slot."""
     rep = macros[0]
-    quad_degree = _quad_degree(p, stab, quad_degree)
     rule = reference_tables(p, quad_degree)[0]
-    tables = _sub_cell_tables(rep, p, problem, stab, quad_degree)
     dofmap = build_patch_dof_map(rep, p)
     Q = dofmap.n_dofs
     R = np.zeros((len(macros), 3 * Q))
@@ -209,14 +242,73 @@ def load_vectors(
         rows = 2 * Q + dofmap.cell_maps[q.cells].ravel()
         np.add.at(R.T, rows, load.reshape(len(macros), -1).T)
 
-    # Dirichlet data enters through trace elimination
+    # Dirichlet data enters through trace elimination; congruent macros
+    # share each slot's m_f, but not which of their slots are Dirichlet
+    npts = _boundary_npts(p)
+    face_ids = [[fid for k in range(3) for fid in macro.faces[k]] for macro in macros]
+    picks, points = [], []
+    for i, (_, slot) in enumerate(_face_slots(mesh, rep, p)):
+        faces = [mesh.skeleton[fids[i]] for fids in face_ids]
+        rows = [e for e, face in enumerate(faces) if face.tag == "D"]
+        if rows:
+            m_f = faces[rows[0]].m_f
+            s = trace_quadrature(m_f, p, npts)[0]
+            picks.append((rows, slot, trace_projection(m_f, p, npts)))
+            points.append(_face_points(np.stack([faces[e].verts for e in rows]), s))
     G = np.zeros((len(macros), B.shape[1]))
-    for e, macro in enumerate(macros):
-        for fid, slot in _face_slots(mesh, macro, p):
-            face = mesh.skeleton[fid]
-            if face.tag == "D":
-                G[e, slot] = project_dirichlet(face, problem.g_D, p)
+    if picks:
+        g = np.asarray(problem.g_D(np.concatenate([x.reshape(-1, 2) for x in points])),
+                       dtype=float)
+        pos = 0
+        for (rows, slot, proj), x in zip(picks, points):
+            vals = g[pos:pos + x.shape[0] * x.shape[1]].reshape(x.shape[:2])
+            G[rows, slot] = vals @ proj.T
+            pos += vals.size
     return R - G @ B.T
+
+
+@lru_cache(maxsize=None)
+def _volume_scatter(m: int, p: int):
+    """(kind, index) for the volume terms of A at (m, p).  Per sub-cell, in
+    sub_cells order: its kind, 0 for "up" and 1 for "down", and the flat
+    indices into the (3Q, 3Q) matrix A of its [q_x | q_y | u] element block,
+    row-major.  Read-only."""
+    dofmap = _patch_dof_map(m, p)
+    Q = dofmap.n_dofs
+    rows = np.concatenate([dofmap.cell_maps + c * Q for c in range(3)], axis=1)
+    index = (rows[:, :, None] * (3 * Q) + rows[:, None, :]).reshape(len(rows), -1)
+    kind = np.array([cell[0] == "down" for cell in sub_cells(m)], dtype=np.intp)
+    return _readonly(kind), _readonly(index)
+
+
+def _element_matrix(tb: dict, a: np.ndarray, kappa: float) -> np.ndarray:
+    """(3nb, 3nb) [q_x | q_y | u] volume block of one sub-cell kind."""
+    M, (Kx, Ky) = tb["M"], tb["K"]
+    nb = M.shape[0]
+    q_x, q_y, u = slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, 3 * nb)
+    E = np.zeros((3 * nb, 3 * nb))
+    E[q_x, q_x] = E[q_y, q_y] = M
+    E[q_x, u], E[q_y, u] = -Kx, -Ky
+    E[u, q_x], E[u, q_y] = -kappa * Kx, -kappa * Ky
+    E[u, u] = -a[0] * Kx - a[1] * Ky
+    if "S" in tb:
+        E[u, u] += tb["S"]
+    return E
+
+
+@lru_cache(maxsize=None)
+def _slot_face_matrices(m: int, p: int, m_f: int, t0: float, t1: float):
+    """(W, Me) of a face slot on a face of unit length, with t0 and t1
+    rounded as in MacroMesh.slot_keys.  At the Gauss points of the face
+    parameter s, subordinate to both subdivisions, W = Theta^T diag(w) Psi
+    couples the macro-edge traces Theta to the face trace basis Psi and
+    Me = Theta^T diag(w) Theta; a face F contributes |F| times each.
+    Read-only."""
+    s, w = piecewise_quad(_face_breaks(m_f, t0, t1, m), p + 1)
+    theta = trace_basis(m, p).eval(t0 + (t1 - t0) * s)
+    theta_w = theta.T * w
+    return (_readonly(theta_w @ trace_basis(m_f, p).eval(s)),
+            _readonly(theta_w @ theta))
 
 
 def assemble_macro(
@@ -227,76 +319,67 @@ def assemble_macro(
     stab: StabilizationConfig,
     quad_degree: Optional[int] = None,
 ) -> LocalOperators:
-    """Assemble A, B, C, R_u for one macro-element."""
+    """A, B and C of one macro-element from cached reference data, and its
+    load function (R_u is computed on first use)."""
     m = macro.m
     dofmap = build_patch_dof_map(macro, p)
     Q = dofmap.n_dofs
     nloc = 3 * Q
-    off = (0, Q, 2 * Q)  # q_x, q_y, u blocks
-
-    amap = macro.affine_map()
-    a = problem.a
-    kappa = problem.kappa
+    a, kappa = problem.a, problem.kappa
     quad_degree = _quad_degree(p, stab, quad_degree)
     # the red pattern has two congruence classes of sub-cells
     tables = _sub_cell_tables(macro, p, problem, stab, quad_degree)
 
-    A = np.zeros((nloc, nloc))
-    for cm, (kind, _, _) in zip(dofmap.cell_maps, sub_cells(m)):
-        tb = tables[kind]
-        ix_u = off[2] + cm
-        A[np.ix_(off[0] + cm, off[0] + cm)] += tb["M"]
-        A[np.ix_(off[1] + cm, off[1] + cm)] += tb["M"]
-        for c in range(2):
-            A[np.ix_(off[c] + cm, ix_u)] += -tb["K"][c]
-            A[np.ix_(ix_u, off[c] + cm)] += -kappa * tb["K"][c]
-            A[np.ix_(ix_u, ix_u)] += -a[c] * tb["K"][c]
-        if stab.supg:
-            A[np.ix_(ix_u, ix_u)] += tb["S"]
+    # volume terms: the element block of each cell's kind, one scatter-add
+    kind, index = _volume_scatter(m, p)
+    blocks = np.stack([_element_matrix(tables[k], a, kappa)
+                       for k in ("up", "down") if k in tables])
+    A = np.bincount(index.ravel(), blocks[kind].ravel(),
+                    minlength=nloc * nloc).reshape(nloc, nloc)
 
-    # boundary contributions, one or two skeleton faces per macro edge
-    theta = trace_basis(m, p)
+    # boundary terms, one or two skeleton faces per macro edge; the slot's
+    # [q_x | q_y | u] rows on its macro edge are en3
     face_slots = _face_slots(mesh, macro, p)
     nc = face_slots[-1][1].stop
     B = np.zeros((nloc, nc))
     C = np.zeros((nc, nloc))
-    for (fid, slot) in face_slots:
-        face = mesh.skeleton[fid]
-        side = _side_of(face, macro.id)
-        k = side.edge
-        nrm = amap.normals[k]
+    normals = macro.affine_map().normals
+    for (fid, slot), (k, m_f, t0, t1) in zip(face_slots, mesh.slot_keys(macro)):
+        W, Me = _slot_face_matrices(m, p, m_f, t0, t1)
+        lenF = mesh.skeleton[fid].length
+        W, Me = lenF * W, lenF * Me
+        nrm = normals[k]
         tau = stabilization_tau(a, nrm, kappa, macro.diameter)
         an = float(np.dot(a, nrm))
-        lenF = face.length
-        psi = trace_basis(face.m_f, p)
-        s, w = piecewise_quad(_face_breaks(face, side, m), p + 1)
-        t = side.t0 + (side.t1 - side.t0) * s
-        TH = theta.eval(t)  # macro edge-node traces
-        PS = psi.eval(s)
-        wl = w * lenF
-        W = TH.T @ (wl[:, None] * PS)  # (m*p+1, nd)
-        Me = TH.T @ (wl[:, None] * TH)
         en = dofmap.edge_nodes[k]
-        ix_u = off[2] + en
-        cols = np.arange(slot.start, slot.stop)
-        for c in range(2):
-            A[np.ix_(ix_u, off[c] + en)] += kappa * nrm[c] * Me
-            B[np.ix_(off[c] + en, cols)] += nrm[c] * W
-            C[np.ix_(cols, off[c] + en)] += kappa * nrm[c] * W.T
-        A[np.ix_(ix_u, ix_u)] += tau * Me
-        B[np.ix_(ix_u, cols)] += (an - tau) * W
-        C[np.ix_(cols, ix_u)] += tau * W.T
+        en3 = np.concatenate((en, Q + en, 2 * Q + en))
+        A[np.ix_(2 * Q + en, en3)] += np.hstack(
+            (kappa * nrm[0] * Me, kappa * nrm[1] * Me, tau * Me))
+        B[en3, slot] = np.vstack((nrm[0] * W, nrm[1] * W, (an - tau) * W))
+        C[slot, en3] = np.hstack((kappa * nrm[0] * W.T, kappa * nrm[1] * W.T, tau * W.T))
 
-    R_u = load_vectors(mesh, [macro], p, problem, stab, B, quad_degree)[0]
     Amat = A if m <= 2 else sp.csr_matrix(A)
-    return LocalOperators(A=Amat, B=B, C=C, R_u=R_u, face_slots=face_slots)
+    load = partial(load_vectors, mesh, p=p, problem=problem, tables=tables, B=B,
+                   quad_degree=quad_degree)
+    return LocalOperators(A=Amat, B=B, C=C, face_slots=face_slots, macro=macro,
+                          load=load)
+
+
+def _neumann_rhs(face: SkeletonFace, problem: ProblemData, p: int) -> np.ndarray:
+    """R_hat of a Neumann face: g_N tested with the face trace basis."""
+    if problem.g_N is None:
+        raise ValueError("Neumann face present but g_N not provided")
+    s, w, V = trace_quadrature(face.m_f, p, _boundary_npts(p))
+    g = np.asarray(problem.g_N(_face_points(face.verts, s)), dtype=float)
+    return V.T @ (w * face.length * g)
 
 
 def assemble_face(
     mesh: MacroMesh, face: SkeletonFace, p: int,
     problem: ProblemData, stab: StabilizationConfig,
 ) -> FaceOperator:
-    """Assemble the face block D and its right-hand side segment."""
+    """Assemble the face block D and its right-hand side segment of one
+    face; the per-face form of face_operators."""
     coef = 0.0
     for side in face.sides():
         macro = mesh.macro_elements[side.macro]
@@ -304,11 +387,35 @@ def assemble_face(
         tau = stabilization_tau(problem.a, nrm, problem.kappa, macro.diameter)
         coef += float(np.dot(problem.a, nrm)) - tau
     D = coef * face.length * trace_mass(face.m_f, p)
-    R_hat = np.zeros(D.shape[0])
-    if face.tag == "N":
-        if problem.g_N is None:
-            raise ValueError("Neumann face present but g_N not provided")
-        sq, wq, Vq = trace_quadrature(face.m_f, p, max(p + 2, 6))
-        x = face.verts[0][None, :] + sq[:, None] * (face.verts[1] - face.verts[0])[None, :]
-        R_hat = Vq.T @ (wq * face.length * np.asarray(problem.g_N(x), dtype=float))
+    R_hat = _neumann_rhs(face, problem, p) if face.tag == "N" else np.zeros(D.shape[0])
     return FaceOperator(face_id=face.id, D=D, R_hat=R_hat, tag=face.tag)
+
+
+def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> dict:
+    """{face id: FaceOperator} of every unknown (not Dirichlet) face, as
+    assemble_face gives it, in one vectorized pass: c_F, the sum over the
+    sides of (a.n - tau), from the stacked macro normals and diameters, and
+    D_F = c_F |F| trace_mass per m_f.  R_hat is zero except on Neumann
+    faces."""
+    faces = [f for f in mesh.skeleton if f.tag != "D"]
+    macros = mesh.macro_elements
+    normals = np.stack([macro.affine_map().normals for macro in macros])
+    diameter = np.array([macro.diameter for macro in macros])
+    at, side_macro, side_edge = np.array(
+        [(i, side.macro, side.edge) for i, f in enumerate(faces) for side in f.sides()]).T
+    an = normals[side_macro, side_edge] @ problem.a
+    tau = np.abs(an) + problem.kappa / diameter[side_macro]
+    if not (tau > 0).all():
+        raise ValueError("nonpositive stabilization parameter")
+    verts = np.stack([f.verts for f in faces])
+    scale = (np.bincount(at, an - tau, minlength=len(faces))
+             * np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1))
+    m_f = np.array([f.m_f for f in faces])
+    ops = {}
+    for mf in np.unique(m_f).tolist():
+        sel = np.flatnonzero(m_f == mf)
+        for i, D in zip(sel, scale[sel, None, None] * trace_mass(mf, p)):
+            f = faces[i]
+            R_hat = _neumann_rhs(f, problem, p) if f.tag == "N" else np.zeros(D.shape[0])
+            ops[f.id] = FaceOperator(face_id=f.id, D=D, R_hat=R_hat, tag=f.tag)
+    return ops

@@ -3,8 +3,9 @@
 Bases use equispaced lattice nodes on the reference simplex and are built by
 inverting the monomial Vandermonde matrix (adequate for the degrees p <= 5
 used here).  Quadrature rules, reference tables, patch dof maps, trace
-bases, their quadrature and the reference trace mass depend only on small
-integers; each is built once and shared, with its arrays read-only.
+bases, their quadrature, the reference trace mass and the projection onto
+the trace space depend only on small integers; each is built once and
+shared, with its arrays read-only.
 """
 
 from __future__ import annotations
@@ -299,6 +300,15 @@ def trace_mass(m_f: int, p: int) -> np.ndarray:
     """Trace mass matrix on [0, 1]; a face F has mass matrix |F| times it."""
     _, w, V = trace_quadrature(m_f, p, p + 1)
     return _readonly(V.T @ (w[:, None] * V))
+
+
+@lru_cache(maxsize=None)
+def trace_projection(m_f: int, p: int, npts: int) -> np.ndarray:
+    """(n_dofs, n_points) L2 projection onto the (m_f, p) trace space of
+    values at the points of trace_quadrature(m_f, p, npts):
+    trace_mass^-1 V^T diag(w)."""
+    _, w, V = trace_quadrature(m_f, p, npts)
+    return _readonly(np.linalg.solve(trace_mass(m_f, p), V.T * w))
 
 
 class OrientationError(ValueError):

@@ -222,19 +222,24 @@ class MacroMesh:
     def levels(self) -> np.ndarray:
         return np.array([e.level for e in self.macro_elements])
 
-    def congruence_key(self, macro: MacroElement) -> tuple:
-        """Geometric class of a macro: its affine Jacobian rounded to _ROUND
-        digits, m, and each face slot's (edge, m_f, t0, t1).  Macros with
-        equal keys have the same local operators A, B and C; rounding keeps
-        ulp noise in the vertices from splitting a class."""
+    def slot_keys(self, macro: MacroElement) -> list:
+        """(edge, m_f, t0, t1) of each of the macro's face slots, edge by
+        edge and along each edge, with t0 and t1 rounded to _ROUND digits."""
         slots = []
         for k in range(3):
             for fid in macro.faces[k]:
                 face = self.skeleton[fid]
                 side = face.left if face.left.macro == macro.id else face.right
                 slots.append((k, face.m_f, round(side.t0, _ROUND), round(side.t1, _ROUND)))
+        return slots
+
+    def congruence_key(self, macro: MacroElement) -> tuple:
+        """Geometric class of a macro: its affine Jacobian rounded to _ROUND
+        digits, m, and its slot_keys.  Macros with equal keys have the same
+        local operators A, B and C; rounding keeps ulp noise in the vertices
+        from splitting a class."""
         jac = tuple(round(float(v), _ROUND) for v in macro.affine_map().matrix.flat)
-        return jac, macro.m, tuple(slots)
+        return jac, macro.m, tuple(self.slot_keys(macro))
 
     def interior_faces(self) -> list[SkeletonFace]:
         return [f for f in self.skeleton if f.tag == "interior"]

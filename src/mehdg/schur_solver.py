@@ -29,9 +29,8 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     ProblemData,
     StabilizationConfig,
-    assemble_face,
     assemble_macro,
-    load_vectors,
+    face_operators,
 )
 from .mesh import MacroMesh
 
@@ -506,12 +505,12 @@ class Solution:
 
 
 def assemble_system(
-    mesh: MacroMesh, problem: ProblemData, stab: StabilizationConfig,
-    p: int, pool: WorkerPool,
+    mesh: MacroMesh, problem: ProblemData, stab: StabilizationConfig, p: int,
 ):
     """Group the macros by congruence class.  Per class, A, B and C come
-    from one assemble_macro call on its first macro and R_u from one batched
-    quadrature over its macros.  Face blocks are assembled per unknown face."""
+    from one assemble_macro call on its first macro, and R_u from one
+    batched quadrature over its macros with that call's sub-cell tables.
+    The face blocks of all unknown faces come from one vectorized pass."""
     groups = {}
     for macro in mesh.macro_elements:
         groups.setdefault(mesh.congruence_key(macro), []).append(macro)
@@ -523,12 +522,9 @@ def assemble_system(
             macro_ids=np.array([macro.id for macro in members]),
             face_ids=np.array([[fid for k in range(3) for fid in macro.faces[k]]
                                for macro in members]),
-            R_u=load_vectors(mesh, members, p, problem, stab, op.B),
+            R_u=op.load(members),
         ))
-    unknown = [f for f in mesh.skeleton if f.tag != "D"]
-    ops = pool.map(lambda f: assemble_face(mesh, f, p, problem, stab), unknown)
-    face_ops = {f.id: op for f, op in zip(unknown, ops)}
-    return classes, face_ops
+    return classes, face_operators(mesh, p, problem)
 
 
 def solve(
@@ -541,7 +537,7 @@ def solve(
     """Assemble, condense, run GMRES on the trace system and reconstruct."""
     pool = WorkerPool(config.workers)
     t0 = time.perf_counter()
-    classes, face_ops = assemble_system(mesh, problem, stab, p, pool)
+    classes, face_ops = assemble_system(mesh, problem, stab, p)
     t_assemble = time.perf_counter() - t0
     t0 = time.perf_counter()
     sys = condense(mesh, classes, face_ops, config, pool=pool)

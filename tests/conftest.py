@@ -5,7 +5,7 @@ import pytest
 
 from mehdg.assembly import ProblemData, StabilizationConfig
 from mehdg.bench import make_benchmark
-from mehdg.mesh import _assemble_mesh, build_structured_macro_mesh
+from mehdg.mesh import _assemble_mesh, build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import SolverConfig, solve
 
 
@@ -36,6 +36,16 @@ def skewed_mesh(n, m):
     base = build_structured_macro_mesh(2, n, m)
     raw = [np.array([move(v) for v in e.verts]) for e in base.macro_elements]
     return _assemble_mesh(raw, [m] * len(raw), [0] * len(raw), n, None)
+
+
+# Meshes on which per-class operators are checked against per-macro ones
+CLASS_MESHES = {
+    "uniform-4-2": lambda: build_structured_macro_mesh(2, 4, 2),
+    "uniform-2-4": lambda: build_structured_macro_mesh(2, 2, 4),  # sparse A
+    "uniform-3-2": lambda: build_structured_macro_mesh(2, 3, 2),
+    "skewed-3-2": lambda: skewed_mesh(3, 2),
+    "adapted-2-level": lambda: refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3}),
+}
 
 
 def face_mass_oracle(face, p, npts=20):

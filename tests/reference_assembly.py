@@ -1,0 +1,114 @@
+"""Loop form of the local assembly, the reference for assembly.assemble_macro.
+
+Per sub-cell and per face slot, every block is added into A, B and C with its
+own np.ix_ scatter; the face matrices are formed from the trace bases at each
+call, from the face's own (unrounded) edge parameters; the load is a
+quadrature over the one macro, and the Dirichlet data is projected face by
+face with a solve on the trace mass.  It shares no cache with the batched
+assembly except the reference tables, the dof map and the trace bases.
+"""
+
+import numpy as np
+
+from mehdg.assembly import (
+    _face_breaks,
+    _face_slots,
+    _quad_degree,
+    _sub_cell_tables,
+    stabilization_tau,
+)
+from mehdg.fem_basis import (
+    build_patch_dof_map,
+    piecewise_quad,
+    reference_tables,
+    trace_basis,
+    trace_mass,
+    trace_quadrature,
+)
+from mehdg.mesh import sub_cell_quadrature, sub_cells
+
+
+def _side_of(face, macro_id):
+    for side in face.sides():
+        if side.macro == macro_id:
+            return side
+    raise KeyError(macro_id)
+
+
+def _project_dirichlet(face, g, p):
+    s, w, V = trace_quadrature(face.m_f, p, max(p + 2, 6))
+    x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
+    r = V.T @ (w * np.asarray(g(x), dtype=float))
+    return np.linalg.solve(trace_mass(face.m_f, p), r)
+
+
+def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
+    """Dense A, B, C and R_u of one macro-element."""
+    m = macro.m
+    dofmap = build_patch_dof_map(macro, p)
+    Q = dofmap.n_dofs
+    nloc = 3 * Q
+    off = (0, Q, 2 * Q)  # q_x, q_y, u blocks
+
+    amap = macro.affine_map()
+    a = problem.a
+    kappa = problem.kappa
+    quad_degree = _quad_degree(p, stab, quad_degree)
+    tables = _sub_cell_tables(macro, p, problem, stab, quad_degree)
+
+    A = np.zeros((nloc, nloc))
+    for cm, (kind, _, _) in zip(dofmap.cell_maps, sub_cells(m)):
+        tb = tables[kind]
+        ix_u = off[2] + cm
+        A[np.ix_(off[0] + cm, off[0] + cm)] += tb["M"]
+        A[np.ix_(off[1] + cm, off[1] + cm)] += tb["M"]
+        for c in range(2):
+            A[np.ix_(off[c] + cm, ix_u)] += -tb["K"][c]
+            A[np.ix_(ix_u, off[c] + cm)] += -kappa * tb["K"][c]
+            A[np.ix_(ix_u, ix_u)] += -a[c] * tb["K"][c]
+        if stab.supg:
+            A[np.ix_(ix_u, ix_u)] += tb["S"]
+
+    theta = trace_basis(m, p)
+    face_slots = _face_slots(mesh, macro, p)
+    nc = face_slots[-1][1].stop
+    B = np.zeros((nloc, nc))
+    C = np.zeros((nc, nloc))
+    for (fid, slot) in face_slots:
+        face = mesh.skeleton[fid]
+        side = _side_of(face, macro.id)
+        k = side.edge
+        nrm = amap.normals[k]
+        tau = stabilization_tau(a, nrm, kappa, macro.diameter)
+        an = float(np.dot(a, nrm))
+        psi = trace_basis(face.m_f, p)
+        s, w = piecewise_quad(_face_breaks(face.m_f, side.t0, side.t1, m), p + 1)
+        TH = theta.eval(side.t0 + (side.t1 - side.t0) * s)
+        PS = psi.eval(s)
+        wl = w * face.length
+        W = TH.T @ (wl[:, None] * PS)
+        Me = TH.T @ (wl[:, None] * TH)
+        en = dofmap.edge_nodes[k]
+        ix_u = off[2] + en
+        cols = np.arange(slot.start, slot.stop)
+        for c in range(2):
+            A[np.ix_(ix_u, off[c] + en)] += kappa * nrm[c] * Me
+            B[np.ix_(off[c] + en, cols)] += nrm[c] * W
+            C[np.ix_(cols, off[c] + en)] += kappa * nrm[c] * W.T
+        A[np.ix_(ix_u, ix_u)] += tau * Me
+        B[np.ix_(ix_u, cols)] += (an - tau) * W
+        C[np.ix_(cols, ix_u)] += tau * W.T
+
+    rule = reference_tables(p, quad_degree)[0]
+    R = np.zeros(nloc)
+    for kind, q in sub_cell_quadrature([macro], rule.points_ref).items():
+        tb = tables[kind]
+        for c, cell in enumerate(q.cells):
+            fvals = np.asarray(problem.f(q.points[0, c]), dtype=float)
+            np.add.at(R, off[2] + dofmap.cell_maps[cell], tb["test"].T @ (fvals * tb["wd"]))
+    G = np.zeros(nc)
+    for fid, slot in face_slots:
+        face = mesh.skeleton[fid]
+        if face.tag == "D":
+            G[slot] = _project_dirichlet(face, problem.g_D, p)
+    return A, B, C, R - B @ G

@@ -78,7 +78,7 @@ def test_criterion_02_matrix_free_equals_matrix_based():
         mesh = build_structured_macro_mesh(2, n, m)
         pool = WorkerPool(1)
         local_ops, face_ops = assemble_system(
-            mesh, case.problem(), NO_STAB, p, pool)
+            mesh, case.problem(), NO_STAB, p)
         sys = condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
         S = assemble_schur_explicit(sys)
         for _ in range(20):
@@ -147,7 +147,7 @@ def test_criterion_05_trace_dof_reduction():
         mesh = build_structured_macro_mesh(2, n, m)
         pool = WorkerPool(1)
         local_ops, face_ops = assemble_system(
-            mesh, case.problem(), NO_STAB, p, pool)
+            mesh, case.problem(), NO_STAB, p)
         sys = condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
         expect = sum(face.m_f * p + 1 for face in mesh.skeleton
                      if face.tag != "D")

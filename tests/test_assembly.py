@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from conftest import face_mass_oracle, poly_case
+from conftest import CLASS_MESHES, face_mass_oracle, poly_case
 
 from mehdg.assembly import (
     ProblemData,
     StabilizationConfig,
     assemble_face,
     assemble_macro,
+    face_operators,
     project_dirichlet,
     stabilization_tau,
     supg_parameter,
@@ -20,9 +21,10 @@ from mehdg.fem_basis import (
     build_patch_dof_map,
     quadrature_rule,
 )
-from mehdg.mesh import build_structured_macro_mesh
+from mehdg.mesh import build_structured_macro_mesh, refine_macros
 
 import reference_hdg
+from reference_assembly import reference_assemble_macro
 
 
 def make_problem(a=(1.0, 2.0), kappa=1.0, f=None, g=None, g_N=None):
@@ -109,9 +111,52 @@ def test_conforming_face_breaks(m):
     face = mesh.interior_faces()[0]
     assert face.m_f == m
     for side in face.sides():
-        breaks = _face_breaks(face, side, m)
+        breaks = _face_breaks(face.m_f, side.t0, side.t1, m)
         assert breaks.size == m + 1
         assert np.diff(breaks).min() >= 1.0 / m - 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MESHES))
+def test_assemble_macro_matches_loop_reference(name):
+    """A, B, C and R_u of every macro, built from the cached reference
+    blocks, equal the per-cell and per-face loop assembly, with SUPG off and
+    on, with nonzero f and g_D."""
+    from mehdg.bench import make_benchmark
+
+    mesh = CLASS_MESHES[name]()
+    problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
+    for stab in (NO_STAB, StabilizationConfig(supg=True)):
+        for macro in mesh.macro_elements:
+            op = assemble_macro(mesh, macro, 2, problem, stab)
+            A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
+            want = reference_assemble_macro(mesh, macro, 2, problem, stab)
+            for got, ref in zip((A, op.B, op.C, op.R_u), want):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,m,p,refine", [(2, 2, 2, {0, 3}), (3, 1, 3, ()), (2, 3, 1, {5})])
+def test_face_operators_match_assemble_face(n, m, p, refine):
+    """The vectorized pass gives every unknown face the D and R_hat of the
+    per-face assemble_face, on meshes with Neumann and hanging faces."""
+    def tagger(mid):
+        return "N" if mid[1] < 1e-12 or mid[0] > 1 - 1e-12 else "D"
+
+    mesh = refine_macros(build_structured_macro_mesh(2, n, m, boundary_tagger=tagger),
+                         refine)
+    assert any(f.tag == "N" for f in mesh.skeleton)
+    assert bool(refine) == any(f.hanging for f in mesh.skeleton)
+    problem = make_problem(a=(1.0, -0.7), kappa=0.3,
+                           g_N=lambda x: np.sin(3 * x[:, 0]) + x[:, 1] ** 2)
+    ops = face_operators(mesh, p, problem)
+    assert sorted(ops) == [f.id for f in mesh.skeleton if f.tag != "D"]
+    for fid, op in ops.items():
+        want = assemble_face(mesh, mesh.skeleton[fid], p, problem, NO_STAB)
+        assert op.tag == want.tag and op.face_id == fid
+        assert np.abs(op.D - want.D).max() <= 1e-14 * np.abs(want.D).max()
+        assert np.abs(op.R_hat - want.R_hat).max() <= 1e-14 * max(
+            np.abs(want.R_hat).max(), 1e-300)
+    with pytest.raises(ValueError):
+        face_operators(mesh, p, make_problem())  # Neumann faces but no g_N
 
 
 def test_interior_face_d_block():

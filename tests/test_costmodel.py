@@ -136,7 +136,7 @@ def test_global_dofs_match_counting_formula():
         mesh = build_structured_macro_mesh(2, n, m)
         pool = WorkerPool(1)
         classes, face_ops = assemble_system(
-            mesh, case.problem(), StabilizationConfig(), p, pool)
+            mesh, case.problem(), StabilizationConfig(), p)
         sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
         rep = dependent_quantities(CostInputs(d=2, n=n, m=m, p=p))
         # all-Dirichlet boundary: unknown faces are exactly the interior ones

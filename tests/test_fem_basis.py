@@ -15,6 +15,7 @@ from mehdg.fem_basis import (
     simplex_lattice,
     trace_basis,
     trace_mass,
+    trace_projection,
     trace_quadrature,
 )
 from mehdg.mesh import build_structured_macro_mesh, sub_cell_ref_verts, sub_cells
@@ -148,10 +149,18 @@ def test_cached_reference_arrays_read_only():
     dofmap = build_patch_dof_map(mesh.macro_elements[0], 2)
     before = val.copy()
     assert trace_mass(3, 2) is trace_mass(3, 2)
+    assert trace_projection(3, 2, 6) is trace_projection(3, 2, 6)
+    # the assembly's caches: the volume scatter index per (m, p) and the
+    # reference face matrices per (m, p, m_f, t0, t1)
+    from mehdg.assembly import _slot_face_matrices, _volume_scatter
+
+    assert _volume_scatter(2, 2) is _volume_scatter(2, 2)
+    assert _slot_face_matrices(1, 2, 2, 0.0, 0.5) is _slot_face_matrices(1, 2, 2, 0.0, 0.5)
     for arr in (rule.points, rule.points_ref, rule.weights, val, grad, hess,
                 quadrature_rule(1, 3).weights, psi.nodes, psi.breakpoints,
                 dofmap.cell_maps[0], dofmap.edge_nodes, dofmap.node_lattice,
-                *trace_quadrature(3, 2, 4), trace_mass(3, 2)):
+                *trace_quadrature(3, 2, 4), trace_mass(3, 2), trace_projection(3, 2, 6),
+                *_volume_scatter(2, 2), *_slot_face_matrices(1, 2, 2, 0.0, 0.5)):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] += 1
     assert np.array_equal(reference_tables(2, 5)[1], before)

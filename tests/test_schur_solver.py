@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from conftest import poly_case, skewed_mesh, solve_poly
+from conftest import CLASS_MESHES, poly_case, solve_poly
 
 from mehdg.assembly import StabilizationConfig, assemble_macro
 from mehdg.fem_basis import TraceBasis, build_patch_dof_map
@@ -34,7 +34,7 @@ def build_system(n, m, p, case=None, workers=1, tol=1e-6):
     mesh = build_structured_macro_mesh(2, n, m)
     config = SolverConfig(tol=tol, workers=workers)
     pool = WorkerPool(workers)
-    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, p, pool)
+    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, p)
     sys = condense(mesh, classes, face_ops, config, pool=pool)
     return mesh, sys
 
@@ -75,15 +75,6 @@ def test_solver_config_validation():
             SolverConfig(workers=workers)
 
 
-CLASS_MESHES = {
-    "uniform-4-2": lambda: build_structured_macro_mesh(2, 4, 2),
-    "uniform-2-4": lambda: build_structured_macro_mesh(2, 2, 4),  # sparse A
-    "uniform-3-2": lambda: build_structured_macro_mesh(2, 3, 2),
-    "skewed-3-2": lambda: skewed_mesh(3, 2),
-    "adapted-2-level": lambda: refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3}),
-}
-
-
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))
 def test_class_operators_match_per_macro_assembly(name):
     """Every class's A, B and C equal assemble_macro's for each member macro,
@@ -94,7 +85,7 @@ def test_class_operators_match_per_macro_assembly(name):
     p = 2
     problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
     for stab in (NO_STAB, StabilizationConfig(supg=True)):
-        classes, _ = assemble_system(mesh, problem, stab, p, WorkerPool(1))
+        classes, _ = assemble_system(mesh, problem, stab, p)
         ids = sorted(e for cls in classes for e in cls.macro_ids.tolist())
         assert ids == list(range(len(mesh.macro_elements)))
         for cls in classes:
@@ -113,6 +104,35 @@ def test_class_operators_match_per_macro_assembly(name):
         assert any(cls.macro_ids.size > 1 for cls in classes)
 
 
+def test_assembly_builds_tables_and_load_once_per_class(monkeypatch):
+    """On an adapted mesh, assemble_system builds each class's sub-cell
+    tables once and runs its load quadrature once: one call of f per
+    sub-cell kind per class (m = 2 has both kinds)."""
+    from mehdg import assembly
+
+    mesh = refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3})
+    assert any(f.hanging for f in mesh.skeleton)
+    problem = poly_case(2).problem()
+    calls = {"tables": 0, "f": 0}
+    tables, f = assembly._sub_cell_tables, problem.f
+
+    def count_tables(*args, **kwargs):
+        calls["tables"] += 1
+        return tables(*args, **kwargs)
+
+    def count_f(x):
+        calls["f"] += 1
+        return f(x)
+
+    monkeypatch.setattr(assembly, "_sub_cell_tables", count_tables)
+    problem.f = count_f
+    for stab in (NO_STAB, StabilizationConfig(supg=True)):
+        calls.update(tables=0, f=0)
+        classes, _ = assemble_system(mesh, problem, stab, 2)
+        assert any(cls.macro_ids.size > 1 for cls in classes)
+        assert calls == {"tables": len(classes), "f": 2 * len(classes)}
+
+
 @pytest.mark.parametrize("name", ["uniform-2-4", "skewed-3-2", "adapted-2-level"])
 def test_fused_apply_matches_dense_oracle(name):
     """Each class's K and the matrix-free apply against D - sum C A^-1 B
@@ -120,7 +140,7 @@ def test_fused_apply_matches_dense_oracle(name):
     mesh = CLASS_MESHES[name]()
     p = 2
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p, pool)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
     sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
     if name == "uniform-2-4":
         assert all(hasattr(cls.A, "toarray") for cls in classes)  # sparse storage
@@ -247,7 +267,7 @@ def test_preconditioner_round_trip():
 def test_preconditioner_identity_blocks():
     mesh = build_structured_macro_mesh(2, 2, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     for op in face_ops.values():
         op.D = np.eye(op.D.shape[0])
     sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
@@ -312,7 +332,7 @@ def test_face_block_matrices_mixed_sizes():
 def test_near_singular_face_block(bad):
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     op = face_ops[next(iter(face_ops))]
     if bad == "nan":
         op.D = np.full_like(op.D, np.nan)
@@ -328,7 +348,7 @@ def test_singular_local_block():
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1)
     cls = classes[-1]
     cls.A = np.zeros_like(cls.A)
     with pytest.raises(SingularLocalBlock) as err:
@@ -341,7 +361,7 @@ def test_singular_sparse_local_block():
     named error, not SuperLU's RuntimeError."""
     mesh = build_structured_macro_mesh(2, 1, 4)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     classes[0].A = classes[0].A * 0.0
     with pytest.raises(SingularLocalBlock):
         condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
@@ -352,7 +372,7 @@ def test_singular_face_block():
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1, pool)
+    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1)
     fid = next(iter(face_ops))
     face_ops[fid].D = np.zeros_like(face_ops[fid].D)
     with pytest.raises(SingularFaceBlock):

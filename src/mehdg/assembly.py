@@ -47,7 +47,8 @@ from .fem_basis import (
     trace_projection,
     trace_quadrature,
 )
-from .mesh import MacroElement, MacroMesh, SkeletonFace, sub_cell_quadrature, sub_cells
+from .mesh import (MacroElement, MacroMesh, SkeletonFace, sub_cell_jacobians,
+                   sub_cell_quadrature, sub_cells)
 
 
 @dataclass
@@ -177,7 +178,7 @@ def _sub_cell_tables(macro: MacroElement, p: int, problem: ProblemData,
     rule, val, gref, href = reference_tables(p, quad_degree)
     a, kappa = problem.a, problem.kappa
     tables = {}
-    for kind, q in sub_cell_quadrature([macro], rule.points_ref).items():
+    for kind, q in sub_cell_jacobians([macro]).items():
         Jc, Jinv, detc = q.jac[0], q.jinv[0], q.det[0]
         gph = gref @ Jinv  # (nq, nb, 2) physical gradients
         wd = rule.weights * detc

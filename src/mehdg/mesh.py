@@ -4,12 +4,20 @@ Each macro-element is a triangle subdivided uniformly into m^2 congruent
 sub-triangles (red pattern).  The skeleton collects macro faces; after dyadic
 refinement a coarse macro edge may be covered by two half-edge faces, each
 flagged as hanging and carrying the fine side's trace resolution.
+
+A mesh is built in a few array passes over its stacked (k, 3, 2) macro
+vertices: the affine maps of all macros in one pass, vertex ids from the
+coordinates snapped to _ROUND digits, and the 3k macro edges matched as
+sorted pairs of vertex ids.  Only interior edges that no other edge matches
+(the halves of a hanging coarse edge) go through a loop.  The mesh keeps the
+stacked Jacobians and face slots, from which congruence_classes groups the
+macros.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -25,10 +33,6 @@ class SkeletonError(ValueError):
     pass
 
 
-def _key(pt) -> tuple:
-    return (round(float(pt[0]), _ROUND), round(float(pt[1]), _ROUND))
-
-
 @dataclass(frozen=True)
 class AffineMap:
     """x = matrix @ xi + offset mapping the reference simplex to a physical one."""
@@ -42,29 +46,36 @@ class AffineMap:
         return ref_pts @ self.matrix.T + self.offset
 
 
-def reference_to_physical(verts: np.ndarray) -> AffineMap:
-    """Affine map for a triangle given its (3,2) vertex array."""
-    verts = np.asarray(verts, dtype=float)
-    J = np.column_stack((verts[1] - verts[0], verts[2] - verts[0]))
-    det = float(np.linalg.det(J))
-    if abs(det) < 1e-14:
-        raise DegenerateSimplexError("zero-volume simplex")
-    normals = np.empty((3, 2))
-    for k in range(3):
-        a, b = EDGE_VERTS[k]
-        t = verts[b] - verts[a]
-        nrm = np.array([t[1], -t[0]])
-        if np.dot(nrm, verts[k] - verts[a]) > 0:
-            nrm = -nrm
-        normals[k] = nrm / np.linalg.norm(nrm)
-    offset = verts[0].copy()
-    for arr in (J, offset, normals):
-        arr.flags.writeable = False  # a macro's map is shared by every caller
-    return AffineMap(J, offset, det, normals)
-
-
 # local edge k is opposite vertex k; direction fixed as below
 EDGE_VERTS = ((1, 2), (2, 0), (0, 1))
+_EDGE_A, _EDGE_B = np.array(EDGE_VERTS).T
+
+
+def _simplex_geometry(verts: np.ndarray):
+    """Affine maps of all triangles of a read-only (k, 3, 2) vertex array in
+    one pass; returns (maps, Jacobians (k, 2, 2), outward unit normals
+    (k, 3, 2), diameters).  The arrays of the maps are read-only views,
+    shared by every caller."""
+    J = np.stack((verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]), axis=-1)
+    det = np.linalg.det(J)
+    if np.any(np.abs(det) < 1e-14):
+        raise DegenerateSimplexError("zero-volume simplex")
+    t = verts[:, _EDGE_B] - verts[:, _EDGE_A]
+    normals = np.stack((t[..., 1], -t[..., 0]), axis=-1)
+    inward = ((verts - verts[:, _EDGE_A]) * normals).sum(axis=-1) > 0
+    normals[inward] = -normals[inward]
+    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+    diameter = np.linalg.norm(verts - np.roll(verts, -1, axis=1), axis=-1).max(axis=1)
+    J.flags.writeable = normals.flags.writeable = False
+    maps = [AffineMap(J[i], verts[i, 0], d, normals[i]) for i, d in enumerate(det.tolist())]
+    return maps, J, normals, diameter.tolist()
+
+
+def reference_to_physical(verts: np.ndarray) -> AffineMap:
+    """Affine map for a triangle given its (3,2) vertex array."""
+    verts = np.array(verts, dtype=float)
+    verts.flags.writeable = False
+    return _simplex_geometry(verts[None])[0][0]
 
 
 def sub_cells(m: int) -> Iterator[tuple[str, int, int]]:
@@ -94,6 +105,31 @@ def sub_cell_ref_verts(kind: str, i: int, j: int, m: int) -> np.ndarray:
     )
 
 
+@cache
+def _kind_cells(m: int) -> dict:
+    """Per sub-cell kind that has cells: (indices into sub_cells() order,
+    their (cells, 3, 2) reference vertices), read-only."""
+    cells = list(sub_cells(m))
+    out = {}
+    for kind in _CLASS_JACOBIANS:
+        sel = np.array([c for c, cell in enumerate(cells) if cell[0] == kind], dtype=int)
+        if sel.size:
+            verts = np.array([sub_cell_ref_verts(*cells[c], m) for c in sel])
+            sel.flags.writeable = verts.flags.writeable = False
+            out[kind] = (sel, verts)
+    return out
+
+
+class SubCellJacobians(NamedTuple):
+    """The class Jacobians of the sub-cells of one kind ("up" or "down") of
+    n macros."""
+
+    cells: np.ndarray  # (cells,) indices into sub_cells() order
+    jac: np.ndarray  # (n, 2, 2) class Jacobian composed with each macro map
+    jinv: np.ndarray  # (n, 2, 2)
+    det: np.ndarray  # (n,) |det jac|
+
+
 class SubCellQuadrature(NamedTuple):
     """Reference points mapped into the sub-cells of one kind ("up" or
     "down") of n macros; each sub-cell is x = jac @ xi + its origin."""
@@ -105,29 +141,34 @@ class SubCellQuadrature(NamedTuple):
     points: np.ndarray  # (n, cells, npts, 2) physical images of the points
 
 
+def sub_cell_jacobians(macros: Sequence[MacroElement]) -> dict:
+    """SubCellJacobians per kind that has cells (m = 1 has no "down") of
+    the `macros`, which share one m."""
+    m = macros[0].m
+    if any(mac.m != m for mac in macros):
+        raise ValueError("sub-cell geometry needs macros of one m")
+    J = np.stack([mac.affine_map().matrix for mac in macros])
+    out = {}
+    for kind, (sel, _) in _kind_cells(m).items():
+        jac = J @ (_CLASS_JACOBIANS[kind] / m)
+        out[kind] = SubCellJacobians(sel, jac, np.linalg.inv(jac), np.abs(np.linalg.det(jac)))
+    return out
+
+
 def sub_cell_quadrature(macros: Sequence[MacroElement],
                         points_ref: np.ndarray) -> dict:
     """Map `points_ref` (npts, 2), given on the reference triangle, into
     every sub-cell of each of the `macros`, which share one m; returns a
     SubCellQuadrature per kind that has cells (m = 1 has no "down")."""
-    m = macros[0].m
-    if any(mac.m != m for mac in macros):
-        raise ValueError("sub_cell_quadrature needs macros of one m")
+    jacobians = sub_cell_jacobians(macros)
     J = np.stack([mac.affine_map().matrix for mac in macros])
     offset = np.stack([mac.affine_map().offset for mac in macros])
-    cells = list(sub_cells(m))
     out = {}
-    for kind, jref in _CLASS_JACOBIANS.items():
-        sel = [c for c, cell in enumerate(cells) if cell[0] == kind]
-        if not sel:
-            continue
-        verts = np.array([sub_cell_ref_verts(*cells[c], m) for c in sel])
+    for kind, (_, verts) in _kind_cells(macros[0].m).items():
         # points in macro reference coordinates, then mapped by each macro
         ref = verts[:, None, 0] + points_ref @ (verts[0, 1:] - verts[0, 0])
-        jac = J @ (jref / m)
         out[kind] = SubCellQuadrature(
-            cells=np.array(sel), jac=jac, jinv=np.linalg.inv(jac),
-            det=np.abs(np.linalg.det(jac)),
+            *jacobians[kind],
             points=np.einsum("cqj,nij->ncqi", ref, J) + offset[:, None, None],
         )
     return out
@@ -143,28 +184,28 @@ class MacroElement:
     # face ids per local edge, sorted along the edge (2 entries when the
     # neighbor is one level finer)
     faces: list = field(default_factory=lambda: [[], [], []])
+    # the mesh builder passes both, from its one pass over all macros
+    amap: Optional[AffineMap] = field(default=None, repr=False)
+    diameter: Optional[float] = None
 
     def __post_init__(self):
-        self.verts = np.array(self.verts, dtype=float)
-        self.verts.flags.writeable = False
-        self._amap = reference_to_physical(self.verts)
-        d01 = np.linalg.norm(self.verts[0] - self.verts[1])
-        d12 = np.linalg.norm(self.verts[1] - self.verts[2])
-        d20 = np.linalg.norm(self.verts[2] - self.verts[0])
-        self.diameter = float(max(d01, d12, d20))
+        if self.amap is None:
+            self.verts = np.array(self.verts, dtype=float)
+            self.verts.flags.writeable = False
+            (self.amap,), _, _, (self.diameter,) = _simplex_geometry(self.verts[None])
 
     @property
     def volume(self) -> float:
-        return abs(self._amap.det) / 2.0
+        return abs(self.amap.det) / 2.0
 
     def affine_map(self) -> AffineMap:
-        return self._amap
+        return self.amap
 
     def sub_elements(self) -> list[np.ndarray]:
         """Physical vertex arrays of the m^2 sub-triangles (enumeration order
         matches fem_basis.build_patch_dof_map)."""
         return [
-            self._amap.to_physical(sub_cell_ref_verts(kind, i, j, self.m))
+            self.amap.to_physical(sub_cell_ref_verts(kind, i, j, self.m))
             for kind, i, j in sub_cells(self.m)
         ]
 
@@ -216,6 +257,10 @@ class MacroMesh:
     vertices: np.ndarray
     macro_elements: list
     skeleton: list
+    jacobians: np.ndarray  # (macros, 2, 2) affine Jacobians, read-only
+    # (macros, slots, 4): (edge, m_f, t0, t1) of each face slot of a macro,
+    # edge by edge and along each edge; rows past its last slot are -1
+    slot_table: np.ndarray
     boundary_tagger: Optional[Callable] = None
 
     @property
@@ -225,21 +270,27 @@ class MacroMesh:
     def slot_keys(self, macro: MacroElement) -> list:
         """(edge, m_f, t0, t1) of each of the macro's face slots, edge by
         edge and along each edge, with t0 and t1 rounded to _ROUND digits."""
-        slots = []
-        for k in range(3):
-            for fid in macro.faces[k]:
-                face = self.skeleton[fid]
-                side = face.left if face.left.macro == macro.id else face.right
-                slots.append((k, face.m_f, round(side.t0, _ROUND), round(side.t1, _ROUND)))
-        return slots
+        return [(int(k), int(m_f), round(t0, _ROUND), round(t1, _ROUND))
+                for k, m_f, t0, t1 in self.slot_table[macro.id].tolist() if k >= 0]
 
-    def congruence_key(self, macro: MacroElement) -> tuple:
-        """Geometric class of a macro: its affine Jacobian rounded to _ROUND
-        digits, m, and its slot_keys.  Macros with equal keys have the same
-        local operators A, B and C; rounding keeps ulp noise in the vertices
-        from splitting a class."""
-        jac = tuple(round(float(v), _ROUND) for v in macro.affine_map().matrix.flat)
-        return jac, macro.m, tuple(self.slot_keys(macro))
+    def congruence_classes(self) -> list:
+        """Macro ids grouped by geometric class: the affine Jacobian, m and
+        the slot table row, rounded to _ROUND digits.  Macros of one class
+        have the same local operators A, B and C; rounding keeps ulp noise in
+        the vertices from splitting a class.  Classes come in order of first
+        appearance, and each class lists its macros by id."""
+        k = len(self.macro_elements)
+        m = np.array([e.m for e in self.macro_elements], dtype=float)
+        key = np.concatenate(
+            (self.jacobians.reshape(k, 4), m[:, None], self.slot_table.reshape(k, -1)),
+            axis=1)
+        key = np.round(key, _ROUND) + 0.0  # + 0.0 turns -0.0 into 0.0
+        _, first, label = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.size)
+        label = rank[label.ravel()]
+        members = np.argsort(label, kind="stable")
+        return np.split(members, np.cumsum(np.bincount(label))[:-1])
 
     def interior_faces(self) -> list[SkeletonFace]:
         return [f for f in self.skeleton if f.tag == "interior"]
@@ -248,169 +299,168 @@ class MacroMesh:
         return [f for f in self.skeleton if f.tag != "interior"]
 
 
-def _on_square_boundary(pa, pb) -> bool:
-    for c in range(2):
-        for v in (0.0, 1.0):
-            if abs(pa[c] - v) < 1e-12 and abs(pb[c] - v) < 1e-12:
-                return True
-    return False
+def _dedup_vertices(verts: np.ndarray):
+    """Vertex ids of the (k, 3, 2) macro vertices by coordinates snapped to
+    _ROUND digits.  Returns the vertex coordinates in order of first
+    appearance, the (k, 3) ids in that order, the (k, 3) ranks of the
+    snapped coordinates in lexicographic order, and those coordinates."""
+    pts = verts.reshape(-1, 2)
+    snap = np.round(pts, _ROUND) + 0.0  # + 0.0 turns -0.0 into 0.0
+    order = np.lexsort((snap[:, 1], snap[:, 0]))  # stable: first appearance leads
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = np.any(np.diff(snap[order], axis=0) != 0.0, axis=1)
+    lex = np.empty(order.size, dtype=np.intp)
+    lex[order] = np.cumsum(new) - 1
+    first = order[new]
+    by_appearance = np.argsort(first)
+    vid = np.empty(first.size, dtype=np.intp)
+    vid[by_appearance] = np.arange(first.size)
+    return (pts[first[by_appearance]], vid[lex].reshape(-1, 3), lex.reshape(-1, 3),
+            snap[first])
 
 
-def _edge_param(point, start, end) -> float:
-    vec = end - start
-    return float(np.dot(point - start, vec) / np.dot(vec, vec))
+def _on_square_boundary(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Whether each edge pa[i]-pb[i] lies on one side of the unit square."""
+    return np.any([(np.abs(pa - v) < 1e-12) & (np.abs(pb - v) < 1e-12)
+                   for v in (0.0, 1.0)], axis=(0, 2))
 
 
-def _build_skeleton(macros: Sequence[MacroElement], tagger: Optional[Callable]) -> list:
-    """Match macro edges into skeleton faces; resolves hanging half-edges."""
-    records = []  # (macro id, local edge, pa, pb) in edge direction order
-    by_key: dict[tuple, list[int]] = {}
-    for e in macros:
-        e.faces = [[], [], []]
-        for k in range(3):
-            pa, pb = e.edge_endpoints(k)
-            rid = len(records)
-            records.append((e.id, k, pa, pb))
-            key = tuple(sorted((_key(pa), _key(pb))))
-            by_key.setdefault(key, []).append(rid)
+def _match_edges(pa, pb, ends, level, snapped, tagger):
+    """Match the macro edges into skeleton faces.  Edge record 3e + k is
+    local edge k of macro e, from pa[3e + k] to pb[3e + k]; `ends` holds the
+    ranks of its two vertices among the `snapped` vertex coordinates, which
+    are in lexicographic order.  Edges are matched as sorted pairs of ranks;
+    an edge of one macro is a boundary face on the unit square, or else a
+    fine half of a coarse edge.  Returns, per face in canonical vertex
+    order: the left and right records (right -1 on the boundary; left is the
+    lower macro id, or the coarse side of a hanging face), the coarse record
+    of a hanging face (-1 elsewhere), the record whose endpoints are the
+    face vertices, and the tags."""
+    nv = len(snapped)
+    code = ends.min(axis=1) * nv + ends.max(axis=1)
+    ucode, group, count = np.unique(code, return_inverse=True, return_counts=True)
+    if np.any(count > 2):
+        raise SkeletonError("more than two macros share an edge")
+    by_group = np.argsort(group, kind="stable")
+    start = np.cumsum(count) - count
+    pairs = start[count == 2]
+    p_left, p_right = by_group[pairs], by_group[pairs + 1]
 
-    used = [False] * len(records)
-    raw_faces = []
+    single = np.flatnonzero(count[group] == 1)
+    on_bnd = _on_square_boundary(pa[single], pb[single])
+    bnd, loose = single[on_bnd], single[~on_bnd]
+    tags = [tagger(mid) if tagger is not None else "D"
+            for mid in 0.5 * (pa[bnd] + pb[bnd])]
+    for tag in tags:
+        if tag not in ("D", "N"):
+            raise SkeletonError(f"invalid boundary tag {tag!r}")
 
-    def canonical(pa, pb):
-        return (pa, pb) if _key(pa) <= _key(pb) else (pb, pa)
-
-    def side_for(rid, v0, v1) -> FaceSide:
-        eid, k, pa, pb = records[rid]
-        t0 = _edge_param(v0, pa, pb)
-        t1 = _edge_param(v1, pa, pb)
-        return FaceSide(eid, k, t0, t1)
-
-    # matched pairs and boundary edges
-    for key, rids in by_key.items():
-        if len(rids) == 2:
-            r0, r1 = sorted(rids, key=lambda r: records[r][0])
-            _, _, pa, pb = records[r0]
-            v0, v1 = canonical(pa, pb)
-            mf = max(macros[records[r0][0]].m, macros[records[r1][0]].m)
-            raw_faces.append(
-                dict(verts=(v0, v1), left=side_for(r0, v0, v1),
-                     right=side_for(r1, v0, v1), tag="interior", m_f=mf,
-                     hanging=False, parent=None)
-            )
-            used[r0] = used[r1] = True
-        elif len(rids) > 2:
-            raise SkeletonError("more than two macros share an edge")
-
-    for rid, rec in enumerate(records):
-        if used[rid]:
-            continue
-        eid, k, pa, pb = rec
-        if _on_square_boundary(pa, pb):
-            v0, v1 = canonical(pa, pb)
-            mid = 0.5 * (np.asarray(pa) + np.asarray(pb))
-            tag = tagger(mid) if tagger is not None else "D"
-            if tag not in ("D", "N"):
-                raise SkeletonError(f"invalid boundary tag {tag!r}")
-            raw_faces.append(
-                dict(verts=(v0, v1), left=side_for(rid, v0, v1), right=None,
-                     tag=tag, m_f=macros[eid].m, hanging=False, parent=None)
-            )
-            used[rid] = True
-
-    # remaining edges: fine half-edges matched against a coarse parent edge;
-    # the parents themselves are consumed once both halves are found
-    parent_use = {}
-    for rid, rec in enumerate(records):
-        if used[rid]:
-            continue
-        eid, k, pa, pb = rec
-        cands = [
-            (np.asarray(pa), np.asarray(pa) + 2.0 * (np.asarray(pb) - np.asarray(pa))),
-            (2.0 * np.asarray(pa) - np.asarray(pb), np.asarray(pb)),
-        ]
+    # the rest: fine half-edges, each matched against a coarse parent edge
+    # that doubles it beyond one of its ends; the parents themselves are
+    # consumed once both halves are found
+    rank = {pt: r for r, pt in enumerate(map(tuple, snapped.tolist()))}
+    far = [(np.round(x, _ROUND) + 0.0).tolist()
+           for x in (pa[loose] + 2.0 * (pb[loose] - pa[loose]), 2.0 * pa[loose] - pb[loose])]
+    coarse, fine = [], []
+    for i, rid in enumerate(loose.tolist()):
+        e = rid // 3
+        a, b = ends[rid].tolist()
         match = None
-        for ca, cb in cands:
-            key = tuple(sorted((_key(ca), _key(cb))))
-            for prid in by_key.get(key, []):
-                peid = records[prid][0]
-                if peid != eid and macros[peid].level == macros[eid].level - 1:
-                    match = prid
-                    break
+        for cand in ((a, rank.get(tuple(far[0][i]))), (rank.get(tuple(far[1][i])), b)):
+            if None in cand:
+                continue
+            c = min(cand) * nv + max(cand)
+            g = np.searchsorted(ucode, c)
+            if g < ucode.size and ucode[g] == c:
+                match = next((prid for prid in by_group[start[g]:start[g] + count[g]].tolist()
+                              if prid // 3 != e and level[prid // 3] == level[e] - 1), None)
             if match is not None:
+                coarse.append(match)
+                fine.append(rid)
                 break
-        if match is None:
-            continue  # a coarse parent edge; consumed by its fine halves below
-        v0, v1 = canonical(pa, pb)
-        raw_faces.append(
-            dict(verts=(v0, v1), left=side_for(match, v0, v1),
-                 right=side_for(rid, v0, v1), tag="interior",
-                 m_f=macros[eid].m, hanging=True,
-                 parent=(records[match][0], records[match][1]))
-        )
-        used[rid] = True
-        parent_use[match] = parent_use.get(match, 0) + 1
-
-    for prid, cnt in parent_use.items():
-        if cnt != 2:
-            raise SkeletonError("coarse edge not covered by exactly two fine edges")
-        used[prid] = True
-    if not all(used):
+    coarse, fine = np.array(coarse, dtype=np.intp), np.array(fine, dtype=np.intp)
+    parents, uses = np.unique(coarse, return_counts=True)
+    if np.any(uses != 2):
+        raise SkeletonError("coarse edge not covered by exactly two fine edges")
+    used = np.zeros(len(pa), dtype=bool)
+    for rec in (p_left, p_right, bnd, fine, parents):
+        used[rec] = True
+    if not used.all():
         raise SkeletonError("unresolved macro edges remain")
 
-    raw_faces.sort(key=lambda f: (_key(f["verts"][0]), _key(f["verts"][1])))
-    skeleton = []
-    for fid, rf in enumerate(raw_faces):
-        v0, v1 = (np.asarray(rf["verts"][0], float), np.asarray(rf["verts"][1], float))
-        left = rf["left"]
-        normal = macros[left.macro].affine_map().normals[left.edge].copy()
-        face = SkeletonFace(
-            id=fid, verts=np.array([v0, v1]), left=left, right=rf["right"],
-            tag=rf["tag"], m_f=rf["m_f"], normal=normal,
-            hanging=rf["hanging"], parent_edge=rf["parent"],
-        )
-        skeleton.append(face)
-        for side in face.sides():
-            macros[side.macro].faces[side.edge].append(fid)
-    for e in macros:
-        for k in range(3):
-            e.faces[k].sort(key=lambda fid: _side_t0(skeleton[fid], e.id))
-    return skeleton
+    left = np.concatenate((p_left, bnd, coarse))
+    right = np.concatenate((p_right, np.full(bnd.size, -1), fine))
+    parent = np.concatenate((np.full(pairs.size + bnd.size, -1), coarse))
+    vrec = np.concatenate((p_left, bnd, fine))
+    tags = ["interior"] * pairs.size + tags + ["interior"] * fine.size
+    order = np.argsort(code[vrec])
+    return (left[order], right[order], parent[order], vrec[order],
+            [tags[f] for f in order.tolist()])
 
 
-def _side_t0(face: SkeletonFace, macro_id: int) -> float:
-    for side in face.sides():
-        if side.macro == macro_id:
-            return min(side.t0, side.t1)
-    raise KeyError(macro_id)
-
-
-def _dedup_vertices(macros_raw):
-    """Assign vertex ids by snapped coordinates; returns (vertices, id triples)."""
-    vid = {}
-    coords = []
-    triples = []
-    for verts in macros_raw:
-        ids = []
-        for v in verts:
-            k = _key(v)
-            if k not in vid:
-                vid[k] = len(coords)
-                coords.append(np.asarray(v, float))
-            ids.append(vid[k])
-        triples.append(tuple(ids))
-    return np.array(coords), triples
+def _edge_params(points, pa, pb):
+    """Parameter t along each edge pa[i] -> pb[i] of the points[i]."""
+    vec = pb - pa
+    return ((points - pa) * vec).sum(axis=-1) / (vec * vec).sum(axis=-1)
 
 
 def _assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
-    vertices, triples = _dedup_vertices(macros_raw)
+    verts = np.array(macros_raw, dtype=float).reshape(-1, 3, 2)
+    verts.flags.writeable = False
+    k = len(verts)
+    m, level = np.array(m_list, dtype=int), np.array(levels, dtype=int)
+    maps, jacobians, normals, diameter = _simplex_geometry(verts)
+    vertices, vid, lex, snapped = _dedup_vertices(verts)
     macros = [
-        MacroElement(id=i, vertex_ids=triples[i], verts=macros_raw[i],
-                     m=m_list[i], level=levels[i])
-        for i in range(len(macros_raw))
+        MacroElement(id=i, vertex_ids=tuple(ids), verts=verts[i], m=mi, level=li,
+                     amap=maps[i], diameter=diameter[i])
+        for i, (ids, mi, li) in enumerate(zip(vid.tolist(), m.tolist(), level.tolist()))
     ]
-    skeleton = _build_skeleton(macros, tagger)
-    return MacroMesh(2, n, vertices, macros, skeleton, boundary_tagger=tagger)
+    pa = verts[:, _EDGE_A].reshape(-1, 2)
+    pb = verts[:, _EDGE_B].reshape(-1, 2)
+    ends = np.stack((lex[:, _EDGE_A].ravel(), lex[:, _EDGE_B].ravel()), axis=1)
+    left, right, parent, vrec, tags = _match_edges(pa, pb, ends, level, snapped, tagger)
+
+    swap = (ends[vrec, 0] > ends[vrec, 1])[:, None, None]
+    face_verts = np.stack((pa[vrec], pb[vrec]), axis=1)
+    face_verts = np.where(swap, face_verts[:, ::-1], face_verts)
+    has_right = right >= 0
+    sides = np.concatenate((left, right[has_right]))  # edge records
+    side_face = np.concatenate((np.arange(left.size), np.flatnonzero(has_right)))
+    t = _edge_params(face_verts[side_face], pa[sides, None], pb[sides, None])
+    t_right = np.full((left.size, 2), -1.0)
+    t_right[has_right] = t[left.size:]
+    # the finer side's m on conforming faces, the fine side's on hanging ones
+    m_f = m[vrec // 3]
+    pair = has_right & (parent < 0)
+    m_f[pair] = np.maximum(m_f[pair], m[right[pair] // 3])
+    normal = normals.reshape(-1, 2)[left]
+
+    skeleton = [
+        SkeletonFace(
+            id=fid, verts=face_verts[fid], left=FaceSide(lr // 3, lr % 3, *tl),
+            right=FaceSide(rr // 3, rr % 3, *tr) if rr >= 0 else None,
+            tag=tag, m_f=mf, normal=normal[fid], hanging=pr >= 0,
+            parent_edge=(pr // 3, pr % 3) if pr >= 0 else None)
+        for fid, (lr, rr, pr, tl, tr, tag, mf) in enumerate(zip(
+            left.tolist(), right.tolist(), parent.tolist(), t[:left.size].tolist(),
+            t_right.tolist(), tags, m_f.tolist()))
+    ]
+
+    # face slots: each macro's faces edge by edge, and along each edge by
+    # the lower of the side's t0 and t1
+    order = np.lexsort((side_face, t.min(axis=1), sides))
+    sides, side_face, t = sides[order], side_face[order], t[order]
+    for rec, fid in zip(sides.tolist(), side_face.tolist()):
+        macros[rec // 3].faces[rec % 3].append(fid)
+    owner = sides // 3
+    n_slots = np.bincount(owner, minlength=k)
+    slot = np.arange(sides.size) - (np.cumsum(n_slots) - n_slots)[owner]
+    slot_table = np.full((k, n_slots.max(), 4), -1.0)
+    slot_table[owner, slot] = np.column_stack((sides % 3, m_f[side_face], t))
+    slot_table.flags.writeable = False
+    return MacroMesh(2, n, vertices, macros, skeleton, jacobians=jacobians,
+                     slot_table=slot_table, boundary_tagger=tagger)
 
 
 def build_structured_macro_mesh(
@@ -422,70 +472,63 @@ def build_structured_macro_mesh(
     if n < 1 or m < 1:
         raise ValueError("n and m must be >= 1")
 
-    h = 1.0 / n
-    macros_raw = []
-    for j in range(n):
-        for i in range(n):
-            p00 = np.array([i * h, j * h])
-            p10 = np.array([(i + 1) * h, j * h])
-            p11 = np.array([(i + 1) * h, (j + 1) * h])
-            p01 = np.array([i * h, (j + 1) * h])
-            # diagonal fixed from (i, j) to (i+1, j+1)
-            macros_raw.append(np.array([p00, p10, p11]))
-            macros_raw.append(np.array([p00, p11, p01]))
-    k = len(macros_raw)
-    return _assemble_mesh(macros_raw, [m] * k, [0] * k, n, boundary_tagger)
+    x = np.arange(n + 1) * (1.0 / n)
+    j, i = np.divmod(np.arange(n * n), n)
+    p00, p10 = np.stack((x[i], x[j]), 1), np.stack((x[i + 1], x[j]), 1)
+    p11, p01 = np.stack((x[i + 1], x[j + 1]), 1), np.stack((x[i], x[j + 1]), 1)
+    # per square (i, j), row by row: the diagonal from (i, j) to (i+1, j+1)
+    # splits it into (p00, p10, p11) and (p00, p11, p01)
+    verts = np.stack((p00, p10, p11, p00, p11, p01), axis=1).reshape(-1, 3, 2)
+    k = len(verts)
+    return _assemble_mesh(verts, [m] * k, [0] * k, n, boundary_tagger)
+
+
+# vertices of the 4 children of a macro, as indices into
+# (v0, v1, v2, m01, m12, m02) with mab the midpoint of va and vb
+_CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 
 def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
     """Replace each marked macro by 4 children (edge midpoints) with 2:1 closure."""
     if mesh.d != 2:
         raise ValueError("refinement supports d=2 only")
-    marked = set(marked)
+    k = len(mesh.macro_elements)
+    marked = list(marked)
     for mid in marked:
-        if mid < 0 or mid >= len(mesh.macro_elements):
-            raise ValueError(f"invalid macro id {mid}")
+        if (isinstance(mid, bool) or not isinstance(mid, (int, np.integer))
+                or not 0 <= mid < k):
+            raise ValueError(f"invalid macro id {mid!r}")
     if not marked:
         return mesh
 
-    levels = {e.id: e.level for e in mesh.macro_elements}
-    # closure: keep level difference across every face at most 1
-    changed = True
-    while changed:
-        changed = False
-        for face in mesh.skeleton:
-            if face.right is None:
-                continue
-            a, b = face.left.macro, face.right.macro
-            la = levels[a] + (1 if a in marked else 0)
-            lb = levels[b] + (1 if b in marked else 0)
-            if la - lb >= 2 and b not in marked:
-                marked.add(b)
-                changed = True
-            elif lb - la >= 2 and a not in marked:
-                marked.add(a)
-                changed = True
+    level = mesh.levels
+    refine = np.zeros(k, dtype=bool)
+    refine[marked] = True
+    # closure: keep the level difference across every face at most 1
+    faces = np.array([(f.left.macro, f.right.macro) for f in mesh.skeleton
+                      if f.right is not None], dtype=np.intp).reshape(-1, 2)
+    a, b = faces.T
+    while True:
+        new = level + refine
+        need = np.zeros(k, dtype=bool)
+        need[b[new[a] - new[b] >= 2]] = True
+        need[a[new[b] - new[a] >= 2]] = True
+        need &= ~refine
+        if not need.any():
+            break
+        refine |= need
 
-    macros_raw, m_list, lev_list = [], [], []
-    for e in mesh.macro_elements:
-        if e.id not in marked:
-            macros_raw.append(e.verts)
-            m_list.append(e.m)
-            lev_list.append(e.level)
-    for e in mesh.macro_elements:
-        if e.id in marked:
-            v0, v1, v2 = e.verts
-            m01, m12, m02 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v0 + v2)
-            for child in (
-                np.array([v0, m01, m02]),
-                np.array([m01, v1, m12]),
-                np.array([m02, m12, v2]),
-                np.array([m01, m12, m02]),
-            ):
-                macros_raw.append(child)
-                m_list.append(e.m)
-                lev_list.append(e.level + 1)
-    return _assemble_mesh(macros_raw, m_list, lev_list, mesh.n, mesh.boundary_tagger)
+    keep, split = np.flatnonzero(~refine), np.flatnonzero(refine)
+    verts = np.stack([e.verts for e in mesh.macro_elements])
+    v = verts[split]
+    mids = 0.5 * (v[:, [0, 1, 0]] + v[:, [1, 2, 2]])
+    children = np.concatenate((v, mids), axis=1)[:, _CHILDREN].reshape(-1, 3, 2)
+    m = np.array([e.m for e in mesh.macro_elements])
+    return _assemble_mesh(
+        np.concatenate((verts[keep], children)),
+        np.concatenate((m[keep], np.repeat(m[split], 4))),
+        np.concatenate((level[keep], np.repeat(level[split] + 1, 4))),
+        mesh.n, mesh.boundary_tagger)
 
 
 def export_text(mesh: MacroMesh) -> str:

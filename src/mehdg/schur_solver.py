@@ -345,6 +345,8 @@ def gmres(
     it = 0
     converged = stagnated = breakdown = False
     beta_start = np.inf
+    V = np.zeros((config.restart + 1, n))
+    H = np.zeros((config.restart + 1, config.restart))
     while it < config.maxiter and not converged:
         r = M(rhs - apply_op(x))
         beta = float(np.linalg.norm(r))
@@ -357,13 +359,11 @@ def gmres(
             stagnated = True
             break
         beta_start = beta
-        V = np.zeros((config.restart + 1, n))
-        H = np.zeros((config.restart + 1, config.restart))
-        cs = np.zeros(config.restart)
-        sn = np.zeros(config.restart)
-        g = np.zeros(config.restart + 1)
+        H.fill(0.0)
+        # the Givens rotations run on Python floats: a column of H is a list
+        # until it is rotated, then written into H once
+        cs, sn, g = [], [], [beta]
         V[0] = r / beta
-        g[0] = beta
         k_used = 0
         breakdown = False
         for k in range(config.restart):
@@ -376,25 +376,27 @@ def gmres(
             wv -= h @ Vk
             h2 = Vk @ wv
             wv -= h2 @ Vk
-            H[:k + 1, k] = h + h2
-            H[k + 1, k] = float(np.linalg.norm(wv))
-            if H[k + 1, k] > 1e-300:
-                V[k + 1] = wv / H[k + 1, k]
+            col = (h + h2).tolist()
+            col.append(float(np.linalg.norm(wv)))
+            if col[k + 1] > 1e-300:
+                V[k + 1] = wv / col[k + 1]
             else:
                 breakdown = True
             for i in range(k):
-                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
-                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
-                H[i, k] = t
-            denom = float(np.hypot(H[k, k], H[k + 1, k]))
+                t = cs[i] * col[i] + sn[i] * col[i + 1]
+                col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
+                col[i] = t
+            denom = float(np.hypot(col[k], col[k + 1]))
+            if denom != 0.0:
+                cs.append(col[k] / denom)
+                sn.append(col[k + 1] / denom)
+                col[k], col[k + 1] = denom, 0.0
+            H[:k + 2, k] = col
             if denom == 0.0:
                 k_used = k + 1
                 breakdown = True
                 break
-            cs[k], sn[k] = H[k, k] / denom, H[k + 1, k] / denom
-            H[k, k] = denom
-            H[k + 1, k] = 0.0
-            g[k + 1] = -sn[k] * g[k]
+            g.append(-sn[k] * g[k])
             g[k] = cs[k] * g[k]
             it += 1
             res = abs(g[k + 1])
@@ -406,7 +408,7 @@ def gmres(
             if breakdown or it >= config.maxiter:
                 break
         if k_used > 0:
-            y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used])
+            y = sla.solve_triangular(H[:k_used, :k_used], np.array(g[:k_used]))
             x = x + V[:k_used].T @ y
         if breakdown and not converged:
             break  # invariant Krylov subspace; no further progress possible
@@ -511,15 +513,13 @@ def assemble_system(
     from one assemble_macro call on its first macro, and R_u from one
     batched quadrature over its macros with that call's sub-cell tables.
     The face blocks of all unknown faces come from one vectorized pass."""
-    groups = {}
-    for macro in mesh.macro_elements:
-        groups.setdefault(mesh.congruence_key(macro), []).append(macro)
     classes = []
-    for members in groups.values():
+    for ids in mesh.congruence_classes():
+        members = [mesh.macro_elements[i] for i in ids]
         op = assemble_macro(mesh, members[0], p, problem, stab)
         classes.append(OperatorClass(
             A=op.A, B=op.B, C=op.C, slots=[slot for _, slot in op.face_slots],
-            macro_ids=np.array([macro.id for macro in members]),
+            macro_ids=ids,
             face_ids=np.array([[fid for k in range(3) for fid in macro.faces[k]]
                                for macro in members]),
             R_u=op.load(members),

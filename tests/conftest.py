@@ -25,16 +25,21 @@ def solve_poly(degree, n, m, p, kappa=1.0, a=(1.0, 2.0), supg=False,
     return mesh, solution, sys, case
 
 
-def skewed_mesh(n, m):
-    """The n x n structured mesh with its interior vertices moved off the
-    grid (h = 1/3 is not dyadic either), so that macros differ in shape."""
+def skewed_verts(n):
+    """Macro vertices of the n x n structured mesh with its interior vertices
+    moved off the grid (h = 1/3 is not dyadic either), so that macros differ
+    in shape."""
 
     def move(v):
         inside = np.all((v > 1e-12) & (v < 1.0 - 1e-12))
         return v + inside * 0.15 / n * np.array([np.sin(7.0 * v[1]), np.cos(5.0 * v[0])])
 
-    base = build_structured_macro_mesh(2, n, m)
-    raw = [np.array([move(v) for v in e.verts]) for e in base.macro_elements]
+    base = build_structured_macro_mesh(2, n, 1)
+    return [np.array([move(v) for v in e.verts]) for e in base.macro_elements]
+
+
+def skewed_mesh(n, m):
+    raw = skewed_verts(n)
     return _assemble_mesh(raw, [m] * len(raw), [0] * len(raw), n, None)
 
 

@@ -1,0 +1,287 @@
+"""The macro mesh built by Python loops: one affine map per macro, vertex
+and edge matching on coordinate tuples rounded one by one, and the 2:1
+closure as a loop over faces.  Test oracle for the array passes of
+mehdg.mesh."""
+
+import numpy as np
+
+from mehdg.mesh import (
+    _ROUND,
+    EDGE_VERTS,
+    AffineMap,
+    DegenerateSimplexError,
+    FaceSide,
+    MacroElement,
+    MacroMesh,
+    SkeletonError,
+    SkeletonFace,
+)
+
+
+def _key(pt) -> tuple:
+    return (round(float(pt[0]), _ROUND), round(float(pt[1]), _ROUND))
+
+
+def loop_affine_map(verts: np.ndarray) -> AffineMap:
+    """Affine map of one triangle, built vertex by vertex."""
+    verts = np.asarray(verts, dtype=float)
+    J = np.column_stack((verts[1] - verts[0], verts[2] - verts[0]))
+    det = float(np.linalg.det(J))
+    if abs(det) < 1e-14:
+        raise DegenerateSimplexError("zero-volume simplex")
+    normals = np.empty((3, 2))
+    for k in range(3):
+        a, b = EDGE_VERTS[k]
+        t = verts[b] - verts[a]
+        nrm = np.array([t[1], -t[0]])
+        if np.dot(nrm, verts[k] - verts[a]) > 0:
+            nrm = -nrm
+        normals[k] = nrm / np.linalg.norm(nrm)
+    return AffineMap(J, verts[0].copy(), det, normals)
+
+
+def loop_diameter(verts: np.ndarray) -> float:
+    d01 = np.linalg.norm(verts[0] - verts[1])
+    d12 = np.linalg.norm(verts[1] - verts[2])
+    d20 = np.linalg.norm(verts[2] - verts[0])
+    return float(max(d01, d12, d20))
+
+
+def _on_square_boundary(pa, pb) -> bool:
+    for c in range(2):
+        for v in (0.0, 1.0):
+            if abs(pa[c] - v) < 1e-12 and abs(pb[c] - v) < 1e-12:
+                return True
+    return False
+
+
+def _edge_param(point, start, end) -> float:
+    vec = end - start
+    return float(np.dot(point - start, vec) / np.dot(vec, vec))
+
+
+def _build_skeleton(macros, tagger) -> list:
+    """Match macro edges into skeleton faces; resolves hanging half-edges."""
+    records = []  # (macro id, local edge, pa, pb) in edge direction order
+    by_key = {}
+    for e in macros:
+        e.faces = [[], [], []]
+        for k in range(3):
+            pa, pb = e.edge_endpoints(k)
+            rid = len(records)
+            records.append((e.id, k, pa, pb))
+            key = tuple(sorted((_key(pa), _key(pb))))
+            by_key.setdefault(key, []).append(rid)
+
+    used = [False] * len(records)
+    raw_faces = []
+
+    def canonical(pa, pb):
+        return (pa, pb) if _key(pa) <= _key(pb) else (pb, pa)
+
+    def side_for(rid, v0, v1) -> FaceSide:
+        eid, k, pa, pb = records[rid]
+        return FaceSide(eid, k, _edge_param(v0, pa, pb), _edge_param(v1, pa, pb))
+
+    for key, rids in by_key.items():
+        if len(rids) == 2:
+            r0, r1 = sorted(rids, key=lambda r: records[r][0])
+            _, _, pa, pb = records[r0]
+            v0, v1 = canonical(pa, pb)
+            mf = max(macros[records[r0][0]].m, macros[records[r1][0]].m)
+            raw_faces.append(
+                dict(verts=(v0, v1), left=side_for(r0, v0, v1),
+                     right=side_for(r1, v0, v1), tag="interior", m_f=mf,
+                     hanging=False, parent=None)
+            )
+            used[r0] = used[r1] = True
+        elif len(rids) > 2:
+            raise SkeletonError("more than two macros share an edge")
+
+    for rid, rec in enumerate(records):
+        if used[rid]:
+            continue
+        eid, k, pa, pb = rec
+        if _on_square_boundary(pa, pb):
+            v0, v1 = canonical(pa, pb)
+            mid = 0.5 * (np.asarray(pa) + np.asarray(pb))
+            tag = tagger(mid) if tagger is not None else "D"
+            if tag not in ("D", "N"):
+                raise SkeletonError(f"invalid boundary tag {tag!r}")
+            raw_faces.append(
+                dict(verts=(v0, v1), left=side_for(rid, v0, v1), right=None,
+                     tag=tag, m_f=macros[eid].m, hanging=False, parent=None)
+            )
+            used[rid] = True
+
+    # remaining edges: fine half-edges matched against a coarse parent edge;
+    # the parents themselves are consumed once both halves are found
+    parent_use = {}
+    for rid, rec in enumerate(records):
+        if used[rid]:
+            continue
+        eid, k, pa, pb = rec
+        cands = [
+            (np.asarray(pa), np.asarray(pa) + 2.0 * (np.asarray(pb) - np.asarray(pa))),
+            (2.0 * np.asarray(pa) - np.asarray(pb), np.asarray(pb)),
+        ]
+        match = None
+        for ca, cb in cands:
+            key = tuple(sorted((_key(ca), _key(cb))))
+            for prid in by_key.get(key, []):
+                peid = records[prid][0]
+                if peid != eid and macros[peid].level == macros[eid].level - 1:
+                    match = prid
+                    break
+            if match is not None:
+                break
+        if match is None:
+            continue  # a coarse parent edge; consumed by its fine halves below
+        v0, v1 = canonical(pa, pb)
+        raw_faces.append(
+            dict(verts=(v0, v1), left=side_for(match, v0, v1),
+                 right=side_for(rid, v0, v1), tag="interior",
+                 m_f=macros[eid].m, hanging=True,
+                 parent=(records[match][0], records[match][1]))
+        )
+        used[rid] = True
+        parent_use[match] = parent_use.get(match, 0) + 1
+
+    for prid, cnt in parent_use.items():
+        if cnt != 2:
+            raise SkeletonError("coarse edge not covered by exactly two fine edges")
+        used[prid] = True
+    if not all(used):
+        raise SkeletonError("unresolved macro edges remain")
+
+    raw_faces.sort(key=lambda f: (_key(f["verts"][0]), _key(f["verts"][1])))
+    skeleton = []
+    for fid, rf in enumerate(raw_faces):
+        v0, v1 = (np.asarray(rf["verts"][0], float), np.asarray(rf["verts"][1], float))
+        left = rf["left"]
+        normal = macros[left.macro].affine_map().normals[left.edge].copy()
+        face = SkeletonFace(
+            id=fid, verts=np.array([v0, v1]), left=left, right=rf["right"],
+            tag=rf["tag"], m_f=rf["m_f"], normal=normal,
+            hanging=rf["hanging"], parent_edge=rf["parent"],
+        )
+        skeleton.append(face)
+        for side in face.sides():
+            macros[side.macro].faces[side.edge].append(fid)
+    for e in macros:
+        for k in range(3):
+            e.faces[k].sort(key=lambda fid: _side_t0(skeleton[fid], e.id))
+    return skeleton
+
+
+def _side_t0(face, macro_id: int) -> float:
+    for side in face.sides():
+        if side.macro == macro_id:
+            return min(side.t0, side.t1)
+    raise KeyError(macro_id)
+
+
+def _dedup_vertices(macros_raw):
+    """Assign vertex ids by snapped coordinates; returns (vertices, id triples)."""
+    vid = {}
+    coords = []
+    triples = []
+    for verts in macros_raw:
+        ids = []
+        for v in verts:
+            k = _key(v)
+            if k not in vid:
+                vid[k] = len(coords)
+                coords.append(np.asarray(v, float))
+            ids.append(vid[k])
+        triples.append(tuple(ids))
+    return np.array(coords), triples
+
+
+def _slot_table(macros, skeleton) -> np.ndarray:
+    rows = []
+    for e in macros:
+        row = []
+        for k in range(3):
+            for fid in e.faces[k]:
+                face = skeleton[fid]
+                side = face.left if face.left.macro == e.id else face.right
+                row.append((k, face.m_f, side.t0, side.t1))
+        rows.append(row)
+    table = np.full((len(macros), max(len(r) for r in rows), 4), -1.0)
+    for e, row in enumerate(rows):
+        table[e, :len(row)] = row
+    return table
+
+
+def loop_assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
+    vertices, triples = _dedup_vertices(macros_raw)
+    macros = []
+    for i, raw in enumerate(macros_raw):
+        verts = np.array(raw, dtype=float)
+        macros.append(MacroElement(
+            id=i, vertex_ids=triples[i], verts=verts, m=m_list[i], level=levels[i],
+            amap=loop_affine_map(verts), diameter=loop_diameter(verts)))
+    skeleton = _build_skeleton(macros, tagger)
+    jacobians = np.array([e.affine_map().matrix for e in macros])
+    return MacroMesh(2, n, vertices, macros, skeleton, jacobians=jacobians,
+                     slot_table=_slot_table(macros, skeleton), boundary_tagger=tagger)
+
+
+def loop_structured_mesh(n: int, m: int, boundary_tagger=None) -> MacroMesh:
+    h = 1.0 / n
+    macros_raw = []
+    for j in range(n):
+        for i in range(n):
+            p00 = np.array([i * h, j * h])
+            p10 = np.array([(i + 1) * h, j * h])
+            p11 = np.array([(i + 1) * h, (j + 1) * h])
+            p01 = np.array([i * h, (j + 1) * h])
+            macros_raw.append(np.array([p00, p10, p11]))
+            macros_raw.append(np.array([p00, p11, p01]))
+    k = len(macros_raw)
+    return loop_assemble_mesh(macros_raw, [m] * k, [0] * k, n, boundary_tagger)
+
+
+def loop_refine(mesh: MacroMesh, marked) -> MacroMesh:
+    """Replace each marked macro by 4 children (edge midpoints) with 2:1 closure."""
+    marked = set(marked)
+    if not marked:
+        return mesh
+    levels = {e.id: e.level for e in mesh.macro_elements}
+    changed = True
+    while changed:
+        changed = False
+        for face in mesh.skeleton:
+            if face.right is None:
+                continue
+            a, b = face.left.macro, face.right.macro
+            la = levels[a] + (1 if a in marked else 0)
+            lb = levels[b] + (1 if b in marked else 0)
+            if la - lb >= 2 and b not in marked:
+                marked.add(b)
+                changed = True
+            elif lb - la >= 2 and a not in marked:
+                marked.add(a)
+                changed = True
+
+    macros_raw, m_list, lev_list = [], [], []
+    for e in mesh.macro_elements:
+        if e.id not in marked:
+            macros_raw.append(e.verts)
+            m_list.append(e.m)
+            lev_list.append(e.level)
+    for e in mesh.macro_elements:
+        if e.id in marked:
+            v0, v1, v2 = e.verts
+            m01, m12, m02 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v0 + v2)
+            for child in (
+                np.array([v0, m01, m02]),
+                np.array([m01, v1, m12]),
+                np.array([m02, m12, v2]),
+                np.array([m01, m12, m02]),
+            ):
+                macros_raw.append(child)
+                m_list.append(e.m)
+                lev_list.append(e.level + 1)
+    return loop_assemble_mesh(macros_raw, m_list, lev_list, mesh.n, mesh.boundary_tagger)

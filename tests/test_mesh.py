@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from conftest import CLASS_MESHES, skewed_verts
+from reference_mesh import loop_assemble_mesh, loop_refine, loop_structured_mesh
 
 from mehdg.mesh import (
+    _ROUND,
     DegenerateSimplexError,
     MacroElement,
+    SkeletonError,
+    _assemble_mesh,
     build_structured_macro_mesh,
     export_text,
     export_vtk,
@@ -292,3 +297,171 @@ def test_boundary_tagger():
 
     with pytest.raises(Exception):
         build_structured_macro_mesh(2, 1, 1, boundary_tagger=bad)
+
+
+def test_refine_rejects_non_integer_ids():
+    mesh = build_structured_macro_mesh(2, 2, 1)
+    for bad in ([1.5], [True], [np.float64(2.0)], [np.bool_(True)], [-1], [8]):
+        with pytest.raises(ValueError):
+            refine_macros(mesh, bad)
+    fine = refine_macros(mesh, [np.int64(1)])
+    assert len(fine.macro_elements) > len(mesh.macro_elements)
+
+
+def _assert_same_mesh(new, ref, exact):
+    """Every field of two meshes: topology and integer fields equal, with the
+    same Python types; float fields bitwise equal if `exact`, else within
+    1e-15 relative."""
+
+    def close(a, b):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape
+        if exact:
+            assert np.array_equal(a, b)
+        else:
+            assert np.all(np.abs(a - b) <= 1e-15 * np.abs(b))
+
+    def same(a, b):
+        assert a == b and type(a) is type(b)
+
+    assert (new.d, new.n) == (ref.d, ref.n) and new.boundary_tagger is ref.boundary_tagger
+    assert np.array_equal(new.vertices, ref.vertices)
+    close(new.jacobians, ref.jacobians)
+    close(new.slot_table, ref.slot_table)
+    assert len(new.macro_elements) == len(ref.macro_elements)
+    for a, b in zip(new.macro_elements, ref.macro_elements):
+        for name in ("id", "m", "level", "vertex_ids", "faces"):
+            same(getattr(a, name), getattr(b, name))
+        assert all(type(v) is int for v in a.vertex_ids)
+        assert all(type(f) is int for fids in a.faces for f in fids)
+        assert np.array_equal(a.verts, b.verts)
+        ma, mb = a.affine_map(), b.affine_map()
+        close(ma.matrix, mb.matrix)
+        assert np.array_equal(ma.offset, mb.offset)
+        close(ma.det, mb.det)
+        assert type(ma.det) is float and type(a.diameter) is float
+        close(ma.normals, mb.normals)
+        close(a.diameter, b.diameter)
+        assert np.array_equal(new.jacobians[a.id], ma.matrix)
+    assert len(new.skeleton) == len(ref.skeleton)
+    for f, g in zip(new.skeleton, ref.skeleton):
+        for name in ("id", "tag", "m_f", "hanging", "parent_edge"):
+            same(getattr(f, name), getattr(g, name))
+        assert np.array_equal(f.verts, g.verts)
+        close(f.normal, g.normal)
+        assert (f.right is None) == (g.right is None)
+        for s, t in zip(f.sides(), g.sides()):
+            same(s.macro, t.macro)
+            same(s.edge, t.edge)
+            assert type(s.t0) is float and type(s.t1) is float
+            close([s.t0, s.t1], [t.t0, t.t1])
+    for macro in new.macro_elements:
+        same(new.slot_keys(macro), ref.slot_keys(macro))
+
+
+def _neumann_bottom(mid):
+    return "N" if mid[1] < 1e-12 else "D"
+
+
+def _uniform_pair(n, m):
+    """Bitwise on dyadic meshes; at h = 1/3 and 1/5 the loop's norms of
+    2-vectors (np.dot, which may fuse multiply and add) and the batched ones
+    round differently."""
+    yield (build_structured_macro_mesh(2, n, m), loop_structured_mesh(n, m),
+           n in (1, 2, 8))
+
+
+def _skewed_pair():
+    raw = skewed_verts(3)
+    k = len(raw)
+    yield (_assemble_mesh(raw, [2] * k, [0] * k, 3, None),
+           loop_assemble_mesh(raw, [2] * k, [0] * k, 3, None), False)
+
+
+def _adapted_pairs(seed, tagger):
+    """Three levels of refinement of seeded random marks (the 2:1 closure
+    adds macros at the later levels), from the n0 = 4, m = 2 mesh."""
+    rng = np.random.default_rng(seed)
+    new = build_structured_macro_mesh(2, 4, 2, boundary_tagger=tagger)
+    ref = loop_structured_mesh(4, 2, boundary_tagger=tagger)
+    for _ in range(3):
+        k = len(new.macro_elements)
+        marked = rng.choice(k, size=max(1, k // 5), replace=False).tolist()
+        new, ref = refine_macros(new, marked), loop_refine(ref, marked)
+        assert any(f.hanging for f in new.skeleton)
+        yield new, ref, True
+
+
+ORACLE_MESHES = {
+    **{f"uniform-{n}-{m}": (lambda n=n, m=m: _uniform_pair(n, m))
+       for n in (1, 2, 3, 5, 8) for m in (1, 2, 4)},
+    "skewed-3-2": _skewed_pair,
+    **{f"adapted-{seed}-{name}": (lambda seed=seed, tagger=tagger: _adapted_pairs(seed, tagger))
+       for seed in (0, 1, 2)
+       for name, tagger in (("dirichlet", None), ("neumann", _neumann_bottom))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
+def test_mesh_matches_loop_reference(name):
+    """Every field of the mesh equals that of the loop builder: topology
+    exactly, floats bitwise on dyadic meshes and to 1e-15 relative on the
+    others."""
+    for new, ref, exact in ORACLE_MESHES[name]():
+        _assert_same_mesh(new, ref, exact)
+    if name.endswith("neumann"):
+        assert any(f.tag == "N" for f in new.skeleton)
+
+
+@pytest.mark.parametrize("raw", [
+    # three macros on the edge (1, 0)-(0, 1)
+    [[[0, 0], [1, 0], [0, 1]], [[1, 0], [1, 1], [0, 1]], [[1, 0], [0, 1], [0.8, 0.8]]],
+    # interior edges that match nothing
+    [[[0.2, 0.2], [0.8, 0.2], [0.2, 0.8]]],
+], ids=["three-macros-on-an-edge", "unmatched-edges"])
+def test_skeleton_errors_match_loop_reference(raw):
+    k = len(raw)
+    for build in (_assemble_mesh, loop_assemble_mesh):
+        with pytest.raises(SkeletonError):
+            build(np.array(raw, dtype=float), [1] * k, [0] * k, 1, None)
+
+
+def test_tagger_calls_match_loop_reference():
+    """The tagger sees the same midpoints, bit for bit and in the same
+    order, once per boundary face."""
+    calls = {"new": [], "ref": []}
+
+    def recorder(key):
+        return lambda mid: calls[key].append(tuple(mid.tolist())) or _neumann_bottom(mid)
+
+    new = build_structured_macro_mesh(2, 4, 2, boundary_tagger=recorder("new"))
+    ref = loop_structured_mesh(4, 2, boundary_tagger=recorder("ref"))
+    marks = [0, 5, 17]
+    new, ref = refine_macros(new, marks), loop_refine(ref, marks)
+    assert calls["new"] == calls["ref"]
+    assert len(calls["new"]) == 16 + len(new.boundary_faces())
+
+
+def _loop_congruence_key(mesh, macro):
+    """The per-macro class key: the Jacobian rounded entry by entry, m and
+    the rounded face slots."""
+    jac = tuple(round(float(v), _ROUND) for v in macro.affine_map().matrix.flat)
+    slots = []
+    for k in range(3):
+        for fid in macro.faces[k]:
+            face = mesh.skeleton[fid]
+            side = face.left if face.left.macro == macro.id else face.right
+            slots.append((k, face.m_f, round(side.t0, _ROUND), round(side.t1, _ROUND)))
+    return jac, macro.m, tuple(slots)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MESHES))
+def test_congruence_classes_match_per_macro_key(name):
+    """congruence_classes groups the macros as a dict over the per-macro key
+    does: the same classes, in order of first appearance, members by id."""
+    mesh = CLASS_MESHES[name]()
+    groups = {}
+    for macro in mesh.macro_elements:
+        groups.setdefault(_loop_congruence_key(mesh, macro), []).append(macro.id)
+    classes = mesh.congruence_classes()
+    assert [c.tolist() for c in classes] == list(groups.values())

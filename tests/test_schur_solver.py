@@ -4,10 +4,12 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from conftest import CLASS_MESHES, poly_case, solve_poly
 
 from mehdg.assembly import StabilizationConfig, assemble_macro
+from mehdg.bench import make_benchmark
 from mehdg.fem_basis import TraceBasis, build_patch_dof_map
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import (
@@ -473,6 +475,119 @@ def test_gmres_orthogonalization(name, restart):
     ref = _mgs_gmres_iterations(G, b, M, restart, tol, cfg.maxiter)
     assert abs(info["iterations"] - ref) <= 1
     assert info["iterations"] >= n  # neither case is easy
+
+
+def _numpy_givens_gmres(apply_op, rhs, config, precond=None):
+    """gmres with the Givens rotations on numpy scalars indexed in H and V,
+    H, cs, sn and g allocated per restart cycle: the arithmetic that gmres
+    must reproduce bit for bit."""
+    n = rhs.size
+    M = precond if precond is not None else (lambda v: v)
+    x = np.zeros(n)
+    history = []
+    mb = M(rhs)
+    bnorm = float(np.linalg.norm(mb))
+    if bnorm == 0.0:
+        return x, {"iterations": 0, "residual_history": [0.0], "converged": True,
+                   "reason": "converged"}
+    it = 0
+    converged = stagnated = breakdown = False
+    beta_start = np.inf
+    while it < config.maxiter and not converged:
+        r = M(rhs - apply_op(x))
+        beta = float(np.linalg.norm(r))
+        if not history:
+            history.append(beta)
+        if beta / bnorm <= config.tol:
+            converged = True
+            break
+        if beta >= beta_start:
+            stagnated = True
+            break
+        beta_start = beta
+        V = np.zeros((config.restart + 1, n))
+        H = np.zeros((config.restart + 1, config.restart))
+        cs = np.zeros(config.restart)
+        sn = np.zeros(config.restart)
+        g = np.zeros(config.restart + 1)
+        V[0] = r / beta
+        g[0] = beta
+        k_used = 0
+        breakdown = False
+        for k in range(config.restart):
+            wv = np.array(M(apply_op(V[k])), dtype=float)
+            Vk = V[:k + 1]
+            h = Vk @ wv
+            wv -= h @ Vk
+            h2 = Vk @ wv
+            wv -= h2 @ Vk
+            H[:k + 1, k] = h + h2
+            H[k + 1, k] = float(np.linalg.norm(wv))
+            if H[k + 1, k] > 1e-300:
+                V[k + 1] = wv / H[k + 1, k]
+            else:
+                breakdown = True
+            for i in range(k):
+                t = cs[i] * H[i, k] + sn[i] * H[i + 1, k]
+                H[i + 1, k] = -sn[i] * H[i, k] + cs[i] * H[i + 1, k]
+                H[i, k] = t
+            denom = float(np.hypot(H[k, k], H[k + 1, k]))
+            if denom == 0.0:
+                k_used = k + 1
+                breakdown = True
+                break
+            cs[k], sn[k] = H[k, k] / denom, H[k + 1, k] / denom
+            H[k, k] = denom
+            H[k + 1, k] = 0.0
+            g[k + 1] = -sn[k] * g[k]
+            g[k] = cs[k] * g[k]
+            it += 1
+            res = abs(g[k + 1])
+            history.append(res)
+            k_used = k + 1
+            if res / bnorm <= config.tol:
+                converged = True
+                break
+            if breakdown or it >= config.maxiter:
+                break
+        if k_used > 0:
+            y = sla.solve_triangular(H[:k_used, :k_used], g[:k_used])
+            x = x + V[:k_used].T @ y
+        if breakdown and not converged:
+            break
+    if not converged and not stagnated:
+        r = M(rhs - apply_op(x))
+        converged = float(np.linalg.norm(r)) / bnorm <= config.tol
+    return x, {"iterations": it, "residual_history": history, "converged": converged}
+
+
+def _gmres_case(name):
+    """(operator, rhs, preconditioner, config): the matrices of
+    test_gmres_orthogonalization, or the (8,1,2) mb trace system."""
+    if name == "8-1-2-mb":
+        _, sys = build_system(8, 1, 2, case=make_benchmark("tanh", 0.4, (1.0, 1.0)))
+        S = assemble_schur_explicit(sys)
+        return (lambda v: S @ v, sys.f_vec, lambda v: apply_preconditioner(sys, v),
+                SolverConfig(tol=1e-10))
+    n = 100
+    G = _grcar(n) if name == "grcar" else _random_cond(n, 1e4)
+    d = np.linspace(1.0, 4.0, n)
+    return (lambda v: G @ v, np.random.default_rng(0).standard_normal(n),
+            lambda v: v / d,
+            SolverConfig(tol=1e-12, restart=40 if name == "grcar" else 100, maxiter=2000))
+
+
+@pytest.mark.parametrize("name", ["grcar", "cond-1e4", "8-1-2-mb"])
+def test_gmres_matches_numpy_givens_reference(name):
+    """x, the iteration count and the residual history are bitwise those of
+    the rotations on numpy scalars."""
+    op, b, M, cfg = _gmres_case(name)
+    x, info = gmres(op, b, cfg, precond=M)
+    x_ref, ref = _numpy_givens_gmres(op, b, cfg, precond=M)
+    assert np.array_equal(x, x_ref)
+    assert info["iterations"] == ref["iterations"] > 50
+    assert info["residual_history"] == ref["residual_history"]
+    assert info["converged"] and ref["converged"]
 
 
 def test_gmres_zero_rhs():

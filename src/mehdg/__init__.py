@@ -2,11 +2,10 @@
 
 from .adaptivity import AdaptState, IndicatorField, adapt, error_indicator, mark
 from .assembly import (
-    FaceOperator,
+    FaceBlocks,
     LocalOperators,
     ProblemData,
     StabilizationConfig,
-    assemble_face,
     assemble_macro,
     project_dirichlet,
     stabilization_tau,

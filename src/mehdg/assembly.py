@@ -15,15 +15,17 @@ reference data.  The volume terms of A are the element blocks of the two
 red-pattern sub-cell kinds (mass, stiffness, advection and, under SUPG, the
 streamline block), added into A by one scatter-add over an index cached per
 (m, p).  The boundary terms come from each face slot's reference matrices
-W and Me, cached per (m, p, m_f, t0, t1) and scaled by the face length; each
-slot adds them to A, B and C with one indexed write each.  R_u of all the
+W and Me, cached per (m, p, t0, t1) and scaled by the face length; each slot
+adds them to A, B and C with one indexed write each.  Each face slot, in the
+order of the mesh's slot_faces, owns m p + 1 columns of B.  R_u of all the
 macros of a class is one batched quadrature with the same sub-cell tables,
 and the Dirichlet lifting is one call of g_D and one cached projection per
 slot.
 
 Face blocks D come from the jump of (a.n - tau) vhat over the (one or two)
-sides of each skeleton face; D_F = c_F |F| M_ref, so all unknown faces are
-assembled in one vectorized pass.
+sides of each skeleton face; D_F = c_F |F| M_ref, so the blocks of all
+unknown faces are one (faces, m p + 1, m p + 1) array from one vectorized
+pass.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -90,9 +92,8 @@ class LocalOperators:
     quadrature."""
 
     A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
-    B: np.ndarray
+    B: np.ndarray  # B columns / C rows: m p + 1 per face slot of the macro
     C: np.ndarray
-    face_slots: list  # [(face id, slice into B columns / C rows)]
     macro: MacroElement
     load: Callable = field(repr=False)  # load(macros) -> (len(macros), nloc) R_u rows
 
@@ -101,12 +102,12 @@ class LocalOperators:
         return self.load([self.macro])[0]
 
 
-@dataclass
-class FaceOperator:
-    face_id: int
-    D: np.ndarray
-    R_hat: np.ndarray
-    tag: str
+class FaceBlocks(NamedTuple):
+    """D and R_hat of the unknown (not Dirichlet) faces, in skeleton order."""
+
+    ids: np.ndarray  # (faces,) skeleton face ids
+    D: np.ndarray  # (faces, nd, nd), nd = m p + 1
+    R_hat: np.ndarray  # (faces, nd)
 
 
 def stabilization_tau(a: np.ndarray, normal: np.ndarray, kappa: float, ell: float) -> float:
@@ -138,30 +139,18 @@ def supg_parameter(h: float, a: np.ndarray, kappa: float,
     return h / (2.0 * anorm) * g
 
 
-def _face_breaks(m_f: int, t0: float, t1: float, m: int) -> np.ndarray:
+def _face_breaks(t0: float, t1: float, m: int) -> np.ndarray:
     """Breakpoints in the face parameter s from both the trace subdivision
-    (m_f segments) and the subdivision of the macro edge, whose parameter
-    runs from t0 to t1 along the face; points within 1e-12 of each other are
-    one breakpoint, so rounding leaves no sliver intervals."""
-    breaks = list(np.arange(m_f + 1) / m_f)
+    (m segments) and the subdivision of the macro edge, whose parameter runs
+    from t0 to t1 along the face; points within 1e-12 of each other are one
+    breakpoint, so rounding leaves no sliver intervals."""
+    breaks = list(np.arange(m + 1) / m)
     dt = t1 - t0
     for c in range(m + 1):
         s = (c / m - t0) / dt
         if 0.0 < s < 1.0 and min(abs(s - b) for b in breaks) > 1e-12:
             breaks.append(s)
     return np.array(sorted(breaks))
-
-
-def _face_slots(mesh: MacroMesh, macro: MacroElement, p: int) -> list:
-    """[(face id, slice of B columns / C rows)] over the macro's faces, edge
-    by edge and along each edge."""
-    slots, pos = [], 0
-    for k in range(3):
-        for fid in macro.faces[k]:
-            nd = mesh.skeleton[fid].m_f * p + 1
-            slots.append((fid, slice(pos, pos + nd)))
-            pos += nd
-    return slots
 
 
 def _quad_degree(p: int, stab: StabilizationConfig, quad_degree: Optional[int]) -> int:
@@ -208,11 +197,12 @@ def _face_points(verts: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v0 + s[:, None] * (verts[..., None, 1, :] - v0)
 
 
-def project_dirichlet(face: SkeletonFace, g: Callable, p: int) -> np.ndarray:
-    """L2-projection of boundary data onto the face trace space."""
+def project_dirichlet(face: SkeletonFace, g: Callable, m: int, p: int) -> np.ndarray:
+    """L2-projection of boundary data onto the face trace space of a mesh of
+    the given m."""
     npts = _boundary_npts(p)
-    s = trace_quadrature(face.m_f, p, npts)[0]
-    return trace_projection(face.m_f, p, npts) @ np.asarray(
+    s = trace_quadrature(m, p, npts)[0]
+    return trace_projection(m, p, npts) @ np.asarray(
         g(_face_points(face.verts, s)), dtype=float)
 
 
@@ -244,24 +234,25 @@ def load_vectors(
         np.add.at(R.T, rows, load.reshape(len(macros), -1).T)
 
     # Dirichlet data enters through trace elimination; congruent macros
-    # share each slot's m_f, but not which of their slots are Dirichlet
-    npts = _boundary_npts(p)
-    face_ids = [[fid for k in range(3) for fid in macro.faces[k]] for macro in macros]
+    # share their slots, but not which of them are Dirichlet
+    m, npts = mesh.m, _boundary_npts(p)
+    nd = m * p + 1
+    s = trace_quadrature(m, p, npts)[0]
+    proj = trace_projection(m, p, npts)
+    face_ids = mesh.slot_faces[[macro.id for macro in macros]]
     picks, points = [], []
-    for i, (_, slot) in enumerate(_face_slots(mesh, rep, p)):
-        faces = [mesh.skeleton[fids[i]] for fids in face_ids]
+    for i in range(B.shape[1] // nd):
+        faces = [mesh.skeleton[fid] for fid in face_ids[:, i].tolist()]
         rows = [e for e, face in enumerate(faces) if face.tag == "D"]
         if rows:
-            m_f = faces[rows[0]].m_f
-            s = trace_quadrature(m_f, p, npts)[0]
-            picks.append((rows, slot, trace_projection(m_f, p, npts)))
+            picks.append((rows, slice(i * nd, (i + 1) * nd)))
             points.append(_face_points(np.stack([faces[e].verts for e in rows]), s))
     G = np.zeros((len(macros), B.shape[1]))
     if picks:
         g = np.asarray(problem.g_D(np.concatenate([x.reshape(-1, 2) for x in points])),
                        dtype=float)
         pos = 0
-        for (rows, slot, proj), x in zip(picks, points):
+        for (rows, slot), x in zip(picks, points):
             vals = g[pos:pos + x.shape[0] * x.shape[1]].reshape(x.shape[:2])
             G[rows, slot] = vals @ proj.T
             pos += vals.size
@@ -298,18 +289,19 @@ def _element_matrix(tb: dict, a: np.ndarray, kappa: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _slot_face_matrices(m: int, p: int, m_f: int, t0: float, t1: float):
+def _slot_face_matrices(m: int, p: int, t0: float, t1: float):
     """(W, Me) of a face slot on a face of unit length, with t0 and t1
     rounded as in MacroMesh.slot_keys.  At the Gauss points of the face
     parameter s, subordinate to both subdivisions, W = Theta^T diag(w) Psi
     couples the macro-edge traces Theta to the face trace basis Psi and
-    Me = Theta^T diag(w) Theta; a face F contributes |F| times each.
-    Read-only."""
-    s, w = piecewise_quad(_face_breaks(m_f, t0, t1, m), p + 1)
-    theta = trace_basis(m, p).eval(t0 + (t1 - t0) * s)
+    Me = Theta^T diag(w) Theta; a face F contributes |F| times each.  Both
+    bases have m segments; on the coarse side of a hanging face, the face
+    covers half of the macro edge.  Read-only."""
+    s, w = piecewise_quad(_face_breaks(t0, t1, m), p + 1)
+    basis = trace_basis(m, p)
+    theta = basis.eval(t0 + (t1 - t0) * s)
     theta_w = theta.T * w
-    return (_readonly(theta_w @ trace_basis(m_f, p).eval(s)),
-            _readonly(theta_w @ theta))
+    return _readonly(theta_w @ basis.eval(s)), _readonly(theta_w @ theta)
 
 
 def assemble_macro(
@@ -340,13 +332,15 @@ def assemble_macro(
 
     # boundary terms, one or two skeleton faces per macro edge; the slot's
     # [q_x | q_y | u] rows on its macro edge are en3
-    face_slots = _face_slots(mesh, macro, p)
-    nc = face_slots[-1][1].stop
+    slot_keys = mesh.slot_keys(macro)
+    nd = m * p + 1
+    nc = nd * len(slot_keys)
     B = np.zeros((nloc, nc))
     C = np.zeros((nc, nloc))
     normals = macro.affine_map().normals
-    for (fid, slot), (k, m_f, t0, t1) in zip(face_slots, mesh.slot_keys(macro)):
-        W, Me = _slot_face_matrices(m, p, m_f, t0, t1)
+    for i, (fid, (k, t0, t1)) in enumerate(zip(mesh.slot_faces[macro.id].tolist(), slot_keys)):
+        slot = slice(i * nd, (i + 1) * nd)
+        W, Me = _slot_face_matrices(m, p, t0, t1)
         lenF = mesh.skeleton[fid].length
         W, Me = lenF * W, lenF * Me
         nrm = normals[k]
@@ -362,42 +356,23 @@ def assemble_macro(
     Amat = A if m <= 2 else sp.csr_matrix(A)
     load = partial(load_vectors, mesh, p=p, problem=problem, tables=tables, B=B,
                    quad_degree=quad_degree)
-    return LocalOperators(A=Amat, B=B, C=C, face_slots=face_slots, macro=macro,
-                          load=load)
+    return LocalOperators(A=Amat, B=B, C=C, macro=macro, load=load)
 
 
-def _neumann_rhs(face: SkeletonFace, problem: ProblemData, p: int) -> np.ndarray:
+def _neumann_rhs(face: SkeletonFace, problem: ProblemData, m: int, p: int) -> np.ndarray:
     """R_hat of a Neumann face: g_N tested with the face trace basis."""
     if problem.g_N is None:
         raise ValueError("Neumann face present but g_N not provided")
-    s, w, V = trace_quadrature(face.m_f, p, _boundary_npts(p))
+    s, w, V = trace_quadrature(m, p, _boundary_npts(p))
     g = np.asarray(problem.g_N(_face_points(face.verts, s)), dtype=float)
     return V.T @ (w * face.length * g)
 
 
-def assemble_face(
-    mesh: MacroMesh, face: SkeletonFace, p: int,
-    problem: ProblemData, stab: StabilizationConfig,
-) -> FaceOperator:
-    """Assemble the face block D and its right-hand side segment of one
-    face; the per-face form of face_operators."""
-    coef = 0.0
-    for side in face.sides():
-        macro = mesh.macro_elements[side.macro]
-        nrm = macro.affine_map().normals[side.edge]
-        tau = stabilization_tau(problem.a, nrm, problem.kappa, macro.diameter)
-        coef += float(np.dot(problem.a, nrm)) - tau
-    D = coef * face.length * trace_mass(face.m_f, p)
-    R_hat = _neumann_rhs(face, problem, p) if face.tag == "N" else np.zeros(D.shape[0])
-    return FaceOperator(face_id=face.id, D=D, R_hat=R_hat, tag=face.tag)
-
-
-def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> dict:
-    """{face id: FaceOperator} of every unknown (not Dirichlet) face, as
-    assemble_face gives it, in one vectorized pass: c_F, the sum over the
-    sides of (a.n - tau), from the stacked macro normals and diameters, and
-    D_F = c_F |F| trace_mass per m_f.  R_hat is zero except on Neumann
-    faces."""
+def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> FaceBlocks:
+    """D and R_hat of every unknown (not Dirichlet) face in one vectorized
+    pass: c_F, the sum over the sides of (a.n - tau), from the stacked macro
+    normals and diameters, and D_F = c_F |F| trace_mass.  R_hat is zero
+    except on Neumann faces."""
     faces = [f for f in mesh.skeleton if f.tag != "D"]
     macros = mesh.macro_elements
     normals = np.stack([macro.affine_map().normals for macro in macros])
@@ -411,12 +386,9 @@ def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> dict:
     verts = np.stack([f.verts for f in faces])
     scale = (np.bincount(at, an - tau, minlength=len(faces))
              * np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1))
-    m_f = np.array([f.m_f for f in faces])
-    ops = {}
-    for mf in np.unique(m_f).tolist():
-        sel = np.flatnonzero(m_f == mf)
-        for i, D in zip(sel, scale[sel, None, None] * trace_mass(mf, p)):
-            f = faces[i]
-            R_hat = _neumann_rhs(f, problem, p) if f.tag == "N" else np.zeros(D.shape[0])
-            ops[f.id] = FaceOperator(face_id=f.id, D=D, R_hat=R_hat, tag=f.tag)
-    return ops
+    D = scale[:, None, None] * trace_mass(mesh.m, p)
+    R_hat = np.zeros(D.shape[:2])
+    for i, f in enumerate(faces):
+        if f.tag == "N":
+            R_hat[i] = _neumann_rhs(f, problem, mesh.m, p)
+    return FaceBlocks(np.array([f.id for f in faces]), D, R_hat)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mesh import MacroElement, SkeletonFace, sub_cells
+from .mesh import MacroElement, MacroMesh, SkeletonFace, sub_cells
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -244,24 +244,24 @@ def reference_tables(p: int, degree: int):
 
 
 class TraceBasis:
-    """C0 piecewise degree-p Lagrange basis on [0,1] with m_f equal segments."""
+    """C0 piecewise degree-p Lagrange basis on [0,1] with m equal segments."""
 
-    def __init__(self, m_f: int, p: int):
-        if m_f < 1 or p < 1:
-            raise ValueError("m_f and p must be >= 1")
-        self.m_f = m_f
+    def __init__(self, m: int, p: int):
+        if m < 1 or p < 1:
+            raise ValueError("m and p must be >= 1")
+        self.m = m
         self.p = p
-        self.n_dofs = m_f * p + 1
-        self.nodes = _readonly(np.arange(self.n_dofs) / (m_f * p))
-        self.breakpoints = _readonly(np.arange(m_f + 1) / m_f)
+        self.n_dofs = m * p + 1
+        self.nodes = _readonly(np.arange(self.n_dofs) / (m * p))
+        self.breakpoints = _readonly(np.arange(m + 1) / m)
         self._seg = LagrangeBasis(1, p)
 
     def eval(self, s: np.ndarray) -> np.ndarray:
         """(ns, n_dofs) values of all trace basis functions at parameters s."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = np.zeros((s.size, self.n_dofs))
-        seg = np.clip(np.floor(s * self.m_f).astype(int), 0, self.m_f - 1)
-        xi = s * self.m_f - seg
+        seg = np.clip(np.floor(s * self.m).astype(int), 0, self.m - 1)
+        xi = s * self.m - seg
         vals = self._seg.eval(xi[:, None])
         for r in range(self.p + 1):
             out[np.arange(s.size), seg * self.p + r] = vals[:, r]
@@ -269,9 +269,9 @@ class TraceBasis:
 
 
 @lru_cache(maxsize=None)
-def trace_basis(m_f: int, p: int) -> TraceBasis:
-    """The shared TraceBasis of (m_f, p)."""
-    return TraceBasis(m_f, p)
+def trace_basis(m: int, p: int) -> TraceBasis:
+    """The shared TraceBasis of (m, p)."""
+    return TraceBasis(m, p)
 
 
 def piecewise_quad(breaks: np.ndarray, npts: int):
@@ -287,48 +287,47 @@ def piecewise_quad(breaks: np.ndarray, npts: int):
 
 
 @lru_cache(maxsize=None)
-def trace_quadrature(m_f: int, p: int, npts: int):
-    """(s, w, values): npts Gauss points per segment of the (m_f, p) trace
+def trace_quadrature(m: int, p: int, npts: int):
+    """(s, w, values): npts Gauss points per segment of the (m, p) trace
     space on [0, 1], their weights and the trace basis values there."""
-    psi = trace_basis(m_f, p)
+    psi = trace_basis(m, p)
     s, w = piecewise_quad(psi.breakpoints, npts)
     return _readonly(s), _readonly(w), _readonly(psi.eval(s))
 
 
 @lru_cache(maxsize=None)
-def trace_mass(m_f: int, p: int) -> np.ndarray:
+def trace_mass(m: int, p: int) -> np.ndarray:
     """Trace mass matrix on [0, 1]; a face F has mass matrix |F| times it."""
-    _, w, V = trace_quadrature(m_f, p, p + 1)
+    _, w, V = trace_quadrature(m, p, p + 1)
     return _readonly(V.T @ (w[:, None] * V))
 
 
 @lru_cache(maxsize=None)
-def trace_projection(m_f: int, p: int, npts: int) -> np.ndarray:
-    """(n_dofs, n_points) L2 projection onto the (m_f, p) trace space of
-    values at the points of trace_quadrature(m_f, p, npts):
+def trace_projection(m: int, p: int, npts: int) -> np.ndarray:
+    """(n_dofs, n_points) L2 projection onto the (m, p) trace space of
+    values at the points of trace_quadrature(m, p, npts):
     trace_mass^-1 V^T diag(w)."""
-    _, w, V = trace_quadrature(m_f, p, npts)
-    return _readonly(np.linalg.solve(trace_mass(m_f, p), V.T * w))
+    _, w, V = trace_quadrature(m, p, npts)
+    return _readonly(np.linalg.solve(trace_mass(m, p), V.T * w))
 
 
 class OrientationError(ValueError):
     pass
 
 
-def face_trace_map(face: SkeletonFace, p: int, mesh=None) -> TraceBasis:
-    """Trace dof layout on a skeleton face (m_f*p+1 dofs in 2D).
+def face_trace_map(face: SkeletonFace, p: int, mesh: MacroMesh) -> TraceBasis:
+    """Trace dof layout on a skeleton face of the mesh (m*p+1 dofs in 2D).
 
-    When the mesh is supplied, both sides' edge parametrizations are checked
-    to recover the same physical endpoints."""
-    if mesh is not None:
-        for side in face.sides():
-            macro = mesh.macro_elements[side.macro]
-            pa, pb = macro.edge_endpoints(side.edge)
-            for t, target in ((side.t0, face.verts[0]), (side.t1, face.verts[1])):
-                pt = pa + t * (pb - pa)
-                if np.linalg.norm(pt - target) > 1e-10:
-                    raise OrientationError(
-                        f"face {face.id}: side of macro {side.macro} disagrees "
-                        "on face geometry"
-                    )
-    return trace_basis(face.m_f, p)
+    Both sides' edge parametrizations are checked to recover the same
+    physical endpoints."""
+    for side in face.sides():
+        macro = mesh.macro_elements[side.macro]
+        pa, pb = macro.edge_endpoints(side.edge)
+        for t, target in ((side.t0, face.verts[0]), (side.t1, face.verts[1])):
+            pt = pa + t * (pb - pa)
+            if np.linalg.norm(pt - target) > 1e-10:
+                raise OrientationError(
+                    f"face {face.id}: side of macro {side.macro} disagrees "
+                    "on face geometry"
+                )
+    return trace_basis(mesh.m, p)

@@ -1,9 +1,10 @@
 """Structured simplicial macro-element meshes of the unit square.
 
 Each macro-element is a triangle subdivided uniformly into m^2 congruent
-sub-triangles (red pattern).  The skeleton collects macro faces; after dyadic
-refinement a coarse macro edge may be covered by two half-edge faces, each
-flagged as hanging and carrying the fine side's trace resolution.
+sub-triangles (red pattern), with one m for the whole mesh.  The skeleton
+collects macro faces; after dyadic refinement a coarse macro edge may be
+covered by two half-edge faces, each flagged as hanging.  Every face carries
+the same trace space, m segments of degree p.
 
 A mesh is built in a few array passes over its stacked (k, 3, 2) macro
 vertices: the affine maps of all macros in one pass, vertex ids from the
@@ -229,7 +230,6 @@ class SkeletonFace:
     left: FaceSide
     right: Optional[FaceSide]  # None on domain boundary
     tag: str  # 'interior', 'D' or 'N'
-    m_f: int  # sub-face count of the finer side
     normal: np.ndarray  # outward unit normal of the left macro
     hanging: bool = False
     parent_edge: Optional[tuple] = None  # (macro id, local edge) of the coarse side
@@ -237,14 +237,6 @@ class SkeletonFace:
     @property
     def length(self) -> float:
         return float(np.linalg.norm(self.verts[1] - self.verts[0]))
-
-    @property
-    def sub_faces(self) -> list[np.ndarray]:
-        pts = [
-            self.verts[0] + (k / self.m_f) * (self.verts[1] - self.verts[0])
-            for k in range(self.m_f + 1)
-        ]
-        return [np.array([pts[k], pts[k + 1]]) for k in range(self.m_f)]
 
     def sides(self) -> list[FaceSide]:
         return [self.left] if self.right is None else [self.left, self.right]
@@ -254,13 +246,16 @@ class SkeletonFace:
 class MacroMesh:
     d: int
     n: int
+    m: int  # red-pattern subdivision of every macro
     vertices: np.ndarray
     macro_elements: list
     skeleton: list
     jacobians: np.ndarray  # (macros, 2, 2) affine Jacobians, read-only
-    # (macros, slots, 4): (edge, m_f, t0, t1) of each face slot of a macro,
-    # edge by edge and along each edge; rows past its last slot are -1
+    # (macros, slots, 3): (edge, t0, t1) of each face slot of a macro, edge
+    # by edge and along each edge; rows past its last slot are -1
     slot_table: np.ndarray
+    # (macros, slots): the skeleton face of each slot, -1 past the last
+    slot_faces: np.ndarray
     boundary_tagger: Optional[Callable] = None
 
     @property
@@ -268,22 +263,20 @@ class MacroMesh:
         return np.array([e.level for e in self.macro_elements])
 
     def slot_keys(self, macro: MacroElement) -> list:
-        """(edge, m_f, t0, t1) of each of the macro's face slots, edge by
-        edge and along each edge, with t0 and t1 rounded to _ROUND digits."""
-        return [(int(k), int(m_f), round(t0, _ROUND), round(t1, _ROUND))
-                for k, m_f, t0, t1 in self.slot_table[macro.id].tolist() if k >= 0]
+        """(edge, t0, t1) of each of the macro's face slots, edge by edge and
+        along each edge, with t0 and t1 rounded to _ROUND digits."""
+        return [(int(k), round(t0, _ROUND), round(t1, _ROUND))
+                for k, t0, t1 in self.slot_table[macro.id].tolist() if k >= 0]
 
     def congruence_classes(self) -> list:
-        """Macro ids grouped by geometric class: the affine Jacobian, m and
-        the slot table row, rounded to _ROUND digits.  Macros of one class
+        """Macro ids grouped by geometric class: the affine Jacobian and the
+        slot table row, rounded to _ROUND digits.  Macros of one class
         have the same local operators A, B and C; rounding keeps ulp noise in
         the vertices from splitting a class.  Classes come in order of first
         appearance, and each class lists its macros by id."""
         k = len(self.macro_elements)
-        m = np.array([e.m for e in self.macro_elements], dtype=float)
-        key = np.concatenate(
-            (self.jacobians.reshape(k, 4), m[:, None], self.slot_table.reshape(k, -1)),
-            axis=1)
+        key = np.concatenate((self.jacobians.reshape(k, 4), self.slot_table.reshape(k, -1)),
+                             axis=1)
         key = np.round(key, _ROUND) + 0.0  # + 0.0 turns -0.0 into 0.0
         _, first, label = np.unique(key, axis=0, return_index=True, return_inverse=True)
         rank = np.empty(first.size, dtype=np.intp)
@@ -404,17 +397,17 @@ def _edge_params(points, pa, pb):
     return ((points - pa) * vec).sum(axis=-1) / (vec * vec).sum(axis=-1)
 
 
-def _assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
+def _assemble_mesh(macros_raw, m: int, levels, n, tagger) -> MacroMesh:
     verts = np.array(macros_raw, dtype=float).reshape(-1, 3, 2)
     verts.flags.writeable = False
     k = len(verts)
-    m, level = np.array(m_list, dtype=int), np.array(levels, dtype=int)
+    level = np.array(levels, dtype=int)
     maps, jacobians, normals, diameter = _simplex_geometry(verts)
     vertices, vid, lex, snapped = _dedup_vertices(verts)
     macros = [
-        MacroElement(id=i, vertex_ids=tuple(ids), verts=verts[i], m=mi, level=li,
+        MacroElement(id=i, vertex_ids=tuple(ids), verts=verts[i], m=m, level=li,
                      amap=maps[i], diameter=diameter[i])
-        for i, (ids, mi, li) in enumerate(zip(vid.tolist(), m.tolist(), level.tolist()))
+        for i, (ids, li) in enumerate(zip(vid.tolist(), level.tolist()))
     ]
     pa = verts[:, _EDGE_A].reshape(-1, 2)
     pb = verts[:, _EDGE_B].reshape(-1, 2)
@@ -430,21 +423,17 @@ def _assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
     t = _edge_params(face_verts[side_face], pa[sides, None], pb[sides, None])
     t_right = np.full((left.size, 2), -1.0)
     t_right[has_right] = t[left.size:]
-    # the finer side's m on conforming faces, the fine side's on hanging ones
-    m_f = m[vrec // 3]
-    pair = has_right & (parent < 0)
-    m_f[pair] = np.maximum(m_f[pair], m[right[pair] // 3])
     normal = normals.reshape(-1, 2)[left]
 
     skeleton = [
         SkeletonFace(
             id=fid, verts=face_verts[fid], left=FaceSide(lr // 3, lr % 3, *tl),
             right=FaceSide(rr // 3, rr % 3, *tr) if rr >= 0 else None,
-            tag=tag, m_f=mf, normal=normal[fid], hanging=pr >= 0,
+            tag=tag, normal=normal[fid], hanging=pr >= 0,
             parent_edge=(pr // 3, pr % 3) if pr >= 0 else None)
-        for fid, (lr, rr, pr, tl, tr, tag, mf) in enumerate(zip(
+        for fid, (lr, rr, pr, tl, tr, tag) in enumerate(zip(
             left.tolist(), right.tolist(), parent.tolist(), t[:left.size].tolist(),
-            t_right.tolist(), tags, m_f.tolist()))
+            t_right.tolist(), tags))
     ]
 
     # face slots: each macro's faces edge by edge, and along each edge by
@@ -456,11 +445,13 @@ def _assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
     owner = sides // 3
     n_slots = np.bincount(owner, minlength=k)
     slot = np.arange(sides.size) - (np.cumsum(n_slots) - n_slots)[owner]
-    slot_table = np.full((k, n_slots.max(), 4), -1.0)
-    slot_table[owner, slot] = np.column_stack((sides % 3, m_f[side_face], t))
-    slot_table.flags.writeable = False
-    return MacroMesh(2, n, vertices, macros, skeleton, jacobians=jacobians,
-                     slot_table=slot_table, boundary_tagger=tagger)
+    slot_table = np.full((k, n_slots.max(), 3), -1.0)
+    slot_table[owner, slot] = np.column_stack((sides % 3, t))
+    slot_faces = np.full((k, n_slots.max()), -1, dtype=np.intp)
+    slot_faces[owner, slot] = side_face
+    slot_table.flags.writeable = slot_faces.flags.writeable = False
+    return MacroMesh(2, n, m, vertices, macros, skeleton, jacobians=jacobians,
+                     slot_table=slot_table, slot_faces=slot_faces, boundary_tagger=tagger)
 
 
 def build_structured_macro_mesh(
@@ -469,8 +460,10 @@ def build_structured_macro_mesh(
     """Structured macro mesh of the unit square with 2*n^2 macro triangles."""
     if d != 2:
         raise ValueError(f"unsupported dimension {d}: meshes are 2-D only")
-    if n < 1 or m < 1:
-        raise ValueError("n and m must be >= 1")
+    for name, val in (("n", n), ("m", m)):
+        if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
+    n, m = int(n), int(m)
 
     x = np.arange(n + 1) * (1.0 / n)
     j, i = np.divmod(np.arange(n * n), n)
@@ -479,8 +472,7 @@ def build_structured_macro_mesh(
     # per square (i, j), row by row: the diagonal from (i, j) to (i+1, j+1)
     # splits it into (p00, p10, p11) and (p00, p11, p01)
     verts = np.stack((p00, p10, p11, p00, p11, p01), axis=1).reshape(-1, 3, 2)
-    k = len(verts)
-    return _assemble_mesh(verts, [m] * k, [0] * k, n, boundary_tagger)
+    return _assemble_mesh(verts, m, np.zeros(len(verts), dtype=int), n, boundary_tagger)
 
 
 # vertices of the 4 children of a macro, as indices into
@@ -523,10 +515,8 @@ def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
     v = verts[split]
     mids = 0.5 * (v[:, [0, 1, 0]] + v[:, [1, 2, 2]])
     children = np.concatenate((v, mids), axis=1)[:, _CHILDREN].reshape(-1, 3, 2)
-    m = np.array([e.m for e in mesh.macro_elements])
     return _assemble_mesh(
-        np.concatenate((verts[keep], children)),
-        np.concatenate((m[keep], np.repeat(m[split], 4))),
+        np.concatenate((verts[keep], children)), mesh.m,
         np.concatenate((level[keep], np.repeat(level[split] + 1, 4))),
         mesh.n, mesh.boundary_tagger)
 

@@ -1,7 +1,10 @@
 """Static condensation and the global trace solve.
 
 The block system [A B; C D][U; uhat] = [R_u; R_uhat] is reduced to
-(D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  Congruent macros share A, B, C,
+(D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  The trace vector uhat is the
+(unknown faces, m p + 1) array of the face blocks, raveled: face F's block
+starts at face_start[F] = rank of F among the unknown faces times m p + 1,
+and D is block-diagonal in it.  Congruent macros share A, B, C,
 the factor of A and the condensed block K = C A^-1 B, so each is built once
 per congruence class, and the local steps run on fixed-size chunks of a
 class's macros, one batched call per step.  The Schur operator is applied
@@ -27,6 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
+    FaceBlocks,
     ProblemData,
     StabilizationConfig,
     assemble_macro,
@@ -70,7 +74,10 @@ class SolverConfig:
         if self.mode not in ("mf", "mb"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("restart", "maxiter", "workers"):
-            if getattr(self, name) < 1:
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {val!r}")
+            if val < 1:
                 raise ValueError(f"{name} must be at least 1")
         if self.workers > MAX_WORKERS:
             raise ValueError(f"workers must be at most {MAX_WORKERS}")
@@ -119,9 +126,8 @@ class OperatorClass:
     to macro macro_ids[r]."""
 
     A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
-    B: np.ndarray
+    B: np.ndarray  # B columns / C rows: m p + 1 per face slot
     C: np.ndarray
-    slots: list  # per face slot: its slice of B columns / C rows
     macro_ids: np.ndarray  # (n_macros,)
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
     R_u: np.ndarray  # (n_macros, nloc)
@@ -183,20 +189,19 @@ def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
 class CondensedSystem:
     mesh: MacroMesh
     classes: list  # OperatorClass per congruence class
-    face_ops: dict  # face id -> FaceOperator, unknown faces only
-    offsets: dict  # face id -> (start, ndofs) in the global trace vector
-    zhat: int
-    f_vec: np.ndarray
+    # per skeleton face: the first trace dof of its block, -1 if Dirichlet
+    face_start: np.ndarray
+    nd: int  # trace dofs per face, m p + 1
+    zhat: int  # trace dofs, nd per unknown face
     pool: WorkerPool
     # units of local work: (class, slice of its rows), class by class
-    chunks: list = field(default_factory=list)
-    # per unknown face: (face id, start, nd)
-    face_plan: list = field(default_factory=list)
-    D: Optional[sp.csr_matrix] = None  # block diagonal, trace order
-    Dinv: Optional[sp.csr_matrix] = None
+    chunks: list
+    D: sp.csr_matrix  # block diagonal, trace order
+    Dinv: sp.csr_matrix
     # step 4: trace dof of each entry of the concatenated chunk outputs
     # C A^-1 B u_e, zhat (a pad slot) on Dirichlet faces
-    reduce_dst: Optional[np.ndarray] = None
+    reduce_dst: np.ndarray
+    f_vec: Optional[np.ndarray] = None
     counters: dict = field(default_factory=lambda: {"macro_apply": 0, "face_reduce": 0})
 
     @property
@@ -211,7 +216,7 @@ class CondensedSystem:
 def condense(
     mesh: MacroMesh,
     classes: list,
-    face_ops: dict,
+    faces: FaceBlocks,
     config: SolverConfig,
     pool: Optional[WorkerPool] = None,
 ) -> CondensedSystem:
@@ -223,76 +228,41 @@ def condense(
         _factorize_local(cls)
         cls.K = cls.C @ _solve_local(cls, cls.B)
 
-    offsets = {}
+    nf, nd = faces.R_hat.shape
+    zhat = nf * nd
     face_start = np.full(len(mesh.skeleton), -1, dtype=np.int64)
-    pos = 0
-    for face in mesh.skeleton:
-        if face.tag == "D":
-            continue
-        nd = face_ops[face.id].D.shape[0]
-        offsets[face.id] = (pos, nd)
-        face_start[face.id] = pos
-        pos += nd
-    zhat = pos
+    face_start[faces.ids] = np.arange(nf) * nd
 
-    sys = CondensedSystem(
-        mesh=mesh, classes=classes,
-        face_ops=face_ops, offsets=offsets, zhat=zhat,
-        f_vec=np.zeros(zhat), pool=pool,
-    )
-
+    chunks = []
     for cls in classes:
-        n, nc = cls.face_ids.shape[0], cls.B.shape[1]
-        cls.trace_idx = np.full((n, nc), -1, dtype=np.int64)
-        for i, slot in enumerate(cls.slots):
-            start = face_start[cls.face_ids[:, i], None]
-            cls.trace_idx[:, slot] = np.where(
-                start >= 0, start + np.arange(slot.stop - slot.start), -1)
-        sys.chunks.extend((cls, slice(i, i + CHUNK_MACROS))
-                          for i in range(0, n, CHUNK_MACROS))
+        start = face_start[cls.face_ids][:, :, None]
+        cls.trace_idx = np.where(start >= 0, start + np.arange(nd), -1).reshape(
+            len(cls.face_ids), -1)
+        chunks.extend((cls, slice(i, i + CHUNK_MACROS))
+                      for i in range(0, len(cls.face_ids), CHUNK_MACROS))
     # the chunk outputs, concatenated in chunk order, are the classes'
     # trace_idx blocks row-major; Dirichlet entries (-1) go to a pad slot
     dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
-    sys.reduce_dst = np.where(dst >= 0, dst, zhat)
-    sys.face_plan = [(fid, start, nd) for fid, (start, nd) in offsets.items()]
-    sys.D, sys.Dinv = _face_block_matrices(sys)
+
+    # one nd x nd block per unknown face, on the diagonal in trace order
+    blocks = (np.arange(nf), np.arange(nf + 1))
+    shape = (zhat, zhat)
+    sys = CondensedSystem(
+        mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
+        pool=pool, chunks=chunks,
+        D=sp.bsr_matrix((faces.D, *blocks), shape=shape).tocsr(),
+        Dinv=sp.bsr_matrix((_invert_face_blocks(faces.ids.tolist(), faces.D), *blocks),
+                           shape=shape).tocsr(),
+        reduce_dst=np.where(dst >= 0, dst, zhat),
+    )
 
     # reduced RHS
     def chunk_rhs(chunk):
         cls, rows = chunk
         return (_solve_local(cls, cls.R_u[rows].T).T @ cls.C.T).ravel()
 
-    contrib = pool.map(chunk_rhs, sys.chunks)
-    for fid, start, nd in sys.face_plan:
-        sys.f_vec[start:start + nd] = face_ops[fid].R_hat
-    sys.f_vec = _reduce_faces(sys, sys.f_vec, contrib)
+    sys.f_vec = _reduce_faces(sys, faces.R_hat.ravel(), pool.map(chunk_rhs, chunks))
     return sys
-
-
-def _face_block_matrices(sys: CondensedSystem):
-    """D and D^-1 as block-diagonal CSR matrices.  Each face block fills rows
-    start..start+nd, so its entries are one contiguous run of the data array;
-    blocks of equal size are inverted in one batched call."""
-    fids = [plan[0] for plan in sys.face_plan]
-    starts = np.array([plan[1] for plan in sys.face_plan], dtype=np.int64)
-    sizes = np.array([plan[2] for plan in sys.face_plan], dtype=np.int64)
-    row_len = np.repeat(sizes, sizes)
-    indptr = np.concatenate(([0], np.cumsum(row_len)))
-    nnz = int(indptr[-1])
-    indices = (np.repeat(np.repeat(starts, sizes), row_len)
-               + np.arange(nnz) - np.repeat(indptr[:-1], row_len))
-    data, data_inv = np.empty(nnz), np.empty(nnz)
-    first = indptr[starts]
-    for nd in np.unique(sizes):
-        sel = np.flatnonzero(sizes == nd)
-        blocks = np.stack([sys.face_ops[fids[i]].D for i in sel])
-        at = first[sel, None] + np.arange(nd * nd)
-        data[at] = blocks.reshape(sel.size, -1)
-        inv = _invert_face_blocks([fids[i] for i in sel], blocks)
-        data_inv[at] = inv.reshape(sel.size, -1)
-    shape = (sys.zhat, sys.zhat)
-    return (sp.csr_matrix((data, indices, indptr), shape=shape),
-            sp.csr_matrix((data_inv, indices, indptr), shape=shape))
 
 
 def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray:
@@ -314,7 +284,7 @@ def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     vhat = sys.pool.map(chunk_task, sys.chunks)
     sys.counters["macro_apply"] += sys.n_macros
     w = _reduce_faces(sys, sys.D @ uhat, vhat)
-    sys.counters["face_reduce"] += len(sys.face_plan)
+    sys.counters["face_reduce"] += sys.zhat // sys.nd
     return w
 
 
@@ -513,15 +483,14 @@ def assemble_system(
     from one assemble_macro call on its first macro, and R_u from one
     batched quadrature over its macros with that call's sub-cell tables.
     The face blocks of all unknown faces come from one vectorized pass."""
+    nd = mesh.m * p + 1
     classes = []
     for ids in mesh.congruence_classes():
         members = [mesh.macro_elements[i] for i in ids]
         op = assemble_macro(mesh, members[0], p, problem, stab)
         classes.append(OperatorClass(
-            A=op.A, B=op.B, C=op.C, slots=[slot for _, slot in op.face_slots],
-            macro_ids=ids,
-            face_ids=np.array([[fid for k in range(3) for fid in macro.faces[k]]
-                               for macro in members]),
+            A=op.A, B=op.B, C=op.C, macro_ids=ids,
+            face_ids=mesh.slot_faces[ids, :op.B.shape[1] // nd],
             R_u=op.load(members),
         ))
     return classes, face_operators(mesh, p, problem)
@@ -537,10 +506,10 @@ def solve(
     """Assemble, condense, run GMRES on the trace system and reconstruct."""
     pool = WorkerPool(config.workers)
     t0 = time.perf_counter()
-    classes, face_ops = assemble_system(mesh, problem, stab, p)
+    classes, faces = assemble_system(mesh, problem, stab, p)
     t_assemble = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sys = condense(mesh, classes, face_ops, config, pool=pool)
+    sys = condense(mesh, classes, faces, config, pool=pool)
     t_init = time.perf_counter() - t0
 
     precond = None
@@ -569,7 +538,7 @@ def solve(
     t_rec = time.perf_counter() - t0
 
     report = SolveReport(
-        p=p, m=mesh.macro_elements[0].m, n=mesh.n,
+        p=p, m=mesh.m, n=mesh.n,
         dof_local=sys.dof_local, dof_global=sys.zhat,
         iterations=info["iterations"], converged=info["converged"],
         tol=config.tol, mode=config.mode, precond=config.preconditioner,

@@ -40,7 +40,7 @@ def skewed_verts(n):
 
 def skewed_mesh(n, m):
     raw = skewed_verts(n)
-    return _assemble_mesh(raw, [m] * len(raw), [0] * len(raw), n, None)
+    return _assemble_mesh(raw, m, [0] * len(raw), n, None)
 
 
 # Meshes on which per-class operators are checked against per-macro ones
@@ -53,13 +53,14 @@ CLASS_MESHES = {
 }
 
 
-def face_mass_oracle(face, p, npts=20):
-    """Trace mass matrix of a skeleton face by dense Gauss quadrature."""
+def face_mass_oracle(face, m, p, npts=20):
+    """Trace mass matrix of a skeleton face of a mesh of the given m by dense
+    Gauss quadrature."""
     from mehdg.fem_basis import TraceBasis
 
-    psi = TraceBasis(face.m_f, p)
+    psi = TraceBasis(m, p)
     x, w = np.polynomial.legendre.leggauss(npts)
-    pieces = np.arange(face.m_f + 1) / face.m_f
+    pieces = np.arange(m + 1) / m
     M = np.zeros((psi.n_dofs, psi.n_dofs))
     for lo, hi in zip(pieces[:-1], pieces[1:]):
         s = lo + (hi - lo) * 0.5 * (x + 1.0)

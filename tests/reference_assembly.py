@@ -1,18 +1,20 @@
-"""Loop form of the local assembly, the reference for assembly.assemble_macro.
+"""Loop form of the local and face assembly, the reference for
+assembly.assemble_macro and assembly.face_operators.
 
 Per sub-cell and per face slot, every block is added into A, B and C with its
-own np.ix_ scatter; the face matrices are formed from the trace bases at each
-call, from the face's own (unrounded) edge parameters; the load is a
-quadrature over the one macro, and the Dirichlet data is projected face by
-face with a solve on the trace mass.  It shares no cache with the batched
-assembly except the reference tables, the dof map and the trace bases.
+own np.ix_ scatter; the face slots are read from macro.faces; the face
+matrices are formed from the trace bases at each call, from the face's own
+(unrounded) edge parameters; the load is a quadrature over the one macro, and
+the Dirichlet data is projected face by face with a solve on the trace mass.
+The face block D and R_hat of one face come from its sides one by one.  It
+shares no cache with the batched assembly except the reference tables, the
+dof map and the trace bases.
 """
 
 import numpy as np
 
 from mehdg.assembly import (
     _face_breaks,
-    _face_slots,
     _quad_degree,
     _sub_cell_tables,
     stabilization_tau,
@@ -35,11 +37,47 @@ def _side_of(face, macro_id):
     raise KeyError(macro_id)
 
 
-def _project_dirichlet(face, g, p):
-    s, w, V = trace_quadrature(face.m_f, p, max(p + 2, 6))
+def loop_face_slots(mesh, macro, p):
+    """[(face id, slice of B columns / C rows)] over the macro's faces, edge
+    by edge and along each edge, m p + 1 columns each."""
+    slots, pos = [], 0
+    nd = mesh.m * p + 1
+    for k in range(3):
+        for fid in macro.faces[k]:
+            slots.append((fid, slice(pos, pos + nd)))
+            pos += nd
+    return slots
+
+
+def _boundary_values(face, g, m, p):
+    """(s, w, V, g at the face points) at the boundary-data quadrature."""
+    s, w, V = trace_quadrature(m, p, max(p + 2, 6))
     x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
-    r = V.T @ (w * np.asarray(g(x), dtype=float))
-    return np.linalg.solve(trace_mass(face.m_f, p), r)
+    return s, w, V, np.asarray(g(x), dtype=float)
+
+
+def _project_dirichlet(face, g, m, p):
+    _, w, V, gx = _boundary_values(face, g, m, p)
+    return np.linalg.solve(trace_mass(m, p), V.T @ (w * gx))
+
+
+def reference_assemble_face(mesh, face, p, problem):
+    """(D, R_hat) of one unknown face: D from the sum over its sides of
+    (a.n - tau) times the face mass, R_hat the g_N load on a Neumann face."""
+    coef = 0.0
+    for side in face.sides():
+        macro = mesh.macro_elements[side.macro]
+        nrm = macro.affine_map().normals[side.edge]
+        tau = stabilization_tau(problem.a, nrm, problem.kappa, macro.diameter)
+        coef += float(np.dot(problem.a, nrm)) - tau
+    D = coef * face.length * trace_mass(mesh.m, p)
+    R_hat = np.zeros(D.shape[0])
+    if face.tag == "N":
+        if problem.g_N is None:
+            raise ValueError("Neumann face present but g_N not provided")
+        _, w, V, gx = _boundary_values(face, problem.g_N, mesh.m, p)
+        R_hat = V.T @ (w * face.length * gx)
+    return D, R_hat
 
 
 def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
@@ -70,7 +108,7 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
             A[np.ix_(ix_u, ix_u)] += tb["S"]
 
     theta = trace_basis(m, p)
-    face_slots = _face_slots(mesh, macro, p)
+    face_slots = loop_face_slots(mesh, macro, p)
     nc = face_slots[-1][1].stop
     B = np.zeros((nloc, nc))
     C = np.zeros((nc, nloc))
@@ -81,10 +119,9 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
         nrm = amap.normals[k]
         tau = stabilization_tau(a, nrm, kappa, macro.diameter)
         an = float(np.dot(a, nrm))
-        psi = trace_basis(face.m_f, p)
-        s, w = piecewise_quad(_face_breaks(face.m_f, side.t0, side.t1, m), p + 1)
+        s, w = piecewise_quad(_face_breaks(side.t0, side.t1, m), p + 1)
         TH = theta.eval(side.t0 + (side.t1 - side.t0) * s)
-        PS = psi.eval(s)
+        PS = theta.eval(s)
         wl = w * face.length
         W = TH.T @ (wl[:, None] * PS)
         Me = TH.T @ (wl[:, None] * TH)
@@ -110,5 +147,5 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
     for fid, slot in face_slots:
         face = mesh.skeleton[fid]
         if face.tag == "D":
-            G[slot] = _project_dirichlet(face, problem.g_D, p)
+            G[slot] = _project_dirichlet(face, problem.g_D, m, p)
     return A, B, C, R - B @ G

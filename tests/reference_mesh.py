@@ -88,10 +88,9 @@ def _build_skeleton(macros, tagger) -> list:
             r0, r1 = sorted(rids, key=lambda r: records[r][0])
             _, _, pa, pb = records[r0]
             v0, v1 = canonical(pa, pb)
-            mf = max(macros[records[r0][0]].m, macros[records[r1][0]].m)
             raw_faces.append(
                 dict(verts=(v0, v1), left=side_for(r0, v0, v1),
-                     right=side_for(r1, v0, v1), tag="interior", m_f=mf,
+                     right=side_for(r1, v0, v1), tag="interior",
                      hanging=False, parent=None)
             )
             used[r0] = used[r1] = True
@@ -110,7 +109,7 @@ def _build_skeleton(macros, tagger) -> list:
                 raise SkeletonError(f"invalid boundary tag {tag!r}")
             raw_faces.append(
                 dict(verts=(v0, v1), left=side_for(rid, v0, v1), right=None,
-                     tag=tag, m_f=macros[eid].m, hanging=False, parent=None)
+                     tag=tag, hanging=False, parent=None)
             )
             used[rid] = True
 
@@ -140,8 +139,7 @@ def _build_skeleton(macros, tagger) -> list:
         v0, v1 = canonical(pa, pb)
         raw_faces.append(
             dict(verts=(v0, v1), left=side_for(match, v0, v1),
-                 right=side_for(rid, v0, v1), tag="interior",
-                 m_f=macros[eid].m, hanging=True,
+                 right=side_for(rid, v0, v1), tag="interior", hanging=True,
                  parent=(records[match][0], records[match][1]))
         )
         used[rid] = True
@@ -162,7 +160,7 @@ def _build_skeleton(macros, tagger) -> list:
         normal = macros[left.macro].affine_map().normals[left.edge].copy()
         face = SkeletonFace(
             id=fid, verts=np.array([v0, v1]), left=left, right=rf["right"],
-            tag=rf["tag"], m_f=rf["m_f"], normal=normal,
+            tag=rf["tag"], normal=normal,
             hanging=rf["hanging"], parent_edge=rf["parent"],
         )
         skeleton.append(face)
@@ -198,34 +196,41 @@ def _dedup_vertices(macros_raw):
     return np.array(coords), triples
 
 
-def _slot_table(macros, skeleton) -> np.ndarray:
-    rows = []
+def _slot_tables(macros, skeleton):
+    """(slot_table, slot_faces): per macro, (edge, t0, t1) and the face id of
+    each of its faces, edge by edge, padded with -1."""
+    rows, fids = [], []
     for e in macros:
         row = []
         for k in range(3):
             for fid in e.faces[k]:
                 face = skeleton[fid]
                 side = face.left if face.left.macro == e.id else face.right
-                row.append((k, face.m_f, side.t0, side.t1))
+                row.append((k, side.t0, side.t1))
         rows.append(row)
-    table = np.full((len(macros), max(len(r) for r in rows), 4), -1.0)
-    for e, row in enumerate(rows):
+        fids.append([fid for k in range(3) for fid in e.faces[k]])
+    width = max(len(r) for r in rows)
+    table = np.full((len(macros), width, 3), -1.0)
+    faces = np.full((len(macros), width), -1, dtype=np.intp)
+    for e, (row, ids) in enumerate(zip(rows, fids)):
         table[e, :len(row)] = row
-    return table
+        faces[e, :len(ids)] = ids
+    return table, faces
 
 
-def loop_assemble_mesh(macros_raw, m_list, levels, n, tagger) -> MacroMesh:
+def loop_assemble_mesh(macros_raw, m, levels, n, tagger) -> MacroMesh:
     vertices, triples = _dedup_vertices(macros_raw)
     macros = []
     for i, raw in enumerate(macros_raw):
         verts = np.array(raw, dtype=float)
         macros.append(MacroElement(
-            id=i, vertex_ids=triples[i], verts=verts, m=m_list[i], level=levels[i],
+            id=i, vertex_ids=triples[i], verts=verts, m=m, level=levels[i],
             amap=loop_affine_map(verts), diameter=loop_diameter(verts)))
     skeleton = _build_skeleton(macros, tagger)
     jacobians = np.array([e.affine_map().matrix for e in macros])
-    return MacroMesh(2, n, vertices, macros, skeleton, jacobians=jacobians,
-                     slot_table=_slot_table(macros, skeleton), boundary_tagger=tagger)
+    slot_table, slot_faces = _slot_tables(macros, skeleton)
+    return MacroMesh(2, n, m, vertices, macros, skeleton, jacobians=jacobians,
+                     slot_table=slot_table, slot_faces=slot_faces, boundary_tagger=tagger)
 
 
 def loop_structured_mesh(n: int, m: int, boundary_tagger=None) -> MacroMesh:
@@ -239,8 +244,7 @@ def loop_structured_mesh(n: int, m: int, boundary_tagger=None) -> MacroMesh:
             p01 = np.array([i * h, (j + 1) * h])
             macros_raw.append(np.array([p00, p10, p11]))
             macros_raw.append(np.array([p00, p11, p01]))
-    k = len(macros_raw)
-    return loop_assemble_mesh(macros_raw, [m] * k, [0] * k, n, boundary_tagger)
+    return loop_assemble_mesh(macros_raw, m, [0] * len(macros_raw), n, boundary_tagger)
 
 
 def loop_refine(mesh: MacroMesh, marked) -> MacroMesh:
@@ -265,11 +269,10 @@ def loop_refine(mesh: MacroMesh, marked) -> MacroMesh:
                 marked.add(a)
                 changed = True
 
-    macros_raw, m_list, lev_list = [], [], []
+    macros_raw, lev_list = [], []
     for e in mesh.macro_elements:
         if e.id not in marked:
             macros_raw.append(e.verts)
-            m_list.append(e.m)
             lev_list.append(e.level)
     for e in mesh.macro_elements:
         if e.id in marked:
@@ -282,6 +285,5 @@ def loop_refine(mesh: MacroMesh, marked) -> MacroMesh:
                 np.array([m01, m12, m02]),
             ):
                 macros_raw.append(child)
-                m_list.append(e.m)
                 lev_list.append(e.level + 1)
-    return loop_assemble_mesh(macros_raw, m_list, lev_list, mesh.n, mesh.boundary_tagger)
+    return loop_assemble_mesh(macros_raw, mesh.m, lev_list, mesh.n, mesh.boundary_tagger)

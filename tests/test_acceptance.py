@@ -77,9 +77,9 @@ def test_criterion_02_matrix_free_equals_matrix_based():
     for n, m, p in ((2, 1, 1), (2, 2, 2), (3, 2, 3)):
         mesh = build_structured_macro_mesh(2, n, m)
         pool = WorkerPool(1)
-        local_ops, face_ops = assemble_system(
+        local_ops, faces = assemble_system(
             mesh, case.problem(), NO_STAB, p)
-        sys = condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
+        sys = condense(mesh, local_ops, faces, SolverConfig(), pool=pool)
         S = assemble_schur_explicit(sys)
         for _ in range(20):
             x = rng.standard_normal(sys.zhat)
@@ -146,10 +146,10 @@ def test_criterion_05_trace_dof_reduction():
         n = 16 // m
         mesh = build_structured_macro_mesh(2, n, m)
         pool = WorkerPool(1)
-        local_ops, face_ops = assemble_system(
+        local_ops, faces = assemble_system(
             mesh, case.problem(), NO_STAB, p)
-        sys = condense(mesh, local_ops, face_ops, SolverConfig(), pool=pool)
-        expect = sum(face.m_f * p + 1 for face in mesh.skeleton
+        sys = condense(mesh, local_ops, faces, SolverConfig(), pool=pool)
+        expect = sum(m * p + 1 for face in mesh.skeleton
                      if face.tag != "D")
         ok &= sys.zhat == expect
         dofg[m] = sys.zhat

@@ -114,7 +114,7 @@ def test_constrained_trace_exactness(p):
         return (x[:, 0] + 0.7 * x[:, 1]) ** p + x[:, 1]
 
     for face in hanging:
-        psi = TraceBasis(face.m_f, p)
+        psi = TraceBasis(mesh.m, p)
         pts = face.verts[0][None, :] + psi.nodes[:, None] * (
             face.verts[1] - face.verts[0])[None, :]
         coeffs = u(pts)  # fine-side trace expansion

@@ -8,7 +8,6 @@ from conftest import CLASS_MESHES, face_mass_oracle, poly_case
 from mehdg.assembly import (
     ProblemData,
     StabilizationConfig,
-    assemble_face,
     assemble_macro,
     face_operators,
     project_dirichlet,
@@ -24,7 +23,7 @@ from mehdg.fem_basis import (
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 
 import reference_hdg
-from reference_assembly import reference_assemble_macro
+from reference_assembly import loop_face_slots, reference_assemble_face, reference_assemble_macro
 
 
 def make_problem(a=(1.0, 2.0), kappa=1.0, f=None, g=None, g_N=None):
@@ -109,9 +108,8 @@ def test_conforming_face_breaks(m):
 
     mesh = build_structured_macro_mesh(2, 1, m)
     face = mesh.interior_faces()[0]
-    assert face.m_f == m
     for side in face.sides():
-        breaks = _face_breaks(face.m_f, side.t0, side.t1, m)
+        breaks = _face_breaks(side.t0, side.t1, m)
         assert breaks.size == m + 1
         assert np.diff(breaks).min() >= 1.0 / m - 1e-12
 
@@ -136,8 +134,9 @@ def test_assemble_macro_matches_loop_reference(name):
 
 @pytest.mark.parametrize("n,m,p,refine", [(2, 2, 2, {0, 3}), (3, 1, 3, ()), (2, 3, 1, {5})])
 def test_face_operators_match_assemble_face(n, m, p, refine):
-    """The vectorized pass gives every unknown face the D and R_hat of the
-    per-face assemble_face, on meshes with Neumann and hanging faces."""
+    """The vectorized pass gives every unknown face, in skeleton order, the D
+    and R_hat of the per-face reference_assemble_face, on meshes with
+    Neumann and hanging faces."""
     def tagger(mid):
         return "N" if mid[1] < 1e-12 or mid[0] > 1 - 1e-12 else "D"
 
@@ -147,14 +146,15 @@ def test_face_operators_match_assemble_face(n, m, p, refine):
     assert bool(refine) == any(f.hanging for f in mesh.skeleton)
     problem = make_problem(a=(1.0, -0.7), kappa=0.3,
                            g_N=lambda x: np.sin(3 * x[:, 0]) + x[:, 1] ** 2)
-    ops = face_operators(mesh, p, problem)
-    assert sorted(ops) == [f.id for f in mesh.skeleton if f.tag != "D"]
-    for fid, op in ops.items():
-        want = assemble_face(mesh, mesh.skeleton[fid], p, problem, NO_STAB)
-        assert op.tag == want.tag and op.face_id == fid
-        assert np.abs(op.D - want.D).max() <= 1e-14 * np.abs(want.D).max()
-        assert np.abs(op.R_hat - want.R_hat).max() <= 1e-14 * max(
-            np.abs(want.R_hat).max(), 1e-300)
+    faces = face_operators(mesh, p, problem)
+    assert faces.ids.tolist() == [f.id for f in mesh.skeleton if f.tag != "D"]
+    nd = m * p + 1
+    assert faces.D.shape == (len(faces.ids), nd, nd)
+    assert faces.R_hat.shape == (len(faces.ids), nd)
+    for fid, D, R_hat in zip(faces.ids.tolist(), faces.D, faces.R_hat):
+        want_D, want_R = reference_assemble_face(mesh, mesh.skeleton[fid], p, problem)
+        assert np.abs(D - want_D).max() <= 1e-14 * np.abs(want_D).max()
+        assert np.abs(R_hat - want_R).max() <= 1e-14 * max(np.abs(want_R).max(), 1e-300)
     with pytest.raises(ValueError):
         face_operators(mesh, p, make_problem())  # Neumann faces but no g_N
 
@@ -168,12 +168,14 @@ def test_interior_face_d_block():
         if abs(f.verts[0][0] - f.verts[1][0]) < 1e-12
     ]
     assert vertical
+    faces = face_operators(mesh, 2, problem)
+    row = {fid: i for i, fid in enumerate(faces.ids.tolist())}
     for face in vertical:
-        op = assemble_face(mesh, face, 2, problem, NO_STAB)
+        D = faces.D[row[face.id]]
         ell = mesh.macro_elements[face.left.macro].diameter
         tau = 0.3 / ell  # a.n = 0
-        M = face_mass_oracle(face, 2)
-        assert np.abs(op.D + 2 * tau * M).max() < 1e-12 * max(1.0, np.abs(M).max())
+        M = face_mass_oracle(face, mesh.m, 2)
+        assert np.abs(D + 2 * tau * M).max() < 1e-12 * max(1.0, np.abs(M).max())
 
 
 def test_boundary_neumann_face():
@@ -184,14 +186,15 @@ def test_boundary_neumann_face():
     problem = make_problem(a=(1.0, 2.0), kappa=0.5,
                            g_N=lambda x: np.zeros(np.atleast_2d(x).shape[0]))
     nface = [f for f in mesh.boundary_faces() if f.tag == "N"][0]
-    op = assemble_face(mesh, nface, 2, problem, NO_STAB)
-    assert np.abs(op.R_hat).max() == 0.0
+    faces = face_operators(mesh, 2, problem)
+    i = faces.ids.tolist().index(nface.id)
+    assert np.abs(faces.R_hat[i]).max() == 0.0
     macro = mesh.macro_elements[nface.left.macro]
     nrm = macro.affine_map().normals[nface.left.edge]
     tau = stabilization_tau(problem.a, nrm, 0.5, macro.diameter)
     an = float(np.dot(problem.a, nrm))
-    M = face_mass_oracle(nface, 2)
-    assert np.abs(op.D - (an - tau) * M).max() < 1e-12 * max(1.0, np.abs(M).max())
+    M = face_mass_oracle(nface, mesh.m, 2)
+    assert np.abs(faces.D[i] - (an - tau) * M).max() < 1e-12 * max(1.0, np.abs(M).max())
 
 
 def test_neumann_rhs_nonzero():
@@ -201,9 +204,10 @@ def test_neumann_rhs_nonzero():
     mesh = build_structured_macro_mesh(2, 1, 1, boundary_tagger=tagger)
     problem = make_problem(g_N=lambda x: np.ones(np.atleast_2d(x).shape[0]))
     nface = [f for f in mesh.boundary_faces() if f.tag == "N"][0]
-    op = assemble_face(mesh, nface, 1, problem, NO_STAB)
+    faces = face_operators(mesh, 1, problem)
+    R_hat = faces.R_hat[faces.ids.tolist().index(nface.id)]
     # integral of each hat function times 1 over the face: sums to its length
-    assert op.R_hat.sum() == pytest.approx(nface.length, rel=1e-12)
+    assert R_hat.sum() == pytest.approx(nface.length, rel=1e-12)
 
 
 def test_missing_neumann_data():
@@ -211,9 +215,9 @@ def test_missing_neumann_data():
         return "N" if mid[1] < 1e-12 else "D"
 
     mesh = build_structured_macro_mesh(2, 1, 1, boundary_tagger=tagger)
-    nface = [f for f in mesh.boundary_faces() if f.tag == "N"][0]
+    assert any(f.tag == "N" for f in mesh.boundary_faces())
     with pytest.raises(ValueError):
-        assemble_face(mesh, nface, 1, make_problem(), NO_STAB)
+        face_operators(mesh, 1, make_problem())
 
 
 def test_stabilization_tau_examples():
@@ -258,14 +262,14 @@ def test_project_dirichlet_constant_and_linear():
     ones = lambda x: np.ones(np.atleast_2d(x).shape[0])
     xfun = lambda x: np.atleast_2d(x)[:, 0]
     for face in mesh.boundary_faces():
-        coeffs = project_dirichlet(face, ones, 2)
+        coeffs = project_dirichlet(face, ones, mesh.m, 2)
         assert np.abs(coeffs - 1.0).max() < 1e-12
     xaxis = [f for f in mesh.boundary_faces()
              if abs(f.verts[0][1]) < 1e-12 and abs(f.verts[1][1]) < 1e-12]
     assert xaxis
     for face in xaxis:
-        coeffs = project_dirichlet(face, xfun, 2)
-        psi = TraceBasis(face.m_f, 2)
+        coeffs = project_dirichlet(face, xfun, mesh.m, 2)
+        psi = TraceBasis(mesh.m, 2)
         nodes_x = face.verts[0][0] + psi.nodes * (face.verts[1][0] - face.verts[0][0])
         assert np.abs(coeffs - nodes_x).max() < 1e-12
 
@@ -276,9 +280,9 @@ def test_project_dirichlet_tanh_vs_least_squares():
     g = lambda x: 0.5 * (1 + np.tanh((np.atleast_2d(x)[:, 1]
                                       - 2 * np.atleast_2d(x)[:, 0] + 0.4) / 0.4))
     face = mesh.boundary_faces()[0]
-    coeffs = project_dirichlet(face, g, 2)
+    coeffs = project_dirichlet(face, g, mesh.m, 2)
     # independent dense least-squares fit at 200 sample points
-    psi = TraceBasis(face.m_f, 2)
+    psi = TraceBasis(mesh.m, 2)
     s = (np.arange(200) + 0.5) / 200
     V = psi.eval(s)
     x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
@@ -292,7 +296,7 @@ def test_project_dirichlet_tanh_vs_least_squares():
 def test_projection_idempotent():
     mesh = build_structured_macro_mesh(2, 1, 2)
     face = mesh.boundary_faces()[0]
-    psi = TraceBasis(face.m_f, 2)
+    psi = TraceBasis(mesh.m, 2)
     rng = np.random.default_rng(2)
     coeffs = rng.standard_normal(psi.n_dofs)
 
@@ -302,7 +306,7 @@ def test_projection_idempotent():
         s = (x - face.verts[0]) @ d / (d @ d)
         return psi.eval(s) @ coeffs
 
-    proj = project_dirichlet(face, g, 2)
+    proj = project_dirichlet(face, g, mesh.m, 2)
     assert np.abs(proj - coeffs).max() < 1e-11
 
 
@@ -352,7 +356,7 @@ def test_m1_blocks_match_reference():
     B_ref = K[0:nloc, fo:fo + p + 1]
     C_ref = K[fo:fo + p + 1, 0:nloc]
     interior = [f for f in mesh.skeleton if f.tag == "interior"][0]
-    slot = dict(op.face_slots)[interior.id]
+    slot = dict(loop_face_slots(mesh, mesh.macro_elements[0], p))[interior.id]
     assert np.abs(B_ref - op.B[perm][:, slot]).max() < 1e-12
     assert np.abs(C_ref - op.C[slot, :][:, perm]).max() < 1e-12
 
@@ -476,15 +480,13 @@ def test_block_residual_patch_test(degree, p, supg):
     case = poly_case(degree, kappa=0.9, a=(1.0, 2.0))
     mesh = build_structured_macro_mesh(2, 2, 2)
     stab = StabilizationConfig(supg=supg)
-    theta_cache = {}
+    psi = TraceBasis(mesh.m, p)
 
     def trace_values(face):
-        psi = theta_cache.setdefault(face.m_f, TraceBasis(face.m_f, p))
         pts = face.verts[0][None, :] + psi.nodes[:, None] * (
             face.verts[1] - face.verts[0])[None, :]
         return case.u_exact(pts)
 
-    face_ops = {}
     trace_rows = {}
     for macro in mesh.macro_elements:
         op = assemble_macro(mesh, macro, p, case.problem(), stab)
@@ -494,7 +496,7 @@ def test_block_residual_patch_test(degree, p, supg):
         qstar = -case.grad_u(nodes)
         U = np.concatenate([qstar[:, 0], qstar[:, 1], ustar])
         res = np.asarray(op.A) @ U - op.R_u
-        for fid, slot in op.face_slots:
+        for fid, slot in loop_face_slots(mesh, macro, p):
             face = mesh.skeleton[fid]
             if face.tag != "D":
                 res += op.B[:, slot] @ trace_values(face)
@@ -505,6 +507,6 @@ def test_block_residual_patch_test(degree, p, supg):
     for face in mesh.skeleton:
         if face.tag == "D":
             continue
-        fop = assemble_face(mesh, face, p, case.problem(), stab)
-        res = trace_rows[face.id] + fop.D @ trace_values(face) - fop.R_hat
+        D, R_hat = reference_assemble_face(mesh, face, p, case.problem())
+        res = trace_rows[face.id] + D @ trace_values(face) - R_hat
         assert np.abs(res).max() < 1e-10

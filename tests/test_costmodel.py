@@ -135,9 +135,9 @@ def test_global_dofs_match_counting_formula():
     for n, m in ((4, 1), (2, 2)):
         mesh = build_structured_macro_mesh(2, n, m)
         pool = WorkerPool(1)
-        classes, face_ops = assemble_system(
+        classes, faces = assemble_system(
             mesh, case.problem(), StabilizationConfig(), p)
-        sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+        sys = condense(mesh, classes, faces, SolverConfig(), pool=pool)
         rep = dependent_quantities(CostInputs(d=2, n=n, m=m, p=p))
         # all-Dirichlet boundary: unknown faces are exactly the interior ones
         assert sys.zhat == rep.D_faces * (m * p + 1)

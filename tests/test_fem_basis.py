@@ -151,16 +151,16 @@ def test_cached_reference_arrays_read_only():
     assert trace_mass(3, 2) is trace_mass(3, 2)
     assert trace_projection(3, 2, 6) is trace_projection(3, 2, 6)
     # the assembly's caches: the volume scatter index per (m, p) and the
-    # reference face matrices per (m, p, m_f, t0, t1)
+    # reference face matrices per (m, p, t0, t1)
     from mehdg.assembly import _slot_face_matrices, _volume_scatter
 
     assert _volume_scatter(2, 2) is _volume_scatter(2, 2)
-    assert _slot_face_matrices(1, 2, 2, 0.0, 0.5) is _slot_face_matrices(1, 2, 2, 0.0, 0.5)
+    assert _slot_face_matrices(2, 2, 0.0, 0.5) is _slot_face_matrices(2, 2, 0.0, 0.5)
     for arr in (rule.points, rule.points_ref, rule.weights, val, grad, hess,
                 quadrature_rule(1, 3).weights, psi.nodes, psi.breakpoints,
                 dofmap.cell_maps[0], dofmap.edge_nodes, dofmap.node_lattice,
                 *trace_quadrature(3, 2, 4), trace_mass(3, 2), trace_projection(3, 2, 6),
-                *_volume_scatter(2, 2), *_slot_face_matrices(1, 2, 2, 0.0, 0.5)):
+                *_volume_scatter(2, 2), *_slot_face_matrices(2, 2, 0.0, 0.5)):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] += 1
     assert np.array_equal(reference_tables(2, 5)[1], before)
@@ -211,7 +211,7 @@ def test_face_trace_map():
     mesh = build_structured_macro_mesh(2, 2, 2)
     face = mesh.interior_faces()[0]
     basis = face_trace_map(face, 2, mesh=mesh)
-    assert basis.n_dofs == face.m_f * 2 + 1
+    assert basis.n_dofs == mesh.m * 2 + 1
 
     # corrupt one side's parametrization: orientation check must fire
     face.left.t0 += 0.25

@@ -80,6 +80,16 @@ def test_bad_arguments():
         build_structured_macro_mesh(3, 2, 1)  # meshes are 2-D only
 
 
+def test_build_rejects_non_integer_n_and_m():
+    for n, m in ((2, 1.5), (2.5, 1), (2, 2.0), (True, 1), (2, np.bool_(True)),
+                 (np.float64(2.0), 1)):
+        with pytest.raises(ValueError):
+            build_structured_macro_mesh(2, n, m)
+    mesh = build_structured_macro_mesh(2, np.int64(2), np.int32(3))
+    assert (mesh.n, mesh.m) == (2, 3) and type(mesh.m) is int
+    assert all(type(e.m) is int and e.m == 3 for e in mesh.macro_elements)
+
+
 def test_reference_to_physical():
     ref = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     amap = reference_to_physical(ref)
@@ -165,19 +175,20 @@ def test_volume_conservation(n, m):
 def test_skeleton_duality():
     """Sub-face endpoints recovered from either side are identical point sets."""
     mesh = build_structured_macro_mesh(2, 2, 2)
+    m = mesh.m
     for face in mesh.interior_faces():
         sets = []
         for side in face.sides():
             macro = mesh.macro_elements[side.macro]
             pa, pb = macro.edge_endpoints(side.edge)
             pts = set()
-            for k in range(face.m_f + 1):
-                t = side.t0 + (side.t1 - side.t0) * k / face.m_f
+            for k in range(m + 1):
+                t = side.t0 + (side.t1 - side.t0) * k / m
                 pts.add(tuple(np.round(pa + t * (pb - pa), 12)))
             sets.append(pts)
         assert sets[0] == sets[1]
-        direct = {tuple(np.round(sf[0], 12)) for sf in face.sub_faces}
-        direct |= {tuple(np.round(sf[1], 12)) for sf in face.sub_faces}
+        direct = {tuple(np.round(face.verts[0] + k / m * (face.verts[1] - face.verts[0]), 12))
+                  for k in range(m + 1)}
         assert direct == sets[0]
 
 
@@ -325,9 +336,11 @@ def _assert_same_mesh(new, ref, exact):
         assert a == b and type(a) is type(b)
 
     assert (new.d, new.n) == (ref.d, ref.n) and new.boundary_tagger is ref.boundary_tagger
+    same(new.m, ref.m)
     assert np.array_equal(new.vertices, ref.vertices)
     close(new.jacobians, ref.jacobians)
     close(new.slot_table, ref.slot_table)
+    assert np.array_equal(new.slot_faces, ref.slot_faces)
     assert len(new.macro_elements) == len(ref.macro_elements)
     for a, b in zip(new.macro_elements, ref.macro_elements):
         for name in ("id", "m", "level", "vertex_ids", "faces"):
@@ -345,7 +358,7 @@ def _assert_same_mesh(new, ref, exact):
         assert np.array_equal(new.jacobians[a.id], ma.matrix)
     assert len(new.skeleton) == len(ref.skeleton)
     for f, g in zip(new.skeleton, ref.skeleton):
-        for name in ("id", "tag", "m_f", "hanging", "parent_edge"):
+        for name in ("id", "tag", "hanging", "parent_edge"):
             same(getattr(f, name), getattr(g, name))
         assert np.array_equal(f.verts, g.verts)
         close(f.normal, g.normal)
@@ -374,8 +387,8 @@ def _uniform_pair(n, m):
 def _skewed_pair():
     raw = skewed_verts(3)
     k = len(raw)
-    yield (_assemble_mesh(raw, [2] * k, [0] * k, 3, None),
-           loop_assemble_mesh(raw, [2] * k, [0] * k, 3, None), False)
+    yield (_assemble_mesh(raw, 2, [0] * k, 3, None),
+           loop_assemble_mesh(raw, 2, [0] * k, 3, None), False)
 
 
 def _adapted_pairs(seed, tagger):
@@ -423,7 +436,7 @@ def test_skeleton_errors_match_loop_reference(raw):
     k = len(raw)
     for build in (_assemble_mesh, loop_assemble_mesh):
         with pytest.raises(SkeletonError):
-            build(np.array(raw, dtype=float), [1] * k, [0] * k, 1, None)
+            build(np.array(raw, dtype=float), 1, [0] * k, 1, None)
 
 
 def test_tagger_calls_match_loop_reference():
@@ -443,16 +456,16 @@ def test_tagger_calls_match_loop_reference():
 
 
 def _loop_congruence_key(mesh, macro):
-    """The per-macro class key: the Jacobian rounded entry by entry, m and
-    the rounded face slots."""
+    """The per-macro class key: the Jacobian rounded entry by entry and the
+    rounded face slots."""
     jac = tuple(round(float(v), _ROUND) for v in macro.affine_map().matrix.flat)
     slots = []
     for k in range(3):
         for fid in macro.faces[k]:
             face = mesh.skeleton[fid]
             side = face.left if face.left.macro == macro.id else face.right
-            slots.append((k, face.m_f, round(side.t0, _ROUND), round(side.t1, _ROUND)))
-    return jac, macro.m, tuple(slots)
+            slots.append((k, round(side.t0, _ROUND), round(side.t1, _ROUND)))
+    return jac, tuple(slots)
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))

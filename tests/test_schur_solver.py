@@ -7,6 +7,7 @@ import pytest
 import scipy.linalg as sla
 
 from conftest import CLASS_MESHES, poly_case, solve_poly
+from reference_assembly import loop_face_slots
 
 from mehdg.assembly import StabilizationConfig, assemble_macro
 from mehdg.bench import make_benchmark
@@ -36,9 +37,24 @@ def build_system(n, m, p, case=None, workers=1, tol=1e-6):
     mesh = build_structured_macro_mesh(2, n, m)
     config = SolverConfig(tol=tol, workers=workers)
     pool = WorkerPool(workers)
-    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, p)
-    sys = condense(mesh, classes, face_ops, config, pool=pool)
+    classes, faces = assemble_system(mesh, case.problem(), NO_STAB, p)
+    sys = condense(mesh, classes, faces, config, pool=pool)
     return mesh, sys
+
+
+def unknown_faces(sys):
+    """(face id, first trace dof) of each unknown face, in trace order."""
+    fids = np.flatnonzero(sys.face_start >= 0)
+    return list(zip(fids.tolist(), sys.face_start[fids].tolist()))
+
+
+def dense_D(sys):
+    """The block-diagonal D as a dense array, from its nd x nd face blocks."""
+    D = np.zeros((sys.zhat, sys.zhat))
+    for _, start in unknown_faces(sys):
+        block = slice(start, start + sys.nd)
+        D[block, block] = sys.D[block, block].toarray()
+    return D
 
 
 def per_macro_oracle(mesh, sys, p, case=None):
@@ -49,11 +65,11 @@ def per_macro_oracle(mesh, sys, p, case=None):
         op = assemble_macro(mesh, macro, p, problem, NO_STAB)
         mask = np.zeros(op.B.shape[1], dtype=bool)
         idx = []
-        for fid, slot in op.face_slots:
-            if fid in sys.offsets:
-                start, nd = sys.offsets[fid]
+        for fid, slot in loop_face_slots(mesh, macro, p):
+            start = int(sys.face_start[fid])
+            if start >= 0:
                 mask[slot] = True
-                idx.extend(range(start, start + nd))
+                idx.extend(range(start, start + sys.nd))
         yield op, mask, np.array(idx, dtype=np.int64)
 
 
@@ -67,10 +83,10 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(mode="magic")
     for name in ("restart", "maxiter", "workers"):
-        with pytest.raises(ValueError):
-            SolverConfig(**{name: 0})
-        with pytest.raises(ValueError):
-            SolverConfig(**{name: -1})
+        for bad in (0, -1, 2.5, 3.0, True, np.bool_(True), "4", None):
+            with pytest.raises(ValueError):
+                SolverConfig(**{name: bad})
+        assert getattr(SolverConfig(**{name: np.int64(3)}), name) == 3
     assert SolverConfig(workers=MAX_WORKERS).workers == MAX_WORKERS
     for workers in (MAX_WORKERS + 1, 10**9):
         with pytest.raises(ValueError):
@@ -98,7 +114,8 @@ def test_class_operators_match_per_macro_assembly(name):
                 for got, want in ((A, Ae), (cls.B, op.B), (cls.C, op.C),
                                   (cls.R_u[r], op.R_u)):
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-                assert cls.face_ids[r].tolist() == [fid for fid, _ in op.face_slots]
+                want = [fid for fid, _ in loop_face_slots(mesh, mesh.macro_elements[e], p)]
+                assert cls.face_ids[r].tolist() == want
     if name.startswith("uniform"):
         assert len(classes) == 2  # one class per diagonal direction
     if name == "adapted-2-level":
@@ -142,16 +159,16 @@ def test_fused_apply_matches_dense_oracle(name):
     mesh = CLASS_MESHES[name]()
     p = 2
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
-    sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
+    sys = condense(mesh, classes, faces, SolverConfig(), pool=pool)
     if name == "uniform-2-4":
         assert all(hasattr(cls.A, "toarray") for cls in classes)  # sparse storage
     if name == "adapted-2-level":
         assert any(f.hanging for f in mesh.skeleton)
     owner = {e: cls for cls in classes for e in cls.macro_ids.tolist()}
     S = np.zeros((sys.zhat, sys.zhat))
-    for fid, start, nd in sys.face_plan:
-        S[start:start + nd, start:start + nd] = sys.face_ops[fid].D
+    for fid, start in unknown_faces(sys):
+        S[start:start + sys.nd, start:start + sys.nd] = faces.D[faces.ids == fid][0]
     for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, p)):
         A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
         K = op.C @ np.linalg.solve(A, op.B)
@@ -181,10 +198,55 @@ def test_condense_single_cell_dof_count():
     assert sys.zhat == 2  # one interior face, p + 1 trace dofs
 
 
+@pytest.mark.parametrize("m,p", [(2, 2), (3, 1)])
+def test_trace_numbering_matches_offsets_loop(m, p):
+    """face_start, trace_idx and the R_hat part of f equal a face-by-face
+    numbering loop, on a mesh with Dirichlet, Neumann and hanging faces."""
+    def tagger(mid):
+        return "N" if mid[1] < 1e-12 or mid[0] > 1 - 1e-12 else "D"
+
+    case = poly_case(2)
+    problem = case.problem()
+    problem.g_N = lambda x: np.cos(2 * x[:, 0]) - x[:, 1]
+    mesh = refine_macros(build_structured_macro_mesh(2, 3, m, boundary_tagger=tagger),
+                         [1, 4, 9])
+    assert {f.tag for f in mesh.skeleton} == {"interior", "D", "N"}
+    assert any(f.hanging for f in mesh.skeleton)
+    classes, faces = assemble_system(mesh, problem, NO_STAB, p)
+    sys = condense(mesh, classes, faces, SolverConfig(), pool=WorkerPool(1))
+
+    # the numbering loop: unknown faces in skeleton order, m p + 1 dofs each
+    offsets, pos = {}, 0
+    for face in mesh.skeleton:
+        if face.tag == "D":
+            continue
+        offsets[face.id] = pos
+        pos += m * p + 1
+    assert sys.zhat == pos and sys.nd == m * p + 1
+    assert sys.face_start.tolist() == [offsets.get(f.id, -1) for f in mesh.skeleton]
+    for cls in classes:
+        for r, e in enumerate(cls.macro_ids.tolist()):
+            want = np.full(cls.B.shape[1], -1, dtype=np.int64)
+            for fid, slot in loop_face_slots(mesh, mesh.macro_elements[e], p):
+                if fid in offsets:
+                    want[slot] = np.arange(offsets[fid], offsets[fid] + sys.nd)
+            assert np.array_equal(cls.trace_idx[r], want)
+
+    # f = R_hat - C A^-1 R_u: with zero local loads only R_hat is left
+    for cls in classes:
+        cls.R_u = np.zeros_like(cls.R_u)
+    sys = condense(mesh, classes, faces, SolverConfig(), pool=WorkerPool(1))
+    want = np.zeros(sys.zhat)
+    for fid, R_hat in zip(faces.ids.tolist(), faces.R_hat):
+        want[offsets[fid]:offsets[fid] + sys.nd] = R_hat
+    assert np.abs(want).max() > 0
+    assert np.array_equal(sys.f_vec, want)
+
+
 def test_global_dof_counting_oracle():
     for n, m, p in ((2, 2, 2), (4, 1, 3), (2, 4, 2)):
         mesh, sys = build_system(n, m, p)
-        expect = sum(f.m_f * p + 1 for f in mesh.skeleton if f.tag != "D")
+        expect = sum(m * p + 1 for f in mesh.skeleton if f.tag != "D")
         assert sys.zhat == expect
 
 
@@ -196,15 +258,12 @@ def test_manufactured_linear_trace():
     import scipy.sparse.linalg as spla
 
     uhat = spla.spsolve(S.tocsc(), sys.f_vec)
-    psi = {}
-    for face in mesh.skeleton:
-        if face.id not in sys.offsets:
-            continue
-        start, nd = sys.offsets[face.id]
-        basis = psi.setdefault(face.m_f, TraceBasis(face.m_f, 2))
+    basis = TraceBasis(mesh.m, 2)
+    for fid, start in unknown_faces(sys):
+        face = mesh.skeleton[fid]
         pts = face.verts[0][None, :] + basis.nodes[:, None] * (
             face.verts[1] - face.verts[0])[None, :]
-        assert np.abs(uhat[start:start + nd] - case.u_exact(pts)).max() < 1e-10
+        assert np.abs(uhat[start:start + sys.nd] - case.u_exact(pts)).max() < 1e-10
 
 
 def test_apply_schur_zero_and_linearity():
@@ -252,16 +311,14 @@ def test_call_counts_exact_with_workers():
     for _ in range(20):
         apply_schur(sys, x)
     assert sys.counters["macro_apply"] == 20 * len(mesh.macro_elements)
-    assert sys.counters["face_reduce"] == 20 * len(sys.face_plan)
+    assert sys.counters["face_reduce"] == 20 * len(unknown_faces(sys))
 
 
 def test_preconditioner_round_trip():
     _, sys = build_system(2, 2, 2)
     rng = np.random.default_rng(1)
     x = rng.standard_normal(sys.zhat)
-    w = np.empty_like(x)
-    for fid, start, nd in sys.face_plan:
-        w[start:start + nd] = sys.face_ops[fid].D @ x[start:start + nd]
+    w = dense_D(sys) @ x
     back = apply_preconditioner(sys, w)
     assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
 
@@ -269,10 +326,9 @@ def test_preconditioner_round_trip():
 def test_preconditioner_identity_blocks():
     mesh = build_structured_macro_mesh(2, 2, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
-    for op in face_ops.values():
-        op.D = np.eye(op.D.shape[0])
-    sys = condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
+    faces.D[:] = np.eye(faces.D.shape[1])
+    sys = condense(mesh, classes, faces, SolverConfig(), pool=pool)
     x = np.arange(1.0, sys.zhat + 1.0)
     assert np.array_equal(apply_preconditioner(sys, x), x)
 
@@ -282,10 +338,8 @@ def test_preconditioned_operator_structure():
     from each macro's own assembly."""
     mesh, sys = build_system(1, 1, 1)
     S = assemble_schur_explicit(sys).toarray()
-    D = np.zeros((sys.zhat, sys.zhat))
+    D = dense_D(sys)
     CAB = np.zeros((sys.zhat, sys.zhat))
-    for fid, start, nd in sys.face_plan:
-        D[start:start + nd, start:start + nd] = sys.face_ops[fid].D
     for op, mask, gi in per_macro_oracle(mesh, sys, 1):
         CAB[np.ix_(gi, gi)] += op.C[mask] @ np.linalg.solve(op.A, op.B[:, mask])
     rng = np.random.default_rng(4)
@@ -297,51 +351,32 @@ def test_preconditioned_operator_structure():
 
 
 def test_face_factorization_kinds():
-    """Every face block D_F = c_F M_F is negative definite, and the stored
+    """Every face block D_F = c_F M_F is negative definite and lands on the
+    diagonal of the stored D at its face's trace dofs; the stored
     block-diagonal D^-1 inverts the stored D."""
-    _, sys = build_system(2, 2, 2)
-    for fid, start, nd in sys.face_plan:
-        D = sys.face_ops[fid].D
+    mesh = build_structured_macro_mesh(2, 2, 2)
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
+    sys = condense(mesh, classes, faces, SolverConfig(), pool=WorkerPool(1))
+    assert np.array_equal(sys.D.toarray(), sla.block_diag(*faces.D))
+    for fid, D in zip(faces.ids.tolist(), faces.D):
         assert np.linalg.eigvalsh(D).max() < 0
-        assert np.array_equal(sys.D[start:start + nd, start:start + nd].toarray(), D)
+        block = slice(sys.face_start[fid], sys.face_start[fid] + sys.nd)
+        assert np.array_equal(sys.D[block, block].toarray(), D)
     assert np.abs((sys.Dinv @ sys.D).toarray() - np.eye(sys.zhat)).max() < 1e-12
-
-
-def test_face_block_matrices_mixed_sizes():
-    """Blocks of different sizes land on the diagonal in trace order and
-    each is inverted."""
-    from types import SimpleNamespace
-
-    import scipy.linalg as sla
-
-    from mehdg.schur_solver import _face_block_matrices
-
-    rng = np.random.default_rng(3)
-    face_ops, plan, start = {}, [], 0
-    for fid, nd in enumerate([3, 2, 3, 1, 2]):
-        G = rng.standard_normal((nd, nd))
-        face_ops[fid] = SimpleNamespace(D=-(G @ G.T + nd * np.eye(nd)))
-        plan.append((fid, start, nd))
-        start += nd
-    fake = SimpleNamespace(face_plan=plan, face_ops=face_ops, zhat=start)
-    D, Dinv = _face_block_matrices(fake)
-    dense = sla.block_diag(*(op.D for op in face_ops.values()))
-    assert np.array_equal(D.toarray(), dense)
-    assert np.abs(Dinv.toarray() - np.linalg.inv(dense)).max() < 1e-12
 
 
 @pytest.mark.parametrize("bad", ["tiny-pivot", "nan"])
 def test_near_singular_face_block(bad):
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
-    op = face_ops[next(iter(face_ops))]
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     if bad == "nan":
-        op.D = np.full_like(op.D, np.nan)
+        faces.D[0] = np.nan
     else:
-        op.D = np.diag([1.0] + [1e-15] * (op.D.shape[0] - 1))
-    with pytest.raises(SingularFaceBlock):
-        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+        faces.D[0] = np.diag([1.0] + [1e-15] * (faces.D.shape[1] - 1))
+    with pytest.raises(SingularFaceBlock) as err:
+        condense(mesh, classes, faces, SolverConfig(), pool=pool)
+    assert err.value.args == (int(faces.ids[0]),)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -350,11 +385,11 @@ def test_singular_local_block():
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1)
+    classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 1)
     cls = classes[-1]
     cls.A = np.zeros_like(cls.A)
     with pytest.raises(SingularLocalBlock) as err:
-        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+        condense(mesh, classes, faces, SolverConfig(), pool=pool)
     assert err.value.args == (int(cls.macro_ids[0]),)
 
 
@@ -363,10 +398,10 @@ def test_singular_sparse_local_block():
     named error, not SuperLU's RuntimeError."""
     mesh = build_structured_macro_mesh(2, 1, 4)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     classes[0].A = classes[0].A * 0.0
     with pytest.raises(SingularLocalBlock):
-        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+        condense(mesh, classes, faces, SolverConfig(), pool=pool)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
@@ -374,11 +409,10 @@ def test_singular_face_block():
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
     pool = WorkerPool(1)
-    classes, face_ops = assemble_system(mesh, case.problem(), NO_STAB, 1)
-    fid = next(iter(face_ops))
-    face_ops[fid].D = np.zeros_like(face_ops[fid].D)
+    classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 1)
+    faces.D[0] = 0.0
     with pytest.raises(SingularFaceBlock):
-        condense(mesh, classes, face_ops, SolverConfig(), pool=pool)
+        condense(mesh, classes, faces, SolverConfig(), pool=pool)
 
 
 def test_gmres_identity():
@@ -613,9 +647,7 @@ def test_explicit_schur_vs_dense_elimination():
         K[off[e]:off[e + 1], off[e]:off[e + 1]] = np.asarray(op.A)
         K[off[e]:off[e + 1], zoff + gi] = op.B[:, mask]
         K[zoff + gi, off[e]:off[e + 1]] = op.C[mask]
-    for fid, start, nd in sys.face_plan:
-        K[zoff + start:zoff + start + nd, zoff + start:zoff + start + nd] += (
-            sys.face_ops[fid].D)
+    K[zoff:, zoff:] += dense_D(sys)
     Auu = K[:zoff, :zoff]
     S_oracle = K[zoff:, zoff:] - K[zoff:, :zoff] @ np.linalg.solve(Auu, K[:zoff, zoff:])
     assert np.abs(S - S_oracle).max() < 1e-11 * np.abs(S_oracle).max()
@@ -625,11 +657,11 @@ def test_explicit_schur_adjacency():
     mesh, sys = build_system(3, 1, 1)
     S = assemble_schur_explicit(sys).toarray()
     # face id -> set of adjacent macros
-    adj = {f.id: {s.macro for s in f.sides()} for f in mesh.skeleton
-           if f.id in sys.offsets}
+    adj = {fid: {s.macro for s in mesh.skeleton[fid].sides()}
+           for fid, _ in unknown_faces(sys)}
     owner = np.empty(sys.zhat, dtype=int)
-    for fid, (start, nd) in sys.offsets.items():
-        owner[start:start + nd] = fid
+    for fid, start in unknown_faces(sys):
+        owner[start:start + sys.nd] = fid
     nz = np.argwhere(np.abs(S) > 1e-14)
     for i, j in nz:
         assert adj[owner[i]] & adj[owner[j]], "coupling between unrelated faces"

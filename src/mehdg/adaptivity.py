@@ -7,8 +7,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fem_basis import build_patch_dof_map, reference_tables
-from .mesh import MacroMesh, refine_macros, sub_cell_quadrature
+from .fem_basis import _patch_dof_map, reference_tables
+from .mesh import MacroMesh, refine_macros, sub_cell_jacobians
 from .schur_solver import SolverConfig, solve
 
 
@@ -25,14 +25,13 @@ def error_indicator(mesh: MacroMesh, p: int, solution) -> IndicatorField:
     """eta_K = h_K * ||grad u_h||_{L2(K)} per macro K, one gradient einsum
     per sub-cell kind over all macros."""
     rule, _, gref, _ = reference_tables(p, max(2 * p - 2, 1))
-    cell_maps = build_patch_dof_map(mesh.macro_elements[0], p).cell_maps
-    acc = np.zeros(len(mesh.macro_elements))
-    for q in sub_cell_quadrature(mesh.macro_elements, rule.points_ref).values():
+    cell_maps = _patch_dof_map(mesh.m, p).cell_maps
+    acc = np.zeros(len(mesh.verts))
+    for q in sub_cell_jacobians(mesh.jacobians, mesh.m).values():
         grad = np.einsum("ncb,qbj,njk->ncqk", solution.u[:, cell_maps[q.cells]],
                          gref, q.jinv, optimize=True)
         acc += np.einsum("ncqk,q->n", grad**2, rule.weights) * q.det
-    diam = np.array([macro.diameter for macro in mesh.macro_elements])
-    return IndicatorField(eta=diam * np.sqrt(acc))
+    return IndicatorField(eta=mesh.diameter * np.sqrt(acc))
 
 
 def mark(indicator: IndicatorField, theta: float) -> set:
@@ -90,7 +89,7 @@ def adapt(
         state.history.append(
             {
                 "level": lvl,
-                "n_macros": len(mesh.macro_elements),
+                "n_macros": len(mesh.verts),
                 "dof_local": solution.report.dof_local,
                 "dof_global": solution.report.dof_global,
                 "l2_error": err,

@@ -25,7 +25,8 @@ slot.
 Face blocks D come from the jump of (a.n - tau) vhat over the (one or two)
 sides of each skeleton face; D_F = c_F |F| M_ref, so the blocks of all
 unknown faces are one (faces, m p + 1, m p + 1) array from one vectorized
-pass.
+pass, and R_hat of the Neumann faces comes from one call of g_N over all
+their points.  Everything here reads the mesh's arrays only.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ import scipy.sparse as sp
 from .fem_basis import (
     _patch_dof_map,
     _readonly,
-    build_patch_dof_map,
     piecewise_quad,
     reference_tables,
     trace_basis,
@@ -49,8 +49,15 @@ from .fem_basis import (
     trace_projection,
     trace_quadrature,
 )
-from .mesh import (MacroElement, MacroMesh, SkeletonFace, sub_cell_jacobians,
-                   sub_cell_quadrature, sub_cells)
+from .mesh import MacroMesh, SkeletonFace, sub_cell_jacobians, sub_cell_quadrature, sub_cells
+
+
+def _velocity(a) -> np.ndarray:
+    """The advection velocity as a float array of shape (2,)."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (2,) or not np.isfinite(a).all():
+        raise ValueError("advection velocity a must be two finite numbers")
+    return a
 
 
 @dataclass
@@ -66,9 +73,7 @@ class ProblemData:
     g_N: Optional[Callable] = None
 
     def __post_init__(self):
-        self.a = np.asarray(self.a, dtype=float)
-        if self.a.shape != (2,) or not np.isfinite(self.a).all():
-            raise ValueError("advection velocity a must be two finite numbers")
+        self.a = _velocity(self.a)
         if not (np.isfinite(self.kappa) and self.kappa > 0):
             raise ValueError("kappa must be positive and finite")
 
@@ -94,8 +99,8 @@ class LocalOperators:
     A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
     B: np.ndarray  # B columns / C rows: m p + 1 per face slot of the macro
     C: np.ndarray
-    macro: MacroElement
-    load: Callable = field(repr=False)  # load(macros) -> (len(macros), nloc) R_u rows
+    macro: int  # macro id
+    load: Callable = field(repr=False)  # load(ids) -> (len(ids), nloc) R_u rows
 
     @cached_property
     def R_u(self) -> np.ndarray:
@@ -159,15 +164,16 @@ def _quad_degree(p: int, stab: StabilizationConfig, quad_degree: Optional[int]) 
     return 2 * p + 2 if stab.supg else 2 * p + 1
 
 
-def _sub_cell_tables(macro: MacroElement, p: int, problem: ProblemData,
+def _sub_cell_tables(jacobian: np.ndarray, m: int, p: int, problem: ProblemData,
                      stab: StabilizationConfig, quad_degree: int) -> dict:
-    """Per red-pattern sub-cell class ("up", "down"): quadrature weights, the
-    mass and stiffness blocks, the SUPG block, and the test functions of the
-    load (the basis, plus the streamline term under SUPG)."""
+    """Per red-pattern sub-cell class ("up", "down") of the macro with the
+    affine Jacobian (2, 2): quadrature weights, the mass and stiffness
+    blocks, the SUPG block, and the test functions of the load (the basis,
+    plus the streamline term under SUPG)."""
     rule, val, gref, href = reference_tables(p, quad_degree)
     a, kappa = problem.a, problem.kappa
     tables = {}
-    for kind, q in sub_cell_jacobians([macro]).items():
+    for kind, q in sub_cell_jacobians(jacobian[None], m).items():
         Jc, Jinv, detc = q.jac[0], q.jinv[0], q.det[0]
         gph = gref @ Jinv  # (nq, nb, 2) physical gradients
         wd = rule.weights * detc
@@ -208,55 +214,48 @@ def project_dirichlet(face: SkeletonFace, g: Callable, m: int, p: int) -> np.nda
 
 def load_vectors(
     mesh: MacroMesh,
-    macros: list,
+    ids: np.ndarray,
     p: int,
     problem: ProblemData,
     tables: dict,
     B: np.ndarray,
     quad_degree: int,
 ) -> np.ndarray:
-    """R_u of each of the congruent `macros`, stacked (len(macros), nloc),
+    """R_u of each of the congruent macros `ids`, stacked (len(ids), nloc),
     from their shared sub-cell `tables` and B: one batched quadrature (one
     call of f per sub-cell kind over all their cells, with the SUPG term),
     then Dirichlet lifting, with one call of g_D over the Dirichlet face
     points of all the macros and one projection per face slot."""
-    rep = macros[0]
+    m = mesh.m
     rule = reference_tables(p, quad_degree)[0]
-    dofmap = build_patch_dof_map(rep, p)
+    dofmap = _patch_dof_map(m, p)
     Q = dofmap.n_dofs
-    R = np.zeros((len(macros), 3 * Q))
-    for kind, q in sub_cell_quadrature(macros, rule.points_ref).items():
+    R = np.zeros((len(ids), 3 * Q))
+    quad = sub_cell_quadrature(mesh.jacobians[ids], mesh.verts[ids, 0], m, rule.points_ref)
+    for kind, q in quad.items():
         tb = tables[kind]
         fvals = np.asarray(problem.f(q.points.reshape(-1, 2)), dtype=float)
         load = np.einsum("ncq,qb->ncb", fvals.reshape(q.points.shape[:3]) * tb["wd"],
                          tb["test"])
         rows = 2 * Q + dofmap.cell_maps[q.cells].ravel()
-        np.add.at(R.T, rows, load.reshape(len(macros), -1).T)
+        np.add.at(R.T, rows, load.reshape(len(ids), -1).T)
 
     # Dirichlet data enters through trace elimination; congruent macros
-    # share their slots, but not which of them are Dirichlet
-    m, npts = mesh.m, _boundary_npts(p)
-    nd = m * p + 1
-    s = trace_quadrature(m, p, npts)[0]
-    proj = trace_projection(m, p, npts)
-    face_ids = mesh.slot_faces[[macro.id for macro in macros]]
-    picks, points = [], []
-    for i in range(B.shape[1] // nd):
-        faces = [mesh.skeleton[fid] for fid in face_ids[:, i].tolist()]
-        rows = [e for e, face in enumerate(faces) if face.tag == "D"]
-        if rows:
-            picks.append((rows, slice(i * nd, (i + 1) * nd)))
-            points.append(_face_points(np.stack([faces[e].verts for e in rows]), s))
-    G = np.zeros((len(macros), B.shape[1]))
-    if picks:
-        g = np.asarray(problem.g_D(np.concatenate([x.reshape(-1, 2) for x in points])),
-                       dtype=float)
-        pos = 0
-        for (rows, slot), x in zip(picks, points):
-            vals = g[pos:pos + x.shape[0] * x.shape[1]].reshape(x.shape[:2])
-            G[rows, slot] = vals @ proj.T
-            pos += vals.size
-    return R - G @ B.T
+    # share their slots, but not which of them are Dirichlet.  The g_D
+    # points go slot by slot, macro by macro within a slot.
+    npts, nd = _boundary_npts(p), m * p + 1
+    face_ids = mesh.slot_faces[ids, :B.shape[1] // nd]
+    slot, row = np.nonzero((mesh.face_tag[face_ids] == "D").T)
+    G = np.zeros(face_ids.shape + (nd,))
+    if row.size:
+        x = _face_points(mesh.face_verts[face_ids[row, slot]], trace_quadrature(m, p, npts)[0])
+        g = np.asarray(problem.g_D(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
+        # projected slot by slot: numpy sends a one-row product through a
+        # matrix-vector kernel that rounds differently, so one product over
+        # all slots would move R_u in the last bits
+        for i in np.unique(slot).tolist():
+            G[row[slot == i], i] = g[slot == i] @ trace_projection(m, p, npts).T
+    return R - G.reshape(len(ids), -1) @ B.T
 
 
 @lru_cache(maxsize=None)
@@ -306,22 +305,22 @@ def _slot_face_matrices(m: int, p: int, t0: float, t1: float):
 
 def assemble_macro(
     mesh: MacroMesh,
-    macro: MacroElement,
+    macro: int,
     p: int,
     problem: ProblemData,
     stab: StabilizationConfig,
     quad_degree: Optional[int] = None,
 ) -> LocalOperators:
-    """A, B and C of one macro-element from cached reference data, and its
-    load function (R_u is computed on first use)."""
-    m = macro.m
-    dofmap = build_patch_dof_map(macro, p)
+    """A, B and C of the macro-element with id `macro` from cached reference
+    data, and its load function (R_u is computed on first use)."""
+    m = mesh.m
+    dofmap = _patch_dof_map(m, p)
     Q = dofmap.n_dofs
     nloc = 3 * Q
     a, kappa = problem.a, problem.kappa
     quad_degree = _quad_degree(p, stab, quad_degree)
     # the red pattern has two congruence classes of sub-cells
-    tables = _sub_cell_tables(macro, p, problem, stab, quad_degree)
+    tables = _sub_cell_tables(mesh.jacobians[macro], m, p, problem, stab, quad_degree)
 
     # volume terms: the element block of each cell's kind, one scatter-add
     kind, index = _volume_scatter(m, p)
@@ -337,14 +336,15 @@ def assemble_macro(
     nc = nd * len(slot_keys)
     B = np.zeros((nloc, nc))
     C = np.zeros((nc, nloc))
-    normals = macro.affine_map().normals
-    for i, (fid, (k, t0, t1)) in enumerate(zip(mesh.slot_faces[macro.id].tolist(), slot_keys)):
+    diameter = float(mesh.diameter[macro])
+    for i, (fid, (k, t0, t1)) in enumerate(zip(mesh.slot_faces[macro].tolist(), slot_keys)):
         slot = slice(i * nd, (i + 1) * nd)
         W, Me = _slot_face_matrices(m, p, t0, t1)
-        lenF = mesh.skeleton[fid].length
+        v0, v1 = mesh.face_verts[fid]
+        lenF = float(np.linalg.norm(v1 - v0))
         W, Me = lenF * W, lenF * Me
-        nrm = normals[k]
-        tau = stabilization_tau(a, nrm, kappa, macro.diameter)
+        nrm = mesh.normals[macro, k]
+        tau = stabilization_tau(a, nrm, kappa, diameter)
         an = float(np.dot(a, nrm))
         en = dofmap.edge_nodes[k]
         en3 = np.concatenate((en, Q + en, 2 * Q + en))
@@ -359,36 +359,34 @@ def assemble_macro(
     return LocalOperators(A=Amat, B=B, C=C, macro=macro, load=load)
 
 
-def _neumann_rhs(face: SkeletonFace, problem: ProblemData, m: int, p: int) -> np.ndarray:
-    """R_hat of a Neumann face: g_N tested with the face trace basis."""
-    if problem.g_N is None:
-        raise ValueError("Neumann face present but g_N not provided")
-    s, w, V = trace_quadrature(m, p, _boundary_npts(p))
-    g = np.asarray(problem.g_N(_face_points(face.verts, s)), dtype=float)
-    return V.T @ (w * face.length * g)
-
-
 def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> FaceBlocks:
     """D and R_hat of every unknown (not Dirichlet) face in one vectorized
     pass: c_F, the sum over the sides of (a.n - tau), from the stacked macro
     normals and diameters, and D_F = c_F |F| trace_mass.  R_hat is zero
-    except on Neumann faces."""
-    faces = [f for f in mesh.skeleton if f.tag != "D"]
-    macros = mesh.macro_elements
-    normals = np.stack([macro.affine_map().normals for macro in macros])
-    diameter = np.array([macro.diameter for macro in macros])
-    at, side_macro, side_edge = np.array(
-        [(i, side.macro, side.edge) for i, f in enumerate(faces) for side in f.sides()]).T
-    an = normals[side_macro, side_edge] @ problem.a
-    tau = np.abs(an) + problem.kappa / diameter[side_macro]
+    except on Neumann faces, where it is g_N, from one call over the points
+    of all of them, tested with the face trace basis."""
+    ids = np.flatnonzero(mesh.face_tag != "D")
+    # edge records of the sides, face by face: left, then right if any
+    sides = np.stack((mesh.face_left[ids], mesh.face_right[ids]), axis=1).ravel()
+    at = np.repeat(np.arange(ids.size), 2)[sides >= 0]
+    sides = sides[sides >= 0]
+    an = mesh.normals.reshape(-1, 2)[sides] @ problem.a
+    tau = np.abs(an) + problem.kappa / mesh.diameter[sides // 3]
     if not (tau > 0).all():
         raise ValueError("nonpositive stabilization parameter")
-    verts = np.stack([f.verts for f in faces])
-    scale = (np.bincount(at, an - tau, minlength=len(faces))
-             * np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1))
+    verts = mesh.face_verts[ids]
+    length = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
+    scale = np.bincount(at, an - tau, minlength=ids.size) * length
     D = scale[:, None, None] * trace_mass(mesh.m, p)
     R_hat = np.zeros(D.shape[:2])
-    for i, f in enumerate(faces):
-        if f.tag == "N":
-            R_hat[i] = _neumann_rhs(f, problem, mesh.m, p)
-    return FaceBlocks(np.array([f.id for f in faces]), D, R_hat)
+    neumann = np.flatnonzero(mesh.face_tag[ids] == "N")
+    if neumann.size:
+        if problem.g_N is None:
+            raise ValueError("Neumann face present but g_N not provided")
+        s, w, V = trace_quadrature(mesh.m, p, _boundary_npts(p))
+        x = _face_points(verts[neumann], s)
+        g = np.asarray(problem.g_N(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
+        # one matrix-vector product per face, so that a face's R_hat does
+        # not depend on how many Neumann faces there are
+        R_hat[neumann] = (V.T @ (w * length[neumann, None] * g)[:, :, None])[..., 0]
+    return FaceBlocks(ids, D, R_hat)

@@ -11,9 +11,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .adaptivity import adapt
-from .assembly import ProblemData, StabilizationConfig
+from .assembly import ProblemData, StabilizationConfig, _velocity
 from .costmodel import CostInputs, dependent_quantities, memory_estimate, operation_counts
-from .fem_basis import build_patch_dof_map, reference_tables
+from .fem_basis import _patch_dof_map, reference_tables
 from .mesh import MacroMesh, build_structured_macro_mesh, sub_cell_quadrature
 from .schur_solver import SolverConfig, solve
 
@@ -44,7 +44,7 @@ def make_benchmark(name: str, kappa: float, a) -> BenchmarkCase:
     """Manufactured benchmark cases on the unit square."""
     if kappa <= 0:
         raise ValueError("kappa must be positive")
-    a = np.asarray(a, dtype=float)
+    a = _velocity(a)
     ax, ay = float(a[0]), float(a[1])
 
     if name == "tanh":
@@ -150,9 +150,10 @@ def l2_error(mesh: MacroMesh, p: int, solution, u_exact: Callable) -> float:
     """Quadrature of (u_h - u*)^2 with exactness >= 2p+2 over every sub-cell,
     one u_exact call per sub-cell kind over all macros."""
     rule, val, _, _ = reference_tables(p, 2 * p + 2)
-    cell_maps = build_patch_dof_map(mesh.macro_elements[0], p).cell_maps
+    cell_maps = _patch_dof_map(mesh.m, p).cell_maps
     acc = 0.0
-    for q in sub_cell_quadrature(mesh.macro_elements, rule.points_ref).values():
+    quad = sub_cell_quadrature(mesh.jacobians, mesh.verts[:, 0], mesh.m, rule.points_ref)
+    for q in quad.values():
         uh = solution.u[:, cell_maps[q.cells]] @ val.T  # (n, cells, nq)
         diff = uh - np.asarray(u_exact(q.points.reshape(-1, 2)),
                                dtype=float).reshape(uh.shape)

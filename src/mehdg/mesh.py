@@ -6,20 +6,23 @@ collects macro faces; after dyadic refinement a coarse macro edge may be
 covered by two half-edge faces, each flagged as hanging.  Every face carries
 the same trace space, m segments of degree p.
 
-A mesh is built in a few array passes over its stacked (k, 3, 2) macro
-vertices: the affine maps of all macros in one pass, vertex ids from the
-coordinates snapped to _ROUND digits, and the 3k macro edges matched as
-sorted pairs of vertex ids.  Only interior edges that no other edge matches
-(the halves of a hanging coarse edge) go through a loop.  The mesh keeps the
-stacked Jacobians and face slots, from which congruence_classes groups the
-macros.
+A mesh is one table of read-only arrays: per macro its vertices, level,
+affine Jacobian, normals, diameter and face slots, and per face its
+vertices, the edge records of its sides, their edge parameters, its tag and,
+on a hanging face, the coarse edge.  It is built in a few array passes over
+its stacked (k, 3, 2) macro vertices: the affine maps of all macros in one
+pass, vertex ids from the coordinates snapped to _ROUND digits, and the 3k
+macro edges matched as sorted pairs of vertex ids.  Only interior edges that
+no other edge matches (the halves of a hanging coarse edge) go through a
+loop.  The solver reads only the arrays; MacroElement and SkeletonFace
+objects are views of them, built on first access for other callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from functools import cache, cached_property
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,10 +56,9 @@ _EDGE_A, _EDGE_B = np.array(EDGE_VERTS).T
 
 
 def _simplex_geometry(verts: np.ndarray):
-    """Affine maps of all triangles of a read-only (k, 3, 2) vertex array in
-    one pass; returns (maps, Jacobians (k, 2, 2), outward unit normals
-    (k, 3, 2), diameters).  The arrays of the maps are read-only views,
-    shared by every caller."""
+    """Affine Jacobians (k, 2, 2), their determinants, outward unit normals
+    (k, 3, 2) and diameters (k,) of all triangles of a (k, 3, 2) vertex
+    array, in one pass."""
     J = np.stack((verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]), axis=-1)
     det = np.linalg.det(J)
     if np.any(np.abs(det) < 1e-14):
@@ -67,16 +69,16 @@ def _simplex_geometry(verts: np.ndarray):
     normals[inward] = -normals[inward]
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     diameter = np.linalg.norm(verts - np.roll(verts, -1, axis=1), axis=-1).max(axis=1)
-    J.flags.writeable = normals.flags.writeable = False
-    maps = [AffineMap(J[i], verts[i, 0], d, normals[i]) for i, d in enumerate(det.tolist())]
-    return maps, J, normals, diameter.tolist()
+    return J, det, normals, diameter
 
 
 def reference_to_physical(verts: np.ndarray) -> AffineMap:
     """Affine map for a triangle given its (3,2) vertex array."""
     verts = np.array(verts, dtype=float)
-    verts.flags.writeable = False
-    return _simplex_geometry(verts[None])[0][0]
+    J, det, normals, _ = _simplex_geometry(verts[None])
+    for arr in (verts, J, normals):
+        arr.flags.writeable = False
+    return AffineMap(J[0], verts[0], float(det[0]), normals[0])
 
 
 def sub_cells(m: int) -> Iterator[tuple[str, int, int]]:
@@ -142,36 +144,30 @@ class SubCellQuadrature(NamedTuple):
     points: np.ndarray  # (n, cells, npts, 2) physical images of the points
 
 
-def sub_cell_jacobians(macros: Sequence[MacroElement]) -> dict:
+def sub_cell_jacobians(jacobians: np.ndarray, m: int) -> dict:
     """SubCellJacobians per kind that has cells (m = 1 has no "down") of
-    the `macros`, which share one m."""
-    m = macros[0].m
-    if any(mac.m != m for mac in macros):
-        raise ValueError("sub-cell geometry needs macros of one m")
-    J = np.stack([mac.affine_map().matrix for mac in macros])
+    the macros with the stacked affine Jacobians (n, 2, 2), split into m^2
+    sub-cells each."""
     out = {}
     for kind, (sel, _) in _kind_cells(m).items():
-        jac = J @ (_CLASS_JACOBIANS[kind] / m)
+        jac = jacobians @ (_CLASS_JACOBIANS[kind] / m)
         out[kind] = SubCellJacobians(sel, jac, np.linalg.inv(jac), np.abs(np.linalg.det(jac)))
     return out
 
 
-def sub_cell_quadrature(macros: Sequence[MacroElement],
+def sub_cell_quadrature(jacobians: np.ndarray, offsets: np.ndarray, m: int,
                         points_ref: np.ndarray) -> dict:
     """Map `points_ref` (npts, 2), given on the reference triangle, into
-    every sub-cell of each of the `macros`, which share one m; returns a
-    SubCellQuadrature per kind that has cells (m = 1 has no "down")."""
-    jacobians = sub_cell_jacobians(macros)
-    J = np.stack([mac.affine_map().matrix for mac in macros])
-    offset = np.stack([mac.affine_map().offset for mac in macros])
+    every sub-cell of each macro x = jacobians[i] @ xi + offsets[i], split
+    into m^2 sub-cells; returns a SubCellQuadrature per kind that has cells
+    (m = 1 has no "down")."""
     out = {}
-    for kind, (_, verts) in _kind_cells(macros[0].m).items():
+    for kind, q in sub_cell_jacobians(jacobians, m).items():
+        verts = _kind_cells(m)[kind][1]
         # points in macro reference coordinates, then mapped by each macro
         ref = verts[:, None, 0] + points_ref @ (verts[0, 1:] - verts[0, 0])
         out[kind] = SubCellQuadrature(
-            *jacobians[kind],
-            points=np.einsum("cqj,nij->ncqi", ref, J) + offset[:, None, None],
-        )
+            *q, points=np.einsum("cqj,nij->ncqi", ref, jacobians) + offsets[:, None, None])
     return out
 
 
@@ -179,21 +175,14 @@ def sub_cell_quadrature(macros: Sequence[MacroElement],
 class MacroElement:
     id: int
     vertex_ids: tuple
-    verts: np.ndarray  # (3, 2), read-only: map and diameter are built from it once
+    verts: np.ndarray  # (3, 2), read-only
     m: int
+    amap: AffineMap = field(repr=False)
+    diameter: float
     level: int = 0
     # face ids per local edge, sorted along the edge (2 entries when the
     # neighbor is one level finer)
     faces: list = field(default_factory=lambda: [[], [], []])
-    # the mesh builder passes both, from its one pass over all macros
-    amap: Optional[AffineMap] = field(default=None, repr=False)
-    diameter: Optional[float] = None
-
-    def __post_init__(self):
-        if self.amap is None:
-            self.verts = np.array(self.verts, dtype=float)
-            self.verts.flags.writeable = False
-            (self.amap,), _, _, (self.diameter,) = _simplex_geometry(self.verts[None])
 
     @property
     def volume(self) -> float:
@@ -244,29 +233,80 @@ class SkeletonFace:
 
 @dataclass
 class MacroMesh:
+    """A macro mesh as one table of arrays, all read-only.  Edge record
+    3e + k is local edge k of macro e.  `macro_elements` and `skeleton` are
+    object views of the arrays, built on first access; the solver reads
+    only the arrays."""
+
     d: int
     n: int
     m: int  # red-pattern subdivision of every macro
-    vertices: np.ndarray
-    macro_elements: list
-    skeleton: list
-    jacobians: np.ndarray  # (macros, 2, 2) affine Jacobians, read-only
-    # (macros, slots, 3): (edge, t0, t1) of each face slot of a macro, edge
-    # by edge and along each edge; rows past its last slot are -1
+    vertices: np.ndarray  # (vertices, 2) in order of first appearance
+    # per macro
+    verts: np.ndarray  # (k, 3, 2); each macro maps xi to jacobians @ xi + verts[:, 0]
+    vertex_ids: np.ndarray  # (k, 3) rows of vertices
+    levels: np.ndarray  # (k,) refinement levels
+    jacobians: np.ndarray  # (k, 2, 2) affine Jacobians
+    normals: np.ndarray  # (k, 3, 2) outward unit normals, edge k opposite vertex k
+    diameter: np.ndarray  # (k,) longest edge
+    # (k, slots, 3): (edge, t0, t1) of each face slot of a macro, edge by
+    # edge and along each edge; rows past its last slot are -1
     slot_table: np.ndarray
-    # (macros, slots): the skeleton face of each slot, -1 past the last
-    slot_faces: np.ndarray
+    slot_faces: np.ndarray  # (k, slots): the face of each slot, -1 past the last
+    # per face, faces ordered by their vertices
+    face_verts: np.ndarray  # (faces, 2, 2), lexicographically sorted
+    # (faces,) edge records of the sides: left is the lower macro id, or the
+    # coarse side of a hanging face; right is -1 on the domain boundary
+    face_left: np.ndarray
+    face_right: np.ndarray
+    # (faces, 2, 2): per side, the edge parameters (t0, t1) at which the
+    # face's vertices lie on that side's edge; -1 where there is no right side
+    face_t: np.ndarray
+    face_tag: np.ndarray  # (faces,) 'interior', 'D' or 'N'
+    face_parent: np.ndarray  # (faces,) coarse edge record of a hanging face, -1 elsewhere
     boundary_tagger: Optional[Callable] = None
 
-    @property
-    def levels(self) -> np.ndarray:
-        return np.array([e.level for e in self.macro_elements])
+    def __post_init__(self):
+        for val in vars(self).values():
+            if isinstance(val, np.ndarray):
+                val.flags.writeable = False
 
-    def slot_keys(self, macro: MacroElement) -> list:
+    @cached_property
+    def macro_elements(self) -> list:
+        """One MacroElement per macro, built from the arrays."""
+        faces = [[[], [], []] for _ in range(len(self.verts))]
+        owner, slot = np.nonzero(self.slot_faces >= 0)
+        for e, k, fid in zip(owner.tolist(), self.slot_table[owner, slot, 0].astype(int).tolist(),
+                             self.slot_faces[owner, slot].tolist()):
+            faces[e][k].append(fid)
+        det = np.linalg.det(self.jacobians).tolist()
+        return [MacroElement(id=e, vertex_ids=tuple(ids), verts=self.verts[e], m=self.m,
+                             amap=AffineMap(self.jacobians[e], self.verts[e, 0], det[e],
+                                            self.normals[e]),
+                             diameter=diam, level=level, faces=faces[e])
+                for e, (ids, diam, level) in enumerate(zip(
+                    self.vertex_ids.tolist(), self.diameter.tolist(), self.levels.tolist()))]
+
+    @cached_property
+    def skeleton(self) -> list:
+        """One SkeletonFace per face, built from the arrays."""
+        normal = self.normals.reshape(-1, 2)[self.face_left]
+        return [
+            SkeletonFace(
+                id=fid, verts=self.face_verts[fid], left=FaceSide(lr // 3, lr % 3, *tl),
+                right=FaceSide(rr // 3, rr % 3, *tr) if rr >= 0 else None,
+                tag=tag, normal=normal[fid], hanging=pr >= 0,
+                parent_edge=(pr // 3, pr % 3) if pr >= 0 else None)
+            for fid, (lr, rr, pr, (tl, tr), tag) in enumerate(zip(
+                self.face_left.tolist(), self.face_right.tolist(), self.face_parent.tolist(),
+                self.face_t.tolist(), self.face_tag.tolist()))
+        ]
+
+    def slot_keys(self, macro_id: int) -> list:
         """(edge, t0, t1) of each of the macro's face slots, edge by edge and
         along each edge, with t0 and t1 rounded to _ROUND digits."""
         return [(int(k), round(t0, _ROUND), round(t1, _ROUND))
-                for k, t0, t1 in self.slot_table[macro.id].tolist() if k >= 0]
+                for k, t0, t1 in self.slot_table[macro_id].tolist() if k >= 0]
 
     def congruence_classes(self) -> list:
         """Macro ids grouped by geometric class: the affine Jacobian and the
@@ -274,7 +314,7 @@ class MacroMesh:
         have the same local operators A, B and C; rounding keeps ulp noise in
         the vertices from splitting a class.  Classes come in order of first
         appearance, and each class lists its macros by id."""
-        k = len(self.macro_elements)
+        k = len(self.jacobians)
         key = np.concatenate((self.jacobians.reshape(k, 4), self.slot_table.reshape(k, -1)),
                              axis=1)
         key = np.round(key, _ROUND) + 0.0  # + 0.0 turns -0.0 into 0.0
@@ -391,24 +431,12 @@ def _match_edges(pa, pb, ends, level, snapped, tagger):
             [tags[f] for f in order.tolist()])
 
 
-def _edge_params(points, pa, pb):
-    """Parameter t along each edge pa[i] -> pb[i] of the points[i]."""
-    vec = pb - pa
-    return ((points - pa) * vec).sum(axis=-1) / (vec * vec).sum(axis=-1)
-
-
 def _assemble_mesh(macros_raw, m: int, levels, n, tagger) -> MacroMesh:
     verts = np.array(macros_raw, dtype=float).reshape(-1, 3, 2)
-    verts.flags.writeable = False
     k = len(verts)
     level = np.array(levels, dtype=int)
-    maps, jacobians, normals, diameter = _simplex_geometry(verts)
+    jacobians, _, normals, diameter = _simplex_geometry(verts)
     vertices, vid, lex, snapped = _dedup_vertices(verts)
-    macros = [
-        MacroElement(id=i, vertex_ids=tuple(ids), verts=verts[i], m=m, level=li,
-                     amap=maps[i], diameter=diameter[i])
-        for i, (ids, li) in enumerate(zip(vid.tolist(), level.tolist()))
-    ]
     pa = verts[:, _EDGE_A].reshape(-1, 2)
     pb = verts[:, _EDGE_B].reshape(-1, 2)
     ends = np.stack((lex[:, _EDGE_A].ravel(), lex[:, _EDGE_B].ravel()), axis=1)
@@ -420,28 +448,17 @@ def _assemble_mesh(macros_raw, m: int, levels, n, tagger) -> MacroMesh:
     has_right = right >= 0
     sides = np.concatenate((left, right[has_right]))  # edge records
     side_face = np.concatenate((np.arange(left.size), np.flatnonzero(has_right)))
-    t = _edge_params(face_verts[side_face], pa[sides, None], pb[sides, None])
-    t_right = np.full((left.size, 2), -1.0)
-    t_right[has_right] = t[left.size:]
-    normal = normals.reshape(-1, 2)[left]
-
-    skeleton = [
-        SkeletonFace(
-            id=fid, verts=face_verts[fid], left=FaceSide(lr // 3, lr % 3, *tl),
-            right=FaceSide(rr // 3, rr % 3, *tr) if rr >= 0 else None,
-            tag=tag, normal=normal[fid], hanging=pr >= 0,
-            parent_edge=(pr // 3, pr % 3) if pr >= 0 else None)
-        for fid, (lr, rr, pr, tl, tr, tag) in enumerate(zip(
-            left.tolist(), right.tolist(), parent.tolist(), t[:left.size].tolist(),
-            t_right.tolist(), tags))
-    ]
+    # edge parameter of each face vertex along each side's edge
+    vec = pb[sides, None] - pa[sides, None]
+    t = ((face_verts[side_face] - pa[sides, None]) * vec).sum(axis=-1) / (vec * vec).sum(axis=-1)
+    face_t = np.full((left.size, 2, 2), -1.0)
+    face_t[:, 0] = t[:left.size]
+    face_t[has_right, 1] = t[left.size:]
 
     # face slots: each macro's faces edge by edge, and along each edge by
     # the lower of the side's t0 and t1
     order = np.lexsort((side_face, t.min(axis=1), sides))
     sides, side_face, t = sides[order], side_face[order], t[order]
-    for rec, fid in zip(sides.tolist(), side_face.tolist()):
-        macros[rec // 3].faces[rec % 3].append(fid)
     owner = sides // 3
     n_slots = np.bincount(owner, minlength=k)
     slot = np.arange(sides.size) - (np.cumsum(n_slots) - n_slots)[owner]
@@ -449,9 +466,11 @@ def _assemble_mesh(macros_raw, m: int, levels, n, tagger) -> MacroMesh:
     slot_table[owner, slot] = np.column_stack((sides % 3, t))
     slot_faces = np.full((k, n_slots.max()), -1, dtype=np.intp)
     slot_faces[owner, slot] = side_face
-    slot_table.flags.writeable = slot_faces.flags.writeable = False
-    return MacroMesh(2, n, m, vertices, macros, skeleton, jacobians=jacobians,
-                     slot_table=slot_table, slot_faces=slot_faces, boundary_tagger=tagger)
+    return MacroMesh(
+        2, n, m, vertices, verts=verts, vertex_ids=vid, levels=level, jacobians=jacobians,
+        normals=normals, diameter=diameter, slot_table=slot_table, slot_faces=slot_faces,
+        face_verts=face_verts, face_left=left, face_right=right, face_t=face_t,
+        face_tag=np.array(tags), face_parent=parent, boundary_tagger=tagger)
 
 
 def build_structured_macro_mesh(
@@ -484,7 +503,7 @@ def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
     """Replace each marked macro by 4 children (edge midpoints) with 2:1 closure."""
     if mesh.d != 2:
         raise ValueError("refinement supports d=2 only")
-    k = len(mesh.macro_elements)
+    k = len(mesh.verts)
     marked = list(marked)
     for mid in marked:
         if (isinstance(mid, bool) or not isinstance(mid, (int, np.integer))
@@ -497,9 +516,8 @@ def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
     refine = np.zeros(k, dtype=bool)
     refine[marked] = True
     # closure: keep the level difference across every face at most 1
-    faces = np.array([(f.left.macro, f.right.macro) for f in mesh.skeleton
-                      if f.right is not None], dtype=np.intp).reshape(-1, 2)
-    a, b = faces.T
+    inner = mesh.face_right >= 0
+    a, b = mesh.face_left[inner] // 3, mesh.face_right[inner] // 3
     while True:
         new = level + refine
         need = np.zeros(k, dtype=bool)
@@ -511,47 +529,35 @@ def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
         refine |= need
 
     keep, split = np.flatnonzero(~refine), np.flatnonzero(refine)
-    verts = np.stack([e.verts for e in mesh.macro_elements])
-    v = verts[split]
+    v = mesh.verts[split]
     mids = 0.5 * (v[:, [0, 1, 0]] + v[:, [1, 2, 2]])
     children = np.concatenate((v, mids), axis=1)[:, _CHILDREN].reshape(-1, 3, 2)
     return _assemble_mesh(
-        np.concatenate((verts[keep], children)), mesh.m,
+        np.concatenate((mesh.verts[keep], children)), mesh.m,
         np.concatenate((level[keep], np.repeat(level[split] + 1, 4))),
         mesh.n, mesh.boundary_tagger)
 
 
 def export_text(mesh: MacroMesh) -> str:
     """Plain-text dump: `v x y`, `e i j k macro_id`, `f left right tag`."""
-    lines = []
-    for v in mesh.vertices:
-        lines.append("v %.17g %.17g" % (v[0], v[1]))
-    for e in mesh.macro_elements:
-        i, j, k = e.vertex_ids
-        lines.append(f"e {i} {j} {k} {e.id}")
-    for f in mesh.skeleton:
-        right = f.right.macro if f.right is not None else -1
-        lines.append(f"f {f.left.macro} {right} {f.tag}")
+    lines = ["v %.17g %.17g" % (x, y) for x, y in mesh.vertices.tolist()]
+    lines += [f"e {i} {j} {k} {e}" for e, (i, j, k) in enumerate(mesh.vertex_ids.tolist())]
+    right = np.where(mesh.face_right >= 0, mesh.face_right // 3, -1)
+    lines += [f"f {left} {r} {tag}" for left, r, tag in zip(
+        (mesh.face_left // 3).tolist(), right.tolist(), mesh.face_tag.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def export_vtk(mesh: MacroMesh, path: str) -> None:
     """Legacy-VTK export of the sub-element triangulation."""
-    pts = []
-    tris = []
-    for e in mesh.macro_elements:
-        for sub in e.sub_elements():
-            base = len(pts)
-            pts.extend(sub.tolist())
-            tris.append((base, base + 1, base + 2))
+    ref = np.array([sub_cell_ref_verts(*cell, mesh.m) for cell in sub_cells(mesh.m)])
+    pts = (ref @ mesh.jacobians[:, None].swapaxes(-1, -2) + mesh.verts[:, None, :1]).reshape(-1, 2)
+    ntri = len(pts) // 3
     with open(path, "w") as fh:
         fh.write("# vtk DataFile Version 3.0\nmehdg mesh\nASCII\n")
         fh.write("DATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {len(pts)} double\n")
-        for p in pts:
-            fh.write("%.17g %.17g 0\n" % (p[0], p[1]))
-        fh.write(f"CELLS {len(tris)} {4 * len(tris)}\n")
-        for t in tris:
-            fh.write("3 %d %d %d\n" % t)
-        fh.write(f"CELL_TYPES {len(tris)}\n")
-        fh.write("\n".join("5" for _ in tris) + "\n")
+        fh.writelines("%.17g %.17g 0\n" % (x, y) for x, y in pts.tolist())
+        fh.write(f"CELLS {ntri} {4 * ntri}\n")
+        fh.writelines("3 %d %d %d\n" % (t, t + 1, t + 2) for t in range(0, 3 * ntri, 3))
+        fh.write(f"CELL_TYPES {ntri}\n" + "5\n" * ntri)

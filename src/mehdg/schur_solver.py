@@ -206,7 +206,7 @@ class CondensedSystem:
 
     @property
     def n_macros(self) -> int:
-        return len(self.mesh.macro_elements)
+        return len(self.mesh.verts)
 
     @property
     def dof_local(self) -> int:
@@ -230,7 +230,7 @@ def condense(
 
     nf, nd = faces.R_hat.shape
     zhat = nf * nd
-    face_start = np.full(len(mesh.skeleton), -1, dtype=np.int64)
+    face_start = np.full(len(mesh.face_tag), -1, dtype=np.int64)
     face_start[faces.ids] = np.arange(nf) * nd
 
     chunks = []
@@ -449,16 +449,8 @@ class SolveReport:
     residual_history: list
 
     def to_record(self) -> dict:
-        return {
-            "p": self.p, "m": self.m, "n": self.n,
-            "dof_local": self.dof_local, "dof_global": self.dof_global,
-            "iterations": self.iterations, "converged": self.converged,
-            "tol": self.tol, "mode": self.mode, "precond": self.precond,
-            "n_classes": self.n_classes, "t_assemble_s": self.t_assemble_s,
-            "t_init_s": self.t_init_s, "t_local_s": self.t_local_s,
-            "t_global_s": self.t_global_s, "t_schur_s": self.t_schur_s,
-            "t_reconstruct_s": self.t_reconstruct_s, "lbf": self.lbf,
-        }
+        """Every field but the residual history, in declaration order."""
+        return {k: v for k, v in vars(self).items() if k != "residual_history"}
 
 
 @dataclass
@@ -486,12 +478,11 @@ def assemble_system(
     nd = mesh.m * p + 1
     classes = []
     for ids in mesh.congruence_classes():
-        members = [mesh.macro_elements[i] for i in ids]
-        op = assemble_macro(mesh, members[0], p, problem, stab)
+        op = assemble_macro(mesh, int(ids[0]), p, problem, stab)
         classes.append(OperatorClass(
             A=op.A, B=op.B, C=op.C, macro_ids=ids,
             face_ids=mesh.slot_faces[ids, :op.B.shape[1] // nd],
-            R_u=op.load(members),
+            R_u=op.load(ids),
         ))
     return classes, face_operators(mesh, p, problem)
 

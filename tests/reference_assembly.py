@@ -92,7 +92,7 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
     a = problem.a
     kappa = problem.kappa
     quad_degree = _quad_degree(p, stab, quad_degree)
-    tables = _sub_cell_tables(macro, p, problem, stab, quad_degree)
+    tables = _sub_cell_tables(amap.matrix, m, p, problem, stab, quad_degree)
 
     A = np.zeros((nloc, nloc))
     for cm, (kind, _, _) in zip(dofmap.cell_maps, sub_cells(m)):
@@ -138,7 +138,8 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
 
     rule = reference_tables(p, quad_degree)[0]
     R = np.zeros(nloc)
-    for kind, q in sub_cell_quadrature([macro], rule.points_ref).items():
+    quad = sub_cell_quadrature(amap.matrix[None], amap.offset[None], m, rule.points_ref)
+    for kind, q in quad.items():
         tb = tables[kind]
         for c, cell in enumerate(q.cells):
             fvals = np.asarray(problem.f(q.points[0, c]), dtype=float)

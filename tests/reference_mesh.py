@@ -218,7 +218,34 @@ def _slot_tables(macros, skeleton):
     return table, faces
 
 
+def _as_arrays(macros, skeleton) -> dict:
+    """The per-macro and per-face arrays of MacroMesh, read off the loop's
+    objects one by one."""
+
+    def record(side):
+        return -1 if side is None else 3 * side.macro + side.edge
+
+    return dict(
+        verts=np.array([e.verts for e in macros]),
+        vertex_ids=np.array([e.vertex_ids for e in macros]),
+        levels=np.array([e.level for e in macros]),
+        jacobians=np.array([e.affine_map().matrix for e in macros]),
+        normals=np.array([e.affine_map().normals for e in macros]),
+        diameter=np.array([e.diameter for e in macros]),
+        face_verts=np.array([f.verts for f in skeleton]),
+        face_left=np.array([record(f.left) for f in skeleton]),
+        face_right=np.array([record(f.right) for f in skeleton]),
+        face_t=np.array([[[s.t0, s.t1] if s is not None else [-1.0, -1.0]
+                          for s in (f.left, f.right)] for f in skeleton]),
+        face_tag=np.array([f.tag for f in skeleton]),
+        face_parent=np.array([3 * f.parent_edge[0] + f.parent_edge[1] if f.hanging else -1
+                              for f in skeleton]),
+    )
+
+
 def loop_assemble_mesh(macros_raw, m, levels, n, tagger) -> MacroMesh:
+    """The mesh of the loops.  Its `macro_elements` and `skeleton` are the
+    loop's own objects, put in place of the views of the arrays."""
     vertices, triples = _dedup_vertices(macros_raw)
     macros = []
     for i, raw in enumerate(macros_raw):
@@ -227,10 +254,11 @@ def loop_assemble_mesh(macros_raw, m, levels, n, tagger) -> MacroMesh:
             id=i, vertex_ids=triples[i], verts=verts, m=m, level=levels[i],
             amap=loop_affine_map(verts), diameter=loop_diameter(verts)))
     skeleton = _build_skeleton(macros, tagger)
-    jacobians = np.array([e.affine_map().matrix for e in macros])
     slot_table, slot_faces = _slot_tables(macros, skeleton)
-    return MacroMesh(2, n, m, vertices, macros, skeleton, jacobians=jacobians,
-                     slot_table=slot_table, slot_faces=slot_faces, boundary_tagger=tagger)
+    mesh = MacroMesh(2, n, m, vertices, **_as_arrays(macros, skeleton), slot_table=slot_table,
+                     slot_faces=slot_faces, boundary_tagger=tagger)
+    vars(mesh).update(macro_elements=macros, skeleton=skeleton)
+    return mesh
 
 
 def loop_structured_mesh(n: int, m: int, boundary_tagger=None) -> MacroMesh:

@@ -205,7 +205,7 @@ def test_criterion_08_cost_model():
 
     from mehdg.assembly import assemble_macro
     mesh = build_structured_macro_mesh(2, 2, 2)
-    op = assemble_macro(mesh, mesh.macro_elements[0], 2,
+    op = assemble_macro(mesh, 0, 2,
                         poly_case(1).problem(), NO_STAB)
     model = memory_estimate(CostInputs(d=2, n=2, m=2, p=2))["A_block"]
     ok &= op.A.nbytes == 9 * model  # (d+1)^2 scalar blocks of the model size

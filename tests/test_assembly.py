@@ -53,7 +53,7 @@ def test_problem_data_validation():
 def test_qq_block_is_vector_mass():
     mesh = build_structured_macro_mesh(2, 1, 1)
     macro = mesh.macro_elements[0]
-    op = assemble_macro(mesh, macro, 1, make_problem(a=(0.0, 0.0)), NO_STAB)
+    op = assemble_macro(mesh, macro.id, 1, make_problem(a=(0.0, 0.0)), NO_STAB)
     Q = op.R_u.size // 3
     assert Q == 3
     # direct quadrature mass matrix on the physical triangle
@@ -73,7 +73,7 @@ def test_constant_state_q_residual():
     theorem)."""
     mesh = build_structured_macro_mesh(2, 2, 2)
     for macro in mesh.macro_elements[:2]:
-        op = assemble_macro(mesh, macro, 2, make_problem(), NO_STAB)
+        op = assemble_macro(mesh, macro.id, 2, make_problem(), NO_STAB)
         Q = op.R_u.size // 3
         U = np.concatenate([np.zeros(2 * Q), np.ones(Q)])
         res = np.asarray(op.A) @ U + op.B @ np.ones(op.B.shape[1])
@@ -83,8 +83,8 @@ def test_constant_state_q_residual():
 def test_operator_sizes_m2_vs_m1():
     mesh2 = build_structured_macro_mesh(2, 1, 2)
     mesh1 = build_structured_macro_mesh(2, 1, 1)
-    op2 = assemble_macro(mesh2, mesh2.macro_elements[0], 2, make_problem(), NO_STAB)
-    op1 = assemble_macro(mesh1, mesh1.macro_elements[0], 2, make_problem(), NO_STAB)
+    op2 = assemble_macro(mesh2, 0, 2, make_problem(), NO_STAB)
+    op1 = assemble_macro(mesh1, 0, 2, make_problem(), NO_STAB)
     assert np.asarray(op2.A).shape == (45, 45)
     assert np.asarray(op1.A).shape == (18, 18)
 
@@ -93,10 +93,10 @@ def test_storage_mode():
     import scipy.sparse as sp
 
     mesh = build_structured_macro_mesh(2, 1, 4)
-    op = assemble_macro(mesh, mesh.macro_elements[0], 1, make_problem(), NO_STAB)
+    op = assemble_macro(mesh, 0, 1, make_problem(), NO_STAB)
     assert sp.issparse(op.A)
     mesh = build_structured_macro_mesh(2, 1, 2)
-    op = assemble_macro(mesh, mesh.macro_elements[0], 1, make_problem(), NO_STAB)
+    op = assemble_macro(mesh, 0, 1, make_problem(), NO_STAB)
     assert isinstance(op.A, np.ndarray)
 
 
@@ -125,7 +125,7 @@ def test_assemble_macro_matches_loop_reference(name):
     problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
     for stab in (NO_STAB, StabilizationConfig(supg=True)):
         for macro in mesh.macro_elements:
-            op = assemble_macro(mesh, macro, 2, problem, stab)
+            op = assemble_macro(mesh, macro.id, 2, problem, stab)
             A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
             want = reference_assemble_macro(mesh, macro, 2, problem, stab)
             for got, ref in zip((A, op.B, op.C, op.R_u), want):
@@ -333,7 +333,7 @@ def test_m1_blocks_match_reference():
     mesh = build_structured_macro_mesh(2, 1, 1)
     zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])
     problem = make_problem(a=a, kappa=kappa)
-    op = assemble_macro(mesh, mesh.macro_elements[0], p, problem, NO_STAB)
+    op = assemble_macro(mesh, 0, p, problem, NO_STAB)
 
     # rebuild the element block with the reference code's quadrature loops
     tris = reference_hdg.make_triangulation(1)
@@ -450,7 +450,7 @@ def test_adjoint_structure_a_zero():
     mesh = build_structured_macro_mesh(2, 2, 2)
     problem = make_problem(a=(0.0, 0.0), kappa=kappa)
     for macro in mesh.macro_elements[:3]:
-        op = assemble_macro(mesh, macro, 2, problem, NO_STAB)
+        op = assemble_macro(mesh, macro.id, 2, problem, NO_STAB)
         Q = op.R_u.size // 3
         B_q, B_u = op.B[:2 * Q], op.B[2 * Q:]
         C_q, C_u = op.C[:, :2 * Q], op.C[:, 2 * Q:]
@@ -462,9 +462,9 @@ def test_quadrature_order_stability():
     mesh = build_structured_macro_mesh(2, 1, 2)
     case = poly_case(2)
     p = 2
-    op1 = assemble_macro(mesh, mesh.macro_elements[0], p, case.problem(),
+    op1 = assemble_macro(mesh, 0, p, case.problem(),
                          NO_STAB, quad_degree=2 * p + 1)
-    op2 = assemble_macro(mesh, mesh.macro_elements[0], p, case.problem(),
+    op2 = assemble_macro(mesh, 0, p, case.problem(),
                          NO_STAB, quad_degree=2 * p + 3)
     scale = np.abs(np.asarray(op1.A)).max()
     assert np.abs(np.asarray(op1.A) - np.asarray(op2.A)).max() < 1e-12 * scale
@@ -489,7 +489,7 @@ def test_block_residual_patch_test(degree, p, supg):
 
     trace_rows = {}
     for macro in mesh.macro_elements:
-        op = assemble_macro(mesh, macro, p, case.problem(), stab)
+        op = assemble_macro(mesh, macro.id, p, case.problem(), stab)
         dofmap = build_patch_dof_map(macro, p)
         nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
         ustar = case.u_exact(nodes)

@@ -35,6 +35,13 @@ NO_STAB = StabilizationConfig()
 FAST = SolverConfig(tol=1e-10, mode="mb")
 
 
+@pytest.mark.parametrize("a", [[1.0], [1, 2, 3], [1.0, np.nan]],
+                         ids=["one-entry", "three-entries", "nan"])
+def test_make_benchmark_rejects_bad_velocity(a):
+    with pytest.raises(ValueError, match="advection velocity a must be two finite numbers"):
+        make_benchmark("tanh", 0.4, a)
+
+
 def test_make_benchmark_validation():
     with pytest.raises(ValueError):
         make_benchmark("tanh", 0.0, (1.0, 1.0))

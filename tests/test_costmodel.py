@@ -108,7 +108,7 @@ def test_measured_dense_a_block_bytes(m, p):
     size each."""
     mesh = build_structured_macro_mesh(2, 2, m)
     case = poly_case(1)
-    op = assemble_macro(mesh, mesh.macro_elements[0], p, case.problem(),
+    op = assemble_macro(mesh, 0, p, case.problem(),
                         StabilizationConfig())
     model = memory_estimate(CostInputs(d=2, n=2, m=m, p=p))["A_block"]
     assert op.A.nbytes == 9 * model  # (d+1)^2 scalar blocks
@@ -119,7 +119,7 @@ def test_measured_sparse_fill_below_model(m, p):
     """Sparsity constant is an upper estimate of the measured fill."""
     mesh = build_structured_macro_mesh(2, 1, m)
     case = poly_case(1)
-    op = assemble_macro(mesh, mesh.macro_elements[0], p, case.problem(),
+    op = assemble_macro(mesh, 0, p, case.problem(),
                         StabilizationConfig())
     assert sp.issparse(op.A)
     rep = dependent_quantities(CostInputs(d=2, n=1, m=m, p=p, arithmetic="sparse"))

@@ -5,10 +5,12 @@ import pytest
 from conftest import CLASS_MESHES, skewed_verts
 from reference_mesh import loop_assemble_mesh, loop_refine, loop_structured_mesh
 
+from mehdg.adaptivity import error_indicator, mark
+from mehdg.assembly import StabilizationConfig
+from mehdg.bench import l2_error, make_benchmark
 from mehdg.mesh import (
     _ROUND,
     DegenerateSimplexError,
-    MacroElement,
     SkeletonError,
     _assemble_mesh,
     build_structured_macro_mesh,
@@ -20,6 +22,7 @@ from mehdg.mesh import (
     sub_cell_ref_verts,
     sub_cells,
 )
+from mehdg.schur_solver import SolverConfig, solve
 
 
 def interior_face_formula(n):
@@ -111,21 +114,17 @@ def test_sub_cell_geometry_matches_per_cell_oracle(m):
     """The batched class Jacobians, their inverses, |det| and the mapped
     points reproduce each sub-cell of each macro mapped vertex by vertex
     through that macro's map."""
-    macros = [
-        MacroElement(id=0, vertex_ids=(0, 1, 2),
-                     verts=np.array([[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]]), m=m),
-        MacroElement(id=1, vertex_ids=(1, 3, 2),
-                     verts=np.array([[0.9, 0.35], [1.0, 1.0], [0.3, 0.8]]), m=m),
-    ]
+    verts = np.array([[[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]],
+                      [[0.9, 0.35], [1.0, 1.0], [0.3, 0.8]]])
+    maps = [reference_to_physical(v) for v in verts]
     xi = np.array([[0.2, 0.3], [0.6, 0.1], [1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0]])
-    quad = sub_cell_quadrature(macros, xi)
+    quad = sub_cell_quadrature(np.stack([a.matrix for a in maps]), verts[:, 0], m, xi)
     cells = list(sub_cells(m))
     assert sorted(quad) == (["up"] if m == 1 else ["down", "up"])
     assert sorted(c for q in quad.values() for c in q.cells) == list(range(m**2))
     for kind, q in quad.items():
         assert q.points.shape == (2, len(q.cells), len(xi), 2)
-        for e, macro in enumerate(macros):
-            amap = macro.affine_map()
+        for e, amap in enumerate(maps):
             for c, cell in zip(q.cells, q.points[e]):
                 assert cells[c][0] == kind
                 ref = sub_cell_ref_verts(*cells[c], m)
@@ -136,14 +135,6 @@ def test_sub_cell_geometry_matches_per_cell_oracle(m):
                 assert np.abs(q.jinv[e] @ jac - np.eye(2)).max() <= 1e-15
                 pts = amap.to_physical(ref[0] + xi @ (ref[1:] - ref[0]))
                 assert np.abs(cell - pts).max() <= 1e-15
-
-
-def test_sub_cell_quadrature_rejects_mixed_m():
-    verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    macros = [MacroElement(id=i, vertex_ids=(0, 1, 2), verts=verts, m=i + 1)
-              for i in range(2)]
-    with pytest.raises(ValueError):
-        sub_cell_quadrature(macros, np.zeros((1, 2)))
 
 
 def test_macro_geometry_is_stored_and_read_only():
@@ -341,6 +332,13 @@ def _assert_same_mesh(new, ref, exact):
     close(new.jacobians, ref.jacobians)
     close(new.slot_table, ref.slot_table)
     assert np.array_equal(new.slot_faces, ref.slot_faces)
+    k, nf = len(ref.macro_elements), len(ref.skeleton)
+    for name, shape in (("verts", (k, 3, 2)), ("vertex_ids", (k, 3)), ("levels", (k,)),
+                        ("normals", (k, 3, 2)), ("diameter", (k,)), ("face_verts", (nf, 2, 2)),
+                        ("face_left", (nf,)), ("face_right", (nf,)), ("face_t", (nf, 2, 2)),
+                        ("face_tag", (nf,)), ("face_parent", (nf,))):
+        arr = getattr(new, name)
+        assert arr.shape == shape and not arr.flags.writeable
     assert len(new.macro_elements) == len(ref.macro_elements)
     for a, b in zip(new.macro_elements, ref.macro_elements):
         for name in ("id", "m", "level", "vertex_ids", "faces"):
@@ -356,6 +354,12 @@ def _assert_same_mesh(new, ref, exact):
         close(ma.normals, mb.normals)
         close(a.diameter, b.diameter)
         assert np.array_equal(new.jacobians[a.id], ma.matrix)
+        # the macro arrays against the loop's objects
+        assert np.array_equal(new.verts[b.id], b.verts)
+        assert new.vertex_ids[b.id].tolist() == list(b.vertex_ids)
+        assert new.levels[b.id] == b.level
+        close(new.normals[b.id], mb.normals)
+        close(new.diameter[b.id], b.diameter)
     assert len(new.skeleton) == len(ref.skeleton)
     for f, g in zip(new.skeleton, ref.skeleton):
         for name in ("id", "tag", "hanging", "parent_edge"):
@@ -368,8 +372,20 @@ def _assert_same_mesh(new, ref, exact):
             same(s.edge, t.edge)
             assert type(s.t0) is float and type(s.t1) is float
             close([s.t0, s.t1], [t.t0, t.t1])
+        # the face arrays against the loop's objects
+        assert np.array_equal(new.face_verts[g.id], g.verts)
+        assert new.face_left[g.id] == 3 * g.left.macro + g.left.edge
+        assert new.face_right[g.id] == (-1 if g.right is None else 3 * g.right.macro + g.right.edge)
+        close(new.face_t[g.id, 0], [g.left.t0, g.left.t1])
+        if g.right is None:
+            assert new.face_t[g.id, 1].tolist() == [-1.0, -1.0]
+        else:
+            close(new.face_t[g.id, 1], [g.right.t0, g.right.t1])
+        assert new.face_tag[g.id] == g.tag
+        assert new.face_parent[g.id] == (
+            3 * g.parent_edge[0] + g.parent_edge[1] if g.hanging else -1)
     for macro in new.macro_elements:
-        same(new.slot_keys(macro), ref.slot_keys(macro))
+        same(new.slot_keys(macro.id), ref.slot_keys(macro.id))
 
 
 def _neumann_bottom(mid):
@@ -398,10 +414,10 @@ def _adapted_pairs(seed, tagger):
     new = build_structured_macro_mesh(2, 4, 2, boundary_tagger=tagger)
     ref = loop_structured_mesh(4, 2, boundary_tagger=tagger)
     for _ in range(3):
-        k = len(new.macro_elements)
+        k = len(new.verts)
         marked = rng.choice(k, size=max(1, k // 5), replace=False).tolist()
         new, ref = refine_macros(new, marked), loop_refine(ref, marked)
-        assert any(f.hanging for f in new.skeleton)
+        assert (new.face_parent >= 0).any()
         yield new, ref, True
 
 
@@ -424,6 +440,46 @@ def test_mesh_matches_loop_reference(name):
         _assert_same_mesh(new, ref, exact)
     if name.endswith("neumann"):
         assert any(f.tag == "N" for f in new.skeleton)
+
+
+def _loop_export_text(mesh):
+    """export_text written over the mesh's macro and face objects."""
+    lines = ["v %.17g %.17g" % (v[0], v[1]) for v in mesh.vertices]
+    lines += [f"e {i} {j} {k} {e.id}" for e in mesh.macro_elements for i, j, k in [e.vertex_ids]]
+    lines += [f"f {f.left.macro} {f.right.macro if f.right is not None else -1} {f.tag}"
+              for f in mesh.skeleton]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_export_text_matches_loop_reference(seed):
+    """On adapted meshes with hanging and Neumann faces, export_text of the
+    arrays is byte-identical to the same dump of the loop builder's objects,
+    and builds no objects."""
+    for new, ref, _ in _adapted_pairs(seed, _neumann_bottom):
+        assert export_text(new) == _loop_export_text(ref)
+        assert "macro_elements" not in vars(new) and "skeleton" not in vars(new)
+    assert (new.face_tag == "N").any()
+
+
+def test_solve_and_adapt_build_no_mesh_objects():
+    """Solving in mb and mf, the L2 error, the indicator, marking and
+    refinement read only the mesh's arrays: no mesh of a two-level adaptive
+    run, with hanging and Neumann faces, builds its macro or face objects."""
+    case = make_benchmark("tanh", 0.05, (1.0, 2.0))
+    problem = case.problem()
+    problem.g_N = lambda x: np.cos(2 * x[:, 0]) - x[:, 1]
+    meshes = [build_structured_macro_mesh(2, 4, 2, boundary_tagger=_neumann_bottom)]
+    for _ in range(2):
+        mesh = meshes[-1]
+        for mode in ("mb", "mf"):
+            sol, _ = solve(mesh, problem, StabilizationConfig(supg=True),
+                           SolverConfig(tol=1e-8, mode=mode), 2)
+        assert np.isfinite(l2_error(mesh, 2, sol, case.u_exact))
+        meshes.append(refine_macros(mesh, mark(error_indicator(mesh, 2, sol), 0.5)))
+    assert (meshes[-1].face_parent >= 0).any() and (meshes[-1].face_tag == "N").any()
+    for mesh in meshes:
+        assert "macro_elements" not in vars(mesh) and "skeleton" not in vars(mesh)
 
 
 @pytest.mark.parametrize("raw", [

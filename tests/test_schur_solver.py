@@ -62,7 +62,7 @@ def per_macro_oracle(mesh, sys, p, case=None):
     columns on unknown faces and their indices in the trace vector."""
     problem = (case or poly_case(2)).problem()
     for macro in mesh.macro_elements:
-        op = assemble_macro(mesh, macro, p, problem, NO_STAB)
+        op = assemble_macro(mesh, macro.id, p, problem, NO_STAB)
         mask = np.zeros(op.B.shape[1], dtype=bool)
         idx = []
         for fid, slot in loop_face_slots(mesh, macro, p):
@@ -109,7 +109,7 @@ def test_class_operators_match_per_macro_assembly(name):
         for cls in classes:
             A = cls.A.toarray() if hasattr(cls.A, "toarray") else cls.A
             for r, e in enumerate(cls.macro_ids):
-                op = assemble_macro(mesh, mesh.macro_elements[e], p, problem, stab)
+                op = assemble_macro(mesh, e, p, problem, stab)
                 Ae = op.A.toarray() if hasattr(op.A, "toarray") else op.A
                 for got, want in ((A, Ae), (cls.B, op.B), (cls.C, op.C),
                                   (cls.R_u[r], op.R_u)):

@@ -6,6 +6,7 @@ from .assembly import (
     LocalOperators,
     ProblemData,
     StabilizationConfig,
+    assemble_classes,
     assemble_macro,
     project_dirichlet,
     stabilization_tau,

@@ -11,16 +11,19 @@ skeleton faces:
 
 The local dof layout is [q_x | q_y | u], each of patch size Q.  A, B and C
 are built once per congruence class, from its first macro, out of cached
-reference data.  The volume terms of A are the element blocks of the two
-red-pattern sub-cell kinds (mass, stiffness, advection and, under SUPG, the
-streamline block), added into A by one scatter-add over an index cached per
-(m, p).  The boundary terms come from each face slot's reference matrices
-W and Me, cached per (m, p, t0, t1) and scaled by the face length; each slot
-adds them to A, B and C with one indexed write each.  Each face slot, in the
-order of the mesh's slot_faces, owns m p + 1 columns of B.  R_u of all the
-macros of a class is one batched quadrature with the same sub-cell tables,
-and the Dirichlet lifting is one call of g_D and one cached projection per
-slot.
+reference data, and all classes are assembled in one batched pass.  The
+sub-cell tables of the two red-pattern sub-cell kinds (mass, stiffness,
+advection and, under SUPG, the streamline block) come for all classes from
+their stacked Jacobians.  Every term of A goes in by one bincount over an
+index cached per (m, p), offset per class: the element blocks of all
+sub-cells, then the boundary terms, which come from each face slot's
+reference matrices W and Me, cached per (m, p, t0, t1) and scaled by the
+face length; B and C of all (class, slot) pairs are written at once.  A is
+dense up to m = 4 and CSR above, built from the summed entries of its
+pattern.  Each face slot, in the order of the mesh's slot_faces, owns
+m p + 1 columns of B.  R_u of all macros is one batched quadrature with
+these tables, and the Dirichlet lifting is one call of g_D and one cached
+projection.
 
 Face blocks D come from the jump of (a.n - tau) vhat over the (one or two)
 sides of each skeleton face; D_F = c_F |F| M_ref, so the blocks of all
@@ -31,9 +34,8 @@ their points.  Everything here reads the mesh's arrays only.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, partial
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -49,7 +51,13 @@ from .fem_basis import (
     trace_projection,
     trace_quadrature,
 )
-from .mesh import MacroMesh, SkeletonFace, sub_cell_jacobians, sub_cell_quadrature, sub_cells
+from .mesh import (
+    _ROUND,
+    MacroMesh,
+    sub_cell_jacobians,
+    sub_cell_quadrature,
+    sub_cells,
+)
 
 
 def _velocity(a) -> np.ndarray:
@@ -88,23 +96,25 @@ class StabilizationConfig:
             raise ValueError(f"unknown supg variant {self.supg_variant!r}")
 
 
+# Largest m whose local A is stored dense; above it A is a csr_matrix
+_DENSE_MAX_M = 4
+# Most terms of A that one bincount sums (about 2 MiB of positions and
+# values): classes go in groups of this size, so that memory does not grow
+# with the class count
+_SCATTER_ENTRIES = 1 << 17
+
+
 @dataclass
 class LocalOperators:
-    """A, B and C of one macro, and `load`, which gives the stacked R_u of
-    macros congruent to it by one batched quadrature that reuses this
-    macro's sub-cell tables.  R_u, the macro's own load, is computed on
-    first use, so a caller that loads a whole class at once pays for one
-    quadrature."""
+    """A, B and C shared by the congruent macros `macro_ids`, built from the
+    geometry of macro_ids[0], and their loads: row r of R_u belongs to macro
+    macro_ids[r]."""
 
-    A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
-    B: np.ndarray  # B columns / C rows: m p + 1 per face slot of the macro
+    A: object  # dense ndarray (m <= 4) or csr_matrix (m > 4)
+    B: np.ndarray  # B columns / C rows: m p + 1 per face slot
     C: np.ndarray
-    macro: int  # macro id
-    load: Callable = field(repr=False)  # load(ids) -> (len(ids), nloc) R_u rows
-
-    @cached_property
-    def R_u(self) -> np.ndarray:
-        return self.load([self.macro])[0]
+    macro_ids: np.ndarray  # (n_macros,)
+    R_u: np.ndarray  # (n_macros, nloc)
 
 
 class FaceBlocks(NamedTuple):
@@ -115,32 +125,32 @@ class FaceBlocks(NamedTuple):
     R_hat: np.ndarray  # (faces, nd)
 
 
-def stabilization_tau(a: np.ndarray, normal: np.ndarray, kappa: float, ell: float) -> float:
-    """Flux stabilization tau = |a.n| + kappa/ell, constant per face side."""
-    tau = abs(float(np.dot(a, normal))) + kappa / ell
-    if tau <= 0:
+def stabilization_tau(a: np.ndarray, normal, kappa: float, ell):
+    """Flux stabilization tau = |a.n| + kappa/ell, constant per face side;
+    elementwise over the normals (..., 2) and the lengths ell."""
+    tau = np.abs(np.asarray(normal) @ a) + kappa / np.asarray(ell)
+    if not np.all(tau > 0):
         raise ValueError("nonpositive stabilization parameter")
     return tau
 
 
-def supg_parameter(h: float, a: np.ndarray, kappa: float,
-                   variant: str = "classical-minus") -> float:
+def supg_parameter(h, a: np.ndarray, kappa: float, variant: str = "classical-minus"):
     """Streamline stabilization parameter from the element Peclet number
-    Pe = |a| h / (2 kappa)."""
+    Pe = |a| h / (2 kappa), elementwise over h."""
+    h = np.asarray(h, dtype=float)
     anorm = float(np.linalg.norm(a))
     if anorm == 0.0:
-        return 0.0
+        return np.zeros_like(h)
     pe = anorm * h / (2.0 * kappa)
     sign = -1.0 if variant == "classical-minus" else 1.0
-    if pe > 30.0:
-        g = 1.0 + sign / pe
-    elif pe < 1e-4:
-        # coth x - 1/x = x/3 - x^3/45 + ...; coth x + 1/x = 2/x + x/3 - ...
-        g = pe / 3.0 - pe**3 / 45.0
-        if sign > 0:
-            g += 2.0 / pe
-    else:
-        g = 1.0 / math.tanh(pe) + sign / pe
+    large, small = pe > 30.0, pe < 1e-4
+    mid = ~(large | small)
+    g = np.empty_like(pe)
+    g[large] = 1.0 + sign / pe[large]
+    # coth x - 1/x = x/3 - x^3/45 + ...; coth x + 1/x = 2/x + x/3 - ...
+    x = pe[small]
+    g[small] = x / 3.0 - x**3 / 45.0 + (2.0 / x if sign > 0 else 0.0)
+    g[mid] = 1.0 / np.tanh(pe[mid]) + sign / pe[mid]
     return h / (2.0 * anorm) * g
 
 
@@ -164,28 +174,32 @@ def _quad_degree(p: int, stab: StabilizationConfig, quad_degree: Optional[int]) 
     return 2 * p + 2 if stab.supg else 2 * p + 1
 
 
-def _sub_cell_tables(jacobian: np.ndarray, m: int, p: int, problem: ProblemData,
+def _sub_cell_tables(jacobians: np.ndarray, m: int, p: int, problem: ProblemData,
                      stab: StabilizationConfig, quad_degree: int) -> dict:
-    """Per red-pattern sub-cell class ("up", "down") of the macro with the
-    affine Jacobian (2, 2): quadrature weights, the mass and stiffness
-    blocks, the SUPG block, and the test functions of the load (the basis,
-    plus the streamline term under SUPG)."""
+    """Per red-pattern sub-cell class ("up", "down") of the macros with the
+    stacked affine Jacobians (n, 2, 2), each with a leading macro axis: the
+    quadrature weights "wd" (n, nq), the mass block "M" (n, nb, nb), the
+    stiffness blocks "K" (n, 2, nb, nb), the SUPG block "S" with its own
+    tau_s per macro, and the test functions of the load "test" (n, nq, nb):
+    the basis, plus the streamline term under SUPG."""
     rule, val, gref, href = reference_tables(p, quad_degree)
     a, kappa = problem.a, problem.kappa
     tables = {}
-    for kind, q in sub_cell_jacobians(jacobian[None], m).items():
-        Jc, Jinv, detc = q.jac[0], q.jinv[0], q.det[0]
-        gph = gref @ Jinv  # (nq, nb, 2) physical gradients
-        wd = rule.weights * detc
-        tb = dict(wd=wd, M=val.T @ (wd[:, None] * val), test=val,
-                  K=[(gph[:, :, c] * wd[:, None]).T @ val for c in range(2)])
+    for kind, q in sub_cell_jacobians(jacobians, m).items():
+        gph = gref @ q.jinv[:, None]  # (n, nq, nb, 2) physical gradients
+        wd = rule.weights * q.det[:, None]
+        tb = dict(wd=wd, M=val.T @ (wd[..., None] * val),
+                  test=np.broadcast_to(val, wd.shape + val.shape[1:]),
+                  K=np.stack([(gph[..., c] * wd[..., None]).swapaxes(1, 2) @ val
+                              for c in range(2)], axis=1))
         if stab.supg:
-            lap = np.einsum("ja,qbjk,ka->qb", Jinv, href, Jinv)
-            edges = [Jc[:, 0], Jc[:, 1], Jc[:, 1] - Jc[:, 0]]
-            h = max(float(np.linalg.norm(e)) for e in edges)
-            ts = supg_parameter(h, a, kappa, stab.supg_variant)
-            advg = gph @ a  # (nq, nb)
-            tb["S"] = ts * (advg * wd[:, None]).T @ (advg - kappa * lap)
+            lap = np.einsum("nja,qbjk,nka->nqb", q.jinv, href, q.jinv)
+            Jc = q.jac
+            edges = np.stack((Jc[..., 0], Jc[..., 1], Jc[..., 1] - Jc[..., 0]), axis=1)
+            h = np.linalg.norm(edges, axis=-1).max(axis=1)
+            ts = supg_parameter(h, a, kappa, stab.supg_variant)[:, None, None]
+            advg = gph @ a  # (n, nq, nb)
+            tb["S"] = ts * (advg * wd[..., None]).swapaxes(1, 2) @ (advg - kappa * lap)
             tb["test"] = val + ts * advg
         tables[kind] = tb
     return tables
@@ -203,87 +217,66 @@ def _face_points(verts: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v0 + s[:, None] * (verts[..., None, 1, :] - v0)
 
 
-def project_dirichlet(face: SkeletonFace, g: Callable, m: int, p: int) -> np.ndarray:
-    """L2-projection of boundary data onto the face trace space of a mesh of
-    the given m."""
+def project_dirichlet(verts: np.ndarray, g: Callable, m: int, p: int) -> np.ndarray:
+    """(..., m p + 1) L2-projections of boundary data onto the face trace
+    space of a mesh of the given m, on the faces with the vertices
+    (..., 2, 2): one call of g over the points of all of them."""
     npts = _boundary_npts(p)
-    s = trace_quadrature(m, p, npts)[0]
-    return trace_projection(m, p, npts) @ np.asarray(
-        g(_face_points(face.verts, s)), dtype=float)
+    x = _face_points(np.asarray(verts, dtype=float), trace_quadrature(m, p, npts)[0])
+    gx = np.asarray(g(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:-1])
+    return gx @ trace_projection(m, p, npts).T
 
 
-def load_vectors(
-    mesh: MacroMesh,
-    ids: np.ndarray,
-    p: int,
-    problem: ProblemData,
-    tables: dict,
-    B: np.ndarray,
-    quad_degree: int,
-) -> np.ndarray:
-    """R_u of each of the congruent macros `ids`, stacked (len(ids), nloc),
-    from their shared sub-cell `tables` and B: one batched quadrature (one
-    call of f per sub-cell kind over all their cells, with the SUPG term),
-    then Dirichlet lifting, with one call of g_D over the Dirichlet face
-    points of all the macros and one projection per face slot."""
-    m = mesh.m
-    rule = reference_tables(p, quad_degree)[0]
-    dofmap = _patch_dof_map(m, p)
-    Q = dofmap.n_dofs
-    R = np.zeros((len(ids), 3 * Q))
-    quad = sub_cell_quadrature(mesh.jacobians[ids], mesh.verts[ids, 0], m, rule.points_ref)
-    for kind, q in quad.items():
-        tb = tables[kind]
-        fvals = np.asarray(problem.f(q.points.reshape(-1, 2)), dtype=float)
-        load = np.einsum("ncq,qb->ncb", fvals.reshape(q.points.shape[:3]) * tb["wd"],
-                         tb["test"])
-        rows = 2 * Q + dofmap.cell_maps[q.cells].ravel()
-        np.add.at(R.T, rows, load.reshape(len(ids), -1).T)
+class _Scatter(NamedTuple):
+    """Where the terms of A go at (m, p), as positions in the stored A: all
+    (3Q)^2 entries row-major when A is dense, else the entries of
+    `pattern`."""
 
-    # Dirichlet data enters through trace elimination; congruent macros
-    # share their slots, but not which of them are Dirichlet.  The g_D
-    # points go slot by slot, macro by macro within a slot.
-    npts, nd = _boundary_npts(p), m * p + 1
-    face_ids = mesh.slot_faces[ids, :B.shape[1] // nd]
-    slot, row = np.nonzero((mesh.face_tag[face_ids] == "D").T)
-    G = np.zeros(face_ids.shape + (nd,))
-    if row.size:
-        x = _face_points(mesh.face_verts[face_ids[row, slot]], trace_quadrature(m, p, npts)[0])
-        g = np.asarray(problem.g_D(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
-        # projected slot by slot: numpy sends a one-row product through a
-        # matrix-vector kernel that rounds differently, so one product over
-        # all slots would move R_u in the last bits
-        for i in np.unique(slot).tolist():
-            G[row[slot == i], i] = g[slot == i] @ trace_projection(m, p, npts).T
-    return R - G.reshape(len(ids), -1) @ B.T
+    kind: np.ndarray  # (cells,) per sub-cell in sub_cells order: 0 "up", 1 "down"
+    volume: np.ndarray  # (cells, (3nb)^2) its [q_x | q_y | u] element block, row-major
+    # (3, nd, 3nd) per local edge: its boundary block, rows u and columns
+    # [q_x | q_y | u] at the edge nodes
+    face: np.ndarray
+    en3: np.ndarray  # (3, 3nd) per local edge: the q_x, q_y and u rows at its nodes
+    # sparse A (m > _DENSE_MAX_M): the sorted flat indices into (3Q, 3Q) that
+    # the terms reach, row-major like CSR; None when A is dense
+    pattern: Optional[np.ndarray]
 
 
 @lru_cache(maxsize=None)
-def _volume_scatter(m: int, p: int):
-    """(kind, index) for the volume terms of A at (m, p).  Per sub-cell, in
-    sub_cells order: its kind, 0 for "up" and 1 for "down", and the flat
-    indices into the (3Q, 3Q) matrix A of its [q_x | q_y | u] element block,
-    row-major.  Read-only."""
+def _a_scatter(m: int, p: int) -> _Scatter:
+    """The _Scatter of (m, p).  Read-only."""
     dofmap = _patch_dof_map(m, p)
     Q = dofmap.n_dofs
+    nloc = 3 * Q
     rows = np.concatenate([dofmap.cell_maps + c * Q for c in range(3)], axis=1)
-    index = (rows[:, :, None] * (3 * Q) + rows[:, None, :]).reshape(len(rows), -1)
+    volume = (rows[:, :, None] * nloc + rows[:, None, :]).reshape(len(rows), -1)
+    en = dofmap.edge_nodes
+    en3 = np.concatenate((en, Q + en, 2 * Q + en), axis=1)
+    face = (2 * Q + en)[:, :, None] * nloc + en3[:, None, :]
     kind = np.array([cell[0] == "down" for cell in sub_cells(m)], dtype=np.intp)
-    return _readonly(kind), _readonly(index)
+    pattern = None
+    if m > _DENSE_MAX_M:
+        pattern = np.unique(np.concatenate((volume.ravel(), face.ravel())))
+        volume, face = np.searchsorted(pattern, volume), np.searchsorted(pattern, face)
+        pattern = _readonly(pattern)
+    return _Scatter(_readonly(kind), _readonly(volume), _readonly(face), _readonly(en3),
+                    pattern)
 
 
-def _element_matrix(tb: dict, a: np.ndarray, kappa: float) -> np.ndarray:
-    """(3nb, 3nb) [q_x | q_y | u] volume block of one sub-cell kind."""
-    M, (Kx, Ky) = tb["M"], tb["K"]
-    nb = M.shape[0]
+def _element_matrices(tb: dict, a: np.ndarray, kappa: float) -> np.ndarray:
+    """(n, 3nb, 3nb) [q_x | q_y | u] volume blocks of one sub-cell kind of
+    the n macros of the tables `tb`."""
+    M, Kx, Ky = tb["M"], tb["K"][:, 0], tb["K"][:, 1]
+    n, nb = M.shape[:2]
     q_x, q_y, u = slice(0, nb), slice(nb, 2 * nb), slice(2 * nb, 3 * nb)
-    E = np.zeros((3 * nb, 3 * nb))
-    E[q_x, q_x] = E[q_y, q_y] = M
-    E[q_x, u], E[q_y, u] = -Kx, -Ky
-    E[u, q_x], E[u, q_y] = -kappa * Kx, -kappa * Ky
-    E[u, u] = -a[0] * Kx - a[1] * Ky
+    E = np.zeros((n, 3 * nb, 3 * nb))
+    E[:, q_x, q_x] = E[:, q_y, q_y] = M
+    E[:, q_x, u], E[:, q_y, u] = -Kx, -Ky
+    E[:, u, q_x], E[:, u, q_y] = -kappa * Kx, -kappa * Ky
+    E[:, u, u] = -a[0] * Kx - a[1] * Ky
     if "S" in tb:
-        E[u, u] += tb["S"]
+        E[:, u, u] += tb["S"]
     return E
 
 
@@ -303,6 +296,135 @@ def _slot_face_matrices(m: int, p: int, t0: float, t1: float):
     return _readonly(theta_w @ basis.eval(s)), _readonly(theta_w @ theta)
 
 
+def _volume_load(mesh: MacroMesh, ids: np.ndarray, label: np.ndarray, p: int,
+                 problem: ProblemData, tables: dict, quad_degree: int) -> np.ndarray:
+    """(len(ids), nloc) volume part of R_u of the macros `ids`, the macro
+    ids[i] with the sub-cell tables of row label[i]: one batched quadrature,
+    with one call of f per sub-cell kind over the cells of all the macros."""
+    dofmap = _patch_dof_map(mesh.m, p)
+    Q = dofmap.n_dofs
+    R = np.zeros((ids.size, 3 * Q))
+    rule = reference_tables(p, quad_degree)[0]
+    quad = sub_cell_quadrature(mesh.jacobians[ids], mesh.verts[ids, 0], mesh.m, rule.points_ref)
+    for kind, q in quad.items():
+        tb = tables[kind]
+        fvals = np.asarray(problem.f(q.points.reshape(-1, 2)), dtype=float)
+        load = np.einsum("ncq,nqb->ncb", fvals.reshape(q.points.shape[:3]) * tb["wd"][label, None],
+                         tb["test"][label])
+        np.add.at(R.T, 2 * Q + dofmap.cell_maps[q.cells].ravel(), load.reshape(ids.size, -1).T)
+    return R
+
+
+def assemble_classes(
+    mesh: MacroMesh,
+    classes: list,
+    p: int,
+    problem: ProblemData,
+    stab: StabilizationConfig,
+    quad_degree: Optional[int] = None,
+) -> list:
+    """LocalOperators of each class, an array of congruent macro ids, in one
+    batched pass over all classes: A, B and C from the geometry of each
+    class's first macro, and R_u of every macro.
+
+    The sub-cell tables of all the first macros come from one
+    sub_cell_jacobians call.  Every term of A (the element blocks of all
+    sub-cells, then the boundary blocks slot by slot) goes in by one
+    bincount, offset per class, for each group of classes with at most
+    _SCATTER_ENTRIES volume terms; a sparse A gets its CSR straight from the
+    summed entries of its pattern.  B, C and the boundary terms are formed
+    for all (class, face slot) pairs at once, from the cached slot matrices
+    scaled by the face lengths.  R_u is one quadrature over all macros, with
+    one call of f per sub-cell kind, minus the Dirichlet lifting: one call of
+    g_D over the Dirichlet slots of all macros, projected, times B."""
+    m = mesh.m
+    nloc, nd = 3 * _patch_dof_map(m, p).n_dofs, m * p + 1
+    a, kappa = problem.a, problem.kappa
+    quad_degree = _quad_degree(p, stab, quad_degree)
+    reps = np.array([ids[0] for ids in classes], dtype=np.intp)
+    n = reps.size
+    tables = _sub_cell_tables(mesh.jacobians[reps], m, p, problem, stab, quad_degree)
+    scatter = _a_scatter(m, p)
+    # first, while A, B and C are not yet stored: the quadrature's points
+    # are the largest temporary
+    ids = np.concatenate(classes)
+    label = np.repeat(np.arange(n), [len(c) for c in classes])
+    R = _volume_load(mesh, ids, label, p, problem, tables, quad_degree)
+
+    # (class, slot) pairs, class by class and slot by slot; a slot's
+    # [q_x | q_y | u] rows on its macro edge are en3
+    pair_of = np.full(mesh.slot_faces[reps].shape, -1)
+    owner, slot = np.nonzero(mesh.slot_faces[reps] >= 0)
+    pair_of[owner, slot] = np.arange(owner.size)
+    rep = reps[owner]
+    k = mesh.slot_table[rep, slot, 0].astype(np.intp)
+    en3 = scatter.en3[k]
+    keys, which = np.unique(mesh.slot_table[rep, slot, 1:], axis=0, return_inverse=True)
+    W, Me = (np.stack(mats)[which.ravel()] for mats in zip(*(
+        _slot_face_matrices(m, p, round(t0, _ROUND), round(t1, _ROUND))
+        for t0, t1 in keys.tolist())))
+    verts = mesh.face_verts[mesh.slot_faces[rep, slot]]
+    length = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)[:, None, None]
+    W, Me = length * W, length * Me
+    nrm = mesh.normals[rep, k]
+    tau = stabilization_tau(a, nrm, kappa, mesh.diameter[rep])[:, None, None]
+    an = (nrm @ a)[:, None, None]
+    nx, ny = nrm[:, 0, None, None], nrm[:, 1, None, None]
+    face_A = np.concatenate((kappa * nx * Me, kappa * ny * Me, tau * Me), axis=2)
+    face_B = np.concatenate((nx * W, ny * W, (an - tau) * W), axis=1)
+
+    # A: each class's volume terms, then its boundary terms in slot order,
+    # summed by one bincount per group of classes
+    blocks = np.stack([_element_matrices(tables[kind], a, kappa)
+                       for kind in ("up", "down") if kind in tables], axis=1)
+    size = nloc * nloc if scatter.pattern is None else scatter.pattern.size
+    if scatter.pattern is not None:
+        rows, cols = np.divmod(scatter.pattern, nloc)
+    group = max(1, _SCATTER_ENTRIES // scatter.volume.size)
+    A = []
+    for lo in range(0, n, group):
+        hi = min(lo + group, n)
+        sel = (owner >= lo) & (owner < hi)
+        pos = np.concatenate(((np.arange(hi - lo)[:, None, None] * size + scatter.volume).ravel(),
+                              ((owner[sel] - lo)[:, None, None] * size
+                               + scatter.face[k[sel]]).ravel()))
+        vals = np.concatenate((blocks[lo:hi, scatter.kind].ravel(), face_A[sel].ravel()))
+        summed = np.bincount(pos, vals, minlength=(hi - lo) * size).reshape(hi - lo, size)
+        if scatter.pattern is None:
+            A.extend(summed.reshape(-1, nloc, nloc))
+        else:
+            A.extend(sp.csr_matrix((e[e != 0], (rows[e != 0], cols[e != 0])),
+                                   shape=(nloc, nloc)) for e in summed)
+
+    # B (nloc, ncol) and C (ncol, nloc) of the classes, one after another in
+    # one buffer each
+    ncol = nd * np.bincount(owner, minlength=n)
+    start = np.concatenate(([0], np.cumsum(nloc * ncol)))
+    base = start[owner, None, None]
+    col = slot[:, None] * nd + np.arange(nd)
+    B = np.zeros(start[-1])
+    C = np.zeros(start[-1])
+    B[base + en3[:, :, None] * ncol[owner, None, None] + col[:, None, :]] = face_B
+    Wt = W.swapaxes(1, 2)
+    C[base + col[:, :, None] * nloc + en3[:, None, :]] = np.concatenate(
+        (kappa * nx * Wt, kappa * ny * Wt, tau * Wt), axis=2)
+
+    # Dirichlet data enters through trace elimination: the projected g_D of
+    # each Dirichlet slot of a macro times that slot's columns of B
+    face_ids = mesh.slot_faces[ids]
+    row, dslot = np.nonzero((face_ids >= 0) & (mesh.face_tag[face_ids] == "D"))
+    if row.size:
+        G = project_dirichlet(mesh.face_verts[face_ids[row, dslot]], problem.g_D, m, p)
+        pair = pair_of[label[row], dslot]
+        np.subtract.at(R, (row[:, None], en3[pair]), (face_B[pair] @ G[:, :, None])[..., 0])
+    R_u = np.split(R, np.cumsum([len(c) for c in classes])[:-1])
+
+    return [LocalOperators(A=A[i], B=B[start[i]:start[i + 1]].reshape(nloc, -1),
+                           C=C[start[i]:start[i + 1]].reshape(-1, nloc),
+                           macro_ids=np.asarray(classes[i]), R_u=R_u[i])
+            for i in range(n)]
+
+
 def assemble_macro(
     mesh: MacroMesh,
     macro: int,
@@ -311,52 +433,9 @@ def assemble_macro(
     stab: StabilizationConfig,
     quad_degree: Optional[int] = None,
 ) -> LocalOperators:
-    """A, B and C of the macro-element with id `macro` from cached reference
-    data, and its load function (R_u is computed on first use)."""
-    m = mesh.m
-    dofmap = _patch_dof_map(m, p)
-    Q = dofmap.n_dofs
-    nloc = 3 * Q
-    a, kappa = problem.a, problem.kappa
-    quad_degree = _quad_degree(p, stab, quad_degree)
-    # the red pattern has two congruence classes of sub-cells
-    tables = _sub_cell_tables(mesh.jacobians[macro], m, p, problem, stab, quad_degree)
-
-    # volume terms: the element block of each cell's kind, one scatter-add
-    kind, index = _volume_scatter(m, p)
-    blocks = np.stack([_element_matrix(tables[k], a, kappa)
-                       for k in ("up", "down") if k in tables])
-    A = np.bincount(index.ravel(), blocks[kind].ravel(),
-                    minlength=nloc * nloc).reshape(nloc, nloc)
-
-    # boundary terms, one or two skeleton faces per macro edge; the slot's
-    # [q_x | q_y | u] rows on its macro edge are en3
-    slot_keys = mesh.slot_keys(macro)
-    nd = m * p + 1
-    nc = nd * len(slot_keys)
-    B = np.zeros((nloc, nc))
-    C = np.zeros((nc, nloc))
-    diameter = float(mesh.diameter[macro])
-    for i, (fid, (k, t0, t1)) in enumerate(zip(mesh.slot_faces[macro].tolist(), slot_keys)):
-        slot = slice(i * nd, (i + 1) * nd)
-        W, Me = _slot_face_matrices(m, p, t0, t1)
-        v0, v1 = mesh.face_verts[fid]
-        lenF = float(np.linalg.norm(v1 - v0))
-        W, Me = lenF * W, lenF * Me
-        nrm = mesh.normals[macro, k]
-        tau = stabilization_tau(a, nrm, kappa, diameter)
-        an = float(np.dot(a, nrm))
-        en = dofmap.edge_nodes[k]
-        en3 = np.concatenate((en, Q + en, 2 * Q + en))
-        A[np.ix_(2 * Q + en, en3)] += np.hstack(
-            (kappa * nrm[0] * Me, kappa * nrm[1] * Me, tau * Me))
-        B[en3, slot] = np.vstack((nrm[0] * W, nrm[1] * W, (an - tau) * W))
-        C[slot, en3] = np.hstack((kappa * nrm[0] * W.T, kappa * nrm[1] * W.T, tau * W.T))
-
-    Amat = A if m <= 2 else sp.csr_matrix(A)
-    load = partial(load_vectors, mesh, p=p, problem=problem, tables=tables, B=B,
-                   quad_degree=quad_degree)
-    return LocalOperators(A=Amat, B=B, C=C, macro=macro, load=load)
+    """A, B, C and R_u of the macro-element with id `macro`: assemble_classes
+    on the one class {macro}."""
+    return assemble_classes(mesh, [np.array([macro])], p, problem, stab, quad_degree)[0]
 
 
 def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> FaceBlocks:
@@ -370,10 +449,9 @@ def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> FaceBlocks:
     sides = np.stack((mesh.face_left[ids], mesh.face_right[ids]), axis=1).ravel()
     at = np.repeat(np.arange(ids.size), 2)[sides >= 0]
     sides = sides[sides >= 0]
-    an = mesh.normals.reshape(-1, 2)[sides] @ problem.a
-    tau = np.abs(an) + problem.kappa / mesh.diameter[sides // 3]
-    if not (tau > 0).all():
-        raise ValueError("nonpositive stabilization parameter")
+    nrm = mesh.normals.reshape(-1, 2)[sides]
+    tau = stabilization_tau(problem.a, nrm, problem.kappa, mesh.diameter[sides // 3])
+    an = nrm @ problem.a
     verts = mesh.face_verts[ids]
     length = np.linalg.norm(verts[:, 1] - verts[:, 0], axis=1)
     scale = np.bincount(at, an - tau, minlength=ids.size) * length

@@ -6,8 +6,9 @@ The block system [A B; C D][U; uhat] = [R_u; R_uhat] is reduced to
 starts at face_start[F] = rank of F among the unknown faces times m p + 1,
 and D is block-diagonal in it.  Congruent macros share A, B, C,
 the factor of A and the condensed block K = C A^-1 B, so each is built once
-per congruence class, and the local steps run on fixed-size chunks of a
-class's macros, one batched call per step.  The Schur operator is applied
+per congruence class (A, B and C of all classes in one batched assembly
+pass), and the local steps run on fixed-size chunks of a class's macros,
+one batched call per step.  The Schur operator is applied
 matrix-free (per chunk, a gather of the trace values and one GEMM with the
 class's K, then the face reduction D uhat minus a fixed-order scatter of the
 macro outputs; nothing global is assembled) or as an explicitly scattered
@@ -31,9 +32,10 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     FaceBlocks,
+    LocalOperators,
     ProblemData,
     StabilizationConfig,
-    assemble_macro,
+    assemble_classes,
     face_operators,
 )
 from .mesh import MacroMesh
@@ -120,17 +122,13 @@ class WorkerPool:
 
 
 @dataclass
-class OperatorClass:
-    """A, B, C, the factor of A and K = C A^-1 B, shared by the congruent
-    macros `macro_ids`; row r of `face_ids`, `trace_idx` and `R_u` belongs
-    to macro macro_ids[r]."""
+class OperatorClass(LocalOperators):
+    """A congruence class's LocalOperators, the skeleton face of each slot
+    of its macros and what condense adds: the factor of A, K = C A^-1 B and
+    the trace index of each B column.  Row r of `face_ids`, `trace_idx` and
+    `R_u` belongs to macro macro_ids[r]."""
 
-    A: object  # dense ndarray (m <= 2) or csr_matrix (m > 2)
-    B: np.ndarray  # B columns / C rows: m p + 1 per face slot
-    C: np.ndarray
-    macro_ids: np.ndarray  # (n_macros,)
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
-    R_u: np.ndarray  # (n_macros, nloc)
     factor: Optional[tuple] = None  # ('dense', (lu, piv)) | ('sparse', SuperLU)
     K: Optional[np.ndarray] = None  # (nc, nc) condensed block C A^-1 B
     # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
@@ -471,19 +469,14 @@ class Solution:
 def assemble_system(
     mesh: MacroMesh, problem: ProblemData, stab: StabilizationConfig, p: int,
 ):
-    """Group the macros by congruence class.  Per class, A, B and C come
-    from one assemble_macro call on its first macro, and R_u from one
-    batched quadrature over its macros with that call's sub-cell tables.
-    The face blocks of all unknown faces come from one vectorized pass."""
+    """Group the macros by congruence class and assemble all classes in one
+    batched pass (assemble_classes): A, B and C of each class from its first
+    macro, and R_u of every macro.  The face blocks of all unknown faces
+    come from one vectorized pass."""
     nd = mesh.m * p + 1
-    classes = []
-    for ids in mesh.congruence_classes():
-        op = assemble_macro(mesh, int(ids[0]), p, problem, stab)
-        classes.append(OperatorClass(
-            A=op.A, B=op.B, C=op.C, macro_ids=ids,
-            face_ids=mesh.slot_faces[ids, :op.B.shape[1] // nd],
-            R_u=op.load(ids),
-        ))
+    classes = [OperatorClass(**vars(op), face_ids=mesh.slot_faces[op.macro_ids,
+                                                                  :op.B.shape[1] // nd])
+               for op in assemble_classes(mesh, mesh.congruence_classes(), p, problem, stab)]
     return classes, face_operators(mesh, p, problem)
 
 

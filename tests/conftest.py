@@ -43,13 +43,32 @@ def skewed_mesh(n, m):
     return _assemble_mesh(raw, m, [0] * len(raw), n, None)
 
 
+def random_adapted_mesh(levels, boundary_tagger=None):
+    """The (4, 2) mesh refined `levels` times, each time at a seeded random
+    quarter of its macros (default_rng(0)); the 2:1 closure adds more."""
+    mesh = build_structured_macro_mesh(2, 4, 2, boundary_tagger)
+    rng = np.random.default_rng(0)
+    for _ in range(levels):
+        k = len(mesh.verts)
+        mesh = refine_macros(mesh, rng.choice(k, size=k // 4, replace=False).tolist())
+    return mesh
+
+
+def neumann_right(mid):
+    """Boundary tagger: Neumann on the side x = 1, Dirichlet elsewhere."""
+    return "N" if mid[0] > 1.0 - 1e-12 else "D"
+
+
 # Meshes on which per-class operators are checked against per-macro ones
 CLASS_MESHES = {
     "uniform-4-2": lambda: build_structured_macro_mesh(2, 4, 2),
-    "uniform-2-4": lambda: build_structured_macro_mesh(2, 2, 4),  # sparse A
+    "uniform-2-4": lambda: build_structured_macro_mesh(2, 2, 4),
+    "uniform-1-8": lambda: build_structured_macro_mesh(2, 1, 8),  # sparse A
     "uniform-3-2": lambda: build_structured_macro_mesh(2, 3, 2),
     "skewed-3-2": lambda: skewed_mesh(3, 2),
     "adapted-2-level": lambda: refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3}),
+    # many classes, hanging faces and Neumann faces
+    "adapted-random-neumann": lambda: random_adapted_mesh(1, neumann_right),
 }
 
 

@@ -92,7 +92,8 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
     a = problem.a
     kappa = problem.kappa
     quad_degree = _quad_degree(p, stab, quad_degree)
-    tables = _sub_cell_tables(amap.matrix, m, p, problem, stab, quad_degree)
+    tables = {kind: {key: val[0] for key, val in tb.items()} for kind, tb in _sub_cell_tables(
+        amap.matrix[None], m, p, problem, stab, quad_degree).items()}
 
     A = np.zeros((nloc, nloc))
     for cm, (kind, _, _) in zip(dofmap.cell_maps, sub_cells(m)):

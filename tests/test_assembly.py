@@ -92,10 +92,10 @@ def test_operator_sizes_m2_vs_m1():
 def test_storage_mode():
     import scipy.sparse as sp
 
-    mesh = build_structured_macro_mesh(2, 1, 4)
+    mesh = build_structured_macro_mesh(2, 1, 8)
     op = assemble_macro(mesh, 0, 1, make_problem(), NO_STAB)
     assert sp.issparse(op.A)
-    mesh = build_structured_macro_mesh(2, 1, 2)
+    mesh = build_structured_macro_mesh(2, 1, 4)
     op = assemble_macro(mesh, 0, 1, make_problem(), NO_STAB)
     assert isinstance(op.A, np.ndarray)
 
@@ -118,12 +118,13 @@ def test_conforming_face_breaks(m):
 def test_assemble_macro_matches_loop_reference(name):
     """A, B, C and R_u of every macro, built from the cached reference
     blocks, equal the per-cell and per-face loop assembly, with SUPG off and
-    on, with nonzero f and g_D."""
+    on (both variants), with nonzero f and g_D."""
     from mehdg.bench import make_benchmark
 
     mesh = CLASS_MESHES[name]()
     problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
-    for stab in (NO_STAB, StabilizationConfig(supg=True)):
+    for stab in (NO_STAB, StabilizationConfig(supg=True),
+                 StabilizationConfig(supg=True, supg_variant="paper-plus")):
         for macro in mesh.macro_elements:
             op = assemble_macro(mesh, macro.id, 2, problem, stab)
             A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
@@ -228,6 +229,21 @@ def test_stabilization_tau_examples():
     n = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert stabilization_tau(np.array([1.0, 1.0]), n, 0.4, 1.0) == pytest.approx(
         np.sqrt(2.0) + 0.4)
+    # elementwise over many sides, as the batched assembly calls it
+    many = stabilization_tau(np.array([1.0, 1.0]), np.array([[1.0, 0.0], n]), 0.4,
+                             np.array([0.5, 1.0]))
+    assert many == pytest.approx([1.8, np.sqrt(2.0) + 0.4])
+    # tau <= 0 (kappa < 0 set past ProblemData's check) is refused, also by
+    # the batched assembly and the face pass
+    with pytest.raises(ValueError):
+        stabilization_tau(np.zeros(2), np.array([[1.0, 0.0]]), -1.0, np.ones(1))
+    mesh = build_structured_macro_mesh(2, 1, 1)
+    problem = make_problem(a=(0.0, 0.0))
+    problem.kappa = -1.0
+    with pytest.raises(ValueError, match="nonpositive"):
+        assemble_macro(mesh, 0, 1, problem, NO_STAB)
+    with pytest.raises(ValueError, match="nonpositive"):
+        face_operators(mesh, 1, problem)
 
 
 def test_supg_parameter():
@@ -255,6 +271,11 @@ def test_supg_parameter():
         lo = supg_parameter(scale * (1 - 1e-6), a, 1.0)
         hi = supg_parameter(scale * (1 + 1e-6), a, 1.0)
         assert lo == pytest.approx(hi, rel=1e-4)
+    # elementwise over h, one value in each branch, as the batched tables call it
+    hs = np.array([1e-6, 0.1, 100.0])
+    for variant in ("classical-minus", "paper-plus"):
+        assert np.array_equal(supg_parameter(hs, a, 1.0, variant),
+                              [supg_parameter(h, a, 1.0, variant) for h in hs])
 
 
 def test_project_dirichlet_constant_and_linear():
@@ -262,13 +283,13 @@ def test_project_dirichlet_constant_and_linear():
     ones = lambda x: np.ones(np.atleast_2d(x).shape[0])
     xfun = lambda x: np.atleast_2d(x)[:, 0]
     for face in mesh.boundary_faces():
-        coeffs = project_dirichlet(face, ones, mesh.m, 2)
+        coeffs = project_dirichlet(face.verts, ones, mesh.m, 2)
         assert np.abs(coeffs - 1.0).max() < 1e-12
     xaxis = [f for f in mesh.boundary_faces()
              if abs(f.verts[0][1]) < 1e-12 and abs(f.verts[1][1]) < 1e-12]
     assert xaxis
     for face in xaxis:
-        coeffs = project_dirichlet(face, xfun, mesh.m, 2)
+        coeffs = project_dirichlet(face.verts, xfun, mesh.m, 2)
         psi = TraceBasis(mesh.m, 2)
         nodes_x = face.verts[0][0] + psi.nodes * (face.verts[1][0] - face.verts[0][0])
         assert np.abs(coeffs - nodes_x).max() < 1e-12
@@ -280,7 +301,7 @@ def test_project_dirichlet_tanh_vs_least_squares():
     g = lambda x: 0.5 * (1 + np.tanh((np.atleast_2d(x)[:, 1]
                                       - 2 * np.atleast_2d(x)[:, 0] + 0.4) / 0.4))
     face = mesh.boundary_faces()[0]
-    coeffs = project_dirichlet(face, g, mesh.m, 2)
+    coeffs = project_dirichlet(face.verts, g, mesh.m, 2)
     # independent dense least-squares fit at 200 sample points
     psi = TraceBasis(mesh.m, 2)
     s = (np.arange(200) + 0.5) / 200
@@ -306,7 +327,7 @@ def test_projection_idempotent():
         s = (x - face.verts[0]) @ d / (d @ d)
         return psi.eval(s) @ coeffs
 
-    proj = project_dirichlet(face, g, mesh.m, 2)
+    proj = project_dirichlet(face.verts, g, mesh.m, 2)
     assert np.abs(proj - coeffs).max() < 1e-11
 
 

@@ -114,7 +114,7 @@ def test_measured_dense_a_block_bytes(m, p):
     assert op.A.nbytes == 9 * model  # (d+1)^2 scalar blocks
 
 
-@pytest.mark.parametrize("m,p", [(4, 1), (4, 2)])
+@pytest.mark.parametrize("m,p", [(8, 1), (8, 2)])
 def test_measured_sparse_fill_below_model(m, p):
     """Sparsity constant is an upper estimate of the measured fill."""
     mesh = build_structured_macro_mesh(2, 1, m)

@@ -150,17 +150,19 @@ def test_cached_reference_arrays_read_only():
     before = val.copy()
     assert trace_mass(3, 2) is trace_mass(3, 2)
     assert trace_projection(3, 2, 6) is trace_projection(3, 2, 6)
-    # the assembly's caches: the volume scatter index per (m, p) and the
-    # reference face matrices per (m, p, t0, t1)
-    from mehdg.assembly import _slot_face_matrices, _volume_scatter
+    # the assembly's caches: the scatter of A per (m, p), dense and sparse,
+    # and the reference face matrices per (m, p, t0, t1)
+    from mehdg.assembly import _a_scatter, _slot_face_matrices
 
-    assert _volume_scatter(2, 2) is _volume_scatter(2, 2)
+    assert _a_scatter(2, 2) is _a_scatter(2, 2)
+    assert _a_scatter(2, 2).pattern is None
     assert _slot_face_matrices(2, 2, 0.0, 0.5) is _slot_face_matrices(2, 2, 0.0, 0.5)
     for arr in (rule.points, rule.points_ref, rule.weights, val, grad, hess,
                 quadrature_rule(1, 3).weights, psi.nodes, psi.breakpoints,
                 dofmap.cell_maps[0], dofmap.edge_nodes, dofmap.node_lattice,
                 *trace_quadrature(3, 2, 4), trace_mass(3, 2), trace_projection(3, 2, 6),
-                *_volume_scatter(2, 2), *_slot_face_matrices(2, 2, 0.0, 0.5)):
+                *_a_scatter(2, 2)[:-1], *_a_scatter(8, 1),
+                *_slot_face_matrices(2, 2, 0.0, 0.5)):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] += 1
     assert np.array_equal(reference_tables(2, 5)[1], before)

@@ -5,8 +5,9 @@ import threading
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from conftest import CLASS_MESHES, poly_case, solve_poly
+from conftest import CLASS_MESHES, neumann_right, poly_case, random_adapted_mesh, solve_poly
 from reference_assembly import loop_face_slots
 
 from mehdg.assembly import StabilizationConfig, assemble_macro
@@ -96,13 +97,16 @@ def test_solver_config_validation():
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))
 def test_class_operators_match_per_macro_assembly(name):
     """Every class's A, B and C equal assemble_macro's for each member macro,
-    and each member's R_u row equals that macro's own R_u."""
+    and each member's R_u row equals that macro's own R_u, with SUPG off and
+    on (both variants)."""
     from mehdg.bench import make_benchmark
 
     mesh = CLASS_MESHES[name]()
     p = 2
     problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
-    for stab in (NO_STAB, StabilizationConfig(supg=True)):
+    problem.g_N = lambda x: np.sin(3.0 * x[:, 1])
+    for stab in (NO_STAB, StabilizationConfig(supg=True),
+                 StabilizationConfig(supg=True, supg_variant="paper-plus")):
         classes, _ = assemble_system(mesh, problem, stab, p)
         ids = sorted(e for cls in classes for e in cls.macro_ids.tolist())
         assert ids == list(range(len(mesh.macro_elements)))
@@ -121,38 +125,39 @@ def test_class_operators_match_per_macro_assembly(name):
     if name == "adapted-2-level":
         assert any(f.hanging for f in mesh.skeleton)
         assert any(cls.macro_ids.size > 1 for cls in classes)
+    if name == "adapted-random-neumann":
+        assert len(classes) >= 8
+        assert (mesh.face_parent >= 0).any() and (mesh.face_tag == "N").any()
 
 
-def test_assembly_builds_tables_and_load_once_per_class(monkeypatch):
-    """On an adapted mesh, assemble_system builds each class's sub-cell
-    tables once and runs its load quadrature once: one call of f per
-    sub-cell kind per class (m = 2 has both kinds)."""
+def test_assembly_batches_all_classes(monkeypatch):
+    """On an adapted mesh with many classes, assemble_system builds the
+    sub-cell tables once, calls f once per sub-cell kind (m = 2 has both)
+    and g_D once, whatever the class count: no per-class loop."""
     from mehdg import assembly
 
-    mesh = refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3})
-    assert any(f.hanging for f in mesh.skeleton)
+    mesh = random_adapted_mesh(1, neumann_right)
     problem = poly_case(2).problem()
-    calls = {"tables": 0, "f": 0}
-    tables, f = assembly._sub_cell_tables, problem.f
+    problem.g_N = lambda x: np.zeros(len(x))
+    calls = {"tables": 0, "f": 0, "g_D": 0}
+    tables, f, g_D = assembly._sub_cell_tables, problem.f, problem.g_D
 
-    def count_tables(*args, **kwargs):
-        calls["tables"] += 1
-        return tables(*args, **kwargs)
+    def count(key, fn):
+        def counted(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return counted
 
-    def count_f(x):
-        calls["f"] += 1
-        return f(x)
-
-    monkeypatch.setattr(assembly, "_sub_cell_tables", count_tables)
-    problem.f = count_f
+    monkeypatch.setattr(assembly, "_sub_cell_tables", count("tables", tables))
+    problem.f, problem.g_D = count("f", f), count("g_D", g_D)
     for stab in (NO_STAB, StabilizationConfig(supg=True)):
-        calls.update(tables=0, f=0)
+        calls.update(tables=0, f=0, g_D=0)
         classes, _ = assemble_system(mesh, problem, stab, 2)
-        assert any(cls.macro_ids.size > 1 for cls in classes)
-        assert calls == {"tables": len(classes), "f": 2 * len(classes)}
+        assert len(classes) >= 8
+        assert calls == {"tables": 1, "f": 2, "g_D": 1}
 
 
-@pytest.mark.parametrize("name", ["uniform-2-4", "skewed-3-2", "adapted-2-level"])
+@pytest.mark.parametrize("name", ["uniform-2-4", "uniform-1-8", "skewed-3-2", "adapted-2-level"])
 def test_fused_apply_matches_dense_oracle(name):
     """Each class's K and the matrix-free apply against D - sum C A^-1 B
     formed densely from every macro's own assembly with np.linalg.solve."""
@@ -162,6 +167,8 @@ def test_fused_apply_matches_dense_oracle(name):
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
     sys = condense(mesh, classes, faces, SolverConfig(), pool=pool)
     if name == "uniform-2-4":
+        assert all(isinstance(cls.A, np.ndarray) for cls in classes)  # dense storage
+    if name == "uniform-1-8":
         assert all(hasattr(cls.A, "toarray") for cls in classes)  # sparse storage
     if name == "adapted-2-level":
         assert any(f.hanging for f in mesh.skeleton)
@@ -394,11 +401,12 @@ def test_singular_local_block():
 
 
 def test_singular_sparse_local_block():
-    """With sparse storage (m > 2) an exactly singular A raises the same
+    """With sparse storage (m > 4) an exactly singular A raises the same
     named error, not SuperLU's RuntimeError."""
-    mesh = build_structured_macro_mesh(2, 1, 4)
+    mesh = build_structured_macro_mesh(2, 1, 8)
     pool = WorkerPool(1)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
+    assert sp.issparse(classes[0].A)
     classes[0].A = classes[0].A * 0.0
     with pytest.raises(SingularLocalBlock):
         condense(mesh, classes, faces, SolverConfig(), pool=pool)

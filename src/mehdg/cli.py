@@ -22,7 +22,7 @@ from .bench import (
     write_csv,
 )
 from .mesh import build_structured_macro_mesh, export_text, export_vtk
-from .schur_solver import SolverConfig, solve
+from .schur_solver import SingularFaceBlock, SingularLocalBlock, SolverConfig, solve
 
 
 class CliParser(argparse.ArgumentParser):
@@ -209,8 +209,11 @@ def main(argv=None) -> int:
             return 0
 
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SingularLocalBlock, SingularFaceBlock) as exc:
         print(f"mehdg: error: {exc}", file=sys.stderr)
+        return 1
+    except ArithmeticError as exc:  # e.g. overflow in a benchmark's closed form
+        print(f"mehdg: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -4,15 +4,17 @@ The block system [A B; C D][U; uhat] = [R_u; R_uhat] is reduced to
 (D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  The trace vector uhat is the
 (unknown faces, m p + 1) array of the face blocks, raveled: face F's block
 starts at face_start[F] = rank of F among the unknown faces times m p + 1,
-and D is block-diagonal in it.  Congruent macros share A, B, C,
-the factor of A and the condensed block K = C A^-1 B, so each is built once
-per congruence class (A, B and C of all classes in one batched assembly
-pass), and the local steps run on fixed-size chunks of a class's macros,
-one batched call per step.  The Schur operator is applied
-matrix-free (per chunk, a gather of the trace values and one GEMM with the
-class's K, then the face reduction D uhat minus a fixed-order scatter of the
-macro outputs; nothing global is assembled) or as an explicitly scattered
-sparse matrix built from the same K.  Both share a restarted GMRES,
+and D is block-diagonal in it.  Congruent macros share A, B and C (all
+classes come from one batched assembly pass), so condense factors each
+class's A once and solves once with [B | R_u^T]: it keeps A^-1 B, the
+condensed block K = C A^-1 B and U0, every member's local solution at
+uhat = 0.  The reduced right-hand side and the reconstruction are then
+gathers and GEMMs per class.  The Schur operator is applied
+matrix-free (per fixed-size chunk of a class's macros, a gather of the
+trace values and one GEMM with the class's K, then the face reduction D uhat
+minus a fixed-order scatter of the macro outputs; nothing global is
+assembled) or as an explicitly scattered sparse matrix built from the same
+K.  Both share a restarted GMRES,
 orthogonalized by classical Gram-Schmidt run twice and preconditioned by the
 block-diagonal D^-1 as one sparse matrix.  Its blocks are exact inverses:
 assembly builds D_F = c_F M_F with c_F < 0, a negative multiple of the face
@@ -40,11 +42,11 @@ from .assembly import (
 )
 from .mesh import MacroMesh
 
-# Macros per chunk of local work.  Fixed, so that the batched calls, and with
-# them the results, do not depend on the worker count.  Small enough that a
-# 32-macro mesh (two classes of 16) still gives each of 8 workers a chunk, so
-# that the load-balance factor measures the partition; larger chunks only pay
-# on large meshes.
+# Macros per chunk of the matrix-free apply.  Fixed, so that the batched
+# calls, and with them the results, do not depend on the worker count.  Small
+# enough that a 32-macro mesh (two classes of 16) still gives each of 8
+# workers a chunk, so that the load-balance factor measures the partition;
+# larger chunks only pay on large meshes.
 CHUNK_MACROS = 4
 # Largest accepted worker count: WorkerPool keeps and visits one partition
 # per worker on every call, whether or not it holds any work.
@@ -52,11 +54,13 @@ MAX_WORKERS = 1024
 
 
 class SingularLocalBlock(RuntimeError):
-    pass
+    def __str__(self):
+        return f"singular local block A at macro {self.args[0]}"
 
 
 class SingularFaceBlock(RuntimeError):
-    pass
+    def __str__(self):
+        return f"singular face block D at face {self.args[0]}"
 
 
 @dataclass
@@ -124,47 +128,35 @@ class WorkerPool:
 @dataclass
 class OperatorClass(LocalOperators):
     """A congruence class's LocalOperators, the skeleton face of each slot
-    of its macros and what condense adds: the factor of A, K = C A^-1 B and
-    the trace index of each B column.  Row r of `face_ids`, `trace_idx` and
-    `R_u` belongs to macro macro_ids[r]."""
+    of its macros and what condense adds from its one solve with A: A^-1 B,
+    K = C A^-1 B, U0 and the trace index of each B column.  Row r of
+    `face_ids`, `trace_idx`, `R_u` and `U0` belongs to macro macro_ids[r]."""
 
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
-    factor: Optional[tuple] = None  # ('dense', (lu, piv)) | ('sparse', SuperLU)
+    AinvB: Optional[np.ndarray] = None  # (nloc, nc)
     K: Optional[np.ndarray] = None  # (nc, nc) condensed block C A^-1 B
+    U0: Optional[np.ndarray] = None  # (n_macros, nloc) local solutions at uhat = 0
     # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
     trace_idx: Optional[np.ndarray] = None
 
 
-def _factorize_local(cls: OperatorClass) -> None:
-    macro = int(cls.macro_ids[0])
-    if sp.issparse(cls.A):
+def _solve_local(A, rhs: np.ndarray, macro: int) -> np.ndarray:
+    """A^-1 rhs through one LU of A, dense or sparse.  A zero pivot, or one
+    below 1e-13 max|A|, raises SingularLocalBlock(macro)."""
+    if sp.issparse(A):
         try:
-            fac = spla.splu(sp.csc_matrix(cls.A))
+            fac = spla.splu(sp.csc_matrix(A))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularLocalBlock(macro) from exc
-        diag = np.abs(fac.U.diagonal())
-        amax = float(np.abs(cls.A.data).max()) if cls.A.nnz else 0.0
-        if diag.min() <= 1e-13 * max(amax, 1e-300):
-            raise SingularLocalBlock(macro)
-        cls.factor = ("sparse", fac)
+        pivots = fac.U.diagonal()
+        amax = float(np.abs(A.data).max()) if A.nnz else 0.0
     else:
-        lu, piv = sla.lu_factor(cls.A)
-        diag = np.abs(np.diag(lu))
-        if diag.min() <= 1e-13 * max(float(np.abs(cls.A).max()), 1e-300):
-            raise SingularLocalBlock(macro)
-        cls.factor = ("dense", (lu, piv))
-
-
-def _solve_local(cls: OperatorClass, rhs: np.ndarray) -> np.ndarray:
-    kind, fac = cls.factor
-    if kind == "sparse":
-        return fac.solve(rhs)
-    # the LAPACK call of sla.lu_solve, without its per-call wrapper checks,
-    # which cost more than a chunk's solve
-    x, info = sla.lapack.dgetrs(*fac, rhs)
-    if info:
-        raise ValueError(f"illegal argument {-info} to dgetrs")
-    return x
+        fac = sla.lu_factor(A)
+        pivots = np.diag(fac[0])
+        amax = float(np.abs(A).max())
+    if np.abs(pivots).min() <= 1e-13 * max(amax, 1e-300):
+        raise SingularLocalBlock(macro)
+    return fac.solve(rhs) if sp.issparse(A) else sla.lu_solve(fac, rhs)
 
 
 def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
@@ -191,13 +183,13 @@ class CondensedSystem:
     face_start: np.ndarray
     nd: int  # trace dofs per face, m p + 1
     zhat: int  # trace dofs, nd per unknown face
-    pool: WorkerPool
-    # units of local work: (class, slice of its rows), class by class
+    pool: WorkerPool  # runs the chunks of the matrix-free apply
+    # units of the matrix-free apply: (class, slice of its rows), class by class
     chunks: list
     D: sp.csr_matrix  # block diagonal, trace order
     Dinv: sp.csr_matrix
-    # step 4: trace dof of each entry of the concatenated chunk outputs
-    # C A^-1 B u_e, zhat (a pad slot) on Dirichlet faces
+    # step 4: trace dof of each entry of the macro outputs C A^-1 (.) in
+    # class and row order, zhat (a pad slot) on Dirichlet faces
     reduce_dst: np.ndarray
     f_vec: Optional[np.ndarray] = None
     counters: dict = field(default_factory=lambda: {"macro_apply": 0, "face_reduce": 0})
@@ -216,15 +208,15 @@ def condense(
     classes: list,
     faces: FaceBlocks,
     config: SolverConfig,
-    pool: Optional[WorkerPool] = None,
 ) -> CondensedSystem:
-    """Factorize each class's A and form its K = C A^-1 B, index its B
-    columns into the trace vector, build D and D^-1 and the reduced
+    """Per class, one solve with A for A^-1 B and U0, and K = C A^-1 B; index
+    the B columns into the trace vector, build D and D^-1 and the reduced
     right-hand side f = R_uhat - C A^-1 R_u."""
-    pool = pool or WorkerPool(config.workers)
     for cls in classes:
-        _factorize_local(cls)
-        cls.K = cls.C @ _solve_local(cls, cls.B)
+        nc = cls.B.shape[1]
+        X = _solve_local(cls.A, np.hstack([cls.B, cls.R_u.T]), int(cls.macro_ids[0]))
+        cls.AinvB, cls.U0 = X[:, :nc], X[:, nc:].T
+        cls.K = cls.C @ cls.AinvB
 
     nf, nd = faces.R_hat.shape
     zhat = nf * nd
@@ -238,8 +230,9 @@ def condense(
             len(cls.face_ids), -1)
         chunks.extend((cls, slice(i, i + CHUNK_MACROS))
                       for i in range(0, len(cls.face_ids), CHUNK_MACROS))
-    # the chunk outputs, concatenated in chunk order, are the classes'
-    # trace_idx blocks row-major; Dirichlet entries (-1) go to a pad slot
+    # the macro outputs, concatenated class by class (the chunks keep that
+    # order), are the classes' trace_idx blocks row-major; Dirichlet entries
+    # (-1) go to a pad slot
     dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
 
     # one nd x nd block per unknown face, on the diagonal in trace order
@@ -247,25 +240,20 @@ def condense(
     shape = (zhat, zhat)
     sys = CondensedSystem(
         mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
-        pool=pool, chunks=chunks,
+        pool=WorkerPool(config.workers), chunks=chunks,
         D=sp.bsr_matrix((faces.D, *blocks), shape=shape).tocsr(),
         Dinv=sp.bsr_matrix((_invert_face_blocks(faces.ids.tolist(), faces.D), *blocks),
                            shape=shape).tocsr(),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
-
-    # reduced RHS
-    def chunk_rhs(chunk):
-        cls, rows = chunk
-        return (_solve_local(cls, cls.R_u[rows].T).T @ cls.C.T).ravel()
-
-    sys.f_vec = _reduce_faces(sys, faces.R_hat.ravel(), pool.map(chunk_rhs, chunks))
+    sys.f_vec = _reduce_faces(sys, faces.R_hat.ravel(),
+                              [(cls.U0 @ cls.C.T).ravel() for cls in classes])
     return sys
 
 
 def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray:
-    """w minus the chunk outputs vhat, summed into their trace dofs in
-    chunk order."""
+    """w minus the macro outputs vhat, summed into their trace dofs in class
+    and row order."""
     return w - np.bincount(sys.reduce_dst, np.concatenate(vhat),
                            minlength=sys.zhat + 1)[:-1]
 
@@ -409,18 +397,12 @@ def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
 
 
 def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
-    """(n_macros, nloc) local solutions: per chunk, A U = R_u - B uhat with
-    the class's factorization, written to the rows of its macros."""
-    upad = np.append(uhat, 0.0)
-
-    def chunk_task(chunk):
-        cls, rows = chunk
-        rhs = cls.R_u[rows].T - cls.B @ upad[cls.trace_idx[rows]].T
-        return _solve_local(cls, rhs).T
-
+    """(n_macros, nloc) local solutions U = A^-1 (R_u - B uhat): per class,
+    U0 minus the gathered trace values times (A^-1 B)^T."""
+    upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
     local = np.empty((sys.n_macros, sys.classes[0].R_u.shape[1]))
-    for (cls, rows), U in zip(sys.chunks, sys.pool.map(chunk_task, sys.chunks)):
-        local[cls.macro_ids[rows]] = U
+    for cls in sys.classes:
+        local[cls.macro_ids] = cls.U0 - upad[cls.trace_idx] @ cls.AinvB.T
     return local
 
 
@@ -443,6 +425,8 @@ class SolveReport:
     t_global_s: float  # the rest of GMRES
     t_schur_s: float  # building the explicit S (mb; 0 in mf)
     t_reconstruct_s: float
+    # load-balance factor of the pooled matrix-free applies; 1.0 in mode mb,
+    # where no pooled work runs
     lbf: float
     residual_history: list
 
@@ -488,12 +472,11 @@ def solve(
     p: int,
 ):
     """Assemble, condense, run GMRES on the trace system and reconstruct."""
-    pool = WorkerPool(config.workers)
     t0 = time.perf_counter()
     classes, faces = assemble_system(mesh, problem, stab, p)
     t_assemble = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sys = condense(mesh, classes, faces, config, pool=pool)
+    sys = condense(mesh, classes, faces, config)
     t_init = time.perf_counter() - t0
 
     precond = None
@@ -529,7 +512,7 @@ def solve(
         n_classes=len(classes), t_assemble_s=t_assemble, t_init_s=t_init, t_local_s=t_local,
         t_global_s=max(t_gmres - t_local, 0.0), t_schur_s=t_schur,
         t_reconstruct_s=t_rec,
-        lbf=pool.lbf,
+        lbf=sys.pool.lbf,
         residual_history=info["residual_history"],
     )
     return Solution(local=local, uhat=uhat, report=report), sys

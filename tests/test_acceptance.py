@@ -28,7 +28,6 @@ from mehdg.fem_basis import LagrangeBasis, TraceBasis, build_patch_dof_map
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import (
     SolverConfig,
-    WorkerPool,
     apply_schur,
     assemble_schur_explicit,
     assemble_system,
@@ -76,10 +75,9 @@ def test_criterion_02_matrix_free_equals_matrix_based():
     worst = 0.0
     for n, m, p in ((2, 1, 1), (2, 2, 2), (3, 2, 3)):
         mesh = build_structured_macro_mesh(2, n, m)
-        pool = WorkerPool(1)
         local_ops, faces = assemble_system(
             mesh, case.problem(), NO_STAB, p)
-        sys = condense(mesh, local_ops, faces, SolverConfig(), pool=pool)
+        sys = condense(mesh, local_ops, faces, SolverConfig())
         S = assemble_schur_explicit(sys)
         for _ in range(20):
             x = rng.standard_normal(sys.zhat)
@@ -145,10 +143,9 @@ def test_criterion_05_trace_dof_reduction():
     for m in (1, 2, 4):
         n = 16 // m
         mesh = build_structured_macro_mesh(2, n, m)
-        pool = WorkerPool(1)
         local_ops, faces = assemble_system(
             mesh, case.problem(), NO_STAB, p)
-        sys = condense(mesh, local_ops, faces, SolverConfig(), pool=pool)
+        sys = condense(mesh, local_ops, faces, SolverConfig())
         expect = sum(m * p + 1 for face in mesh.skeleton
                      if face.tag != "D")
         ok &= sys.zhat == expect

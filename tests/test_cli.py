@@ -125,6 +125,8 @@ def test_input_error_exit_code(capsys):
     assert main(["solve", "--advect", "1,nan"]) == 1
     assert main(["solve", "--workers", "0"]) == 1
     assert main(["solve", "--workers", "1000000000"]) == 1
+    assert main(["solve", "--n", "1", "--m", "1", "--p", "1", "--advect", "1e200,1e200"]) == 1
+    assert main(["solve", "--kappa", "1e300"]) == 1
     assert main(["convergence", "--n-list", ","]) == 1
     assert main(["convergence", "--p-list", ","]) == 1
     assert main(["compare", "--tols", ","]) == 1

@@ -128,16 +128,15 @@ def test_measured_sparse_fill_below_model(m, p):
 
 
 def test_global_dofs_match_counting_formula():
-    from mehdg.schur_solver import SolverConfig, WorkerPool, assemble_system, condense
+    from mehdg.schur_solver import SolverConfig, assemble_system, condense
 
     case = poly_case(2)
     p = 2
     for n, m in ((4, 1), (2, 2)):
         mesh = build_structured_macro_mesh(2, n, m)
-        pool = WorkerPool(1)
         classes, faces = assemble_system(
             mesh, case.problem(), StabilizationConfig(), p)
-        sys = condense(mesh, classes, faces, SolverConfig(), pool=pool)
+        sys = condense(mesh, classes, faces, SolverConfig())
         rep = dependent_quantities(CostInputs(d=2, n=n, m=m, p=p))
         # all-Dirichlet boundary: unknown faces are exactly the interior ones
         assert sys.zhat == rep.D_faces * (m * p + 1)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from conftest import CLASS_MESHES, neumann_right, poly_case, random_adapted_mesh, solve_poly
 from reference_assembly import loop_face_slots
@@ -37,9 +38,8 @@ def build_system(n, m, p, case=None, workers=1, tol=1e-6):
     case = case or poly_case(2)
     mesh = build_structured_macro_mesh(2, n, m)
     config = SolverConfig(tol=tol, workers=workers)
-    pool = WorkerPool(workers)
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, p)
-    sys = condense(mesh, classes, faces, config, pool=pool)
+    sys = condense(mesh, classes, faces, config)
     return mesh, sys
 
 
@@ -58,10 +58,10 @@ def dense_D(sys):
     return D
 
 
-def per_macro_oracle(mesh, sys, p, case=None):
+def per_macro_oracle(mesh, sys, p, problem=None):
     """Per macro, in id order: assemble_macro's operators, the mask of its B
     columns on unknown faces and their indices in the trace vector."""
-    problem = (case or poly_case(2)).problem()
+    problem = problem or poly_case(2).problem()
     for macro in mesh.macro_elements:
         op = assemble_macro(mesh, macro.id, p, problem, NO_STAB)
         mask = np.zeros(op.B.shape[1], dtype=bool)
@@ -163,9 +163,8 @@ def test_fused_apply_matches_dense_oracle(name):
     formed densely from every macro's own assembly with np.linalg.solve."""
     mesh = CLASS_MESHES[name]()
     p = 2
-    pool = WorkerPool(1)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
-    sys = condense(mesh, classes, faces, SolverConfig(), pool=pool)
+    sys = condense(mesh, classes, faces, SolverConfig())
     if name == "uniform-2-4":
         assert all(isinstance(cls.A, np.ndarray) for cls in classes)  # dense storage
     if name == "uniform-1-8":
@@ -186,6 +185,82 @@ def test_fused_apply_matches_dense_oracle(name):
         x = rng.standard_normal(sys.zhat)
         want = S @ x
         assert np.linalg.norm(apply_schur(sys, x) - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_MESHES))
+def test_reconstruction_and_rhs_match_dense_oracle(name):
+    """For a random uhat, reconstruct_interior equals each macro's own
+    np.linalg.solve(A, R_u - B uhat), and f equals R_hat minus the scattered
+    C A^-1 R_u, on meshes with dense and sparse A, hanging and Neumann
+    faces."""
+    mesh = CLASS_MESHES[name]()
+    p = 2
+    problem = poly_case(2).problem()
+    problem.g_N = lambda x: np.sin(3.0 * x[:, 1])
+    classes, faces = assemble_system(mesh, problem, NO_STAB, p)
+    if name == "uniform-1-8":
+        assert all(sp.issparse(cls.A) for cls in classes)
+    sys = condense(mesh, classes, faces, SolverConfig())
+    uhat = np.random.default_rng(11).standard_normal(sys.zhat)
+    local = reconstruct_interior(sys, uhat)
+    f = np.zeros(sys.zhat)
+    for fid, R_hat in zip(faces.ids.tolist(), faces.R_hat):
+        f[sys.face_start[fid]:sys.face_start[fid] + sys.nd] = R_hat
+    for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, p, problem)):
+        A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
+        R_u = op.R_u.ravel()  # assemble_macro's one-macro stack
+        want = np.linalg.solve(A, R_u - op.B[:, mask] @ uhat[gi])
+        assert np.abs(local[e] - want).max() <= 1e-11 * np.abs(want).max()
+        f[gi] -= op.C[mask] @ np.linalg.solve(A, R_u)
+    assert np.abs(sys.f_vec - f).max() <= 1e-11 * np.abs(f).max()
+
+
+def _reachable(obj, seen=None):
+    """obj and every object reachable from it through attributes, dict
+    values, lists and tuples, each once."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    yield obj
+    if isinstance(obj, dict):
+        items = obj.values()
+    elif isinstance(obj, (list, tuple)):
+        items = obj
+    elif hasattr(obj, "__dict__") and not isinstance(obj, type):
+        items = vars(obj).values()
+    else:
+        return
+    for item in items:
+        yield from _reachable(item, seen)
+
+
+@pytest.mark.parametrize("name", ["adapted-2-level", "uniform-1-8"])
+@pytest.mark.parametrize("mode", ["mb", "mf"])
+def test_one_local_solve_per_class(monkeypatch, mode, name):
+    """solve() factors and solves each class's A exactly once, dense or
+    sparse, in either mode, and keeps no factor: neither a SuperLU object
+    nor an (lu, piv) pair is reachable from the condensed system."""
+    from mehdg import schur_solver
+
+    calls = []
+    real = schur_solver._solve_local
+
+    def counted(A, rhs, macro):
+        calls.append(macro)
+        return real(A, rhs, macro)
+
+    monkeypatch.setattr(schur_solver, "_solve_local", counted)
+    mesh = CLASS_MESHES[name]()
+    _, sys = solve(mesh, poly_case(2).problem(), NO_STAB,
+                   SolverConfig(tol=1e-10, mode=mode), 2)
+    assert len(sys.classes) >= 2
+    assert sorted(calls) == sorted(int(cls.macro_ids[0]) for cls in sys.classes)
+    for obj in _reachable(sys):
+        assert not isinstance(obj, spla.SuperLU)
+        assert not (isinstance(obj, tuple) and len(obj) == 2
+                    and all(isinstance(x, np.ndarray) for x in obj)
+                    and obj[1].dtype.kind == "i")
 
 
 def test_condense_zero_data():
@@ -220,7 +295,7 @@ def test_trace_numbering_matches_offsets_loop(m, p):
     assert {f.tag for f in mesh.skeleton} == {"interior", "D", "N"}
     assert any(f.hanging for f in mesh.skeleton)
     classes, faces = assemble_system(mesh, problem, NO_STAB, p)
-    sys = condense(mesh, classes, faces, SolverConfig(), pool=WorkerPool(1))
+    sys = condense(mesh, classes, faces, SolverConfig())
 
     # the numbering loop: unknown faces in skeleton order, m p + 1 dofs each
     offsets, pos = {}, 0
@@ -242,7 +317,7 @@ def test_trace_numbering_matches_offsets_loop(m, p):
     # f = R_hat - C A^-1 R_u: with zero local loads only R_hat is left
     for cls in classes:
         cls.R_u = np.zeros_like(cls.R_u)
-    sys = condense(mesh, classes, faces, SolverConfig(), pool=WorkerPool(1))
+    sys = condense(mesh, classes, faces, SolverConfig())
     want = np.zeros(sys.zhat)
     for fid, R_hat in zip(faces.ids.tolist(), faces.R_hat):
         want[offsets[fid]:offsets[fid] + sys.nd] = R_hat
@@ -262,7 +337,6 @@ def test_manufactured_linear_trace():
     case = poly_case(1, a=(0.0, 0.0))
     mesh, sys = build_system(2, 2, 2, case=case)
     S = assemble_schur_explicit(sys)
-    import scipy.sparse.linalg as spla
 
     uhat = spla.spsolve(S.tocsc(), sys.f_vec)
     basis = TraceBasis(mesh.m, 2)
@@ -332,10 +406,9 @@ def test_preconditioner_round_trip():
 
 def test_preconditioner_identity_blocks():
     mesh = build_structured_macro_mesh(2, 2, 1)
-    pool = WorkerPool(1)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     faces.D[:] = np.eye(faces.D.shape[1])
-    sys = condense(mesh, classes, faces, SolverConfig(), pool=pool)
+    sys = condense(mesh, classes, faces, SolverConfig())
     x = np.arange(1.0, sys.zhat + 1.0)
     assert np.array_equal(apply_preconditioner(sys, x), x)
 
@@ -363,7 +436,7 @@ def test_face_factorization_kinds():
     block-diagonal D^-1 inverts the stored D."""
     mesh = build_structured_macro_mesh(2, 2, 2)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
-    sys = condense(mesh, classes, faces, SolverConfig(), pool=WorkerPool(1))
+    sys = condense(mesh, classes, faces, SolverConfig())
     assert np.array_equal(sys.D.toarray(), sla.block_diag(*faces.D))
     for fid, D in zip(faces.ids.tolist(), faces.D):
         assert np.linalg.eigvalsh(D).max() < 0
@@ -375,14 +448,13 @@ def test_face_factorization_kinds():
 @pytest.mark.parametrize("bad", ["tiny-pivot", "nan"])
 def test_near_singular_face_block(bad):
     mesh = build_structured_macro_mesh(2, 1, 1)
-    pool = WorkerPool(1)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     if bad == "nan":
         faces.D[0] = np.nan
     else:
         faces.D[0] = np.diag([1.0] + [1e-15] * (faces.D.shape[1] - 1))
     with pytest.raises(SingularFaceBlock) as err:
-        condense(mesh, classes, faces, SolverConfig(), pool=pool)
+        condense(mesh, classes, faces, SolverConfig())
     assert err.value.args == (int(faces.ids[0]),)
 
 
@@ -391,12 +463,11 @@ def test_singular_local_block():
     """A singular class block A is refused, naming the class's first macro."""
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
-    pool = WorkerPool(1)
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 1)
     cls = classes[-1]
     cls.A = np.zeros_like(cls.A)
     with pytest.raises(SingularLocalBlock) as err:
-        condense(mesh, classes, faces, SolverConfig(), pool=pool)
+        condense(mesh, classes, faces, SolverConfig())
     assert err.value.args == (int(cls.macro_ids[0]),)
 
 
@@ -404,23 +475,21 @@ def test_singular_sparse_local_block():
     """With sparse storage (m > 4) an exactly singular A raises the same
     named error, not SuperLU's RuntimeError."""
     mesh = build_structured_macro_mesh(2, 1, 8)
-    pool = WorkerPool(1)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     assert sp.issparse(classes[0].A)
     classes[0].A = classes[0].A * 0.0
     with pytest.raises(SingularLocalBlock):
-        condense(mesh, classes, faces, SolverConfig(), pool=pool)
+        condense(mesh, classes, faces, SolverConfig())
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_face_block():
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
-    pool = WorkerPool(1)
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 1)
     faces.D[0] = 0.0
     with pytest.raises(SingularFaceBlock):
-        condense(mesh, classes, faces, SolverConfig(), pool=pool)
+        condense(mesh, classes, faces, SolverConfig())
 
 
 def test_gmres_identity():
@@ -723,7 +792,7 @@ def test_full_system_residual():
     res = apply_schur(sys, solution.uhat) - sys.f_vec
     assert np.linalg.norm(res) <= 10 * tol * rhs_norm
     # each macro's own local equations hold for the reconstruction
-    for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, 2, case)):
+    for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, 2, case.problem())):
         lr = (np.asarray(op.A) @ solution.local[e] + op.B[:, mask] @ solution.uhat[gi]
               - op.R_u)
         assert np.abs(lr).max() < 1e-9 * max(1.0, np.abs(op.R_u).max())

@@ -40,11 +40,20 @@ def _sech2(z: np.ndarray) -> np.ndarray:
     return 1.0 / np.cosh(zc) ** 2
 
 
+# Largest accepted kappa, 1/kappa and |a_x|, |a_y|: the tanh source divides
+# by kappa^2 and the SUPG terms of the assembly multiply a by a, so past
+# about 1e154 they overflow
+_DATA_MAX = 1e150
+
+
 def make_benchmark(name: str, kappa: float, a) -> BenchmarkCase:
     """Manufactured benchmark cases on the unit square."""
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    if not 1.0 / _DATA_MAX <= kappa <= _DATA_MAX:
+        raise ValueError(f"kappa must lie in [{1.0 / _DATA_MAX:g}, {_DATA_MAX:g}], got {kappa!r}")
     a = _velocity(a)
+    if not np.abs(a).max() <= _DATA_MAX:
+        raise ValueError(f"advection velocity a must have |a_x|, |a_y| <= {_DATA_MAX:g}, "
+                         f"got {a.tolist()}")
     ax, ay = float(a[0]), float(a[1])
 
     if name == "tanh":

@@ -16,6 +16,11 @@ macro edges matched as sorted pairs of vertex ids.  Only interior edges that
 no other edge matches (the halves of a hanging coarse edge) go through a
 loop.  The solver reads only the arrays; MacroElement and SkeletonFace
 objects are views of them, built on first access for other callers.
+Quadrature points are mapped into the sub-cells of all macros at once by
+sub_cell_quadrature, with one broadcast product per reference coordinate
+(bitwise the einsum over the Jacobian, which runs numpy's own loops and was
+about 4x slower); only sub_cell_jacobians, whose callers need physical
+gradients, inverts the sub-cell Jacobians.
 """
 
 from __future__ import annotations
@@ -139,20 +144,24 @@ class SubCellQuadrature(NamedTuple):
 
     cells: np.ndarray  # (cells,) indices into sub_cells() order
     jac: np.ndarray  # (n, 2, 2) class Jacobian composed with each macro map
-    jinv: np.ndarray  # (n, 2, 2)
     det: np.ndarray  # (n,) |det jac|
     points: np.ndarray  # (n, cells, npts, 2) physical images of the points
+
+
+def _kind_jacobians(jacobians: np.ndarray, m: int) -> Iterator[tuple]:
+    """(kind, cells, class Jacobians composed with each macro map, |det|)
+    per kind that has cells (m = 1 has no "down")."""
+    for kind, (sel, _) in _kind_cells(m).items():
+        jac = jacobians @ (_CLASS_JACOBIANS[kind] / m)
+        yield kind, sel, jac, np.abs(np.linalg.det(jac))
 
 
 def sub_cell_jacobians(jacobians: np.ndarray, m: int) -> dict:
     """SubCellJacobians per kind that has cells (m = 1 has no "down") of
     the macros with the stacked affine Jacobians (n, 2, 2), split into m^2
     sub-cells each."""
-    out = {}
-    for kind, (sel, _) in _kind_cells(m).items():
-        jac = jacobians @ (_CLASS_JACOBIANS[kind] / m)
-        out[kind] = SubCellJacobians(sel, jac, np.linalg.inv(jac), np.abs(np.linalg.det(jac)))
-    return out
+    return {kind: SubCellJacobians(sel, jac, np.linalg.inv(jac), det)
+            for kind, sel, jac, det in _kind_jacobians(jacobians, m)}
 
 
 def sub_cell_quadrature(jacobians: np.ndarray, offsets: np.ndarray, m: int,
@@ -162,12 +171,15 @@ def sub_cell_quadrature(jacobians: np.ndarray, offsets: np.ndarray, m: int,
     into m^2 sub-cells; returns a SubCellQuadrature per kind that has cells
     (m = 1 has no "down")."""
     out = {}
-    for kind, q in sub_cell_jacobians(jacobians, m).items():
+    for kind, sel, jac, det in _kind_jacobians(jacobians, m):
         verts = _kind_cells(m)[kind][1]
         # points in macro reference coordinates, then mapped by each macro
+        # with one broadcast product per reference coordinate
         ref = verts[:, None, 0] + points_ref @ (verts[0, 1:] - verts[0, 0])
-        out[kind] = SubCellQuadrature(
-            *q, points=np.einsum("cqj,nij->ncqi", ref, jacobians) + offsets[:, None, None])
+        points = (ref[..., None, 0] * jacobians[:, None, None, :, 0]
+                  + ref[..., None, 1] * jacobians[:, None, None, :, 1]
+                  + offsets[:, None, None])
+        out[kind] = SubCellQuadrature(sel, jac, det, points)
     return out
 
 

@@ -14,11 +14,14 @@ matrix-free (per fixed-size chunk of a class's macros, a gather of the
 trace values and one GEMM with the class's K, then the face reduction D uhat
 minus a fixed-order scatter of the macro outputs; nothing global is
 assembled) or as an explicitly scattered sparse matrix built from the same
-K.  Both share a restarted GMRES,
-orthogonalized by classical Gram-Schmidt run twice and preconditioned by the
-block-diagonal D^-1 as one sparse matrix.  Its blocks are exact inverses:
-assembly builds D_F = c_F M_F with c_F < 0, a negative multiple of the face
-mass matrix, so condense inverts every block once.
+K.  Both share a restarted GMRES, orthogonalized by classical Gram-Schmidt
+run twice and left-preconditioned by the block-diagonal D^-1, one sparse
+matrix.  Its blocks are exact inverses: assembly builds D_F = c_F M_F with
+c_F < 0, a negative multiple of the face mass matrix, so condense inverts
+every block once.  solve() folds D^-1 into the operator and the right-hand
+side instead of handing GMRES a preconditioner: GMRES runs on
+D^-1 S uhat = D^-1 f, with D^-1 S formed once in mb (one sparse product per
+iteration) and applied as uhat - D^-1 (C A^-1 B uhat) in mf (no D uhat).
 """
 
 from __future__ import annotations
@@ -246,21 +249,21 @@ def condense(
                            shape=shape).tocsr(),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
-    sys.f_vec = _reduce_faces(sys, faces.R_hat.ravel(),
-                              [(cls.U0 @ cls.C.T).ravel() for cls in classes])
+    sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(
+        sys, [(cls.U0 @ cls.C.T).ravel() for cls in classes])
     return sys
 
 
-def _reduce_faces(sys: CondensedSystem, w: np.ndarray, vhat: list) -> np.ndarray:
-    """w minus the macro outputs vhat, summed into their trace dofs in class
-    and row order."""
-    return w - np.bincount(sys.reduce_dst, np.concatenate(vhat),
-                           minlength=sys.zhat + 1)[:-1]
+def _scatter_outputs(sys: CondensedSystem, vhat: list) -> np.ndarray:
+    """The macro outputs vhat, summed into their trace dofs in class and row
+    order."""
+    return np.bincount(sys.reduce_dst, np.concatenate(vhat),
+                       minlength=sys.zhat + 1)[:-1]
 
 
-def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
-    """(D - C A^-1 B) uhat matrix-free: per chunk, the gathered trace values
-    times the class's K, then the fixed-order face reduction."""
+def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
+    """C A^-1 B uhat matrix-free: per chunk, the gathered trace values times
+    the class's K, then the fixed-order scatter into the trace dofs."""
     upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
 
     def chunk_task(chunk):
@@ -269,9 +272,14 @@ def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
 
     vhat = sys.pool.map(chunk_task, sys.chunks)
     sys.counters["macro_apply"] += sys.n_macros
-    w = _reduce_faces(sys, sys.D @ uhat, vhat)
     sys.counters["face_reduce"] += sys.zhat // sys.nd
-    return w
+    return _scatter_outputs(sys, vhat)
+
+
+def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
+    """(D - C A^-1 B) uhat matrix-free: the face reduction D uhat minus the
+    scattered class products."""
+    return sys.D @ uhat - _apply_cab(sys, uhat)
 
 
 def apply_preconditioner(sys: CondensedSystem, w: np.ndarray) -> np.ndarray:
@@ -421,9 +429,9 @@ class SolveReport:
     n_classes: int
     t_assemble_s: float
     t_init_s: float
-    t_local_s: float  # matrix-free applies inside GMRES
+    t_local_s: float  # matrix-free applies inside GMRES, D^-1 included with dinv
     t_global_s: float  # the rest of GMRES
-    t_schur_s: float  # building the explicit S (mb; 0 in mf)
+    t_schur_s: float  # building the explicit S, times D^-1 with dinv (mb; 0 in mf)
     t_reconstruct_s: float
     # load-balance factor of the pooled matrix-free applies; 1.0 in mode mb,
     # where no pooled work runs
@@ -479,25 +487,28 @@ def solve(
     sys = condense(mesh, classes, faces, config)
     t_init = time.perf_counter() - t0
 
-    precond = None
-    if config.preconditioner == "dinv":
-        precond = lambda w: apply_preconditioner(sys, w)
+    # D^-1 is folded into the operator and the right-hand side: GMRES runs on
+    # D^-1 S uhat = D^-1 f, the same left-preconditioned system
+    dinv = config.preconditioner == "dinv"
     t_schur = t_local = 0.0
     if config.mode == "mb":
         t0 = time.perf_counter()
         S = assemble_schur_explicit(sys)
+        if dinv:
+            S = sys.Dinv @ S
         t_schur = time.perf_counter() - t0
         op = lambda v: S @ v
     else:
         def op(v):
             nonlocal t_local
             t0 = time.perf_counter()
-            w = apply_schur(sys, v)
+            w = (v - sys.Dinv @ _apply_cab(sys, v)) if dinv else apply_schur(sys, v)
             t_local += time.perf_counter() - t0
             return w
 
     t0 = time.perf_counter()
-    uhat, info = gmres(op, sys.f_vec, config, precond=precond)
+    rhs = sys.Dinv @ sys.f_vec if dinv else sys.f_vec
+    uhat, info = gmres(op, rhs, config)
     t_gmres = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -49,6 +49,37 @@ def test_make_benchmark_validation():
         make_benchmark("mystery", 1.0, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("kappa,a,name", [
+    (1e300, (1.0, 1.0), "kappa"),
+    (1.1e150, (1.0, 1.0), "kappa"),
+    (1e-151, (1.0, 1.0), "kappa"),
+    (float("inf"), (1.0, 1.0), "kappa"),
+    (float("nan"), (1.0, 1.0), "kappa"),
+    (0.4, (1e200, 1e200), "advection"),
+    (0.4, (2e150, 0.0), "advection"),
+    (0.4, (np.inf, 0.0), "advection"),
+])
+def test_make_benchmark_rejects_out_of_range_data(kappa, a, name):
+    """Data past the range in which the closed forms and the assembly stay
+    finite is refused by a ValueError that names the argument."""
+    with pytest.raises(ValueError, match=name):
+        make_benchmark("tanh", kappa, a)
+
+
+@pytest.mark.parametrize("kappa,a", [
+    (1e-150, (1.0, 1.0)),
+    (1e150, (1.0, 1.0)),
+    (0.4, (-1e150, 0.0)),
+    (np.sqrt(5.0) * 1e-10, (4.5, 0.0)),  # the layer workload's extremes
+])
+def test_make_benchmark_accepts_range_ends(kappa, a):
+    """At the ends of the accepted range the closed forms stay finite."""
+    case = make_benchmark("tanh", kappa, a)
+    pts = np.random.default_rng(2).random((200, 2))
+    for fn in (case.u_exact, case.grad_u, case.f):
+        assert np.isfinite(fn(pts)).all()
+
+
 def test_peclet_examples():
     case = make_benchmark("tanh", 0.4, (1.0, 1.0))
     assert case.peclet == pytest.approx(np.sqrt(2.0) / 0.4)

@@ -18,6 +18,7 @@ from mehdg.mesh import (
     export_vtk,
     reference_to_physical,
     refine_macros,
+    sub_cell_jacobians,
     sub_cell_quadrature,
     sub_cell_ref_verts,
     sub_cells,
@@ -111,14 +112,16 @@ def test_reference_to_physical():
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_sub_cell_geometry_matches_per_cell_oracle(m):
-    """The batched class Jacobians, their inverses, |det| and the mapped
-    points reproduce each sub-cell of each macro mapped vertex by vertex
-    through that macro's map."""
+    """The batched class Jacobians, |det| and the mapped points, and the
+    inverses of sub_cell_jacobians, reproduce each sub-cell of each macro
+    mapped vertex by vertex through that macro's map."""
     verts = np.array([[[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]],
                       [[0.9, 0.35], [1.0, 1.0], [0.3, 0.8]]])
     maps = [reference_to_physical(v) for v in verts]
     xi = np.array([[0.2, 0.3], [0.6, 0.1], [1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0]])
-    quad = sub_cell_quadrature(np.stack([a.matrix for a in maps]), verts[:, 0], m, xi)
+    jacobians = np.stack([a.matrix for a in maps])
+    quad = sub_cell_quadrature(jacobians, verts[:, 0], m, xi)
+    jinv = {kind: q.jinv for kind, q in sub_cell_jacobians(jacobians, m).items()}
     cells = list(sub_cells(m))
     assert sorted(quad) == (["up"] if m == 1 else ["down", "up"])
     assert sorted(c for q in quad.values() for c in q.cells) == list(range(m**2))
@@ -132,7 +135,7 @@ def test_sub_cell_geometry_matches_per_cell_oracle(m):
                 jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
                 assert np.abs(q.jac[e] - jac).max() <= 1e-15
                 assert abs(q.det[e] - abs(np.linalg.det(jac))) <= 1e-15
-                assert np.abs(q.jinv[e] @ jac - np.eye(2)).max() <= 1e-15
+                assert np.abs(jinv[kind][e] @ jac - np.eye(2)).max() <= 1e-15
                 pts = amap.to_physical(ref[0] + xi @ (ref[1:] - ref[0]))
                 assert np.abs(cell - pts).max() <= 1e-15
 

@@ -413,21 +413,76 @@ def test_preconditioner_identity_blocks():
     assert np.array_equal(apply_preconditioner(sys, x), x)
 
 
+def dense_D_and_CAB(mesh, sys, p):
+    """Dense D and C A^-1 B, the latter built from each macro's own
+    assembly."""
+    CAB = np.zeros((sys.zhat, sys.zhat))
+    for op, mask, gi in per_macro_oracle(mesh, sys, p):
+        CAB[np.ix_(gi, gi)] += op.C[mask] @ np.linalg.solve(op.A, op.B[:, mask])
+    return dense_D(sys), CAB
+
+
 def test_preconditioned_operator_structure():
     """M S x = x - D^-1 (C A^-1 B) x, checked against a dense oracle built
     from each macro's own assembly."""
     mesh, sys = build_system(1, 1, 1)
     S = assemble_schur_explicit(sys).toarray()
-    D = dense_D(sys)
-    CAB = np.zeros((sys.zhat, sys.zhat))
-    for op, mask, gi in per_macro_oracle(mesh, sys, 1):
-        CAB[np.ix_(gi, gi)] += op.C[mask] @ np.linalg.solve(op.A, op.B[:, mask])
+    D, CAB = dense_D_and_CAB(mesh, sys, 1)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(sys.zhat)
     lhs = apply_preconditioner(sys, apply_schur(sys, x))
     rhs = x - np.linalg.solve(D, CAB @ x)
     assert np.abs(lhs - rhs).max() < 1e-11 * max(1.0, np.abs(rhs).max())
     assert np.abs(S - (D - CAB)).max() < 1e-11 * np.abs(S).max()
+
+
+@pytest.mark.parametrize("mode", ["mb", "mf"])
+def test_solve_folds_dinv_into_operator(monkeypatch, mode):
+    """With dinv, the operator and right-hand side that solve() gives gmres
+    are D^-1 S and D^-1 f, against the dense oracle; gmres gets no
+    preconditioner callable and apply_preconditioner is never called."""
+    from mehdg import schur_solver
+
+    calls = []
+
+    def spy(apply_op, rhs, config, precond=None):
+        calls.append((apply_op, rhs.copy(), precond))
+        return gmres(apply_op, rhs, config, precond=precond)
+
+    def fail(*args):
+        raise AssertionError("apply_preconditioner called")
+
+    monkeypatch.setattr(schur_solver, "gmres", spy)
+    monkeypatch.setattr(schur_solver, "apply_preconditioner", fail)
+    mesh = build_structured_macro_mesh(2, 1, 1)
+    solution, sys = solve(mesh, poly_case(2).problem(), NO_STAB,
+                          SolverConfig(tol=1e-10, mode=mode), 1)
+    assert solution.report.converged and solution.report.iterations > 0
+    (op, rhs, precond), = calls
+    assert precond is None
+    D, CAB = dense_D_and_CAB(mesh, sys, 1)
+    f = np.linalg.solve(D, sys.f_vec)
+    assert np.abs(rhs - f).max() < 1e-11 * np.abs(f).max()
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        x = rng.standard_normal(sys.zhat)
+        ref = x - np.linalg.solve(D, CAB @ x)
+        assert np.abs(op(x) - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
+
+
+@pytest.mark.parametrize("n,m,p,mode,iters", [(8, 1, 2, "mb", 120), (4, 4, 2, "mf", 90)],
+                         ids=["8-1-2-mb", "4-4-2-mf"])
+def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
+    """The folded solve keeps the iteration count of the ROADMAP table and
+    the trace of GMRES run on S with a separate D^-1 preconditioner."""
+    config = SolverConfig(tol=1e-10, mode=mode)
+    mesh = build_structured_macro_mesh(2, n, m)
+    solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
+                          NO_STAB, config, p)
+    uhat, info = gmres(lambda v: apply_schur(sys, v), sys.f_vec, config,
+                       precond=lambda w: apply_preconditioner(sys, w))
+    assert solution.report.iterations == info["iterations"] == iters
+    assert np.linalg.norm(solution.uhat - uhat) <= 1e-12 * np.linalg.norm(uhat)
 
 
 def test_face_factorization_kinds():

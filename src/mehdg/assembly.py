@@ -197,7 +197,10 @@ def _sub_cell_tables(jacobians: np.ndarray, m: int, p: int, problem: ProblemData
             Jc = q.jac
             edges = np.stack((Jc[..., 0], Jc[..., 1], Jc[..., 1] - Jc[..., 0]), axis=1)
             h = np.linalg.norm(edges, axis=-1).max(axis=1)
-            ts = supg_parameter(h, a, kappa, stab.supg_variant)[:, None, None]
+            # length h / p: tau_s must stay below h^2 / (kappa C_inv^2), and the
+            # inverse-estimate constant C_inv grows like p^2 (Franca, Frey &
+            # Hughes, CMAME 95, 1992; Houston, Schwab & Suli, SINUM 37, 2000)
+            ts = supg_parameter(h / p, a, kappa, stab.supg_variant)[:, None, None]
             advg = gph @ a  # (n, nq, nb)
             tb["S"] = ts * (advg * wd[..., None]).swapaxes(1, 2) @ (advg - kappa * lap)
             tb["test"] = val + ts * advg

@@ -46,7 +46,7 @@ def _add_common(sp):
                     help="benchmark name: tanh | poly1 | poly2 | poly3")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--mode", choices=("mf", "mb"), default="mf")
-    sp.add_argument("--precond", choices=("dinv", "none"), default="dinv")
+    sp.add_argument("--precond", choices=("block", "dinv", "none"), default="block")
     sp.add_argument("--supg", choices=("on", "off", "paper-plus"), default="off")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", help="output path (default: stdout)")

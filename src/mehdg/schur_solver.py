@@ -15,13 +15,27 @@ trace values and one GEMM with the class's K, then the face reduction D uhat
 minus a fixed-order scatter of the macro outputs; nothing global is
 assembled) or as an explicitly scattered sparse matrix built from the same
 K.  Both share a restarted GMRES, orthogonalized by classical Gram-Schmidt
-run twice and left-preconditioned by the block-diagonal D^-1, one sparse
-matrix.  Its blocks are exact inverses: assembly builds D_F = c_F M_F with
-c_F < 0, a negative multiple of the face mass matrix, so condense inverts
-every block once.  solve() folds D^-1 into the operator and the right-hand
-side instead of handing GMRES a preconditioner: GMRES runs on
-D^-1 S uhat = D^-1 f, with D^-1 S formed once in mb (one sparse product per
-iteration) and applied as uhat - D^-1 (C A^-1 B uhat) in mf (no D uhat).
+run twice and left-preconditioned by a block-diagonal P with one nd x nd
+block per unknown face, one sparse matrix:
+
+- "block" (the default) is face-block Jacobi: P_F inverts the face's
+  diagonal block of S, S_FF = D_F - sum K_ss over the member slots s on F
+  (Cockburn, Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014,
+  use it as their smoother).  condense sums those slot-diagonal blocks of
+  every class's K in one bincount and inverts them once.
+- "dinv" inverts D_F alone.  Its blocks are exact inverses: assembly builds
+  D_F = c_F M_F with c_F < 0, a negative multiple of the face mass matrix.
+- "none" runs GMRES on S itself.
+
+solve() folds P into the operator and the right-hand side instead of
+handing GMRES a preconditioner: GMRES runs on P S uhat = P f.  With each
+class's K_fold = K without its slot-diagonal blocks under "block" and
+K_fold = K under "dinv", S = P^-1 - scatter of K_fold in both cases, so
+P S = I - P (scatter of K_fold).  Mode mb builds that matrix once from the classes (one batched
+P_F K-rows product per member, one COO scatter, an identity diagonal), so
+an iteration is one sparse product; mode mf applies
+uhat - P (scatter of K_fold uhat) with the same chunked gather, GEMM and
+scatter as the unpreconditioned apply, and never forms D uhat.
 """
 
 from __future__ import annotations
@@ -63,7 +77,7 @@ class SingularLocalBlock(RuntimeError):
 
 class SingularFaceBlock(RuntimeError):
     def __str__(self):
-        return f"singular face block D at face {self.args[0]}"
+        return f"singular preconditioner face block at face {self.args[0]}"
 
 
 @dataclass
@@ -71,14 +85,14 @@ class SolverConfig:
     tol: float = 1e-6
     restart: int = 100
     maxiter: int = 10000
-    preconditioner: str = "dinv"  # 'dinv' | 'none'
+    preconditioner: str = "block"  # 'block' | 'dinv' | 'none'
     mode: str = "mf"  # 'mf' | 'mb'
     workers: int = 1
 
     def __post_init__(self):
         if not 0 < self.tol < 1:
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.preconditioner not in ("dinv", "none"):
+        if self.preconditioner not in ("block", "dinv", "none"):
             raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.mode not in ("mf", "mb"):
             raise ValueError(f"unknown mode {self.mode!r}")
@@ -132,8 +146,9 @@ class WorkerPool:
 class OperatorClass(LocalOperators):
     """A congruence class's LocalOperators, the skeleton face of each slot
     of its macros and what condense adds from its one solve with A: A^-1 B,
-    K = C A^-1 B, U0 and the trace index of each B column.  Row r of
-    `face_ids`, `trace_idx`, `R_u` and `U0` belongs to macro macro_ids[r]."""
+    K = C A^-1 B, U0, the trace index of each B column and the K that the
+    folded operator applies.  Row r of `face_ids`, `trace_idx`, `R_u` and
+    `U0` belongs to macro macro_ids[r]."""
 
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
     AinvB: Optional[np.ndarray] = None  # (nloc, nc)
@@ -141,6 +156,8 @@ class OperatorClass(LocalOperators):
     U0: Optional[np.ndarray] = None  # (n_macros, nloc) local solutions at uhat = 0
     # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
     trace_idx: Optional[np.ndarray] = None
+    # (nc, nc) K without its slot-diagonal blocks under "block", K under "dinv"
+    K_fold: Optional[np.ndarray] = None
 
 
 def _solve_local(A, rhs: np.ndarray, macro: int) -> np.ndarray:
@@ -165,7 +182,7 @@ def _solve_local(A, rhs: np.ndarray, macro: int) -> np.ndarray:
 def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
     """Batched inverses of equally sized face blocks.  A block is singular
     when its LU has a zero pivot, or when its inverse is not finite or has
-    max|D_F| max|D_F^-1| >= 1e13 (a pivot below about 1e-13 max|D_F|)."""
+    max|X_F| max|X_F^-1| >= 1e13 (a pivot below about 1e-13 max|X_F|)."""
     try:
         inv = np.linalg.inv(blocks)
     except np.linalg.LinAlgError as exc:
@@ -190,7 +207,10 @@ class CondensedSystem:
     # units of the matrix-free apply: (class, slice of its rows), class by class
     chunks: list
     D: sp.csr_matrix  # block diagonal, trace order
-    Dinv: sp.csr_matrix
+    # the preconditioner's (unknown faces, nd, nd) inverse blocks, in trace
+    # order, and the same as one block-diagonal matrix; None under "none"
+    P_blocks: Optional[np.ndarray]
+    P: Optional[sp.csr_matrix]
     # step 4: trace dof of each entry of the macro outputs C A^-1 (.) in
     # class and row order, zhat (a pad slot) on Dirichlet faces
     reduce_dst: np.ndarray
@@ -213,7 +233,8 @@ def condense(
     config: SolverConfig,
 ) -> CondensedSystem:
     """Per class, one solve with A for A^-1 B and U0, and K = C A^-1 B; index
-    the B columns into the trace vector, build D and D^-1 and the reduced
+    the B columns into the trace vector, build D, the preconditioner's
+    inverse face blocks with each class's K_fold, and the reduced
     right-hand side f = R_uhat - C A^-1 R_u."""
     for cls in classes:
         nc = cls.B.shape[1]
@@ -238,6 +259,18 @@ def condense(
     # (-1) go to a pad slot
     dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
 
+    P_blocks = None
+    for cls in classes:
+        cls.K_fold = cls.K
+    if config.preconditioner == "dinv":
+        P_blocks = _invert_face_blocks(faces.ids.tolist(), faces.D)
+    elif config.preconditioner == "block":
+        P_blocks = _invert_face_blocks(faces.ids.tolist(),
+                                       faces.D - _slot_diagonal_sums(classes, nf, nd))
+        for cls in classes:
+            cls.K_fold = cls.K.copy()
+            _slot_diagonal(cls.K_fold, nd)[...] = 0.0
+
     # one nd x nd block per unknown face, on the diagonal in trace order
     blocks = (np.arange(nf), np.arange(nf + 1))
     shape = (zhat, zhat)
@@ -245,13 +278,37 @@ def condense(
         mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
         pool=WorkerPool(config.workers), chunks=chunks,
         D=sp.bsr_matrix((faces.D, *blocks), shape=shape).tocsr(),
-        Dinv=sp.bsr_matrix((_invert_face_blocks(faces.ids.tolist(), faces.D), *blocks),
-                           shape=shape).tocsr(),
+        P_blocks=P_blocks,
+        P=None if P_blocks is None else sp.bsr_matrix((P_blocks, *blocks),
+                                                      shape=shape).tocsr(),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
     sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(
         sys, [(cls.U0 @ cls.C.T).ravel() for cls in classes])
     return sys
+
+
+def _slot_diagonal(K: np.ndarray, nd: int) -> np.ndarray:
+    """(ns, nd, nd) writable view of the slot-diagonal blocks of an
+    (ns nd, ns nd) class block."""
+    ns = len(K) // nd
+    return np.einsum("sisj->sij", K.reshape(ns, nd, ns, nd))
+
+
+def _slot_diagonal_sums(classes: list, nf: int, nd: int) -> np.ndarray:
+    """(nf, nd, nd) sum over all members of every class of K's slot-diagonal
+    blocks, per unknown face in trace order (Dirichlet slots dropped), by
+    one bincount."""
+    idx, vals = [], []
+    for cls in classes:
+        rank = cls.trace_idx[:, ::nd] // nd  # -1 on Dirichlet slots
+        rank = np.where(rank >= 0, rank, nf)  # pad face
+        idx.append((rank[:, :, None] * nd * nd + np.arange(nd * nd)).ravel())
+        vals.append(np.broadcast_to(_slot_diagonal(cls.K, nd).reshape(-1, nd * nd),
+                                    rank.shape + (nd * nd,)).ravel())
+    sums = np.bincount(np.concatenate(idx), np.concatenate(vals),
+                       minlength=(nf + 1) * nd * nd)
+    return sums[:nf * nd * nd].reshape(nf, nd, nd)
 
 
 def _scatter_outputs(sys: CondensedSystem, vhat: list) -> np.ndarray:
@@ -261,14 +318,15 @@ def _scatter_outputs(sys: CondensedSystem, vhat: list) -> np.ndarray:
                        minlength=sys.zhat + 1)[:-1]
 
 
-def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
+def _apply_cab(sys: CondensedSystem, uhat: np.ndarray, fold: bool = False) -> np.ndarray:
     """C A^-1 B uhat matrix-free: per chunk, the gathered trace values times
-    the class's K, then the fixed-order scatter into the trace dofs."""
+    the class's K (K_fold when `fold`), then the fixed-order scatter into the
+    trace dofs."""
     upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
 
     def chunk_task(chunk):
         cls, rows = chunk
-        return (upad[cls.trace_idx[rows]] @ cls.K.T).ravel()
+        return (upad[cls.trace_idx[rows]] @ (cls.K_fold if fold else cls.K).T).ravel()
 
     vhat = sys.pool.map(chunk_task, sys.chunks)
     sys.counters["macro_apply"] += sys.n_macros
@@ -283,8 +341,9 @@ def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
 
 
 def apply_preconditioner(sys: CondensedSystem, w: np.ndarray) -> np.ndarray:
-    """Block-diagonal D^-1 as one sparse product."""
-    return sys.Dinv @ w
+    """The block-diagonal preconditioner P (S_FF^-1 under "block", D^-1
+    under "dinv") as one sparse product; w itself under "none"."""
+    return w if sys.P is None else sys.P @ w
 
 
 def gmres(
@@ -385,23 +444,42 @@ def gmres(
                "converged": converged, "reason": reason}
 
 
-def assemble_schur_explicit(sys: CondensedSystem) -> sp.csr_matrix:
-    """Explicit D - C A^-1 B: each class's K scattered by its members' trace
-    indices, plus the block-diagonal D."""
+def _scatter_members(sys: CondensedSystem, blocks: list, eye: bool = False) -> sp.csr_matrix:
+    """Per class, its members' (nc, nc) blocks (one shared block, or one per
+    member) scattered by their trace indices and summed, plus the identity
+    when `eye`.  Entries on Dirichlet rows or columns, and exact zeros,
+    are dropped."""
     rows, cols, vals = [], [], []
+    for cls, block in zip(sys.classes, blocks):
+        ti = cls.trace_idx
+        nc = ti.shape[1]
+        rows.append(np.repeat(ti.ravel(), nc))
+        cols.append(np.tile(ti, nc).ravel())
+        vals.append(np.broadcast_to(block, ti.shape + (nc,)).ravel())
+    if eye:
+        rows.append(np.arange(sys.zhat))
+        cols.append(rows[-1])
+        vals.append(np.ones(sys.zhat))
+    r, c, v = (np.concatenate(x) for x in (rows, cols, vals))
+    keep = (r >= 0) & (c >= 0) & (v != 0.0)
+    return sp.csr_matrix((v[keep], (r[keep], c[keep])), shape=(sys.zhat, sys.zhat))
+
+
+def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.csr_matrix:
+    """Explicit D - C A^-1 B: each class's K scattered by its members' trace
+    indices, plus the block-diagonal D.  With `fold`, the left-preconditioned
+    P S = I - P (scatter of K_fold) instead, also from the classes: per
+    member and slot, P_F times K_fold's rows of that slot in one batched
+    product, scattered by the members' trace indices, plus the identity."""
+    if not fold:
+        return _scatter_members(sys, [-cls.K for cls in sys.classes]) + sys.D
+    nd = sys.nd
+    blocks = []
     for cls in sys.classes:
-        shape = (cls.trace_idx.shape[0],) + cls.K.shape
-        r = np.broadcast_to(cls.trace_idx[:, :, None], shape)
-        c = np.broadcast_to(cls.trace_idx[:, None, :], shape)
-        keep = (r >= 0) & (c >= 0)
-        rows.append(r[keep])
-        cols.append(c[keep])
-        vals.append(np.broadcast_to(-cls.K, shape)[keep])
-    S = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(sys.zhat, sys.zhat),
-    )
-    return S.tocsr() + sys.D
+        rank = np.maximum(cls.trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
+        PK = sys.P_blocks[rank] @ cls.K_fold.reshape(rank.shape[1], nd, -1)
+        blocks.append(-PK.reshape(cls.trace_idx.shape + (-1,)))
+    return _scatter_members(sys, blocks, eye=True)
 
 
 def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
@@ -429,9 +507,9 @@ class SolveReport:
     n_classes: int
     t_assemble_s: float
     t_init_s: float
-    t_local_s: float  # matrix-free applies inside GMRES, D^-1 included with dinv
+    t_local_s: float  # matrix-free applies inside GMRES, P included
     t_global_s: float  # the rest of GMRES
-    t_schur_s: float  # building the explicit S, times D^-1 with dinv (mb; 0 in mf)
+    t_schur_s: float  # building the explicit P S, or S under none (mb; 0 in mf)
     t_reconstruct_s: float
     # load-balance factor of the pooled matrix-free applies; 1.0 in mode mb,
     # where no pooled work runs
@@ -487,27 +565,25 @@ def solve(
     sys = condense(mesh, classes, faces, config)
     t_init = time.perf_counter() - t0
 
-    # D^-1 is folded into the operator and the right-hand side: GMRES runs on
-    # D^-1 S uhat = D^-1 f, the same left-preconditioned system
-    dinv = config.preconditioner == "dinv"
+    # P is folded into the operator and the right-hand side: GMRES runs on
+    # P S uhat = P f, the same left-preconditioned system
+    fold = sys.P is not None
     t_schur = t_local = 0.0
     if config.mode == "mb":
         t0 = time.perf_counter()
-        S = assemble_schur_explicit(sys)
-        if dinv:
-            S = sys.Dinv @ S
+        S = assemble_schur_explicit(sys, fold=fold)
         t_schur = time.perf_counter() - t0
         op = lambda v: S @ v
     else:
         def op(v):
             nonlocal t_local
             t0 = time.perf_counter()
-            w = (v - sys.Dinv @ _apply_cab(sys, v)) if dinv else apply_schur(sys, v)
+            w = (v - sys.P @ _apply_cab(sys, v, fold=True)) if fold else apply_schur(sys, v)
             t_local += time.perf_counter() - t0
             return w
 
     t0 = time.perf_counter()
-    rhs = sys.Dinv @ sys.f_vec if dinv else sys.f_vec
+    rhs = sys.P @ sys.f_vec if fold else sys.f_vec
     uhat, info = gmres(op, rhs, config)
     t_gmres = time.perf_counter() - t0
 

@@ -278,6 +278,32 @@ def test_supg_parameter():
                               [supg_parameter(h, a, 1.0, variant) for h in hs])
 
 
+def test_supg_length_scale_keeps_p2_accurate():
+    """SUPG uses the sub-cell length h / p: at kappa = 0.05, a = (1, 2),
+    p = 2, n = 16, m = 2 the stabilized L2 error stays within 3x the
+    unstabilized one (with the length h it was 3.1e4 against 1.2e-3).  The
+    trace system is solved directly, so no preconditioner is involved."""
+    import scipy.sparse.linalg as spla
+
+    from mehdg.bench import l2_error, make_benchmark
+    from mehdg.schur_solver import (
+        Solution, SolverConfig, assemble_schur_explicit, assemble_system, condense,
+        reconstruct_interior,
+    )
+
+    case = make_benchmark("tanh", 0.05, (1.0, 2.0))
+    mesh = build_structured_macro_mesh(2, 16, 2)
+    err = {}
+    for supg in (False, True):
+        classes, faces = assemble_system(mesh, case.problem(), StabilizationConfig(supg=supg), 2)
+        sys = condense(mesh, classes, faces, SolverConfig(preconditioner="none"))
+        uhat = spla.spsolve(assemble_schur_explicit(sys).tocsc(), sys.f_vec)
+        solution = Solution(local=reconstruct_interior(sys, uhat), uhat=uhat, report=None)
+        err[supg] = l2_error(mesh, 2, solution, case.u_exact)
+    assert err[False] < 2e-3
+    assert err[True] <= 3.0 * err[False]
+
+
 def test_project_dirichlet_constant_and_linear():
     mesh = build_structured_macro_mesh(2, 2, 2)
     ones = lambda x: np.ones(np.atleast_2d(x).shape[0])

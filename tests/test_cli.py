@@ -33,6 +33,18 @@ def test_solve_stdout(capsys):
     assert rec["dof_global"] == 2
 
 
+@pytest.mark.parametrize("precond", ["block", "dinv", "none", None])
+def test_solve_precond_choices(capsys, precond):
+    """--precond takes block, dinv or none, and block is the default."""
+    argv = ["solve", "--n", "2", "--m", "2", "--p", "2", "--case", "tanh"]
+    if precond is not None:
+        argv += ["--precond", precond]
+    assert main(argv) == 0
+    rec = json.loads(capsys.readouterr().out)
+    assert rec["precond"] == (precond or "block")
+    assert rec["converged"] is True
+
+
 def test_python_m_mehdg():
     """`python -m mehdg` runs the CLI from a checkout's src/."""
     src = Path(__file__).resolve().parent.parent / "src"
@@ -143,7 +155,7 @@ def test_input_error_exit_code(capsys):
 
 def test_usage_error_exit_code(capsys):
     # argparse-level usage errors also exit with status 1
-    for argv in (["bogus-command"], ["solve", "--mode", "direct"]):
+    for argv in (["bogus-command"], ["solve", "--mode", "direct"], ["solve", "--precond", "ilu"]):
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 1

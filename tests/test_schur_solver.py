@@ -34,10 +34,10 @@ from mehdg.schur_solver import (
 NO_STAB = StabilizationConfig()
 
 
-def build_system(n, m, p, case=None, workers=1, tol=1e-6):
+def build_system(n, m, p, case=None, workers=1, tol=1e-6, preconditioner="block"):
     case = case or poly_case(2)
     mesh = build_structured_macro_mesh(2, n, m)
-    config = SolverConfig(tol=tol, workers=workers)
+    config = SolverConfig(tol=tol, workers=workers, preconditioner=preconditioner)
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, p)
     sys = condense(mesh, classes, faces, config)
     return mesh, sys
@@ -396,7 +396,7 @@ def test_call_counts_exact_with_workers():
 
 
 def test_preconditioner_round_trip():
-    _, sys = build_system(2, 2, 2)
+    _, sys = build_system(2, 2, 2, preconditioner="dinv")
     rng = np.random.default_rng(1)
     x = rng.standard_normal(sys.zhat)
     w = dense_D(sys) @ x
@@ -408,7 +408,7 @@ def test_preconditioner_identity_blocks():
     mesh = build_structured_macro_mesh(2, 2, 1)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
     faces.D[:] = np.eye(faces.D.shape[1])
-    sys = condense(mesh, classes, faces, SolverConfig())
+    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
     x = np.arange(1.0, sys.zhat + 1.0)
     assert np.array_equal(apply_preconditioner(sys, x), x)
 
@@ -425,7 +425,7 @@ def dense_D_and_CAB(mesh, sys, p):
 def test_preconditioned_operator_structure():
     """M S x = x - D^-1 (C A^-1 B) x, checked against a dense oracle built
     from each macro's own assembly."""
-    mesh, sys = build_system(1, 1, 1)
+    mesh, sys = build_system(1, 1, 1, preconditioner="dinv")
     S = assemble_schur_explicit(sys).toarray()
     D, CAB = dense_D_and_CAB(mesh, sys, 1)
     rng = np.random.default_rng(4)
@@ -436,11 +436,28 @@ def test_preconditioned_operator_structure():
     assert np.abs(S - (D - CAB)).max() < 1e-11 * np.abs(S).max()
 
 
-@pytest.mark.parametrize("mode", ["mb", "mf"])
-def test_solve_folds_dinv_into_operator(monkeypatch, mode):
-    """With dinv, the operator and right-hand side that solve() gives gmres
-    are D^-1 S and D^-1 f, against the dense oracle; gmres gets no
-    preconditioner callable and apply_preconditioner is never called."""
+def dense_preconditioner(sys, S, preconditioner):
+    """The dense M whose inverse P is: D under dinv, the face-diagonal blocks
+    of the dense S under block."""
+    if preconditioner == "dinv":
+        return dense_D(sys)
+    M = np.zeros_like(S)
+    for _, start in unknown_faces(sys):
+        block = slice(start, start + sys.nd)
+        M[block, block] = S[block, block]
+    return M
+
+
+FOLDS = [pytest.param("dinv", "mb", id="mb"), pytest.param("dinv", "mf", id="mf"),
+         pytest.param("block", "mb", id="block-mb"), pytest.param("block", "mf", id="block-mf")]
+
+
+@pytest.mark.parametrize("preconditioner,mode", FOLDS)
+def test_solve_folds_dinv_into_operator(monkeypatch, preconditioner, mode):
+    """The operator and right-hand side that solve() gives gmres are
+    M^-1 S and M^-1 f against the dense oracle (M = D under dinv, the
+    face-diagonal blocks of S under block); gmres gets no preconditioner
+    callable and apply_preconditioner is never called."""
     from mehdg import schur_solver
 
     calls = []
@@ -454,28 +471,33 @@ def test_solve_folds_dinv_into_operator(monkeypatch, mode):
 
     monkeypatch.setattr(schur_solver, "gmres", spy)
     monkeypatch.setattr(schur_solver, "apply_preconditioner", fail)
-    mesh = build_structured_macro_mesh(2, 1, 1)
+    mesh = build_structured_macro_mesh(2, 2, 1)
     solution, sys = solve(mesh, poly_case(2).problem(), NO_STAB,
-                          SolverConfig(tol=1e-10, mode=mode), 1)
+                          SolverConfig(tol=1e-10, mode=mode, preconditioner=preconditioner), 1)
     assert solution.report.converged and solution.report.iterations > 0
     (op, rhs, precond), = calls
     assert precond is None
     D, CAB = dense_D_and_CAB(mesh, sys, 1)
-    f = np.linalg.solve(D, sys.f_vec)
+    S = D - CAB
+    M = dense_preconditioner(sys, S, preconditioner)
+    assert len(unknown_faces(sys)) > 1 and np.abs(M - S).max() > 0.1 * np.abs(S).max()
+    f = np.linalg.solve(M, sys.f_vec)
     assert np.abs(rhs - f).max() < 1e-11 * np.abs(f).max()
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.standard_normal(sys.zhat)
-        ref = x - np.linalg.solve(D, CAB @ x)
+        ref = np.linalg.solve(M, S @ x)
         assert np.abs(op(x) - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("n,m,p,mode,iters", [(8, 1, 2, "mb", 120), (4, 4, 2, "mf", 90)],
-                         ids=["8-1-2-mb", "4-4-2-mf"])
-def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
+@pytest.mark.parametrize("n,m,p,mode,preconditioner,iters", [
+    (8, 1, 2, "mb", "dinv", 120), (4, 4, 2, "mf", "dinv", 90),
+    (8, 1, 2, "mb", "block", 88), (4, 4, 2, "mf", "block", 55),
+], ids=["8-1-2-mb", "4-4-2-mf", "8-1-2-mb-block", "4-4-2-mf-block"])
+def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, preconditioner, iters):
     """The folded solve keeps the iteration count of the ROADMAP table and
-    the trace of GMRES run on S with a separate D^-1 preconditioner."""
-    config = SolverConfig(tol=1e-10, mode=mode)
+    the trace of GMRES run on S with a separate preconditioner callable."""
+    config = SolverConfig(tol=1e-10, mode=mode, preconditioner=preconditioner)
     mesh = build_structured_macro_mesh(2, n, m)
     solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
                           NO_STAB, config, p)
@@ -485,19 +507,91 @@ def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
     assert np.linalg.norm(solution.uhat - uhat) <= 1e-12 * np.linalg.norm(uhat)
 
 
+@pytest.mark.parametrize("name", ["uniform-3-2", "skewed-3-2", "adapted-2-level"])
+def test_block_preconditioner_inverts_face_blocks_of_s(name):
+    """Under block, each stored P_F inverts the face-diagonal block of
+    S = D - C A^-1 B formed densely from each macro's own assembly, each
+    class's K_fold is its K without the slot-diagonal blocks, and the
+    explicit P S built from the classes equals P times the dense S."""
+    mesh = CLASS_MESHES[name]()
+    p = 2
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
+    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="block"))
+    if name == "adapted-2-level":
+        assert any(f.hanging for f in mesh.skeleton)
+    D, CAB = dense_D_and_CAB(mesh, sys, p)
+    S = D - CAB
+    P = np.zeros_like(S)
+    for _, start in unknown_faces(sys):
+        block = slice(start, start + sys.nd)
+        S_FF = S[block, block]
+        P_F = sys.P_blocks[start // sys.nd]
+        assert np.abs(np.linalg.inv(P_F) - S_FF).max() <= 1e-11 * np.abs(S_FF).max()
+        P[block, block] = P_F
+    assert np.abs(sys.P.toarray() - P).max() == 0.0
+    nd = sys.nd
+    for cls in classes:
+        ns = len(cls.K) // nd
+        diag = np.kron(np.eye(ns, dtype=bool), np.ones((nd, nd), dtype=bool))
+        assert np.array_equal(cls.K_fold, np.where(diag, 0.0, cls.K))
+    PS = P @ S
+    assert np.abs(assemble_schur_explicit(sys, fold=True).toarray() - PS).max() <= (
+        1e-11 * np.abs(PS).max())
+
+
+@pytest.mark.parametrize("supg", [False, True], ids=["plain", "supg"])
+@pytest.mark.parametrize("name", ["uniform-4-2", "skewed-3-2", "adapted-2-level",
+                                  "adapted-random-neumann"])
+def test_block_mf_matches_mb_and_dense_solve(name, supg):
+    """Under block at tol 1e-12, the mf and mb traces agree to 1e-12
+    relative, and both agree with a dense solve of S, on uniform, skewed and
+    adapted meshes (hanging and Neumann faces), with SUPG off and on."""
+    mesh = CLASS_MESHES[name]()
+    problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
+    problem.g_N = lambda x: np.sin(3.0 * x[:, 1])
+    stab = StabilizationConfig(supg=supg)
+    uhat = {}
+    for mode in ("mf", "mb"):
+        solution, sys = solve(mesh, problem, stab,
+                              SolverConfig(tol=1e-12, mode=mode, preconditioner="block"), 2)
+        assert solution.report.converged
+        uhat[mode] = solution.uhat
+    assert np.linalg.norm(uhat["mf"] - uhat["mb"]) <= 1e-12 * np.linalg.norm(uhat["mb"])
+    dense = np.linalg.solve(assemble_schur_explicit(sys).toarray(), sys.f_vec)
+    for u in uhat.values():
+        assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("mode", ["mb", "mf"])
+def test_none_runs_gmres_on_s(mode):
+    """Under none nothing is folded: the trace and the iteration count are
+    bitwise those of gmres on the explicit S (mb) or apply_schur (mf) and
+    f, with no preconditioner."""
+    config = SolverConfig(tol=1e-10, mode=mode, preconditioner="none")
+    mesh = build_structured_macro_mesh(2, 4, 2)
+    solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
+                          NO_STAB, config, 2)
+    assert sys.P is None and all(cls.K_fold is cls.K for cls in sys.classes)
+    S = assemble_schur_explicit(sys)
+    op = (lambda v: S @ v) if mode == "mb" else (lambda v: apply_schur(sys, v))
+    uhat, info = gmres(op, sys.f_vec, config)
+    assert solution.report.iterations == info["iterations"] > 0
+    assert np.array_equal(solution.uhat, uhat)
+
+
 def test_face_factorization_kinds():
     """Every face block D_F = c_F M_F is negative definite and lands on the
     diagonal of the stored D at its face's trace dofs; the stored
     block-diagonal D^-1 inverts the stored D."""
     mesh = build_structured_macro_mesh(2, 2, 2)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
-    sys = condense(mesh, classes, faces, SolverConfig())
+    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
     assert np.array_equal(sys.D.toarray(), sla.block_diag(*faces.D))
     for fid, D in zip(faces.ids.tolist(), faces.D):
         assert np.linalg.eigvalsh(D).max() < 0
         block = slice(sys.face_start[fid], sys.face_start[fid] + sys.nd)
         assert np.array_equal(sys.D[block, block].toarray(), D)
-    assert np.abs((sys.Dinv @ sys.D).toarray() - np.eye(sys.zhat)).max() < 1e-12
+    assert np.abs((sys.P @ sys.D).toarray() - np.eye(sys.zhat)).max() < 1e-12
 
 
 @pytest.mark.parametrize("bad", ["tiny-pivot", "nan"])
@@ -509,7 +603,7 @@ def test_near_singular_face_block(bad):
     else:
         faces.D[0] = np.diag([1.0] + [1e-15] * (faces.D.shape[1] - 1))
     with pytest.raises(SingularFaceBlock) as err:
-        condense(mesh, classes, faces, SolverConfig())
+        condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
     assert err.value.args == (int(faces.ids[0]),)
 
 
@@ -537,6 +631,23 @@ def test_singular_sparse_local_block():
         condense(mesh, classes, faces, SolverConfig())
 
 
+def test_singular_schur_face_block():
+    """Under block, a face whose S_FF = D_F - sum K_ss is singular while D_F
+    is not raises SingularFaceBlock naming that face; dinv accepts the same
+    data."""
+    from mehdg.schur_solver import _slot_diagonal_sums
+
+    mesh = build_structured_macro_mesh(2, 2, 1)
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
+    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
+    sums = _slot_diagonal_sums(classes, len(faces.ids), sys.nd)
+    faces.D[0][:, -1] = sums[0][:, -1]  # S_FF of face 0 gets a zero column
+    condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
+    with pytest.raises(SingularFaceBlock) as err:
+        condense(mesh, classes, faces, SolverConfig(preconditioner="block"))
+    assert err.value.args == (int(faces.ids[0]),)
+
+
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_face_block():
     case = poly_case(2)
@@ -544,7 +655,7 @@ def test_singular_face_block():
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 1)
     faces.D[0] = 0.0
     with pytest.raises(SingularFaceBlock):
-        condense(mesh, classes, faces, SolverConfig())
+        condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
 
 
 def test_gmres_identity():
@@ -731,7 +842,8 @@ def _gmres_case(name):
     """(operator, rhs, preconditioner, config): the matrices of
     test_gmres_orthogonalization, or the (8,1,2) mb trace system."""
     if name == "8-1-2-mb":
-        _, sys = build_system(8, 1, 2, case=make_benchmark("tanh", 0.4, (1.0, 1.0)))
+        _, sys = build_system(8, 1, 2, case=make_benchmark("tanh", 0.4, (1.0, 1.0)),
+                              preconditioner="dinv")
         S = assemble_schur_explicit(sys)
         return (lambda v: S @ v, sys.f_vec, lambda v: apply_preconditioner(sys, v),
                 SolverConfig(tol=1e-10))
@@ -865,20 +977,21 @@ def test_determinism_across_workers():
 
 
 def test_preconditioner_soundness():
-    """On the advection-dominated benchmark the block preconditioner never
-    increases the iteration count (it roughly halves it)."""
+    """On the advection-dominated benchmark neither block preconditioner
+    increases the iteration count over no preconditioner."""
     from mehdg.bench import make_benchmark
 
     case = make_benchmark("tanh", 1e-5, (1.0, 1.0))
     for p in (1, 2, 3):
         for m in (1, 2):
             its = {}
-            for pre in ("dinv", "none"):
+            for pre in ("block", "dinv", "none"):
                 mesh = build_structured_macro_mesh(2, 8 // m, m)
                 cfg = SolverConfig(tol=1e-6, preconditioner=pre, mode="mb")
                 sol, _ = solve(mesh, case.problem(), NO_STAB, cfg, p)
                 its[pre] = sol.report.iterations
             assert its["dinv"] <= its["none"]
+            assert its["block"] <= its["none"]
 
 
 def test_linearity_scaling():

@@ -52,7 +52,6 @@ from .schur_solver import (
     Solution,
     SolveReport,
     SolverConfig,
-    apply_preconditioner,
     apply_schur,
     assemble_schur_explicit,
     condense,

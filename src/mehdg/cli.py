@@ -46,7 +46,6 @@ def _add_common(sp):
                     help="benchmark name: tanh | poly1 | poly2 | poly3")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--mode", choices=("mf", "mb"), default="mf")
-    sp.add_argument("--precond", choices=("block", "dinv", "none"), default="block")
     sp.add_argument("--supg", choices=("on", "off", "paper-plus"), default="off")
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--out", help="output path (default: stdout)")
@@ -66,23 +65,22 @@ def _load_config(path: str) -> dict:
     return values
 
 
-def _apply_config(parser, sub, args, argv):
+def _apply_config(parser, args, argv):
+    """Each `key = value` line of the config file is parsed by the command's
+    parser as the flag `--key=value`, so a value that the flag refuses exits
+    1 naming the flag, as does a key that names no flag of the command; then
+    the command-line flags are parsed again on top."""
     if not getattr(args, "config", None):
         return args
-    overrides = _load_config(args.config)
-    explicit = {a.lstrip("-").split("=")[0].replace("-", "_") for a in argv if a.startswith("--")}
-    for key, raw in overrides.items():
-        if key in explicit or not hasattr(args, key):
-            continue
-        cur = getattr(args, key)
-        if isinstance(cur, bool):
-            setattr(args, key, raw.lower() in ("1", "true", "yes", "on"))
-        elif isinstance(cur, int):
-            setattr(args, key, int(raw))
-        elif isinstance(cur, float):
-            setattr(args, key, float(raw))
-        else:
-            setattr(args, key, raw)
+    sub = parser.commands[args.command]
+    values = _load_config(args.config)
+    flags = vars(sub.parse_args([]))
+    unknown = [key for key in values if key not in flags]
+    if unknown:
+        sub.error(f"unknown config key {unknown[0]!r}")
+    sub.parse_args([f"--{key.replace('_', '-')}={raw}" for key, raw in values.items()],
+                   namespace=args)
+    sub.parse_args(argv[argv.index(args.command) + 1:], namespace=args)
     return args
 
 
@@ -94,8 +92,7 @@ def _stab(args) -> StabilizationConfig:
 
 
 def _solver_config(args) -> SolverConfig:
-    return SolverConfig(tol=args.tol, preconditioner=args.precond,
-                        mode=args.mode, workers=args.workers)
+    return SolverConfig(tol=args.tol, mode=args.mode, workers=args.workers)
 
 
 def _case(args):
@@ -146,6 +143,7 @@ def build_parser() -> CliParser:
     sp = subs.add_parser("mesh-dump", help="plain-text mesh export")
     _add_common(sp)
     sp.add_argument("--vtk", help="also write a legacy-VTK file to this path")
+    parser.commands = subs.choices  # command name -> its parser
     return parser
 
 
@@ -154,7 +152,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        args = _apply_config(parser, args.command, args, argv)
+        args = _apply_config(parser, args, argv)
         if args.dim != 2 and args.command != "cost":
             raise ValueError("only --dim 2 is solvable; d=3 is supported by cost only")
 

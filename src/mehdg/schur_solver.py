@@ -8,34 +8,30 @@ and D is block-diagonal in it.  Congruent macros share A, B and C (all
 classes come from one batched assembly pass), so condense factors each
 class's A once and solves once with [B | R_u^T]: it keeps A^-1 B, the
 condensed block K = C A^-1 B and U0, every member's local solution at
-uhat = 0.  The reduced right-hand side and the reconstruction are then
-gathers and GEMMs per class.  The Schur operator is applied
-matrix-free (per fixed-size chunk of a class's macros, a gather of the
+uhat = 0, and drops A, B, C and R_u.  The reduced right-hand side and the
+reconstruction are then gathers and GEMMs per class.  The Schur operator is
+applied matrix-free (per fixed-size chunk of a class's macros, a gather of the
 trace values and one GEMM with the class's K, then the face reduction D uhat
 minus a fixed-order scatter of the macro outputs; nothing global is
 assembled) or as an explicitly scattered sparse matrix built from the same
 K.  Both share a restarted GMRES, orthogonalized by classical Gram-Schmidt
-run twice and left-preconditioned by a block-diagonal P with one nd x nd
-block per unknown face, one sparse matrix:
-
-- "block" (the default) is face-block Jacobi: P_F inverts the face's
-  diagonal block of S, S_FF = D_F - sum K_ss over the member slots s on F
-  (Cockburn, Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014,
-  use it as their smoother).  condense sums those slot-diagonal blocks of
-  every class's K in one bincount and inverts them once.
-- "dinv" inverts D_F alone.  Its blocks are exact inverses: assembly builds
-  D_F = c_F M_F with c_F < 0, a negative multiple of the face mass matrix.
-- "none" runs GMRES on S itself.
+run twice, on the system left-preconditioned by face-block Jacobi: a
+block-diagonal P with one nd x nd block per unknown face, one sparse
+matrix, whose P_F inverts the face's diagonal block of S,
+S_FF = D_F - sum K_ss over the member slots s on F (Cockburn, Dubois,
+Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014, use it as their
+smoother).  condense sums those slot-diagonal blocks of every class's K in
+one bincount and inverts them once.
 
 solve() folds P into the operator and the right-hand side instead of
 handing GMRES a preconditioner: GMRES runs on P S uhat = P f.  With each
-class's K_fold = K without its slot-diagonal blocks under "block" and
-K_fold = K under "dinv", S = P^-1 - scatter of K_fold in both cases, so
-P S = I - P (scatter of K_fold).  Mode mb builds that matrix once from the classes (one batched
-P_F K-rows product per member, one COO scatter, an identity diagonal), so
-an iteration is one sparse product; mode mf applies
-uhat - P (scatter of K_fold uhat) with the same chunked gather, GEMM and
-scatter as the unpreconditioned apply, and never forms D uhat.
+class's K_fold = K without its slot-diagonal blocks, S = P^-1 - scatter of
+K_fold, so P S = I - P (scatter of K_fold).  Mode mb builds that matrix
+once from the classes (one batched P_F K-rows product per member, one COO
+scatter, an identity diagonal), so an iteration is one sparse product;
+mode mf applies uhat - P (scatter of K_fold uhat) with the same chunked
+gather, GEMM and scatter as the unpreconditioned apply, and never forms
+D uhat.
 """
 
 from __future__ import annotations
@@ -85,15 +81,12 @@ class SolverConfig:
     tol: float = 1e-6
     restart: int = 100
     maxiter: int = 10000
-    preconditioner: str = "block"  # 'block' | 'dinv' | 'none'
     mode: str = "mf"  # 'mf' | 'mb'
     workers: int = 1
 
     def __post_init__(self):
         if not 0 < self.tol < 1:
             raise ValueError("tolerance must lie in (0, 1)")
-        if self.preconditioner not in ("block", "dinv", "none"):
-            raise ValueError(f"unknown preconditioner {self.preconditioner!r}")
         if self.mode not in ("mf", "mb"):
             raise ValueError(f"unknown mode {self.mode!r}")
         for name in ("restart", "maxiter", "workers"):
@@ -147,8 +140,9 @@ class OperatorClass(LocalOperators):
     """A congruence class's LocalOperators, the skeleton face of each slot
     of its macros and what condense adds from its one solve with A: A^-1 B,
     K = C A^-1 B, U0, the trace index of each B column and the K that the
-    folded operator applies.  Row r of `face_ids`, `trace_idx`, `R_u` and
-    `U0` belongs to macro macro_ids[r]."""
+    folded operator applies.  condense then sets A, B, C and R_u to None:
+    nothing after it reads them.  Row r of `face_ids`, `trace_idx`, `R_u`
+    and `U0` belongs to macro macro_ids[r]."""
 
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
     AinvB: Optional[np.ndarray] = None  # (nloc, nc)
@@ -156,7 +150,7 @@ class OperatorClass(LocalOperators):
     U0: Optional[np.ndarray] = None  # (n_macros, nloc) local solutions at uhat = 0
     # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
     trace_idx: Optional[np.ndarray] = None
-    # (nc, nc) K without its slot-diagonal blocks under "block", K under "dinv"
+    # (nc, nc) K without its slot-diagonal blocks
     K_fold: Optional[np.ndarray] = None
 
 
@@ -207,10 +201,10 @@ class CondensedSystem:
     # units of the matrix-free apply: (class, slice of its rows), class by class
     chunks: list
     D: sp.csr_matrix  # block diagonal, trace order
-    # the preconditioner's (unknown faces, nd, nd) inverse blocks, in trace
-    # order, and the same as one block-diagonal matrix; None under "none"
-    P_blocks: Optional[np.ndarray]
-    P: Optional[sp.csr_matrix]
+    # the preconditioner's (unknown faces, nd, nd) blocks S_FF^-1, in trace
+    # order, and the same as one block-diagonal matrix
+    P_blocks: np.ndarray
+    P: sp.csr_matrix
     # step 4: trace dof of each entry of the macro outputs C A^-1 (.) in
     # class and row order, zhat (a pad slot) on Dirichlet faces
     reduce_dst: np.ndarray
@@ -223,7 +217,7 @@ class CondensedSystem:
 
     @property
     def dof_local(self) -> int:
-        return int(sum(cls.R_u.size for cls in self.classes))
+        return int(sum(cls.U0.size for cls in self.classes))
 
 
 def condense(
@@ -232,44 +226,35 @@ def condense(
     faces: FaceBlocks,
     config: SolverConfig,
 ) -> CondensedSystem:
-    """Per class, one solve with A for A^-1 B and U0, and K = C A^-1 B; index
-    the B columns into the trace vector, build D, the preconditioner's
-    inverse face blocks with each class's K_fold, and the reduced
-    right-hand side f = R_uhat - C A^-1 R_u."""
-    for cls in classes:
-        nc = cls.B.shape[1]
-        X = _solve_local(cls.A, np.hstack([cls.B, cls.R_u.T]), int(cls.macro_ids[0]))
-        cls.AinvB, cls.U0 = X[:, :nc], X[:, nc:].T
-        cls.K = cls.C @ cls.AinvB
-
+    """Per class, one solve with A for A^-1 B and U0, K = C A^-1 B and
+    K_fold; index the B columns into the trace vector, build D, the
+    preconditioner's inverse face blocks and the reduced right-hand side
+    f = R_uhat - C A^-1 R_u.  A, B, C and R_u are released at the end."""
     nf, nd = faces.R_hat.shape
     zhat = nf * nd
     face_start = np.full(len(mesh.face_tag), -1, dtype=np.int64)
     face_start[faces.ids] = np.arange(nf) * nd
 
-    chunks = []
+    # dst: the trace dof of each entry of the macro outputs, which come class
+    # by class (the chunks keep that order): the classes' trace_idx, row-major
+    chunks, dst, rhs_out = [], [], []
     for cls in classes:
+        nc = cls.B.shape[1]
+        X = _solve_local(cls.A, np.hstack([cls.B, cls.R_u.T]), int(cls.macro_ids[0]))
+        cls.AinvB, cls.U0 = X[:, :nc], X[:, nc:].T
+        cls.K = cls.C @ cls.AinvB
+        cls.K_fold = cls.K.copy()
+        _slot_diagonal(cls.K_fold, nd)[...] = 0.0
+        rhs_out.append((cls.U0 @ cls.C.T).ravel())
         start = face_start[cls.face_ids][:, :, None]
         cls.trace_idx = np.where(start >= 0, start + np.arange(nd), -1).reshape(
             len(cls.face_ids), -1)
+        dst.append(cls.trace_idx.ravel())
         chunks.extend((cls, slice(i, i + CHUNK_MACROS))
                       for i in range(0, len(cls.face_ids), CHUNK_MACROS))
-    # the macro outputs, concatenated class by class (the chunks keep that
-    # order), are the classes' trace_idx blocks row-major; Dirichlet entries
-    # (-1) go to a pad slot
-    dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
-
-    P_blocks = None
-    for cls in classes:
-        cls.K_fold = cls.K
-    if config.preconditioner == "dinv":
-        P_blocks = _invert_face_blocks(faces.ids.tolist(), faces.D)
-    elif config.preconditioner == "block":
-        P_blocks = _invert_face_blocks(faces.ids.tolist(),
-                                       faces.D - _slot_diagonal_sums(classes, nf, nd))
-        for cls in classes:
-            cls.K_fold = cls.K.copy()
-            _slot_diagonal(cls.K_fold, nd)[...] = 0.0
+    dst = np.concatenate(dst)
+    P_blocks = _invert_face_blocks(faces.ids.tolist(),
+                                   faces.D - _slot_diagonal_sums(classes, nf, nd))
 
     # one nd x nd block per unknown face, on the diagonal in trace order
     blocks = (np.arange(nf), np.arange(nf + 1))
@@ -279,12 +264,12 @@ def condense(
         pool=WorkerPool(config.workers), chunks=chunks,
         D=sp.bsr_matrix((faces.D, *blocks), shape=shape).tocsr(),
         P_blocks=P_blocks,
-        P=None if P_blocks is None else sp.bsr_matrix((P_blocks, *blocks),
-                                                      shape=shape).tocsr(),
+        P=sp.bsr_matrix((P_blocks, *blocks), shape=shape).tocsr(),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
-    sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(
-        sys, [(cls.U0 @ cls.C.T).ravel() for cls in classes])
+    sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(sys, rhs_out)
+    for cls in classes:
+        cls.A = cls.B = cls.C = cls.R_u = None
     return sys
 
 
@@ -340,28 +325,16 @@ def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     return sys.D @ uhat - _apply_cab(sys, uhat)
 
 
-def apply_preconditioner(sys: CondensedSystem, w: np.ndarray) -> np.ndarray:
-    """The block-diagonal preconditioner P (S_FF^-1 under "block", D^-1
-    under "dinv") as one sparse product; w itself under "none"."""
-    return w if sys.P is None else sys.P @ w
-
-
-def gmres(
-    apply_op: Callable,
-    rhs: np.ndarray,
-    config: SolverConfig,
-    precond: Optional[Callable] = None,
-):
-    """Restarted GMRES with left preconditioning, orthogonalized by classical
-    Gram-Schmidt run twice (four BLAS-2 calls per iteration); the stopping
-    test uses the preconditioned relative residual.  A restart cycle that leaves the true
-    residual no lower than it found it stops the solve as stagnated."""
+def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
+    """Restarted GMRES, orthogonalized by classical Gram-Schmidt run twice
+    (four BLAS-2 calls per iteration); the stopping test uses the relative
+    residual.  A left preconditioner is folded into apply_op and rhs by the
+    caller.  A restart cycle that leaves the true residual no lower than it
+    found it stops the solve as stagnated."""
     n = rhs.size
-    M = precond if precond is not None else (lambda v: v)
     x = np.zeros(n)
     history = []
-    mb = M(rhs)
-    bnorm = float(np.linalg.norm(mb))
+    bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return x, {"iterations": 0, "residual_history": [0.0], "converged": True,
                    "reason": "converged"}
@@ -371,7 +344,7 @@ def gmres(
     V = np.zeros((config.restart + 1, n))
     H = np.zeros((config.restart + 1, config.restart))
     while it < config.maxiter and not converged:
-        r = M(rhs - apply_op(x))
+        r = rhs - apply_op(x)
         beta = float(np.linalg.norm(r))
         if not history:
             history.append(beta)
@@ -390,8 +363,8 @@ def gmres(
         k_used = 0
         breakdown = False
         for k in range(config.restart):
-            # copy: the operator or preconditioner may return its input
-            wv = np.array(M(apply_op(V[k])), dtype=float)
+            # copy: the operator may return its input
+            wv = np.array(apply_op(V[k]), dtype=float)
             # classical Gram-Schmidt run twice: orthogonal to working precision
             # like MGS (Giraud, Langou & Rozloznik 2005), in four BLAS-2 calls
             Vk = V[:k + 1]
@@ -436,7 +409,7 @@ def gmres(
         if breakdown and not converged:
             break  # invariant Krylov subspace; no further progress possible
     if not converged and not stagnated:
-        r = M(rhs - apply_op(x))
+        r = rhs - apply_op(x)
         converged = float(np.linalg.norm(r)) / bnorm <= config.tol
     reason = ("converged" if converged else "stagnation" if stagnated
               else "breakdown" if breakdown else "maxiter")
@@ -486,7 +459,7 @@ def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     """(n_macros, nloc) local solutions U = A^-1 (R_u - B uhat): per class,
     U0 minus the gathered trace values times (A^-1 B)^T."""
     upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
-    local = np.empty((sys.n_macros, sys.classes[0].R_u.shape[1]))
+    local = np.empty((sys.n_macros, sys.classes[0].U0.shape[1]))
     for cls in sys.classes:
         local[cls.macro_ids] = cls.U0 - upad[cls.trace_idx] @ cls.AinvB.T
     return local
@@ -503,13 +476,12 @@ class SolveReport:
     converged: bool
     tol: float
     mode: str
-    precond: str
     n_classes: int
     t_assemble_s: float
     t_init_s: float
     t_local_s: float  # matrix-free applies inside GMRES, P included
     t_global_s: float  # the rest of GMRES
-    t_schur_s: float  # building the explicit P S, or S under none (mb; 0 in mf)
+    t_schur_s: float  # building the explicit P S (mb; 0 in mf)
     t_reconstruct_s: float
     # load-balance factor of the pooled matrix-free applies; 1.0 in mode mb,
     # where no pooled work runs
@@ -566,25 +538,23 @@ def solve(
     t_init = time.perf_counter() - t0
 
     # P is folded into the operator and the right-hand side: GMRES runs on
-    # P S uhat = P f, the same left-preconditioned system
-    fold = sys.P is not None
+    # P S uhat = P f, the left-preconditioned system
     t_schur = t_local = 0.0
     if config.mode == "mb":
         t0 = time.perf_counter()
-        S = assemble_schur_explicit(sys, fold=fold)
+        PS = assemble_schur_explicit(sys, fold=True)
         t_schur = time.perf_counter() - t0
-        op = lambda v: S @ v
+        op = lambda v: PS @ v
     else:
         def op(v):
             nonlocal t_local
             t0 = time.perf_counter()
-            w = (v - sys.P @ _apply_cab(sys, v, fold=True)) if fold else apply_schur(sys, v)
+            w = v - sys.P @ _apply_cab(sys, v, fold=True)
             t_local += time.perf_counter() - t0
             return w
 
     t0 = time.perf_counter()
-    rhs = sys.P @ sys.f_vec if fold else sys.f_vec
-    uhat, info = gmres(op, rhs, config)
+    uhat, info = gmres(op, sys.P @ sys.f_vec, config)
     t_gmres = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -595,7 +565,7 @@ def solve(
         p=p, m=mesh.m, n=mesh.n,
         dof_local=sys.dof_local, dof_global=sys.zhat,
         iterations=info["iterations"], converged=info["converged"],
-        tol=config.tol, mode=config.mode, precond=config.preconditioner,
+        tol=config.tol, mode=config.mode,
         n_classes=len(classes), t_assemble_s=t_assemble, t_init_s=t_init, t_local_s=t_local,
         t_global_s=max(t_gmres - t_local, 0.0), t_schur_s=t_schur,
         t_reconstruct_s=t_rec,

@@ -296,7 +296,7 @@ def test_supg_length_scale_keeps_p2_accurate():
     err = {}
     for supg in (False, True):
         classes, faces = assemble_system(mesh, case.problem(), StabilizationConfig(supg=supg), 2)
-        sys = condense(mesh, classes, faces, SolverConfig(preconditioner="none"))
+        sys = condense(mesh, classes, faces, SolverConfig())
         uhat = spla.spsolve(assemble_schur_explicit(sys).tocsc(), sys.f_vec)
         solution = Solution(local=reconstruct_interior(sys, uhat), uhat=uhat, report=None)
         err[supg] = l2_error(mesh, 2, solution, case.u_exact)

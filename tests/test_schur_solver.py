@@ -21,7 +21,7 @@ from mehdg.schur_solver import (
     SingularLocalBlock,
     SolverConfig,
     WorkerPool,
-    apply_preconditioner,
+    _slot_diagonal_sums,
     apply_schur,
     assemble_schur_explicit,
     assemble_system,
@@ -34,10 +34,10 @@ from mehdg.schur_solver import (
 NO_STAB = StabilizationConfig()
 
 
-def build_system(n, m, p, case=None, workers=1, tol=1e-6, preconditioner="block"):
+def build_system(n, m, p, case=None, workers=1, tol=1e-6):
     case = case or poly_case(2)
     mesh = build_structured_macro_mesh(2, n, m)
-    config = SolverConfig(tol=tol, workers=workers, preconditioner=preconditioner)
+    config = SolverConfig(tol=tol, workers=workers)
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, p)
     sys = condense(mesh, classes, faces, config)
     return mesh, sys
@@ -79,8 +79,8 @@ def test_solver_config_validation():
         SolverConfig(tol=0.0)
     with pytest.raises(ValueError):
         SolverConfig(tol=2.0)
-    with pytest.raises(ValueError):
-        SolverConfig(preconditioner="ilu")
+    with pytest.raises(TypeError):  # face-block Jacobi is the one preconditioner
+        SolverConfig(preconditioner="block")
     with pytest.raises(ValueError):
         SolverConfig(mode="magic")
     for name in ("restart", "maxiter", "workers"):
@@ -164,11 +164,11 @@ def test_fused_apply_matches_dense_oracle(name):
     mesh = CLASS_MESHES[name]()
     p = 2
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
-    sys = condense(mesh, classes, faces, SolverConfig())
     if name == "uniform-2-4":
         assert all(isinstance(cls.A, np.ndarray) for cls in classes)  # dense storage
     if name == "uniform-1-8":
         assert all(hasattr(cls.A, "toarray") for cls in classes)  # sparse storage
+    sys = condense(mesh, classes, faces, SolverConfig())
     if name == "adapted-2-level":
         assert any(f.hanging for f in mesh.skeleton)
     owner = {e: cls for cls in classes for e in cls.macro_ids.tolist()}
@@ -308,13 +308,14 @@ def test_trace_numbering_matches_offsets_loop(m, p):
     assert sys.face_start.tolist() == [offsets.get(f.id, -1) for f in mesh.skeleton]
     for cls in classes:
         for r, e in enumerate(cls.macro_ids.tolist()):
-            want = np.full(cls.B.shape[1], -1, dtype=np.int64)
+            want = np.full(len(cls.K), -1, dtype=np.int64)
             for fid, slot in loop_face_slots(mesh, mesh.macro_elements[e], p):
                 if fid in offsets:
                     want[slot] = np.arange(offsets[fid], offsets[fid] + sys.nd)
             assert np.array_equal(cls.trace_idx[r], want)
 
     # f = R_hat - C A^-1 R_u: with zero local loads only R_hat is left
+    classes, faces = assemble_system(mesh, problem, NO_STAB, p)
     for cls in classes:
         cls.R_u = np.zeros_like(cls.R_u)
     sys = condense(mesh, classes, faces, SolverConfig())
@@ -395,24 +396,6 @@ def test_call_counts_exact_with_workers():
     assert sys.counters["face_reduce"] == 20 * len(unknown_faces(sys))
 
 
-def test_preconditioner_round_trip():
-    _, sys = build_system(2, 2, 2, preconditioner="dinv")
-    rng = np.random.default_rng(1)
-    x = rng.standard_normal(sys.zhat)
-    w = dense_D(sys) @ x
-    back = apply_preconditioner(sys, w)
-    assert np.abs(back - x).max() < 1e-12 * max(1.0, np.abs(x).max())
-
-
-def test_preconditioner_identity_blocks():
-    mesh = build_structured_macro_mesh(2, 2, 1)
-    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
-    faces.D[:] = np.eye(faces.D.shape[1])
-    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
-    x = np.arange(1.0, sys.zhat + 1.0)
-    assert np.array_equal(apply_preconditioner(sys, x), x)
-
-
 def dense_D_and_CAB(mesh, sys, p):
     """Dense D and C A^-1 B, the latter built from each macro's own
     assembly."""
@@ -423,24 +406,17 @@ def dense_D_and_CAB(mesh, sys, p):
 
 
 def test_preconditioned_operator_structure():
-    """M S x = x - D^-1 (C A^-1 B) x, checked against a dense oracle built
-    from each macro's own assembly."""
-    mesh, sys = build_system(1, 1, 1, preconditioner="dinv")
+    """The explicit S equals D - C A^-1 B from a dense oracle built from each
+    macro's own assembly."""
+    mesh, sys = build_system(1, 1, 1)
     S = assemble_schur_explicit(sys).toarray()
     D, CAB = dense_D_and_CAB(mesh, sys, 1)
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal(sys.zhat)
-    lhs = apply_preconditioner(sys, apply_schur(sys, x))
-    rhs = x - np.linalg.solve(D, CAB @ x)
-    assert np.abs(lhs - rhs).max() < 1e-11 * max(1.0, np.abs(rhs).max())
     assert np.abs(S - (D - CAB)).max() < 1e-11 * np.abs(S).max()
 
 
-def dense_preconditioner(sys, S, preconditioner):
-    """The dense M whose inverse P is: D under dinv, the face-diagonal blocks
-    of the dense S under block."""
-    if preconditioner == "dinv":
-        return dense_D(sys)
+def dense_preconditioner(sys, S):
+    """The dense M whose inverse P is: the face-diagonal blocks of the dense
+    S."""
     M = np.zeros_like(S)
     for _, start in unknown_faces(sys):
         block = slice(start, start + sys.nd)
@@ -448,38 +424,29 @@ def dense_preconditioner(sys, S, preconditioner):
     return M
 
 
-FOLDS = [pytest.param("dinv", "mb", id="mb"), pytest.param("dinv", "mf", id="mf"),
-         pytest.param("block", "mb", id="block-mb"), pytest.param("block", "mf", id="block-mf")]
-
-
-@pytest.mark.parametrize("preconditioner,mode", FOLDS)
-def test_solve_folds_dinv_into_operator(monkeypatch, preconditioner, mode):
+@pytest.mark.parametrize("mode", [pytest.param("mb", id="block-mb"),
+                                  pytest.param("mf", id="block-mf")])
+def test_solve_folds_dinv_into_operator(monkeypatch, mode):
     """The operator and right-hand side that solve() gives gmres are
-    M^-1 S and M^-1 f against the dense oracle (M = D under dinv, the
-    face-diagonal blocks of S under block); gmres gets no preconditioner
-    callable and apply_preconditioner is never called."""
+    M^-1 S and M^-1 f against the dense oracle, M the face-diagonal blocks of
+    S, in both modes."""
     from mehdg import schur_solver
 
     calls = []
 
-    def spy(apply_op, rhs, config, precond=None):
-        calls.append((apply_op, rhs.copy(), precond))
-        return gmres(apply_op, rhs, config, precond=precond)
-
-    def fail(*args):
-        raise AssertionError("apply_preconditioner called")
+    def spy(apply_op, rhs, config):
+        calls.append((apply_op, rhs.copy()))
+        return gmres(apply_op, rhs, config)
 
     monkeypatch.setattr(schur_solver, "gmres", spy)
-    monkeypatch.setattr(schur_solver, "apply_preconditioner", fail)
     mesh = build_structured_macro_mesh(2, 2, 1)
     solution, sys = solve(mesh, poly_case(2).problem(), NO_STAB,
-                          SolverConfig(tol=1e-10, mode=mode, preconditioner=preconditioner), 1)
+                          SolverConfig(tol=1e-10, mode=mode), 1)
     assert solution.report.converged and solution.report.iterations > 0
-    (op, rhs, precond), = calls
-    assert precond is None
+    (op, rhs), = calls
     D, CAB = dense_D_and_CAB(mesh, sys, 1)
     S = D - CAB
-    M = dense_preconditioner(sys, S, preconditioner)
+    M = dense_preconditioner(sys, S)
     assert len(unknown_faces(sys)) > 1 and np.abs(M - S).max() > 0.1 * np.abs(S).max()
     f = np.linalg.solve(M, sys.f_vec)
     assert np.abs(rhs - f).max() < 1e-11 * np.abs(f).max()
@@ -490,33 +457,31 @@ def test_solve_folds_dinv_into_operator(monkeypatch, preconditioner, mode):
         assert np.abs(op(x) - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("n,m,p,mode,preconditioner,iters", [
-    (8, 1, 2, "mb", "dinv", 120), (4, 4, 2, "mf", "dinv", 90),
-    (8, 1, 2, "mb", "block", 88), (4, 4, 2, "mf", "block", 55),
-], ids=["8-1-2-mb", "4-4-2-mf", "8-1-2-mb-block", "4-4-2-mf-block"])
-def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, preconditioner, iters):
-    """The folded solve keeps the iteration count of the ROADMAP table and
-    the trace of GMRES run on S with a separate preconditioner callable."""
-    config = SolverConfig(tol=1e-10, mode=mode, preconditioner=preconditioner)
+@pytest.mark.parametrize("n,m,p,mode,iters", [
+    (8, 1, 2, "mb", 88), (4, 4, 2, "mf", 55),
+], ids=["8-1-2-mb-block", "4-4-2-mf-block"])
+def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
+    """The folded solve keeps the iteration count of BENCH_precond.json and
+    the trace of GMRES run on P times the unfolded matrix-free S."""
+    config = SolverConfig(tol=1e-10, mode=mode)
     mesh = build_structured_macro_mesh(2, n, m)
     solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
                           NO_STAB, config, p)
-    uhat, info = gmres(lambda v: apply_schur(sys, v), sys.f_vec, config,
-                       precond=lambda w: apply_preconditioner(sys, w))
+    uhat, info = gmres(lambda v: sys.P @ apply_schur(sys, v), sys.P @ sys.f_vec, config)
     assert solution.report.iterations == info["iterations"] == iters
     assert np.linalg.norm(solution.uhat - uhat) <= 1e-12 * np.linalg.norm(uhat)
 
 
 @pytest.mark.parametrize("name", ["uniform-3-2", "skewed-3-2", "adapted-2-level"])
 def test_block_preconditioner_inverts_face_blocks_of_s(name):
-    """Under block, each stored P_F inverts the face-diagonal block of
+    """Each stored P_F inverts the face-diagonal block of
     S = D - C A^-1 B formed densely from each macro's own assembly, each
     class's K_fold is its K without the slot-diagonal blocks, and the
     explicit P S built from the classes equals P times the dense S."""
     mesh = CLASS_MESHES[name]()
     p = 2
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
-    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="block"))
+    sys = condense(mesh, classes, faces, SolverConfig())
     if name == "adapted-2-level":
         assert any(f.hanging for f in mesh.skeleton)
     D, CAB = dense_D_and_CAB(mesh, sys, p)
@@ -543,7 +508,7 @@ def test_block_preconditioner_inverts_face_blocks_of_s(name):
 @pytest.mark.parametrize("name", ["uniform-4-2", "skewed-3-2", "adapted-2-level",
                                   "adapted-random-neumann"])
 def test_block_mf_matches_mb_and_dense_solve(name, supg):
-    """Under block at tol 1e-12, the mf and mb traces agree to 1e-12
+    """At tol 1e-12, the mf and mb traces agree to 1e-12
     relative, and both agree with a dense solve of S, on uniform, skewed and
     adapted meshes (hanging and Neumann faces), with SUPG off and on."""
     mesh = CLASS_MESHES[name]()
@@ -553,7 +518,7 @@ def test_block_mf_matches_mb_and_dense_solve(name, supg):
     uhat = {}
     for mode in ("mf", "mb"):
         solution, sys = solve(mesh, problem, stab,
-                              SolverConfig(tol=1e-12, mode=mode, preconditioner="block"), 2)
+                              SolverConfig(tol=1e-12, mode=mode), 2)
         assert solution.report.converged
         uhat[mode] = solution.uhat
     assert np.linalg.norm(uhat["mf"] - uhat["mb"]) <= 1e-12 * np.linalg.norm(uhat["mb"])
@@ -562,48 +527,41 @@ def test_block_mf_matches_mb_and_dense_solve(name, supg):
         assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
-@pytest.mark.parametrize("mode", ["mb", "mf"])
-def test_none_runs_gmres_on_s(mode):
-    """Under none nothing is folded: the trace and the iteration count are
-    bitwise those of gmres on the explicit S (mb) or apply_schur (mf) and
-    f, with no preconditioner."""
-    config = SolverConfig(tol=1e-10, mode=mode, preconditioner="none")
-    mesh = build_structured_macro_mesh(2, 4, 2)
-    solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
-                          NO_STAB, config, 2)
-    assert sys.P is None and all(cls.K_fold is cls.K for cls in sys.classes)
-    S = assemble_schur_explicit(sys)
-    op = (lambda v: S @ v) if mode == "mb" else (lambda v: apply_schur(sys, v))
-    uhat, info = gmres(op, sys.f_vec, config)
-    assert solution.report.iterations == info["iterations"] > 0
-    assert np.array_equal(solution.uhat, uhat)
-
-
 def test_face_factorization_kinds():
     """Every face block D_F = c_F M_F is negative definite and lands on the
-    diagonal of the stored D at its face's trace dofs; the stored
-    block-diagonal D^-1 inverts the stored D."""
+    diagonal of the stored D at its face's trace dofs."""
     mesh = build_structured_macro_mesh(2, 2, 2)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
-    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
+    sys = condense(mesh, classes, faces, SolverConfig())
     assert np.array_equal(sys.D.toarray(), sla.block_diag(*faces.D))
     for fid, D in zip(faces.ids.tolist(), faces.D):
         assert np.linalg.eigvalsh(D).max() < 0
         block = slice(sys.face_start[fid], sys.face_start[fid] + sys.nd)
         assert np.array_equal(sys.D[block, block].toarray(), D)
-    assert np.abs((sys.P @ sys.D).toarray() - np.eye(sys.zhat)).max() < 1e-12
+
+
+def slot_diagonal_sums(mesh, p):
+    """Per unknown face, the sum of the slot-diagonal blocks of K that
+    S_FF = D_F - sums subtracts, from a condensed copy of the system, and a
+    fresh assembly of the same system to condense."""
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
+    sys = condense(mesh, classes, faces, SolverConfig())
+    sums = _slot_diagonal_sums(sys.classes, len(faces.ids), sys.nd)
+    return sums, assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
 
 
 @pytest.mark.parametrize("bad", ["tiny-pivot", "nan"])
 def test_near_singular_face_block(bad):
+    """A face whose S_FF has a pivot below 1e-13 of its largest entry, or
+    a NaN, raises SingularFaceBlock naming that face."""
     mesh = build_structured_macro_mesh(2, 1, 1)
-    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
+    sums, (classes, faces) = slot_diagonal_sums(mesh, 1)
     if bad == "nan":
         faces.D[0] = np.nan
     else:
-        faces.D[0] = np.diag([1.0] + [1e-15] * (faces.D.shape[1] - 1))
+        faces.D[0] = sums[0] + np.diag([1.0] + [1e-15] * (faces.D.shape[1] - 1))
     with pytest.raises(SingularFaceBlock) as err:
-        condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
+        condense(mesh, classes, faces, SolverConfig())
     assert err.value.args == (int(faces.ids[0]),)
 
 
@@ -632,30 +590,26 @@ def test_singular_sparse_local_block():
 
 
 def test_singular_schur_face_block():
-    """Under block, a face whose S_FF = D_F - sum K_ss is singular while D_F
-    is not raises SingularFaceBlock naming that face; dinv accepts the same
-    data."""
-    from mehdg.schur_solver import _slot_diagonal_sums
-
+    """A face whose S_FF = D_F - sum K_ss is singular while D_F is not
+    raises SingularFaceBlock naming that face."""
     mesh = build_structured_macro_mesh(2, 2, 1)
-    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
-    sys = condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
-    sums = _slot_diagonal_sums(classes, len(faces.ids), sys.nd)
+    sums, (classes, faces) = slot_diagonal_sums(mesh, 1)
     faces.D[0][:, -1] = sums[0][:, -1]  # S_FF of face 0 gets a zero column
-    condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
+    assert np.linalg.cond(faces.D[0]) < 1e6
     with pytest.raises(SingularFaceBlock) as err:
-        condense(mesh, classes, faces, SolverConfig(preconditioner="block"))
+        condense(mesh, classes, faces, SolverConfig())
     assert err.value.args == (int(faces.ids[0]),)
 
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_face_block():
-    case = poly_case(2)
+    """An exactly zero S_FF (an LU with a zero pivot) raises
+    SingularFaceBlock."""
     mesh = build_structured_macro_mesh(2, 1, 1)
-    classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 1)
-    faces.D[0] = 0.0
+    sums, (classes, faces) = slot_diagonal_sums(mesh, 1)
+    faces.D[0] = sums[0]
     with pytest.raises(SingularFaceBlock):
-        condense(mesh, classes, faces, SolverConfig(preconditioner="dinv"))
+        condense(mesh, classes, faces, SolverConfig())
 
 
 def test_gmres_identity():
@@ -739,14 +693,15 @@ def test_gmres_orthogonalization(name, restart):
     GMRES needs hundreds of iterations) and a random matrix of condition
     1e4 (full GMRES needs all 100 steps; one Gram-Schmidt pass loses
     orthogonality there and takes a second cycle).  GMRES reaches tol 1e-12
-    in the true preconditioned residual, in the iterations MGS needs."""
+    in the true preconditioned residual, in the iterations MGS needs.  The
+    preconditioner M is folded into the operator and the right-hand side."""
     n, tol = 100, 1e-12
     G = _grcar(n) if name == "grcar" else _random_cond(n, 1e4)
     d = np.linspace(1.0, 4.0, n)
     M = lambda v: v / d
     b = np.random.default_rng(0).standard_normal(n)
     cfg = SolverConfig(tol=tol, restart=restart, maxiter=2000)
-    x, info = gmres(lambda v: G @ v, b, cfg, precond=M)
+    x, info = gmres(lambda v: M(G @ v), M(b), cfg)
     assert info["converged"]
     assert np.linalg.norm(M(b - G @ x)) <= 10 * tol * np.linalg.norm(M(b))
     ref = _mgs_gmres_iterations(G, b, M, restart, tol, cfg.maxiter)
@@ -754,16 +709,14 @@ def test_gmres_orthogonalization(name, restart):
     assert info["iterations"] >= n  # neither case is easy
 
 
-def _numpy_givens_gmres(apply_op, rhs, config, precond=None):
+def _numpy_givens_gmres(apply_op, rhs, config):
     """gmres with the Givens rotations on numpy scalars indexed in H and V,
     H, cs, sn and g allocated per restart cycle: the arithmetic that gmres
     must reproduce bit for bit."""
     n = rhs.size
-    M = precond if precond is not None else (lambda v: v)
     x = np.zeros(n)
     history = []
-    mb = M(rhs)
-    bnorm = float(np.linalg.norm(mb))
+    bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
         return x, {"iterations": 0, "residual_history": [0.0], "converged": True,
                    "reason": "converged"}
@@ -771,7 +724,7 @@ def _numpy_givens_gmres(apply_op, rhs, config, precond=None):
     converged = stagnated = breakdown = False
     beta_start = np.inf
     while it < config.maxiter and not converged:
-        r = M(rhs - apply_op(x))
+        r = rhs - apply_op(x)
         beta = float(np.linalg.norm(r))
         if not history:
             history.append(beta)
@@ -792,7 +745,7 @@ def _numpy_givens_gmres(apply_op, rhs, config, precond=None):
         k_used = 0
         breakdown = False
         for k in range(config.restart):
-            wv = np.array(M(apply_op(V[k])), dtype=float)
+            wv = np.array(apply_op(V[k]), dtype=float)
             Vk = V[:k + 1]
             h = Vk @ wv
             wv -= h @ Vk
@@ -833,25 +786,23 @@ def _numpy_givens_gmres(apply_op, rhs, config, precond=None):
         if breakdown and not converged:
             break
     if not converged and not stagnated:
-        r = M(rhs - apply_op(x))
+        r = rhs - apply_op(x)
         converged = float(np.linalg.norm(r)) / bnorm <= config.tol
     return x, {"iterations": it, "residual_history": history, "converged": converged}
 
 
 def _gmres_case(name):
-    """(operator, rhs, preconditioner, config): the matrices of
-    test_gmres_orthogonalization, or the (8,1,2) mb trace system."""
+    """(operator, rhs, config), each preconditioned by folding M in: the
+    matrices of test_gmres_orthogonalization, or the (8,1,2) mb trace
+    system under its face-block preconditioner P."""
     if name == "8-1-2-mb":
-        _, sys = build_system(8, 1, 2, case=make_benchmark("tanh", 0.4, (1.0, 1.0)),
-                              preconditioner="dinv")
+        _, sys = build_system(8, 1, 2, case=make_benchmark("tanh", 0.4, (1.0, 1.0)))
         S = assemble_schur_explicit(sys)
-        return (lambda v: S @ v, sys.f_vec, lambda v: apply_preconditioner(sys, v),
-                SolverConfig(tol=1e-10))
+        return lambda v: sys.P @ (S @ v), sys.P @ sys.f_vec, SolverConfig(tol=1e-10)
     n = 100
     G = _grcar(n) if name == "grcar" else _random_cond(n, 1e4)
     d = np.linspace(1.0, 4.0, n)
-    return (lambda v: G @ v, np.random.default_rng(0).standard_normal(n),
-            lambda v: v / d,
+    return (lambda v: (G @ v) / d, np.random.default_rng(0).standard_normal(n) / d,
             SolverConfig(tol=1e-12, restart=40 if name == "grcar" else 100, maxiter=2000))
 
 
@@ -859,9 +810,9 @@ def _gmres_case(name):
 def test_gmres_matches_numpy_givens_reference(name):
     """x, the iteration count and the residual history are bitwise those of
     the rotations on numpy scalars."""
-    op, b, M, cfg = _gmres_case(name)
-    x, info = gmres(op, b, cfg, precond=M)
-    x_ref, ref = _numpy_givens_gmres(op, b, cfg, precond=M)
+    op, b, cfg = _gmres_case(name)
+    x, info = gmres(op, b, cfg)
+    x_ref, ref = _numpy_givens_gmres(op, b, cfg)
     assert np.array_equal(x, x_ref)
     assert info["iterations"] == ref["iterations"] > 50
     assert info["residual_history"] == ref["residual_history"]
@@ -977,21 +928,17 @@ def test_determinism_across_workers():
 
 
 def test_preconditioner_soundness():
-    """On the advection-dominated benchmark neither block preconditioner
-    increases the iteration count over no preconditioner."""
-    from mehdg.bench import make_benchmark
-
+    """On the advection-dominated benchmark the preconditioned solve needs
+    no more iterations than GMRES on the explicit S."""
     case = make_benchmark("tanh", 1e-5, (1.0, 1.0))
     for p in (1, 2, 3):
         for m in (1, 2):
-            its = {}
-            for pre in ("block", "dinv", "none"):
-                mesh = build_structured_macro_mesh(2, 8 // m, m)
-                cfg = SolverConfig(tol=1e-6, preconditioner=pre, mode="mb")
-                sol, _ = solve(mesh, case.problem(), NO_STAB, cfg, p)
-                its[pre] = sol.report.iterations
-            assert its["dinv"] <= its["none"]
-            assert its["block"] <= its["none"]
+            mesh = build_structured_macro_mesh(2, 8 // m, m)
+            cfg = SolverConfig(tol=1e-6, mode="mb")
+            sol, sys = solve(mesh, case.problem(), NO_STAB, cfg, p)
+            S = assemble_schur_explicit(sys)
+            _, info = gmres(lambda v: S @ v, sys.f_vec, cfg)
+            assert sol.report.iterations <= info["iterations"]
 
 
 def test_linearity_scaling():
@@ -1015,7 +962,7 @@ def test_solve_report_record():
     _, solution, _, _ = _solve_case(poly_case(2), 2, 2, 2)
     rec = solution.report.to_record()
     for key in ("p", "m", "n", "dof_local", "dof_global", "iterations",
-                "converged", "tol", "mode", "precond", "n_classes",
+                "converged", "tol", "mode", "n_classes",
                 "t_assemble_s", "t_init_s", "t_local_s", "t_global_s",
                 "t_schur_s", "t_reconstruct_s", "lbf"):
         assert key in rec

@@ -22,7 +22,13 @@ from .bench import (
     write_csv,
 )
 from .mesh import build_structured_macro_mesh, export_text, export_vtk
-from .schur_solver import SingularFaceBlock, SingularLocalBlock, SolverConfig, solve
+from .schur_solver import (
+    SingularCoarseOperator,
+    SingularFaceBlock,
+    SingularLocalBlock,
+    SolverConfig,
+    solve,
+)
 
 
 class CliParser(argparse.ArgumentParser):
@@ -207,7 +213,8 @@ def main(argv=None) -> int:
             return 0
 
         raise ValueError(f"unknown command {args.command!r}")
-    except (ValueError, OSError, SingularLocalBlock, SingularFaceBlock) as exc:
+    except (ValueError, OSError, SingularLocalBlock, SingularFaceBlock,
+            SingularCoarseOperator) as exc:
         print(f"mehdg: error: {exc}", file=sys.stderr)
         return 1
     except ArithmeticError as exc:  # e.g. overflow in a benchmark's closed form

@@ -274,6 +274,13 @@ def trace_basis(m: int, p: int) -> TraceBasis:
     return TraceBasis(m, p)
 
 
+@lru_cache(maxsize=None)
+def trace_hats(m: int, p: int) -> np.ndarray:
+    """(m p + 1, m + 1) values of the P1 hat functions of the m + 1 segment
+    breakpoints at the nodes of the (m, p) trace basis.  Read-only."""
+    return _readonly(trace_basis(m, 1).eval(trace_basis(m, p).nodes))
+
+
 def piecewise_quad(breaks: np.ndarray, npts: int):
     """Gauss points/weights on [0,1] subordinate to the given breakpoints."""
     x, w = _gauss01(npts)

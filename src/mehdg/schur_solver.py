@@ -32,6 +32,22 @@ scatter, an identity diagonal), so an iteration is one sparse product;
 mode mf applies uhat - P (scatter of K_fold uhat) with the same chunked
 gather, GEMM and scatter as the unpreconditioned apply, and never forms
 D uhat.
+
+Face-block Jacobi alone needs a number of iterations that grows like 1/h.
+solve() adds a coarse space to it, additively as in two-level Schwarz
+(Toselli & Widlund, Domain Decomposition Methods, 2005), when the mesh
+Peclet number max |a| diam / (m p kappa) is at most COARSE_MAX_PECLET and
+the trace has at least COARSE_MIN_TRACE_DOFS dofs: GMRES then runs on
+M S uhat = M f with M = P + Pc S_c^-1 Pc^T.  The coarse space is
+continuous P1 on the sub-cell vertices of the skeleton (the mesh vertices
+at m = 1, the P1 space of Cockburn, Dubois, Gopalakrishnan & Tan), Pc its
+prolongation into the trace and S_c = Pc^T S Pc, built from each class's
+K_fold, the face blocks S_FF and the mesh arrays without S and factored
+once by splu.  One application is w = P S v, the folded operator above,
+followed by w + Pc S_c^-1 (Q w) with Q = Pc^T blockdiag(S_FF), since
+Q P = Pc^T; the coarse code is the same in both modes.  Above the Peclet
+bound (advection-dominated traces) the coarse space takes more iterations
+than it saves, and solve() runs face-block Jacobi alone.
 """
 
 from __future__ import annotations
@@ -53,7 +69,8 @@ from .assembly import (
     assemble_classes,
     face_operators,
 )
-from .mesh import MacroMesh
+from .fem_basis import trace_hats
+from .mesh import _EDGE_A, _EDGE_B, MacroMesh
 
 # Macros per chunk of the matrix-free apply.  Fixed, so that the batched
 # calls, and with them the results, do not depend on the worker count.  Small
@@ -64,6 +81,22 @@ CHUNK_MACROS = 4
 # Largest accepted worker count: WorkerPool keeps and visits one partition
 # per worker on every call, whether or not it holds any work.
 MAX_WORKERS = 1024
+# When solve() adds the coarse space to face-block Jacobi (coarse_space).
+# The largest mesh Peclet number max |a| diam / (m p kappa): on the grid of
+# BENCH_twolevel.json (mb, tol 1e-8, tanh, meshes (n, m) = (8, 1), (4, 2),
+# (4, 4), (16, 1), (8, 2), p = 1..3, SUPG off and on, 1,320 configs with
+# kappa from 1e-10 to 1 and 13 steps from 0.05 to 1e-3), the coarse space
+# took fewer iterations in every config below Pe = 16.3 and more in some
+# from 18.6; it was faster on the largest mesh (16, 1) in 115 of the 116
+# configs below 8, but in 16 of 26 from 8 to 16.  Above Pe = 47 it took
+# more iterations in 411 of 454 configs: advection-dominated traces keep
+# face-block Jacobi alone.
+COARSE_MAX_PECLET = 8.0
+# The fewest trace dofs: below, its set-up costs more than the iterations it
+# saves.  192 minimized the summed solve() CPU time of the size sweep of
+# BENCH_twolevel.json (72 configs, n <= 8, m = 1, 2, 4, p = 1..3, mb and
+# mf, tol 1e-10, Pe < 1; 20 alternated pairs each).
+COARSE_MIN_TRACE_DOFS = 192
 
 
 class SingularLocalBlock(RuntimeError):
@@ -74,6 +107,11 @@ class SingularLocalBlock(RuntimeError):
 class SingularFaceBlock(RuntimeError):
     def __str__(self):
         return f"singular preconditioner face block at face {self.args[0]}"
+
+
+class SingularCoarseOperator(RuntimeError):
+    def __str__(self):
+        return f"singular coarse operator ({self.args[0]} coarse dofs)"
 
 
 @dataclass
@@ -201,14 +239,17 @@ class CondensedSystem:
     # units of the matrix-free apply: (class, slice of its rows), class by class
     chunks: list
     D: sp.csr_matrix  # block diagonal, trace order
-    # the preconditioner's (unknown faces, nd, nd) blocks S_FF^-1, in trace
-    # order, and the same as one block-diagonal matrix
+    # the (unknown faces, nd, nd) face-diagonal blocks S_FF of S, the
+    # preconditioner's blocks S_FF^-1, both in trace order, and the latter
+    # as one block-diagonal matrix
+    S_blocks: np.ndarray
     P_blocks: np.ndarray
     P: sp.csr_matrix
     # step 4: trace dof of each entry of the macro outputs C A^-1 (.) in
     # class and row order, zhat (a pad slot) on Dirichlet faces
     reduce_dst: np.ndarray
     f_vec: Optional[np.ndarray] = None
+    coarse: Optional[CoarseSpace] = None  # condense(coarse=True); solve() releases it
     counters: dict = field(default_factory=lambda: {"macro_apply": 0, "face_reduce": 0})
 
     @property
@@ -225,11 +266,13 @@ def condense(
     classes: list,
     faces: FaceBlocks,
     config: SolverConfig,
+    coarse: bool = False,
 ) -> CondensedSystem:
     """Per class, one solve with A for A^-1 B and U0, K = C A^-1 B and
     K_fold; index the B columns into the trace vector, build D, the
     preconditioner's inverse face blocks and the reduced right-hand side
-    f = R_uhat - C A^-1 R_u.  A, B, C and R_u are released at the end."""
+    f = R_uhat - C A^-1 R_u, and with `coarse` the coarse space.  A, B, C
+    and R_u are released at the end."""
     nf, nd = faces.R_hat.shape
     zhat = nf * nd
     face_start = np.full(len(mesh.face_tag), -1, dtype=np.int64)
@@ -253,8 +296,8 @@ def condense(
         chunks.extend((cls, slice(i, i + CHUNK_MACROS))
                       for i in range(0, len(cls.face_ids), CHUNK_MACROS))
     dst = np.concatenate(dst)
-    P_blocks = _invert_face_blocks(faces.ids.tolist(),
-                                   faces.D - _slot_diagonal_sums(classes, nf, nd))
+    S_blocks = faces.D - _slot_diagonal_sums(classes, nf, nd)
+    P_blocks = _invert_face_blocks(faces.ids.tolist(), S_blocks)
 
     # one nd x nd block per unknown face, on the diagonal in trace order
     blocks = (np.arange(nf), np.arange(nf + 1))
@@ -263,13 +306,15 @@ def condense(
         mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
         pool=WorkerPool(config.workers), chunks=chunks,
         D=sp.bsr_matrix((faces.D, *blocks), shape=shape).tocsr(),
-        P_blocks=P_blocks,
+        S_blocks=S_blocks, P_blocks=P_blocks,
         P=sp.bsr_matrix((P_blocks, *blocks), shape=shape).tocsr(),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
     sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(sys, rhs_out)
     for cls in classes:
         cls.A = cls.B = cls.C = cls.R_u = None
+    if coarse:
+        sys.coarse = coarse_space(sys)
     return sys
 
 
@@ -329,8 +374,12 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
     """Restarted GMRES, orthogonalized by classical Gram-Schmidt run twice
     (four BLAS-2 calls per iteration); the stopping test uses the relative
     residual.  A left preconditioner is folded into apply_op and rhs by the
-    caller.  A restart cycle that leaves the true residual no lower than it
-    found it stops the solve as stagnated."""
+    caller.  A restart cycle whose residual estimate meets tol is confirmed
+    by the true residual at the start of the next cycle: the solve reports
+    convergence only when the x it returns is within tol.  A restart cycle
+    that leaves the true residual no lower than it found it stops the solve
+    as stagnated; a zero diagonal of the rotated H (an operator singular on
+    the Krylov space) stops it as a breakdown."""
     n = rhs.size
     x = np.zeros(n)
     history = []
@@ -343,13 +392,15 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
     beta_start = np.inf
     V = np.zeros((config.restart + 1, n))
     H = np.zeros((config.restart + 1, config.restart))
-    while it < config.maxiter and not converged:
+    while True:
         r = rhs - apply_op(x)
         beta = float(np.linalg.norm(r))
         if not history:
             history.append(beta)
         if beta / bnorm <= config.tol:
             converged = True
+            break
+        if breakdown or it >= config.maxiter:
             break
         if beta >= beta_start:
             stagnated = True
@@ -361,7 +412,6 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
         cs, sn, g = [], [], [beta]
         V[0] = r / beta
         k_used = 0
-        breakdown = False
         for k in range(config.restart):
             # copy: the operator may return its input
             wv = np.array(apply_op(V[k]), dtype=float)
@@ -383,59 +433,49 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
                 col[i + 1] = -sn[i] * col[i] + cs[i] * col[i + 1]
                 col[i] = t
             denom = float(np.hypot(col[k], col[k + 1]))
-            if denom != 0.0:
-                cs.append(col[k] / denom)
-                sn.append(col[k + 1] / denom)
-                col[k], col[k + 1] = denom, 0.0
-            H[:k + 2, k] = col
-            if denom == 0.0:
-                k_used = k + 1
+            if denom == 0.0:  # H[k, k] would be zero: keep the first k columns
                 breakdown = True
                 break
+            cs.append(col[k] / denom)
+            sn.append(col[k + 1] / denom)
+            col[k], col[k + 1] = denom, 0.0
+            H[:k + 2, k] = col
             g.append(-sn[k] * g[k])
             g[k] = cs[k] * g[k]
             it += 1
             res = abs(g[k + 1])
             history.append(res)
             k_used = k + 1
-            if res / bnorm <= config.tol:
-                converged = True
-                break
-            if breakdown or it >= config.maxiter:
+            if res / bnorm <= config.tol or breakdown or it >= config.maxiter:
                 break
         if k_used > 0:
             y = sla.solve_triangular(H[:k_used, :k_used], np.array(g[:k_used]))
             x = x + V[:k_used].T @ y
-        if breakdown and not converged:
-            break  # invariant Krylov subspace; no further progress possible
-    if not converged and not stagnated:
-        r = rhs - apply_op(x)
-        converged = float(np.linalg.norm(r)) / bnorm <= config.tol
     reason = ("converged" if converged else "stagnation" if stagnated
               else "breakdown" if breakdown else "maxiter")
     return x, {"iterations": it, "residual_history": history,
                "converged": converged, "reason": reason}
 
 
-def _scatter_members(sys: CondensedSystem, blocks: list, eye: bool = False) -> sp.csr_matrix:
-    """Per class, its members' (nc, nc) blocks (one shared block, or one per
-    member) scattered by their trace indices and summed, plus the identity
-    when `eye`.  Entries on Dirichlet rows or columns, and exact zeros,
-    are dropped."""
+def _scatter_blocks(indices: list, blocks: list, size: int, eye: bool = False) -> sp.coo_matrix:
+    """The (size, size) sum of the blocks, duplicates not yet summed: per
+    pair of an index array (rows, nc) and its (nc, nc) blocks (one shared
+    block, or one per row), each row's block scattered by that row's
+    indices; plus the identity when `eye`.  Entries on a -1 row or column,
+    and exact zeros, are dropped."""
     rows, cols, vals = [], [], []
-    for cls, block in zip(sys.classes, blocks):
-        ti = cls.trace_idx
+    for ti, block in zip(indices, blocks):
         nc = ti.shape[1]
         rows.append(np.repeat(ti.ravel(), nc))
         cols.append(np.tile(ti, nc).ravel())
         vals.append(np.broadcast_to(block, ti.shape + (nc,)).ravel())
     if eye:
-        rows.append(np.arange(sys.zhat))
+        rows.append(np.arange(size))
         cols.append(rows[-1])
-        vals.append(np.ones(sys.zhat))
+        vals.append(np.ones(size))
     r, c, v = (np.concatenate(x) for x in (rows, cols, vals))
     keep = (r >= 0) & (c >= 0) & (v != 0.0)
-    return sp.csr_matrix((v[keep], (r[keep], c[keep])), shape=(sys.zhat, sys.zhat))
+    return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=(size, size))
 
 
 def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.csr_matrix:
@@ -444,15 +484,110 @@ def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.csr_
     P S = I - P (scatter of K_fold) instead, also from the classes: per
     member and slot, P_F times K_fold's rows of that slot in one batched
     product, scattered by the members' trace indices, plus the identity."""
+    indices = [cls.trace_idx for cls in sys.classes]
     if not fold:
-        return _scatter_members(sys, [-cls.K for cls in sys.classes]) + sys.D
+        return _scatter_blocks(indices, [-cls.K for cls in sys.classes], sys.zhat).tocsr() + sys.D
     nd = sys.nd
     blocks = []
     for cls in sys.classes:
         rank = np.maximum(cls.trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
         PK = sys.P_blocks[rank] @ cls.K_fold.reshape(rank.shape[1], nd, -1)
         blocks.append(-PK.reshape(cls.trace_idx.shape + (-1,)))
-    return _scatter_members(sys, blocks, eye=True)
+    return _scatter_blocks(indices, blocks, sys.zhat, eye=True).tocsr()
+
+
+def mesh_peclet(mesh: MacroMesh, problem: ProblemData, p: int) -> float:
+    """The largest mesh Peclet number |a| diam / (m p kappa) over the macros:
+    advection against diffusion at the resolution of the trace space."""
+    return float(np.linalg.norm(problem.a) * mesh.diameter.max()
+                 / (mesh.m * p * problem.kappa))
+
+
+@dataclass
+class CoarseSpace:
+    """Continuous P1 on the sub-cell vertices that unknown faces touch, as a
+    subspace of the trace: on face F it is piecewise linear on the face's m
+    segments, from the values at the face's vertices (shared with the other
+    faces there) and at its m - 1 interior breakpoints (the face's own).
+    At m = 1 it is (1 - s) u(v0) + s u(v1) at the nd equispaced nodes s, v0
+    and v1 the face's vertices in face_verts order.  Pc (zhat, dofs) maps
+    the coarse values to the trace, Q = Pc^T blockdiag(S_FF), and lu
+    factors S_c = Pc^T S Pc."""
+
+    Pc: sp.csr_matrix
+    Q: sp.csc_matrix
+    Sc: sp.csc_matrix
+    lu: spla.SuperLU
+    setup_s: float  # building all of it
+
+    @property
+    def dofs(self) -> int:
+        return self.Pc.shape[1]
+
+    def correct(self, w: np.ndarray) -> np.ndarray:
+        """w + Pc S_c^-1 Q w.  For w = P v this is M v, with the two-level
+        M = P + Pc S_c^-1 Pc^T, since Q P = Pc^T.  A non-finite coarse
+        solve of a finite w raises SingularCoarseOperator."""
+        y = self.lu.solve(self.Q @ w)
+        if not np.isfinite(y).all() and np.isfinite(w).all():
+            raise SingularCoarseOperator(self.dofs)
+        return w + self.Pc @ y
+
+
+def _face_vertex_ids(mesh: MacroMesh) -> np.ndarray:
+    """(faces, 2) vertex ids of every face in face_verts order, from the
+    edge record whose endpoints are the face's vertices: the fine side
+    (right) of a hanging face, the left side elsewhere."""
+    e, k = np.divmod(np.where(mesh.face_parent >= 0, mesh.face_right, mesh.face_left), 3)
+    a, b = _EDGE_A[k], _EDGE_B[k]
+    ids = np.stack((mesh.vertex_ids[e, a], mesh.vertex_ids[e, b]), axis=1)
+    flip = np.any(mesh.verts[e, a] != mesh.face_verts[:, 0], axis=1)
+    return np.where(flip[:, None], ids[:, ::-1], ids)
+
+
+def coarse_space(sys: CondensedSystem) -> CoarseSpace:
+    """The P1 coarse space of the trace and the factor of S_c = Pc^T S Pc,
+    built without S.  Ploc (nd, m + 1), the P1 hat functions of a face's
+    breakpoints at its trace nodes, is the same on every face, and
+    S = blockdiag(S_FF) - scatter of K_fold, so S_c is the per-face
+    Ploc^T S_FF Ploc minus, per class, one (ns (m + 1))^2 block L^T K_fold L
+    (L = blockdiag of Ploc over the slots) scattered by each member's
+    slot-breakpoint coarse ids, -1 on Dirichlet slots and dropped.  A
+    singular S_c raises SingularCoarseOperator."""
+    t0 = time.perf_counter()
+    nd, zhat, m = sys.nd, sys.zhat, sys.mesh.m
+    unknown = sys.face_start >= 0  # skeleton order is trace order
+    _, cv = np.unique(_face_vertex_ids(sys.mesh)[unknown], return_inverse=True)
+    cv = cv.reshape(-1, 2)
+    nf, nv = len(cv), int(cv.max()) + 1
+    # coarse ids of each unknown face's breakpoints: its vertices, and its
+    # own interior breakpoints numbered after all vertices
+    cv = np.column_stack((cv[:, 0], nv + np.arange(nf * (m - 1)).reshape(nf, m - 1),
+                          cv[:, 1]))
+    n_coarse, k = nv + nf * (m - 1), m + 1
+    face_cv = np.full((len(unknown), k), -1)
+    face_cv[unknown] = cv
+    Ploc = trace_hats(m, (nd - 1) // m)
+    # k entries per trace dof, at its face's breakpoints; Q's column j holds
+    # Ploc^T times column j of its face's S_FF at the same rows
+    idx = np.broadcast_to(cv[:, None], (nf, nd, k)).ravel()
+    ptr = np.arange(0, k * zhat + 1, k)
+    QF = Ploc.T @ sys.S_blocks  # (faces, k, nd)
+    Pc = sp.csr_matrix((np.tile(Ploc.ravel(), nf), idx, ptr), shape=(zhat, n_coarse))
+    Q = sp.csc_matrix((QF.swapaxes(1, 2).ravel(), idx, ptr), shape=(n_coarse, zhat))
+
+    indices, blocks = [cv], [QF @ Ploc]
+    for cls in sys.classes:
+        ns = len(cls.K_fold) // nd
+        KL = (cls.K_fold.reshape(-1, ns, nd) @ Ploc).reshape(ns, nd, k * ns)
+        indices.append(face_cv[cls.face_ids].reshape(len(cls.face_ids), -1))
+        blocks.append(-(Ploc.T @ KL).reshape(k * ns, k * ns))
+    Sc = _scatter_blocks(indices, blocks, n_coarse).tocsc()
+    try:
+        lu = spla.splu(Sc)
+    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+        raise SingularCoarseOperator(n_coarse) from exc
+    return CoarseSpace(Pc, Q, Sc, lu, time.perf_counter() - t0)
 
 
 def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
@@ -483,6 +618,10 @@ class SolveReport:
     t_global_s: float  # the rest of GMRES
     t_schur_s: float  # building the explicit P S (mb; 0 in mf)
     t_reconstruct_s: float
+    # coarse space: its size and the time to build and factor it (outside
+    # t_init_s), 0 when solve() uses none
+    coarse_dofs: int
+    t_coarse_s: float
     # load-balance factor of the pooled matrix-free applies; 1.0 in mode mb,
     # where no pooled work runs
     lbf: float
@@ -529,16 +668,24 @@ def solve(
     config: SolverConfig,
     p: int,
 ):
-    """Assemble, condense, run GMRES on the trace system and reconstruct."""
+    """Assemble, condense, run GMRES on the trace system and reconstruct.
+    The coarse space is added when the trace has at least
+    COARSE_MIN_TRACE_DOFS dofs and the mesh Peclet number is at most
+    COARSE_MAX_PECLET; its factor is released once GMRES is done."""
     t0 = time.perf_counter()
     classes, faces = assemble_system(mesh, problem, stab, p)
     t_assemble = time.perf_counter() - t0
     t0 = time.perf_counter()
-    sys = condense(mesh, classes, faces, config)
-    t_init = time.perf_counter() - t0
+    use_coarse = (faces.R_hat.size >= COARSE_MIN_TRACE_DOFS
+                  and mesh_peclet(mesh, problem, p) <= COARSE_MAX_PECLET)
+    sys = condense(mesh, classes, faces, config, coarse=use_coarse)
+    coarse = sys.coarse
+    t_coarse = coarse.setup_s if coarse is not None else 0.0
+    t_init = time.perf_counter() - t0 - t_coarse
 
     # P is folded into the operator and the right-hand side: GMRES runs on
-    # P S uhat = P f, the left-preconditioned system
+    # P S uhat = P f, the left-preconditioned system; with the coarse space,
+    # on M S uhat = M f, M = P + Pc S_c^-1 Pc^T
     t_schur = t_local = 0.0
     if config.mode == "mb":
         t0 = time.perf_counter()
@@ -552,10 +699,16 @@ def solve(
             w = v - sys.P @ _apply_cab(sys, v, fold=True)
             t_local += time.perf_counter() - t0
             return w
+    rhs = sys.P @ sys.f_vec
+    if coarse is not None:
+        smooth = op
+        op = lambda v: coarse.correct(smooth(v))
+        rhs = coarse.correct(rhs)
 
     t0 = time.perf_counter()
-    uhat, info = gmres(op, sys.P @ sys.f_vec, config)
+    uhat, info = gmres(op, rhs, config)
     t_gmres = time.perf_counter() - t0
+    sys.coarse = None
 
     t0 = time.perf_counter()
     local = reconstruct_interior(sys, uhat)
@@ -569,6 +722,7 @@ def solve(
         n_classes=len(classes), t_assemble_s=t_assemble, t_init_s=t_init, t_local_s=t_local,
         t_global_s=max(t_gmres - t_local, 0.0), t_schur_s=t_schur,
         t_reconstruct_s=t_rec,
+        coarse_dofs=coarse.dofs if coarse is not None else 0, t_coarse_s=t_coarse,
         lbf=sys.pool.lbf,
         residual_history=info["residual_history"],
     )

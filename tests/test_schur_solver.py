@@ -25,6 +25,7 @@ from mehdg.schur_solver import (
     apply_schur,
     assemble_schur_explicit,
     assemble_system,
+    coarse_space,
     condense,
     gmres,
     reconstruct_interior,
@@ -458,16 +459,23 @@ def test_solve_folds_dinv_into_operator(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("n,m,p,mode,iters", [
-    (8, 1, 2, "mb", 88), (4, 4, 2, "mf", 55),
-], ids=["8-1-2-mb-block", "4-4-2-mf-block"])
+    (8, 1, 2, "mb", 25), (4, 4, 2, "mf", 23),
+], ids=["8-1-2-mb-two-level", "4-4-2-mf-two-level"])
 def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
-    """The folded solve keeps the iteration count of BENCH_precond.json and
-    the trace of GMRES run on P times the unfolded matrix-free S."""
+    """The folded solve keeps the iteration count of BENCH_twolevel.json and
+    the trace of GMRES run on the two-level M = P + Pc S_c^-1 Pc^T times
+    the unfolded matrix-free S."""
     config = SolverConfig(tol=1e-10, mode=mode)
     mesh = build_structured_macro_mesh(2, n, m)
     solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
                           NO_STAB, config, p)
-    uhat, info = gmres(lambda v: sys.P @ apply_schur(sys, v), sys.P @ sys.f_vec, config)
+    coarse = coarse_space(sys)
+    assert solution.report.coarse_dofs == coarse.dofs > 0
+
+    def M(v):
+        return sys.P @ v + coarse.Pc @ coarse.lu.solve(coarse.Pc.T @ v)
+
+    uhat, info = gmres(lambda v: M(apply_schur(sys, v)), M(sys.f_vec), config)
     assert solution.report.iterations == info["iterations"] == iters
     assert np.linalg.norm(solution.uhat - uhat) <= 1e-12 * np.linalg.norm(uhat)
 
@@ -824,6 +832,29 @@ def test_gmres_zero_rhs():
     assert info["converged"] and np.abs(x).max() == 0.0
 
 
+def test_gmres_confirms_convergence_by_true_residual():
+    """b outside the range of the singular diag(1, 1, 0, 0): the Hessenberg
+    matrix of the first cycle is singular to rounding, so its residual
+    estimate reaches tol while x blows up.  The solve does not report
+    convergence: the x it returns is not within tol."""
+    A = np.diag([1.0, 1.0, 0.0, 0.0])
+    b = np.array([1.0, 1.0, 1.0, 0.0])
+    config = SolverConfig(tol=1e-10)
+    x, info = gmres(lambda v: A @ v, b, config)
+    assert min(info["residual_history"]) <= config.tol * np.linalg.norm(b)
+    assert not info["converged"] and info["reason"] != "converged"
+    assert np.linalg.norm(b - A @ x) > config.tol * np.linalg.norm(b)
+
+
+def test_gmres_zero_operator_breaks_down():
+    """A zero operator gives a zero diagonal in H at the first step: the
+    solve stops as a breakdown, with x = 0, instead of raising from the
+    triangular solve."""
+    x, info = gmres(lambda v: 0.0 * v, np.ones(4), SolverConfig())
+    assert not info["converged"] and info["reason"] == "breakdown"
+    assert info["iterations"] == 0 and np.array_equal(x, np.zeros(4))
+
+
 def test_explicit_schur_vs_dense_elimination():
     """The explicit S equals the Schur complement of the full uncondensed
     system assembled macro by macro; each class here has four macros."""
@@ -964,8 +995,9 @@ def test_solve_report_record():
     for key in ("p", "m", "n", "dof_local", "dof_global", "iterations",
                 "converged", "tol", "mode", "n_classes",
                 "t_assemble_s", "t_init_s", "t_local_s", "t_global_s",
-                "t_schur_s", "t_reconstruct_s", "lbf"):
+                "t_schur_s", "t_reconstruct_s", "coarse_dofs", "t_coarse_s", "lbf"):
         assert key in rec
+    assert rec["coarse_dofs"] == 0 and rec["t_coarse_s"] == 0.0  # 40 trace dofs: too small
     assert rec["converged"] is True
     assert rec["t_schur_s"] > 0.0  # mode mb builds S
     assert rec["t_local_s"] == 0.0  # and applies no matrix-free operator
@@ -979,6 +1011,12 @@ def test_solve_report_record():
     rec = solution.report.to_record()
     assert rec["t_schur_s"] == 0.0  # mode mf builds no S
     assert rec["t_local_s"] > 0.0  # its applies are timed on their own
+    # a mesh with 528 trace dofs at mesh Peclet number 0.31 gets the coarse
+    # space: (8 + 1)^2 vertices less the two corners that no unknown face
+    # touches
+    _, solution, _, _ = _solve_case(make_benchmark("tanh", 0.4, (1.0, 1.0)), 8, 1, 2, tol=1e-10)
+    rec = solution.report.to_record()
+    assert rec["coarse_dofs"] == 79 and rec["t_coarse_s"] > 0.0
 
 
 def test_worker_pool_static_partition():

@@ -1,37 +1,37 @@
 """Static condensation and the global trace solve.
 
 The block system [A B; C D][U; uhat] = [R_u; R_uhat] is reduced to
-(D - C A^-1 B) uhat = R_uhat - C A^-1 R_u.  The trace vector uhat is the
-(unknown faces, m p + 1) array of the face blocks, raveled: face F's block
-starts at face_start[F] = rank of F among the unknown faces times m p + 1,
-and D is block-diagonal in it.  Congruent macros share A, B and C (all
-classes come from one batched assembly pass), so condense factors each
-class's A once and solves once with [B | R_u^T]: it keeps A^-1 B, the
-condensed block K = C A^-1 B and U0, every member's local solution at
-uhat = 0, and drops A, B, C and R_u.  The reduced right-hand side and the
-reconstruction are then gathers and GEMMs per class.  The Schur operator is
-applied matrix-free (per fixed-size chunk of a class's macros, a gather of the
-trace values and one GEMM with the class's K, then the face reduction D uhat
-minus a fixed-order scatter of the macro outputs; nothing global is
-assembled) or as an explicitly scattered sparse matrix built from the same
-K.  Both share a restarted GMRES, orthogonalized by classical Gram-Schmidt
-run twice, on the system left-preconditioned by face-block Jacobi: a
-block-diagonal P with one nd x nd block per unknown face, one sparse
-matrix, whose P_F inverts the face's diagonal block of S,
-S_FF = D_F - sum K_ss over the member slots s on F (Cockburn, Dubois,
-Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014, use it as their
-smoother).  condense sums those slot-diagonal blocks of every class's K in
-one bincount and inverts them once.
+S uhat = R_uhat - C A^-1 R_u with S = D - C A^-1 B.  The trace vector uhat
+is the (unknown faces, m p + 1) array of the face blocks, raveled: face F's
+block starts at face_start[F] = rank of F among the unknown faces times
+m p + 1, and D is block-diagonal in it.  Congruent macros share A, B and C
+(all classes come from one batched assembly pass), so condense factors each
+class's A once and solves once with [B | R_u^T]: it keeps A^-1 B and U0,
+every member's local solution at uhat = 0, and drops A, B, C and R_u.  The
+reduced right-hand side and the reconstruction are then gathers and GEMMs
+per class.
+
+S is stored in one form, S = blockdiag(S_FF) - scatter of K_fold:
+S_FF = D_F - sum K_ss over the member slots s on face F is the face-diagonal
+block of S, and K_fold is each class's K = C A^-1 B with those slot-diagonal
+blocks zeroed in place (condense sums them over every class in one
+bincount).  Neither K nor D is kept.  The matrix-free apply multiplies the
+gathered trace values of a fixed-size chunk of a class's macros by K_fold
+in one GEMM and scatters the outputs in a fixed order; the explicit S and
+P S are sparse matrices scattered from the same blocks.  Both modes share a
+restarted GMRES, orthogonalized by classical Gram-Schmidt run twice, on the
+system left-preconditioned by face-block Jacobi: a block-diagonal P with
+one nd x nd block P_F = S_FF^-1 per unknown face, one sparse matrix
+(Cockburn, Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014, use
+it as their smoother).
 
 solve() folds P into the operator and the right-hand side instead of
-handing GMRES a preconditioner: GMRES runs on P S uhat = P f.  With each
-class's K_fold = K without its slot-diagonal blocks, S = P^-1 - scatter of
-K_fold, so P S = I - P (scatter of K_fold).  Mode mb builds that matrix
-once from the classes (one batched P_F K-rows product per member, one COO
-scatter, an identity diagonal), so an iteration is one sparse product;
-mode mf applies uhat - P (scatter of K_fold uhat) with the same chunked
-gather, GEMM and scatter as the unpreconditioned apply, and never forms
-D uhat.
+handing GMRES a preconditioner: GMRES runs on P S uhat = P f, and since
+S = P^-1 - scatter of K_fold, P S = I - P (scatter of K_fold).  Mode mb
+builds that matrix once from the classes (one batched P_F K_fold-rows
+product per member, one COO scatter with the identity), so an iteration is
+one sparse product; mode mf applies uhat - P (scatter of K_fold uhat) with
+the chunked gather, GEMM and scatter above.
 
 Face-block Jacobi alone needs a number of iterations that grows like 1/h.
 solve() adds a coarse space to it, additively as in two-level Schwarz
@@ -177,18 +177,18 @@ class WorkerPool:
 class OperatorClass(LocalOperators):
     """A congruence class's LocalOperators, the skeleton face of each slot
     of its macros and what condense adds from its one solve with A: A^-1 B,
-    K = C A^-1 B, U0, the trace index of each B column and the K that the
-    folded operator applies.  condense then sets A, B, C and R_u to None:
-    nothing after it reads them.  Row r of `face_ids`, `trace_idx`, `R_u`
-    and `U0` belongs to macro macro_ids[r]."""
+    U0, the trace index of each B column and K_fold, the condensed block
+    K = C A^-1 B without its slot-diagonal blocks (those go into the face
+    blocks S_FF).  condense then sets A, B, C and R_u to None: nothing after
+    it reads them.  Row r of `face_ids`, `trace_idx`, `R_u` and `U0` belongs
+    to macro macro_ids[r]."""
 
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
     AinvB: Optional[np.ndarray] = None  # (nloc, nc)
-    K: Optional[np.ndarray] = None  # (nc, nc) condensed block C A^-1 B
     U0: Optional[np.ndarray] = None  # (n_macros, nloc) local solutions at uhat = 0
     # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
     trace_idx: Optional[np.ndarray] = None
-    # (nc, nc) K without its slot-diagonal blocks
+    # (nc, nc) C A^-1 B with its slot-diagonal blocks zeroed
     K_fold: Optional[np.ndarray] = None
 
 
@@ -238,7 +238,6 @@ class CondensedSystem:
     pool: WorkerPool  # runs the chunks of the matrix-free apply
     # units of the matrix-free apply: (class, slice of its rows), class by class
     chunks: list
-    D: sp.csr_matrix  # block diagonal, trace order
     # the (unknown faces, nd, nd) face-diagonal blocks S_FF of S, the
     # preconditioner's blocks S_FF^-1, both in trace order, and the latter
     # as one block-diagonal matrix
@@ -268,11 +267,11 @@ def condense(
     config: SolverConfig,
     coarse: bool = False,
 ) -> CondensedSystem:
-    """Per class, one solve with A for A^-1 B and U0, K = C A^-1 B and
-    K_fold; index the B columns into the trace vector, build D, the
-    preconditioner's inverse face blocks and the reduced right-hand side
-    f = R_uhat - C A^-1 R_u, and with `coarse` the coarse space.  A, B, C
-    and R_u are released at the end."""
+    """Per class, one solve with A for A^-1 B and U0, and K_fold; index the
+    B columns into the trace vector, build the face blocks S_FF = D_F minus
+    the slot-diagonal blocks of K, their inverses (the preconditioner) and
+    the reduced right-hand side f = R_uhat - C A^-1 R_u, and with `coarse`
+    the coarse space.  A, B, C and R_u are released at the end."""
     nf, nd = faces.R_hat.shape
     zhat = nf * nd
     face_start = np.full(len(mesh.face_tag), -1, dtype=np.int64)
@@ -280,14 +279,11 @@ def condense(
 
     # dst: the trace dof of each entry of the macro outputs, which come class
     # by class (the chunks keep that order): the classes' trace_idx, row-major
-    chunks, dst, rhs_out = [], [], []
+    chunks, dst, rhs_out, sum_idx, sum_vals = [], [], [], [], []
     for cls in classes:
         nc = cls.B.shape[1]
         X = _solve_local(cls.A, np.hstack([cls.B, cls.R_u.T]), int(cls.macro_ids[0]))
         cls.AinvB, cls.U0 = X[:, :nc], X[:, nc:].T
-        cls.K = cls.C @ cls.AinvB
-        cls.K_fold = cls.K.copy()
-        _slot_diagonal(cls.K_fold, nd)[...] = 0.0
         rhs_out.append((cls.U0 @ cls.C.T).ravel())
         start = face_start[cls.face_ids][:, :, None]
         cls.trace_idx = np.where(start >= 0, start + np.arange(nd), -1).reshape(
@@ -295,19 +291,26 @@ def condense(
         dst.append(cls.trace_idx.ravel())
         chunks.extend((cls, slice(i, i + CHUNK_MACROS))
                       for i in range(0, len(cls.face_ids), CHUNK_MACROS))
+        # K = C A^-1 B: its slot-diagonal blocks go to their faces' S_FF (one
+        # bincount below, Dirichlet slots to a pad face nf), the rest is K_fold
+        cls.K_fold = cls.C @ cls.AinvB
+        diag = _slot_diagonal(cls.K_fold, nd)
+        sum_idx.append((np.where(start >= 0, start // nd, nf) * nd * nd
+                        + np.arange(nd * nd)).ravel())
+        sum_vals.append(np.tile(diag.ravel(), len(start)))
+        diag[...] = 0.0
     dst = np.concatenate(dst)
-    S_blocks = faces.D - _slot_diagonal_sums(classes, nf, nd)
+    sums = np.bincount(np.concatenate(sum_idx), np.concatenate(sum_vals),
+                       minlength=(nf + 1) * nd * nd)
+    S_blocks = faces.D - sums[:nf * nd * nd].reshape(nf, nd, nd)
     P_blocks = _invert_face_blocks(faces.ids.tolist(), S_blocks)
 
-    # one nd x nd block per unknown face, on the diagonal in trace order
-    blocks = (np.arange(nf), np.arange(nf + 1))
-    shape = (zhat, zhat)
     sys = CondensedSystem(
         mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
         pool=WorkerPool(config.workers), chunks=chunks,
-        D=sp.bsr_matrix((faces.D, *blocks), shape=shape).tocsr(),
         S_blocks=S_blocks, P_blocks=P_blocks,
-        P=sp.bsr_matrix((P_blocks, *blocks), shape=shape).tocsr(),
+        P=sp.bsr_matrix((P_blocks, np.arange(nf), np.arange(nf + 1)),
+                        shape=(zhat, zhat)).tocsr(),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
     sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(sys, rhs_out)
@@ -325,22 +328,6 @@ def _slot_diagonal(K: np.ndarray, nd: int) -> np.ndarray:
     return np.einsum("sisj->sij", K.reshape(ns, nd, ns, nd))
 
 
-def _slot_diagonal_sums(classes: list, nf: int, nd: int) -> np.ndarray:
-    """(nf, nd, nd) sum over all members of every class of K's slot-diagonal
-    blocks, per unknown face in trace order (Dirichlet slots dropped), by
-    one bincount."""
-    idx, vals = [], []
-    for cls in classes:
-        rank = cls.trace_idx[:, ::nd] // nd  # -1 on Dirichlet slots
-        rank = np.where(rank >= 0, rank, nf)  # pad face
-        idx.append((rank[:, :, None] * nd * nd + np.arange(nd * nd)).ravel())
-        vals.append(np.broadcast_to(_slot_diagonal(cls.K, nd).reshape(-1, nd * nd),
-                                    rank.shape + (nd * nd,)).ravel())
-    sums = np.bincount(np.concatenate(idx), np.concatenate(vals),
-                       minlength=(nf + 1) * nd * nd)
-    return sums[:nf * nd * nd].reshape(nf, nd, nd)
-
-
 def _scatter_outputs(sys: CondensedSystem, vhat: list) -> np.ndarray:
     """The macro outputs vhat, summed into their trace dofs in class and row
     order."""
@@ -348,15 +335,15 @@ def _scatter_outputs(sys: CondensedSystem, vhat: list) -> np.ndarray:
                        minlength=sys.zhat + 1)[:-1]
 
 
-def _apply_cab(sys: CondensedSystem, uhat: np.ndarray, fold: bool = False) -> np.ndarray:
-    """C A^-1 B uhat matrix-free: per chunk, the gathered trace values times
-    the class's K (K_fold when `fold`), then the fixed-order scatter into the
-    trace dofs."""
+def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
+    """C A^-1 B uhat without its slot-diagonal blocks, matrix-free: per
+    chunk, the gathered trace values times the class's K_fold, then the
+    fixed-order scatter into the trace dofs."""
     upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
 
     def chunk_task(chunk):
         cls, rows = chunk
-        return (upad[cls.trace_idx[rows]] @ (cls.K_fold if fold else cls.K).T).ravel()
+        return (upad[cls.trace_idx[rows]] @ cls.K_fold.T).ravel()
 
     vhat = sys.pool.map(chunk_task, sys.chunks)
     sys.counters["macro_apply"] += sys.n_macros
@@ -365,9 +352,9 @@ def _apply_cab(sys: CondensedSystem, uhat: np.ndarray, fold: bool = False) -> np
 
 
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
-    """(D - C A^-1 B) uhat matrix-free: the face reduction D uhat minus the
-    scattered class products."""
-    return sys.D @ uhat - _apply_cab(sys, uhat)
+    """S uhat matrix-free: the face-block products S_FF uhat_F minus the
+    scattered K_fold products."""
+    return (sys.S_blocks @ uhat.reshape(-1, sys.nd, 1)).ravel() - _apply_cab(sys, uhat)
 
 
 def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
@@ -378,10 +365,11 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
     by the true residual at the start of the next cycle: the solve reports
     convergence only when the x it returns is within tol.  A restart cycle
     that leaves the true residual no lower than it found it stops the solve
-    as stagnated; a zero diagonal of the rotated H (an operator singular on
-    the Krylov space) stops it as a breakdown."""
+    as stagnated, with the x that cycle started from; a zero diagonal of the
+    rotated H (an operator singular on the Krylov space) stops it as a
+    breakdown."""
     n = rhs.size
-    x = np.zeros(n)
+    x = x_start = np.zeros(n)
     history = []
     bnorm = float(np.linalg.norm(rhs))
     if bnorm == 0.0:
@@ -404,8 +392,9 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
             break
         if beta >= beta_start:
             stagnated = True
+            x = x_start
             break
-        beta_start = beta
+        beta_start, x_start = beta, x
         H.fill(0.0)
         # the Givens rotations run on Python floats: a column of H is a list
         # until it is rotated, then written into H once
@@ -457,43 +446,43 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
                "converged": converged, "reason": reason}
 
 
-def _scatter_blocks(indices: list, blocks: list, size: int, eye: bool = False) -> sp.coo_matrix:
+def _scatter_blocks(indices: list, blocks: list, size: int) -> sp.coo_matrix:
     """The (size, size) sum of the blocks, duplicates not yet summed: per
     pair of an index array (rows, nc) and its (nc, nc) blocks (one shared
     block, or one per row), each row's block scattered by that row's
-    indices; plus the identity when `eye`.  Entries on a -1 row or column,
-    and exact zeros, are dropped."""
+    indices.  Entries on a -1 row or column, and exact zeros, are
+    dropped."""
     rows, cols, vals = [], [], []
     for ti, block in zip(indices, blocks):
         nc = ti.shape[1]
         rows.append(np.repeat(ti.ravel(), nc))
         cols.append(np.tile(ti, nc).ravel())
         vals.append(np.broadcast_to(block, ti.shape + (nc,)).ravel())
-    if eye:
-        rows.append(np.arange(size))
-        cols.append(rows[-1])
-        vals.append(np.ones(size))
     r, c, v = (np.concatenate(x) for x in (rows, cols, vals))
     keep = (r >= 0) & (c >= 0) & (v != 0.0)
     return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=(size, size))
 
 
 def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.csr_matrix:
-    """Explicit D - C A^-1 B: each class's K scattered by its members' trace
-    indices, plus the block-diagonal D.  With `fold`, the left-preconditioned
-    P S = I - P (scatter of K_fold) instead, also from the classes: per
-    member and slot, P_F times K_fold's rows of that slot in one batched
-    product, scattered by the members' trace indices, plus the identity."""
+    """Explicit S = blockdiag(S_FF) - scatter of K_fold: the face blocks
+    S_FF on the diagonal, each class's -K_fold scattered by its members'
+    trace indices.  With `fold`, the left-preconditioned P S = I - P
+    (scatter of K_fold) instead, also from the classes: per member and
+    slot, -P_F times K_fold's rows of that slot in one batched product,
+    scattered by the members' trace indices, plus the identity."""
+    nd, zhat = sys.nd, sys.zhat
     indices = [cls.trace_idx for cls in sys.classes]
     if not fold:
-        return _scatter_blocks(indices, [-cls.K for cls in sys.classes], sys.zhat).tocsr() + sys.D
-    nd = sys.nd
+        return _scatter_blocks([np.arange(zhat).reshape(-1, nd)] + indices,
+                               [sys.S_blocks] + [-cls.K_fold for cls in sys.classes],
+                               zhat).tocsr()
     blocks = []
     for cls in sys.classes:
         rank = np.maximum(cls.trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
         PK = sys.P_blocks[rank] @ cls.K_fold.reshape(rank.shape[1], nd, -1)
         blocks.append(-PK.reshape(cls.trace_idx.shape + (-1,)))
-    return _scatter_blocks(indices, blocks, sys.zhat, eye=True).tocsr()
+    return _scatter_blocks(indices + [np.arange(zhat)[:, None]], blocks + [np.ones((1, 1))],
+                           zhat).tocsr()
 
 
 def mesh_peclet(mesh: MacroMesh, problem: ProblemData, p: int) -> float:
@@ -653,7 +642,10 @@ def assemble_system(
     """Group the macros by congruence class and assemble all classes in one
     batched pass (assemble_classes): A, B and C of each class from its first
     macro, and R_u of every macro.  The face blocks of all unknown faces
-    come from one vectorized pass."""
+    come from one vectorized pass.  p lies in 1..9 (quadrature degree 2 p + 2
+    at most 20)."""
+    if not 1 <= p <= 9:
+        raise ValueError(f"p must lie in 1..9, got {p}")
     nd = mesh.m * p + 1
     classes = [OperatorClass(**vars(op), face_ids=mesh.slot_faces[op.macro_ids,
                                                                   :op.B.shape[1] // nd])
@@ -696,7 +688,7 @@ def solve(
         def op(v):
             nonlocal t_local
             t0 = time.perf_counter()
-            w = v - sys.P @ _apply_cab(sys, v, fold=True)
+            w = v - sys.P @ _apply_cab(sys, v)
             t_local += time.perf_counter() - t0
             return w
     rhs = sys.P @ sys.f_vec

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,10 +127,10 @@ def test_input_error_exit_code(capsys):
     for argv, name in ((["--kappa", "nan"], "kappa"), (["--advect", "1,nan"], "advect"),
                        (["--kappa", "1e300"], "kappa"),
                        (["--n", "1", "--m", "1", "--p", "1", "--advect", "1e200,1e200"],
-                        "advect")):
+                        "advect"), (["--p", "10"], "p"), (["--p", "0"], "p")):
         assert main(["solve", *argv]) == 1
         err = capsys.readouterr().err
-        assert name in err and "Error" not in err, argv
+        assert re.search(rf"\b{name}", err) and "Error" not in err, argv
     assert main(["solve", "--workers", "0"]) == 1
     assert main(["solve", "--workers", "1000000000"]) == 1
     assert main(["convergence", "--n-list", ","]) == 1

@@ -11,7 +11,7 @@ import scipy.sparse.linalg as spla
 from conftest import CLASS_MESHES, neumann_right, poly_case, random_adapted_mesh, solve_poly
 from reference_assembly import loop_face_slots
 
-from mehdg.assembly import StabilizationConfig, assemble_macro
+from mehdg.assembly import StabilizationConfig, assemble_macro, face_operators
 from mehdg.bench import make_benchmark
 from mehdg.fem_basis import TraceBasis, build_patch_dof_map
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
@@ -21,7 +21,6 @@ from mehdg.schur_solver import (
     SingularLocalBlock,
     SolverConfig,
     WorkerPool,
-    _slot_diagonal_sums,
     apply_schur,
     assemble_schur_explicit,
     assemble_system,
@@ -50,13 +49,20 @@ def unknown_faces(sys):
     return list(zip(fids.tolist(), sys.face_start[fids].tolist()))
 
 
-def dense_D(sys):
-    """The block-diagonal D as a dense array, from its nd x nd face blocks."""
+def dense_D(mesh, sys, p):
+    """The block-diagonal D as a dense array: each face block of
+    face_operators placed at its face's trace dofs by face_start."""
+    faces = face_operators(mesh, p, poly_case(2).problem())
     D = np.zeros((sys.zhat, sys.zhat))
-    for _, start in unknown_faces(sys):
-        block = slice(start, start + sys.nd)
-        D[block, block] = sys.D[block, block].toarray()
+    for fid, block in zip(faces.ids.tolist(), faces.D):
+        start = sys.face_start[fid]
+        D[start:start + sys.nd, start:start + sys.nd] = block
     return D
+
+
+def slot_diagonal_mask(ns, nd):
+    """(ns nd, ns nd) mask of the slot-diagonal blocks of a class block."""
+    return np.kron(np.eye(ns, dtype=bool), np.ones((nd, nd), dtype=bool))
 
 
 def per_macro_oracle(mesh, sys, p, problem=None):
@@ -160,8 +166,10 @@ def test_assembly_batches_all_classes(monkeypatch):
 
 @pytest.mark.parametrize("name", ["uniform-2-4", "uniform-1-8", "skewed-3-2", "adapted-2-level"])
 def test_fused_apply_matches_dense_oracle(name):
-    """Each class's K and the matrix-free apply against D - sum C A^-1 B
-    formed densely from every macro's own assembly with np.linalg.solve."""
+    """Each class's K_fold, the face blocks S_FF and the matrix-free apply
+    against S = D - sum C A^-1 B formed densely from every macro's own
+    assembly with np.linalg.solve: K_fold is C A^-1 B with its slot-diagonal
+    blocks zeroed, S_FF the face-diagonal blocks of S."""
     mesh = CLASS_MESHES[name]()
     p = 2
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
@@ -179,8 +187,13 @@ def test_fused_apply_matches_dense_oracle(name):
     for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, p)):
         A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
         K = op.C @ np.linalg.solve(A, op.B)
-        assert np.abs(owner[e].K - K).max() <= 1e-11 * np.abs(K).max()
         S[np.ix_(gi, gi)] -= K[np.ix_(mask, mask)]
+        K[slot_diagonal_mask(len(K) // sys.nd, sys.nd)] = 0.0
+        assert np.abs(owner[e].K_fold - K).max() <= 1e-11 * np.abs(K).max()
+    for _, start in unknown_faces(sys):
+        S_FF = S[start:start + sys.nd, start:start + sys.nd]
+        got = sys.S_blocks[start // sys.nd]
+        assert np.abs(got - S_FF).max() <= 1e-11 * np.abs(S_FF).max()
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.standard_normal(sys.zhat)
@@ -309,7 +322,7 @@ def test_trace_numbering_matches_offsets_loop(m, p):
     assert sys.face_start.tolist() == [offsets.get(f.id, -1) for f in mesh.skeleton]
     for cls in classes:
         for r, e in enumerate(cls.macro_ids.tolist()):
-            want = np.full(len(cls.K), -1, dtype=np.int64)
+            want = np.full(len(cls.K_fold), -1, dtype=np.int64)
             for fid, slot in loop_face_slots(mesh, mesh.macro_elements[e], p):
                 if fid in offsets:
                     want[slot] = np.arange(offsets[fid], offsets[fid] + sys.nd)
@@ -403,7 +416,7 @@ def dense_D_and_CAB(mesh, sys, p):
     CAB = np.zeros((sys.zhat, sys.zhat))
     for op, mask, gi in per_macro_oracle(mesh, sys, p):
         CAB[np.ix_(gi, gi)] += op.C[mask] @ np.linalg.solve(op.A, op.B[:, mask])
-    return dense_D(sys), CAB
+    return dense_D(mesh, sys, p), CAB
 
 
 def test_preconditioned_operator_structure():
@@ -484,8 +497,8 @@ def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
 def test_block_preconditioner_inverts_face_blocks_of_s(name):
     """Each stored P_F inverts the face-diagonal block of
     S = D - C A^-1 B formed densely from each macro's own assembly, each
-    class's K_fold is its K without the slot-diagonal blocks, and the
-    explicit P S built from the classes equals P times the dense S."""
+    class's K_fold has zero slot-diagonal blocks, and the explicit P S built
+    from the classes equals P times the dense S."""
     mesh = CLASS_MESHES[name]()
     p = 2
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
@@ -504,9 +517,7 @@ def test_block_preconditioner_inverts_face_blocks_of_s(name):
     assert np.abs(sys.P.toarray() - P).max() == 0.0
     nd = sys.nd
     for cls in classes:
-        ns = len(cls.K) // nd
-        diag = np.kron(np.eye(ns, dtype=bool), np.ones((nd, nd), dtype=bool))
-        assert np.array_equal(cls.K_fold, np.where(diag, 0.0, cls.K))
+        assert not cls.K_fold[slot_diagonal_mask(len(cls.K_fold) // nd, nd)].any()
     PS = P @ S
     assert np.abs(assemble_schur_explicit(sys, fold=True).toarray() - PS).max() <= (
         1e-11 * np.abs(PS).max())
@@ -536,25 +547,28 @@ def test_block_mf_matches_mb_and_dense_solve(name, supg):
 
 
 def test_face_factorization_kinds():
-    """Every face block D_F = c_F M_F is negative definite and lands on the
-    diagonal of the stored D at its face's trace dofs."""
+    """Every face block D_F = c_F M_F is negative definite; placed at its
+    face's trace dofs by face_start, the blocks form block_diag(D_F) in
+    trace order, and the explicit S holds S_FF at the same places."""
     mesh = build_structured_macro_mesh(2, 2, 2)
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
     sys = condense(mesh, classes, faces, SolverConfig())
-    assert np.array_equal(sys.D.toarray(), sla.block_diag(*faces.D))
-    for fid, D in zip(faces.ids.tolist(), faces.D):
+    assert np.array_equal(dense_D(mesh, sys, 2), sla.block_diag(*faces.D))
+    S = assemble_schur_explicit(sys)
+    for fid, D, S_FF in zip(faces.ids.tolist(), faces.D, sys.S_blocks):
         assert np.linalg.eigvalsh(D).max() < 0
         block = slice(sys.face_start[fid], sys.face_start[fid] + sys.nd)
-        assert np.array_equal(sys.D[block, block].toarray(), D)
+        assert np.array_equal(S[block, block].toarray(), S_FF)
 
 
 def slot_diagonal_sums(mesh, p):
     """Per unknown face, the sum of the slot-diagonal blocks of K that
-    S_FF = D_F - sums subtracts, from a condensed copy of the system, and a
-    fresh assembly of the same system to condense."""
+    S_FF = D_F - sums subtracts, and a fresh assembly of the same system to
+    condense.  The sums are read as D_F - S_FF from a condensed copy whose
+    D_F are zero, so that they are exact: D_F = sums gives S_FF = 0."""
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
-    sys = condense(mesh, classes, faces, SolverConfig())
-    sums = _slot_diagonal_sums(sys.classes, len(faces.ids), sys.nd)
+    faces.D[...] = 0.0
+    sums = faces.D - condense(mesh, classes, faces, SolverConfig()).S_blocks
     return sums, assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
 
 
@@ -645,13 +659,22 @@ def test_gmres_no_convergence():
 
 def test_gmres_stagnation_stops():
     """A 90-degree rotation gives a zero Krylov correction at restart 1: the
-    first cycle leaves the residual where it was, so the solve stops."""
+    first cycle leaves the residual where it was, so the solve stops.  On
+    the singular diag(1, 1, 0, 0) with b outside its range, a cycle blows x
+    up and raises the true residual: the solve stops and returns the x that
+    cycle started from, no worse than x = 0."""
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     x, info = gmres(lambda v: rot @ v, np.array([1.0, 0.0]),
                     SolverConfig(restart=1, maxiter=2000))
     assert not info["converged"] and info["reason"] == "stagnation"
     assert info["iterations"] <= 2
     assert np.array_equal(x, np.zeros(2))
+    A = np.diag([1.0, 1.0, 0.0, 0.0])
+    b = np.array([1.0, 1.0, 1.0, 0.0])
+    for restart in (2, 100):
+        x, info = gmres(lambda v: A @ v, b, SolverConfig(restart=restart))
+        assert info["reason"] == "stagnation"
+        assert np.linalg.norm(b - A @ x) <= np.linalg.norm(b)
 
 
 def _mgs_gmres_iterations(A, b, M, restart, tol, maxiter):
@@ -873,7 +896,7 @@ def test_explicit_schur_vs_dense_elimination():
         K[off[e]:off[e + 1], off[e]:off[e + 1]] = np.asarray(op.A)
         K[off[e]:off[e + 1], zoff + gi] = op.B[:, mask]
         K[zoff + gi, off[e]:off[e + 1]] = op.C[mask]
-    K[zoff:, zoff:] += dense_D(sys)
+    K[zoff:, zoff:] += dense_D(mesh, sys, p)
     Auu = K[:zoff, :zoff]
     S_oracle = K[zoff:, zoff:] - K[zoff:, :zoff] @ np.linalg.solve(Auu, K[:zoff, zoff:])
     assert np.abs(S - S_oracle).max() < 1e-11 * np.abs(S_oracle).max()

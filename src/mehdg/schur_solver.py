@@ -6,10 +6,14 @@ is the (unknown faces, m p + 1) array of the face blocks, raveled: face F's
 block starts at face_start[F] = rank of F among the unknown faces times
 m p + 1, and D is block-diagonal in it.  Congruent macros share A, B and C
 (all classes come from one batched assembly pass), so condense factors each
-class's A once and solves once with [B | R_u^T]: it keeps A^-1 B and U0,
-every member's local solution at uhat = 0, and drops A, B, C and R_u.  The
-reduced right-hand side and the reconstruction are then gathers and GEMMs
-per class.
+class's A once, through LAPACK getrf/getrs called directly, and solves once
+with [B | R_u^T]: it keeps A^-1 B and U0, every member's local solution at
+uhat = 0, and drops A, B, C and R_u.  The reduced right-hand side and the
+reconstruction are then gathers and GEMMs per class.  The rest of the
+set-up runs per group of classes that share a slot count, and so the shape
+of their blocks: one stacked product gives K = C A^-1 B of the whole group,
+one gather the trace indices of all its members, and each class keeps views
+of its rows of both.
 
 S is stored in one form, S = blockdiag(S_FF) - scatter of K_fold:
 S_FF = D_F - sum K_ss over the member slots s on face F is the face-diagonal
@@ -21,17 +25,19 @@ in one GEMM and scatters the outputs in a fixed order; the explicit S and
 P S are sparse matrices scattered from the same blocks.  Both modes share a
 restarted GMRES, orthogonalized by classical Gram-Schmidt run twice, on the
 system left-preconditioned by face-block Jacobi: a block-diagonal P with
-one nd x nd block P_F = S_FF^-1 per unknown face, one sparse matrix
-(Cockburn, Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014, use
-it as their smoother).
+one nd x nd block P_F = S_FF^-1 per unknown face, stored as the blocks and
+applied as one batched product of the blocks with the face slices of a
+vector (Cockburn, Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34,
+2014, use it as their smoother).
 
 solve() folds P into the operator and the right-hand side instead of
 handing GMRES a preconditioner: GMRES runs on P S uhat = P f, and since
 S = P^-1 - scatter of K_fold, P S = I - P (scatter of K_fold).  Mode mb
-builds that matrix once from the classes (one batched P_F K_fold-rows
-product per member, one COO scatter with the identity), so an iteration is
-one sparse product; mode mf applies uhat - P (scatter of K_fold uhat) with
-the chunked gather, GEMM and scatter above.
+builds that matrix once from the classes (per slot-count group, one batched
+P_F K_fold-rows product over all members; no entry is hit twice, so the CSR
+arrays come from one sort of the rows, with the identity), so an iteration
+is one sparse product; mode mf applies uhat - P (scatter of K_fold uhat)
+with the chunked gather, GEMM and scatter above.
 
 Face-block Jacobi alone needs a number of iterations that grows like 1/h.
 solve() adds a coarse space to it, additively as in two-level Schwarz
@@ -97,6 +103,8 @@ COARSE_MAX_PECLET = 8.0
 # BENCH_twolevel.json (72 configs, n <= 8, m = 1, 2, 4, p = 1..3, mb and
 # mf, tol 1e-10, Pe < 1; 20 alternated pairs each).
 COARSE_MIN_TRACE_DOFS = 192
+# LAPACK's dense LU and LU solve, which _solve_local calls directly
+_GETRF, _GETRS = sla.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
 class SingularLocalBlock(RuntimeError):
@@ -179,9 +187,11 @@ class OperatorClass(LocalOperators):
     of its macros and what condense adds from its one solve with A: A^-1 B,
     U0, the trace index of each B column and K_fold, the condensed block
     K = C A^-1 B without its slot-diagonal blocks (those go into the face
-    blocks S_FF).  condense then sets A, B, C and R_u to None: nothing after
-    it reads them.  Row r of `face_ids`, `trace_idx`, `R_u` and `U0` belongs
-    to macro macro_ids[r]."""
+    blocks S_FF).  trace_idx and K_fold are views of the class's rows of
+    arrays that condense builds for all classes with its slot count.
+    condense then sets A, B, C and R_u to None: nothing after it reads
+    them.  Row r of `face_ids`, `trace_idx`, `R_u` and `U0` belongs to macro
+    macro_ids[r]."""
 
     face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
     AinvB: Optional[np.ndarray] = None  # (nloc, nc)
@@ -193,22 +203,28 @@ class OperatorClass(LocalOperators):
 
 
 def _solve_local(A, rhs: np.ndarray, macro: int) -> np.ndarray:
-    """A^-1 rhs through one LU of A, dense or sparse.  A zero pivot, or one
-    below 1e-13 max|A|, raises SingularLocalBlock(macro)."""
-    if sp.issparse(A):
+    """A^-1 rhs through one LU of A: LAPACK getrf/getrs called directly when
+    A is dense (the same LU and solution as lu_factor/lu_solve, without the
+    wrappers' per-call cost, which exceeds the arithmetic of a 45 x 45
+    block), splu when it is sparse.  A non-finite A raises ValueError; a zero
+    pivot, or one below 1e-13 max|A|, raises SingularLocalBlock(macro)."""
+    sparse = sp.issparse(A)
+    amax = float(np.abs(A.data if sparse else A).max(initial=0.0))
+    if not np.isfinite(amax):
+        raise ValueError(f"local block A at macro {macro} is not finite")
+    info = 0
+    if sparse:
         try:
             fac = spla.splu(sp.csc_matrix(A))
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SingularLocalBlock(macro) from exc
         pivots = fac.U.diagonal()
-        amax = float(np.abs(A.data).max()) if A.nnz else 0.0
     else:
-        fac = sla.lu_factor(A)
-        pivots = np.diag(fac[0])
-        amax = float(np.abs(A).max())
-    if np.abs(pivots).min() <= 1e-13 * max(amax, 1e-300):
+        lu, piv, info = _GETRF(A)
+        pivots = np.diagonal(lu)
+    if info > 0 or np.abs(pivots).min() <= 1e-13 * max(amax, 1e-300):
         raise SingularLocalBlock(macro)
-    return fac.solve(rhs) if sp.issparse(A) else sla.lu_solve(fac, rhs)
+    return fac.solve(rhs) if sparse else _GETRS(lu, piv, rhs)[0]
 
 
 def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
@@ -238,12 +254,10 @@ class CondensedSystem:
     pool: WorkerPool  # runs the chunks of the matrix-free apply
     # units of the matrix-free apply: (class, slice of its rows), class by class
     chunks: list
-    # the (unknown faces, nd, nd) face-diagonal blocks S_FF of S, the
-    # preconditioner's blocks S_FF^-1, both in trace order, and the latter
-    # as one block-diagonal matrix
+    # the (unknown faces, nd, nd) face-diagonal blocks S_FF of S and the
+    # preconditioner's blocks S_FF^-1, both in trace order
     S_blocks: np.ndarray
     P_blocks: np.ndarray
-    P: sp.csr_matrix
     # step 4: trace dof of each entry of the macro outputs C A^-1 (.) in
     # class and row order, zhat (a pad slot) on Dirichlet faces
     reduce_dst: np.ndarray
@@ -267,50 +281,61 @@ def condense(
     config: SolverConfig,
     coarse: bool = False,
 ) -> CondensedSystem:
-    """Per class, one solve with A for A^-1 B and U0, and K_fold; index the
-    B columns into the trace vector, build the face blocks S_FF = D_F minus
-    the slot-diagonal blocks of K, their inverses (the preconditioner) and
-    the reduced right-hand side f = R_uhat - C A^-1 R_u, and with `coarse`
-    the coarse space.  A, B, C and R_u are released at the end."""
+    """Per class, one solve with A for A^-1 B and U0, and the reduced
+    right-hand side f = R_uhat - C A^-1 R_u; then per group of classes with
+    one slot count, K = C A^-1 B of all of them in one stacked product, the
+    trace index of the B columns of all their members, and the face blocks
+    S_FF = D_F minus the slot-diagonal blocks of K, which are then zeroed
+    to give K_fold.  Each class keeps views of its rows of the group's K_fold
+    and trace_idx.  The inverses of S_FF are the preconditioner; with
+    `coarse`, the coarse space is built too.  A, B, C and R_u are released at
+    the end."""
     nf, nd = faces.R_hat.shape
     zhat = nf * nd
     face_start = np.full(len(mesh.face_tag), -1, dtype=np.int64)
     face_start[faces.ids] = np.arange(nf) * nd
 
-    # dst: the trace dof of each entry of the macro outputs, which come class
-    # by class (the chunks keep that order): the classes' trace_idx, row-major
-    chunks, dst, rhs_out, sum_idx, sum_vals = [], [], [], [], []
+    chunks, rhs_out = [], []
     for cls in classes:
         nc = cls.B.shape[1]
         X = _solve_local(cls.A, np.hstack([cls.B, cls.R_u.T]), int(cls.macro_ids[0]))
         cls.AinvB, cls.U0 = X[:, :nc], X[:, nc:].T
         rhs_out.append((cls.U0 @ cls.C.T).ravel())
-        start = face_start[cls.face_ids][:, :, None]
-        cls.trace_idx = np.where(start >= 0, start + np.arange(nd), -1).reshape(
-            len(cls.face_ids), -1)
-        dst.append(cls.trace_idx.ravel())
         chunks.extend((cls, slice(i, i + CHUNK_MACROS))
                       for i in range(0, len(cls.face_ids), CHUNK_MACROS))
-        # K = C A^-1 B: its slot-diagonal blocks go to their faces' S_FF (one
-        # bincount below, Dirichlet slots to a pad face nf), the rest is K_fold
-        cls.K_fold = cls.C @ cls.AinvB
-        diag = _slot_diagonal(cls.K_fold, nd)
-        sum_idx.append((np.where(start >= 0, start // nd, nf) * nd * nd
-                        + np.arange(nd * nd)).ravel())
-        sum_vals.append(np.tile(diag.ravel(), len(start)))
+
+    # per skeleton face: its trace dofs (-1 if Dirichlet), and the face block
+    # S_FF that its slot-diagonal blocks of K go to (a pad block nf if
+    # Dirichlet)
+    face_dofs = np.where(face_start[:, None] >= 0, face_start[:, None] + np.arange(nd), -1)
+    face_rank = np.where(face_start >= 0, face_start // nd, nf)
+    sum_idx, sum_vals = [], []
+    for group in _slot_groups(classes):
+        K = np.stack([cls.C for cls in group]) @ np.stack([cls.AinvB for cls in group])
+        face_ids = np.concatenate([cls.face_ids for cls in group])
+        trace_idx = face_dofs[face_ids].reshape(len(face_ids), -1)
+        members = [len(cls.face_ids) for cls in group]
+        offsets = np.cumsum([0] + members)  # each class's first row
+        # the slot-diagonal blocks of K go to their faces' S_FF (one bincount
+        # below), the rest is K_fold
+        ns = face_ids.shape[1]
+        diag = np.einsum("gsisj->gsij", K.reshape(len(group), ns, nd, ns, nd))
+        sum_idx.append(face_rank[face_ids].ravel())
+        sum_vals.append(np.repeat(diag, members, axis=0).ravel())
         diag[...] = 0.0
-    dst = np.concatenate(dst)
-    sums = np.bincount(np.concatenate(sum_idx), np.concatenate(sum_vals),
+        for g, cls in enumerate(group):
+            cls.K_fold, cls.trace_idx = K[g], trace_idx[offsets[g]:offsets[g + 1]]
+    sum_idx = np.concatenate(sum_idx)[:, None] * (nd * nd) + np.arange(nd * nd)
+    sums = np.bincount(sum_idx.ravel(), np.concatenate(sum_vals),
                        minlength=(nf + 1) * nd * nd)
     S_blocks = faces.D - sums[:nf * nd * nd].reshape(nf, nd, nd)
-    P_blocks = _invert_face_blocks(faces.ids.tolist(), S_blocks)
-
+    # dst: the trace dof of each entry of the macro outputs, which come class
+    # by class (the chunks keep that order): the classes' trace_idx, row-major
+    dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
     sys = CondensedSystem(
         mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
-        pool=WorkerPool(config.workers), chunks=chunks,
-        S_blocks=S_blocks, P_blocks=P_blocks,
-        P=sp.bsr_matrix((P_blocks, np.arange(nf), np.arange(nf + 1)),
-                        shape=(zhat, zhat)).tocsr(),
+        pool=WorkerPool(config.workers), chunks=chunks, S_blocks=S_blocks,
+        P_blocks=_invert_face_blocks(faces.ids.tolist(), S_blocks),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
     sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(sys, rhs_out)
@@ -321,11 +346,19 @@ def condense(
     return sys
 
 
-def _slot_diagonal(K: np.ndarray, nd: int) -> np.ndarray:
-    """(ns, nd, nd) writable view of the slot-diagonal blocks of an
-    (ns nd, ns nd) class block."""
-    ns = len(K) // nd
-    return np.einsum("sisj->sij", K.reshape(ns, nd, ns, nd))
+def _slot_groups(classes: list) -> list:
+    """The classes grouped by slot count, each group in class order: a
+    group's blocks share one shape, so its set-up runs as stacked calls."""
+    groups = {}
+    for cls in classes:
+        groups.setdefault(cls.face_ids.shape[1], []).append(cls)
+    return list(groups.values())
+
+
+def _face_product(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """blockdiag(blocks) v for (unknown faces, nd, nd) blocks in trace
+    order."""
+    return (blocks @ v.reshape(len(blocks), -1, 1)).ravel()
 
 
 def _scatter_outputs(sys: CondensedSystem, vhat: list) -> np.ndarray:
@@ -354,7 +387,7 @@ def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     """S uhat matrix-free: the face-block products S_FF uhat_F minus the
     scattered K_fold products."""
-    return (sys.S_blocks @ uhat.reshape(-1, sys.nd, 1)).ravel() - _apply_cab(sys, uhat)
+    return _face_product(sys.S_blocks, uhat) - _apply_cab(sys, uhat)
 
 
 def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
@@ -446,10 +479,10 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
                "converged": converged, "reason": reason}
 
 
-def _scatter_blocks(indices: list, blocks: list, size: int) -> sp.coo_matrix:
-    """The (size, size) sum of the blocks, duplicates not yet summed: per
-    pair of an index array (rows, nc) and its (nc, nc) blocks (one shared
-    block, or one per row), each row's block scattered by that row's
+def _block_entries(indices: list, blocks: list) -> tuple:
+    """Rows, columns and values of a sum of blocks, duplicates not summed:
+    per pair of an index array (rows, nc) and its (nc, nc) blocks (one
+    shared block, or one per row), each row's block scattered by that row's
     indices.  Entries on a -1 row or column, and exact zeros, are
     dropped."""
     rows, cols, vals = [], [], []
@@ -460,29 +493,50 @@ def _scatter_blocks(indices: list, blocks: list, size: int) -> sp.coo_matrix:
         vals.append(np.broadcast_to(block, ti.shape + (nc,)).ravel())
     r, c, v = (np.concatenate(x) for x in (rows, cols, vals))
     keep = (r >= 0) & (c >= 0) & (v != 0.0)
-    return sp.coo_matrix((v[keep], (r[keep], c[keep])), shape=(size, size))
+    return r[keep], c[keep], v[keep]
+
+
+def _csr_by_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+                 size: int) -> sp.csr_matrix:
+    """The (size, size) CSR matrix of entries that hit no (row, column)
+    twice, by one stable sort of the rows: nothing to sum, so no COO
+    conversion; a row's columns stay in entry order.  The sort is a radix
+    sort, 16 bits of the row at a time, low digits first: numpy sorts 16-bit
+    keys stably in linear time, where a comparison sort of the rows cost
+    more than the COO conversion on large meshes."""
+    indptr = np.zeros(size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
+    order = np.argsort(rows.astype(np.uint16), kind="stable")  # the low 16 bits
+    for shift in range(16, (size - 1).bit_length(), 16):
+        order = order[np.argsort((rows[order] >> shift).astype(np.uint16), kind="stable")]
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(size, size))
 
 
 def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.csr_matrix:
     """Explicit S = blockdiag(S_FF) - scatter of K_fold: the face blocks
     S_FF on the diagonal, each class's -K_fold scattered by its members'
     trace indices.  With `fold`, the left-preconditioned P S = I - P
-    (scatter of K_fold) instead, also from the classes: per member and
-    slot, -P_F times K_fold's rows of that slot in one batched product,
-    scattered by the members' trace indices, plus the identity."""
+    (scatter of K_fold) instead: per group of classes with one slot count,
+    -P_F times K_fold's rows of each member slot in one batched product,
+    scattered by the members' trace indices, plus the identity.  No entry
+    is hit twice (K_fold's slot-diagonal blocks are zero, and two macros
+    share at most one face), so the CSR arrays come straight from one sort
+    of the rows."""
     nd, zhat = sys.nd, sys.zhat
-    indices = [cls.trace_idx for cls in sys.classes]
     if not fold:
-        return _scatter_blocks([np.arange(zhat).reshape(-1, nd)] + indices,
-                               [sys.S_blocks] + [-cls.K_fold for cls in sys.classes],
-                               zhat).tocsr()
-    blocks = []
-    for cls in sys.classes:
-        rank = np.maximum(cls.trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
-        PK = sys.P_blocks[rank] @ cls.K_fold.reshape(rank.shape[1], nd, -1)
-        blocks.append(-PK.reshape(cls.trace_idx.shape + (-1,)))
-    return _scatter_blocks(indices + [np.arange(zhat)[:, None]], blocks + [np.ones((1, 1))],
-                           zhat).tocsr()
+        indices = [np.arange(zhat).reshape(-1, nd)] + [cls.trace_idx for cls in sys.classes]
+        blocks = [sys.S_blocks] + [-cls.K_fold for cls in sys.classes]
+        return _csr_by_rows(*_block_entries(indices, blocks), zhat)
+    indices, blocks = [np.arange(zhat)[:, None]], [np.ones((1, 1))]
+    for group in _slot_groups(sys.classes):
+        trace_idx = np.concatenate([cls.trace_idx for cls in group])
+        K_fold = np.repeat(np.stack([cls.K_fold for cls in group]),
+                           [len(cls.trace_idx) for cls in group], axis=0)
+        rank = np.maximum(trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
+        PK = -sys.P_blocks[rank] @ K_fold.reshape(rank.shape + (nd, -1))
+        indices.append(trace_idx)
+        blocks.append(PK.reshape(K_fold.shape))
+    return _csr_by_rows(*_block_entries(indices, blocks), zhat)
 
 
 def mesh_peclet(mesh: MacroMesh, problem: ProblemData, p: int) -> float:
@@ -571,7 +625,8 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
         KL = (cls.K_fold.reshape(-1, ns, nd) @ Ploc).reshape(ns, nd, k * ns)
         indices.append(face_cv[cls.face_ids].reshape(len(cls.face_ids), -1))
         blocks.append(-(Ploc.T @ KL).reshape(k * ns, k * ns))
-    Sc = _scatter_blocks(indices, blocks, n_coarse).tocsc()
+    r, c, v = _block_entries(indices, blocks)
+    Sc = sp.csc_matrix((v, (r, c)), shape=(n_coarse, n_coarse))
     try:
         lu = spla.splu(Sc)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -642,8 +697,10 @@ def assemble_system(
     """Group the macros by congruence class and assemble all classes in one
     batched pass (assemble_classes): A, B and C of each class from its first
     macro, and R_u of every macro.  The face blocks of all unknown faces
-    come from one vectorized pass.  p lies in 1..9 (quadrature degree 2 p + 2
-    at most 20)."""
+    come from one vectorized pass.  p is an integer in 1..9 (quadrature
+    degree 2 p + 2 at most 20)."""
+    if isinstance(p, bool) or not isinstance(p, (int, np.integer)):
+        raise ValueError(f"p must be an integer, got {p!r}")
     if not 1 <= p <= 9:
         raise ValueError(f"p must lie in 1..9, got {p}")
     nd = mesh.m * p + 1
@@ -688,10 +745,10 @@ def solve(
         def op(v):
             nonlocal t_local
             t0 = time.perf_counter()
-            w = v - sys.P @ _apply_cab(sys, v)
+            w = v - _face_product(sys.P_blocks, _apply_cab(sys, v))
             t_local += time.perf_counter() - t0
             return w
-    rhs = sys.P @ sys.f_vec
+    rhs = _face_product(sys.P_blocks, sys.f_vec)
     if coarse is not None:
         smooth = op
         op = lambda v: coarse.correct(smooth(v))

@@ -137,7 +137,8 @@ def test_peclet_rule_keeps_face_block_jacobi():
     solution, sys = solve(mesh, problem, NO_STAB, config, 2)
     assert solution.report.coarse_dofs == 0 and solution.report.t_coarse_s == 0.0
     PS = assemble_schur_explicit(sys, fold=True)
-    uhat, info = gmres(lambda v: PS @ v, sys.P @ sys.f_vec, config)
+    Pf = (sys.P_blocks @ sys.f_vec.reshape(-1, sys.nd, 1)).ravel()
+    uhat, info = gmres(lambda v: PS @ v, Pf, config)
     assert np.array_equal(solution.uhat, uhat)
     assert solution.report.iterations == info["iterations"]
 

@@ -32,6 +32,9 @@ from mehdg.schur_solver import (
 )
 
 NO_STAB = StabilizationConfig()
+# The class meshes plus one whose classes have four slot counts (15, 20, 25
+# and 30 B columns at m = p = 2), so that condense sets up several groups
+ORACLE_MESHES = {**CLASS_MESHES, "adapted-random-2": lambda: random_adapted_mesh(2)}
 
 
 def build_system(n, m, p, case=None, workers=1, tol=1e-6):
@@ -101,6 +104,23 @@ def test_solver_config_validation():
             SolverConfig(workers=workers)
 
 
+@pytest.mark.parametrize("p", [True, np.bool_(True), 2.5, 2.0, "2", None],
+                         ids=["True", "numpy-True", "2.5", "2.0", "str", "None"])
+def test_solve_refuses_non_integer_p(p):
+    """solve() and assemble_system refuse a bool or non-integer p by name,
+    as SolverConfig does for restart, maxiter and workers: p=True used to
+    solve as p = 1 and report "p": true, and p=2.5 raised TypeError from
+    inside assembly.  A numpy integer is accepted."""
+    mesh = build_structured_macro_mesh(2, 1, 1)
+    problem = poly_case(2).problem()
+    with pytest.raises(ValueError, match=r"^p must be an integer, got "):
+        solve(mesh, problem, NO_STAB, SolverConfig(), p)
+    with pytest.raises(ValueError, match=r"^p must be an integer, got "):
+        assemble_system(mesh, problem, NO_STAB, p)
+    solution, _ = solve(mesh, problem, NO_STAB, SolverConfig(), np.int64(1))
+    assert solution.report.p == 1 and solution.report.converged
+
+
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))
 def test_class_operators_match_per_macro_assembly(name):
     """Every class's A, B and C equal assemble_macro's for each member macro,
@@ -164,23 +184,30 @@ def test_assembly_batches_all_classes(monkeypatch):
         assert calls == {"tables": 1, "f": 2, "g_D": 1}
 
 
-@pytest.mark.parametrize("name", ["uniform-2-4", "uniform-1-8", "skewed-3-2", "adapted-2-level"])
+@pytest.mark.parametrize("name", ["uniform-2-4", "uniform-1-8", "skewed-3-2", "adapted-2-level",
+                                  "adapted-random-2"])
 def test_fused_apply_matches_dense_oracle(name):
-    """Each class's K_fold, the face blocks S_FF and the matrix-free apply
-    against S = D - sum C A^-1 B formed densely from every macro's own
-    assembly with np.linalg.solve: K_fold is C A^-1 B with its slot-diagonal
-    blocks zeroed, S_FF the face-diagonal blocks of S."""
-    mesh = CLASS_MESHES[name]()
+    """Each class's K_fold and trace_idx, the face blocks S_FF and the
+    matrix-free apply against S = D - sum C A^-1 B formed densely from every
+    macro's own assembly with np.linalg.solve: K_fold is C A^-1 B with its
+    slot-diagonal blocks zeroed, trace_idx the macro's trace dofs (-1 on
+    Dirichlet slots), S_FF the face-diagonal blocks of S.  On the adapted
+    meshes the classes fall into several slot-count groups."""
+    mesh = ORACLE_MESHES[name]()
     p = 2
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
     if name == "uniform-2-4":
         assert all(isinstance(cls.A, np.ndarray) for cls in classes)  # dense storage
     if name == "uniform-1-8":
         assert all(hasattr(cls.A, "toarray") for cls in classes)  # sparse storage
+    counts = {cls.face_ids.shape[1] for cls in classes}  # slots per macro
     sys = condense(mesh, classes, faces, SolverConfig())
     if name == "adapted-2-level":
         assert any(f.hanging for f in mesh.skeleton)
-    owner = {e: cls for cls in classes for e in cls.macro_ids.tolist()}
+        assert counts == {3, 4}
+    if name == "adapted-random-2":
+        assert counts == {3, 4, 5, 6}
+    owner = {e: (cls, r) for cls in classes for r, e in enumerate(cls.macro_ids.tolist())}
     S = np.zeros((sys.zhat, sys.zhat))
     for fid, start in unknown_faces(sys):
         S[start:start + sys.nd, start:start + sys.nd] = faces.D[faces.ids == fid][0]
@@ -189,7 +216,10 @@ def test_fused_apply_matches_dense_oracle(name):
         K = op.C @ np.linalg.solve(A, op.B)
         S[np.ix_(gi, gi)] -= K[np.ix_(mask, mask)]
         K[slot_diagonal_mask(len(K) // sys.nd, sys.nd)] = 0.0
-        assert np.abs(owner[e].K_fold - K).max() <= 1e-11 * np.abs(K).max()
+        cls, r = owner[e]
+        assert np.abs(cls.K_fold - K).max() <= 1e-11 * np.abs(K).max()
+        assert np.array_equal(cls.trace_idx[r][mask], gi)
+        assert (cls.trace_idx[r][~mask] == -1).all()
     for _, start in unknown_faces(sys):
         S_FF = S[start:start + sys.nd, start:start + sys.nd]
         got = sys.S_blocks[start // sys.nd]
@@ -201,13 +231,13 @@ def test_fused_apply_matches_dense_oracle(name):
         assert np.linalg.norm(apply_schur(sys, x) - want) <= 1e-11 * np.linalg.norm(want)
 
 
-@pytest.mark.parametrize("name", sorted(CLASS_MESHES))
+@pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
 def test_reconstruction_and_rhs_match_dense_oracle(name):
     """For a random uhat, reconstruct_interior equals each macro's own
     np.linalg.solve(A, R_u - B uhat), and f equals R_hat minus the scattered
     C A^-1 R_u, on meshes with dense and sparse A, hanging and Neumann
-    faces."""
-    mesh = CLASS_MESHES[name]()
+    faces, and classes of up to four slot counts."""
+    mesh = ORACLE_MESHES[name]()
     p = 2
     problem = poly_case(2).problem()
     problem.g_N = lambda x: np.sin(3.0 * x[:, 1])
@@ -486,20 +516,24 @@ def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
     assert solution.report.coarse_dofs == coarse.dofs > 0
 
     def M(v):
-        return sys.P @ v + coarse.Pc @ coarse.lu.solve(coarse.Pc.T @ v)
+        Pv = (sys.P_blocks @ v.reshape(-1, sys.nd, 1)).ravel()
+        return Pv + coarse.Pc @ coarse.lu.solve(coarse.Pc.T @ v)
 
     uhat, info = gmres(lambda v: M(apply_schur(sys, v)), M(sys.f_vec), config)
     assert solution.report.iterations == info["iterations"] == iters
     assert np.linalg.norm(solution.uhat - uhat) <= 1e-12 * np.linalg.norm(uhat)
 
 
-@pytest.mark.parametrize("name", ["uniform-3-2", "skewed-3-2", "adapted-2-level"])
+@pytest.mark.parametrize("name", ["uniform-3-2", "skewed-3-2", "adapted-2-level",
+                                  "adapted-random-2"])
 def test_block_preconditioner_inverts_face_blocks_of_s(name):
     """Each stored P_F inverts the face-diagonal block of
-    S = D - C A^-1 B formed densely from each macro's own assembly, each
-    class's K_fold has zero slot-diagonal blocks, and the explicit P S built
-    from the classes equals P times the dense S."""
-    mesh = CLASS_MESHES[name]()
+    S = D - C A^-1 B formed densely from each macro's own assembly, the face
+    product with P_blocks is P v, each class's K_fold has zero
+    slot-diagonal blocks, and the explicit P S built from the classes (per
+    slot-count group) equals P times the dense S, with no entry stored
+    twice; so does the explicit S."""
+    mesh = ORACLE_MESHES[name]()
     p = 2
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
     sys = condense(mesh, classes, faces, SolverConfig())
@@ -514,13 +548,19 @@ def test_block_preconditioner_inverts_face_blocks_of_s(name):
         P_F = sys.P_blocks[start // sys.nd]
         assert np.abs(np.linalg.inv(P_F) - S_FF).max() <= 1e-11 * np.abs(S_FF).max()
         P[block, block] = P_F
-    assert np.abs(sys.P.toarray() - P).max() == 0.0
+    x = np.random.default_rng(3).standard_normal(sys.zhat)
+    Px = P @ x
+    assert np.abs((sys.P_blocks @ x.reshape(-1, sys.nd, 1)).ravel() - Px).max() <= (
+        1e-14 * np.abs(Px).max())
     nd = sys.nd
     for cls in classes:
         assert not cls.K_fold[slot_diagonal_mask(len(cls.K_fold) // nd, nd)].any()
     PS = P @ S
-    assert np.abs(assemble_schur_explicit(sys, fold=True).toarray() - PS).max() <= (
-        1e-11 * np.abs(PS).max())
+    for got, want in ((assemble_schur_explicit(sys, fold=True), PS),
+                      (assemble_schur_explicit(sys), S)):
+        assert np.abs(got.toarray() - want).max() <= 1e-11 * np.abs(want).max()
+        rows = np.repeat(np.arange(sys.zhat), np.diff(got.indptr))
+        assert len(np.unique(rows * sys.zhat + got.indices)) == got.nnz
 
 
 @pytest.mark.parametrize("supg", [False, True], ids=["plain", "supg"])
@@ -544,6 +584,26 @@ def test_block_mf_matches_mb_and_dense_solve(name, supg):
     dense = np.linalg.solve(assemble_schur_explicit(sys).toarray(), sys.f_vec)
     for u in uhat.values():
         assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@pytest.mark.parametrize("size", [7, 65536, 65537, 200_003])
+def test_csr_by_rows_matches_coo(size):
+    """The radix-sorted CSR build equals the COO conversion, and keeps each
+    row's entries in input order (a stable sort of the rows), for sizes
+    that need one 16-bit pass and sizes that need two."""
+    from mehdg.schur_solver import _csr_by_rows
+
+    rng = np.random.default_rng(size)
+    n = 3 * size
+    key = rng.choice(size * size, size=min(n, size * size), replace=False)
+    rows, cols = np.divmod(key, size)
+    vals = rng.standard_normal(len(rows))
+    got = _csr_by_rows(rows, cols, vals, size)
+    want = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+    assert got.nnz == want.nnz and abs(got - want).max() == 0.0
+    order = np.argsort(rows, kind="stable")
+    assert np.array_equal(got.indices, cols[order])
+    assert np.array_equal(got.data, vals[order])
 
 
 def test_face_factorization_kinds():
@@ -589,7 +649,10 @@ def test_near_singular_face_block(bad):
 
 @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
 def test_singular_local_block():
-    """A singular class block A is refused, naming the class's first macro."""
+    """A singular class block A is refused, naming the class's first macro:
+    the last class of the two-macro mesh, and on an adapted mesh a class of
+    several macros that is neither the first class nor has the first
+    class's slot count."""
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 1, 1)
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 1)
@@ -598,6 +661,35 @@ def test_singular_local_block():
     with pytest.raises(SingularLocalBlock) as err:
         condense(mesh, classes, faces, SolverConfig())
     assert err.value.args == (int(cls.macro_ids[0]),)
+
+    mesh = CLASS_MESHES["adapted-2-level"]()
+    classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 2)
+    later = [c for c in classes if c.face_ids.shape[1] != classes[0].face_ids.shape[1]]
+    cls = max(later, key=lambda c: len(c.macro_ids))
+    assert len(cls.macro_ids) > 1 and int(cls.macro_ids[0]) != int(classes[0].macro_ids[0])
+    cls.A = cls.A.copy()
+    cls.A[:, 3] = 0.0
+    with pytest.raises(SingularLocalBlock) as err:
+        condense(mesh, classes, faces, SolverConfig())
+    assert err.value.args == (int(cls.macro_ids[0]),)
+
+
+@pytest.mark.parametrize("m", [2, 8], ids=["dense", "sparse"])
+def test_nonfinite_local_block(m):
+    """A NaN in a class block A, dense or sparse, is refused with a
+    ValueError that names the class's first macro, before any factorization
+    can turn it into NaN local solutions."""
+    mesh = build_structured_macro_mesh(2, 1, m)
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 1)
+    cls = classes[-1]
+    assert sp.issparse(cls.A) == (m > 4)
+    cls.A = cls.A.copy()
+    if m > 4:
+        cls.A.data[0] = np.nan
+    else:
+        cls.A[1, 2] = np.nan
+    with pytest.raises(ValueError, match=f"macro {int(cls.macro_ids[0])} is not finite"):
+        condense(mesh, classes, faces, SolverConfig())
 
 
 def test_singular_sparse_local_block():
@@ -829,7 +921,9 @@ def _gmres_case(name):
     if name == "8-1-2-mb":
         _, sys = build_system(8, 1, 2, case=make_benchmark("tanh", 0.4, (1.0, 1.0)))
         S = assemble_schur_explicit(sys)
-        return lambda v: sys.P @ (S @ v), sys.P @ sys.f_vec, SolverConfig(tol=1e-10)
+        def P(v):
+            return (sys.P_blocks @ v.reshape(-1, sys.nd, 1)).ravel()
+        return lambda v: P(S @ v), P(sys.f_vec), SolverConfig(tol=1e-10)
     n = 100
     G = _grcar(n) if name == "grcar" else _random_cond(n, 1e4)
     d = np.linspace(1.0, 4.0, n)

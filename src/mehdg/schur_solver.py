@@ -40,18 +40,22 @@ is one sparse product; mode mf applies uhat - P (scatter of K_fold uhat)
 with the chunked gather, GEMM and scatter above.
 
 Face-block Jacobi alone needs a number of iterations that grows like 1/h.
-solve() adds a coarse space to it, additively as in two-level Schwarz
-(Toselli & Widlund, Domain Decomposition Methods, 2005), when the mesh
-Peclet number max |a| diam / (m p kappa) is at most COARSE_MAX_PECLET and
-the trace has at least COARSE_MIN_TRACE_DOFS dofs: GMRES then runs on
-M S uhat = M f with M = P + Pc S_c^-1 Pc^T.  The coarse space is
-continuous P1 on the sub-cell vertices of the skeleton (the mesh vertices
-at m = 1, the P1 space of Cockburn, Dubois, Gopalakrishnan & Tan), Pc its
-prolongation into the trace and S_c = Pc^T S Pc, built from each class's
-K_fold, the face blocks S_FF and the mesh arrays without S and factored
-once by splu.  One application is w = P S v, the folded operator above,
-followed by w + Pc S_c^-1 (Q w) with Q = Pc^T blockdiag(S_FF), since
-Q P = Pc^T; the coarse code is the same in both modes.  Above the Peclet
+solve() adds a coarse space to it when the mesh Peclet number
+max |a| diam / (m p kappa) is at most COARSE_MAX_PECLET and the trace has at
+least COARSE_MIN_TRACE_DOFS dofs: GMRES then runs on M S uhat = M f with the
+multiplicative two-level M = P + Q_c - P S Q_c, Q_c = Pc S_c^-1 Pc^T, the
+hybrid form of Toselli & Widlund (Domain Decomposition Methods, 2005; the
+"A-DEF2" of Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 39, 2009), which
+takes fewer iterations than the additive M = P + Q_c at the same cost per
+iteration.  The coarse space is continuous P1 on the sub-cell vertices of
+the skeleton (the mesh vertices at m = 1, the P1 space of Cockburn, Dubois,
+Gopalakrishnan & Tan), Pc its prolongation into the trace and
+S_c = Pc^T S Pc, built from each class's K_fold, the face blocks S_FF and
+the mesh arrays without S and factored once by splu.  One application is
+w = P S v, the folded operator above, followed by w + E S_c^-1 (Q w) with
+Q = Pc^T blockdiag(S_FF) and E = (I - P S) Pc = P (scatter of K_fold) Pc,
+one sparse matrix built from the class blocks: since Q P = Pc^T this is
+M S v, and the coarse code is the same in both modes.  Above the Peclet
 bound (advection-dominated traces) the coarse space takes more iterations
 than it saves, and solve() runs face-block Jacobi alone.
 """
@@ -154,11 +158,16 @@ class WorkerPool:
     (LBF), which reports how evenly the partition splits the work.  The
     partition that runs first refills the caches that the caller's work in
     between evicted; each call starts one partition later, so that this cost
-    is spread evenly instead of always landing on partition 0."""
+    is spread evenly instead of always landing on partition 0.  The first
+    call of a pool, a solve's first apply, runs but is not timed: it refills
+    the caches that the whole set-up evicted, which costs its first
+    partition several times a later call's refill, and a solve of a few
+    iterations has too few later calls to even that out."""
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
         self.busy = np.zeros(self.workers)
+        self.calls = 0
         self._first = 0  # partition that runs first in the next call
 
     def map(self, fn: Callable, items) -> list:
@@ -170,7 +179,9 @@ class WorkerPool:
             t0 = time.thread_time()
             for i in range(w, len(items), self.workers):
                 results[i] = fn(items[i])
-            self.busy[w] += time.thread_time() - t0
+            if self.calls:
+                self.busy[w] += time.thread_time() - t0
+        self.calls += 1
         return results
 
     @property
@@ -553,28 +564,33 @@ class CoarseSpace:
     segments, from the values at the face's vertices (shared with the other
     faces there) and at its m - 1 interior breakpoints (the face's own).
     At m = 1 it is (1 - s) u(v0) + s u(v1) at the nd equispaced nodes s, v0
-    and v1 the face's vertices in face_verts order.  Pc (zhat, dofs) maps
-    the coarse values to the trace, Q = Pc^T blockdiag(S_FF), and lu
-    factors S_c = Pc^T S Pc."""
+    and v1 the face's vertices in face_verts order.  Its prolongation Pc
+    (zhat, dofs) into the trace is Ploc = trace_hats(m, p) on every face,
+    scattered by face_coarse; it is not stored, since correct() reads only
+    Q = Pc^T blockdiag(S_FF), E = (I - P S) Pc and lu, the factor of
+    S_c = Pc^T S Pc."""
 
-    Pc: sp.csr_matrix
+    face_coarse: np.ndarray  # (unknown faces, m + 1) coarse ids of the breakpoints
     Q: sp.csc_matrix
+    E: sp.csc_matrix
     Sc: sp.csc_matrix
     lu: spla.SuperLU
     setup_s: float  # building all of it
 
     @property
     def dofs(self) -> int:
-        return self.Pc.shape[1]
+        return self.Sc.shape[0]
 
     def correct(self, w: np.ndarray) -> np.ndarray:
-        """w + Pc S_c^-1 Q w.  For w = P v this is M v, with the two-level
-        M = P + Pc S_c^-1 Pc^T, since Q P = Pc^T.  A non-finite coarse
-        solve of a finite w raises SingularCoarseOperator."""
+        """w + E S_c^-1 Q w.  With Q P = Pc^T and E = (I - P S) Pc, this is
+        M S v for w = P S v and M f for w = P f, M the multiplicative
+        two-level M = P + Q_c - P S Q_c with Q_c = Pc S_c^-1 Pc^T.  A
+        non-finite coarse solve of a finite w raises
+        SingularCoarseOperator."""
         y = self.lu.solve(self.Q @ w)
         if not np.isfinite(y).all() and np.isfinite(w).all():
             raise SingularCoarseOperator(self.dofs)
-        return w + self.Pc @ y
+        return w + self.E @ y
 
 
 def _face_vertex_ids(mesh: MacroMesh) -> np.ndarray:
@@ -588,14 +604,43 @@ def _face_vertex_ids(mesh: MacroMesh) -> np.ndarray:
     return np.where(flip[:, None], ids[:, ::-1], ids)
 
 
+def _summed_columns(terms: list, shape: tuple) -> sp.csc_matrix:
+    """The sum of blocks scattered by row and column ids, duplicates summed:
+    per triple of row ids (b, r), blocks (b, r, c) and column ids (b, c),
+    block i scattered by row ids i and column ids i; ids -1 are dropped.
+    Each block column becomes one column of a CSC matrix, and one sparse
+    product with the 0/1 matrix that maps those columns to their ids sums
+    them, in Gustavson's row-by-row product: no sort, unlike a COO
+    conversion."""
+    rows, vals, counts, cols = [], [], [], []
+    for row_ids, blocks, col_ids in terms:
+        r = np.broadcast_to(row_ids[:, None], (len(row_ids), col_ids.shape[1], row_ids.shape[1]))
+        rows.append(np.maximum(r, 0).ravel())  # row 0 with value 0 for a dropped row
+        vals.append(np.where(r >= 0, blocks.swapaxes(1, 2), 0.0).ravel())
+        counts.append(np.full(col_ids.size, row_ids.shape[1]))
+        cols.append(col_ids.ravel())
+    cols = np.concatenate(cols)
+    columns = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows),
+                             np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
+                            shape=(shape[0], cols.size))
+    to_ids = sp.csr_matrix(((cols >= 0).astype(float), np.maximum(cols, 0),
+                            np.arange(cols.size + 1)), shape=(cols.size, shape[1]))
+    return columns @ to_ids
+
+
 def coarse_space(sys: CondensedSystem) -> CoarseSpace:
-    """The P1 coarse space of the trace and the factor of S_c = Pc^T S Pc,
-    built without S.  Ploc (nd, m + 1), the P1 hat functions of a face's
-    breakpoints at its trace nodes, is the same on every face, and
-    S = blockdiag(S_FF) - scatter of K_fold, so S_c is the per-face
-    Ploc^T S_FF Ploc minus, per class, one (ns (m + 1))^2 block L^T K_fold L
-    (L = blockdiag of Ploc over the slots) scattered by each member's
-    slot-breakpoint coarse ids, -1 on Dirichlet slots and dropped.  A
+    """The P1 coarse space of the trace, the factor of S_c = Pc^T S Pc and
+    E = (I - P S) Pc, built without S or Pc.  Ploc (nd, m + 1), the P1 hat
+    functions of a face's breakpoints at its trace nodes, is the same on
+    every face, and S = blockdiag(S_FF) - scatter of K_fold, so per group of
+    classes with one slot count one stacked product gives each class's
+    K_fold L, L = blockdiag of Ploc over the slots.  S_c is the per-face
+    Ploc^T S_FF Ploc minus each class's L^T K_fold L, scattered by each
+    member's slot-breakpoint coarse ids (-1 on Dirichlet slots, dropped).
+    E = P (scatter of K_fold) Pc is P_F times K_fold L's rows of each member
+    slot F, scattered by the members' trace indices and coarse ids.  Both
+    sum duplicates: a vertex is a breakpoint of two slots of a macro and of
+    every macro around it, and a face's rows get terms from both sides.  A
     singular S_c raises SingularCoarseOperator."""
     t0 = time.perf_counter()
     nd, zhat, m = sys.nd, sys.zhat, sys.mesh.m
@@ -611,27 +656,34 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
     face_cv = np.full((len(unknown), k), -1)
     face_cv[unknown] = cv
     Ploc = trace_hats(m, (nd - 1) // m)
-    # k entries per trace dof, at its face's breakpoints; Q's column j holds
-    # Ploc^T times column j of its face's S_FF at the same rows
-    idx = np.broadcast_to(cv[:, None], (nf, nd, k)).ravel()
-    ptr = np.arange(0, k * zhat + 1, k)
+    # k entries per trace dof, at its face's breakpoints: Q's column j holds
+    # Ploc^T times column j of its face's S_FF
     QF = Ploc.T @ sys.S_blocks  # (faces, k, nd)
-    Pc = sp.csr_matrix((np.tile(Ploc.ravel(), nf), idx, ptr), shape=(zhat, n_coarse))
-    Q = sp.csc_matrix((QF.swapaxes(1, 2).ravel(), idx, ptr), shape=(n_coarse, zhat))
+    Q = sp.csc_matrix((QF.swapaxes(1, 2).ravel(),
+                       np.broadcast_to(cv[:, None], (nf, nd, k)).ravel(),
+                       np.arange(0, k * zhat + 1, k)), shape=(n_coarse, zhat))
 
-    indices, blocks = [cv], [QF @ Ploc]
-    for cls in sys.classes:
-        ns = len(cls.K_fold) // nd
-        KL = (cls.K_fold.reshape(-1, ns, nd) @ Ploc).reshape(ns, nd, k * ns)
-        indices.append(face_cv[cls.face_ids].reshape(len(cls.face_ids), -1))
-        blocks.append(-(Ploc.T @ KL).reshape(k * ns, k * ns))
-    r, c, v = _block_entries(indices, blocks)
-    Sc = sp.csc_matrix((v, (r, c)), shape=(n_coarse, n_coarse))
+    Sc_terms, E_terms = [(cv, QF @ Ploc, cv)], []
+    for group in _slot_groups(sys.classes):
+        members = [len(cls.face_ids) for cls in group]
+        nc = len(group[0].K_fold)
+        ns = nc // nd
+        KL = (np.stack([cls.K_fold for cls in group]).reshape(-1, ns, nd) @ Ploc
+              ).reshape(len(group), ns, nd, ns * k)
+        ids = face_cv[np.concatenate([cls.face_ids for cls in group])].reshape(-1, ns * k)
+        LKL = (Ploc.T @ KL).reshape(len(group), ns * k, ns * k)
+        Sc_terms.append((ids, -np.repeat(LKL, members, axis=0), ids))
+        trace_idx = np.concatenate([cls.trace_idx for cls in group])
+        rank = np.maximum(trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
+        PKL = sys.P_blocks[rank] @ np.repeat(KL, members, axis=0)
+        E_terms.append((trace_idx, PKL.reshape(len(ids), nc, -1), ids))
+    E = _summed_columns(E_terms, (zhat, n_coarse))
+    Sc = _summed_columns(Sc_terms, (n_coarse, n_coarse))
     try:
         lu = spla.splu(Sc)
     except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
         raise SingularCoarseOperator(n_coarse) from exc
-    return CoarseSpace(Pc, Q, Sc, lu, time.perf_counter() - t0)
+    return CoarseSpace(cv, Q, E, Sc, lu, time.perf_counter() - t0)
 
 
 def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
@@ -666,8 +718,8 @@ class SolveReport:
     # t_init_s), 0 when solve() uses none
     coarse_dofs: int
     t_coarse_s: float
-    # load-balance factor of the pooled matrix-free applies; 1.0 in mode mb,
-    # where no pooled work runs
+    # load-balance factor of the pooled matrix-free applies but the first
+    # (WorkerPool); 1.0 in mode mb, where no pooled work runs
     lbf: float
     residual_history: list
 
@@ -734,7 +786,7 @@ def solve(
 
     # P is folded into the operator and the right-hand side: GMRES runs on
     # P S uhat = P f, the left-preconditioned system; with the coarse space,
-    # on M S uhat = M f, M = P + Pc S_c^-1 Pc^T
+    # on M S uhat = M f, M = P + Q_c - P S Q_c with Q_c = Pc S_c^-1 Pc^T
     t_schur = t_local = 0.0
     if config.mode == "mb":
         t0 = time.perf_counter()

@@ -5,6 +5,7 @@ import pytest
 
 from mehdg.assembly import ProblemData, StabilizationConfig
 from mehdg.bench import make_benchmark
+from mehdg.fem_basis import trace_hats
 from mehdg.mesh import _assemble_mesh, build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import SolverConfig, solve
 
@@ -57,6 +58,19 @@ def random_adapted_mesh(levels, boundary_tagger=None):
 def neumann_right(mid):
     """Boundary tagger: Neumann on the side x = 1, Dirichlet elsewhere."""
     return "N" if mid[0] > 1.0 - 1e-12 else "D"
+
+
+def coarse_prolongation(sys, coarse):
+    """The dense prolongation Pc (zhat, coarse dofs) of a CoarseSpace, which
+    does not store it: the P1 hats of a face's breakpoints at its trace
+    nodes (trace_hats) on every unknown face, in the columns of the face's
+    coarse ids."""
+    nd, (nf, k) = sys.nd, coarse.face_coarse.shape
+    hats = trace_hats(sys.mesh.m, (nd - 1) // sys.mesh.m)
+    Pc = np.zeros((nf, nd, coarse.dofs))
+    for j in range(k):
+        Pc[np.arange(nf)[:, None], np.arange(nd), coarse.face_coarse[:, j, None]] += hats[:, j]
+    return Pc.reshape(nf * nd, -1)
 
 
 # Meshes on which per-class operators are checked against per-macro ones

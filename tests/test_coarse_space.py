@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from conftest import neumann_right, random_adapted_mesh
+from conftest import coarse_prolongation, neumann_right, random_adapted_mesh
 
 from mehdg import schur_solver
 from mehdg.assembly import StabilizationConfig
@@ -58,13 +58,23 @@ def test_face_vertex_ids_match_face_coordinates():
     assert np.array_equal(mesh.vertices[ids], mesh.face_verts)
 
 
+def face_diagonal(S, nd):
+    """The face-diagonal blocks of the dense S, blockdiag(S_FF)."""
+    blocks = np.zeros_like(S)
+    for start in range(0, len(S), nd):
+        block = slice(start, start + nd)
+        blocks[block, block] = S[block, block]
+    return blocks
+
+
 @pytest.mark.parametrize("name", list(COARSE_MESHES))
 def test_coarse_operator_is_galerkin_product(name):
     """S_c, built from the class blocks without S, equals Pc^T S Pc of the
     explicit S, and Q equals Pc^T times the face-diagonal blocks of S, to
     1e-14 relative, on a uniform mesh, an adapted mesh with hanging faces
-    and a mesh with Neumann faces; Pc reproduces the P1 hat functions of
-    each face's segments at its trace nodes."""
+    and a mesh with Neumann faces; Pc, rebuilt from the stored coarse ids of
+    each face's breakpoints, reproduces the P1 hat functions of each face's
+    segments at its trace nodes."""
     mesh = COARSE_MESHES[name]()
     if name.startswith("adapted"):
         assert (mesh.face_parent >= 0).any()
@@ -73,25 +83,54 @@ def test_coarse_operator_is_galerkin_product(name):
     sys = condensed(mesh)
     coarse = coarse_space(sys)
     S = assemble_schur_explicit(sys).toarray()
-    Pc = coarse.Pc.toarray()
+    Pc = coarse_prolongation(sys, coarse)
     galerkin = Pc.T @ S @ Pc
     assert np.abs(coarse.Sc.toarray() - galerkin).max() <= 1e-14 * np.abs(galerkin).max()
-    nd = sys.nd
-    blocks = np.zeros_like(S)
-    for start in range(0, sys.zhat, nd):
-        block = slice(start, start + nd)
-        blocks[block, block] = S[block, block]
-    Q = Pc.T @ blocks
+    Q = Pc.T @ face_diagonal(S, sys.nd)
     assert np.abs(coarse.Q.toarray() - Q).max() <= 1e-14 * np.abs(Q).max()
     # each trace dof is a convex combination of its segment's two
     # breakpoints, and the coarse space holds the P1 coordinate functions
     assert np.allclose(Pc.sum(axis=1), 1.0) and (Pc >= 0.0).all()
     assert ((Pc > 0.0).sum(axis=1) <= 2).all()
     fv = mesh.face_verts[sys.face_start >= 0]
+    nd = sys.nd
     s = np.arange(nd) / (nd - 1)
     nodes = (fv[:, None, 0] + s[:, None] * (fv[:, None, 1] - fv[:, None, 0])).reshape(-1, 2)
     x = np.linalg.lstsq(Pc, nodes, rcond=None)[0]
     assert np.abs(Pc @ x - nodes).max() < 1e-13
+
+
+@pytest.mark.parametrize("name", list(COARSE_MESHES))
+def test_multiplicative_correction_matches_dense(name):
+    """E, built from the class blocks without S or Pc, equals (I - P S) Pc of
+    the dense explicit S to 1e-14 relative, with no entry stored twice, and
+    correct(w) is the dense w + E S_c^-1 Pc^T P^-1 w: applied to P S v it
+    gives M S v for the multiplicative M = P + Q_c - P S Q_c,
+    Q_c = Pc S_c^-1 Pc^T, on a uniform mesh, an adapted mesh with hanging
+    faces and a mesh with Neumann faces."""
+    sys = condensed(COARSE_MESHES[name]())
+    coarse = coarse_space(sys)
+    S = assemble_schur_explicit(sys).toarray()
+    Pinv = face_diagonal(S, sys.nd)
+    P = np.linalg.inv(Pinv)
+    Pc = coarse_prolongation(sys, coarse)
+    E = Pc - P @ S @ Pc
+    assert coarse.E.shape == E.shape
+    assert np.abs(coarse.E.toarray() - E).max() <= 1e-14 * np.abs(E).max()
+    csr = coarse.E.tocsr()
+    csr.sum_duplicates()
+    assert csr.nnz == coarse.E.nnz
+    Sc = Pc.T @ S @ Pc
+    Qc = Pc @ np.linalg.solve(Sc, Pc.T)
+    M = P + Qc - P @ S @ Qc
+    rng = np.random.default_rng(3)
+    for _ in range(2):
+        w = rng.standard_normal(sys.zhat)
+        dense = w + E @ np.linalg.solve(Sc, Pc.T @ Pinv @ w)
+        assert np.abs(coarse.correct(w) - dense).max() <= 1e-12 * np.abs(dense).max()
+        v = rng.standard_normal(sys.zhat)
+        MSv = M @ S @ v
+        assert np.abs(coarse.correct(P @ S @ v) - MSv).max() <= 1e-11 * np.abs(MSv).max()
 
 
 @pytest.mark.parametrize("name", ["uniform-6-1", "adapted-random-2", "neumann-4-2"])

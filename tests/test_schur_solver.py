@@ -1,6 +1,7 @@
 """Condensation, matrix-free Schur application, GMRES and reconstruction."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -8,7 +9,14 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import CLASS_MESHES, neumann_right, poly_case, random_adapted_mesh, solve_poly
+from conftest import (
+    CLASS_MESHES,
+    coarse_prolongation,
+    neumann_right,
+    poly_case,
+    random_adapted_mesh,
+    solve_poly,
+)
 from reference_assembly import loop_face_slots
 
 from mehdg.assembly import StabilizationConfig, assemble_macro, face_operators
@@ -502,22 +510,27 @@ def test_solve_folds_dinv_into_operator(monkeypatch, mode):
 
 
 @pytest.mark.parametrize("n,m,p,mode,iters", [
-    (8, 1, 2, "mb", 25), (4, 4, 2, "mf", 23),
+    (8, 1, 2, "mb", 19), (4, 4, 2, "mf", 13),
 ], ids=["8-1-2-mb-two-level", "4-4-2-mf-two-level"])
 def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
-    """The folded solve keeps the iteration count of BENCH_twolevel.json and
-    the trace of GMRES run on the two-level M = P + Pc S_c^-1 Pc^T times
-    the unfolded matrix-free S."""
+    """The folded solve keeps the iteration count of BENCH_multiplicative.json
+    and the trace of GMRES run on the multiplicative two-level
+    M = P + Q_c - P S Q_c, Q_c = Pc S_c^-1 Pc^T, times the unfolded
+    matrix-free S (the additive M = P + Q_c took 25 and 23)."""
     config = SolverConfig(tol=1e-10, mode=mode)
     mesh = build_structured_macro_mesh(2, n, m)
     solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
                           NO_STAB, config, p)
     coarse = coarse_space(sys)
     assert solution.report.coarse_dofs == coarse.dofs > 0
+    Pc = coarse_prolongation(sys, coarse)
+
+    def P(v):
+        return (sys.P_blocks @ v.reshape(-1, sys.nd, 1)).ravel()
 
     def M(v):
-        Pv = (sys.P_blocks @ v.reshape(-1, sys.nd, 1)).ravel()
-        return Pv + coarse.Pc @ coarse.lu.solve(coarse.Pc.T @ v)
+        Qc_v = Pc @ coarse.lu.solve(Pc.T @ v)
+        return P(v) + Qc_v - P(apply_schur(sys, Qc_v))
 
     uhat, info = gmres(lambda v: M(apply_schur(sys, v)), M(sys.f_vec), config)
     assert solution.report.iterations == info["iterations"] == iters
@@ -1148,6 +1161,34 @@ def test_worker_pool_static_partition():
     seen = []
     pool.map(seen.append, range(7))
     assert seen == [2, 5, 0, 3, 6, 1, 4]  # each call starts one partition later
+
+
+def test_worker_pool_leaves_first_call_out_of_lbf():
+    """A pool's first call, a solve's first apply, refills the caches that
+    the set-up evicted on whichever partition runs first; WorkerPool runs it
+    but keeps its time out of `busy`, so a cost that only the first call
+    pays on one partition does not lower the LBF."""
+
+    def spin(seconds):
+        t0 = time.thread_time()
+        while time.thread_time() - t0 < seconds:
+            pass
+
+    cold = [True]
+
+    def task(i):
+        if cold[0] and i == 0:
+            cold[0] = False
+            spin(0.05)  # 25 times an item's work, on partition 0 alone
+        spin(0.002)
+
+    pool = WorkerPool(4)
+    assert pool.map(task, range(8)) == [None] * 8
+    assert not cold[0] and pool.calls == 1 and not pool.busy.any()
+    for _ in range(3):
+        pool.map(task, range(8))
+    assert (pool.busy >= 3 * 2 * 0.002).all()
+    assert pool.lbf >= 0.8
 
 
 def test_worker_pool_runs_on_calling_thread():

@@ -674,7 +674,9 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
         LKL = (Ploc.T @ KL).reshape(len(group), ns * k, ns * k)
         Sc_terms.append((ids, -np.repeat(LKL, members, axis=0), ids))
         trace_idx = np.concatenate([cls.trace_idx for cls in group])
-        rank = np.maximum(trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
+        # a Dirichlet slot (trace index -1) takes face 0's P_F: _summed_columns
+        # drops its rows
+        rank = np.maximum(trace_idx[:, ::nd] // nd, 0)
         PKL = sys.P_blocks[rank] @ np.repeat(KL, members, axis=0)
         E_terms.append((trace_idx, PKL.reshape(len(ids), nc, -1), ids))
     E = _summed_columns(E_terms, (zhat, n_coarse))

@@ -181,31 +181,54 @@ def _sub_cell_tables(jacobians: np.ndarray, m: int, p: int, problem: ProblemData
     quadrature weights "wd" (n, nq), the mass block "M" (n, nb, nb), the
     stiffness blocks "K" (n, 2, nb, nb), the SUPG block "S" with its own
     tau_s per macro, and the test functions of the load "test" (n, nq, nb):
-    the basis, plus the streamline term under SUPG."""
+    the basis, plus the streamline term under SUPG.
+
+    The sub-cell maps are affine, so each block is a reference product
+    scaled by |det J| and contracted with J^-1: K[c] = |det J|
+    sum_k Kref[k] J^-1[k, c] with Kref[k] = sum_q w (d gref / d xi_k) val^T,
+    for all classes and both kinds in one GEMM; under SUPG the streamline
+    derivatives gref J^-1 a and the Laplacians href : J^-1 J^-T are one GEMM
+    each."""
     rule, val, gref, href = reference_tables(p, quad_degree)
+    nq, nb = val.shape
     a, kappa = problem.a, problem.kappa
-    tables = {}
-    for kind, q in sub_cell_jacobians(jacobians, m).items():
-        gph = gref @ q.jinv[:, None]  # (n, nq, nb, 2) physical gradients
-        wd = rule.weights * q.det[:, None]
-        tb = dict(wd=wd, M=val.T @ (wd[..., None] * val),
-                  test=np.broadcast_to(val, wd.shape + val.shape[1:]),
-                  K=np.stack([(gph[..., c] * wd[..., None]).swapaxes(1, 2) @ val
-                              for c in range(2)], axis=1))
-        if stab.supg:
-            lap = np.einsum("nja,qbjk,nka->nqb", q.jinv, href, q.jinv)
-            Jc = q.jac
-            edges = np.stack((Jc[..., 0], Jc[..., 1], Jc[..., 1] - Jc[..., 0]), axis=1)
-            h = np.linalg.norm(edges, axis=-1).max(axis=1)
-            # length h / p: tau_s must stay below h^2 / (kappa C_inv^2), and the
-            # inverse-estimate constant C_inv grows like p^2 (Franca, Frey &
-            # Hughes, CMAME 95, 1992; Houston, Schwab & Suli, SINUM 37, 2000)
-            ts = supg_parameter(h / p, a, kappa, stab.supg_variant)[:, None, None]
-            advg = gph @ a  # (n, nq, nb)
-            tb["S"] = ts * (advg * wd[..., None]).swapaxes(1, 2) @ (advg - kappa * lap)
-            tb["test"] = val + ts * advg
-        tables[kind] = tb
-    return tables
+    geo = sub_cell_jacobians(jacobians, m)
+    jinv = np.concatenate([q.jinv for q in geo.values()])  # (kinds n, 2, 2)
+    det = np.concatenate([q.det for q in geo.values()])
+    kn = len(det)
+    wval = rule.weights[:, None] * val
+    M = det[:, None, None] * (val.T @ wval)
+    kref = np.tensordot(gref, wval, axes=(0, 0)).transpose(0, 2, 1)  # (nb, nb, 2)
+    K = (kref.reshape(-1, 2) @ jinv.transpose(1, 0, 2).reshape(2, -1)).reshape(nb, nb, kn, 2)
+    K = det[:, None, None, None] * K.transpose(2, 3, 0, 1)
+    wd = rule.weights * det[:, None]
+    tb = dict(wd=wd, M=M, K=K, test=np.broadcast_to(val, (kn, nq, nb)))
+    if stab.supg:
+        advg = np.moveaxis((gref.reshape(-1, 2) @ (jinv @ a).T).reshape(nq, nb, kn), 2, 0)
+        metric = jinv @ jinv.swapaxes(1, 2)
+        lap = np.moveaxis((href.reshape(-1, 4) @ metric.reshape(kn, 4).T).reshape(nq, nb, kn),
+                          2, 0)
+        Jc = np.concatenate([q.jac for q in geo.values()])
+        edges = np.stack((Jc[..., 0], Jc[..., 1], Jc[..., 1] - Jc[..., 0]), axis=1)
+        h = np.linalg.norm(edges, axis=-1).max(axis=1)
+        # length h / p: tau_s must stay below h^2 / (kappa C_inv^2), and the
+        # inverse-estimate constant C_inv grows like p^2 (Franca, Frey &
+        # Hughes, CMAME 95, 1992; Houston, Schwab & Suli, SINUM 37, 2000)
+        ts = supg_parameter(h / p, a, kappa, stab.supg_variant)[:, None, None]
+        tb["S"] = ts * (advg * wd[..., None]).swapaxes(1, 2) @ (advg - kappa * lap)
+        tb["test"] = val + ts * advg
+    n = len(jacobians)
+    return {kind: {key: arr[i * n:(i + 1) * n] for key, arr in tb.items()}
+            for i, kind in enumerate(geo)}
+
+
+def _finite(values, name: str) -> np.ndarray:
+    """`values` as a float array; a ValueError naming the callable `name`
+    that returned them if any is NaN or infinite."""
+    values = np.asarray(values, dtype=float)
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} returned non-finite values")
+    return values
 
 
 def _boundary_npts(p: int) -> int:
@@ -220,13 +243,15 @@ def _face_points(verts: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v0 + s[:, None] * (verts[..., None, 1, :] - v0)
 
 
-def project_dirichlet(verts: np.ndarray, g: Callable, m: int, p: int) -> np.ndarray:
+def project_dirichlet(verts: np.ndarray, g: Callable, m: int, p: int,
+                      name: str = "g") -> np.ndarray:
     """(..., m p + 1) L2-projections of boundary data onto the face trace
     space of a mesh of the given m, on the faces with the vertices
-    (..., 2, 2): one call of g over the points of all of them."""
+    (..., 2, 2): one call of g over the points of all of them.  A NaN or
+    infinite value of g raises a ValueError that calls it `name`."""
     npts = _boundary_npts(p)
     x = _face_points(np.asarray(verts, dtype=float), trace_quadrature(m, p, npts)[0])
-    gx = np.asarray(g(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:-1])
+    gx = _finite(g(x.reshape(-1, 2)), name).reshape(x.shape[:-1])
     return gx @ trace_projection(m, p, npts).T
 
 
@@ -303,19 +328,28 @@ def _volume_load(mesh: MacroMesh, ids: np.ndarray, label: np.ndarray, p: int,
                  problem: ProblemData, tables: dict, quad_degree: int) -> np.ndarray:
     """(len(ids), nloc) volume part of R_u of the macros `ids`, the macro
     ids[i] with the sub-cell tables of row label[i]: one batched quadrature,
-    with one call of f per sub-cell kind over the cells of all the macros."""
+    with one call of f per sub-cell kind over the cells of all the macros.
+    The cell loads are f w tested by one GEMM with the basis (by a batched
+    product with the per-macro test functions under SUPG), and go into R_u
+    by one bincount, offset per macro."""
     dofmap = _patch_dof_map(mesh.m, p)
-    Q = dofmap.n_dofs
-    R = np.zeros((ids.size, 3 * Q))
+    nloc = 3 * dofmap.n_dofs
     rule = reference_tables(p, quad_degree)[0]
     quad = sub_cell_quadrature(mesh.jacobians[ids], mesh.verts[ids, 0], mesh.m, rule.points_ref)
+    pos, loads = [], []
     for kind, q in quad.items():
         tb = tables[kind]
-        fvals = np.asarray(problem.f(q.points.reshape(-1, 2)), dtype=float)
-        load = np.einsum("ncq,nqb->ncb", fvals.reshape(q.points.shape[:3]) * tb["wd"][label, None],
-                         tb["test"][label])
-        np.add.at(R.T, 2 * Q + dofmap.cell_maps[q.cells].ravel(), load.reshape(ids.size, -1).T)
-    return R
+        fw = (_finite(problem.f(q.points.reshape(-1, 2)), "f").reshape(q.points.shape[:3])
+              * tb["wd"][label, None])
+        if "S" in tb:
+            loads.append(fw @ tb["test"][label])
+        else:
+            loads.append(fw.reshape(-1, fw.shape[-1]) @ tb["test"][0])
+        pos.append(np.arange(ids.size)[:, None, None] * nloc + 2 * dofmap.n_dofs
+                   + dofmap.cell_maps[q.cells])
+    pos = np.concatenate([x.ravel() for x in pos])
+    loads = np.concatenate([x.ravel() for x in loads])
+    return np.bincount(pos, loads, minlength=ids.size * nloc).reshape(ids.size, nloc)
 
 
 def assemble_classes(
@@ -417,7 +451,7 @@ def assemble_classes(
     face_ids = mesh.slot_faces[ids]
     row, dslot = np.nonzero((face_ids >= 0) & (mesh.face_tag[face_ids] == "D"))
     if row.size:
-        G = project_dirichlet(mesh.face_verts[face_ids[row, dslot]], problem.g_D, m, p)
+        G = project_dirichlet(mesh.face_verts[face_ids[row, dslot]], problem.g_D, m, p, "g_D")
         pair = pair_of[label[row], dslot]
         np.subtract.at(R, (row[:, None], en3[pair]), (face_B[pair] @ G[:, :, None])[..., 0])
     R_u = np.split(R, np.cumsum([len(c) for c in classes])[:-1])
@@ -466,7 +500,7 @@ def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> FaceBlocks:
             raise ValueError("Neumann face present but g_N not provided")
         s, w, V = trace_quadrature(mesh.m, p, _boundary_npts(p))
         x = _face_points(verts[neumann], s)
-        g = np.asarray(problem.g_N(x.reshape(-1, 2)), dtype=float).reshape(x.shape[:2])
+        g = _finite(problem.g_N(x.reshape(-1, 2)), "g_N").reshape(x.shape[:2])
         # one matrix-vector product per face, so that a face's R_hat does
         # not depend on how many Neumann faces there are
         R_hat[neumann] = (V.T @ (w * length[neumann, None] * g)[:, :, None])[..., 0]

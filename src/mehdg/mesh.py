@@ -17,10 +17,12 @@ no other edge matches (the halves of a hanging coarse edge) go through a
 loop.  The solver reads only the arrays; MacroElement and SkeletonFace
 objects are views of them, built on first access for other callers.
 Quadrature points are mapped into the sub-cells of all macros at once by
-sub_cell_quadrature, with one broadcast product per reference coordinate
-(bitwise the einsum over the Jacobian, which runs numpy's own loops and was
-about 4x slower); only sub_cell_jacobians, whose callers need physical
-gradients, inverts the sub-cell Jacobians.
+sub_cell_quadrature: per sub-cell kind, one GEMM of the points in macro
+reference coordinates with the Jacobians of all macros side by side, then
+the offsets.  The 2x2 determinants are ad - bc and the inverses
+adjugate / det, in closed form over the whole stack (numpy's det and inv
+make one LAPACK call per 2x2 matrix); only sub_cell_jacobians, whose callers
+need physical gradients, inverts the sub-cell Jacobians.
 """
 
 from __future__ import annotations
@@ -60,12 +62,26 @@ EDGE_VERTS = ((1, 2), (2, 0), (0, 1))
 _EDGE_A, _EDGE_B = np.array(EDGE_VERTS).T
 
 
+def _det2(J: np.ndarray) -> np.ndarray:
+    """Determinants (...,) of a stack of 2x2 matrices (..., 2, 2): ad - bc."""
+    return J[..., 0, 0] * J[..., 1, 1] - J[..., 0, 1] * J[..., 1, 0]
+
+
+_ADJUGATE_SIGN = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _inv2(J: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Inverses of a stack of 2x2 matrices (..., 2, 2) with the determinants
+    `det`: the adjugate [[d, -b], [-c, a]] over det."""
+    return J[..., ::-1, ::-1].swapaxes(-1, -2) * (_ADJUGATE_SIGN / det[..., None, None])
+
+
 def _simplex_geometry(verts: np.ndarray):
     """Affine Jacobians (k, 2, 2), their determinants, outward unit normals
     (k, 3, 2) and diameters (k,) of all triangles of a (k, 3, 2) vertex
     array, in one pass."""
     J = np.stack((verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]), axis=-1)
-    det = np.linalg.det(J)
+    det = _det2(J)
     if np.any(np.abs(det) < 1e-14):
         raise DegenerateSimplexError("zero-volume simplex")
     t = verts[:, _EDGE_B] - verts[:, _EDGE_A]
@@ -153,14 +169,14 @@ def _kind_jacobians(jacobians: np.ndarray, m: int) -> Iterator[tuple]:
     per kind that has cells (m = 1 has no "down")."""
     for kind, (sel, _) in _kind_cells(m).items():
         jac = jacobians @ (_CLASS_JACOBIANS[kind] / m)
-        yield kind, sel, jac, np.abs(np.linalg.det(jac))
+        yield kind, sel, jac, _det2(jac)
 
 
 def sub_cell_jacobians(jacobians: np.ndarray, m: int) -> dict:
     """SubCellJacobians per kind that has cells (m = 1 has no "down") of
     the macros with the stacked affine Jacobians (n, 2, 2), split into m^2
     sub-cells each."""
-    return {kind: SubCellJacobians(sel, jac, np.linalg.inv(jac), det)
+    return {kind: SubCellJacobians(sel, jac, _inv2(jac, det), np.abs(det))
             for kind, sel, jac, det in _kind_jacobians(jacobians, m)}
 
 
@@ -170,16 +186,23 @@ def sub_cell_quadrature(jacobians: np.ndarray, offsets: np.ndarray, m: int,
     every sub-cell of each macro x = jacobians[i] @ xi + offsets[i], split
     into m^2 sub-cells; returns a SubCellQuadrature per kind that has cells
     (m = 1 has no "down")."""
+    n, npts = len(jacobians), len(points_ref)
+    # (2, 2n): column 2i + r is row r of macro i's Jacobian
+    maps = jacobians.transpose(2, 0, 1).reshape(2, 2 * n)
+    # a point (x, y) is viewed as one complex number, so that moving the
+    # macro axis to the front copies whole points, not pairs of floats
+    shift = np.ascontiguousarray(offsets, dtype=float).view(np.complex128)  # (n, 1)
     out = {}
     for kind, sel, jac, det in _kind_jacobians(jacobians, m):
         verts = _kind_cells(m)[kind][1]
-        # points in macro reference coordinates, then mapped by each macro
-        # with one broadcast product per reference coordinate
+        # points in macro reference coordinates, then mapped by every macro
+        # in one GEMM: (cells npts, 2) @ (2, 2n)
         ref = verts[:, None, 0] + points_ref @ (verts[0, 1:] - verts[0, 0])
-        points = (ref[..., None, 0] * jacobians[:, None, None, :, 0]
-                  + ref[..., None, 1] * jacobians[:, None, None, :, 1]
-                  + offsets[:, None, None])
-        out[kind] = SubCellQuadrature(sel, jac, det, points)
+        mapped = (ref.reshape(-1, 2) @ maps).view(np.complex128)  # (cells npts, n)
+        points = np.empty((n, len(mapped)), dtype=np.complex128)
+        np.add(mapped.T, shift, out=points)
+        points = points.view(float).reshape(n, len(sel), npts, 2)
+        out[kind] = SubCellQuadrature(sel, jac, np.abs(det), points)
     return out
 
 
@@ -291,7 +314,7 @@ class MacroMesh:
         for e, k, fid in zip(owner.tolist(), self.slot_table[owner, slot, 0].astype(int).tolist(),
                              self.slot_faces[owner, slot].tolist()):
             faces[e][k].append(fid)
-        det = np.linalg.det(self.jacobians).tolist()
+        det = _det2(self.jacobians).tolist()
         return [MacroElement(id=e, vertex_ids=tuple(ids), verts=self.verts[e], m=self.m,
                              amap=AffineMap(self.jacobians[e], self.verts[e, 0], det[e],
                                             self.normals[e]),

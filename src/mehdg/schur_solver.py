@@ -645,9 +645,13 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
     t0 = time.perf_counter()
     nd, zhat, m = sys.nd, sys.zhat, sys.mesh.m
     unknown = sys.face_start >= 0  # skeleton order is trace order
-    _, cv = np.unique(_face_vertex_ids(sys.mesh)[unknown], return_inverse=True)
-    cv = cv.reshape(-1, 2)
-    nf, nv = len(cv), int(cv.max()) + 1
+    # vertices of the unknown faces, numbered in the order of their ids
+    ids = _face_vertex_ids(sys.mesh)[unknown]
+    used = np.zeros(len(sys.mesh.vertices), dtype=bool)
+    used[ids] = True
+    rank = np.cumsum(used) - 1
+    cv = rank[ids]
+    nf, nv = len(cv), int(rank[-1]) + 1
     # coarse ids of each unknown face's breakpoints: its vertices, and its
     # own interior breakpoints numbered after all vertices
     cv = np.column_stack((cv[:, 0], nv + np.arange(nf * (m - 1)).reshape(nf, m - 1),

@@ -26,7 +26,7 @@ def loop_affine_map(verts: np.ndarray) -> AffineMap:
     """Affine map of one triangle, built vertex by vertex."""
     verts = np.asarray(verts, dtype=float)
     J = np.column_stack((verts[1] - verts[0], verts[2] - verts[0]))
-    det = float(np.linalg.det(J))
+    det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
     if abs(det) < 1e-14:
         raise DegenerateSimplexError("zero-volume simplex")
     normals = np.empty((3, 2))

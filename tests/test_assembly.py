@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import CLASS_MESHES, face_mass_oracle, poly_case
+from conftest import CLASS_MESHES, face_mass_oracle, neumann_right, poly_case
 
 from mehdg.assembly import (
     ProblemData,
@@ -21,6 +21,7 @@ from mehdg.fem_basis import (
     quadrature_rule,
 )
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
+from mehdg.schur_solver import SolverConfig, solve
 
 import reference_hdg
 from reference_assembly import loop_face_slots, reference_assemble_face, reference_assemble_macro
@@ -48,6 +49,28 @@ def test_problem_data_validation():
             make_problem(a=a)
     with pytest.raises(ValueError):
         StabilizationConfig(supg=True, supg_variant="bogus")
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["f", "g_D", "g_N"])
+def test_non_finite_problem_data_is_named(name, bad):
+    """A NaN or inf from f, g_D or g_N at one of its points stops solve()
+    with a ValueError that names the callable, in mb and mf, before the
+    trace solve sees it."""
+    mesh = build_structured_macro_mesh(2, 2, 2, boundary_tagger=neumann_right)
+    problem = poly_case(2).problem()
+    problem.g_N = lambda x: np.sin(3.0 * x[:, 1])
+    good = getattr(problem, name)
+
+    def poisoned(x):
+        values = np.array(good(x), dtype=float)
+        values[len(values) // 2] = bad
+        return values
+
+    setattr(problem, name, poisoned)
+    for mode in ("mb", "mf"):
+        with pytest.raises(ValueError, match=rf"^{name} returned non-finite values$"):
+            solve(mesh, problem, NO_STAB, SolverConfig(mode=mode), 2)
 
 
 def test_qq_block_is_vector_mass():

@@ -68,6 +68,20 @@ def face_diagonal(S, nd):
 
 
 @pytest.mark.parametrize("name", list(COARSE_MESHES))
+def test_coarse_ids_rank_the_vertex_ids(name):
+    """The coarse ids of the unknown faces' vertices are the ranks of their
+    vertex ids among those vertices (the numbering of np.unique), and the
+    faces' interior breakpoints follow, face by face along each face."""
+    mesh = COARSE_MESHES[name]()
+    sys = condensed(mesh)
+    face_coarse = coarse_space(sys).face_coarse
+    distinct, rank = np.unique(_face_vertex_ids(mesh)[sys.face_start >= 0], return_inverse=True)
+    assert np.array_equal(face_coarse[:, [0, -1]], rank.reshape(-1, 2))
+    inner = face_coarse[:, 1:-1]
+    assert np.array_equal(inner.ravel(), distinct.size + np.arange(inner.size))
+
+
+@pytest.mark.parametrize("name", list(COARSE_MESHES))
 def test_coarse_operator_is_galerkin_product(name):
     """S_c, built from the class blocks without S, equals Pc^T S Pc of the
     explicit S, and Q equals Pc^T times the face-diagonal blocks of S, to

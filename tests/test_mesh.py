@@ -8,6 +8,7 @@ from reference_mesh import loop_assemble_mesh, loop_refine, loop_structured_mesh
 from mehdg.adaptivity import error_indicator, mark
 from mehdg.assembly import StabilizationConfig
 from mehdg.bench import l2_error, make_benchmark
+from mehdg.fem_basis import quadrature_rule
 from mehdg.mesh import (
     _ROUND,
     DegenerateSimplexError,
@@ -110,34 +111,54 @@ def test_reference_to_physical():
         reference_to_physical(np.array([[0, 0], [1, 1], [2, 2]], dtype=float))
 
 
+# (macro vertices, reference points, error bound in units of cond(J) eps):
+# two well-shaped macros at hand-picked points, bounded by 1e-15 absolute;
+# and a thin, skewed macro (aspect ratio 2.7e3, cond(J) 4e3), where ad - bc
+# cancels, at the points of a quadrature rule
+GEOMETRY_CASES = {
+    "regular": (np.array([[[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]],
+                          [[0.9, 0.35], [1.0, 1.0], [0.3, 0.8]]]),
+                np.array([[0.2, 0.3], [0.6, 0.1], [1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0]]), None),
+    "thin": (np.array([[[0.1, 0.2], [0.9, 0.35], [0.65994, 0.305295]]]),
+             quadrature_rule(2, 5).points_ref, 4.0),
+}
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_sub_cell_geometry_matches_per_cell_oracle(m):
     """The batched class Jacobians, |det| and the mapped points, and the
     inverses of sub_cell_jacobians, reproduce each sub-cell of each macro
-    mapped vertex by vertex through that macro's map."""
-    verts = np.array([[[0.1, 0.2], [0.9, 0.35], [0.3, 0.8]],
-                      [[0.9, 0.35], [1.0, 1.0], [0.3, 0.8]]])
-    maps = [reference_to_physical(v) for v in verts]
-    xi = np.array([[0.2, 0.3], [0.6, 0.1], [1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0]])
-    jacobians = np.stack([a.matrix for a in maps])
-    quad = sub_cell_quadrature(jacobians, verts[:, 0], m, xi)
-    jinv = {kind: q.jinv for kind, q in sub_cell_jacobians(jacobians, m).items()}
+    mapped vertex by vertex through that macro's map.  On the thin macro
+    the errors in |det| (relative), in jinv @ jac - I and in the points
+    (relative to the vertices) stay below 4 cond(jac) eps."""
     cells = list(sub_cells(m))
-    assert sorted(quad) == (["up"] if m == 1 else ["down", "up"])
-    assert sorted(c for q in quad.values() for c in q.cells) == list(range(m**2))
-    for kind, q in quad.items():
-        assert q.points.shape == (2, len(q.cells), len(xi), 2)
-        for e, amap in enumerate(maps):
-            for c, cell in zip(q.cells, q.points[e]):
-                assert cells[c][0] == kind
-                ref = sub_cell_ref_verts(*cells[c], m)
-                sub = amap.to_physical(ref)
-                jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
-                assert np.abs(q.jac[e] - jac).max() <= 1e-15
-                assert abs(q.det[e] - abs(np.linalg.det(jac))) <= 1e-15
-                assert np.abs(jinv[kind][e] @ jac - np.eye(2)).max() <= 1e-15
-                pts = amap.to_physical(ref[0] + xi @ (ref[1:] - ref[0]))
-                assert np.abs(cell - pts).max() <= 1e-15
+    for case, (verts, xi, bound) in GEOMETRY_CASES.items():
+        maps = [reference_to_physical(v) for v in verts]
+        if case == "thin":
+            edges = np.linalg.norm(verts[0] - np.roll(verts[0], -1, axis=0), axis=1)
+            assert edges.max() ** 2 / (2.0 * abs(maps[0].det)) >= 1e3
+        jacobians = np.stack([a.matrix for a in maps])
+        quad = sub_cell_quadrature(jacobians, verts[:, 0], m, xi)
+        jinv = {kind: q.jinv for kind, q in sub_cell_jacobians(jacobians, m).items()}
+        assert sorted(quad) == (["up"] if m == 1 else ["down", "up"])
+        assert sorted(c for q in quad.values() for c in q.cells) == list(range(m**2))
+        for kind, q in quad.items():
+            assert q.points.shape == (len(verts), len(q.cells), len(xi), 2)
+            for e, amap in enumerate(maps):
+                tol_inv = tol_det = tol_pts = 1e-15
+                if bound is not None:
+                    tol_inv = bound * np.linalg.cond(q.jac[e]) * np.finfo(float).eps
+                    tol_det, tol_pts = tol_inv * q.det[e], tol_inv * np.abs(verts[e]).max()
+                for c, cell in zip(q.cells, q.points[e]):
+                    assert cells[c][0] == kind
+                    ref = sub_cell_ref_verts(*cells[c], m)
+                    sub = amap.to_physical(ref)
+                    jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
+                    assert np.abs(q.jac[e] - jac).max() <= 1e-15
+                    assert abs(q.det[e] - abs(np.linalg.det(jac))) <= tol_det
+                    assert np.abs(jinv[kind][e] @ jac - np.eye(2)).max() <= tol_inv
+                    pts = amap.to_physical(ref[0] + xi @ (ref[1:] - ref[0]))
+                    assert np.abs(cell - pts).max() <= tol_pts
 
 
 def test_macro_geometry_is_stored_and_read_only():

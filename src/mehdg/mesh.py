@@ -165,8 +165,8 @@ class SubCellQuadrature(NamedTuple):
 
 
 def _kind_jacobians(jacobians: np.ndarray, m: int) -> Iterator[tuple]:
-    """(kind, cells, class Jacobians composed with each macro map, |det|)
-    per kind that has cells (m = 1 has no "down")."""
+    """(kind, cells, class Jacobians composed with each macro map, their
+    signed determinants) per kind that has cells (m = 1 has no "down")."""
     for kind, (sel, _) in _kind_cells(m).items():
         jac = jacobians @ (_CLASS_JACOBIANS[kind] / m)
         yield kind, sel, jac, _det2(jac)

@@ -243,15 +243,14 @@ def _face_points(verts: np.ndarray, s: np.ndarray) -> np.ndarray:
     return v0 + s[:, None] * (verts[..., None, 1, :] - v0)
 
 
-def project_dirichlet(verts: np.ndarray, g: Callable, m: int, p: int,
-                      name: str = "g") -> np.ndarray:
-    """(..., m p + 1) L2-projections of boundary data onto the face trace
+def project_dirichlet(verts: np.ndarray, g: Callable, m: int, p: int) -> np.ndarray:
+    """(..., m p + 1) L2-projections of Dirichlet data g onto the face trace
     space of a mesh of the given m, on the faces with the vertices
     (..., 2, 2): one call of g over the points of all of them.  A NaN or
-    infinite value of g raises a ValueError that calls it `name`."""
+    infinite value of g raises a ValueError that names g_D."""
     npts = _boundary_npts(p)
     x = _face_points(np.asarray(verts, dtype=float), trace_quadrature(m, p, npts)[0])
-    gx = _finite(g(x.reshape(-1, 2)), name).reshape(x.shape[:-1])
+    gx = _finite(g(x.reshape(-1, 2)), "g_D").reshape(x.shape[:-1])
     return gx @ trace_projection(m, p, npts).T
 
 
@@ -325,26 +324,27 @@ def _slot_face_matrices(m: int, p: int, t0: float, t1: float):
 
 
 def _volume_load(mesh: MacroMesh, ids: np.ndarray, label: np.ndarray, p: int,
-                 problem: ProblemData, tables: dict, quad_degree: int) -> np.ndarray:
+                 problem: ProblemData, supg: bool, tables: dict,
+                 quad_degree: int) -> np.ndarray:
     """(len(ids), nloc) volume part of R_u of the macros `ids`, the macro
     ids[i] with the sub-cell tables of row label[i]: one batched quadrature,
     with one call of f per sub-cell kind over the cells of all the macros.
-    The cell loads are f w tested by one GEMM with the basis (by a batched
-    product with the per-macro test functions under SUPG), and go into R_u
-    by one bincount, offset per macro."""
+    The cell loads are f w tested by one GEMM with the basis values, or
+    under SUPG by a batched product with the per-macro test functions, and
+    go into R_u by one bincount, offset per macro."""
     dofmap = _patch_dof_map(mesh.m, p)
     nloc = 3 * dofmap.n_dofs
-    rule = reference_tables(p, quad_degree)[0]
+    rule, val = reference_tables(p, quad_degree)[:2]
     quad = sub_cell_quadrature(mesh.jacobians[ids], mesh.verts[ids, 0], mesh.m, rule.points_ref)
     pos, loads = [], []
     for kind, q in quad.items():
         tb = tables[kind]
         fw = (_finite(problem.f(q.points.reshape(-1, 2)), "f").reshape(q.points.shape[:3])
               * tb["wd"][label, None])
-        if "S" in tb:
+        if supg:
             loads.append(fw @ tb["test"][label])
         else:
-            loads.append(fw.reshape(-1, fw.shape[-1]) @ tb["test"][0])
+            loads.append(fw.reshape(-1, fw.shape[-1]) @ val)
         pos.append(np.arange(ids.size)[:, None, None] * nloc + 2 * dofmap.n_dofs
                    + dofmap.cell_maps[q.cells])
     pos = np.concatenate([x.ravel() for x in pos])
@@ -386,7 +386,7 @@ def assemble_classes(
     # are the largest temporary
     ids = np.concatenate(classes)
     label = np.repeat(np.arange(n), [len(c) for c in classes])
-    R = _volume_load(mesh, ids, label, p, problem, tables, quad_degree)
+    R = _volume_load(mesh, ids, label, p, problem, stab.supg, tables, quad_degree)
 
     # (class, slot) pairs, class by class and slot by slot; a slot's
     # [q_x | q_y | u] rows on its macro edge are en3
@@ -451,7 +451,7 @@ def assemble_classes(
     face_ids = mesh.slot_faces[ids]
     row, dslot = np.nonzero((face_ids >= 0) & (mesh.face_tag[face_ids] == "D"))
     if row.size:
-        G = project_dirichlet(mesh.face_verts[face_ids[row, dslot]], problem.g_D, m, p, "g_D")
+        G = project_dirichlet(mesh.face_verts[face_ids[row, dslot]], problem.g_D, m, p)
         pair = pair_of[label[row], dslot]
         np.subtract.at(R, (row[:, None], en3[pair]), (face_B[pair] @ G[:, :, None])[..., 0])
     R_u = np.split(R, np.cumsum([len(c) for c in classes])[:-1])

@@ -23,7 +23,10 @@ def _key(pt) -> tuple:
 
 
 def loop_affine_map(verts: np.ndarray) -> AffineMap:
-    """Affine map of one triangle, built vertex by vertex."""
+    """Affine map of one triangle, built vertex by vertex.  det is the
+    scalar ad - bc on purpose, as in mehdg.mesh: it is exact on the dyadic
+    coordinates of the test meshes, where np.linalg.det's LU can differ by
+    one ulp from it."""
     verts = np.asarray(verts, dtype=float)
     J = np.column_stack((verts[1] - verts[0], verts[2] - verts[0]))
     det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])

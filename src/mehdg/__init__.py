@@ -7,7 +7,6 @@ from .assembly import (
     ProblemData,
     StabilizationConfig,
     assemble_classes,
-    assemble_macro,
     project_dirichlet,
     stabilization_tau,
     supg_parameter,
@@ -33,19 +32,15 @@ from .fem_basis import (
     PatchDofMap,
     QuadratureRule,
     TraceBasis,
-    build_patch_dof_map,
-    face_trace_map,
     patch_dof_count,
+    patch_dof_map,
     quadrature_rule,
 )
 from .mesh import (
-    MacroElement,
     MacroMesh,
-    SkeletonFace,
     build_structured_macro_mesh,
     export_text,
     refine_macros,
-    reference_to_physical,
 )
 from .schur_solver import (
     CondensedSystem,

@@ -7,7 +7,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .fem_basis import _patch_dof_map, reference_tables
+from .fem_basis import patch_dof_map, reference_tables
 from .mesh import MacroMesh, refine_macros, sub_cell_jacobians
 from .schur_solver import SolverConfig, solve
 
@@ -28,7 +28,7 @@ def error_indicator(mesh: MacroMesh, p: int, solution) -> IndicatorField:
     macro's 2x2 metric J^-1 J^-T, give |grad u_h|^2 integrated."""
     rule, _, gref, _ = reference_tables(p, max(2 * p - 2, 1))
     nq, nb = gref.shape[:2]
-    cell_maps = _patch_dof_map(mesh.m, p).cell_maps
+    cell_maps = patch_dof_map(mesh.m, p).cell_maps
     n = len(mesh.verts)
     # (nb, 2 nq): d/dxi of the basis at every point, then d/deta
     gflat = gref.transpose(1, 2, 0).reshape(nb, 2 * nq)

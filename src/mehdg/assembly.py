@@ -42,8 +42,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .fem_basis import (
-    _patch_dof_map,
     _readonly,
+    patch_dof_map,
     piecewise_quad,
     reference_tables,
     trace_basis,
@@ -273,7 +273,7 @@ class _Scatter(NamedTuple):
 @lru_cache(maxsize=None)
 def _a_scatter(m: int, p: int) -> _Scatter:
     """The _Scatter of (m, p).  Read-only."""
-    dofmap = _patch_dof_map(m, p)
+    dofmap = patch_dof_map(m, p)
     Q = dofmap.n_dofs
     nloc = 3 * Q
     rows = np.concatenate([dofmap.cell_maps + c * Q for c in range(3)], axis=1)
@@ -310,7 +310,7 @@ def _element_matrices(tb: dict, a: np.ndarray, kappa: float) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _slot_face_matrices(m: int, p: int, t0: float, t1: float):
     """(W, Me) of a face slot on a face of unit length, with t0 and t1
-    rounded as in MacroMesh.slot_keys.  At the Gauss points of the face
+    rounded to _ROUND digits.  At the Gauss points of the face
     parameter s, subordinate to both subdivisions, W = Theta^T diag(w) Psi
     couples the macro-edge traces Theta to the face trace basis Psi and
     Me = Theta^T diag(w) Theta; a face F contributes |F| times each.  Both
@@ -332,7 +332,7 @@ def _volume_load(mesh: MacroMesh, ids: np.ndarray, label: np.ndarray, p: int,
     The cell loads are f w tested by one GEMM with the basis values, or
     under SUPG by a batched product with the per-macro test functions, and
     go into R_u by one bincount, offset per macro."""
-    dofmap = _patch_dof_map(mesh.m, p)
+    dofmap = patch_dof_map(mesh.m, p)
     nloc = 3 * dofmap.n_dofs
     rule, val = reference_tables(p, quad_degree)[:2]
     quad = sub_cell_quadrature(mesh.jacobians[ids], mesh.verts[ids, 0], mesh.m, rule.points_ref)
@@ -375,7 +375,7 @@ def assemble_classes(
     one call of f per sub-cell kind, minus the Dirichlet lifting: one call of
     g_D over the Dirichlet slots of all macros, projected, times B."""
     m = mesh.m
-    nloc, nd = 3 * _patch_dof_map(m, p).n_dofs, m * p + 1
+    nloc, nd = 3 * patch_dof_map(m, p).n_dofs, m * p + 1
     a, kappa = problem.a, problem.kappa
     quad_degree = _quad_degree(p, stab, quad_degree)
     reps = np.array([ids[0] for ids in classes], dtype=np.intp)
@@ -460,19 +460,6 @@ def assemble_classes(
                            C=C[start[i]:start[i + 1]].reshape(-1, nloc),
                            macro_ids=np.asarray(classes[i]), R_u=R_u[i])
             for i in range(n)]
-
-
-def assemble_macro(
-    mesh: MacroMesh,
-    macro: int,
-    p: int,
-    problem: ProblemData,
-    stab: StabilizationConfig,
-    quad_degree: Optional[int] = None,
-) -> LocalOperators:
-    """A, B, C and R_u of the macro-element with id `macro`: assemble_classes
-    on the one class {macro}."""
-    return assemble_classes(mesh, [np.array([macro])], p, problem, stab, quad_degree)[0]
 
 
 def face_operators(mesh: MacroMesh, p: int, problem: ProblemData) -> FaceBlocks:

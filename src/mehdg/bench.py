@@ -13,7 +13,7 @@ import numpy as np
 from .adaptivity import adapt
 from .assembly import ProblemData, StabilizationConfig, _velocity
 from .costmodel import CostInputs, dependent_quantities, memory_estimate, operation_counts
-from .fem_basis import _patch_dof_map, reference_tables
+from .fem_basis import patch_dof_map, reference_tables
 from .mesh import MacroMesh, build_structured_macro_mesh, sub_cell_quadrature
 from .schur_solver import SolverConfig, solve
 
@@ -161,7 +161,7 @@ def l2_error(mesh: MacroMesh, p: int, solution, u_exact: Callable) -> float:
     the points of all (macro, cell) rows is one GEMM, and the weighted sum
     two dot products: with the |det| of the macros, then with the weights."""
     rule, val, _, _ = reference_tables(p, 2 * p + 2)
-    cell_maps = _patch_dof_map(mesh.m, p).cell_maps
+    cell_maps = patch_dof_map(mesh.m, p).cell_maps
     n = len(mesh.verts)
     acc = 0.0
     quad = sub_cell_quadrature(mesh.jacobians, mesh.verts[:, 0], mesh.m, rule.points_ref)
@@ -190,7 +190,6 @@ def run_convergence(
     n_list: Sequence[int],
     config: Optional[SolverConfig] = None,
     stab: Optional[StabilizationConfig] = None,
-    out: Optional[str] = None,
 ) -> list:
     """One solve per (p, n); observed rate compares successive rows."""
     if not p_list or not n_list:
@@ -220,8 +219,6 @@ def run_convergence(
                 }
             )
             prev = (n, err)
-    if out is not None:
-        write_csv(rows, CONV_COLUMNS, out)
     return rows
 
 
@@ -233,7 +230,6 @@ def run_compare(
     tolerances: Sequence[float] = (1e-2, 1e-6),
     config: Optional[SolverConfig] = None,
     stab: Optional[StabilizationConfig] = None,
-    out: Optional[str] = None,
 ) -> list:
     """Matrix-based vs matrix-free iteration counts at each tolerance."""
     if not tolerances:
@@ -260,12 +256,6 @@ def run_compare(
             raise RuntimeError(
                 f"iteration parity violated at tol {tol}: {iters}"
             )
-    if out is not None:
-        write_csv(
-            rows,
-            ["p", "m", "n", "tol", "mode", "iterations", "converged", "t_solve_s"],
-            out,
-        )
     return rows
 
 
@@ -281,7 +271,6 @@ def run_adapt(
     theta: float = 0.5,
     config: Optional[SolverConfig] = None,
     stab: Optional[StabilizationConfig] = None,
-    out: Optional[str] = None,
 ) -> list:
     config = config or SolverConfig()
     stab = stab or StabilizationConfig()
@@ -290,8 +279,6 @@ def run_adapt(
         mesh, case.problem(), stab, config, p, levels, theta,
         error_fn=lambda msh, sol: l2_error(msh, p, sol, case.u_exact),
     )
-    if out is not None:
-        write_csv(state.history, ADAPT_COLUMNS, out)
     return state.history
 
 
@@ -301,17 +288,13 @@ COST_COLUMNS = [
 ]
 
 
-def run_cost(
-    d: int, nm: int, p: int, arithmetic: str = "dense",
-    m_list: Optional[Sequence[int]] = None, out: Optional[str] = None,
-) -> list:
-    """Cost-model sweep over macro sizes m at fixed n*m = nm."""
+def run_cost(d: int, nm: int, p: int, arithmetic: str = "dense") -> list:
+    """Cost-model sweep over the macro sizes m in 1, 2, 4, 8, 16 that
+    divide nm, at fixed n*m = nm."""
     if nm < 1:
         raise ValueError("nm must be at least 1")
-    if m_list is None:
-        m_list = [m for m in (1, 2, 4, 8, 16) if m <= nm and nm % m == 0]
     rows = []
-    for m in m_list:
+    for m in (m for m in (1, 2, 4, 8, 16) if nm % m == 0):
         n = nm // m
         inputs = CostInputs(d=d, n=n, m=m, p=p, arithmetic=arithmetic)
         rep = dependent_quantities(inputs)
@@ -328,8 +311,6 @@ def run_cost(
                 "mem_total": mem["total"],
             }
         )
-    if out is not None:
-        write_csv(rows, COST_COLUMNS, out)
     return rows
 
 
@@ -343,18 +324,13 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(rows: list, columns: Sequence[str], out) -> None:
-    """All floats printed with 17 significant digits for bit-stable output."""
-    own = isinstance(out, (str, bytes))
-    fh = open(out, "w", newline="") if own else out
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_fmt(row.get(c)) for c in columns])
-    finally:
-        if own:
-            fh.close()
+def write_csv(rows: list, columns: Sequence[str], fh) -> None:
+    """Write to the text stream fh; all floats printed with 17 significant
+    digits for bit-stable output."""
+    writer = csv.writer(fh)
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([_fmt(row.get(c)) for c in columns])
 
 
 def rows_to_csv(rows: list, columns: Sequence[str]) -> str:

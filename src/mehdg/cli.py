@@ -19,7 +19,6 @@ from .bench import (
     run_convergence,
     run_cost,
     rows_to_csv,
-    write_csv,
 )
 from .mesh import build_structured_macro_mesh, export_text, export_vtk
 from .schur_solver import (

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
-from typing import Optional
 
 import numpy as np
 
-from .mesh import MacroElement, MacroMesh, SkeletonFace, sub_cells
+from .mesh import sub_cells
 
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
@@ -135,7 +134,9 @@ class PatchDofMap:
 
 
 @lru_cache(maxsize=None)
-def _patch_dof_map(m: int, p: int) -> PatchDofMap:
+def patch_dof_map(m: int, p: int) -> PatchDofMap:
+    """The shared PatchDofMap of (m, p); its enumeration of the sub-cells is
+    mesh.sub_cells(m)."""
     L = m * p
     lattice = simplex_lattice(2, L)
     index = {ab: i for i, ab in enumerate(lattice)}
@@ -158,10 +159,6 @@ def _patch_dof_map(m: int, p: int) -> PatchDofMap:
         m=m, p=p, n_dofs=len(lattice), cell_maps=_readonly(cell_maps),
         node_lattice=_readonly(np.array(lattice)), edge_nodes=_readonly(edge_nodes),
     )
-
-
-def build_patch_dof_map(macro: MacroElement, p: int) -> PatchDofMap:
-    return _patch_dof_map(macro.m, p)
 
 
 @dataclass(frozen=True)
@@ -316,25 +313,3 @@ def trace_projection(m: int, p: int, npts: int) -> np.ndarray:
     trace_mass^-1 V^T diag(w)."""
     _, w, V = trace_quadrature(m, p, npts)
     return _readonly(np.linalg.solve(trace_mass(m, p), V.T * w))
-
-
-class OrientationError(ValueError):
-    pass
-
-
-def face_trace_map(face: SkeletonFace, p: int, mesh: MacroMesh) -> TraceBasis:
-    """Trace dof layout on a skeleton face of the mesh (m*p+1 dofs in 2D).
-
-    Both sides' edge parametrizations are checked to recover the same
-    physical endpoints."""
-    for side in face.sides():
-        macro = mesh.macro_elements[side.macro]
-        pa, pb = macro.edge_endpoints(side.edge)
-        for t, target in ((side.t0, face.verts[0]), (side.t1, face.verts[1])):
-            pt = pa + t * (pb - pa)
-            if np.linalg.norm(pt - target) > 1e-10:
-                raise OrientationError(
-                    f"face {face.id}: side of macro {side.macro} disagrees "
-                    "on face geometry"
-                )
-    return trace_basis(mesh.m, p)

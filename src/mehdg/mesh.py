@@ -14,8 +14,7 @@ its stacked (k, 3, 2) macro vertices: the affine maps of all macros in one
 pass, vertex ids from the coordinates snapped to _ROUND digits, and the 3k
 macro edges matched as sorted pairs of vertex ids.  Only interior edges that
 no other edge matches (the halves of a hanging coarse edge) go through a
-loop.  The solver reads only the arrays; MacroElement and SkeletonFace
-objects are views of them, built on first access for other callers.
+loop.  The solver, the CLI and adaptivity read the arrays directly.
 Quadrature points are mapped into the sub-cells of all macros at once by
 sub_cell_quadrature: per sub-cell kind, one GEMM of the points in macro
 reference coordinates with the Jacobians of all macros side by side, then
@@ -27,7 +26,7 @@ need physical gradients, inverts the sub-cell Jacobians.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -42,19 +41,6 @@ class DegenerateSimplexError(ValueError):
 
 class SkeletonError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AffineMap:
-    """x = matrix @ xi + offset mapping the reference simplex to a physical one."""
-
-    matrix: np.ndarray
-    offset: np.ndarray
-    det: float
-    normals: np.ndarray  # (d+1, d) outward unit normals, face k opposite vertex k
-
-    def to_physical(self, ref_pts: np.ndarray) -> np.ndarray:
-        return ref_pts @ self.matrix.T + self.offset
 
 
 # local edge k is opposite vertex k; direction fixed as below
@@ -91,15 +77,6 @@ def _simplex_geometry(verts: np.ndarray):
     normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
     diameter = np.linalg.norm(verts - np.roll(verts, -1, axis=1), axis=-1).max(axis=1)
     return J, det, normals, diameter
-
-
-def reference_to_physical(verts: np.ndarray) -> AffineMap:
-    """Affine map for a triangle given its (3,2) vertex array."""
-    verts = np.array(verts, dtype=float)
-    J, det, normals, _ = _simplex_geometry(verts[None])
-    for arr in (verts, J, normals):
-        arr.flags.writeable = False
-    return AffineMap(J[0], verts[0], float(det[0]), normals[0])
 
 
 def sub_cells(m: int) -> Iterator[tuple[str, int, int]]:
@@ -206,74 +183,23 @@ def sub_cell_quadrature(jacobians: np.ndarray, offsets: np.ndarray, m: int,
     return out
 
 
-@dataclass
-class MacroElement:
+# the records of MacroMesh.macro_elements and .skeleton
+class MacroElement(NamedTuple):
     id: int
-    vertex_ids: tuple
-    verts: np.ndarray  # (3, 2), read-only
-    m: int
-    amap: AffineMap = field(repr=False)
-    diameter: float
-    level: int = 0
-    # face ids per local edge, sorted along the edge (2 entries when the
-    # neighbor is one level finer)
-    faces: list = field(default_factory=lambda: [[], [], []])
-
-    @property
-    def volume(self) -> float:
-        return abs(self.amap.det) / 2.0
-
-    def affine_map(self) -> AffineMap:
-        return self.amap
-
-    def sub_elements(self) -> list[np.ndarray]:
-        """Physical vertex arrays of the m^2 sub-triangles (enumeration order
-        matches fem_basis.build_patch_dof_map)."""
-        return [
-            self.amap.to_physical(sub_cell_ref_verts(kind, i, j, self.m))
-            for kind, i, j in sub_cells(self.m)
-        ]
-
-    def edge_endpoints(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        a, b = EDGE_VERTS[k]
-        return self.verts[a], self.verts[b]
+    level: int
 
 
-@dataclass
-class FaceSide:
-    macro: int
-    edge: int  # local edge index of that macro
-    t0: float  # face parameter s=0 maps to edge parameter t0
-    t1: float  # face parameter s=1 maps to edge parameter t1
-
-
-@dataclass
-class SkeletonFace:
+class SkeletonFace(NamedTuple):
     id: int
-    verts: np.ndarray  # (2, 2), canonical (lexicographically sorted) order
-    left: FaceSide
-    right: Optional[FaceSide]  # None on domain boundary
     tag: str  # 'interior', 'D' or 'N'
-    normal: np.ndarray  # outward unit normal of the left macro
-    hanging: bool = False
-    parent_edge: Optional[tuple] = None  # (macro id, local edge) of the coarse side
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.verts[1] - self.verts[0]))
-
-    def sides(self) -> list[FaceSide]:
-        return [self.left] if self.right is None else [self.left, self.right]
+    hanging: bool
 
 
 @dataclass
 class MacroMesh:
     """A macro mesh as one table of arrays, all read-only.  Edge record
-    3e + k is local edge k of macro e.  `macro_elements` and `skeleton` are
-    object views of the arrays, built on first access; the solver reads
-    only the arrays."""
+    3e + k is local edge k of macro e."""
 
-    d: int
     n: int
     m: int  # red-pattern subdivision of every macro
     vertices: np.ndarray  # (vertices, 2) in order of first appearance
@@ -306,42 +232,17 @@ class MacroMesh:
             if isinstance(val, np.ndarray):
                 val.flags.writeable = False
 
+    # Records of the macro and face counts that perfbench/worker.py reads in
+    # its traced runs; they go once the worker reads len(verts) and
+    # face_parent instead (ROADMAP, item 2).
     @cached_property
     def macro_elements(self) -> list:
-        """One MacroElement per macro, built from the arrays."""
-        faces = [[[], [], []] for _ in range(len(self.verts))]
-        owner, slot = np.nonzero(self.slot_faces >= 0)
-        for e, k, fid in zip(owner.tolist(), self.slot_table[owner, slot, 0].astype(int).tolist(),
-                             self.slot_faces[owner, slot].tolist()):
-            faces[e][k].append(fid)
-        det = _det2(self.jacobians).tolist()
-        return [MacroElement(id=e, vertex_ids=tuple(ids), verts=self.verts[e], m=self.m,
-                             amap=AffineMap(self.jacobians[e], self.verts[e, 0], det[e],
-                                            self.normals[e]),
-                             diameter=diam, level=level, faces=faces[e])
-                for e, (ids, diam, level) in enumerate(zip(
-                    self.vertex_ids.tolist(), self.diameter.tolist(), self.levels.tolist()))]
+        return [MacroElement(e, level) for e, level in enumerate(self.levels.tolist())]
 
     @cached_property
     def skeleton(self) -> list:
-        """One SkeletonFace per face, built from the arrays."""
-        normal = self.normals.reshape(-1, 2)[self.face_left]
-        return [
-            SkeletonFace(
-                id=fid, verts=self.face_verts[fid], left=FaceSide(lr // 3, lr % 3, *tl),
-                right=FaceSide(rr // 3, rr % 3, *tr) if rr >= 0 else None,
-                tag=tag, normal=normal[fid], hanging=pr >= 0,
-                parent_edge=(pr // 3, pr % 3) if pr >= 0 else None)
-            for fid, (lr, rr, pr, (tl, tr), tag) in enumerate(zip(
-                self.face_left.tolist(), self.face_right.tolist(), self.face_parent.tolist(),
-                self.face_t.tolist(), self.face_tag.tolist()))
-        ]
-
-    def slot_keys(self, macro_id: int) -> list:
-        """(edge, t0, t1) of each of the macro's face slots, edge by edge and
-        along each edge, with t0 and t1 rounded to _ROUND digits."""
-        return [(int(k), round(t0, _ROUND), round(t1, _ROUND))
-                for k, t0, t1 in self.slot_table[macro_id].tolist() if k >= 0]
+        return [SkeletonFace(f, tag, parent >= 0) for f, (tag, parent) in enumerate(
+            zip(self.face_tag.tolist(), self.face_parent.tolist()))]
 
     def congruence_classes(self) -> list:
         """Macro ids grouped by geometric class: the affine Jacobian and the
@@ -359,12 +260,6 @@ class MacroMesh:
         label = rank[label.ravel()]
         members = np.argsort(label, kind="stable")
         return np.split(members, np.cumsum(np.bincount(label))[:-1])
-
-    def interior_faces(self) -> list[SkeletonFace]:
-        return [f for f in self.skeleton if f.tag == "interior"]
-
-    def boundary_faces(self) -> list[SkeletonFace]:
-        return [f for f in self.skeleton if f.tag != "interior"]
 
 
 def _dedup_vertices(verts: np.ndarray):
@@ -502,7 +397,7 @@ def _assemble_mesh(macros_raw, m: int, levels, n, tagger) -> MacroMesh:
     slot_faces = np.full((k, n_slots.max()), -1, dtype=np.intp)
     slot_faces[owner, slot] = side_face
     return MacroMesh(
-        2, n, m, vertices, verts=verts, vertex_ids=vid, levels=level, jacobians=jacobians,
+        n, m, vertices, verts=verts, vertex_ids=vid, levels=level, jacobians=jacobians,
         normals=normals, diameter=diameter, slot_table=slot_table, slot_faces=slot_faces,
         face_verts=face_verts, face_left=left, face_right=right, face_t=face_t,
         face_tag=np.array(tags), face_parent=parent, boundary_tagger=tagger)
@@ -536,8 +431,6 @@ _CHILDREN = np.array([[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]])
 
 def refine_macros(mesh: MacroMesh, marked) -> MacroMesh:
     """Replace each marked macro by 4 children (edge midpoints) with 2:1 closure."""
-    if mesh.d != 2:
-        raise ValueError("refinement supports d=2 only")
     k = len(mesh.verts)
     marked = list(marked)
     for mid in marked:

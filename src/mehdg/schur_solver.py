@@ -422,8 +422,11 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
     it = 0
     converged = stagnated = breakdown = False
     beta_start = np.inf
-    V = np.zeros((config.restart + 1, n))
-    H = np.zeros((config.restart + 1, config.restart))
+    # the Krylov space has at most n dimensions, so a cycle needs no more
+    # than n steps, whatever the restart length
+    restart = min(config.restart, n)
+    V = np.zeros((restart + 1, n))
+    H = np.zeros((restart + 1, restart))
     while True:
         r = rhs - apply_op(x)
         beta = float(np.linalg.norm(r))
@@ -439,13 +442,12 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
             x = x_start
             break
         beta_start, x_start = beta, x
-        H.fill(0.0)
         # the Givens rotations run on Python floats: a column of H is a list
         # until it is rotated, then written into H once
         cs, sn, g = [], [], [beta]
         V[0] = r / beta
         k_used = 0
-        for k in range(config.restart):
+        for k in range(restart):
             # copy: the operator may return its input
             wv = np.array(apply_op(V[k]), dtype=float)
             # classical Gram-Schmidt run twice: orthogonal to working precision
@@ -744,9 +746,6 @@ class Solution:
     def u(self) -> np.ndarray:
         """(n_macros, Q) u coefficients of every macro."""
         return self.local[:, 2 * (self.local.shape[1] // 3):]
-
-    def u_coeffs(self, e: int) -> np.ndarray:
-        return self.u[e]
 
 
 def assemble_system(

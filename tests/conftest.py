@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from mehdg.assembly import ProblemData, StabilizationConfig
+from mehdg.assembly import StabilizationConfig, assemble_classes
 from mehdg.bench import make_benchmark
-from mehdg.fem_basis import trace_hats
+from mehdg.fem_basis import patch_dof_map, trace_hats
 from mehdg.mesh import _assemble_mesh, build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import SolverConfig, solve
 
@@ -36,7 +36,7 @@ def skewed_verts(n):
         return v + inside * 0.15 / n * np.array([np.sin(7.0 * v[1]), np.cos(5.0 * v[0])])
 
     base = build_structured_macro_mesh(2, n, 1)
-    return [np.array([move(v) for v in e.verts]) for e in base.macro_elements]
+    return [np.array([move(v) for v in verts]) for verts in base.verts]
 
 
 def skewed_mesh(n, m):
@@ -86,9 +86,26 @@ CLASS_MESHES = {
 }
 
 
-def face_mass_oracle(face, m, p, npts=20):
-    """Trace mass matrix of a skeleton face of a mesh of the given m by dense
-    Gauss quadrature."""
+def assemble_one(mesh, e, p, problem, stab, quad_degree=None):
+    """LocalOperators of macro e alone: assemble_classes on the one class
+    {e}."""
+    return assemble_classes(mesh, [np.array([e])], p, problem, stab, quad_degree)[0]
+
+
+def macro_nodes(mesh, p):
+    """(macros, Q, 2) physical coordinates of the patch dof nodes of every
+    macro: each macro's affine map applied to the reference nodes."""
+    ref = patch_dof_map(mesh.m, p).node_ref_coords
+    return ref @ mesh.jacobians.swapaxes(-1, -2) + mesh.verts[:, :1]
+
+
+def face_length(mesh, f):
+    return float(np.linalg.norm(mesh.face_verts[f, 1] - mesh.face_verts[f, 0]))
+
+
+def face_mass_oracle(length, m, p, npts=20):
+    """Trace mass matrix of a skeleton face of the given length, of a mesh
+    of the given m, by dense Gauss quadrature."""
     from mehdg.fem_basis import TraceBasis
 
     psi = TraceBasis(m, p)
@@ -97,7 +114,7 @@ def face_mass_oracle(face, m, p, npts=20):
     M = np.zeros((psi.n_dofs, psi.n_dofs))
     for lo, hi in zip(pieces[:-1], pieces[1:]):
         s = lo + (hi - lo) * 0.5 * (x + 1.0)
-        ww = (hi - lo) * 0.5 * w * face.length
+        ww = (hi - lo) * 0.5 * w * length
         V = psi.eval(s)
         M += V.T @ (ww[:, None] * V)
     return M

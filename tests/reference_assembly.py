@@ -1,8 +1,9 @@
 """Loop form of the local and face assembly, the reference for
-assembly.assemble_macro and assembly.face_operators.
+assembly.assemble_classes and assembly.face_operators.
 
 Per sub-cell and per face slot, every block is added into A, B and C with its
-own np.ix_ scatter; the face slots are read from macro.faces; the face
+own np.ix_ scatter; the face slots come from a loop over the sides of every
+face (reference_mesh.loop_macro_faces), not from the mesh's slot table; the face
 matrices are formed from the trace bases at each call, from the face's own
 (unrounded) edge parameters; the load is a quadrature over the one macro, and
 the Dirichlet data is projected face by face with a solve on the trace mass.
@@ -12,6 +13,7 @@ dof map and the trace bases.
 """
 
 import numpy as np
+from reference_mesh import face_sides, loop_macro_faces
 
 from mehdg.assembly import (
     _face_breaks,
@@ -20,7 +22,7 @@ from mehdg.assembly import (
     stabilization_tau,
 )
 from mehdg.fem_basis import (
-    build_patch_dof_map,
+    patch_dof_map,
     piecewise_quad,
     reference_tables,
     trace_basis,
@@ -30,70 +32,64 @@ from mehdg.fem_basis import (
 from mehdg.mesh import sub_cell_quadrature, sub_cells
 
 
-def _side_of(face, macro_id):
-    for side in face.sides():
-        if side.macro == macro_id:
-            return side
-    raise KeyError(macro_id)
-
-
-def loop_face_slots(mesh, macro, p):
-    """[(face id, slice of B columns / C rows)] over the macro's faces, edge
-    by edge and along each edge, m p + 1 columns each."""
-    slots, pos = [], 0
+def loop_face_slots(mesh, e, p):
+    """[(face id, slice of B columns / C rows)] over the faces of macro e,
+    edge by edge and along each edge, m p + 1 columns each."""
     nd = mesh.m * p + 1
-    for k in range(3):
-        for fid in macro.faces[k]:
-            slots.append((fid, slice(pos, pos + nd)))
-            pos += nd
-    return slots
+    return [(fid, slice(i * nd, (i + 1) * nd))
+            for i, (fid, _) in enumerate(loop_macro_faces(mesh, e))]
 
 
-def _boundary_values(face, g, m, p):
-    """(s, w, V, g at the face points) at the boundary-data quadrature."""
+def _boundary_values(verts, g, m, p):
+    """(s, w, V, g at the face points) at the boundary-data quadrature of
+    the face with vertices verts."""
     s, w, V = trace_quadrature(m, p, max(p + 2, 6))
-    x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
+    x = verts[0][None, :] + s[:, None] * (verts[1] - verts[0])[None, :]
     return s, w, V, np.asarray(g(x), dtype=float)
 
 
-def _project_dirichlet(face, g, m, p):
-    _, w, V, gx = _boundary_values(face, g, m, p)
+def _project_dirichlet(verts, g, m, p):
+    _, w, V, gx = _boundary_values(verts, g, m, p)
     return np.linalg.solve(trace_mass(m, p), V.T @ (w * gx))
 
 
-def reference_assemble_face(mesh, face, p, problem):
+def _length(verts) -> float:
+    return float(np.linalg.norm(verts[1] - verts[0]))
+
+
+def reference_assemble_face(mesh, fid, p, problem):
     """(D, R_hat) of one unknown face: D from the sum over its sides of
     (a.n - tau) times the face mass, R_hat the g_N load on a Neumann face."""
     coef = 0.0
-    for side in face.sides():
-        macro = mesh.macro_elements[side.macro]
-        nrm = macro.affine_map().normals[side.edge]
-        tau = stabilization_tau(problem.a, nrm, problem.kappa, macro.diameter)
+    for side in face_sides(mesh, fid):
+        nrm = mesh.normals[side.macro, side.edge]
+        tau = stabilization_tau(problem.a, nrm, problem.kappa, mesh.diameter[side.macro])
         coef += float(np.dot(problem.a, nrm)) - tau
-    D = coef * face.length * trace_mass(mesh.m, p)
+    verts = mesh.face_verts[fid]
+    D = coef * _length(verts) * trace_mass(mesh.m, p)
     R_hat = np.zeros(D.shape[0])
-    if face.tag == "N":
+    if mesh.face_tag[fid] == "N":
         if problem.g_N is None:
             raise ValueError("Neumann face present but g_N not provided")
-        _, w, V, gx = _boundary_values(face, problem.g_N, mesh.m, p)
-        R_hat = V.T @ (w * face.length * gx)
+        _, w, V, gx = _boundary_values(verts, problem.g_N, mesh.m, p)
+        R_hat = V.T @ (w * _length(verts) * gx)
     return D, R_hat
 
 
-def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
-    """Dense A, B, C and R_u of one macro-element."""
-    m = macro.m
-    dofmap = build_patch_dof_map(macro, p)
+def reference_assemble_macro(mesh, e, p, problem, stab, quad_degree=None):
+    """Dense A, B, C and R_u of macro-element e."""
+    m = mesh.m
+    dofmap = patch_dof_map(m, p)
     Q = dofmap.n_dofs
     nloc = 3 * Q
     off = (0, Q, 2 * Q)  # q_x, q_y, u blocks
 
-    amap = macro.affine_map()
+    J, normals, diameter = mesh.jacobians[e], mesh.normals[e], mesh.diameter[e]
     a = problem.a
     kappa = problem.kappa
     quad_degree = _quad_degree(p, stab, quad_degree)
     tables = {kind: {key: val[0] for key, val in tb.items()} for kind, tb in _sub_cell_tables(
-        amap.matrix[None], m, p, problem, stab, quad_degree).items()}
+        J[None], m, p, problem, stab, quad_degree).items()}
 
     A = np.zeros((nloc, nloc))
     for cm, (kind, _, _) in zip(dofmap.cell_maps, sub_cells(m)):
@@ -109,21 +105,19 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
             A[np.ix_(ix_u, ix_u)] += tb["S"]
 
     theta = trace_basis(m, p)
-    face_slots = loop_face_slots(mesh, macro, p)
+    face_slots = loop_face_slots(mesh, e, p)
     nc = face_slots[-1][1].stop
     B = np.zeros((nloc, nc))
     C = np.zeros((nc, nloc))
-    for (fid, slot) in face_slots:
-        face = mesh.skeleton[fid]
-        side = _side_of(face, macro.id)
+    for (fid, slot), (_, side) in zip(face_slots, loop_macro_faces(mesh, e)):
         k = side.edge
-        nrm = amap.normals[k]
-        tau = stabilization_tau(a, nrm, kappa, macro.diameter)
+        nrm = normals[k]
+        tau = stabilization_tau(a, nrm, kappa, diameter)
         an = float(np.dot(a, nrm))
         s, w = piecewise_quad(_face_breaks(side.t0, side.t1, m), p + 1)
         TH = theta.eval(side.t0 + (side.t1 - side.t0) * s)
         PS = theta.eval(s)
-        wl = w * face.length
+        wl = w * _length(mesh.face_verts[fid])
         W = TH.T @ (wl[:, None] * PS)
         Me = TH.T @ (wl[:, None] * TH)
         en = dofmap.edge_nodes[k]
@@ -139,7 +133,7 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
 
     rule = reference_tables(p, quad_degree)[0]
     R = np.zeros(nloc)
-    quad = sub_cell_quadrature(amap.matrix[None], amap.offset[None], m, rule.points_ref)
+    quad = sub_cell_quadrature(J[None], mesh.verts[e, :1], m, rule.points_ref)
     for kind, q in quad.items():
         tb = tables[kind]
         for c, cell in enumerate(q.cells):
@@ -147,7 +141,6 @@ def reference_assemble_macro(mesh, macro, p, problem, stab, quad_degree=None):
             np.add.at(R, off[2] + dofmap.cell_maps[cell], tb["test"].T @ (fvals * tb["wd"]))
     G = np.zeros(nc)
     for fid, slot in face_slots:
-        face = mesh.skeleton[fid]
-        if face.tag == "D":
-            G[slot] = _project_dirichlet(face, problem.g_D, m, p)
+        if mesh.face_tag[fid] == "D":
+            G[slot] = _project_dirichlet(mesh.face_verts[fid], problem.g_D, m, p)
     return A, B, C, R - B @ G

@@ -3,30 +3,45 @@ and edge matching on coordinate tuples rounded one by one, and the 2:1
 closure as a loop over faces.  Test oracle for the array passes of
 mehdg.mesh."""
 
+from typing import NamedTuple, Optional
+
 import numpy as np
 
-from mehdg.mesh import (
-    _ROUND,
-    EDGE_VERTS,
-    AffineMap,
-    DegenerateSimplexError,
-    FaceSide,
-    MacroElement,
-    MacroMesh,
-    SkeletonError,
-    SkeletonFace,
-)
+from mehdg.mesh import _ROUND, EDGE_VERTS, DegenerateSimplexError, MacroMesh, SkeletonError
+
+
+class Macro(NamedTuple):
+    id: int
+    verts: np.ndarray  # (3, 2)
+    level: int
+    faces: list  # face ids per local edge, sorted along the edge
+
+
+class Side(NamedTuple):
+    macro: int
+    edge: int  # local edge of that macro
+    t0: float  # the face's first vertex lies at edge parameter t0
+    t1: float  # and its second at t1
+
+
+class Face(NamedTuple):
+    verts: tuple  # (v0, v1), canonical order
+    left: Side
+    right: Optional[Side]  # None on the domain boundary
+    tag: str
+    parent: Optional[tuple]  # (macro, edge) of the coarse side of a hanging face
 
 
 def _key(pt) -> tuple:
     return (round(float(pt[0]), _ROUND), round(float(pt[1]), _ROUND))
 
 
-def loop_affine_map(verts: np.ndarray) -> AffineMap:
-    """Affine map of one triangle, built vertex by vertex.  det is the
-    scalar ad - bc on purpose, as in mehdg.mesh: it is exact on the dyadic
-    coordinates of the test meshes, where np.linalg.det's LU can differ by
-    one ulp from it."""
+def loop_affine_map(verts: np.ndarray) -> tuple:
+    """(J, det, normals) of one triangle, built vertex by vertex: x = J xi +
+    verts[0], and the outward unit normal of each edge k, opposite vertex k.
+    det is the scalar ad - bc on purpose, as in mehdg.mesh: it is exact on
+    the dyadic coordinates of the test meshes, where np.linalg.det's LU can
+    differ by one ulp from it."""
     verts = np.asarray(verts, dtype=float)
     J = np.column_stack((verts[1] - verts[0], verts[2] - verts[0]))
     det = float(J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0])
@@ -40,7 +55,7 @@ def loop_affine_map(verts: np.ndarray) -> AffineMap:
         if np.dot(nrm, verts[k] - verts[a]) > 0:
             nrm = -nrm
         normals[k] = nrm / np.linalg.norm(nrm)
-    return AffineMap(J, verts[0].copy(), det, normals)
+    return J, det, normals
 
 
 def loop_diameter(verts: np.ndarray) -> float:
@@ -64,13 +79,14 @@ def _edge_param(point, start, end) -> float:
 
 
 def _build_skeleton(macros, tagger) -> list:
-    """Match macro edges into skeleton faces; resolves hanging half-edges."""
+    """Match macro edges into skeleton faces; resolves hanging half-edges.
+    Fills each macro's face lists."""
     records = []  # (macro id, local edge, pa, pb) in edge direction order
     by_key = {}
     for e in macros:
-        e.faces = [[], [], []]
         for k in range(3):
-            pa, pb = e.edge_endpoints(k)
+            a, b = EDGE_VERTS[k]
+            pa, pb = e.verts[a], e.verts[b]
             rid = len(records)
             records.append((e.id, k, pa, pb))
             key = tuple(sorted((_key(pa), _key(pb))))
@@ -82,20 +98,17 @@ def _build_skeleton(macros, tagger) -> list:
     def canonical(pa, pb):
         return (pa, pb) if _key(pa) <= _key(pb) else (pb, pa)
 
-    def side_for(rid, v0, v1) -> FaceSide:
+    def side_for(rid, v0, v1) -> Side:
         eid, k, pa, pb = records[rid]
-        return FaceSide(eid, k, _edge_param(v0, pa, pb), _edge_param(v1, pa, pb))
+        return Side(eid, k, _edge_param(v0, pa, pb), _edge_param(v1, pa, pb))
 
     for key, rids in by_key.items():
         if len(rids) == 2:
             r0, r1 = sorted(rids, key=lambda r: records[r][0])
             _, _, pa, pb = records[r0]
             v0, v1 = canonical(pa, pb)
-            raw_faces.append(
-                dict(verts=(v0, v1), left=side_for(r0, v0, v1),
-                     right=side_for(r1, v0, v1), tag="interior",
-                     hanging=False, parent=None)
-            )
+            raw_faces.append(Face((v0, v1), side_for(r0, v0, v1), side_for(r1, v0, v1),
+                                  "interior", None))
             used[r0] = used[r1] = True
         elif len(rids) > 2:
             raise SkeletonError("more than two macros share an edge")
@@ -110,10 +123,7 @@ def _build_skeleton(macros, tagger) -> list:
             tag = tagger(mid) if tagger is not None else "D"
             if tag not in ("D", "N"):
                 raise SkeletonError(f"invalid boundary tag {tag!r}")
-            raw_faces.append(
-                dict(verts=(v0, v1), left=side_for(rid, v0, v1), right=None,
-                     tag=tag, hanging=False, parent=None)
-            )
+            raw_faces.append(Face((v0, v1), side_for(rid, v0, v1), None, tag, None))
             used[rid] = True
 
     # remaining edges: fine half-edges matched against a coarse parent edge;
@@ -140,11 +150,8 @@ def _build_skeleton(macros, tagger) -> list:
         if match is None:
             continue  # a coarse parent edge; consumed by its fine halves below
         v0, v1 = canonical(pa, pb)
-        raw_faces.append(
-            dict(verts=(v0, v1), left=side_for(match, v0, v1),
-                 right=side_for(rid, v0, v1), tag="interior", hanging=True,
-                 parent=(records[match][0], records[match][1]))
-        )
+        raw_faces.append(Face((v0, v1), side_for(match, v0, v1), side_for(rid, v0, v1),
+                              "interior", (records[match][0], records[match][1])))
         used[rid] = True
         parent_use[match] = parent_use.get(match, 0) + 1
 
@@ -155,31 +162,30 @@ def _build_skeleton(macros, tagger) -> list:
     if not all(used):
         raise SkeletonError("unresolved macro edges remain")
 
-    raw_faces.sort(key=lambda f: (_key(f["verts"][0]), _key(f["verts"][1])))
-    skeleton = []
-    for fid, rf in enumerate(raw_faces):
-        v0, v1 = (np.asarray(rf["verts"][0], float), np.asarray(rf["verts"][1], float))
-        left = rf["left"]
-        normal = macros[left.macro].affine_map().normals[left.edge].copy()
-        face = SkeletonFace(
-            id=fid, verts=np.array([v0, v1]), left=left, right=rf["right"],
-            tag=rf["tag"], normal=normal,
-            hanging=rf["hanging"], parent_edge=rf["parent"],
-        )
-        skeleton.append(face)
-        for side in face.sides():
+    raw_faces.sort(key=lambda f: (_key(f.verts[0]), _key(f.verts[1])))
+    for fid, face in enumerate(raw_faces):
+        for side in _sides(face):
             macros[side.macro].faces[side.edge].append(fid)
     for e in macros:
         for k in range(3):
-            e.faces[k].sort(key=lambda fid: _side_t0(skeleton[fid], e.id))
-    return skeleton
+            e.faces[k].sort(key=lambda fid: _side_t_low(raw_faces[fid], e.id))
+    return raw_faces
 
 
-def _side_t0(face, macro_id: int) -> float:
-    for side in face.sides():
+def _sides(face) -> list:
+    return [face.left] if face.right is None else [face.left, face.right]
+
+
+def _side_of(face, macro_id: int) -> Side:
+    for side in _sides(face):
         if side.macro == macro_id:
-            return min(side.t0, side.t1)
+            return side
     raise KeyError(macro_id)
+
+
+def _side_t_low(face, macro_id: int) -> float:
+    side = _side_of(face, macro_id)
+    return min(side.t0, side.t1)
 
 
 def _dedup_vertices(macros_raw):
@@ -199,69 +205,54 @@ def _dedup_vertices(macros_raw):
     return np.array(coords), triples
 
 
-def _slot_tables(macros, skeleton):
+def _slot_tables(macros, faces):
     """(slot_table, slot_faces): per macro, (edge, t0, t1) and the face id of
     each of its faces, edge by edge, padded with -1."""
     rows, fids = [], []
     for e in macros:
-        row = []
-        for k in range(3):
-            for fid in e.faces[k]:
-                face = skeleton[fid]
-                side = face.left if face.left.macro == e.id else face.right
-                row.append((k, side.t0, side.t1))
-        rows.append(row)
+        sides = [(k, _side_of(faces[fid], e.id)) for k in range(3) for fid in e.faces[k]]
+        rows.append([(k, side.t0, side.t1) for k, side in sides])
         fids.append([fid for k in range(3) for fid in e.faces[k]])
     width = max(len(r) for r in rows)
     table = np.full((len(macros), width, 3), -1.0)
-    faces = np.full((len(macros), width), -1, dtype=np.intp)
+    slot_faces = np.full((len(macros), width), -1, dtype=np.intp)
     for e, (row, ids) in enumerate(zip(rows, fids)):
         table[e, :len(row)] = row
-        faces[e, :len(ids)] = ids
-    return table, faces
+        slot_faces[e, :len(ids)] = ids
+    return table, slot_faces
 
 
-def _as_arrays(macros, skeleton) -> dict:
-    """The per-macro and per-face arrays of MacroMesh, read off the loop's
-    objects one by one."""
+def loop_assemble_mesh(macros_raw, m, levels, n, tagger) -> MacroMesh:
+    """The mesh of the loops: every array read off the loop's records one
+    by one."""
+    vertices, triples = _dedup_vertices(macros_raw)
+    macros = [Macro(i, np.array(raw, dtype=float), levels[i], [[], [], []])
+              for i, raw in enumerate(macros_raw)]
+    maps = [loop_affine_map(e.verts) for e in macros]
+    faces = _build_skeleton(macros, tagger)
+    slot_table, slot_faces = _slot_tables(macros, faces)
 
     def record(side):
         return -1 if side is None else 3 * side.macro + side.edge
 
-    return dict(
+    return MacroMesh(
+        n, m, vertices,
         verts=np.array([e.verts for e in macros]),
-        vertex_ids=np.array([e.vertex_ids for e in macros]),
+        vertex_ids=np.array(triples),
         levels=np.array([e.level for e in macros]),
-        jacobians=np.array([e.affine_map().matrix for e in macros]),
-        normals=np.array([e.affine_map().normals for e in macros]),
-        diameter=np.array([e.diameter for e in macros]),
-        face_verts=np.array([f.verts for f in skeleton]),
-        face_left=np.array([record(f.left) for f in skeleton]),
-        face_right=np.array([record(f.right) for f in skeleton]),
+        jacobians=np.array([J for J, _, _ in maps]),
+        normals=np.array([normals for _, _, normals in maps]),
+        diameter=np.array([loop_diameter(e.verts) for e in macros]),
+        slot_table=slot_table, slot_faces=slot_faces,
+        face_verts=np.array([f.verts for f in faces], dtype=float),
+        face_left=np.array([record(f.left) for f in faces]),
+        face_right=np.array([record(f.right) for f in faces]),
         face_t=np.array([[[s.t0, s.t1] if s is not None else [-1.0, -1.0]
-                          for s in (f.left, f.right)] for f in skeleton]),
-        face_tag=np.array([f.tag for f in skeleton]),
-        face_parent=np.array([3 * f.parent_edge[0] + f.parent_edge[1] if f.hanging else -1
-                              for f in skeleton]),
-    )
-
-
-def loop_assemble_mesh(macros_raw, m, levels, n, tagger) -> MacroMesh:
-    """The mesh of the loops.  Its `macro_elements` and `skeleton` are the
-    loop's own objects, put in place of the views of the arrays."""
-    vertices, triples = _dedup_vertices(macros_raw)
-    macros = []
-    for i, raw in enumerate(macros_raw):
-        verts = np.array(raw, dtype=float)
-        macros.append(MacroElement(
-            id=i, vertex_ids=triples[i], verts=verts, m=m, level=levels[i],
-            amap=loop_affine_map(verts), diameter=loop_diameter(verts)))
-    skeleton = _build_skeleton(macros, tagger)
-    slot_table, slot_faces = _slot_tables(macros, skeleton)
-    mesh = MacroMesh(2, n, m, vertices, **_as_arrays(macros, skeleton), slot_table=slot_table,
-                     slot_faces=slot_faces, boundary_tagger=tagger)
-    vars(mesh).update(macro_elements=macros, skeleton=skeleton)
-    return mesh
+                          for s in (f.left, f.right)] for f in faces]),
+        face_tag=np.array([f.tag for f in faces]),
+        face_parent=np.array([-1 if f.parent is None else 3 * f.parent[0] + f.parent[1]
+                              for f in faces]),
+        boundary_tagger=tagger)
 
 
 def loop_structured_mesh(n: int, m: int, boundary_tagger=None) -> MacroMesh:
@@ -279,18 +270,19 @@ def loop_structured_mesh(n: int, m: int, boundary_tagger=None) -> MacroMesh:
 
 
 def loop_refine(mesh: MacroMesh, marked) -> MacroMesh:
-    """Replace each marked macro by 4 children (edge midpoints) with 2:1 closure."""
+    """Replace each marked macro by 4 children (edge midpoints) with 2:1
+    closure, as a loop over the faces' macro pairs."""
     marked = set(marked)
     if not marked:
         return mesh
-    levels = {e.id: e.level for e in mesh.macro_elements}
+    levels = mesh.levels.tolist()
+    pairs = [(left // 3, right // 3)
+             for left, right in zip(mesh.face_left.tolist(), mesh.face_right.tolist())
+             if right >= 0]
     changed = True
     while changed:
         changed = False
-        for face in mesh.skeleton:
-            if face.right is None:
-                continue
-            a, b = face.left.macro, face.right.macro
+        for a, b in pairs:
             la = levels[a] + (1 if a in marked else 0)
             lb = levels[b] + (1 if b in marked else 0)
             if la - lb >= 2 and b not in marked:
@@ -301,13 +293,13 @@ def loop_refine(mesh: MacroMesh, marked) -> MacroMesh:
                 changed = True
 
     macros_raw, lev_list = [], []
-    for e in mesh.macro_elements:
-        if e.id not in marked:
-            macros_raw.append(e.verts)
-            lev_list.append(e.level)
-    for e in mesh.macro_elements:
-        if e.id in marked:
-            v0, v1, v2 = e.verts
+    for e, verts in enumerate(mesh.verts):
+        if e not in marked:
+            macros_raw.append(verts)
+            lev_list.append(levels[e])
+    for e, verts in enumerate(mesh.verts):
+        if e in marked:
+            v0, v1, v2 = verts
             m01, m12, m02 = 0.5 * (v0 + v1), 0.5 * (v1 + v2), 0.5 * (v0 + v2)
             for child in (
                 np.array([v0, m01, m02]),
@@ -316,5 +308,25 @@ def loop_refine(mesh: MacroMesh, marked) -> MacroMesh:
                 np.array([m01, m12, m02]),
             ):
                 macros_raw.append(child)
-                lev_list.append(e.level + 1)
+                lev_list.append(levels[e] + 1)
     return loop_assemble_mesh(macros_raw, mesh.m, lev_list, mesh.n, mesh.boundary_tagger)
+
+
+def face_sides(mesh: MacroMesh, f: int) -> list:
+    """The Sides of face f, read from the arrays: left, then right if any."""
+    recs = (int(mesh.face_left[f]), int(mesh.face_right[f]))
+    return [Side(rec // 3, rec % 3, t0, t1)
+            for rec, (t0, t1) in zip(recs, mesh.face_t[f].tolist()) if rec >= 0]
+
+
+def loop_macro_faces(mesh: MacroMesh, e: int) -> list:
+    """[(face id, Side)] of the faces of macro e, edge by edge and along each
+    edge by the lower of the side's t0 and t1: a loop over the sides of the
+    faces whose edge records name e, not a read of the mesh's slot table."""
+    touching = (mesh.face_left // 3 == e) | (mesh.face_right // 3 == e)
+    found = []
+    for f in np.flatnonzero(touching).tolist():
+        for side in face_sides(mesh, f):
+            if side.macro == e:
+                found.append((side.edge, min(side.t0, side.t1), f, side))
+    return [(f, side) for _, _, f, side in sorted(found)]

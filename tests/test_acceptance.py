@@ -6,8 +6,9 @@ Each test covers one acceptance criterion and prints a single PASS/FAIL line
 import numpy as np
 import pytest
 
-from conftest import poly_case
+from conftest import assemble_one, macro_nodes, poly_case
 from reference_hdg import solve_reference
+from reference_mesh import face_sides
 
 from mehdg.assembly import StabilizationConfig
 from mehdg.bench import (
@@ -24,7 +25,7 @@ from mehdg.costmodel import (
     memory_estimate,
     operation_counts,
 )
-from mehdg.fem_basis import LagrangeBasis, TraceBasis, build_patch_dof_map
+from mehdg.fem_basis import TraceBasis, patch_dof_map
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import (
     SolverConfig,
@@ -98,18 +99,14 @@ def test_criterion_03_agrees_with_independent_reference():
                         SolverConfig(tol=1e-12, mode="mb"), p)
     ref = solve_reference(n, p, kappa, a, case.f, case.u_exact)
 
-    nodes = []
-    uvals = []
-    for e, macro in enumerate(mesh.macro_elements):
-        dofmap = build_patch_dof_map(macro, p)
-        nodes.append(macro.affine_map().to_physical(dofmap.node_ref_coords))
-        uvals.append(solution.u_coeffs(e))
+    nodes = macro_nodes(mesh, p)
+    uvals = solution.u
 
     worst = 0.0
     for elem in ref:
         cen = elem["verts"].mean(axis=0)
-        (e,) = [i for i, macro in enumerate(mesh.macro_elements)
-                if np.abs(macro.verts.mean(axis=0) - cen).max() < 1e-12]
+        (e,) = [i for i, verts in enumerate(mesh.verts)
+                if np.abs(verts.mean(axis=0) - cen).max() < 1e-12]
         for xk, uk in zip(elem["nodes"], elem["u"]):
             (j,) = np.nonzero(np.abs(nodes[e] - xk).max(axis=1) < 1e-12)[0:1][0]
             worst = max(worst, abs(uvals[e][j] - uk))
@@ -146,8 +143,7 @@ def test_criterion_05_trace_dof_reduction():
         local_ops, faces = assemble_system(
             mesh, case.problem(), NO_STAB, p)
         sys = condense(mesh, local_ops, faces, SolverConfig())
-        expect = sum(m * p + 1 for face in mesh.skeleton
-                     if face.tag != "D")
+        expect = sum(m * p + 1 for tag in mesh.face_tag if tag != "D")
         ok &= sys.zhat == expect
         dofg[m] = sys.zhat
     ok &= dofg[2] < dofg[1] and dofg[4] < dofg[2]
@@ -200,10 +196,8 @@ def test_criterion_08_cost_model():
                                           arithmetic="sparse"))
     ok &= rep.sparsity == pytest.approx(25.0 / 45.0)
 
-    from mehdg.assembly import assemble_macro
     mesh = build_structured_macro_mesh(2, 2, 2)
-    op = assemble_macro(mesh, 0, 2,
-                        poly_case(1).problem(), NO_STAB)
+    op = assemble_one(mesh, 0, 2, poly_case(1).problem(), NO_STAB)
     model = memory_estimate(CostInputs(d=2, n=2, m=2, p=2))["A_block"]
     ok &= op.A.nbytes == 9 * model  # (d+1)^2 scalar blocks of the model size
     _report(8, ok, "operation counts 16384/11664, memory 72/1800 bytes, "
@@ -231,17 +225,15 @@ def test_criterion_09_adaptivity_beats_uniform():
             x = np.atleast_2d(x)
             return (x[:, 0] + 0.7 * x[:, 1]) ** p + x[:, 1]
 
-        for face in (f for f in mesh.skeleton if f.hanging):
-            side = face.left if mesh.macro_elements[face.left.macro].level < \
-                mesh.macro_elements[face.right.macro].level else face.right
-            macro = mesh.macro_elements[side.macro]
-            dofmap = build_patch_dof_map(macro, p)
-            nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
-            edge_coeffs = u(nodes[dofmap.edge_nodes[side.edge]])
-            theta = TraceBasis(macro.m, p)
+        dofmap = patch_dof_map(mesh.m, p)
+        nodes = macro_nodes(mesh, p)
+        for f in np.flatnonzero(mesh.face_parent >= 0):
+            side = min(face_sides(mesh, f), key=lambda s: mesh.levels[s.macro])
+            edge_coeffs = u(nodes[side.macro, dofmap.edge_nodes[side.edge]])
+            theta = TraceBasis(mesh.m, p)
             s = np.linspace(0.0, 1.0, 37)
-            x = face.verts[0][None, :] + s[:, None] * (
-                face.verts[1] - face.verts[0])[None, :]
+            v0, v1 = mesh.face_verts[f]
+            x = v0[None, :] + s[:, None] * (v1 - v0)[None, :]
             t = side.t0 + (side.t1 - side.t0) * s
             worst = max(worst,
                         float(np.abs(theta.eval(t) @ edge_coeffs - u(x)).max()))

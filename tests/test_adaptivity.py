@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from conftest import poly_case
+from conftest import macro_nodes, poly_case
+from reference_mesh import face_sides
 
 from mehdg.adaptivity import IndicatorField, adapt, error_indicator, mark
 from mehdg.assembly import StabilizationConfig
 from mehdg.bench import make_benchmark
-from mehdg.fem_basis import TraceBasis, build_patch_dof_map
+from mehdg.fem_basis import TraceBasis, patch_dof_map
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import Solution, SolverConfig, solve
 
@@ -19,9 +20,7 @@ FAST = SolverConfig(tol=1e-10, mode="mb")
 def synthetic_solution(mesh, p, u_of_x):
     """Solution object with u coefficients interpolating a given function."""
     local = []
-    for macro in mesh.macro_elements:
-        dofmap = build_patch_dof_map(macro, p)
-        nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
+    for nodes in macro_nodes(mesh, p):
         u = np.asarray(u_of_x(nodes), dtype=float)
         local.append(np.concatenate([np.zeros(2 * u.size), u]))
     return Solution(local=np.stack(local), uhat=np.zeros(0), report=None)
@@ -40,9 +39,9 @@ def test_indicator_linear_solution():
     mesh = build_structured_macro_mesh(2, 2, 2)
     sol = synthetic_solution(mesh, 2, lambda x: x[:, 0])
     ind = error_indicator(mesh, 2, sol)
-    for e, macro in enumerate(mesh.macro_elements):
-        expect = macro.diameter * np.sqrt(macro.volume)
-        assert ind.eta[e] == pytest.approx(expect, rel=1e-12)
+    volume = np.abs(np.linalg.det(mesh.jacobians)) / 2
+    for e, (diameter, vol) in enumerate(zip(mesh.diameter, volume)):
+        assert ind.eta[e] == pytest.approx(diameter * np.sqrt(vol), rel=1e-12)
 
 
 def test_indicator_argmax_on_layer():
@@ -50,9 +49,9 @@ def test_indicator_argmax_on_layer():
     mesh = build_structured_macro_mesh(2, 4, 2)
     solution, _ = solve(mesh, case.problem(), NO_STAB, FAST, 2)
     ind = error_indicator(mesh, 2, solution)
-    macro = mesh.macro_elements[int(np.argmax(ind.eta))]
+    verts = mesh.verts[int(np.argmax(ind.eta))]
     # the layer line is 2x - y = 0.4; the argmax macro must straddle it
-    signs = [np.sign(2 * v[0] - v[1] - 0.4) for v in macro.verts]
+    signs = [np.sign(2 * v[0] - v[1] - 0.4) for v in verts]
     assert min(signs) <= 0 <= max(signs)
 
 
@@ -106,31 +105,28 @@ def test_constrained_trace_exactness(p):
     """Coarse-side restriction onto a hanging face is exact for degree-p
     polynomials expanded in the fine trace basis."""
     mesh = refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3})
-    hanging = [f for f in mesh.skeleton if f.hanging]
-    assert hanging
+    hanging = np.flatnonzero(mesh.face_parent >= 0)
+    assert hanging.size
 
     def u(x):
         x = np.atleast_2d(x)
         return (x[:, 0] + 0.7 * x[:, 1]) ** p + x[:, 1]
 
-    for face in hanging:
+    dofmap = patch_dof_map(mesh.m, p)
+    nodes = macro_nodes(mesh, p)
+    for f in hanging:
         psi = TraceBasis(mesh.m, p)
-        pts = face.verts[0][None, :] + psi.nodes[:, None] * (
-            face.verts[1] - face.verts[0])[None, :]
+        v0, v1 = mesh.face_verts[f]
+        pts = v0[None, :] + psi.nodes[:, None] * (v1 - v0)[None, :]
         coeffs = u(pts)  # fine-side trace expansion
         s = np.linspace(0.0, 1.0, 37)
-        x = face.verts[0][None, :] + s[:, None] * (
-            face.verts[1] - face.verts[0])[None, :]
+        x = v0[None, :] + s[:, None] * (v1 - v0)[None, :]
         assert np.abs(psi.eval(s) @ coeffs - u(x)).max() < 1e-12
 
         # the coarse macro's edge trace agrees on the same physical points
-        side = face.left if mesh.macro_elements[face.left.macro].level < \
-            mesh.macro_elements[face.right.macro].level else face.right
-        macro = mesh.macro_elements[side.macro]
-        dofmap = build_patch_dof_map(macro, p)
-        nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
-        edge_coeffs = u(nodes[dofmap.edge_nodes[side.edge]])
-        theta = TraceBasis(macro.m, p)
+        side = min(face_sides(mesh, f), key=lambda s: mesh.levels[s.macro])
+        edge_coeffs = u(nodes[side.macro, dofmap.edge_nodes[side.edge]])
+        theta = TraceBasis(mesh.m, p)
         t = side.t0 + (side.t1 - side.t0) * s
         assert np.abs(theta.eval(t) @ edge_coeffs - u(x)).max() < 1e-12
 
@@ -141,7 +137,7 @@ def test_hanging_mesh_patch_test():
 
     case = poly_case(2, kappa=0.9)
     mesh = refine_macros(build_structured_macro_mesh(2, 2, 2), {0, 3})
-    assert any(f.hanging for f in mesh.skeleton)
+    assert (mesh.face_parent >= 0).any()
     solution, _ = solve(mesh, case.problem(), NO_STAB,
                         SolverConfig(tol=1e-12, mode="mb"), 2)
     assert l2_error(mesh, 2, solution, case.u_exact) < 1e-10
@@ -161,9 +157,8 @@ def test_marked_macros_follow_layer():
     h = 1.0 / mesh.n
     band = 0
     for e in marked:
-        macro = mesh.macro_elements[e]
         # distance of the centroid to the line 2x - y - 0.4 = 0
-        c = macro.verts.mean(axis=0)
+        c = mesh.verts[e].mean(axis=0)
         dist = abs(2 * c[0] - c[1] - 0.4) / np.sqrt(5.0)
         if dist <= 2 * h:  # band of width 4h around the layer
             band += 1

@@ -3,12 +3,19 @@
 import numpy as np
 import pytest
 
-from conftest import CLASS_MESHES, face_mass_oracle, neumann_right, poly_case
+from conftest import (
+    CLASS_MESHES,
+    assemble_one,
+    face_length,
+    face_mass_oracle,
+    macro_nodes,
+    neumann_right,
+    poly_case,
+)
 
 from mehdg.assembly import (
     ProblemData,
     StabilizationConfig,
-    assemble_macro,
     face_operators,
     project_dirichlet,
     stabilization_tau,
@@ -17,7 +24,6 @@ from mehdg.assembly import (
 from mehdg.fem_basis import (
     LagrangeBasis,
     TraceBasis,
-    build_patch_dof_map,
     quadrature_rule,
 )
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
@@ -75,16 +81,14 @@ def test_non_finite_problem_data_is_named(name, bad):
 
 def test_qq_block_is_vector_mass():
     mesh = build_structured_macro_mesh(2, 1, 1)
-    macro = mesh.macro_elements[0]
-    op = assemble_macro(mesh, macro.id, 1, make_problem(a=(0.0, 0.0)), NO_STAB)
+    op = assemble_one(mesh, 0, 1, make_problem(a=(0.0, 0.0)), NO_STAB)
     Q = op.R_u.size // 3
     assert Q == 3
     # direct quadrature mass matrix on the physical triangle
     rule = quadrature_rule(2, 4)
     basis = LagrangeBasis(2, 1)
-    amap = macro.affine_map()
     V = basis.eval(rule.points_ref)
-    M = V.T @ ((rule.weights * abs(amap.det))[:, None] * V)
+    M = V.T @ ((rule.weights * abs(np.linalg.det(mesh.jacobians[0])))[:, None] * V)
     A = np.asarray(op.A)
     assert np.abs(A[:Q, :Q] - M).max() < 1e-13
     assert np.abs(A[Q:2 * Q, Q:2 * Q] - M).max() < 1e-13
@@ -95,8 +99,8 @@ def test_constant_state_q_residual():
     """u = 1, q = 0, uhat = 1: the q-equation residual vanishes (divergence
     theorem)."""
     mesh = build_structured_macro_mesh(2, 2, 2)
-    for macro in mesh.macro_elements[:2]:
-        op = assemble_macro(mesh, macro.id, 2, make_problem(), NO_STAB)
+    for e in range(2):
+        op = assemble_one(mesh, e, 2, make_problem(), NO_STAB)
         Q = op.R_u.size // 3
         U = np.concatenate([np.zeros(2 * Q), np.ones(Q)])
         res = np.asarray(op.A) @ U + op.B @ np.ones(op.B.shape[1])
@@ -106,8 +110,8 @@ def test_constant_state_q_residual():
 def test_operator_sizes_m2_vs_m1():
     mesh2 = build_structured_macro_mesh(2, 1, 2)
     mesh1 = build_structured_macro_mesh(2, 1, 1)
-    op2 = assemble_macro(mesh2, 0, 2, make_problem(), NO_STAB)
-    op1 = assemble_macro(mesh1, 0, 2, make_problem(), NO_STAB)
+    op2 = assemble_one(mesh2, 0, 2, make_problem(), NO_STAB)
+    op1 = assemble_one(mesh1, 0, 2, make_problem(), NO_STAB)
     assert np.asarray(op2.A).shape == (45, 45)
     assert np.asarray(op1.A).shape == (18, 18)
 
@@ -116,10 +120,10 @@ def test_storage_mode():
     import scipy.sparse as sp
 
     mesh = build_structured_macro_mesh(2, 1, 8)
-    op = assemble_macro(mesh, 0, 1, make_problem(), NO_STAB)
+    op = assemble_one(mesh, 0, 1, make_problem(), NO_STAB)
     assert sp.issparse(op.A)
     mesh = build_structured_macro_mesh(2, 1, 4)
-    op = assemble_macro(mesh, 0, 1, make_problem(), NO_STAB)
+    op = assemble_one(mesh, 0, 1, make_problem(), NO_STAB)
     assert isinstance(op.A, np.ndarray)
 
 
@@ -130,16 +134,17 @@ def test_conforming_face_breaks(m):
     from mehdg.assembly import _face_breaks
 
     mesh = build_structured_macro_mesh(2, 1, m)
-    face = mesh.interior_faces()[0]
-    for side in face.sides():
-        breaks = _face_breaks(side.t0, side.t1, m)
+    f = np.flatnonzero(mesh.face_tag == "interior")[0]
+    for t0, t1 in mesh.face_t[f]:
+        breaks = _face_breaks(t0, t1, m)
         assert breaks.size == m + 1
         assert np.diff(breaks).min() >= 1.0 / m - 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))
 def test_assemble_macro_matches_loop_reference(name):
-    """A, B, C and R_u of every macro, built from the cached reference
+    """A, B, C and R_u of every macro, assembled as a one-macro class from
+    the cached reference
     blocks, equal the per-cell and per-face loop assembly, with SUPG off and
     on (both variants), with nonzero f and g_D."""
     from mehdg.bench import make_benchmark
@@ -148,10 +153,10 @@ def test_assemble_macro_matches_loop_reference(name):
     problem = make_benchmark("tanh", 0.05, (1.0, 2.0)).problem()
     for stab in (NO_STAB, StabilizationConfig(supg=True),
                  StabilizationConfig(supg=True, supg_variant="paper-plus")):
-        for macro in mesh.macro_elements:
-            op = assemble_macro(mesh, macro.id, 2, problem, stab)
+        for e in range(len(mesh.verts)):
+            op = assemble_one(mesh, e, 2, problem, stab)
             A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
-            want = reference_assemble_macro(mesh, macro, 2, problem, stab)
+            want = reference_assemble_macro(mesh, e, 2, problem, stab)
             for got, ref in zip((A, op.B, op.C, op.R_u), want):
                 assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -166,17 +171,17 @@ def test_face_operators_match_assemble_face(n, m, p, refine):
 
     mesh = refine_macros(build_structured_macro_mesh(2, n, m, boundary_tagger=tagger),
                          refine)
-    assert any(f.tag == "N" for f in mesh.skeleton)
-    assert bool(refine) == any(f.hanging for f in mesh.skeleton)
+    assert (mesh.face_tag == "N").any()
+    assert bool(refine) == (mesh.face_parent >= 0).any()
     problem = make_problem(a=(1.0, -0.7), kappa=0.3,
                            g_N=lambda x: np.sin(3 * x[:, 0]) + x[:, 1] ** 2)
     faces = face_operators(mesh, p, problem)
-    assert faces.ids.tolist() == [f.id for f in mesh.skeleton if f.tag != "D"]
+    assert faces.ids.tolist() == [f for f, tag in enumerate(mesh.face_tag) if tag != "D"]
     nd = m * p + 1
     assert faces.D.shape == (len(faces.ids), nd, nd)
     assert faces.R_hat.shape == (len(faces.ids), nd)
     for fid, D, R_hat in zip(faces.ids.tolist(), faces.D, faces.R_hat):
-        want_D, want_R = reference_assemble_face(mesh, mesh.skeleton[fid], p, problem)
+        want_D, want_R = reference_assemble_face(mesh, fid, p, problem)
         assert np.abs(D - want_D).max() <= 1e-14 * np.abs(want_D).max()
         assert np.abs(R_hat - want_R).max() <= 1e-14 * max(np.abs(want_R).max(), 1e-300)
     with pytest.raises(ValueError):
@@ -188,17 +193,17 @@ def test_interior_face_d_block():
     mesh = build_structured_macro_mesh(2, 2, 2)
     problem = make_problem(a=(0.0, 1.0), kappa=0.3)
     vertical = [
-        f for f in mesh.interior_faces()
-        if abs(f.verts[0][0] - f.verts[1][0]) < 1e-12
+        f for f in np.flatnonzero(mesh.face_tag == "interior")
+        if abs(mesh.face_verts[f, 0, 0] - mesh.face_verts[f, 1, 0]) < 1e-12
     ]
     assert vertical
     faces = face_operators(mesh, 2, problem)
     row = {fid: i for i, fid in enumerate(faces.ids.tolist())}
-    for face in vertical:
-        D = faces.D[row[face.id]]
-        ell = mesh.macro_elements[face.left.macro].diameter
+    for f in vertical:
+        D = faces.D[row[f]]
+        ell = mesh.diameter[mesh.face_left[f] // 3]
         tau = 0.3 / ell  # a.n = 0
-        M = face_mass_oracle(face, mesh.m, 2)
+        M = face_mass_oracle(face_length(mesh, f), mesh.m, 2)
         assert np.abs(D + 2 * tau * M).max() < 1e-12 * max(1.0, np.abs(M).max())
 
 
@@ -209,15 +214,15 @@ def test_boundary_neumann_face():
     mesh = build_structured_macro_mesh(2, 2, 1, boundary_tagger=tagger)
     problem = make_problem(a=(1.0, 2.0), kappa=0.5,
                            g_N=lambda x: np.zeros(np.atleast_2d(x).shape[0]))
-    nface = [f for f in mesh.boundary_faces() if f.tag == "N"][0]
+    nface = np.flatnonzero(mesh.face_tag == "N")[0]
     faces = face_operators(mesh, 2, problem)
-    i = faces.ids.tolist().index(nface.id)
+    i = faces.ids.tolist().index(nface)
     assert np.abs(faces.R_hat[i]).max() == 0.0
-    macro = mesh.macro_elements[nface.left.macro]
-    nrm = macro.affine_map().normals[nface.left.edge]
-    tau = stabilization_tau(problem.a, nrm, 0.5, macro.diameter)
+    e, k = divmod(int(mesh.face_left[nface]), 3)
+    nrm = mesh.normals[e, k]
+    tau = stabilization_tau(problem.a, nrm, 0.5, mesh.diameter[e])
     an = float(np.dot(problem.a, nrm))
-    M = face_mass_oracle(nface, mesh.m, 2)
+    M = face_mass_oracle(face_length(mesh, nface), mesh.m, 2)
     assert np.abs(faces.D[i] - (an - tau) * M).max() < 1e-12 * max(1.0, np.abs(M).max())
 
 
@@ -227,11 +232,11 @@ def test_neumann_rhs_nonzero():
 
     mesh = build_structured_macro_mesh(2, 1, 1, boundary_tagger=tagger)
     problem = make_problem(g_N=lambda x: np.ones(np.atleast_2d(x).shape[0]))
-    nface = [f for f in mesh.boundary_faces() if f.tag == "N"][0]
+    nface = np.flatnonzero(mesh.face_tag == "N")[0]
     faces = face_operators(mesh, 1, problem)
-    R_hat = faces.R_hat[faces.ids.tolist().index(nface.id)]
+    R_hat = faces.R_hat[faces.ids.tolist().index(nface)]
     # integral of each hat function times 1 over the face: sums to its length
-    assert R_hat.sum() == pytest.approx(nface.length, rel=1e-12)
+    assert R_hat.sum() == pytest.approx(face_length(mesh, nface), rel=1e-12)
 
 
 def test_missing_neumann_data():
@@ -239,7 +244,7 @@ def test_missing_neumann_data():
         return "N" if mid[1] < 1e-12 else "D"
 
     mesh = build_structured_macro_mesh(2, 1, 1, boundary_tagger=tagger)
-    assert any(f.tag == "N" for f in mesh.boundary_faces())
+    assert (mesh.face_tag == "N").any()
     with pytest.raises(ValueError):
         face_operators(mesh, 1, make_problem())
 
@@ -264,7 +269,7 @@ def test_stabilization_tau_examples():
     problem = make_problem(a=(0.0, 0.0))
     problem.kappa = -1.0
     with pytest.raises(ValueError, match="nonpositive"):
-        assemble_macro(mesh, 0, 1, problem, NO_STAB)
+        assemble_one(mesh, 0, 1, problem, NO_STAB)
     with pytest.raises(ValueError, match="nonpositive"):
         face_operators(mesh, 1, problem)
 
@@ -331,16 +336,16 @@ def test_project_dirichlet_constant_and_linear():
     mesh = build_structured_macro_mesh(2, 2, 2)
     ones = lambda x: np.ones(np.atleast_2d(x).shape[0])
     xfun = lambda x: np.atleast_2d(x)[:, 0]
-    for face in mesh.boundary_faces():
-        coeffs = project_dirichlet(face.verts, ones, mesh.m, 2)
+    boundary = mesh.face_verts[mesh.face_tag != "interior"]
+    for verts in boundary:
+        coeffs = project_dirichlet(verts, ones, mesh.m, 2)
         assert np.abs(coeffs - 1.0).max() < 1e-12
-    xaxis = [f for f in mesh.boundary_faces()
-             if abs(f.verts[0][1]) < 1e-12 and abs(f.verts[1][1]) < 1e-12]
+    xaxis = [v for v in boundary if abs(v[0][1]) < 1e-12 and abs(v[1][1]) < 1e-12]
     assert xaxis
-    for face in xaxis:
-        coeffs = project_dirichlet(face.verts, xfun, mesh.m, 2)
+    for verts in xaxis:
+        coeffs = project_dirichlet(verts, xfun, mesh.m, 2)
         psi = TraceBasis(mesh.m, 2)
-        nodes_x = face.verts[0][0] + psi.nodes * (face.verts[1][0] - face.verts[0][0])
+        nodes_x = verts[0][0] + psi.nodes * (verts[1][0] - verts[0][0])
         assert np.abs(coeffs - nodes_x).max() < 1e-12
 
 
@@ -349,13 +354,13 @@ def test_project_dirichlet_tanh_vs_least_squares():
     case = poly_case(1)  # only for structure; use the tanh profile directly
     g = lambda x: 0.5 * (1 + np.tanh((np.atleast_2d(x)[:, 1]
                                       - 2 * np.atleast_2d(x)[:, 0] + 0.4) / 0.4))
-    face = mesh.boundary_faces()[0]
-    coeffs = project_dirichlet(face.verts, g, mesh.m, 2)
+    verts = mesh.face_verts[mesh.face_tag != "interior"][0]
+    coeffs = project_dirichlet(verts, g, mesh.m, 2)
     # independent dense least-squares fit at 200 sample points
     psi = TraceBasis(mesh.m, 2)
     s = (np.arange(200) + 0.5) / 200
     V = psi.eval(s)
-    x = face.verts[0][None, :] + s[:, None] * (face.verts[1] - face.verts[0])[None, :]
+    x = verts[0][None, :] + s[:, None] * (verts[1] - verts[0])[None, :]
     fit, *_ = np.linalg.lstsq(V, g(x), rcond=None)
     # the two fits agree to projection accuracy (how far g lies from the space)
     resid = np.abs(V @ coeffs - g(x)).max()
@@ -365,31 +370,29 @@ def test_project_dirichlet_tanh_vs_least_squares():
 
 def test_projection_idempotent():
     mesh = build_structured_macro_mesh(2, 1, 2)
-    face = mesh.boundary_faces()[0]
+    verts = mesh.face_verts[mesh.face_tag != "interior"][0]
     psi = TraceBasis(mesh.m, 2)
     rng = np.random.default_rng(2)
     coeffs = rng.standard_normal(psi.n_dofs)
 
     def g(x):
         x = np.atleast_2d(x)
-        d = face.verts[1] - face.verts[0]
-        s = (x - face.verts[0]) @ d / (d @ d)
+        d = verts[1] - verts[0]
+        s = (x - verts[0]) @ d / (d @ d)
         return psi.eval(s) @ coeffs
 
-    proj = project_dirichlet(face.verts, g, mesh.m, 2)
+    proj = project_dirichlet(verts, g, mesh.m, 2)
     assert np.abs(proj - coeffs).max() < 1e-11
 
 
 def _field_permutation(mesh, p):
     """Permutation sending reference-implementation dof order to ours,
     matched per element by physical node coordinates."""
-    macro = mesh.macro_elements[0]
-    dofmap = build_patch_dof_map(macro, p)
-    ours = macro.affine_map().to_physical(dofmap.node_ref_coords)
+    ours = macro_nodes(mesh, p)[0]
     tri = reference_hdg.TriLagrange(p)
-    J = np.column_stack((macro.verts[1] - macro.verts[0],
-                         macro.verts[2] - macro.verts[0]))
-    theirs = tri.nodes @ J.T + macro.verts[0]
+    verts = mesh.verts[0]
+    J = np.column_stack((verts[1] - verts[0], verts[2] - verts[0]))
+    theirs = tri.nodes @ J.T + verts[0]
     ours_key = {tuple(np.round(pt, 12)): i for i, pt in enumerate(ours)}
     perm = np.array([ours_key[tuple(np.round(pt, 12))] for pt in theirs])
     return perm
@@ -403,7 +406,7 @@ def test_m1_blocks_match_reference():
     mesh = build_structured_macro_mesh(2, 1, 1)
     zero = lambda x: np.zeros(np.atleast_2d(x).shape[0])
     problem = make_problem(a=a, kappa=kappa)
-    op = assemble_macro(mesh, 0, p, problem, NO_STAB)
+    op = assemble_one(mesh, 0, p, problem, NO_STAB)
 
     # rebuild the element block with the reference code's quadrature loops
     tris = reference_hdg.make_triangulation(1)
@@ -425,8 +428,8 @@ def test_m1_blocks_match_reference():
     fo = face_off[fid_ref]
     B_ref = K[0:nloc, fo:fo + p + 1]
     C_ref = K[fo:fo + p + 1, 0:nloc]
-    interior = [f for f in mesh.skeleton if f.tag == "interior"][0]
-    slot = dict(loop_face_slots(mesh, mesh.macro_elements[0], p))[interior.id]
+    interior = np.flatnonzero(mesh.face_tag == "interior")[0]
+    slot = dict(loop_face_slots(mesh, 0, p))[interior]
     assert np.abs(B_ref - op.B[perm][:, slot]).max() < 1e-12
     assert np.abs(C_ref - op.C[slot, :][:, perm]).max() < 1e-12
 
@@ -519,8 +522,8 @@ def test_adjoint_structure_a_zero():
     kappa = 0.7
     mesh = build_structured_macro_mesh(2, 2, 2)
     problem = make_problem(a=(0.0, 0.0), kappa=kappa)
-    for macro in mesh.macro_elements[:3]:
-        op = assemble_macro(mesh, macro.id, 2, problem, NO_STAB)
+    for e in range(3):
+        op = assemble_one(mesh, e, 2, problem, NO_STAB)
         Q = op.R_u.size // 3
         B_q, B_u = op.B[:2 * Q], op.B[2 * Q:]
         C_q, C_u = op.C[:, :2 * Q], op.C[:, 2 * Q:]
@@ -532,9 +535,9 @@ def test_quadrature_order_stability():
     mesh = build_structured_macro_mesh(2, 1, 2)
     case = poly_case(2)
     p = 2
-    op1 = assemble_macro(mesh, 0, p, case.problem(),
+    op1 = assemble_one(mesh, 0, p, case.problem(),
                          NO_STAB, quad_degree=2 * p + 1)
-    op2 = assemble_macro(mesh, 0, p, case.problem(),
+    op2 = assemble_one(mesh, 0, p, case.problem(),
                          NO_STAB, quad_degree=2 * p + 3)
     scale = np.abs(np.asarray(op1.A)).max()
     assert np.abs(np.asarray(op1.A) - np.asarray(op2.A)).max() < 1e-12 * scale
@@ -552,31 +555,25 @@ def test_block_residual_patch_test(degree, p, supg):
     stab = StabilizationConfig(supg=supg)
     psi = TraceBasis(mesh.m, p)
 
-    def trace_values(face):
-        pts = face.verts[0][None, :] + psi.nodes[:, None] * (
-            face.verts[1] - face.verts[0])[None, :]
-        return case.u_exact(pts)
+    def trace_values(f):
+        v0, v1 = mesh.face_verts[f]
+        return case.u_exact(v0[None, :] + psi.nodes[:, None] * (v1 - v0)[None, :])
 
     trace_rows = {}
-    for macro in mesh.macro_elements:
-        op = assemble_macro(mesh, macro.id, p, case.problem(), stab)
-        dofmap = build_patch_dof_map(macro, p)
-        nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
+    for e, nodes in enumerate(macro_nodes(mesh, p)):
+        op = assemble_one(mesh, e, p, case.problem(), stab)
         ustar = case.u_exact(nodes)
         qstar = -case.grad_u(nodes)
         U = np.concatenate([qstar[:, 0], qstar[:, 1], ustar])
         res = np.asarray(op.A) @ U - op.R_u
-        for fid, slot in loop_face_slots(mesh, macro, p):
-            face = mesh.skeleton[fid]
-            if face.tag != "D":
-                res += op.B[:, slot] @ trace_values(face)
+        for fid, slot in loop_face_slots(mesh, e, p):
+            if mesh.face_tag[fid] != "D":
+                res += op.B[:, slot] @ trace_values(fid)
                 seg = trace_rows.setdefault(fid, np.zeros(slot.stop - slot.start))
                 seg += op.C[slot] @ U
         assert np.abs(res).max() < 1e-10
 
-    for face in mesh.skeleton:
-        if face.tag == "D":
-            continue
-        D, R_hat = reference_assemble_face(mesh, face, p, case.problem())
-        res = trace_rows[face.id] + D @ trace_values(face) - R_hat
+    for f in np.flatnonzero(mesh.face_tag != "D"):
+        D, R_hat = reference_assemble_face(mesh, f, p, case.problem())
+        res = trace_rows[f] + D @ trace_values(f) - R_hat
         assert np.abs(res).max() < 1e-10

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from conftest import poly_case, skewed_mesh
+from conftest import macro_nodes, poly_case, skewed_mesh
+from reference_mesh import loop_affine_map, loop_diameter
 
 from mehdg.adaptivity import error_indicator
 from mehdg.assembly import StabilizationConfig
 from mehdg.bench import (
     ADAPT_COLUMNS,
     CONV_COLUMNS,
+    COST_COLUMNS,
     audit_source,
     l2_error,
     make_benchmark,
@@ -22,7 +24,7 @@ from mehdg.bench import (
     u_nodal_max,
     write_csv,
 )
-from mehdg.fem_basis import build_patch_dof_map, reference_tables
+from mehdg.fem_basis import patch_dof_map, reference_tables
 from mehdg.mesh import (
     build_structured_macro_mesh,
     refine_macros,
@@ -133,9 +135,7 @@ def test_l2_error_interpolant():
     mesh = build_structured_macro_mesh(2, 2, 2)
     u = lambda x: np.atleast_2d(x)[:, 0] ** 2 + np.atleast_2d(x)[:, 1]
     local = []
-    for macro in mesh.macro_elements:
-        dofmap = build_patch_dof_map(macro, 2)
-        nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
+    for nodes in macro_nodes(mesh, 2):
         vals = u(nodes)
         local.append(np.concatenate([np.zeros(2 * vals.size), vals]))
     sol = Solution(local=np.stack(local), uhat=np.zeros(0), report=None)
@@ -154,19 +154,19 @@ def per_cell_l2_and_eta(mesh, p, local, u_exact):
     vertex by vertex through its macro's map."""
     rule, val, _, _ = reference_tables(p, 2 * p + 2)
     rule_g, _, gref, _ = reference_tables(p, max(2 * p - 2, 1))
-    acc, eta = 0.0, np.zeros(len(mesh.macro_elements))
-    for e, macro in enumerate(mesh.macro_elements):
+    acc, eta = 0.0, np.zeros(len(mesh.verts))
+    for e, verts in enumerate(mesh.verts):
         u = local[e, 2 * (local.shape[1] // 3):]
-        amap = macro.affine_map()
-        for cm, cell in zip(build_patch_dof_map(macro, p).cell_maps, sub_cells(macro.m)):
-            sub = amap.to_physical(sub_cell_ref_verts(*cell, macro.m))
+        J = loop_affine_map(verts)[0]
+        for cm, cell in zip(patch_dof_map(mesh.m, p).cell_maps, sub_cells(mesh.m)):
+            sub = sub_cell_ref_verts(*cell, mesh.m) @ J.T + verts[0]
             jac = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
             det = abs(np.linalg.det(jac))
             diff = val @ u[cm] - u_exact(rule.points_ref @ jac.T + sub[0])
             acc += float(np.sum(rule.weights * det * diff**2))
             grad = np.einsum("b,qbc->qc", u[cm], gref @ np.linalg.inv(jac))
             eta[e] += float(np.sum(rule_g.weights * det * np.sum(grad**2, axis=1)))
-    diam = np.array([macro.diameter for macro in mesh.macro_elements])
+    diam = np.array([loop_diameter(verts) for verts in mesh.verts])
     return np.sqrt(acc), diam * np.sqrt(eta)
 
 
@@ -175,9 +175,9 @@ def per_cell_l2_and_eta(mesh, p, local, u_exact):
 def test_l2_error_and_indicator_match_per_cell_oracle(name, p):
     mesh = ORACLE_MESHES[name]()
     if name.startswith("adapted"):
-        assert max(mesh.levels) == 2 and any(f.hanging for f in mesh.skeleton)
-    nloc = 3 * build_patch_dof_map(mesh.macro_elements[0], p).n_dofs
-    local = np.random.default_rng(p).standard_normal((len(mesh.macro_elements), nloc))
+        assert max(mesh.levels) == 2 and (mesh.face_parent >= 0).any()
+    nloc = 3 * patch_dof_map(mesh.m, p).n_dofs
+    local = np.random.default_rng(p).standard_normal((len(mesh.verts), nloc))
     sol = Solution(local=local, uhat=np.zeros(0), report=None)
     u_exact = lambda x: np.sin(3.0 * x[:, 0]) * np.cos(2.0 * x[:, 1])
     l2, eta = per_cell_l2_and_eta(mesh, p, local, u_exact)
@@ -209,7 +209,8 @@ def test_run_convergence_single_n():
 def test_run_convergence_rates_and_csv(tmp_path):
     case = make_benchmark("tanh", 0.4, (1.0, 1.0))
     out = tmp_path / "conv.csv"
-    rows = run_convergence(case, [1], 2, [2, 4], config=FAST, out=str(out))
+    rows = run_convergence(case, [1], 2, [2, 4], config=FAST)
+    out.write_text(rows_to_csv(rows, CONV_COLUMNS))
     assert rows[1]["rate"] >= 1.8
     parsed = read_csv(out)
     assert len(parsed) == 2
@@ -257,8 +258,8 @@ def test_compare_m2_fewer_iterations_than_m1():
 
 def test_run_adapt_levels_zero_matches_convergence(tmp_path):
     case = make_benchmark("tanh", 0.4, (1.0, 1.0))
-    hist = run_adapt(case, 2, 2, 2, levels=0, config=FAST,
-                     out=str(tmp_path / "adapt.csv"))
+    hist = run_adapt(case, 2, 2, 2, levels=0, config=FAST)
+    (tmp_path / "adapt.csv").write_text(rows_to_csv(hist, ADAPT_COLUMNS))
     conv = run_convergence(case, [2], 2, [2], config=FAST)
     assert len(hist) == 1
     assert hist[0]["dof_global"] == conv[0]["dof_global"]
@@ -268,7 +269,8 @@ def test_run_adapt_levels_zero_matches_convergence(tmp_path):
 
 
 def test_run_cost_sweep(tmp_path):
-    rows = run_cost(2, 8, 2, "dense", out=str(tmp_path / "cost.csv"))
+    rows = run_cost(2, 8, 2, "dense")
+    (tmp_path / "cost.csv").write_text(rows_to_csv(rows, COST_COLUMNS))
     assert [r["m"] for r in rows] == [1, 2, 4, 8]
     assert all(r["n"] * r["m"] == 8 for r in rows)
     parsed = read_csv(tmp_path / "cost.csv")
@@ -286,8 +288,9 @@ def test_u_nodal_max():
 
 def test_write_csv_formats_floats(tmp_path):
     path = tmp_path / "x.csv"
-    write_csv([{"a": 1.0 / 3.0, "b": None, "c": True, "d": 7}],
-              ["a", "b", "c", "d"], str(path))
+    with open(path, "w", newline="") as fh:
+        write_csv([{"a": 1.0 / 3.0, "b": None, "c": True, "d": 7}],
+                  ["a", "b", "c", "d"], fh)
     text = path.read_text()
     assert "0.33333333333333331" in text
     back = read_csv(path)

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import poly_case
+from conftest import assemble_one, poly_case
 
-from mehdg.assembly import StabilizationConfig, assemble_macro
+from mehdg.assembly import StabilizationConfig
 from mehdg.costmodel import (
     CostInputs,
     dependent_quantities,
@@ -50,8 +50,8 @@ def test_face_count_matches_mesh():
     for n in (1, 2, 3, 4):
         rep = dependent_quantities(CostInputs(d=2, n=n, m=1, p=1))
         mesh = build_structured_macro_mesh(2, n, 1)
-        assert rep.D_faces == len(mesh.interior_faces())
-        assert rep.N == len(mesh.macro_elements)
+        assert rep.D_faces == (mesh.face_tag == "interior").sum()
+        assert rep.N == len(mesh.verts)
 
 
 def test_operation_count_examples():
@@ -108,8 +108,7 @@ def test_measured_dense_a_block_bytes(m, p):
     size each."""
     mesh = build_structured_macro_mesh(2, 2, m)
     case = poly_case(1)
-    op = assemble_macro(mesh, 0, p, case.problem(),
-                        StabilizationConfig())
+    op = assemble_one(mesh, 0, p, case.problem(), StabilizationConfig())
     model = memory_estimate(CostInputs(d=2, n=2, m=m, p=p))["A_block"]
     assert op.A.nbytes == 9 * model  # (d+1)^2 scalar blocks
 
@@ -119,8 +118,7 @@ def test_measured_sparse_fill_below_model(m, p):
     """Sparsity constant is an upper estimate of the measured fill."""
     mesh = build_structured_macro_mesh(2, 1, m)
     case = poly_case(1)
-    op = assemble_macro(mesh, 0, p, case.problem(),
-                        StabilizationConfig())
+    op = assemble_one(mesh, 0, p, case.problem(), StabilizationConfig())
     assert sp.issparse(op.A)
     rep = dependent_quantities(CostInputs(d=2, n=1, m=m, p=p, arithmetic="sparse"))
     measured = op.A.nnz / (3 * rep.Q_d) ** 2

@@ -5,11 +5,9 @@ import pytest
 
 from mehdg.fem_basis import (
     LagrangeBasis,
-    OrientationError,
     TraceBasis,
-    build_patch_dof_map,
-    face_trace_map,
     patch_dof_count,
+    patch_dof_map,
     quadrature_rule,
     reference_tables,
     simplex_lattice,
@@ -18,7 +16,7 @@ from mehdg.fem_basis import (
     trace_projection,
     trace_quadrature,
 )
-from mehdg.mesh import build_structured_macro_mesh, sub_cell_ref_verts, sub_cells
+from mehdg.mesh import EDGE_VERTS, build_structured_macro_mesh, sub_cell_ref_verts, sub_cells
 
 
 def random_ref_points(rng, npts):
@@ -91,24 +89,21 @@ def patch_map_coordinate_oracle(m, p):
 
 @pytest.mark.parametrize("m,p,expect", [(1, 2, 6), (2, 1, 6), (3, 2, 28), (2, 2, 15)])
 def test_patch_dof_map_counts(m, p, expect):
-    macro = build_structured_macro_mesh(2, 1, m).macro_elements[0]
-    dofmap = build_patch_dof_map(macro, p)
+    dofmap = patch_dof_map(m, p)
     assert dofmap.n_dofs == expect == patch_dof_count(2, m, p)
     count, _, _ = patch_map_coordinate_oracle(m, p)
     assert count == expect
 
 
 def test_patch_dof_map_m1_identity():
-    macro = build_structured_macro_mesh(2, 1, 1).macro_elements[0]
-    dofmap = build_patch_dof_map(macro, 3)
+    dofmap = patch_dof_map(1, 3)
     assert len(dofmap.cell_maps) == 1
     assert np.array_equal(np.sort(dofmap.cell_maps[0]), np.arange(dofmap.n_dofs))
 
 
 @pytest.mark.parametrize("m,p", [(2, 1), (2, 2), (3, 2)])
 def test_patch_dof_map_matches_coordinate_dedup(m, p):
-    macro = build_structured_macro_mesh(2, 1, m).macro_elements[0]
-    dofmap = build_patch_dof_map(macro, p)
+    dofmap = patch_dof_map(m, p)
     _, oracle_maps, _ = patch_map_coordinate_oracle(m, p)
     # both maps must induce the same node-sharing pattern
     ref = dofmap.node_ref_coords
@@ -145,8 +140,8 @@ def test_cached_reference_arrays_read_only():
     assert rule is quadrature_rule(2, 5)
     psi = trace_basis(3, 2)
     assert trace_basis(3, 2) is psi
-    mesh = build_structured_macro_mesh(2, 1, 2)
-    dofmap = build_patch_dof_map(mesh.macro_elements[0], 2)
+    dofmap = patch_dof_map(2, 2)
+    assert patch_dof_map(2, 2) is dofmap
     before = val.copy()
     assert trace_mass(3, 2) is trace_mass(3, 2)
     assert trace_projection(3, 2, 6) is trace_projection(3, 2, 6)
@@ -209,25 +204,12 @@ def test_trace_basis_kronecker_and_pou():
     assert np.abs(basis.eval(s).sum(axis=1) - 1.0).max() < 1e-12
 
 
-def test_face_trace_map():
-    mesh = build_structured_macro_mesh(2, 2, 2)
-    face = mesh.interior_faces()[0]
-    basis = face_trace_map(face, 2, mesh=mesh)
-    assert basis.n_dofs == mesh.m * 2 + 1
-
-    # corrupt one side's parametrization: orientation check must fire
-    face.left.t0 += 0.25
-    with pytest.raises(OrientationError):
-        face_trace_map(face, 2, mesh=mesh)
-    face.left.t0 -= 0.25
-
-
 @pytest.mark.parametrize("m,p", [(1, 2), (2, 2), (2, 3)])
 def test_patch_space_reproduces_polynomials(m, p):
-    macro = build_structured_macro_mesh(2, 1, m).macro_elements[0]
-    dofmap = build_patch_dof_map(macro, p)
-    amap = macro.affine_map()
-    nodes = amap.to_physical(dofmap.node_ref_coords)
+    mesh = build_structured_macro_mesh(2, 1, m)
+    dofmap = patch_dof_map(m, p)
+    jac, offset = mesh.jacobians[0], mesh.verts[0, 0]
+    nodes = dofmap.node_ref_coords @ jac.T + offset
 
     def u(x):
         return (x[:, 0] + 0.5 * x[:, 1]) ** p + x[:, 1]
@@ -243,7 +225,7 @@ def test_patch_space_reproduces_polynomials(m, p):
             J = np.column_stack((sub[1] - sub[0], sub[2] - sub[0]))
             loc = np.linalg.solve(J, pt - sub[0])
             if loc.min() >= -1e-12 and loc.sum() <= 1 + 1e-12:
-                phys = amap.to_physical(pt[None, :])
+                phys = pt[None, :] @ jac.T + offset
                 val = basis.eval(loc[None, :]) @ coeffs[dofmap.cell_maps[cell_idx]]
                 assert abs(val[0] - u(phys)[0]) < 1e-10
                 break
@@ -254,16 +236,15 @@ def test_patch_space_reproduces_polynomials(m, p):
 @pytest.mark.parametrize("m,p", [(2, 2), (3, 2)])
 def test_trace_compatibility(m, p):
     """Edge restriction of a patch function equals its trace-basis expansion."""
-    macro = build_structured_macro_mesh(2, 1, m).macro_elements[0]
-    dofmap = build_patch_dof_map(macro, p)
-    amap = macro.affine_map()
-    nodes = amap.to_physical(dofmap.node_ref_coords)
+    mesh = build_structured_macro_mesh(2, 1, m)
+    dofmap = patch_dof_map(m, p)
+    nodes = dofmap.node_ref_coords @ mesh.jacobians[0].T + mesh.verts[0, 0]
     rng = np.random.default_rng(5)
     coeffs = rng.standard_normal(dofmap.n_dofs)
     theta = TraceBasis(m, p)
     for k in range(3):
         edge_coeffs = coeffs[dofmap.edge_nodes[k]]
-        pa, pb = macro.edge_endpoints(k)
+        pa, pb = mesh.verts[0, list(EDGE_VERTS[k])]
         t = np.linspace(0, 1, 23)
         vals = theta.eval(t) @ edge_coeffs
         # the edge-node coordinates must equal the trace nodes along the edge

@@ -11,17 +11,19 @@ import scipy.sparse.linalg as spla
 
 from conftest import (
     CLASS_MESHES,
+    assemble_one,
     coarse_prolongation,
+    macro_nodes,
     neumann_right,
     poly_case,
     random_adapted_mesh,
-    solve_poly,
 )
 from reference_assembly import loop_face_slots
+from reference_mesh import face_sides
 
-from mehdg.assembly import StabilizationConfig, assemble_macro, face_operators
+from mehdg.assembly import StabilizationConfig, face_operators
 from mehdg.bench import make_benchmark
-from mehdg.fem_basis import TraceBasis, build_patch_dof_map
+from mehdg.fem_basis import TraceBasis
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import (
     MAX_WORKERS,
@@ -77,14 +79,15 @@ def slot_diagonal_mask(ns, nd):
 
 
 def per_macro_oracle(mesh, sys, p, problem=None):
-    """Per macro, in id order: assemble_macro's operators, the mask of its B
-    columns on unknown faces and their indices in the trace vector."""
+    """Per macro, in id order: its operators assembled as a one-macro class,
+    the mask of its B columns on unknown faces and their indices in the
+    trace vector."""
     problem = problem or poly_case(2).problem()
-    for macro in mesh.macro_elements:
-        op = assemble_macro(mesh, macro.id, p, problem, NO_STAB)
+    for e in range(len(mesh.verts)):
+        op = assemble_one(mesh, e, p, problem, NO_STAB)
         mask = np.zeros(op.B.shape[1], dtype=bool)
         idx = []
-        for fid, slot in loop_face_slots(mesh, macro, p):
+        for fid, slot in loop_face_slots(mesh, e, p):
             start = int(sys.face_start[fid])
             if start >= 0:
                 mask[slot] = True
@@ -131,7 +134,8 @@ def test_solve_refuses_non_integer_p(p):
 
 @pytest.mark.parametrize("name", sorted(CLASS_MESHES))
 def test_class_operators_match_per_macro_assembly(name):
-    """Every class's A, B and C equal assemble_macro's for each member macro,
+    """Every class's A, B and C equal those of each member macro assembled
+    as a one-macro class,
     and each member's R_u row equals that macro's own R_u, with SUPG off and
     on (both variants)."""
     from mehdg.bench import make_benchmark
@@ -144,21 +148,21 @@ def test_class_operators_match_per_macro_assembly(name):
                  StabilizationConfig(supg=True, supg_variant="paper-plus")):
         classes, _ = assemble_system(mesh, problem, stab, p)
         ids = sorted(e for cls in classes for e in cls.macro_ids.tolist())
-        assert ids == list(range(len(mesh.macro_elements)))
+        assert ids == list(range(len(mesh.verts)))
         for cls in classes:
             A = cls.A.toarray() if hasattr(cls.A, "toarray") else cls.A
             for r, e in enumerate(cls.macro_ids):
-                op = assemble_macro(mesh, e, p, problem, stab)
+                op = assemble_one(mesh, e, p, problem, stab)
                 Ae = op.A.toarray() if hasattr(op.A, "toarray") else op.A
                 for got, want in ((A, Ae), (cls.B, op.B), (cls.C, op.C),
                                   (cls.R_u[r], op.R_u)):
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-                want = [fid for fid, _ in loop_face_slots(mesh, mesh.macro_elements[e], p)]
+                want = [fid for fid, _ in loop_face_slots(mesh, e, p)]
                 assert cls.face_ids[r].tolist() == want
     if name.startswith("uniform"):
         assert len(classes) == 2  # one class per diagonal direction
     if name == "adapted-2-level":
-        assert any(f.hanging for f in mesh.skeleton)
+        assert (mesh.face_parent >= 0).any()
         assert any(cls.macro_ids.size > 1 for cls in classes)
     if name == "adapted-random-neumann":
         assert len(classes) >= 8
@@ -211,7 +215,7 @@ def test_fused_apply_matches_dense_oracle(name):
     counts = {cls.face_ids.shape[1] for cls in classes}  # slots per macro
     sys = condense(mesh, classes, faces, SolverConfig())
     if name == "adapted-2-level":
-        assert any(f.hanging for f in mesh.skeleton)
+        assert (mesh.face_parent >= 0).any()
         assert counts == {3, 4}
     if name == "adapted-random-2":
         assert counts == {3, 4, 5, 6}
@@ -260,7 +264,7 @@ def test_reconstruction_and_rhs_match_dense_oracle(name):
         f[sys.face_start[fid]:sys.face_start[fid] + sys.nd] = R_hat
     for e, (op, mask, gi) in enumerate(per_macro_oracle(mesh, sys, p, problem)):
         A = op.A.toarray() if hasattr(op.A, "toarray") else op.A
-        R_u = op.R_u.ravel()  # assemble_macro's one-macro stack
+        R_u = op.R_u.ravel()  # the one-macro stack
         want = np.linalg.solve(A, R_u - op.B[:, mask] @ uhat[gi])
         assert np.abs(local[e] - want).max() <= 1e-11 * np.abs(want).max()
         f[gi] -= op.C[mask] @ np.linalg.solve(A, R_u)
@@ -344,24 +348,24 @@ def test_trace_numbering_matches_offsets_loop(m, p):
     problem.g_N = lambda x: np.cos(2 * x[:, 0]) - x[:, 1]
     mesh = refine_macros(build_structured_macro_mesh(2, 3, m, boundary_tagger=tagger),
                          [1, 4, 9])
-    assert {f.tag for f in mesh.skeleton} == {"interior", "D", "N"}
-    assert any(f.hanging for f in mesh.skeleton)
+    assert set(mesh.face_tag.tolist()) == {"interior", "D", "N"}
+    assert (mesh.face_parent >= 0).any()
     classes, faces = assemble_system(mesh, problem, NO_STAB, p)
     sys = condense(mesh, classes, faces, SolverConfig())
 
     # the numbering loop: unknown faces in skeleton order, m p + 1 dofs each
     offsets, pos = {}, 0
-    for face in mesh.skeleton:
-        if face.tag == "D":
+    for fid, tag in enumerate(mesh.face_tag):
+        if tag == "D":
             continue
-        offsets[face.id] = pos
+        offsets[fid] = pos
         pos += m * p + 1
     assert sys.zhat == pos and sys.nd == m * p + 1
-    assert sys.face_start.tolist() == [offsets.get(f.id, -1) for f in mesh.skeleton]
+    assert sys.face_start.tolist() == [offsets.get(f, -1) for f in range(len(mesh.face_tag))]
     for cls in classes:
         for r, e in enumerate(cls.macro_ids.tolist()):
             want = np.full(len(cls.K_fold), -1, dtype=np.int64)
-            for fid, slot in loop_face_slots(mesh, mesh.macro_elements[e], p):
+            for fid, slot in loop_face_slots(mesh, e, p):
                 if fid in offsets:
                     want[slot] = np.arange(offsets[fid], offsets[fid] + sys.nd)
             assert np.array_equal(cls.trace_idx[r], want)
@@ -381,7 +385,7 @@ def test_trace_numbering_matches_offsets_loop(m, p):
 def test_global_dof_counting_oracle():
     for n, m, p in ((2, 2, 2), (4, 1, 3), (2, 4, 2)):
         mesh, sys = build_system(n, m, p)
-        expect = sum(m * p + 1 for f in mesh.skeleton if f.tag != "D")
+        expect = sum(m * p + 1 for tag in mesh.face_tag if tag != "D")
         assert sys.zhat == expect
 
 
@@ -394,9 +398,8 @@ def test_manufactured_linear_trace():
     uhat = spla.spsolve(S.tocsc(), sys.f_vec)
     basis = TraceBasis(mesh.m, 2)
     for fid, start in unknown_faces(sys):
-        face = mesh.skeleton[fid]
-        pts = face.verts[0][None, :] + basis.nodes[:, None] * (
-            face.verts[1] - face.verts[0])[None, :]
+        v0, v1 = mesh.face_verts[fid]
+        pts = v0[None, :] + basis.nodes[:, None] * (v1 - v0)[None, :]
         assert np.abs(uhat[start:start + sys.nd] - case.u_exact(pts)).max() < 1e-10
 
 
@@ -444,7 +447,7 @@ def test_call_counts_exact_with_workers():
     x = np.ones(sys.zhat)
     for _ in range(20):
         apply_schur(sys, x)
-    assert sys.counters["macro_apply"] == 20 * len(mesh.macro_elements)
+    assert sys.counters["macro_apply"] == 20 * len(mesh.verts)
     assert sys.counters["face_reduce"] == 20 * len(unknown_faces(sys))
 
 
@@ -551,7 +554,7 @@ def test_block_preconditioner_inverts_face_blocks_of_s(name):
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, p)
     sys = condense(mesh, classes, faces, SolverConfig())
     if name == "adapted-2-level":
-        assert any(f.hanging for f in mesh.skeleton)
+        assert (mesh.face_parent >= 0).any()
     D, CAB = dense_D_and_CAB(mesh, sys, p)
     S = D - CAB
     P = np.zeros_like(S)
@@ -957,6 +960,40 @@ def test_gmres_matches_numpy_givens_reference(name):
     assert info["converged"] and ref["converged"]
 
 
+def test_gmres_basis_sized_by_the_trace_not_by_restart(monkeypatch):
+    """A restart length above the trace size changes nothing: the Krylov
+    space has at most n dimensions, so the basis and H are sized by
+    min(restart, n).  On the (4, 1, 1) mesh (80 trace dofs, 45 iterations)
+    restart 2000 gives restart 100's uhat bitwise, and gmres allocates
+    under 4 MiB at its peak (an H of 2001 x 2000 floats takes 32 MB)."""
+    import tracemalloc
+
+    from mehdg import schur_solver
+
+    peaks = []
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return gmres(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(schur_solver, "gmres", traced)
+    mesh = build_structured_macro_mesh(2, 4, 1)
+    problem = make_benchmark("tanh", 1.0, (1.0, 2.0)).problem()
+    uhat = {}
+    for restart in (100, 2000):
+        sol, _ = solve(mesh, problem, NO_STAB,
+                       SolverConfig(mode="mb", tol=1e-10, restart=restart), 1)
+        assert sol.report.converged and sol.report.iterations == 45
+        assert sol.report.dof_global == 80
+        uhat[restart] = sol.uhat
+    assert np.array_equal(uhat[100], uhat[2000])
+    assert len(peaks) == 2 and max(peaks) < 4 * 2**20
+
+
 def test_gmres_zero_rhs():
     x, info = gmres(lambda v: 2 * v, np.zeros(4), SolverConfig())
     assert info["converged"] and np.abs(x).max() == 0.0
@@ -1013,8 +1050,7 @@ def test_explicit_schur_adjacency():
     mesh, sys = build_system(3, 1, 1)
     S = assemble_schur_explicit(sys).toarray()
     # face id -> set of adjacent macros
-    adj = {fid: {s.macro for s in mesh.skeleton[fid].sides()}
-           for fid, _ in unknown_faces(sys)}
+    adj = {fid: {s.macro for s in face_sides(mesh, fid)} for fid, _ in unknown_faces(sys)}
     owner = np.empty(sys.zhat, dtype=int)
     for fid, start in unknown_faces(sys):
         owner[start:start + sys.nd] = fid
@@ -1046,10 +1082,8 @@ def test_reconstruct_zero():
 def test_reconstruct_patch_test_nodal_values():
     case = poly_case(1, a=(0.0, 0.0))
     mesh, solution, _, _ = _solve_case(case, 2, 2, 2)
-    for e, macro in enumerate(mesh.macro_elements):
-        dofmap = build_patch_dof_map(macro, 2)
-        nodes = macro.affine_map().to_physical(dofmap.node_ref_coords)
-        assert np.abs(solution.u_coeffs(e) - case.u_exact(nodes)).max() < 1e-9
+    for e, nodes in enumerate(macro_nodes(mesh, 2)):
+        assert np.abs(solution.u[e] - case.u_exact(nodes)).max() < 1e-9
 
 
 def _solve_case(case, n, m, p, **kw):

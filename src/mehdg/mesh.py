@@ -254,10 +254,15 @@ class MacroMesh:
         key = np.concatenate((self.jacobians.reshape(k, 4), self.slot_table.reshape(k, -1)),
                              axis=1)
         key = np.round(key, _ROUND) + 0.0  # + 0.0 turns -0.0 into 0.0
-        _, first, label = np.unique(key, axis=0, return_index=True, return_inverse=True)
+        # rows in lexicographic order, stable: a class's first macro leads it
+        order = np.lexsort(key.T[::-1])
+        new = np.ones(k, dtype=bool)
+        new[1:] = np.any(key[order[1:]] != key[order[:-1]], axis=1)
+        first = order[new]
         rank = np.empty(first.size, dtype=np.intp)
         rank[np.argsort(first)] = np.arange(first.size)
-        label = rank[label.ravel()]
+        label = np.empty(k, dtype=np.intp)
+        label[order] = rank[np.cumsum(new) - 1]
         members = np.argsort(label, kind="stable")
         return np.split(members, np.cumsum(np.bincount(label))[:-1])
 

@@ -51,7 +51,10 @@ iteration.  The coarse space is continuous P1 on the sub-cell vertices of
 the skeleton (the mesh vertices at m = 1, the P1 space of Cockburn, Dubois,
 Gopalakrishnan & Tan), Pc its prolongation into the trace and
 S_c = Pc^T S Pc, built from each class's K_fold, the face blocks S_FF and
-the mesh arrays without S and factored once by splu.  One application is
+the mesh arrays without S and factored once: summed into a dense array and
+factored by LAPACK getrf up to COARSE_DENSE_MAX_DOFS coarse dofs, where
+splu and its sparse constructors cost more than the dense arithmetic, and
+factored by splu above.  One application is
 w = P S v, the folded operator above, followed by w + E S_c^-1 (Q w) with
 Q = Pc^T blockdiag(S_FF) and E = (I - P S) Pc = P (scatter of K_fold) Pc,
 one sparse matrix built from the class blocks: since Q P = Pc^T this is
@@ -107,7 +110,15 @@ COARSE_MAX_PECLET = 8.0
 # BENCH_twolevel.json (72 configs, n <= 8, m = 1, 2, 4, p = 1..3, mb and
 # mf, tol 1e-10, Pe < 1; 20 alternated pairs each).
 COARSE_MIN_TRACE_DOFS = 192
-# LAPACK's dense LU and LU solve, which _solve_local calls directly
+# The most coarse dofs whose S_c coarse_space sums into a dense array and
+# factors by LAPACK getrf; above, S_c is a sparse matrix factored by splu.
+# 255 minimized the summed solve() CPU time of the dense section of
+# BENCH_coarse_lu.json (tools/twolevel_grid.py dense: tanh, kappa 0.4, p = 2,
+# 79 to 607 coarse dofs, mb and mf, 20 alternated pairs each): getrf was
+# faster in 19-20 of 20 pairs up to 167 coarse dofs, broke even at 255 and
+# was slower from 287.
+COARSE_DENSE_MAX_DOFS = 255
+# LAPACK's dense LU and LU solve, which _DenseLU calls directly
 _GETRF, _GETRS = sla.get_lapack_funcs(("getrf", "getrs"), dtype=np.float64)
 
 
@@ -213,29 +224,51 @@ class OperatorClass(LocalOperators):
     K_fold: Optional[np.ndarray] = None
 
 
-def _solve_local(A, rhs: np.ndarray, macro: int) -> np.ndarray:
-    """A^-1 rhs through one LU of A: LAPACK getrf/getrs called directly when
-    A is dense (the same LU and solution as lu_factor/lu_solve, without the
-    wrappers' per-call cost, which exceeds the arithmetic of a 45 x 45
-    block), splu when it is sparse.  A non-finite A raises ValueError; a zero
-    pivot, or one below 1e-13 max|A|, raises SingularLocalBlock(macro)."""
+class _DenseLU:
+    """The LU of a dense matrix from LAPACK getrf, with the solve(b) of
+    scipy's SuperLU by getrs: both called directly, without the per-call
+    cost of the lu_factor/lu_solve wrappers, which exceeds the arithmetic of
+    a 45 x 45 block."""
+
+    def __init__(self, lu: np.ndarray, piv: np.ndarray):
+        self.lu, self.piv = lu, piv
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return _GETRS(self.lu, self.piv, b)[0]
+
+
+def _lu(A):
+    """One LU of A with a solve(b): _DenseLU when A is dense, splu when it
+    is sparse.  None when A is not finite, or singular: a zero pivot, or one
+    at most 1e-13 max|A|."""
     sparse = sp.issparse(A)
     amax = float(np.abs(A.data if sparse else A).max(initial=0.0))
     if not np.isfinite(amax):
-        raise ValueError(f"local block A at macro {macro} is not finite")
+        return None
     info = 0
     if sparse:
         try:
             fac = spla.splu(sp.csc_matrix(A))
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SingularLocalBlock(macro) from exc
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            return None
         pivots = fac.U.diagonal()
     else:
         lu, piv, info = _GETRF(A)
-        pivots = np.diagonal(lu)
+        fac, pivots = _DenseLU(lu, piv), np.diagonal(lu)
     if info > 0 or np.abs(pivots).min() <= 1e-13 * max(amax, 1e-300):
+        return None
+    return fac
+
+
+def _solve_local(A, rhs: np.ndarray, macro: int) -> np.ndarray:
+    """A^-1 rhs through one LU of A (_lu).  A non-finite A raises
+    ValueError, a singular one SingularLocalBlock(macro)."""
+    fac = _lu(A)
+    if fac is None:
+        if not np.isfinite(A.data if sp.issparse(A) else A).all():
+            raise ValueError(f"local block A at macro {macro} is not finite")
         raise SingularLocalBlock(macro)
-    return fac.solve(rhs) if sparse else _GETRS(lu, piv, rhs)[0]
+    return fac.solve(rhs)
 
 
 def _invert_face_blocks(fids: list, blocks: np.ndarray) -> np.ndarray:
@@ -428,7 +461,8 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
     V = np.zeros((restart + 1, n))
     H = np.zeros((restart + 1, restart))
     while True:
-        r = rhs - apply_op(x)
+        # the first cycle starts at x = 0, where the residual is rhs
+        r = rhs - apply_op(x) if history else rhs
         beta = float(np.linalg.norm(r))
         if not history:
             history.append(beta)
@@ -570,13 +604,14 @@ class CoarseSpace:
     (zhat, dofs) into the trace is Ploc = trace_hats(m, p) on every face,
     scattered by face_coarse; it is not stored, since correct() reads only
     Q = Pc^T blockdiag(S_FF), E = (I - P S) Pc and lu, the factor of
-    S_c = Pc^T S Pc."""
+    S_c = Pc^T S Pc: dense up to COARSE_DENSE_MAX_DOFS coarse dofs, sparse
+    above."""
 
     face_coarse: np.ndarray  # (unknown faces, m + 1) coarse ids of the breakpoints
     Q: sp.csc_matrix
     E: sp.csc_matrix
-    Sc: sp.csc_matrix
-    lu: spla.SuperLU
+    Sc: np.ndarray | sp.csc_matrix
+    lu: _DenseLU | spla.SuperLU
     setup_s: float  # building all of it
 
     @property
@@ -630,6 +665,19 @@ def _summed_columns(terms: list, shape: tuple) -> sp.csc_matrix:
     return columns @ to_ids
 
 
+def _summed_dense(terms: list, n: int) -> np.ndarray:
+    """The (n, n) dense sum of the blocks of `terms`, triples as in
+    _summed_columns, by one bincount over the flat ids row n + column;
+    entries on an id -1 are dropped."""
+    flat, vals = [], []
+    for row_ids, blocks, col_ids in terms:
+        r, c = row_ids[:, :, None], col_ids[:, None, :]
+        flat.append(np.where((r >= 0) & (c >= 0), r * n + c, n * n).ravel())
+        vals.append(blocks.ravel())
+    return np.bincount(np.concatenate(flat), np.concatenate(vals),
+                       minlength=n * n + 1)[:-1].reshape(n, n)
+
+
 def coarse_space(sys: CondensedSystem) -> CoarseSpace:
     """The P1 coarse space of the trace, the factor of S_c = Pc^T S Pc and
     E = (I - P S) Pc, built without S or Pc.  Ploc (nd, m + 1), the P1 hat
@@ -642,8 +690,11 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
     E = P (scatter of K_fold) Pc is P_F times K_fold L's rows of each member
     slot F, scattered by the members' trace indices and coarse ids.  Both
     sum duplicates: a vertex is a breakpoint of two slots of a macro and of
-    every macro around it, and a face's rows get terms from both sides.  A
-    singular S_c raises SingularCoarseOperator."""
+    every macro around it, and a face's rows get terms from both sides.
+    Up to COARSE_DENSE_MAX_DOFS coarse dofs, S_c is summed into a dense
+    array and factored by LAPACK getrf (_lu); above, it is a sparse matrix
+    factored by splu.  A singular S_c, or a non-finite dense one, raises
+    SingularCoarseOperator."""
     t0 = time.perf_counter()
     nd, zhat, m = sys.nd, sys.zhat, sys.mesh.m
     unknown = sys.face_start >= 0  # skeleton order is trace order
@@ -686,11 +737,17 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
         PKL = sys.P_blocks[rank] @ np.repeat(KL, members, axis=0)
         E_terms.append((trace_idx, PKL.reshape(len(ids), nc, -1), ids))
     E = _summed_columns(E_terms, (zhat, n_coarse))
-    Sc = _summed_columns(Sc_terms, (n_coarse, n_coarse))
-    try:
-        lu = spla.splu(Sc)
-    except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-        raise SingularCoarseOperator(n_coarse) from exc
+    if n_coarse <= COARSE_DENSE_MAX_DOFS:
+        Sc = _summed_dense(Sc_terms, n_coarse)
+        lu = _lu(Sc)
+    else:
+        Sc = _summed_columns(Sc_terms, (n_coarse, n_coarse))
+        try:
+            lu = spla.splu(Sc)
+        except RuntimeError:  # SuperLU: "Factor is exactly singular"
+            lu = None
+    if lu is None:
+        raise SingularCoarseOperator(n_coarse)
     return CoarseSpace(cv, Q, E, Sc, lu, time.perf_counter() - t0)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mehdg import schur_solver
 from mehdg.assembly import StabilizationConfig, assemble_classes
 from mehdg.bench import make_benchmark
 from mehdg.fem_basis import patch_dof_map, trace_hats
@@ -71,6 +72,27 @@ def coarse_prolongation(sys, coarse):
     for j in range(k):
         Pc[np.arange(nf)[:, None], np.arange(nd), coarse.face_coarse[:, j, None]] += hats[:, j]
     return Pc.reshape(nf * nd, -1)
+
+
+# The COARSE_DENSE_MAX_DOFS that forces coarse_space onto each factor of
+# S_c, whatever its size: LAPACK getrf of a dense S_c, or splu of a sparse one
+COARSE_FACTORS = {"getrf": 1 << 62, "splu": -1}
+
+
+def over_coarse_factors(cases: dict) -> list:
+    """Parameters of a test that takes the fixture coarse_factor last: each
+    case (id -> tuple of values) once on the dense factor, under its own id,
+    and once on the sparse one, under id + '-splu'."""
+    return [pytest.param(*values, factor, id=key if factor == "getrf" else f"{key}-{factor}")
+            for key, values in cases.items() for factor in COARSE_FACTORS]
+
+
+@pytest.fixture
+def coarse_factor(request, monkeypatch):
+    """The factor of S_c, "getrf" or "splu", that coarse_space is forced
+    onto for the test; parametrize it indirectly (over_coarse_factors)."""
+    monkeypatch.setattr(schur_solver, "COARSE_DENSE_MAX_DOFS", COARSE_FACTORS[request.param])
+    return request.param
 
 
 # Meshes on which per-class operators are checked against per-macro ones

@@ -6,9 +6,15 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import coarse_prolongation, neumann_right, random_adapted_mesh
+from conftest import (
+    coarse_prolongation,
+    neumann_right,
+    over_coarse_factors,
+    random_adapted_mesh,
+)
 
 from mehdg import schur_solver
 from mehdg.assembly import StabilizationConfig
@@ -81,14 +87,17 @@ def test_coarse_ids_rank_the_vertex_ids(name):
     assert np.array_equal(inner.ravel(), distinct.size + np.arange(inner.size))
 
 
-@pytest.mark.parametrize("name", list(COARSE_MESHES))
-def test_coarse_operator_is_galerkin_product(name):
+@pytest.mark.parametrize("name,coarse_factor",
+                         over_coarse_factors({name: (name,) for name in COARSE_MESHES}),
+                         indirect=["coarse_factor"])
+def test_coarse_operator_is_galerkin_product(name, coarse_factor):
     """S_c, built from the class blocks without S, equals Pc^T S Pc of the
     explicit S, and Q equals Pc^T times the face-diagonal blocks of S, to
     1e-14 relative, on a uniform mesh, an adapted mesh with hanging faces
-    and a mesh with Neumann faces; Pc, rebuilt from the stored coarse ids of
-    each face's breakpoints, reproduces the P1 hat functions of each face's
-    segments at its trace nodes."""
+    and a mesh with Neumann faces, both as the dense array that getrf
+    factors and as the sparse matrix that splu factors; Pc, rebuilt from the
+    stored coarse ids of each face's breakpoints, reproduces the P1 hat
+    functions of each face's segments at its trace nodes."""
     mesh = COARSE_MESHES[name]()
     if name.startswith("adapted"):
         assert (mesh.face_parent >= 0).any()
@@ -96,10 +105,12 @@ def test_coarse_operator_is_galerkin_product(name):
         assert (mesh.face_tag == "N").any()
     sys = condensed(mesh)
     coarse = coarse_space(sys)
+    assert sp.issparse(coarse.Sc) == (coarse_factor == "splu")
+    Sc = coarse.Sc.toarray() if sp.issparse(coarse.Sc) else coarse.Sc
     S = assemble_schur_explicit(sys).toarray()
     Pc = coarse_prolongation(sys, coarse)
     galerkin = Pc.T @ S @ Pc
-    assert np.abs(coarse.Sc.toarray() - galerkin).max() <= 1e-14 * np.abs(galerkin).max()
+    assert np.abs(Sc - galerkin).max() <= 1e-14 * np.abs(galerkin).max()
     Q = Pc.T @ face_diagonal(S, sys.nd)
     assert np.abs(coarse.Q.toarray() - Q).max() <= 1e-14 * np.abs(Q).max()
     # each trace dof is a convex combination of its segment's two
@@ -145,6 +156,23 @@ def test_multiplicative_correction_matches_dense(name):
         v = rng.standard_normal(sys.zhat)
         MSv = M @ S @ v
         assert np.abs(coarse.correct(P @ S @ v) - MSv).max() <= 1e-11 * np.abs(MSv).max()
+
+
+@pytest.mark.parametrize("name", list(COARSE_MESHES))
+def test_dense_and_sparse_coarse_factor_agree(name, monkeypatch):
+    """coarse_space takes the dense factor up to COARSE_DENSE_MAX_DOFS
+    coarse dofs and the sparse one above, and both give the same correct(w)
+    to 1e-12 relative."""
+    sys = condensed(COARSE_MESHES[name]())
+    dofs = coarse_space(sys).dofs
+    coarse = {}
+    for limit in (dofs, dofs - 1):
+        monkeypatch.setattr(schur_solver, "COARSE_DENSE_MAX_DOFS", limit)
+        coarse[limit] = coarse_space(sys)
+    assert isinstance(coarse[dofs].Sc, np.ndarray) and sp.issparse(coarse[dofs - 1].Sc)
+    w = np.random.default_rng(7).standard_normal(sys.zhat)
+    dense, sparse = coarse[dofs].correct(w), coarse[dofs - 1].correct(w)
+    assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
 
 
 @pytest.mark.parametrize("name", ["uniform-6-1", "adapted-random-2", "neumann-4-2"])
@@ -230,12 +258,14 @@ def _zero_coarse_contributions(monkeypatch, value=0.0):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("value", [0.0, np.nan], ids=["zero", "nan"])
-def test_singular_coarse_operator(value):
+@pytest.mark.parametrize("value,coarse_factor",
+                         over_coarse_factors({"zero": (0.0,), "nan": (np.nan,)}),
+                         indirect=["coarse_factor"])
+def test_singular_coarse_operator(value, coarse_factor):
     """With one unknown face, S_c has one contribution, that face's
-    Ploc^T S_FF Ploc.  Zeroed, SuperLU finds S_c exactly singular; NaN, the
-    coarse solve is not finite.  Both raise SingularCoarseOperator, and no
-    NaN comes back."""
+    Ploc^T S_FF Ploc.  Zeroed, getrf and SuperLU find S_c exactly singular;
+    NaN, the dense factor refuses S_c and the sparse one's coarse solve is
+    not finite.  All raise SingularCoarseOperator, and no NaN comes back."""
     mesh = build_structured_macro_mesh(2, 1, 1)
     sys = condensed(mesh)
     assert sys.zhat == sys.nd  # the diagonal face alone

@@ -15,6 +15,7 @@ from conftest import (
     coarse_prolongation,
     macro_nodes,
     neumann_right,
+    over_coarse_factors,
     poly_case,
     random_adapted_mesh,
 )
@@ -512,14 +513,15 @@ def test_solve_folds_dinv_into_operator(monkeypatch, mode):
         assert np.abs(op(x) - ref).max() < 1e-11 * max(1.0, np.abs(ref).max())
 
 
-@pytest.mark.parametrize("n,m,p,mode,iters", [
-    (8, 1, 2, "mb", 19), (4, 4, 2, "mf", 13),
-], ids=["8-1-2-mb-two-level", "4-4-2-mf-two-level"])
-def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters):
+@pytest.mark.parametrize("n,m,p,mode,iters,coarse_factor", over_coarse_factors({
+    "8-1-2-mb-two-level": (8, 1, 2, "mb", 19), "4-4-2-mf-two-level": (4, 4, 2, "mf", 13),
+}), indirect=["coarse_factor"])
+def test_folded_solve_matches_unfolded_gmres(n, m, p, mode, iters, coarse_factor):
     """The folded solve keeps the iteration count of BENCH_multiplicative.json
     and the trace of GMRES run on the multiplicative two-level
     M = P + Q_c - P S Q_c, Q_c = Pc S_c^-1 Pc^T, times the unfolded
-    matrix-free S (the additive M = P + Q_c took 25 and 23)."""
+    matrix-free S (the additive M = P + Q_c took 25 and 23), with S_c
+    factored densely by getrf and sparsely by splu."""
     config = SolverConfig(tol=1e-10, mode=mode)
     mesh = build_structured_macro_mesh(2, n, m)
     solution, sys = solve(mesh, make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(),
@@ -992,6 +994,30 @@ def test_gmres_basis_sized_by_the_trace_not_by_restart(monkeypatch):
         uhat[restart] = sol.uhat
     assert np.array_equal(uhat[100], uhat[2000])
     assert len(peaks) == 2 and max(peaks) < 4 * 2**20
+
+
+def test_gmres_first_cycle_skips_the_operator(monkeypatch):
+    """GMRES starts at x = 0, where the residual is the right-hand side,
+    and does not apply the operator there: on (8,1,2) mb it runs once per
+    iteration and once more for the true residual that confirms
+    convergence, never on a zero vector."""
+    from mehdg import schur_solver
+
+    calls = []
+
+    def counted(apply_op, rhs, config):
+        def op(v):
+            calls.append(not v.any())
+            return apply_op(v)
+        return gmres(op, rhs, config)
+
+    monkeypatch.setattr(schur_solver, "gmres", counted)
+    solution, _ = solve(build_structured_macro_mesh(2, 8, 1),
+                        make_benchmark("tanh", 0.4, (1.0, 1.0)).problem(), NO_STAB,
+                        SolverConfig(tol=1e-10, mode="mb"), 2)
+    assert solution.report.converged and solution.report.coarse_dofs > 0
+    assert solution.report.iterations == 19
+    assert len(calls) == 19 + 1 and not any(calls)
 
 
 def test_gmres_zero_rhs():

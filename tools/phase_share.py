@@ -43,6 +43,7 @@ PHASES = (
     ("assembly", "_volume_load"),
     ("bench", "l2_error"),
     ("adaptivity", "error_indicator"),
+    ("schur_solver", "coarse_space"),
 )
 
 

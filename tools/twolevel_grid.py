@@ -21,6 +21,13 @@ of them and prints one JSON object, keyed by section:
            pairs per config after one warm-up pair, alternating which side
            runs first, |a| = sqrt(2) at angles 2 pi frac(0.3 + r 0.618034)
            for pair r
+  dense    the coarse sizes of the dense-factor crossover: tanh, kappa 0.4,
+           p = 2, (n, m) = (8, 1), (4, 4), (12, 1), (8, 2), (16, 1),
+           (4, 8), (10, 2), (8, 4), modes mb and mf, tol 1e-10, coarse
+           space on: solve() process CPU time with S_c factored densely
+           (getrf) and sparsely (splu), pairs and angles as in size_m4; the
+           summary names the COARSE_DENSE_MAX_DOFS, from the coarse sizes
+           measured, that minimizes the summed median CPU time
   band     the configs of both Peclet sweeps of BENCH_twolevel.json with
            2 <= Pe < 8 (mb, tol 1e-8): solve() wall time with the coarse
            space forced on and off, 3 alternated pairs, median
@@ -29,7 +36,8 @@ hsweep and table report iterations, the fastest and the median solve() wall
 time of 3 runs in this process, the median t_coarse_s, and the relative
 distance of uhat from spsolve of the explicit S; hsweep also the mf-mb
 distance.  Forcing the coarse space on or off sets solve()'s rule constants
-COARSE_MIN_TRACE_DOFS and COARSE_MAX_PECLET for the one call.
+COARSE_MIN_TRACE_DOFS and COARSE_MAX_PECLET for the one call; forcing the
+dense or the sparse factor of S_c sets COARSE_DENSE_MAX_DOFS.
 """
 
 from __future__ import annotations
@@ -70,6 +78,18 @@ def coarse_forced(on: bool):
         yield
     finally:
         schur_solver.COARSE_MIN_TRACE_DOFS, schur_solver.COARSE_MAX_PECLET = saved
+
+
+@contextmanager
+def dense_forced(on: bool):
+    """coarse_space's size rule set so that it always (on) or never (off)
+    factors S_c densely."""
+    saved = schur_solver.COARSE_DENSE_MAX_DOFS
+    schur_solver.COARSE_DENSE_MAX_DOFS = 1 << 62 if on else -1
+    try:
+        yield
+    finally:
+        schur_solver.COARSE_DENSE_MAX_DOFS = saved
 
 
 def twolevel_bench() -> dict:
@@ -150,27 +170,36 @@ def table() -> list:
     return rows
 
 
+def paired_cpu(mesh, p, mode, forced, pairs=20) -> tuple:
+    """solve() process CPU seconds and iterations per side of `forced` (a
+    context manager of one bool), in alternated pairs after one warm-up
+    pair, on tanh, kappa 0.4, |a| = sqrt(2) at angles 2 pi frac(0.3 + r
+    0.618034) for pair r."""
+    cpu = {True: [], False: []}
+    iters = {True: [], False: []}
+    for r in range(pairs + 1):
+        angle = 2 * math.pi * ((0.3 + r * 0.618034) % 1.0)
+        problem = make_benchmark("tanh", 0.4, (math.sqrt(2) * math.cos(angle),
+                                               math.sqrt(2) * math.sin(angle))).problem()
+        for on in ((True, False) if r % 2 else (False, True)):
+            with forced(on):
+                c0 = time.process_time()
+                sol, _ = solve(mesh, problem, StabilizationConfig(),
+                               SolverConfig(tol=1e-10, mode=mode), p)
+                seconds = time.process_time() - c0
+            if r:  # pair 0 is the warm-up
+                cpu[on].append(seconds)
+                iters[on].append(sol.report.iterations)
+    return cpu, iters, sol.report.coarse_dofs
+
+
 def size_m4(pairs=20) -> list:
     rows = []
     for row in twolevel_bench()["size_sweep"]["rows"]:
         if row["m"] != 4:
             continue
         mesh = build_structured_macro_mesh(2, row["n"], 4)
-        cpu = {True: [], False: []}
-        iters = {True: [], False: []}
-        for r in range(pairs + 1):
-            angle = 2 * math.pi * ((0.3 + r * 0.618034) % 1.0)
-            problem = make_benchmark("tanh", 0.4, (math.sqrt(2) * math.cos(angle),
-                                                   math.sqrt(2) * math.sin(angle))).problem()
-            for on in ((True, False) if r % 2 else (False, True)):
-                with coarse_forced(on):
-                    c0 = time.process_time()
-                    sol, _ = solve(mesh, problem, StabilizationConfig(),
-                                   SolverConfig(tol=1e-10, mode=row["mode"]), row["p"])
-                    seconds = time.process_time() - c0
-                if r:  # pair 0 is the warm-up
-                    cpu[on].append(seconds)
-                    iters[on].append(sol.report.iterations)
+        cpu, iters, _ = paired_cpu(mesh, row["p"], row["mode"], coarse_forced, pairs)
         diff = [1e3 * (t - b) for t, b in zip(cpu[True], cpu[False])]
         rows.append({"n": row["n"], "m": 4, "p": row["p"], "mode": row["mode"],
                      "trace_dofs": row["trace_dofs"],
@@ -183,6 +212,29 @@ def size_m4(pairs=20) -> list:
                      "additive_median_pair_diff_ms": row["median_pair_diff_ms"],
                      "additive_twolevel_faster": row["twolevel_faster"]})
     return rows
+
+
+def dense(pairs=20) -> dict:
+    rows = []
+    for n, m in ((8, 1), (4, 4), (12, 1), (8, 2), (16, 1), (4, 8), (10, 2), (8, 4)):
+        mesh = build_structured_macro_mesh(2, n, m)
+        for mode in ("mb", "mf"):
+            with coarse_forced(True):
+                cpu, iters, dofs = paired_cpu(mesh, 2, mode, dense_forced, pairs)
+            diff = [1e3 * (d - s) for d, s in zip(cpu[True], cpu[False])]
+            rows.append({"n": n, "m": m, "p": 2, "mode": mode, "coarse_dofs": dofs,
+                         "same_iterations": iters[True] == iters[False],
+                         "cpu_ms_splu": round(1e3 * statistics.median(cpu[False]), 3),
+                         "cpu_ms_getrf": round(1e3 * statistics.median(cpu[True]), 3),
+                         "median_pair_diff_ms": round(statistics.median(diff), 3),
+                         "getrf_faster": f"{sum(d < 0 for d in diff)}/{pairs}"})
+    # the size rule that minimizes the summed median CPU time of all rows:
+    # dense up to each measured coarse size in turn
+    sizes = sorted({r["coarse_dofs"] for r in rows})
+    totals = {t: round(sum(r["cpu_ms_getrf"] if r["coarse_dofs"] <= t else r["cpu_ms_splu"]
+                           for r in rows), 3) for t in [0] + sizes}
+    return {"rows": rows, "summary": {"summed_cpu_ms_by_max_dofs": totals,
+                                      "best_max_dofs": min(totals, key=totals.get)}}
 
 
 def band(pairs=3) -> dict:
@@ -222,7 +274,8 @@ def band(pairs=3) -> dict:
         "twolevel_fewer_iters": sum(r["twolevel_iters"] < r["block_iters"] for r in rows)}}
 
 
-SECTIONS = {"grid": grid, "hsweep": hsweep, "table": table, "size_m4": size_m4, "band": band}
+SECTIONS = {"grid": grid, "hsweep": hsweep, "table": table, "size_m4": size_m4,
+            "dense": dense, "band": band}
 
 
 def main(argv=None) -> int:

@@ -396,8 +396,16 @@ def assemble_classes(
     rep = reps[owner]
     k = mesh.slot_table[rep, slot, 0].astype(np.intp)
     en3 = scatter.en3[k]
-    keys, which = np.unique(mesh.slot_table[rep, slot, 1:], axis=0, return_inverse=True)
-    W, Me = (np.stack(mats)[which.ravel()] for mats in zip(*(
+    # the distinct (t0, t1) of the pairs: rows in lexicographic order, a new
+    # key where a row differs from the one before
+    t01 = mesh.slot_table[rep, slot, 1:]
+    order = np.lexsort(t01.T[::-1])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(t01[order[1:]] != t01[order[:-1]], axis=1)
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = np.cumsum(new) - 1
+    keys = t01[order[new]]
+    W, Me = (np.stack(mats)[which] for mats in zip(*(
         _slot_face_matrices(m, p, round(t0, _ROUND), round(t1, _ROUND))
         for t0, t1 in keys.tolist())))
     verts = mesh.face_verts[mesh.slot_faces[rep, slot]]

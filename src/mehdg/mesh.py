@@ -12,9 +12,12 @@ vertices, the edge records of its sides, their edge parameters, its tag and,
 on a hanging face, the coarse edge.  It is built in a few array passes over
 its stacked (k, 3, 2) macro vertices: the affine maps of all macros in one
 pass, vertex ids from the coordinates snapped to _ROUND digits, and the 3k
-macro edges matched as sorted pairs of vertex ids.  Only interior edges that
-no other edge matches (the halves of a hanging coarse edge) go through a
-loop.  The solver, the CLI and adaptivity read the arrays directly.
+macro edges matched as sorted pairs of vertex ids by one stable argsort.
+The halves of a hanging coarse edge, interior edges that no other edge
+matches, find their parent by two searchsorted calls, one in the snapped
+vertices and one in the sorted edge codes.  No step loops over edges or
+vertices in Python; only the boundary tagger is called once per boundary
+face.  The solver, the CLI and adaptivity read the arrays directly.
 Quadrature points are mapped into the sub-cells of all macros at once by
 sub_cell_quadrature: per sub-cell kind, one GEMM of the points in macro
 reference coordinates with the Jacobians of all macros side by side, then
@@ -71,12 +74,11 @@ def _simplex_geometry(verts: np.ndarray):
     if np.any(np.abs(det) < 1e-14):
         raise DegenerateSimplexError("zero-volume simplex")
     t = verts[:, _EDGE_B] - verts[:, _EDGE_A]
+    length = np.linalg.norm(t, axis=-1)
     normals = np.stack((t[..., 1], -t[..., 0]), axis=-1)
-    inward = ((verts - verts[:, _EDGE_A]) * normals).sum(axis=-1) > 0
-    normals[inward] = -normals[inward]
-    normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-    diameter = np.linalg.norm(verts - np.roll(verts, -1, axis=1), axis=-1).max(axis=1)
-    return J, det, normals, diameter
+    normals[det < 0] *= -1.0  # clockwise: (t_y, -t_x) points inward
+    normals /= length[..., None]
+    return J, det, normals, length.max(axis=1)
 
 
 def sub_cells(m: int) -> Iterator[tuple[str, int, int]]:
@@ -289,81 +291,99 @@ def _dedup_vertices(verts: np.ndarray):
 
 def _on_square_boundary(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
     """Whether each edge pa[i]-pb[i] lies on one side of the unit square."""
-    return np.any([(np.abs(pa - v) < 1e-12) & (np.abs(pb - v) < 1e-12)
-                   for v in (0.0, 1.0)], axis=(0, 2))
+    lo = np.maximum(np.abs(pa), np.abs(pb))
+    hi = np.maximum(np.abs(pa - 1.0), np.abs(pb - 1.0))
+    return (np.minimum(lo, hi) < 1e-12).any(axis=1)
 
 
 def _match_edges(pa, pb, ends, level, snapped, tagger):
     """Match the macro edges into skeleton faces.  Edge record 3e + k is
     local edge k of macro e, from pa[3e + k] to pb[3e + k]; `ends` holds the
     ranks of its two vertices among the `snapped` vertex coordinates, which
-    are in lexicographic order.  Edges are matched as sorted pairs of ranks;
-    an edge of one macro is a boundary face on the unit square, or else a
-    fine half of a coarse edge.  Returns, per face in canonical vertex
-    order: the left and right records (right -1 on the boundary; left is the
-    lower macro id, or the coarse side of a hanging face), the coarse record
-    of a hanging face (-1 elsewhere), the record whose endpoints are the
-    face vertices, and the tags."""
-    nv = len(snapped)
+    are in lexicographic order.  Edges are matched by one stable sort of
+    their codes, the sorted pairs of ranks: a run of two equal codes is an
+    interior face, and an edge of one macro is a boundary face on the unit
+    square, or else a fine half of a coarse edge.  Returns, per face in
+    canonical vertex order (the order of the codes): the left and right
+    records (right -1 on the boundary; left is the lower macro id, or the
+    coarse side of a hanging face), the coarse record of a hanging face (-1
+    elsewhere), the record whose endpoints are the face vertices, and the
+    tags."""
+    nv, nrec = len(snapped), len(ends)
     code = ends.min(axis=1) * nv + ends.max(axis=1)
-    ucode, group, count = np.unique(code, return_inverse=True, return_counts=True)
-    if np.any(count > 2):
+    order = np.argsort(code, kind="stable")
+    sorted_code = code[order]
+    # whether the next record in code order has the same edge
+    same = np.zeros(nrec, dtype=bool)
+    same[:-1] = sorted_code[1:] == sorted_code[:-1]
+    if np.any(same[1:] & same[:-1]):
         raise SkeletonError("more than two macros share an edge")
-    by_group = np.argsort(group, kind="stable")
-    start = np.cumsum(count) - count
-    pairs = start[count == 2]
-    p_left, p_right = by_group[pairs], by_group[pairs + 1]
+    run_start = np.ones(nrec, dtype=bool)
+    run_start[1:] = ~same[:-1]
+    start = np.flatnonzero(run_start)  # one run per edge
+    rec = order[start]  # its first record, the lower macro id
+    pair = same[start]
+    single = np.flatnonzero(~pair)
+    on_bnd = _on_square_boundary(pa[rec[single]], pb[rec[single]])
+    bnd, loose = single[on_bnd], single[~on_bnd]  # runs
 
-    single = np.flatnonzero(count[group] == 1)
-    on_bnd = _on_square_boundary(pa[single], pb[single])
-    bnd, loose = single[on_bnd], single[~on_bnd]
-    tags = [tagger(mid) if tagger is not None else "D"
-            for mid in 0.5 * (pa[bnd] + pb[bnd])]
-    for tag in tags:
+    left, right = rec.copy(), np.full(rec.size, -1)
+    right[pair] = order[start[pair] + 1]
+    parent = np.full(rec.size, -1)
+    tags = np.full(rec.size, "interior")
+    # the tagger sees the boundary faces in record order
+    by_record = bnd[np.argsort(rec[bnd])]
+    bnd_tags = [tagger(mid) if tagger is not None else "D"
+                for mid in 0.5 * (pa[rec[by_record]] + pb[rec[by_record]])]
+    for tag in bnd_tags:
         if tag not in ("D", "N"):
             raise SkeletonError(f"invalid boundary tag {tag!r}")
+    tags[by_record] = bnd_tags
+    keep = np.ones(rec.size, dtype=bool)
+    if loose.size:
+        fine, coarse = _match_hanging(pa, pb, ends, level, snapped, rec[loose],
+                                      order, sorted_code)
+        hanging = loose[fine]
+        left[hanging], right[hanging], parent[hanging] = coarse, rec[hanging], coarse
+        # the parents are consumed by their fine halves
+        uses = np.bincount(coarse, minlength=nrec)
+        if np.any(uses[coarse] != 2):
+            raise SkeletonError("coarse edge not covered by exactly two fine edges")
+        if not np.all(fine | (uses[rec[loose]] > 0)):
+            raise SkeletonError("unresolved macro edges remain")
+        keep[loose[~fine]] = False
+    return left[keep], right[keep], parent[keep], rec[keep], tags[keep]
 
-    # the rest: fine half-edges, each matched against a coarse parent edge
-    # that doubles it beyond one of its ends; the parents themselves are
-    # consumed once both halves are found
-    rank = {pt: r for r, pt in enumerate(map(tuple, snapped.tolist()))}
-    far = [(np.round(x, _ROUND) + 0.0).tolist()
-           for x in (pa[loose] + 2.0 * (pb[loose] - pa[loose]), 2.0 * pa[loose] - pb[loose])]
-    coarse, fine = [], []
-    for i, rid in enumerate(loose.tolist()):
-        e = rid // 3
-        a, b = ends[rid].tolist()
-        match = None
-        for cand in ((a, rank.get(tuple(far[0][i]))), (rank.get(tuple(far[1][i])), b)):
-            if None in cand:
-                continue
-            c = min(cand) * nv + max(cand)
-            g = np.searchsorted(ucode, c)
-            if g < ucode.size and ucode[g] == c:
-                match = next((prid for prid in by_group[start[g]:start[g] + count[g]].tolist()
-                              if prid // 3 != e and level[prid // 3] == level[e] - 1), None)
-            if match is not None:
-                coarse.append(match)
-                fine.append(rid)
-                break
-    coarse, fine = np.array(coarse, dtype=np.intp), np.array(fine, dtype=np.intp)
-    parents, uses = np.unique(coarse, return_counts=True)
-    if np.any(uses != 2):
-        raise SkeletonError("coarse edge not covered by exactly two fine edges")
-    used = np.zeros(len(pa), dtype=bool)
-    for rec in (p_left, p_right, bnd, fine, parents):
-        used[rec] = True
-    if not used.all():
-        raise SkeletonError("unresolved macro edges remain")
 
-    left = np.concatenate((p_left, bnd, coarse))
-    right = np.concatenate((p_right, np.full(bnd.size, -1), fine))
-    parent = np.concatenate((np.full(pairs.size + bnd.size, -1), coarse))
-    vrec = np.concatenate((p_left, bnd, fine))
-    tags = ["interior"] * pairs.size + tags + ["interior"] * fine.size
-    order = np.argsort(code[vrec])
-    return (left[order], right[order], parent[order], vrec[order],
-            [tags[f] for f in order.tolist()])
+def _match_hanging(pa, pb, ends, level, snapped, loose, order, sorted_code):
+    """The coarse parent edge of each loose edge record: an edge one level
+    coarser, of another macro, that doubles the loose edge beyond its end b
+    or else beyond its end a; the first of those records, in record order,
+    wins.  Returns a mask of the loose records that have a parent, and the
+    parents of those."""
+    nv = len(snapped)
+    a, b = ends[loose].T
+    # the far end of each candidate parent, snapped, and its rank among the
+    # snapped vertices; a point is viewed as one complex number, which numpy
+    # orders lexicographically
+    far = np.round(np.stack((pa[loose] + 2.0 * (pb[loose] - pa[loose]),
+                             2.0 * pa[loose] - pb[loose])), _ROUND)
+    far = far.view(np.complex128)[..., 0]  # (2, loose)
+    table = snapped.view(np.complex128)[:, 0]
+    rank = np.minimum(np.searchsorted(table, far), nv - 1)
+    # the candidates (a, far 0) and (far 1, b), and the at most two records
+    # of each code
+    lo, hi = np.stack((a, rank[1])), np.stack((rank[0], b))
+    cand = np.minimum(lo, hi) * nv + np.maximum(lo, hi)
+    g = np.searchsorted(sorted_code, cand)
+    pos = np.minimum(np.stack((g, g + 1), axis=1), len(order) - 1)  # (2, 2, loose)
+    found = (table[rank] == far)[:, None] & (sorted_code[pos] == cand[:, None])
+    prid = order[pos].reshape(4, -1)
+    e = loose // 3
+    valid = found.reshape(4, -1) & (prid // 3 != e) & (level[prid // 3] == level[e] - 1)
+    fine = valid.any(axis=0)
+    coarse = prid[valid.argmax(axis=0), np.arange(loose.size)]
+    return fine, coarse[fine]
 
 
 def _assemble_mesh(macros_raw, m: int, levels, n, tagger) -> MacroMesh:
@@ -405,7 +425,13 @@ def _assemble_mesh(macros_raw, m: int, levels, n, tagger) -> MacroMesh:
         n, m, vertices, verts=verts, vertex_ids=vid, levels=level, jacobians=jacobians,
         normals=normals, diameter=diameter, slot_table=slot_table, slot_faces=slot_faces,
         face_verts=face_verts, face_left=left, face_right=right, face_t=face_t,
-        face_tag=np.array(tags), face_parent=parent, boundary_tagger=tagger)
+        face_tag=tags, face_parent=parent, boundary_tagger=tagger)
+
+
+# the x and y grid offsets of the vertices p00, p10, p11, p00, p11, p01 of
+# the two macros of a square
+_SQUARE_DI = np.array([0, 1, 1, 0, 1, 0])
+_SQUARE_DJ = np.array([0, 0, 1, 0, 1, 1])
 
 
 def build_structured_macro_mesh(
@@ -420,12 +446,10 @@ def build_structured_macro_mesh(
     n, m = int(n), int(m)
 
     x = np.arange(n + 1) * (1.0 / n)
-    j, i = np.divmod(np.arange(n * n), n)
-    p00, p10 = np.stack((x[i], x[j]), 1), np.stack((x[i + 1], x[j]), 1)
-    p11, p01 = np.stack((x[i + 1], x[j + 1]), 1), np.stack((x[i], x[j + 1]), 1)
+    j, i = np.divmod(np.arange(n * n)[:, None], n)
     # per square (i, j), row by row: the diagonal from (i, j) to (i+1, j+1)
     # splits it into (p00, p10, p11) and (p00, p11, p01)
-    verts = np.stack((p00, p10, p11, p00, p11, p01), axis=1).reshape(-1, 3, 2)
+    verts = np.stack((x[i + _SQUARE_DI], x[j + _SQUARE_DJ]), axis=-1).reshape(-1, 3, 2)
     return _assemble_mesh(verts, m, np.zeros(len(verts), dtype=int), n, boundary_tagger)
 
 

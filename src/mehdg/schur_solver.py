@@ -20,15 +20,18 @@ S_FF = D_F - sum K_ss over the member slots s on face F is the face-diagonal
 block of S, and K_fold is each class's K = C A^-1 B with those slot-diagonal
 blocks zeroed in place (condense sums them over every class in one
 bincount).  Neither K nor D is kept.  The matrix-free apply multiplies the
-gathered trace values of a fixed-size chunk of a class's macros by K_fold
-in one GEMM and scatters the outputs in a fixed order; the explicit S and
-P S are sparse matrices scattered from the same blocks.  Both modes share a
-restarted GMRES, orthogonalized by classical Gram-Schmidt run twice, on the
-system left-preconditioned by face-block Jacobi: a block-diagonal P with
-one nd x nd block P_F = S_FF^-1 per unknown face, stored as the blocks and
-applied as one batched product of the blocks with the face slices of a
-vector (Cockburn, Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34,
-2014, use it as their smoother).
+gathered trace values of each fixed-size chunk of a class's macros by
+K_fold, one GEMM per chunk, and scatters the outputs in a fixed order; the
+chunks of a class that share a partition of the worker pool go in one
+stacked matmul, which writes into one output buffer, and the scatter is one
+bincount.  The explicit S and P S are sparse matrices scattered from the
+same blocks.  Both modes share a restarted GMRES, orthogonalized by
+classical Gram-Schmidt run twice, on the system left-preconditioned by
+face-block Jacobi: a block-diagonal P with one nd x nd block
+P_F = S_FF^-1 per unknown face, stored as the blocks and applied as one
+batched product of the blocks with the face slices of a vector (Cockburn,
+Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014, use it as
+their smoother).
 
 solve() folds P into the operator and the right-hand side instead of
 handing GMRES a preconditioner: GMRES runs on P S uhat = P f, and since
@@ -37,7 +40,7 @@ builds that matrix once from the classes (per slot-count group, one batched
 P_F K_fold-rows product over all members; no entry is hit twice, so the CSR
 arrays come from one sort of the rows, with the identity), so an iteration
 is one sparse product; mode mf applies uhat - P (scatter of K_fold uhat)
-with the chunked gather, GEMM and scatter above.
+with the chunked gather, GEMMs and scatter above.
 
 Face-block Jacobi alone needs a number of iterations that grows like 1/h.
 solve() adds a coarse space to it when the mesh Peclet number
@@ -165,15 +168,17 @@ class WorkerPool:
 
     Partition w holds items w, w + workers, ...; the partitions run one after
     another on the calling thread, so results never depend on the worker
-    count.  Per-partition CPU time is accumulated for the load-balance factor
-    (LBF), which reports how evenly the partition splits the work.  The
-    partition that runs first refills the caches that the caller's work in
-    between evicted; each call starts one partition later, so that this cost
-    is spread evenly instead of always landing on partition 0.  The first
-    call of a pool, a solve's first apply, runs but is not timed: it refills
-    the caches that the whole set-up evicted, which costs its first
-    partition several times a later call's refill, and a solve of a few
-    iterations has too few later calls to even that out."""
+    count.  The matrix-free apply hands it one item per partition, the
+    products of the chunks that partition owns (chunk j belongs to
+    partition j mod workers).  Per-partition CPU time is accumulated for the
+    load-balance factor (LBF), which reports how evenly the partition splits
+    the work.  The partition that runs first refills the caches that the
+    caller's work in between evicted; each call starts one partition later,
+    so that this cost is spread evenly instead of always landing on
+    partition 0.  The first call of a pool, a solve's first apply, runs but
+    is not timed: it refills the caches that the whole set-up evicted, which
+    costs its first partition several times a later call's refill, and a
+    solve of a few iterations has too few later calls to even that out."""
 
     def __init__(self, workers: int = 1):
         self.workers = max(1, int(workers))
@@ -295,9 +300,14 @@ class CondensedSystem:
     face_start: np.ndarray
     nd: int  # trace dofs per face, m p + 1
     zhat: int  # trace dofs, nd per unknown face
-    pool: WorkerPool  # runs the chunks of the matrix-free apply
-    # units of the matrix-free apply: (class, slice of its rows), class by class
-    chunks: list
+    pool: WorkerPool  # runs the partitions of the matrix-free apply
+    # per partition of the matrix-free apply, its (K_fold, trace indices,
+    # output view) products: per class, its full chunks stacked
+    # (chunks, CHUNK_MACROS, nc), and a short last chunk (rows, nc) alone
+    partitions: list
+    # the macro outputs of the matrix-free apply, in class and row order,
+    # which the views of `partitions` write
+    apply_out: np.ndarray
     # the (unknown faces, nd, nd) face-diagonal blocks S_FF of S and the
     # preconditioner's blocks S_FF^-1, both in trace order
     S_blocks: np.ndarray
@@ -339,14 +349,12 @@ def condense(
     face_start = np.full(len(mesh.face_tag), -1, dtype=np.int64)
     face_start[faces.ids] = np.arange(nf) * nd
 
-    chunks, rhs_out = [], []
+    rhs_out = []
     for cls in classes:
         nc = cls.B.shape[1]
         X = _solve_local(cls.A, np.hstack([cls.B, cls.R_u.T]), int(cls.macro_ids[0]))
         cls.AinvB, cls.U0 = X[:, :nc], X[:, nc:].T
         rhs_out.append((cls.U0 @ cls.C.T).ravel())
-        chunks.extend((cls, slice(i, i + CHUNK_MACROS))
-                      for i in range(0, len(cls.face_ids), CHUNK_MACROS))
 
     # per skeleton face: its trace dofs (-1 if Dirichlet), and the face block
     # S_FF that its slot-diagonal blocks of K go to (a pad block nf if
@@ -374,15 +382,18 @@ def condense(
                        minlength=(nf + 1) * nd * nd)
     S_blocks = faces.D - sums[:nf * nd * nd].reshape(nf, nd, nd)
     # dst: the trace dof of each entry of the macro outputs, which come class
-    # by class (the chunks keep that order): the classes' trace_idx, row-major
+    # by class: the classes' trace_idx, row-major
     dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
+    apply_out = np.empty(dst.size)
     sys = CondensedSystem(
         mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
-        pool=WorkerPool(config.workers), chunks=chunks, S_blocks=S_blocks,
+        pool=WorkerPool(config.workers),
+        partitions=_apply_partitions(classes, apply_out, config.workers),
+        apply_out=apply_out, S_blocks=S_blocks,
         P_blocks=_invert_face_blocks(faces.ids.tolist(), S_blocks),
         reduce_dst=np.where(dst >= 0, dst, zhat),
     )
-    sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(sys, rhs_out)
+    sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(sys, np.concatenate(rhs_out))
     for cls in classes:
         cls.A = cls.B = cls.C = cls.R_u = None
     if coarse:
@@ -399,33 +410,62 @@ def _slot_groups(classes: list) -> list:
     return list(groups.values())
 
 
+def _apply_partitions(classes: list, out: np.ndarray, workers: int) -> list:
+    """The products of the matrix-free apply, per partition.  The classes'
+    rows are cut into chunks of CHUNK_MACROS, numbered class by class, and
+    chunk j goes to partition j mod workers.  Per partition and class, the
+    full chunks are one stacked product of strided views of the class's
+    trace_idx and of its rows of `out`, the macro outputs in class and row
+    order; numpy's stacked matmul makes one GEMM per chunk, the call of a
+    chunk alone, so every row is bitwise the same for any worker count.  A
+    class's short last chunk is a product of its own."""
+    parts = [[] for _ in range(workers)]
+    first = 0  # the global number of a class's first chunk
+    offset = 0  # the first entry of a class's outputs in `out`
+    for cls in classes:
+        rows, nc = cls.trace_idx.shape
+        cls_out = out[offset:offset + rows * nc].reshape(rows, nc)
+        full = rows // CHUNK_MACROS * CHUNK_MACROS
+        idx, dst = (a[:full].reshape(-1, CHUNK_MACROS, nc) for a in (cls.trace_idx, cls_out))
+        for w in range(workers):
+            i0 = (w - first) % workers  # the class's first chunk on partition w
+            if i0 < len(idx):
+                parts[w].append((cls.K_fold, idx[i0::workers], dst[i0::workers]))
+        if full < rows:
+            parts[(first + full // CHUNK_MACROS) % workers].append(
+                (cls.K_fold, cls.trace_idx[full:], cls_out[full:]))
+        first += -(-rows // CHUNK_MACROS)
+        offset += rows * nc
+    return parts
+
+
 def _face_product(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     """blockdiag(blocks) v for (unknown faces, nd, nd) blocks in trace
     order."""
     return (blocks @ v.reshape(len(blocks), -1, 1)).ravel()
 
 
-def _scatter_outputs(sys: CondensedSystem, vhat: list) -> np.ndarray:
-    """The macro outputs vhat, summed into their trace dofs in class and row
-    order."""
-    return np.bincount(sys.reduce_dst, np.concatenate(vhat),
-                       minlength=sys.zhat + 1)[:-1]
+def _scatter_outputs(sys: CondensedSystem, vhat: np.ndarray) -> np.ndarray:
+    """The macro outputs vhat, in class and row order, summed into their
+    trace dofs."""
+    return np.bincount(sys.reduce_dst, vhat, minlength=sys.zhat + 1)[:-1]
 
 
 def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     """C A^-1 B uhat without its slot-diagonal blocks, matrix-free: per
-    chunk, the gathered trace values times the class's K_fold, then the
-    fixed-order scatter into the trace dofs."""
+    partition, the gathered trace values of its chunks times their class's
+    K_fold, written into the macro outputs, then the fixed-order scatter
+    into the trace dofs."""
     upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
 
-    def chunk_task(chunk):
-        cls, rows = chunk
-        return (upad[cls.trace_idx[rows]] @ cls.K_fold.T).ravel()
+    def partition_task(products):
+        for K_fold, idx, out in products:
+            np.matmul(upad[idx], K_fold.T, out=out)
 
-    vhat = sys.pool.map(chunk_task, sys.chunks)
+    sys.pool.map(partition_task, sys.partitions)
     sys.counters["macro_apply"] += sys.n_macros
     sys.counters["face_reduce"] += sys.zhat // sys.nd
-    return _scatter_outputs(sys, vhat)
+    return _scatter_outputs(sys, sys.apply_out)
 
 
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:

@@ -414,13 +414,13 @@ def _skewed_pair():
            loop_assemble_mesh(raw, 2, [0] * k, 3, None), False)
 
 
-def _adapted_pairs(seed, tagger):
-    """Three levels of refinement of seeded random marks (the 2:1 closure
+def _adapted_pairs(seed, tagger, levels=3):
+    """`levels` levels of refinement of seeded random marks (the 2:1 closure
     adds macros at the later levels), from the n0 = 4, m = 2 mesh."""
     rng = np.random.default_rng(seed)
     new = build_structured_macro_mesh(2, 4, 2, boundary_tagger=tagger)
     ref = loop_structured_mesh(4, 2, boundary_tagger=tagger)
-    for _ in range(3):
+    for _ in range(levels):
         k = len(new.verts)
         marked = rng.choice(k, size=max(1, k // 5), replace=False).tolist()
         new, ref = refine_macros(new, marked), loop_refine(ref, marked)
@@ -435,6 +435,7 @@ ORACLE_MESHES = {
     **{f"adapted-{seed}-{name}": (lambda seed=seed, tagger=tagger: _adapted_pairs(seed, tagger))
        for seed in (0, 1, 2)
        for name, tagger in (("dirichlet", None), ("neumann", _neumann_bottom))},
+    "adapted-4-level-neumann": lambda: _adapted_pairs(3, _neumann_bottom, levels=4),
 }
 
 
@@ -502,6 +503,38 @@ def test_skeleton_errors_match_loop_reference(raw):
     for build in (_assemble_mesh, loop_assemble_mesh):
         with pytest.raises(SkeletonError):
             build(np.array(raw, dtype=float), 1, [0] * k, 1, None)
+
+
+# the unit square as the lower-left macro (level 0) and the four children
+# (level 1) of the upper-right one, which leave two hanging faces on the
+# diagonal; the third child covers the half of the diagonal at (0, 1)
+_HANGING_DIAGONAL = [
+    [[0, 0], [1, 0], [0, 1]],
+    [[1, 0], [1, 0.5], [0.5, 0.5]], [[1, 0.5], [1, 1], [0.5, 1]],
+    [[0.5, 0.5], [0.5, 1], [0, 1]], [[1, 0.5], [0.5, 1], [0.5, 0.5]],
+]
+
+
+@pytest.mark.parametrize("macros, levels, error", [
+    ([0, 1, 2, 3, 4], [0, 1, 1, 1, 1], None),
+    # the half of the diagonal at (0, 1) is not covered
+    ([0, 1, 2, 4], [0, 1, 1, 1], "exactly two"),
+    # the halves' only parent is on their own level
+    ([0, 1, 2, 3, 4], [0, 0, 0, 0, 0], "unresolved"),
+], ids=["two-hanging-faces", "one-fine-half", "parent-on-the-same-level"])
+def test_hanging_match_matches_loop_reference(macros, levels, error):
+    """The hanging-face match on the smallest mesh with hanging faces: built
+    like the loop builder, and with one fine half missing or with a parent
+    on the same level, refused with the loop builder's error."""
+    raw = np.array([_HANGING_DIAGONAL[e] for e in macros], dtype=float)
+    if error is None:
+        new = _assemble_mesh(raw, 2, levels, 1, None)
+        _assert_same_mesh(new, loop_assemble_mesh(raw, 2, levels, 1, None), True)
+        assert np.count_nonzero(new.face_parent >= 0) == 2
+        return
+    for build in (_assemble_mesh, loop_assemble_mesh):
+        with pytest.raises(SkeletonError, match=error):
+            build(raw, 2, levels, 1, None)
 
 
 def test_tagger_calls_match_loop_reference():

@@ -27,11 +27,13 @@ from mehdg.bench import make_benchmark
 from mehdg.fem_basis import TraceBasis
 from mehdg.mesh import build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import (
+    CHUNK_MACROS,
     MAX_WORKERS,
     SingularFaceBlock,
     SingularLocalBlock,
     SolverConfig,
     WorkerPool,
+    _apply_cab,
     apply_schur,
     assemble_schur_explicit,
     assemble_system,
@@ -440,11 +442,75 @@ def test_two_macro_call_counts():
     assert sys.counters["face_reduce"] == 1
 
 
+def n_chunks(sys):
+    """The chunks of the matrix-free apply: each stacked product holds
+    len(idx) of them, a 2-D one (a class's short last chunk) one."""
+    return sum(len(idx) if idx.ndim == 3 else 1
+               for products in sys.partitions for _, idx, _ in products)
+
+
+def loop_apply_cab(sys, uhat):
+    """_apply_cab as a loop over the chunks of CHUNK_MACROS macros of each
+    class: per chunk, the gathered trace values times K_fold, the outputs
+    concatenated in class and row order and summed into the trace dofs."""
+    upad = np.append(uhat, 0.0)
+    vhat = [(upad[cls.trace_idx[i:i + CHUNK_MACROS]] @ cls.K_fold.T).ravel()
+            for cls in sys.classes for i in range(0, len(cls.trace_idx), CHUNK_MACROS)]
+    return np.bincount(sys.reduce_dst, np.concatenate(vhat), minlength=sys.zhat + 1)[:-1]
+
+
+# mesh, and whether some class ends in a short chunk
+APPLY_MESHES = {
+    "uniform-4-2": (lambda: build_structured_macro_mesh(2, 4, 2), False),
+    "uniform-4-4": (lambda: build_structured_macro_mesh(2, 4, 4), False),
+    "uniform-3-3": (lambda: build_structured_macro_mesh(2, 3, 3), True),
+    "adapted-random-2": (lambda: random_adapted_mesh(2), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(APPLY_MESHES))
+def test_apply_cab_matches_chunk_loop_for_any_worker_count(name):
+    """The batched apply equals the per-chunk loop bitwise for 1, 2, 3 and
+    8 workers, on meshes whose classes end in short chunks and with more
+    partitions than some classes have chunks; the products of partition w
+    write the outputs of exactly the chunks j = w mod workers."""
+    build, ragged = APPLY_MESHES[name]
+    mesh = build()
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
+    sizes = [len(cls.macro_ids) for cls in classes]
+    assert any(s % CHUNK_MACROS for s in sizes) == ragged
+    uhat = np.random.default_rng(3).standard_normal(faces.R_hat.size)
+    expect = None
+    for workers in (1, 2, 3, 8):
+        classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
+        sys = condense(mesh, classes, faces, SolverConfig(workers=workers))
+        if expect is None:
+            expect = loop_apply_cab(sys, uhat)
+        assert len(sys.partitions) == workers
+        assert n_chunks(sys) == sum(-(-s // CHUNK_MACROS) for s in sizes)
+        # chunk j, numbered class by class, belongs to partition j mod workers
+        first = np.cumsum([0] + [-(-s // CHUNK_MACROS) for s in sizes])
+        chunk = np.concatenate([
+            np.repeat(first[c] + np.arange(s) // CHUNK_MACROS, cls.trace_idx.shape[1])
+            for c, (s, cls) in enumerate(zip(sizes, classes))])
+        upad = np.append(uhat, 0.0)
+        for w, products in enumerate(sys.partitions):
+            sys.apply_out[...] = np.nan
+            for K_fold, idx, out in products:
+                np.matmul(upad[idx], K_fold.T, out=out)
+            assert np.array_equal(~np.isnan(sys.apply_out), chunk % workers == w)
+        sys.apply_out[...] = np.nan
+        for _ in range(2):  # the output buffer is reused across calls
+            got = _apply_cab(sys, uhat)
+            assert np.array_equal(got, expect)
+        assert np.array_equal(loop_apply_cab(sys, uhat), expect)
+
+
 def test_call_counts_exact_with_workers():
     """Counts stay exact when the chunks of macros are split over eight
     partitions: the counter counts macros, not chunks or classes."""
     mesh, sys = build_system(3, 2, 1, workers=8)
-    assert len(sys.chunks) > len(sys.classes)
+    assert n_chunks(sys) > len(sys.classes)
     x = np.ones(sys.zhat)
     for _ in range(20):
         apply_schur(sys, x)

@@ -41,3 +41,24 @@ def test_ab_interleave_and_phase_share_run_on_this_checkout(tools, capsys):
     assert sorted(share["phases"]) == sorted(attr for _, attr in phase_share.PHASES)
     for module, attr in phase_share.PHASES:
         assert callable(getattr(sys.modules[f"_ab_phase_mehdg.{module}"], attr))
+
+
+def test_phase_share_alternates_two_checkouts(tools, capsys):
+    """The two-root mode steps both checkouts' op streams in alternating
+    blocks and times every phase on each side with that side's own
+    wrappers."""
+    _, phase_share = tools
+    root = str(ROOT)
+    assert phase_share.main([root, root, "--workload", "macro-mf", "--seed", "1",
+                             "--ops", "2", "--ops-per-block", "1"]) == 0
+    share = json.loads(capsys.readouterr().out)
+    assert sorted(share["sides"]) == ["change", "parent"]
+    for side in share["sides"].values():
+        assert side["passed"] == [2]
+        assert sorted(side["phases"]) == sorted(attr for _, attr in phase_share.PHASES)
+        assert side["phases"]["_apply_cab"]["calls_per_op"] > 0
+        assert side["phases"]["gmres"]["calls_per_op"] == 1
+    assert share["op_cpu_ratio"] > 0
+    for tag in ("parent", "change"):
+        for module, attr in phase_share.PHASES:
+            assert callable(getattr(sys.modules[f"_ab_{tag}_mehdg.{module}"], attr))

@@ -54,6 +54,7 @@ from .fem_basis import (
 from .mesh import (
     _ROUND,
     MacroMesh,
+    _row_runs,
     sub_cell_jacobians,
     sub_cell_quadrature,
     sub_cells,
@@ -396,12 +397,9 @@ def assemble_classes(
     rep = reps[owner]
     k = mesh.slot_table[rep, slot, 0].astype(np.intp)
     en3 = scatter.en3[k]
-    # the distinct (t0, t1) of the pairs: rows in lexicographic order, a new
-    # key where a row differs from the one before
+    # the distinct (t0, t1) of the pairs, and which one each pair has
     t01 = mesh.slot_table[rep, slot, 1:]
-    order = np.lexsort(t01.T[::-1])
-    new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(t01[order[1:]] != t01[order[:-1]], axis=1)
+    order, new = _row_runs(t01)
     which = np.empty(len(order), dtype=np.intp)
     which[order] = np.cumsum(new) - 1
     keys = t01[order[new]]

@@ -256,10 +256,7 @@ class MacroMesh:
         key = np.concatenate((self.jacobians.reshape(k, 4), self.slot_table.reshape(k, -1)),
                              axis=1)
         key = np.round(key, _ROUND) + 0.0  # + 0.0 turns -0.0 into 0.0
-        # rows in lexicographic order, stable: a class's first macro leads it
-        order = np.lexsort(key.T[::-1])
-        new = np.ones(k, dtype=bool)
-        new[1:] = np.any(key[order[1:]] != key[order[:-1]], axis=1)
+        order, new = _row_runs(key)  # stable: a class's first macro leads it
         first = order[new]
         rank = np.empty(first.size, dtype=np.intp)
         rank[np.argsort(first)] = np.arange(first.size)
@@ -267,6 +264,16 @@ class MacroMesh:
         label[order] = rank[np.cumsum(new) - 1]
         members = np.argsort(label, kind="stable")
         return np.split(members, np.cumsum(np.bincount(label))[:-1])
+
+
+def _row_runs(rows: np.ndarray):
+    """The rows of a 2-D array in lexicographic order, by a stable sort, and
+    whether each of them differs from the one before it: the first of a run
+    of equal rows."""
+    order = np.lexsort(rows.T[::-1])
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(rows[order[1:]] != rows[order[:-1]], axis=1)
+    return order, new
 
 
 def _dedup_vertices(verts: np.ndarray):

@@ -283,9 +283,7 @@ def _dedup_vertices(verts: np.ndarray):
     snapped coordinates in lexicographic order, and those coordinates."""
     pts = verts.reshape(-1, 2)
     snap = np.round(pts, _ROUND) + 0.0  # + 0.0 turns -0.0 into 0.0
-    order = np.lexsort((snap[:, 1], snap[:, 0]))  # stable: first appearance leads
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = np.any(np.diff(snap[order], axis=0) != 0.0, axis=1)
+    order, new = _row_runs(snap)  # stable: first appearance leads
     lex = np.empty(order.size, dtype=np.intp)
     lex[order] = np.cumsum(new) - 1
     first = order[new]

@@ -164,17 +164,16 @@ class SolverConfig:
 
 
 class WorkerPool:
-    """Static round-robin partition of independent tasks, run serially.
+    """Runs the partitions of a task one after another on the calling
+    thread, timing each, so results never depend on the worker count.
 
-    Partition w holds items w, w + workers, ...; the partitions run one after
-    another on the calling thread, so results never depend on the worker
-    count.  The matrix-free apply hands it one item per partition, the
-    products of the chunks that partition owns (chunk j belongs to
-    partition j mod workers).  Per-partition CPU time is accumulated for the
-    load-balance factor (LBF), which reports how evenly the partition splits
-    the work.  The partition that runs first refills the caches that the
-    caller's work in between evicted; each call starts one partition later,
-    so that this cost is spread evenly instead of always landing on
+    The pool does not split the work: a task is a function of the partition
+    number w = 0 .. workers - 1, and the matrix-free apply's partitions are
+    built by _apply_partitions.  Per-partition CPU time is accumulated for
+    the load-balance factor (LBF), which reports how evenly the partition
+    splits the work.  The partition that runs first refills the caches that
+    the caller's work in between evicted; each call starts one partition
+    later, so that this cost is spread evenly instead of always landing on
     partition 0.  The first call of a pool, a solve's first apply, runs but
     is not timed: it refills the caches that the whole set-up evicted, which
     costs its first partition several times a later call's refill, and a
@@ -186,19 +185,17 @@ class WorkerPool:
         self.calls = 0
         self._first = 0  # partition that runs first in the next call
 
-    def map(self, fn: Callable, items) -> list:
-        items = list(items)
-        results = [None] * len(items)
+    def run(self, fn: Callable[[int], None]) -> None:
+        """fn(w) for every partition w, starting one partition later than
+        the previous call."""
         first, self._first = self._first, (self._first + 1) % self.workers
         for k in range(self.workers):
             w = (first + k) % self.workers
             t0 = time.thread_time()
-            for i in range(w, len(items), self.workers):
-                results[i] = fn(items[i])
+            fn(w)
             if self.calls:
                 self.busy[w] += time.thread_time() - t0
         self.calls += 1
-        return results
 
     @property
     def lbf(self) -> float:
@@ -385,10 +382,10 @@ def condense(
     # by class: the classes' trace_idx, row-major
     dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
     apply_out = np.empty(dst.size)
+    pool = WorkerPool(config.workers)
     sys = CondensedSystem(
         mesh=mesh, classes=classes, face_start=face_start, nd=nd, zhat=zhat,
-        pool=WorkerPool(config.workers),
-        partitions=_apply_partitions(classes, apply_out, config.workers),
+        pool=pool, partitions=_apply_partitions(classes, apply_out, pool.workers),
         apply_out=apply_out, S_blocks=S_blocks,
         P_blocks=_invert_face_blocks(faces.ids.tolist(), S_blocks),
         reduce_dst=np.where(dst >= 0, dst, zhat),
@@ -458,11 +455,11 @@ def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
     into the trace dofs."""
     upad = np.append(uhat, 0.0)  # index -1 of trace_idx reads the trailing zero
 
-    def partition_task(products):
-        for K_fold, idx, out in products:
+    def partition_task(w):
+        for K_fold, idx, out in sys.partitions[w]:
             np.matmul(upad[idx], K_fold.T, out=out)
 
-    sys.pool.map(partition_task, sys.partitions)
+    sys.pool.run(partition_task)
     sys.counters["macro_apply"] += sys.n_macros
     sys.counters["face_reduce"] += sys.zhat // sys.nd
     return _scatter_outputs(sys, sys.apply_out)

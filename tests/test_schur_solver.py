@@ -1276,17 +1276,18 @@ def test_solve_report_record():
 
 
 def test_worker_pool_static_partition():
+    """Every call runs each partition once, starting one partition later
+    than the call before; the partition of the work itself is the
+    caller's (for the apply, _apply_partitions)."""
     pool = WorkerPool(3)
     seen = []
-    pool.map(seen.append, range(7))
-    assert seen == [0, 3, 6, 1, 4, 2, 5]  # partition w runs w, w + 3, ...
-    out = pool.map(lambda v: v * v, range(10))
-    assert out == [v * v for v in range(10)]
+    pool.run(seen.append)
+    assert seen == [0, 1, 2]
+    pool.run(seen.append)
+    pool.run(seen.append)
+    assert seen[3:] == [1, 2, 0, 2, 0, 1]  # each call starts one partition later
     assert pool.busy.shape == (3,)
     assert 0.0 < pool.lbf <= 1.0
-    seen = []
-    pool.map(seen.append, range(7))
-    assert seen == [2, 5, 0, 3, 6, 1, 4]  # each call starts one partition later
 
 
 def test_worker_pool_leaves_first_call_out_of_lbf():
@@ -1302,21 +1303,22 @@ def test_worker_pool_leaves_first_call_out_of_lbf():
 
     cold = [True]
 
-    def task(i):
-        if cold[0] and i == 0:
+    def task(w):
+        if cold[0] and w == 0:
             cold[0] = False
-            spin(0.05)  # 25 times an item's work, on partition 0 alone
-        spin(0.002)
+            spin(0.05)  # 12.5 times a partition's work, on partition 0 alone
+        spin(0.004)
 
     pool = WorkerPool(4)
-    assert pool.map(task, range(8)) == [None] * 8
+    assert pool.run(task) is None
     assert not cold[0] and pool.calls == 1 and not pool.busy.any()
     for _ in range(3):
-        pool.map(task, range(8))
-    assert (pool.busy >= 3 * 2 * 0.002).all()
+        pool.run(task)
+    assert (pool.busy >= 3 * 0.004).all()
     assert pool.lbf >= 0.8
 
 
 def test_worker_pool_runs_on_calling_thread():
-    out = WorkerPool(4).map(lambda _: threading.get_ident(), range(8))
-    assert set(out) == {threading.get_ident()}
+    out = []
+    WorkerPool(4).run(lambda _: out.append(threading.get_ident()))
+    assert out == [threading.get_ident()] * 4

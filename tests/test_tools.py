@@ -43,14 +43,16 @@ def test_ab_interleave_and_phase_share_run_on_this_checkout(tools, capsys):
         assert callable(getattr(sys.modules[f"_ab_phase_mehdg.{module}"], attr))
 
 
-def test_phase_share_alternates_two_checkouts(tools, capsys):
+def test_phase_share_alternates_two_checkouts(tools, capsys, monkeypatch):
     """The two-root mode steps both checkouts' op streams in alternating
     blocks and times every phase on each side with that side's own
-    wrappers."""
+    wrappers.  Blocks of one op make the 2 ops two blocks, so that both
+    orders of the sides run."""
     _, phase_share = tools
+    monkeypatch.setattr(phase_share, "OPS_PER_BLOCK", 1)
     root = str(ROOT)
     assert phase_share.main([root, root, "--workload", "macro-mf", "--seed", "1",
-                             "--ops", "2", "--ops-per-block", "1"]) == 0
+                             "--ops", "2"]) == 0
     share = json.loads(capsys.readouterr().out)
     assert sorted(share["sides"]) == ["change", "parent"]
     for side in share["sides"].values():

@@ -20,7 +20,7 @@ repeats.
 
 With two roots, PARENT and CHANGE, both checkouts run side by side in this
 process, each with its own wrappers.  Their measured ops run in alternating
-blocks, as in tools/ab_interleave.py: one adaptive cycle, or --ops-per-block
+blocks, as in tools/ab_interleave.py: one adaptive cycle, or OPS_PER_BLOCK
 uniform ops, and which side goes first alternates from block to block, so a
 drift in machine speed hits both sides alike.
 
@@ -60,6 +60,10 @@ PHASES = (
     ("assembly", "assemble_classes"),
     ("mesh", "_match_edges"),
 )
+
+# uniform ops per block of the two-root mode, as tools/ab_interleave.py's
+# default --ops-per-block
+OPS_PER_BLOCK = 6
 
 
 class PhaseTimer:
@@ -150,13 +154,11 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--ops", type=int, default=60)
     ap.add_argument("--repeats", type=int, default=1)
-    ap.add_argument("--ops-per-block", type=int, default=6,
-                    help="ops per block of a uniform workload (adaptive: one cycle)")
     args = ap.parse_args(argv)
     if len(args.roots) > 2:
         ap.error("give one root, or two: PARENT CHANGE")
-    if args.ops < 1 or args.repeats < 1 or args.ops_per_block < 1:
-        ap.error("--ops, --repeats and --ops-per-block must be at least 1")
+    if args.ops < 1 or args.repeats < 1:
+        ap.error("--ops and --repeats must be at least 1")
 
     tags = ("phase",) if len(args.roots) == 1 else ("parent", "change")
     sides = {}
@@ -167,7 +169,7 @@ def main(argv=None) -> int:
         wl = worker.WORKLOADS[args.workload]
         sides[tag] = (worker, PhaseTimer())
         install(f"_ab_{tag}_mehdg", sides[tag][1])
-    block = wl.cycle if wl.levels else args.ops_per_block
+    block = wl.cycle if wl.levels else OPS_PER_BLOCK
     runs = [measure(sides, wl, args.seed, args.ops, block) for _ in range(args.repeats)]
     result = {"workload": args.workload, "seed": args.seed, "ops": args.ops,
               "repeats": args.repeats}

@@ -52,17 +52,11 @@ def mark(indicator: IndicatorField, theta: float) -> set:
     target = theta**2 * float(eta2.sum())
     if target == 0.0:
         return set()
-    order = sorted(range(eta2.size), key=lambda e: (-eta2[e], e))
-    marked = set()
-    acc = 0.0
-    for e in order:
-        if eta2[e] == 0.0:
-            break
-        marked.add(e)
-        acc += float(eta2[e])
-        if acc >= target * (1.0 - 1e-12):
-            break
-    return marked
+    order = np.argsort(-eta2, kind="stable")  # ties by macro id
+    # the shortest prefix whose running sum reaches the target, without a
+    # zero eta: the running sums never decrease
+    k = np.searchsorted(np.cumsum(eta2[order]), target * (1.0 - 1e-12)) + 1
+    return set(order[:min(k, np.count_nonzero(eta2))].tolist())
 
 
 @dataclass

@@ -68,7 +68,10 @@ def _inv2(J: np.ndarray, det: np.ndarray) -> np.ndarray:
 def _simplex_geometry(verts: np.ndarray):
     """Affine Jacobians (k, 2, 2), their determinants, outward unit normals
     (k, 3, 2) and diameters (k,) of all triangles of a (k, 3, 2) vertex
-    array, in one pass."""
+    array, in one pass.  A non-finite vertex coordinate, or a zero-volume
+    triangle, raises DegenerateSimplexError."""
+    if not np.isfinite(verts).all():
+        raise DegenerateSimplexError("non-finite vertex coordinate")
     J = np.stack((verts[:, 1] - verts[:, 0], verts[:, 2] - verts[:, 0]), axis=-1)
     det = _det2(J)
     if np.any(np.abs(det) < 1e-14):

@@ -24,8 +24,8 @@ gathered trace values of each fixed-size chunk of a class's macros by
 K_fold, one GEMM per chunk, and scatters the outputs in a fixed order; the
 chunks of a class that share a partition of the worker pool go in one
 stacked matmul, which writes into one output buffer, and the scatter is one
-bincount.  The explicit S and P S are sparse matrices scattered from the
-same blocks.  Both modes share a restarted GMRES, orthogonalized by
+bincount.  The explicit S and P S are block-sparse matrices of nd x nd face
+blocks gathered from the same blocks.  Both modes share a restarted GMRES, orthogonalized by
 classical Gram-Schmidt run twice, on the system left-preconditioned by
 face-block Jacobi: a block-diagonal P with one nd x nd block
 P_F = S_FF^-1 per unknown face, stored as the blocks and applied as one
@@ -36,11 +36,10 @@ their smoother).
 solve() folds P into the operator and the right-hand side instead of
 handing GMRES a preconditioner: GMRES runs on P S uhat = P f, and since
 S = P^-1 - scatter of K_fold, P S = I - P (scatter of K_fold).  Mode mb
-builds that matrix once from the classes (per slot-count group, one batched
-P_F K_fold-rows product over all members; no entry is hit twice, so the CSR
-arrays come from one sort of the rows, with the identity), so an iteration
-is one sparse product; mode mf applies uhat - P (scatter of K_fold uhat)
-with the chunked gather, GEMMs and scatter above.
+builds that matrix once from the classes, one nd x nd block per pair of
+faces that a macro couples (assemble_schur_explicit), so an iteration is
+one sparse product; mode mf applies uhat - P (scatter of K_fold uhat) with
+the chunked gather, GEMMs and scatter above.
 
 Face-block Jacobi alone needs a number of iterations that grows like 1/h.
 solve() adds a coarse space to it when the mesh Peclet number
@@ -563,64 +562,46 @@ def gmres(apply_op: Callable, rhs: np.ndarray, config: SolverConfig):
                "converged": converged, "reason": reason}
 
 
-def _block_entries(indices: list, blocks: list) -> tuple:
-    """Rows, columns and values of a sum of blocks, duplicates not summed:
-    per pair of an index array (rows, nc) and its (nc, nc) blocks (one
-    shared block, or one per row), each row's block scattered by that row's
-    indices.  Entries on a -1 row or column, and exact zeros, are
-    dropped."""
-    rows, cols, vals = [], [], []
-    for ti, block in zip(indices, blocks):
-        nc = ti.shape[1]
-        rows.append(np.repeat(ti.ravel(), nc))
-        cols.append(np.tile(ti, nc).ravel())
-        vals.append(np.broadcast_to(block, ti.shape + (nc,)).ravel())
-    r, c, v = (np.concatenate(x) for x in (rows, cols, vals))
-    keep = (r >= 0) & (c >= 0) & (v != 0.0)
-    return r[keep], c[keep], v[keep]
-
-
-def _csr_by_rows(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
-                 size: int) -> sp.csr_matrix:
-    """The (size, size) CSR matrix of entries that hit no (row, column)
-    twice, by one stable sort of the rows: nothing to sum, so no COO
-    conversion; a row's columns stay in entry order.  The sort is a radix
-    sort, 16 bits of the row at a time, low digits first: numpy sorts 16-bit
-    keys stably in linear time, where a comparison sort of the rows cost
-    more than the COO conversion on large meshes."""
-    indptr = np.zeros(size + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=size), out=indptr[1:])
-    order = np.argsort(rows.astype(np.uint16), kind="stable")  # the low 16 bits
-    for shift in range(16, (size - 1).bit_length(), 16):
-        order = order[np.argsort((rows[order] >> shift).astype(np.uint16), kind="stable")]
-    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(size, size))
-
-
-def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.csr_matrix:
-    """Explicit S = blockdiag(S_FF) - scatter of K_fold: the face blocks
-    S_FF on the diagonal, each class's -K_fold scattered by its members'
-    trace indices.  With `fold`, the left-preconditioned P S = I - P
-    (scatter of K_fold) instead: per group of classes with one slot count,
-    -P_F times K_fold's rows of each member slot in one batched product,
-    scattered by the members' trace indices, plus the identity.  No entry
-    is hit twice (K_fold's slot-diagonal blocks are zero, and two macros
-    share at most one face), so the CSR arrays come straight from one sort
-    of the rows."""
-    nd, zhat = sys.nd, sys.zhat
-    if not fold:
-        indices = [np.arange(zhat).reshape(-1, nd)] + [cls.trace_idx for cls in sys.classes]
-        blocks = [sys.S_blocks] + [-cls.K_fold for cls in sys.classes]
-        return _csr_by_rows(*_block_entries(indices, blocks), zhat)
-    indices, blocks = [np.arange(zhat)[:, None]], [np.ones((1, 1))]
+def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.bsr_matrix:
+    """Explicit S = blockdiag(S_FF) - scatter of K_fold, block-sparse with
+    nd x nd blocks, one block row per unknown face: the face blocks S_FF on
+    the diagonal, and per member and ordered pair of its distinct unknown
+    slots (s, t) the block -K_fold[s, t] at (rank of F_s, rank of F_t).
+    With `fold`, the left-preconditioned P S = I - P (scatter of K_fold)
+    instead: identity blocks on the diagonal and -P_{F_s} K_fold[s, t] off
+    it.  No block is hit twice (K_fold's slot-diagonal blocks are zero, and
+    two macros share at most one face), so one stable sort of the block
+    rows orders the blocks, with nothing to sum; each block row starts with
+    its diagonal block."""
+    nd = sys.nd
+    nf = sys.zhat // nd
+    # the distinct blocks: S_FF, then per group each class's -K_fold[s, t]
+    # for the ordered pairs of distinct slots (s, t), class-major
+    table = [sys.S_blocks]
+    rows, cols, src = [np.arange(nf)], [np.arange(nf)], [np.arange(nf)]
     for group in _slot_groups(sys.classes):
-        trace_idx = np.concatenate([cls.trace_idx for cls in group])
-        K_fold = np.repeat(np.stack([cls.K_fold for cls in group]),
-                           [len(cls.trace_idx) for cls in group], axis=0)
-        rank = np.maximum(trace_idx[:, ::nd] // nd, 0)  # Dirichlet rows are dropped
-        PK = -sys.P_blocks[rank] @ K_fold.reshape(rank.shape + (nd, -1))
-        indices.append(trace_idx)
-        blocks.append(PK.reshape(K_fold.shape))
-    return _csr_by_rows(*_block_entries(indices, blocks), zhat)
+        ns = group[0].face_ids.shape[1]
+        s, t = np.nonzero(~np.eye(ns, dtype=bool))
+        K = np.stack([-cls.K_fold for cls in group]).reshape(len(group), ns, nd, ns, nd)
+        # each member's face rank per slot, -1 on a Dirichlet slot
+        rank = np.concatenate([cls.trace_idx[:, ::nd] for cls in group]) // nd
+        member_class = np.repeat(np.arange(len(group)), [len(cls.trace_idx) for cls in group])
+        i, j = np.nonzero((rank[:, s] >= 0) & (rank[:, t] >= 0))  # member, pair
+        rows.append(rank[i, s[j]])
+        cols.append(rank[i, t[j]])
+        src.append(sum(map(len, table)) + member_class[i] * len(s) + j)
+        table.append(K.transpose(0, 1, 3, 2, 4)[:, s, t].reshape(-1, nd, nd))
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(nf + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=nf), out=indptr[1:])
+    # take gathers whole blocks, several times faster than indexing by [...]
+    data = np.concatenate(table).take(np.concatenate(src)[order], axis=0)
+    if fold:
+        data = sys.P_blocks.take(rows[order], axis=0) @ data
+        data[indptr[:-1]] = np.eye(nd)
+    return sp.bsr_matrix((data, np.concatenate(cols)[order], indptr),
+                         shape=(sys.zhat, sys.zhat))
 
 
 def mesh_peclet(mesh: MacroMesh, problem: ProblemData, p: int) -> float:

@@ -72,6 +72,37 @@ def test_mark_examples():
     assert mark(IndicatorField(eta=np.zeros(4)), 0.5) == set()
 
 
+
+def loop_mark(eta, theta):
+    """The Doerfler marking as a loop over the macros sorted by descending
+    eta^2, ties by id: the oracle of mark."""
+    eta2 = eta**2
+    target = theta**2 * float(eta2.sum())
+    if target == 0.0:
+        return set()
+    marked, acc = set(), 0.0
+    for e in sorted(range(eta2.size), key=lambda e: (-eta2[e], e)):
+        if eta2[e] == 0.0:
+            break
+        marked.add(e)
+        acc += float(eta2[e])
+        if acc >= target * (1.0 - 1e-12):
+            break
+    return marked
+
+
+@pytest.mark.parametrize("theta", [0.1, 0.5, 1.0])
+def test_mark_matches_loop_oracle(theta):
+    """mark equals the loop oracle on random eta with ties and zeros."""
+    rng = np.random.default_rng(7)
+    for trial in range(50):
+        n = int(rng.integers(1, 40))
+        eta = rng.choice([0.0, 0.5, 1.0, 2.0], size=n) if trial % 2 else rng.random(n)
+        eta[rng.random(n) < 0.2] = 0.0
+        got = mark(IndicatorField(eta=eta), theta)
+        assert got == loop_mark(eta, theta)
+        assert all(type(e) is int for e in got)
+
 def test_adapt_levels_zero():
     case = poly_case(2)
     mesh = build_structured_macro_mesh(2, 2, 2)

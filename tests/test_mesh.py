@@ -119,6 +119,15 @@ def test_simplex_geometry():
         _simplex_geometry(np.array([[[0, 0], [1, 1], [2, 2]]], dtype=float))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vertex_raises(bad):
+    """A NaN or inf vertex coordinate raises DegenerateSimplexError from the
+    geometry, not an edge-matching error about unresolved edges."""
+    raw = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], [(0.0, 0.0), (1.0, 1.0), (bad, 1.0)]]
+    with pytest.raises(DegenerateSimplexError, match="non-finite"):
+        _assemble_mesh(raw, 1, [0, 0], 1, None)
+
+
 # (macro vertices, reference points, error bound in units of cond(J) eps):
 # two well-shaped macros at hand-picked points, bounded by 1e-15 absolute;
 # and a thin, skewed macro (aspect ratio 2.7e3, cond(J) 4e3), where ad - bc

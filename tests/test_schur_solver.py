@@ -643,8 +643,30 @@ def test_block_preconditioner_inverts_face_blocks_of_s(name):
     for got, want in ((assemble_schur_explicit(sys, fold=True), PS),
                       (assemble_schur_explicit(sys), S)):
         assert np.abs(got.toarray() - want).max() <= 1e-11 * np.abs(want).max()
-        rows = np.repeat(np.arange(sys.zhat), np.diff(got.indptr))
-        assert len(np.unique(rows * sys.zhat + got.indices)) == got.nnz
+        nf = sys.zhat // nd
+        block_rows = np.repeat(np.arange(nf), np.diff(got.indptr))
+        assert len(np.unique(block_rows * nf + got.indices)) == len(got.indices)
+
+
+@pytest.mark.parametrize("name", ["uniform-3-2", "skewed-3-2", "adapted-2-level"])
+def test_explicit_schur_block_structure(name):
+    """The explicit S and P S are block-sparse with nd x nd blocks: one
+    diagonal block per unknown face, and one block per member and ordered
+    pair of its distinct unknown slots, k (k - 1) for a member with k unknown
+    slots (Dirichlet slots and hanging faces included)."""
+    mesh = CLASS_MESHES[name]()
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
+    sys = condense(mesh, classes, faces, SolverConfig())
+    if name == "adapted-2-level":
+        assert (mesh.face_parent >= 0).any()
+    assert (mesh.face_tag == "D").any()
+    nd = sys.nd
+    k = np.concatenate([(cls.trace_idx[:, ::nd] >= 0).sum(axis=1) for cls in classes])
+    assert k.min() < k.max()  # some members have Dirichlet slots
+    for fold in (False, True):
+        got = assemble_schur_explicit(sys, fold=fold)
+        assert got.format == "bsr" and got.blocksize == (nd, nd)
+        assert len(got.indices) == sys.zhat // nd + int((k * (k - 1)).sum())
 
 
 @pytest.mark.parametrize("supg", [False, True], ids=["plain", "supg"])
@@ -670,26 +692,6 @@ def test_block_mf_matches_mb_and_dense_solve(name, supg):
         assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
 
 
-@pytest.mark.parametrize("size", [7, 65536, 65537, 200_003])
-def test_csr_by_rows_matches_coo(size):
-    """The radix-sorted CSR build equals the COO conversion, and keeps each
-    row's entries in input order (a stable sort of the rows), for sizes
-    that need one 16-bit pass and sizes that need two."""
-    from mehdg.schur_solver import _csr_by_rows
-
-    rng = np.random.default_rng(size)
-    n = 3 * size
-    key = rng.choice(size * size, size=min(n, size * size), replace=False)
-    rows, cols = np.divmod(key, size)
-    vals = rng.standard_normal(len(rows))
-    got = _csr_by_rows(rows, cols, vals, size)
-    want = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-    assert got.nnz == want.nnz and abs(got - want).max() == 0.0
-    order = np.argsort(rows, kind="stable")
-    assert np.array_equal(got.indices, cols[order])
-    assert np.array_equal(got.data, vals[order])
-
-
 def test_face_factorization_kinds():
     """Every face block D_F = c_F M_F is negative definite; placed at its
     face's trace dofs by face_start, the blocks form block_diag(D_F) in
@@ -698,11 +700,11 @@ def test_face_factorization_kinds():
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
     sys = condense(mesh, classes, faces, SolverConfig())
     assert np.array_equal(dense_D(mesh, sys, 2), sla.block_diag(*faces.D))
-    S = assemble_schur_explicit(sys)
+    S = assemble_schur_explicit(sys).toarray()
     for fid, D, S_FF in zip(faces.ids.tolist(), faces.D, sys.S_blocks):
         assert np.linalg.eigvalsh(D).max() < 0
         block = slice(sys.face_start[fid], sys.face_start[fid] + sys.nd)
-        assert np.array_equal(S[block, block].toarray(), S_FF)
+        assert np.array_equal(S[block, block], S_FF)
 
 
 def slot_diagonal_sums(mesh, p):

@@ -55,6 +55,7 @@ PHASES = (
     ("adaptivity", "error_indicator"),
     ("schur_solver", "coarse_space"),
     ("schur_solver", "condense"),
+    ("schur_solver", "assemble_schur_explicit"),
     ("schur_solver", "gmres"),
     ("schur_solver", "_apply_cab"),
     ("assembly", "assemble_classes"),

@@ -25,13 +25,13 @@ K_fold, one GEMM per chunk, and scatters the outputs in a fixed order; the
 chunks of a class that share a partition of the worker pool go in one
 stacked matmul, which writes into one output buffer, and the scatter is one
 bincount.  The explicit S and P S are block-sparse matrices of nd x nd face
-blocks gathered from the same blocks.  Both modes share a restarted GMRES, orthogonalized by
-classical Gram-Schmidt run twice, on the system left-preconditioned by
-face-block Jacobi: a block-diagonal P with one nd x nd block
-P_F = S_FF^-1 per unknown face, stored as the blocks and applied as one
-batched product of the blocks with the face slices of a vector (Cockburn,
-Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34, 2014, use it as
-their smoother).
+blocks gathered from the same blocks.  Both modes share a restarted GMRES,
+orthogonalized by classical Gram-Schmidt run twice, on the system
+left-preconditioned by face-block Jacobi: a block-diagonal P with one
+nd x nd block P_F = S_FF^-1 per unknown face, stored as the blocks and
+applied as one batched product of the blocks with the face slices of a
+vector (Cockburn, Dubois, Gopalakrishnan & Tan, IMA J. Numer. Anal. 34,
+2014, use it as their smoother).
 
 solve() folds P into the operator and the right-hand side instead of
 handing GMRES a preconditioner: GMRES runs on P S uhat = P f, and since
@@ -599,7 +599,7 @@ def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.bsr_
     data = np.concatenate(table).take(np.concatenate(src)[order], axis=0)
     if fold:
         data = sys.P_blocks.take(rows[order], axis=0) @ data
-        data[indptr[:-1]] = np.eye(nd)
+        data[indptr[:-1]] = np.eye(nd)  # P_F S_FF, exactly
     return sp.bsr_matrix((data, np.concatenate(cols)[order], indptr),
                          shape=(sys.zhat, sys.zhat))
 

@@ -72,7 +72,6 @@ def test_mark_examples():
     assert mark(IndicatorField(eta=np.zeros(4)), 0.5) == set()
 
 
-
 def loop_mark(eta, theta):
     """The Doerfler marking as a loop over the macros sorted by descending
     eta^2, ties by id: the oracle of mark."""
@@ -102,6 +101,7 @@ def test_mark_matches_loop_oracle(theta):
         got = mark(IndicatorField(eta=eta), theta)
         assert got == loop_mark(eta, theta)
         assert all(type(e) is int for e in got)
+
 
 def test_adapt_levels_zero():
     case = poly_case(2)

@@ -653,7 +653,8 @@ def test_explicit_schur_block_structure(name):
     """The explicit S and P S are block-sparse with nd x nd blocks: one
     diagonal block per unknown face, and one block per member and ordered
     pair of its distinct unknown slots, k (k - 1) for a member with k unknown
-    slots (Dirichlet slots and hanging faces included)."""
+    slots (Dirichlet slots and hanging faces included).  Each block row
+    starts with its diagonal block: S_FF, or exactly the identity in P S."""
     mesh = CLASS_MESHES[name]()
     classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
     sys = condense(mesh, classes, faces, SolverConfig())
@@ -667,6 +668,10 @@ def test_explicit_schur_block_structure(name):
         got = assemble_schur_explicit(sys, fold=fold)
         assert got.format == "bsr" and got.blocksize == (nd, nd)
         assert len(got.indices) == sys.zhat // nd + int((k * (k - 1)).sum())
+        first = got.indptr[:-1]
+        assert np.array_equal(got.indices[first], np.arange(sys.zhat // nd))
+        want = np.broadcast_to(np.eye(nd), sys.S_blocks.shape) if fold else sys.S_blocks
+        assert np.array_equal(got.data[first], want)
 
 
 @pytest.mark.parametrize("supg", [False, True], ids=["plain", "supg"])

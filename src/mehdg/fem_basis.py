@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
@@ -163,8 +163,7 @@ def patch_dof_map(m: int, p: int) -> PatchDofMap:
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    d: int
-    points: np.ndarray  # (npts, d+1) barycentric coordinates
+    points: np.ndarray  # (npts, 3) barycentric coordinates on the triangle
     weights: np.ndarray
     degree: int
 
@@ -185,47 +184,23 @@ def _gauss01(n: int):
 
 
 @lru_cache(maxsize=None)
-def quadrature_rule(d: int, degree: int) -> QuadratureRule:
-    """Rule on the reference d-simplex exact for total degree <= degree.
+def quadrature_rule(degree: int) -> QuadratureRule:
+    """Rule on the reference triangle exact for total degree <= degree.
 
-    Built by collapsing tensor Gauss-Legendre rules (Duffy transform)."""
+    Built by collapsing a tensor Gauss-Legendre rule (Duffy transform)."""
     if degree < 0 or degree > 20:
         raise ValueError("unsupported exactness degree")
-    if degree <= 1 and d in (2, 3):
+    if degree <= 1:
         # single-point centroid rule (exact for affine integrands)
-        pts = np.full((1, d + 1), 1.0 / (d + 1))
-        w = np.array([1.0 / factorial(d)])
-        return QuadratureRule(d, pts, w, 1)
-    if d == 1:
-        n = max(1, (degree + 2) // 2)
-        x, w = _gauss01(n)
-        pts = np.column_stack((1.0 - x, x))
-        return QuadratureRule(1, pts, w, degree)
-    if d == 2:
-        n = (degree + 3) // 2 + 1
-        x, wx = _gauss01(n)
-        e, we = _gauss01(n)
-        X, E = np.meshgrid(x, e, indexing="ij")
-        WX, WE = np.meshgrid(wx, we, indexing="ij")
-        px = (X * (1.0 - E)).ravel()
-        py = E.ravel()
-        w = (WX * WE * (1.0 - E)).ravel()
-        pts = np.column_stack((1.0 - px - py, px, py))
-        return QuadratureRule(2, pts, w, degree)
-    if d == 3:
-        n = (degree + 4) // 2 + 1
-        x, wx = _gauss01(n)
-        grids = np.meshgrid(x, x, x, indexing="ij")
-        wgrids = np.meshgrid(wx, wx, wx, indexing="ij")
-        X, Y, Z = (g.ravel() for g in grids)
-        W = wgrids[0].ravel() * wgrids[1].ravel() * wgrids[2].ravel()
-        px = X * (1.0 - Y) * (1.0 - Z)
-        py = Y * (1.0 - Z)
-        pz = Z
-        w = W * (1.0 - Y) * (1.0 - Z) ** 2
-        pts = np.column_stack((1.0 - px - py - pz, px, py, pz))
-        return QuadratureRule(3, pts, w, degree)
-    raise ValueError(f"unsupported dimension {d}")
+        return QuadratureRule(np.full((1, 3), 1.0 / 3.0), np.array([0.5]), 1)
+    n = (degree + 3) // 2 + 1
+    x, wx = _gauss01(n)
+    X, E = np.meshgrid(x, x, indexing="ij")
+    WX, WE = np.meshgrid(wx, wx, indexing="ij")
+    px = (X * (1.0 - E)).ravel()
+    py = E.ravel()
+    w = (WX * WE * (1.0 - E)).ravel()
+    return QuadratureRule(np.column_stack((1.0 - px - py, px, py)), w, degree)
 
 
 @lru_cache(maxsize=None)
@@ -233,7 +208,7 @@ def reference_tables(p: int, degree: int):
     """(rule, values, gradients, hessians) of the degree-p Lagrange basis at
     the points of the degree-exact triangle rule, shaped (nq, nb),
     (nq, nb, 2) and (nq, nb, 2, 2)."""
-    rule = quadrature_rule(2, degree)
+    rule = quadrature_rule(degree)
     basis = LagrangeBasis(2, p)
     pts = rule.points_ref
     return (rule, _readonly(basis.eval(pts)), _readonly(basis.grad(pts)),

@@ -48,8 +48,7 @@ least COARSE_MIN_TRACE_DOFS dofs: GMRES then runs on M S uhat = M f with the
 multiplicative two-level M = P + Q_c - P S Q_c, Q_c = Pc S_c^-1 Pc^T, the
 hybrid form of Toselli & Widlund (Domain Decomposition Methods, 2005; the
 "A-DEF2" of Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 39, 2009), which
-takes fewer iterations than the additive M = P + Q_c at the same cost per
-iteration.  The coarse space is continuous P1 on the sub-cell vertices of
+takes fewer iterations than the additive M = P + Q_c.  The coarse space is continuous P1 on the sub-cell vertices of
 the skeleton (the mesh vertices at m = 1, the P1 space of Cockburn, Dubois,
 Gopalakrishnan & Tan), Pc its prolongation into the trace and
 S_c = Pc^T S Pc, built from each class's K_fold, the face blocks S_FF and
@@ -57,10 +56,11 @@ the mesh arrays without S and factored once: summed into a dense array and
 factored by LAPACK getrf up to COARSE_DENSE_MAX_DOFS coarse dofs, where
 splu and its sparse constructors cost more than the dense arithmetic, and
 factored by splu above.  One application is
-w = P S v, the folded operator above, followed by w + E S_c^-1 (Q w) with
-Q = Pc^T blockdiag(S_FF) and E = (I - P S) Pc = P (scatter of K_fold) Pc,
-one sparse matrix built from the class blocks: since Q P = Pc^T this is
-M S v, and the coarse code is the same in both modes.  Above the Peclet
+w = P S v, the folded operator above, followed by w + z - P S z with
+z = Pc S_c^-1 (Q w) and Q = Pc^T blockdiag(S_FF): since Q P = Pc^T this is
+M S v.  The correction applies the folded operator a second time instead
+of storing (I - P S) Pc, so the coarse code is the same in both modes and
+an iteration costs two applications of P S.  Above the Peclet
 bound (advection-dominated traces) the coarse space takes more iterations
 than it saves, and solve() runs face-block Jacobi alone.
 """
@@ -620,14 +620,14 @@ class CoarseSpace:
     At m = 1 it is (1 - s) u(v0) + s u(v1) at the nd equispaced nodes s, v0
     and v1 the face's vertices in face_verts order.  Its prolongation Pc
     (zhat, dofs) into the trace is Ploc = trace_hats(m, p) on every face,
-    scattered by face_coarse; it is not stored, since correct() reads only
-    Q = Pc^T blockdiag(S_FF), E = (I - P S) Pc and lu, the factor of
-    S_c = Pc^T S Pc: dense up to COARSE_DENSE_MAX_DOFS coarse dofs, sparse
-    above."""
+    scattered by face_coarse; it is not stored, since correct() applies it as
+    one product with Ploc.  correct() reads Q = Pc^T blockdiag(S_FF) and lu,
+    the factor of S_c = Pc^T S Pc: dense up to COARSE_DENSE_MAX_DOFS coarse
+    dofs, sparse above."""
 
     face_coarse: np.ndarray  # (unknown faces, m + 1) coarse ids of the breakpoints
+    Ploc: np.ndarray  # (nd, m + 1) P1 hats of a face's breakpoints at its nodes
     Q: sp.csc_matrix
-    E: sp.csc_matrix
     Sc: np.ndarray | sp.csc_matrix
     lu: _DenseLU | spla.SuperLU
     setup_s: float  # building all of it
@@ -636,16 +636,17 @@ class CoarseSpace:
     def dofs(self) -> int:
         return self.Sc.shape[0]
 
-    def correct(self, w: np.ndarray) -> np.ndarray:
-        """w + E S_c^-1 Q w.  With Q P = Pc^T and E = (I - P S) Pc, this is
-        M S v for w = P S v and M f for w = P f, M the multiplicative
-        two-level M = P + Q_c - P S Q_c with Q_c = Pc S_c^-1 Pc^T.  A
-        non-finite coarse solve of a finite w raises
-        SingularCoarseOperator."""
+    def correct(self, w: np.ndarray, smooth: Callable) -> np.ndarray:
+        """w + z - smooth(z) with z = Pc S_c^-1 Q w, for smooth the folded
+        operator v -> P S v.  With Q P = Pc^T, this is M S v for w = P S v
+        and M f for w = P f, M the multiplicative two-level
+        M = P + Q_c - P S Q_c with Q_c = Pc S_c^-1 Pc^T.  A non-finite coarse
+        solve of a finite w raises SingularCoarseOperator."""
         y = self.lu.solve(self.Q @ w)
         if not np.isfinite(y).all() and np.isfinite(w).all():
             raise SingularCoarseOperator(self.dofs)
-        return w + self.E @ y
+        z = (y[self.face_coarse] @ self.Ploc.T).ravel()
+        return w + z - smooth(z)
 
 
 def _face_vertex_ids(mesh: MacroMesh) -> np.ndarray:
@@ -659,37 +660,36 @@ def _face_vertex_ids(mesh: MacroMesh) -> np.ndarray:
     return np.where(flip[:, None], ids[:, ::-1], ids)
 
 
-def _summed_columns(terms: list, shape: tuple) -> sp.csc_matrix:
-    """The sum of blocks scattered by row and column ids, duplicates summed:
-    per triple of row ids (b, r), blocks (b, r, c) and column ids (b, c),
-    block i scattered by row ids i and column ids i; ids -1 are dropped.
-    Each block column becomes one column of a CSC matrix, and one sparse
-    product with the 0/1 matrix that maps those columns to their ids sums
-    them, in Gustavson's row-by-row product: no sort, unlike a COO
-    conversion."""
+def _summed_columns(terms: list, n: int) -> sp.csc_matrix:
+    """The (n, n) sum of square blocks scattered by ids, duplicates summed:
+    per pair of ids (b, r) and blocks (b, r, r), block i goes to the rows
+    and columns ids i; ids -1 are dropped.  Each block column becomes one
+    column of a CSC matrix, and one sparse product with the 0/1 matrix that
+    maps those columns to their ids sums them, in Gustavson's row-by-row
+    product: no sort, unlike a COO conversion."""
     rows, vals, counts, cols = [], [], [], []
-    for row_ids, blocks, col_ids in terms:
-        r = np.broadcast_to(row_ids[:, None], (len(row_ids), col_ids.shape[1], row_ids.shape[1]))
+    for ids, blocks in terms:
+        r = np.broadcast_to(ids[:, None], blocks.shape)
         rows.append(np.maximum(r, 0).ravel())  # row 0 with value 0 for a dropped row
         vals.append(np.where(r >= 0, blocks.swapaxes(1, 2), 0.0).ravel())
-        counts.append(np.full(col_ids.size, row_ids.shape[1]))
-        cols.append(col_ids.ravel())
+        counts.append(np.full(ids.size, ids.shape[1]))
+        cols.append(ids.ravel())
     cols = np.concatenate(cols)
     columns = sp.csc_matrix((np.concatenate(vals), np.concatenate(rows),
                              np.concatenate(([0], np.cumsum(np.concatenate(counts))))),
-                            shape=(shape[0], cols.size))
+                            shape=(n, cols.size))
     to_ids = sp.csr_matrix(((cols >= 0).astype(float), np.maximum(cols, 0),
-                            np.arange(cols.size + 1)), shape=(cols.size, shape[1]))
+                            np.arange(cols.size + 1)), shape=(cols.size, n))
     return columns @ to_ids
 
 
 def _summed_dense(terms: list, n: int) -> np.ndarray:
-    """The (n, n) dense sum of the blocks of `terms`, triples as in
+    """The (n, n) dense sum of the blocks of `terms`, pairs as in
     _summed_columns, by one bincount over the flat ids row n + column;
     entries on an id -1 are dropped."""
     flat, vals = [], []
-    for row_ids, blocks, col_ids in terms:
-        r, c = row_ids[:, :, None], col_ids[:, None, :]
+    for ids, blocks in terms:
+        r, c = ids[:, :, None], ids[:, None, :]
         flat.append(np.where((r >= 0) & (c >= 0), r * n + c, n * n).ravel())
         vals.append(blocks.ravel())
     return np.bincount(np.concatenate(flat), np.concatenate(vals),
@@ -697,22 +697,20 @@ def _summed_dense(terms: list, n: int) -> np.ndarray:
 
 
 def coarse_space(sys: CondensedSystem) -> CoarseSpace:
-    """The P1 coarse space of the trace, the factor of S_c = Pc^T S Pc and
-    E = (I - P S) Pc, built without S or Pc.  Ploc (nd, m + 1), the P1 hat
-    functions of a face's breakpoints at its trace nodes, is the same on
-    every face, and S = blockdiag(S_FF) - scatter of K_fold, so per group of
-    classes with one slot count one stacked product gives each class's
-    K_fold L, L = blockdiag of Ploc over the slots.  S_c is the per-face
+    """The P1 coarse space of the trace and the factor of S_c = Pc^T S Pc,
+    built without S or Pc.  Ploc (nd, m + 1), the P1 hat functions of a
+    face's breakpoints at its trace nodes, is the same on every face, and
+    S = blockdiag(S_FF) - scatter of K_fold, so per group of classes with
+    one slot count one stacked product gives each class's L^T K_fold L,
+    L = blockdiag of Ploc over the slots.  S_c is the per-face
     Ploc^T S_FF Ploc minus each class's L^T K_fold L, scattered by each
-    member's slot-breakpoint coarse ids (-1 on Dirichlet slots, dropped).
-    E = P (scatter of K_fold) Pc is P_F times K_fold L's rows of each member
-    slot F, scattered by the members' trace indices and coarse ids.  Both
-    sum duplicates: a vertex is a breakpoint of two slots of a macro and of
-    every macro around it, and a face's rows get terms from both sides.
-    Up to COARSE_DENSE_MAX_DOFS coarse dofs, S_c is summed into a dense
-    array and factored by LAPACK getrf (_lu); above, it is a sparse matrix
-    factored by splu.  A singular S_c, or a non-finite dense one, raises
-    SingularCoarseOperator."""
+    member's slot-breakpoint coarse ids (-1 on Dirichlet slots, dropped),
+    duplicates summed: a vertex is a breakpoint of two slots of a macro and
+    of every macro around it.  Up to COARSE_DENSE_MAX_DOFS coarse dofs, S_c
+    is summed into a dense array and factored by LAPACK getrf (_lu); above,
+    it is a sparse matrix factored by splu in the minimum-degree ordering of
+    S_c + S_c^T, since S_c is structurally symmetric.  A singular S_c, or a
+    non-finite dense one, raises SingularCoarseOperator."""
     t0 = time.perf_counter()
     nd, zhat, m = sys.nd, sys.zhat, sys.mesh.m
     unknown = sys.face_start >= 0  # skeleton order is trace order
@@ -738,35 +736,27 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
                        np.broadcast_to(cv[:, None], (nf, nd, k)).ravel(),
                        np.arange(0, k * zhat + 1, k)), shape=(n_coarse, zhat))
 
-    Sc_terms, E_terms = [(cv, QF @ Ploc, cv)], []
+    Sc_terms = [(cv, QF @ Ploc)]
     for group in _slot_groups(sys.classes):
         members = [len(cls.face_ids) for cls in group]
-        nc = len(group[0].K_fold)
-        ns = nc // nd
+        ns = group[0].face_ids.shape[1]
         KL = (np.stack([cls.K_fold for cls in group]).reshape(-1, ns, nd) @ Ploc
               ).reshape(len(group), ns, nd, ns * k)
-        ids = face_cv[np.concatenate([cls.face_ids for cls in group])].reshape(-1, ns * k)
         LKL = (Ploc.T @ KL).reshape(len(group), ns * k, ns * k)
-        Sc_terms.append((ids, -np.repeat(LKL, members, axis=0), ids))
-        trace_idx = np.concatenate([cls.trace_idx for cls in group])
-        # a Dirichlet slot (trace index -1) takes face 0's P_F: _summed_columns
-        # drops its rows
-        rank = np.maximum(trace_idx[:, ::nd] // nd, 0)
-        PKL = sys.P_blocks[rank] @ np.repeat(KL, members, axis=0)
-        E_terms.append((trace_idx, PKL.reshape(len(ids), nc, -1), ids))
-    E = _summed_columns(E_terms, (zhat, n_coarse))
+        ids = face_cv[np.concatenate([cls.face_ids for cls in group])].reshape(-1, ns * k)
+        Sc_terms.append((ids, -np.repeat(LKL, members, axis=0)))
     if n_coarse <= COARSE_DENSE_MAX_DOFS:
         Sc = _summed_dense(Sc_terms, n_coarse)
         lu = _lu(Sc)
     else:
-        Sc = _summed_columns(Sc_terms, (n_coarse, n_coarse))
+        Sc = _summed_columns(Sc_terms, n_coarse)
         try:
-            lu = spla.splu(Sc)
+            lu = spla.splu(Sc, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError:  # SuperLU: "Factor is exactly singular"
             lu = None
     if lu is None:
         raise SingularCoarseOperator(n_coarse)
-    return CoarseSpace(cv, Q, E, Sc, lu, time.perf_counter() - t0)
+    return CoarseSpace(cv, Ploc, Q, Sc, lu, time.perf_counter() - t0)
 
 
 def reconstruct_interior(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
@@ -880,11 +870,16 @@ def solve(
             w = v - _face_product(sys.P_blocks, _apply_cab(sys, v))
             t_local += time.perf_counter() - t0
             return w
+    t0 = time.perf_counter()
     rhs = _face_product(sys.P_blocks, sys.f_vec)
     if coarse is not None:
         smooth = op
-        op = lambda v: coarse.correct(smooth(v))
-        rhs = coarse.correct(rhs)
+        op = lambda v: coarse.correct(smooth(v), smooth)
+        rhs = coarse.correct(rhs, smooth)
+    # the right-hand side is set-up: its apply in mf goes into t_init_s, not
+    # into t_local_s with the applies inside GMRES
+    t_init += time.perf_counter() - t0
+    t_local = 0.0
 
     t0 = time.perf_counter()
     uhat, info = gmres(op, rhs, config)

@@ -85,7 +85,7 @@ def test_qq_block_is_vector_mass():
     Q = op.R_u.size // 3
     assert Q == 3
     # direct quadrature mass matrix on the physical triangle
-    rule = quadrature_rule(2, 4)
+    rule = quadrature_rule(4)
     basis = LagrangeBasis(2, 1)
     V = basis.eval(rule.points_ref)
     M = V.T @ ((rule.weights * abs(np.linalg.det(mesh.jacobians[0])))[:, None] * V)

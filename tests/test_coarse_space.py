@@ -26,6 +26,7 @@ from mehdg.schur_solver import (
     COARSE_MIN_TRACE_DOFS,
     SingularCoarseOperator,
     SolverConfig,
+    _apply_cab,
     _face_vertex_ids,
     assemble_schur_explicit,
     assemble_system,
@@ -125,44 +126,42 @@ def test_coarse_operator_is_galerkin_product(name, coarse_factor):
     assert np.abs(Pc @ x - nodes).max() < 1e-13
 
 
+def folded_operators(sys):
+    """The folded operator v -> P S v of each mode: mb's explicit P S and
+    mf's matrix-free apply."""
+    PS = assemble_schur_explicit(sys, fold=True)
+    return {"mb": lambda v: PS @ v,
+            "mf": lambda v: v - (sys.P_blocks @ _apply_cab(sys, v).reshape(-1, sys.nd, 1)).ravel()}
+
+
 @pytest.mark.parametrize("name", list(COARSE_MESHES))
 def test_multiplicative_correction_matches_dense(name):
-    """E, built from the class blocks without S or Pc, equals (I - P S) Pc of
-    the dense explicit S to 1e-14 relative, with no entry stored twice, and
-    correct(w) is the dense w + E S_c^-1 Pc^T P^-1 w: applied to P S v it
-    gives M S v for the multiplicative M = P + Q_c - P S Q_c,
-    Q_c = Pc S_c^-1 Pc^T, on a uniform mesh, an adapted mesh with hanging
+    """correct(w, smooth), with the folded operator of either mode as
+    smooth, is M S v for w = P S v and M f for w = P f, M the dense
+    multiplicative M = P + Q_c - P S Q_c, Q_c = Pc S_c^-1 Pc^T, formed from
+    the dense explicit S, on a uniform mesh, an adapted mesh with hanging
     faces and a mesh with Neumann faces."""
     sys = condensed(COARSE_MESHES[name]())
     coarse = coarse_space(sys)
     S = assemble_schur_explicit(sys).toarray()
-    Pinv = face_diagonal(S, sys.nd)
-    P = np.linalg.inv(Pinv)
+    P = np.linalg.inv(face_diagonal(S, sys.nd))
     Pc = coarse_prolongation(sys, coarse)
-    E = Pc - P @ S @ Pc
-    assert coarse.E.shape == E.shape
-    assert np.abs(coarse.E.toarray() - E).max() <= 1e-14 * np.abs(E).max()
-    csr = coarse.E.tocsr()
-    csr.sum_duplicates()
-    assert csr.nnz == coarse.E.nnz
-    Sc = Pc.T @ S @ Pc
-    Qc = Pc @ np.linalg.solve(Sc, Pc.T)
+    Qc = Pc @ np.linalg.solve(Pc.T @ S @ Pc, Pc.T)
     M = P + Qc - P @ S @ Qc
     rng = np.random.default_rng(3)
-    for _ in range(2):
-        w = rng.standard_normal(sys.zhat)
-        dense = w + E @ np.linalg.solve(Sc, Pc.T @ Pinv @ w)
-        assert np.abs(coarse.correct(w) - dense).max() <= 1e-12 * np.abs(dense).max()
-        v = rng.standard_normal(sys.zhat)
-        MSv = M @ S @ v
-        assert np.abs(coarse.correct(P @ S @ v) - MSv).max() <= 1e-11 * np.abs(MSv).max()
+    for smooth in folded_operators(sys).values():
+        for _ in range(2):
+            v, f = rng.standard_normal((2, sys.zhat))
+            for w, want in ((P @ S @ v, M @ S @ v), (P @ f, M @ f)):
+                assert np.abs(coarse.correct(w, smooth) - want).max() <= (
+                    1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("name", list(COARSE_MESHES))
 def test_dense_and_sparse_coarse_factor_agree(name, monkeypatch):
     """coarse_space takes the dense factor up to COARSE_DENSE_MAX_DOFS
-    coarse dofs and the sparse one above, and both give the same correct(w)
-    to 1e-12 relative."""
+    coarse dofs and the sparse one above, and both give the same
+    correct(w, smooth) to 1e-12 relative."""
     sys = condensed(COARSE_MESHES[name]())
     dofs = coarse_space(sys).dofs
     coarse = {}
@@ -171,7 +170,8 @@ def test_dense_and_sparse_coarse_factor_agree(name, monkeypatch):
         coarse[limit] = coarse_space(sys)
     assert isinstance(coarse[dofs].Sc, np.ndarray) and sp.issparse(coarse[dofs - 1].Sc)
     w = np.random.default_rng(7).standard_normal(sys.zhat)
-    dense, sparse = coarse[dofs].correct(w), coarse[dofs - 1].correct(w)
+    smooth = folded_operators(sys)["mb"]
+    dense, sparse = coarse[dofs].correct(w, smooth), coarse[dofs - 1].correct(w, smooth)
     assert np.abs(dense - sparse).max() <= 1e-12 * np.abs(sparse).max()
 
 
@@ -269,9 +269,10 @@ def test_singular_coarse_operator(value, coarse_factor):
     mesh = build_structured_macro_mesh(2, 1, 1)
     sys = condensed(mesh)
     assert sys.zhat == sys.nd  # the diagonal face alone
+    smooth = folded_operators(sys)["mb"]
     sys.S_blocks[0] = value
     with pytest.raises(SingularCoarseOperator):
-        coarse_space(sys).correct(np.ones(sys.zhat))
+        coarse_space(sys).correct(np.ones(sys.zhat), smooth)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

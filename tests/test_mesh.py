@@ -137,7 +137,7 @@ GEOMETRY_CASES = {
                           [[0.9, 0.35], [1.0, 1.0], [0.3, 0.8]]]),
                 np.array([[0.2, 0.3], [0.6, 0.1], [1.0 / 3.0, 1.0 / 3.0], [0.0, 1.0]]), None),
     "thin": (np.array([[[0.1, 0.2], [0.9, 0.35], [0.65994, 0.305295]]]),
-             quadrature_rule(2, 5).points_ref, 4.0),
+             quadrature_rule(5).points_ref, 4.0),
 }
 
 

@@ -1252,7 +1252,7 @@ def test_linearity_scaling():
             1.0, np.abs(s3.local[e]).max())
 
 
-def test_solve_report_record():
+def test_solve_report_record(monkeypatch):
     _, solution, _, _ = _solve_case(poly_case(2), 2, 2, 2)
     rec = solution.report.to_record()
     for key in ("p", "m", "n", "dof_local", "dof_global", "iterations",
@@ -1280,6 +1280,30 @@ def test_solve_report_record():
     _, solution, _, _ = _solve_case(make_benchmark("tanh", 0.4, (1.0, 1.0)), 8, 1, 2, tol=1e-10)
     rec = solution.report.to_record()
     assert rec["coarse_dofs"] == 79 and rec["t_coarse_s"] > 0.0
+    # in mf under the coarse space, the right-hand side's correction applies
+    # the operator once before GMRES: that apply, here slowed to 0.2 s, is
+    # set-up (t_init_s), not one of the applies inside GMRES (t_local_s), so
+    # t_global_s, GMRES wall time less t_local_s, stays positive
+    from mehdg import schur_solver
+
+    real, calls = schur_solver._apply_cab, []
+
+    def first_apply_slow(sys, uhat):
+        calls.append(len(calls))
+        if len(calls) == 1:
+            time.sleep(0.2)
+        return real(sys, uhat)
+
+    monkeypatch.setattr(schur_solver, "_apply_cab", first_apply_slow)
+    _, solution, _, _ = _solve_case(make_benchmark("tanh", 0.4, (1.0, 1.0)), 8, 1, 2,
+                                    tol=1e-10, mode="mf")
+    rec = solution.report.to_record()
+    assert rec["coarse_dofs"] == 79 and rec["converged"] is True
+    # one apply for the right-hand side, two per GMRES operator call: one per
+    # iteration and one for the true residual that confirms convergence
+    assert len(calls) == 1 + 2 * (rec["iterations"] + 1)
+    assert rec["t_init_s"] >= 0.2 and 0.0 < rec["t_local_s"] < 0.2
+    assert rec["t_global_s"] > 0.0
 
 
 def test_worker_pool_static_partition():

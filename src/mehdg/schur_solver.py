@@ -48,9 +48,10 @@ least COARSE_MIN_TRACE_DOFS dofs: GMRES then runs on M S uhat = M f with the
 multiplicative two-level M = P + Q_c - P S Q_c, Q_c = Pc S_c^-1 Pc^T, the
 hybrid form of Toselli & Widlund (Domain Decomposition Methods, 2005; the
 "A-DEF2" of Tang, Nabben, Vuik & Erlangga, J. Sci. Comput. 39, 2009), which
-takes fewer iterations than the additive M = P + Q_c.  The coarse space is continuous P1 on the sub-cell vertices of
-the skeleton (the mesh vertices at m = 1, the P1 space of Cockburn, Dubois,
-Gopalakrishnan & Tan), Pc its prolongation into the trace and
+takes fewer iterations than the additive M = P + Q_c.  The coarse space is
+continuous P1 on the sub-cell vertices of the skeleton (the mesh vertices
+at m = 1, the P1 space of Cockburn, Dubois, Gopalakrishnan & Tan), Pc its
+prolongation into the trace and
 S_c = Pc^T S Pc, built from each class's K_fold, the face blocks S_FF and
 the mesh arrays without S and factored once: summed into a dense array and
 factored by LAPACK getrf up to COARSE_DENSE_MAX_DOFS coarse dofs, where
@@ -742,8 +743,8 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
         ns = group[0].face_ids.shape[1]
         KL = (np.stack([cls.K_fold for cls in group]).reshape(-1, ns, nd) @ Ploc
               ).reshape(len(group), ns, nd, ns * k)
-        LKL = (Ploc.T @ KL).reshape(len(group), ns * k, ns * k)
         ids = face_cv[np.concatenate([cls.face_ids for cls in group])].reshape(-1, ns * k)
+        LKL = (Ploc.T @ KL).reshape(len(group), ns * k, ns * k)
         Sc_terms.append((ids, -np.repeat(LKL, members, axis=0)))
     if n_coarse <= COARSE_DENSE_MAX_DOFS:
         Sc = _summed_dense(Sc_terms, n_coarse)
@@ -782,7 +783,7 @@ class SolveReport:
     mode: str
     n_classes: int
     t_assemble_s: float
-    t_init_s: float
+    t_init_s: float  # condense and the right-hand side, coarse set-up excluded
     t_local_s: float  # matrix-free applies inside GMRES, P included
     t_global_s: float  # the rest of GMRES
     t_schur_s: float  # building the explicit P S (mb; 0 in mf)

@@ -59,27 +59,17 @@ class LagrangeBasis:
         self.coeff = _readonly(np.linalg.inv(V))  # basis_j = sum_k coeff[k, j] * mono_k
         self.n_dofs = len(self.lattice)
 
-    def _monomials(self, pts: np.ndarray) -> np.ndarray:
+    def _monomials(self, pts: np.ndarray, orders=None) -> np.ndarray:
+        """(npts, n_dofs) monomials at pts, differentiated orders[c] times
+        along axis c (not at all by default)."""
         pts = np.atleast_2d(pts)
         out = np.ones((pts.shape[0], len(self.exps)))
         for c in range(self.d):
-            out *= pts[:, c, None] ** self.exps[None, :, c]
-        return out
-
-    def _mono_deriv(self, pts: np.ndarray, axis: int, order: int = 1) -> np.ndarray:
-        pts = np.atleast_2d(pts)
-        npt = pts.shape[0]
-        out = np.ones((npt, len(self.exps)))
-        for c in range(self.d):
-            e = self.exps[:, c].astype(float)
-            if c == axis:
-                fac = np.ones_like(e)
-                for k in range(order):
-                    fac *= np.maximum(e - k, 0.0)
-                ered = np.maximum(self.exps[:, c] - order, 0)
-                out *= fac[None, :] * pts[:, c, None] ** ered[None, :]
-            else:
-                out *= pts[:, c, None] ** self.exps[None, :, c]
+            e, k = self.exps[:, c], 0 if orders is None else orders[c]
+            fac = np.ones(len(e))  # e (e - 1) ... (e - k + 1), 0 once e < k
+            for j in range(k):
+                fac *= np.maximum(e - j, 0)
+            out *= fac * pts[:, c, None] ** np.maximum(e - k, 0)
         return out
 
     def eval(self, pts: np.ndarray) -> np.ndarray:
@@ -88,32 +78,18 @@ class LagrangeBasis:
 
     def grad(self, pts: np.ndarray) -> np.ndarray:
         """(npts, n_dofs, d) reference gradients."""
-        pts = np.atleast_2d(pts)
-        out = np.empty((pts.shape[0], self.n_dofs, self.d))
-        for c in range(self.d):
-            out[:, :, c] = self._mono_deriv(pts, c) @ self.coeff
-        return out
+        return np.stack([self._monomials(pts, axis) @ self.coeff
+                         for axis in np.eye(self.d, dtype=int)], axis=-1)
 
     def hess(self, pts: np.ndarray) -> np.ndarray:
         """(npts, n_dofs, d, d) reference second derivatives."""
         pts = np.atleast_2d(pts)
+        axes = np.eye(self.d, dtype=int)
         out = np.empty((pts.shape[0], self.n_dofs, self.d, self.d))
         for ca in range(self.d):
             for cb in range(ca, self.d):
-                if ca == cb:
-                    tab = self._mono_deriv(pts, ca, order=2) @ self.coeff
-                else:
-                    mono = np.ones((pts.shape[0], len(self.exps)))
-                    for c in range(self.d):
-                        e = self.exps[:, c].astype(float)
-                        if c in (ca, cb):
-                            ered = np.maximum(self.exps[:, c] - 1, 0)
-                            mono *= e[None, :] * pts[:, c, None] ** ered[None, :]
-                        else:
-                            mono *= pts[:, c, None] ** self.exps[None, :, c]
-                    tab = mono @ self.coeff
-                out[:, :, ca, cb] = tab
-                out[:, :, cb, ca] = tab
+                out[:, :, ca, cb] = out[:, :, cb, ca] = (
+                    self._monomials(pts, axes[ca] + axes[cb]) @ self.coeff)
         return out
 
 

@@ -11,9 +11,12 @@ with [B | R_u^T]: it keeps A^-1 B and U0, every member's local solution at
 uhat = 0, and drops A, B, C and R_u.  The reduced right-hand side and the
 reconstruction are then gathers and GEMMs per class.  The rest of the
 set-up runs per group of classes that share a slot count, and so the shape
-of their blocks: one stacked product gives K = C A^-1 B of the whole group,
-one gather the trace indices of all its members, and each class keeps views
-of its rows of both.
+of their blocks, and condense keeps each group as a SlotGroup: one stacked
+product gives K = C A^-1 B of the whole group, one gather the slot faces and
+the trace indices of all its members.  Each class keeps views of its rows
+of the group's K_fold and trace indices for the apply and the
+reconstruction; the explicit S and the coarse space read the group's
+stacks.
 
 S is stored in one form, S = blockdiag(S_FF) - scatter of K_fold:
 S_FF = D_F - sum K_ss over the member slots s on face F is the face-diagonal
@@ -69,7 +72,7 @@ than it saves, and solve() runs face-block Jacobi alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -79,7 +82,6 @@ import scipy.sparse.linalg as spla
 
 from .assembly import (
     FaceBlocks,
-    LocalOperators,
     ProblemData,
     StabilizationConfig,
     assemble_classes,
@@ -205,25 +207,33 @@ class WorkerPool:
         return float(self.busy.mean()) / mx
 
 
-@dataclass
-class OperatorClass(LocalOperators):
-    """A congruence class's LocalOperators, the skeleton face of each slot
-    of its macros and what condense adds from its one solve with A: A^-1 B,
-    U0, the trace index of each B column and K_fold, the condensed block
-    K = C A^-1 B without its slot-diagonal blocks (those go into the face
-    blocks S_FF).  trace_idx and K_fold are views of the class's rows of
-    arrays that condense builds for all classes with its slot count.
-    condense then sets A, B, C and R_u to None: nothing after it reads
-    them.  Row r of `face_ids`, `trace_idx`, `R_u` and `U0` belongs to macro
-    macro_ids[r]."""
+@dataclass(frozen=True)
+class SlotGroup:
+    """The congruence classes with one slot count, in class order: their
+    blocks share one shape, so condense sets them up in stacked calls, and
+    assemble_schur_explicit and coarse_space read these stacks.  The member
+    rows come class by class, each class's macros in macro_ids order."""
 
-    face_ids: np.ndarray  # (n_macros, n_slots) skeleton face of each slot
-    AinvB: Optional[np.ndarray] = None  # (nloc, nc)
-    U0: Optional[np.ndarray] = None  # (n_macros, nloc) local solutions at uhat = 0
-    # (n_macros, nc) trace dof of each B column, -1 on Dirichlet faces
-    trace_idx: Optional[np.ndarray] = None
-    # (nc, nc) C A^-1 B with its slot-diagonal blocks zeroed
-    K_fold: Optional[np.ndarray] = None
+    members: np.ndarray  # (classes,) member macros per class
+    # (classes, nc, nc) each class's C A^-1 B with its slot-diagonal blocks zeroed
+    K_fold: np.ndarray
+    face_ids: np.ndarray  # (member rows, n_slots) skeleton face of each slot
+    # (member rows, nc) trace dof of each B column, -1 on Dirichlet faces
+    trace_idx: np.ndarray
+
+
+@dataclass(frozen=True)
+class OperatorClass:
+    """What the solve reads of a congruence class after condense: from its
+    one solve with A, A^-1 B and U0, and as views of its rows of its
+    SlotGroup, K_fold and trace_idx.  Row r of `trace_idx` and `U0` belongs
+    to macro macro_ids[r]."""
+
+    macro_ids: np.ndarray  # (n_macros,)
+    AinvB: np.ndarray  # (nloc, nc)
+    U0: np.ndarray  # (n_macros, nloc) local solutions at uhat = 0
+    trace_idx: np.ndarray  # (n_macros, nc)
+    K_fold: np.ndarray  # (nc, nc)
 
 
 class _DenseLU:
@@ -312,13 +322,22 @@ class CondensedSystem:
     # step 4: trace dof of each entry of the macro outputs C A^-1 (.) in
     # class and row order, zhat (a pad slot) on Dirichlet faces
     reduce_dst: np.ndarray
-    f_vec: Optional[np.ndarray] = None
+    groups: list  # SlotGroup per slot count, in order of first class
+    f_vec: np.ndarray  # the reduced right-hand side R_uhat - C A^-1 R_u
     coarse: Optional[CoarseSpace] = None  # condense(coarse=True); solve() releases it
-    counters: dict = field(default_factory=lambda: {"macro_apply": 0, "face_reduce": 0})
 
     @property
     def n_macros(self) -> int:
         return len(self.mesh.verts)
+
+    @property
+    def counters(self) -> dict:
+        """Macro computations and face reductions of the matrix-free
+        applies: each pool call, one _apply_cab, makes one per macro and one
+        per unknown face."""
+        calls = self.pool.calls
+        return {"macro_apply": calls * self.n_macros,
+                "face_reduce": calls * (self.zhat // self.nd)}
 
     @property
     def dof_local(self) -> int:
@@ -327,53 +346,55 @@ class CondensedSystem:
 
 def condense(
     mesh: MacroMesh,
-    classes: list,
+    ops: list,
     faces: FaceBlocks,
     config: SolverConfig,
     coarse: bool = False,
 ) -> CondensedSystem:
-    """Per class, one solve with A for A^-1 B and U0, and the reduced
-    right-hand side f = R_uhat - C A^-1 R_u; then per group of classes with
-    one slot count, K = C A^-1 B of all of them in one stacked product, the
-    trace index of the B columns of all their members, and the face blocks
-    S_FF = D_F minus the slot-diagonal blocks of K, which are then zeroed
-    to give K_fold.  Each class keeps views of its rows of the group's K_fold
-    and trace_idx.  The inverses of S_FF are the preconditioner; with
-    `coarse`, the coarse space is built too.  A, B, C and R_u are released at
-    the end."""
+    """Per class of `ops` (LocalOperators), one solve with A for A^-1 B and
+    U0, and the reduced right-hand side f = R_uhat - C A^-1 R_u; then per
+    group of classes with one slot count, its SlotGroup: K = C A^-1 B of all
+    of them in one stacked product, the slot faces and the trace index of
+    the B columns of all their members, and the face blocks S_FF = D_F
+    minus the slot-diagonal blocks of K, which are then zeroed to give
+    K_fold.  Each OperatorClass keeps views of its rows of its group's
+    K_fold and trace_idx.  The inverses of S_FF are the preconditioner; with
+    `coarse`, the coarse space is built too.  The one write to `ops`
+    releases their A, B, C and R_u, which nothing after the set-up reads,
+    before the coarse set-up."""
     nf, nd = faces.R_hat.shape
     zhat = nf * nd
     face_start = np.full(len(mesh.face_tag), -1, dtype=np.int64)
     face_start[faces.ids] = np.arange(nf) * nd
 
-    rhs_out = []
-    for cls in classes:
-        nc = cls.B.shape[1]
-        X = _solve_local(cls.A, np.hstack([cls.B, cls.R_u.T]), int(cls.macro_ids[0]))
-        cls.AinvB, cls.U0 = X[:, :nc], X[:, nc:].T
-        rhs_out.append((cls.U0 @ cls.C.T).ravel())
+    solves, rhs_out, by_slots = [], [], {}
+    for c, op in enumerate(ops):
+        nc = op.B.shape[1]
+        X = _solve_local(op.A, np.hstack([op.B, op.R_u.T]), int(op.macro_ids[0]))
+        solves.append((X[:, :nc], X[:, nc:].T))  # A^-1 B, U0
+        rhs_out.append((solves[c][1] @ op.C.T).ravel())
+        by_slots.setdefault(nc // nd, []).append(c)
 
     # per skeleton face: its trace dofs (-1 if Dirichlet), and the face block
     # S_FF that its slot-diagonal blocks of K go to (a pad block nf if
     # Dirichlet)
     face_dofs = np.where(face_start[:, None] >= 0, face_start[:, None] + np.arange(nd), -1)
     face_rank = np.where(face_start >= 0, face_start // nd, nf)
-    sum_idx, sum_vals = [], []
-    for group in _slot_groups(classes):
-        K = np.stack([cls.C for cls in group]) @ np.stack([cls.AinvB for cls in group])
-        face_ids = np.concatenate([cls.face_ids for cls in group])
+    classes, groups, sum_idx, sum_vals = [None] * len(ops), [], [], []
+    for ns, ids in by_slots.items():
+        K = np.stack([ops[c].C for c in ids]) @ np.stack([solves[c][0] for c in ids])
+        face_ids = mesh.slot_faces[np.concatenate([ops[c].macro_ids for c in ids]), :ns]
         trace_idx = face_dofs[face_ids].reshape(len(face_ids), -1)
-        members = [len(cls.face_ids) for cls in group]
-        offsets = np.cumsum([0] + members)  # each class's first row
+        members = np.array([len(ops[c].macro_ids) for c in ids])
         # the slot-diagonal blocks of K go to their faces' S_FF (one bincount
         # below), the rest is K_fold
-        ns = face_ids.shape[1]
-        diag = np.einsum("gsisj->gsij", K.reshape(len(group), ns, nd, ns, nd))
+        diag = np.einsum("gsisj->gsij", K.reshape(len(ids), ns, nd, ns, nd))
         sum_idx.append(face_rank[face_ids].ravel())
         sum_vals.append(np.repeat(diag, members, axis=0).ravel())
         diag[...] = 0.0
-        for g, cls in enumerate(group):
-            cls.K_fold, cls.trace_idx = K[g], trace_idx[offsets[g]:offsets[g + 1]]
+        groups.append(SlotGroup(members, K, face_ids, trace_idx))
+        for c, K_fold, rows in zip(ids, K, np.split(trace_idx, np.cumsum(members)[:-1])):
+            classes[c] = OperatorClass(ops[c].macro_ids, *solves[c], rows, K_fold)
     sum_idx = np.concatenate(sum_idx)[:, None] * (nd * nd) + np.arange(nd * nd)
     sums = np.bincount(sum_idx.ravel(), np.concatenate(sum_vals),
                        minlength=(nf + 1) * nd * nd)
@@ -381,6 +402,7 @@ def condense(
     # dst: the trace dof of each entry of the macro outputs, which come class
     # by class: the classes' trace_idx, row-major
     dst = np.concatenate([cls.trace_idx.ravel() for cls in classes])
+    reduce_dst = np.where(dst >= 0, dst, zhat)
     apply_out = np.empty(dst.size)
     pool = WorkerPool(config.workers)
     sys = CondensedSystem(
@@ -388,23 +410,15 @@ def condense(
         pool=pool, partitions=_apply_partitions(classes, apply_out, pool.workers),
         apply_out=apply_out, S_blocks=S_blocks,
         P_blocks=_invert_face_blocks(faces.ids.tolist(), S_blocks),
-        reduce_dst=np.where(dst >= 0, dst, zhat),
+        reduce_dst=reduce_dst, groups=groups,
+        f_vec=faces.R_hat.ravel() - _scatter_outputs(reduce_dst, zhat,
+                                                     np.concatenate(rhs_out)),
     )
-    sys.f_vec = faces.R_hat.ravel() - _scatter_outputs(sys, np.concatenate(rhs_out))
-    for cls in classes:
-        cls.A = cls.B = cls.C = cls.R_u = None
+    for op in ops:
+        op.A = op.B = op.C = op.R_u = None
     if coarse:
         sys.coarse = coarse_space(sys)
     return sys
-
-
-def _slot_groups(classes: list) -> list:
-    """The classes grouped by slot count, each group in class order: a
-    group's blocks share one shape, so its set-up runs as stacked calls."""
-    groups = {}
-    for cls in classes:
-        groups.setdefault(cls.face_ids.shape[1], []).append(cls)
-    return list(groups.values())
 
 
 def _apply_partitions(classes: list, out: np.ndarray, workers: int) -> list:
@@ -442,10 +456,10 @@ def _face_product(blocks: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (blocks @ v.reshape(len(blocks), -1, 1)).ravel()
 
 
-def _scatter_outputs(sys: CondensedSystem, vhat: np.ndarray) -> np.ndarray:
+def _scatter_outputs(reduce_dst: np.ndarray, zhat: int, vhat: np.ndarray) -> np.ndarray:
     """The macro outputs vhat, in class and row order, summed into their
-    trace dofs."""
-    return np.bincount(sys.reduce_dst, vhat, minlength=sys.zhat + 1)[:-1]
+    trace dofs reduce_dst; the pad slot zhat is dropped."""
+    return np.bincount(reduce_dst, vhat, minlength=zhat + 1)[:-1]
 
 
 def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
@@ -460,9 +474,7 @@ def _apply_cab(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
             np.matmul(upad[idx], K_fold.T, out=out)
 
     sys.pool.run(partition_task)
-    sys.counters["macro_apply"] += sys.n_macros
-    sys.counters["face_reduce"] += sys.zhat // sys.nd
-    return _scatter_outputs(sys, sys.apply_out)
+    return _scatter_outputs(sys.reduce_dst, sys.zhat, sys.apply_out)
 
 
 def apply_schur(sys: CondensedSystem, uhat: np.ndarray) -> np.ndarray:
@@ -576,17 +588,17 @@ def assemble_schur_explicit(sys: CondensedSystem, fold: bool = False) -> sp.bsr_
     its diagonal block."""
     nd = sys.nd
     nf = sys.zhat // nd
-    # the distinct blocks: S_FF, then per group each class's -K_fold[s, t]
-    # for the ordered pairs of distinct slots (s, t), class-major
+    # the distinct blocks: S_FF, then per SlotGroup each class's
+    # -K_fold[s, t] for the ordered pairs of distinct slots (s, t),
+    # class-major
     table = [sys.S_blocks]
     rows, cols, src = [np.arange(nf)], [np.arange(nf)], [np.arange(nf)]
-    for group in _slot_groups(sys.classes):
-        ns = group[0].face_ids.shape[1]
+    for group in sys.groups:
+        ns = group.face_ids.shape[1]
         s, t = np.nonzero(~np.eye(ns, dtype=bool))
-        K = np.stack([-cls.K_fold for cls in group]).reshape(len(group), ns, nd, ns, nd)
-        # each member's face rank per slot, -1 on a Dirichlet slot
-        rank = np.concatenate([cls.trace_idx[:, ::nd] for cls in group]) // nd
-        member_class = np.repeat(np.arange(len(group)), [len(cls.trace_idx) for cls in group])
+        K = -group.K_fold.reshape(-1, ns, nd, ns, nd)
+        rank = group.trace_idx[:, ::nd] // nd  # face rank per slot, -1 on a Dirichlet slot
+        member_class = np.repeat(np.arange(len(K)), group.members)
         i, j = np.nonzero((rank[:, s] >= 0) & (rank[:, t] >= 0))  # member, pair
         rows.append(rank[i, s[j]])
         cols.append(rank[i, t[j]])
@@ -701,9 +713,9 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
     """The P1 coarse space of the trace and the factor of S_c = Pc^T S Pc,
     built without S or Pc.  Ploc (nd, m + 1), the P1 hat functions of a
     face's breakpoints at its trace nodes, is the same on every face, and
-    S = blockdiag(S_FF) - scatter of K_fold, so per group of classes with
-    one slot count one stacked product gives each class's L^T K_fold L,
-    L = blockdiag of Ploc over the slots.  S_c is the per-face
+    S = blockdiag(S_FF) - scatter of K_fold, so per SlotGroup one stacked
+    product of its K_fold gives each class's L^T K_fold L, L = blockdiag of
+    Ploc over the slots.  S_c is the per-face
     Ploc^T S_FF Ploc minus each class's L^T K_fold L, scattered by each
     member's slot-breakpoint coarse ids (-1 on Dirichlet slots, dropped),
     duplicates summed: a vertex is a breakpoint of two slots of a macro and
@@ -738,14 +750,12 @@ def coarse_space(sys: CondensedSystem) -> CoarseSpace:
                        np.arange(0, k * zhat + 1, k)), shape=(n_coarse, zhat))
 
     Sc_terms = [(cv, QF @ Ploc)]
-    for group in _slot_groups(sys.classes):
-        members = [len(cls.face_ids) for cls in group]
-        ns = group[0].face_ids.shape[1]
-        KL = (np.stack([cls.K_fold for cls in group]).reshape(-1, ns, nd) @ Ploc
-              ).reshape(len(group), ns, nd, ns * k)
-        ids = face_cv[np.concatenate([cls.face_ids for cls in group])].reshape(-1, ns * k)
-        LKL = (Ploc.T @ KL).reshape(len(group), ns * k, ns * k)
-        Sc_terms.append((ids, -np.repeat(LKL, members, axis=0)))
+    for group in sys.groups:
+        ns = group.face_ids.shape[1]
+        KL = (group.K_fold.reshape(-1, ns, nd) @ Ploc).reshape(-1, ns, nd, ns * k)
+        ids = face_cv[group.face_ids].reshape(-1, ns * k)
+        LKL = (Ploc.T @ KL).reshape(-1, ns * k, ns * k)
+        Sc_terms.append((ids, -np.repeat(LKL, group.members, axis=0)))
     if n_coarse <= COARSE_DENSE_MAX_DOFS:
         Sc = _summed_dense(Sc_terms, n_coarse)
         lu = _lu(Sc)
@@ -826,11 +836,8 @@ def assemble_system(
         raise ValueError(f"p must be an integer, got {p!r}")
     if not 1 <= p <= 9:
         raise ValueError(f"p must lie in 1..9, got {p}")
-    nd = mesh.m * p + 1
-    classes = [OperatorClass(**vars(op), face_ids=mesh.slot_faces[op.macro_ids,
-                                                                  :op.B.shape[1] // nd])
-               for op in assemble_classes(mesh, mesh.congruence_classes(), p, problem, stab)]
-    return classes, face_operators(mesh, p, problem)
+    return (assemble_classes(mesh, mesh.congruence_classes(), p, problem, stab),
+            face_operators(mesh, p, problem))
 
 
 def solve(

@@ -1,7 +1,11 @@
 """Shared helpers for the test suite."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from mehdg import schur_solver
 from mehdg.assembly import StabilizationConfig, assemble_classes
@@ -9,6 +13,11 @@ from mehdg.bench import make_benchmark
 from mehdg.fem_basis import patch_dof_map, trace_hats
 from mehdg.mesh import _assemble_mesh, build_structured_macro_mesh, refine_macros
 from mehdg.schur_solver import SolverConfig, solve
+
+# Hypothesis caches the constants it reads from the tested source on disk
+# when it collects a property test, even with database=None: keep that cache
+# out of the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "mehdg-hypothesis")
 
 
 def poly_case(degree: int, kappa: float = 1.0, a=(1.0, 2.0)):
@@ -45,10 +54,10 @@ def skewed_mesh(n, m):
     return _assemble_mesh(raw, m, [0] * len(raw), n, None)
 
 
-def random_adapted_mesh(levels, boundary_tagger=None):
-    """The (4, 2) mesh refined `levels` times, each time at a seeded random
+def random_adapted_mesh(levels, boundary_tagger=None, n=4, m=2):
+    """The (n, m) mesh refined `levels` times, each time at a seeded random
     quarter of its macros (default_rng(0)); the 2:1 closure adds more."""
-    mesh = build_structured_macro_mesh(2, 4, 2, boundary_tagger)
+    mesh = build_structured_macro_mesh(2, n, m, boundary_tagger)
     rng = np.random.default_rng(0)
     for _ in range(levels):
         k = len(mesh.verts)

@@ -8,6 +8,8 @@ import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     CLASS_MESHES,
@@ -140,7 +142,8 @@ def test_class_operators_match_per_macro_assembly(name):
     """Every class's A, B and C equal those of each member macro assembled
     as a one-macro class,
     and each member's R_u row equals that macro's own R_u, with SUPG off and
-    on (both variants)."""
+    on (both variants); after condense, each member's row of its slot
+    group's face_ids lists that macro's slot faces."""
     from mehdg.bench import make_benchmark
 
     mesh = CLASS_MESHES[name]()
@@ -149,7 +152,7 @@ def test_class_operators_match_per_macro_assembly(name):
     problem.g_N = lambda x: np.sin(3.0 * x[:, 1])
     for stab in (NO_STAB, StabilizationConfig(supg=True),
                  StabilizationConfig(supg=True, supg_variant="paper-plus")):
-        classes, _ = assemble_system(mesh, problem, stab, p)
+        classes, faces = assemble_system(mesh, problem, stab, p)
         ids = sorted(e for cls in classes for e in cls.macro_ids.tolist())
         assert ids == list(range(len(mesh.verts)))
         for cls in classes:
@@ -160,8 +163,14 @@ def test_class_operators_match_per_macro_assembly(name):
                 for got, want in ((A, Ae), (cls.B, op.B), (cls.C, op.C),
                                   (cls.R_u[r], op.R_u)):
                     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-                want = [fid for fid, _ in loop_face_slots(mesh, e, p)]
-                assert cls.face_ids[r].tolist() == want
+    sys = condense(mesh, classes, faces, SolverConfig())
+    for group in sys.groups:
+        # the group's member rows: its classes' macros, class by class
+        rows = np.concatenate([cls.macro_ids for cls in sys.classes
+                               if cls.K_fold.shape == group.K_fold.shape[1:]])
+        assert len(rows) == len(group.face_ids)
+        for e, face_ids in zip(rows.tolist(), group.face_ids):
+            assert face_ids.tolist() == [fid for fid, _ in loop_face_slots(mesh, e, p)]
     if name.startswith("uniform"):
         assert len(classes) == 2  # one class per diagonal direction
     if name == "adapted-2-level":
@@ -215,14 +224,14 @@ def test_fused_apply_matches_dense_oracle(name):
         assert all(isinstance(cls.A, np.ndarray) for cls in classes)  # dense storage
     if name == "uniform-1-8":
         assert all(hasattr(cls.A, "toarray") for cls in classes)  # sparse storage
-    counts = {cls.face_ids.shape[1] for cls in classes}  # slots per macro
     sys = condense(mesh, classes, faces, SolverConfig())
+    counts = {group.face_ids.shape[1] for group in sys.groups}  # slots per macro
     if name == "adapted-2-level":
         assert (mesh.face_parent >= 0).any()
         assert counts == {3, 4}
     if name == "adapted-random-2":
         assert counts == {3, 4, 5, 6}
-    owner = {e: (cls, r) for cls in classes for r, e in enumerate(cls.macro_ids.tolist())}
+    owner = {e: (cls, r) for cls in sys.classes for r, e in enumerate(cls.macro_ids.tolist())}
     S = np.zeros((sys.zhat, sys.zhat))
     for fid, start in unknown_faces(sys):
         S[start:start + sys.nd, start:start + sys.nd] = faces.D[faces.ids == fid][0]
@@ -244,6 +253,36 @@ def test_fused_apply_matches_dense_oracle(name):
         x = rng.standard_normal(sys.zhat)
         want = S @ x
         assert np.linalg.norm(apply_schur(sys, x) - want) <= 1e-11 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("name", ["uniform-4-2", "adapted-random-2"])
+def test_classes_are_views_of_their_slot_group(name):
+    """condense stores each slot count's set-up once: every class's K_fold
+    and trace_idx share memory with exactly its block and its member rows of
+    one SlotGroup, and with no other rows of any group; each group has its
+    own slot count, and the member counts sum to the macro count."""
+    mesh = ORACLE_MESHES[name]()
+    classes, faces = assemble_system(mesh, poly_case(2).problem(), NO_STAB, 2)
+    sys = condense(mesh, classes, faces, SolverConfig())
+    assert sum(int(group.members.sum()) for group in sys.groups) == len(mesh.verts)
+    assert len({group.face_ids.shape[1] for group in sys.groups}) == len(sys.groups)
+    if name == "adapted-random-2":
+        assert len(sys.groups) == 4
+    owners = []
+    for group in sys.groups:
+        ends = np.cumsum(group.members)
+        for g, (size, end) in enumerate(zip(group.members, ends)):
+            owner, = [c for c, cls in enumerate(sys.classes)
+                      if np.shares_memory(cls.K_fold, group.K_fold[g])]
+            cls = sys.classes[owner]
+            assert cls.K_fold.shape == group.K_fold[g].shape
+            assert len(cls.macro_ids) == len(cls.trace_idx) == size
+            assert np.shares_memory(cls.trace_idx, group.trace_idx[end - size:end])
+            others = [group.trace_idx[:end - size], group.trace_idx[end:]]
+            others += [other.trace_idx for other in sys.groups if other is not group]
+            assert not any(np.shares_memory(cls.trace_idx, other) for other in others)
+            owners.append(owner)
+    assert sorted(owners) == list(range(len(sys.classes)))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_MESHES))
@@ -365,7 +404,7 @@ def test_trace_numbering_matches_offsets_loop(m, p):
         pos += m * p + 1
     assert sys.zhat == pos and sys.nd == m * p + 1
     assert sys.face_start.tolist() == [offsets.get(f, -1) for f in range(len(mesh.face_tag))]
-    for cls in classes:
+    for cls in sys.classes:
         for r, e in enumerate(cls.macro_ids.tolist()):
             want = np.full(len(cls.K_fold), -1, dtype=np.int64)
             for fid, slot in loop_face_slots(mesh, e, p):
@@ -435,11 +474,10 @@ def test_two_macro_call_counts():
     red-pattern kind) are two classes of one macro each."""
     _, sys = build_system(1, 1, 1)
     assert [cls.macro_ids.tolist() for cls in sys.classes] == [[0], [1]]
-    sys.counters["macro_apply"] = 0
-    sys.counters["face_reduce"] = 0
+    before = sys.counters
     apply_schur(sys, np.ones(sys.zhat))
-    assert sys.counters["macro_apply"] == 2
-    assert sys.counters["face_reduce"] == 1
+    assert sys.counters["macro_apply"] - before["macro_apply"] == 2
+    assert sys.counters["face_reduce"] - before["face_reduce"] == 1
 
 
 def n_chunks(sys):
@@ -492,7 +530,7 @@ def test_apply_cab_matches_chunk_loop_for_any_worker_count(name):
         first = np.cumsum([0] + [-(-s // CHUNK_MACROS) for s in sizes])
         chunk = np.concatenate([
             np.repeat(first[c] + np.arange(s) // CHUNK_MACROS, cls.trace_idx.shape[1])
-            for c, (s, cls) in enumerate(zip(sizes, classes))])
+            for c, (s, cls) in enumerate(zip(sizes, sys.classes))])
         upad = np.append(uhat, 0.0)
         for w, products in enumerate(sys.partitions):
             sys.apply_out[...] = np.nan
@@ -512,10 +550,11 @@ def test_call_counts_exact_with_workers():
     mesh, sys = build_system(3, 2, 1, workers=8)
     assert n_chunks(sys) > len(sys.classes)
     x = np.ones(sys.zhat)
+    before = sys.counters
     for _ in range(20):
         apply_schur(sys, x)
-    assert sys.counters["macro_apply"] == 20 * len(mesh.verts)
-    assert sys.counters["face_reduce"] == 20 * len(unknown_faces(sys))
+    assert sys.counters["macro_apply"] - before["macro_apply"] == 20 * len(mesh.verts)
+    assert sys.counters["face_reduce"] - before["face_reduce"] == 20 * len(unknown_faces(sys))
 
 
 def dense_D_and_CAB(mesh, sys, p):
@@ -637,7 +676,7 @@ def test_block_preconditioner_inverts_face_blocks_of_s(name):
     assert np.abs((sys.P_blocks @ x.reshape(-1, sys.nd, 1)).ravel() - Px).max() <= (
         1e-14 * np.abs(Px).max())
     nd = sys.nd
-    for cls in classes:
+    for cls in sys.classes:
         assert not cls.K_fold[slot_diagonal_mask(len(cls.K_fold) // nd, nd)].any()
     PS = P @ S
     for got, want in ((assemble_schur_explicit(sys, fold=True), PS),
@@ -662,7 +701,7 @@ def test_explicit_schur_block_structure(name):
         assert (mesh.face_parent >= 0).any()
     assert (mesh.face_tag == "D").any()
     nd = sys.nd
-    k = np.concatenate([(cls.trace_idx[:, ::nd] >= 0).sum(axis=1) for cls in classes])
+    k = np.concatenate([(cls.trace_idx[:, ::nd] >= 0).sum(axis=1) for cls in sys.classes])
     assert k.min() < k.max()  # some members have Dirichlet slots
     for fold in (False, True):
         got = assemble_schur_explicit(sys, fold=fold)
@@ -695,6 +734,32 @@ def test_block_mf_matches_mb_and_dense_solve(name, supg):
     dense = np.linalg.solve(assemble_schur_explicit(sys).toarray(), sys.f_vec)
     for u in uhat.values():
         assert np.linalg.norm(u - dense) <= 1e-10 * np.linalg.norm(dense)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), p=st.integers(1, 3),
+       a=st.tuples(*[st.floats(-1.0, 1.0, allow_subnormal=False)] * 2),
+       log_kappa=st.floats(-6.0, 0.0), supg=st.booleans(), adapted=st.booleans())
+@example(n=1, m=1, p=1, a=(1.0, 2.0), log_kappa=0.0, supg=False, adapted=False)  # no coarse
+@example(n=3, m=3, p=3, a=(0.5, -0.3), log_kappa=0.0, supg=True, adapted=True)  # coarse
+def test_mf_mb_and_sparse_direct_agree(n, m, p, a, log_kappa, supg, adapted):
+    """On random (n, m, p) up to 3, velocity a, log-uniform kappa in
+    [1e-6, 1], SUPG off and on, and an optional random adapted level, the
+    mf and mb traces at GMRES tol 1e-12 and a sparse direct solve of the
+    explicit S agree to 1e-8 relative, with and without the coarse space.
+    The two examples pin one solve without a coarse space and one with."""
+    mesh = (random_adapted_mesh(1, n=n, m=m) if adapted
+            else build_structured_macro_mesh(2, n, m))
+    problem = poly_case(2, kappa=10.0**log_kappa, a=a).problem()
+    stab = StabilizationConfig(supg=supg)
+    uhat = {}
+    for mode in ("mf", "mb"):
+        solution, sys = solve(mesh, problem, stab, SolverConfig(tol=1e-12, mode=mode), p)
+        assert solution.report.converged
+        uhat[mode] = solution.uhat
+    direct = spla.spsolve(assemble_schur_explicit(sys).tocsc(), sys.f_vec)
+    for u in uhat.values():
+        assert np.linalg.norm(u - direct) <= 1e-8 * np.linalg.norm(direct)
 
 
 def test_face_factorization_kinds():
@@ -755,7 +820,7 @@ def test_singular_local_block():
 
     mesh = CLASS_MESHES["adapted-2-level"]()
     classes, faces = assemble_system(mesh, case.problem(), NO_STAB, 2)
-    later = [c for c in classes if c.face_ids.shape[1] != classes[0].face_ids.shape[1]]
+    later = [c for c in classes if c.B.shape[1] != classes[0].B.shape[1]]  # other slot count
     cls = max(later, key=lambda c: len(c.macro_ids))
     assert len(cls.macro_ids) > 1 and int(cls.macro_ids[0]) != int(classes[0].macro_ids[0])
     cls.A = cls.A.copy()

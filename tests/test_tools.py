@@ -34,6 +34,7 @@ def test_ab_interleave_and_phase_share_run_on_this_checkout(tools, capsys):
                                "--blocks", "2", "--ops-per-block", "1"]) == 0
     ab = json.loads(capsys.readouterr().out)
     assert ab["agree"] and ab["passed"] == {"parent": 2, "change": 2}
+    assert ab["digest_mismatches"] == 0
 
     assert phase_share.main([root, "--workload", "hdg-mb", "--seed", "1", "--ops", "2"]) == 0
     share = json.loads(capsys.readouterr().out)

@@ -15,8 +15,10 @@ alike; garbage is collected before each block, outside the timed region.
 
 It prints one JSON object: the per-block CPU-time ratio CHANGE / PARENT
 (median, quartiles, and the blocks in which CHANGE was faster), each side's
-median block CPU time, and each side's iteration total and passed-op count.
-It exits 1 when the two sides' iteration totals or pass counts differ.
+median block CPU time, each side's iteration total and passed-op count, and
+digest_mismatches, the measured ops whose uhat digest (Outcome.digest)
+differs between the sides.  It exits 1 when the two sides' iteration totals
+or pass counts differ; digest_mismatches is reported only.
 """
 
 from __future__ import annotations
@@ -66,12 +68,14 @@ def load_worker(root: Path, tag: str):
 
 
 def run_block(stream, n_ops: int) -> tuple:
-    """CPU seconds, iterations and passed ops of the stream's next n_ops."""
+    """CPU seconds, iterations, passed ops and the uhat digests of the
+    stream's next n_ops."""
     gc.collect()
     c0 = time.process_time()
     outs = [stream.step() for _ in range(n_ops)]
     cpu = time.process_time() - c0
-    return cpu, sum(o.iterations for o in outs), sum(o.ok for o in outs)
+    return (cpu, sum(o.iterations for o in outs), sum(o.ok for o in outs),
+            [o.digest for o in outs])
 
 
 def quartiles(values: list) -> tuple:
@@ -106,12 +110,14 @@ def main(argv=None) -> int:
     cpu = {tag: [] for tag in sides}
     iters = dict.fromkeys(sides, 0)
     passed = dict.fromkeys(sides, 0)
+    digests = {tag: [] for tag in sides}
     for b in range(args.blocks):
         for tag in (("parent", "change") if b % 2 == 0 else ("change", "parent")):
-            seconds, it, ok = run_block(sides[tag], n_ops)
+            seconds, it, ok, digest = run_block(sides[tag], n_ops)
             cpu[tag].append(seconds)
             iters[tag] += it
             passed[tag] += ok
+            digests[tag] += digest
 
     ratios = [c / p for c, p in zip(cpu["change"], cpu["parent"])]
     q1, med, q3 = quartiles(ratios)
@@ -124,6 +130,7 @@ def main(argv=None) -> int:
         "change_faster_blocks": sum(r < 1.0 for r in ratios),
         "block_cpu_s_median": {t: statistics.median(v) for t, v in cpu.items()},
         "iterations": iters, "passed": passed, "attempted": args.blocks * n_ops,
+        "digest_mismatches": sum(p != c for p, c in zip(digests["parent"], digests["change"])),
         "agree": agree,
     }))
     return 0 if agree else 1

@@ -118,7 +118,7 @@ def measure(sides: dict, wl, seed: int, n_ops: int, block: int) -> dict:
     tags = list(sides)
     for b, done in enumerate(range(0, n_ops, block)):
         for tag in (tags if b % 2 == 0 else tags[::-1]):
-            seconds, _, ok = run_block(streams[tag], min(block, n_ops - done))
+            seconds, _, ok, _ = run_block(streams[tag], min(block, n_ops - done))
             cpu[tag] += seconds
             passed[tag] += ok
     out = {}
